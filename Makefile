@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-gate slo slo-gate serve serve-gate results full-results fuzz examples vet chaos chaos-nightly elastic conflict scale
+.PHONY: all build test bench-module race bench bench-json bench-gate slo slo-gate serve serve-gate results full-results fuzz examples vet chaos chaos-nightly elastic conflict scale
 
 all: vet test
 
@@ -14,6 +14,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark is a nested module (benchmark/go.mod), so the root ./...
+# patterns above never compile it: vet and smoke-test it on its own so an
+# internal API change cannot break it silently.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/core/ ./internal/livenet/ ./internal/udpnet/ ./internal/sim/

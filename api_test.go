@@ -5,8 +5,8 @@ import "testing"
 func TestPollQueueBuffersBeforeCallback(t *testing.T) {
 	cl := NewCluster(Defaults())
 	cl.Run(50 * Microsecond)
-	cl.Process(0).UnreliableSend([]Message{{Dst: 3, Data: "a", Size: 16}})
-	cl.Process(0).UnreliableSend([]Message{{Dst: 3, Data: "b", Size: 16}})
+	cl.Process(0).Send([]Message{{Dst: 3, Data: "a", Size: 16}})
+	cl.Process(0).Send([]Message{{Dst: 3, Data: "b", Size: 16}})
 	cl.Run(300 * Microsecond)
 	p := cl.Process(3)
 	if p.Pending() != 2 {
@@ -38,7 +38,7 @@ func TestCallbackSupersedesQueue(t *testing.T) {
 	got := 0
 	cl.Process(2).OnDeliver(func(Delivery) { got++ })
 	cl.Run(50 * Microsecond)
-	cl.Process(0).UnreliableSend([]Message{{Dst: 2, Size: 16}})
+	cl.Process(0).Send([]Message{{Dst: 2, Size: 16}})
 	cl.Run(300 * Microsecond)
 	if got != 1 {
 		t.Fatalf("callback saw %d deliveries", got)
@@ -56,9 +56,9 @@ func TestUnifiedConfig(t *testing.T) {
 	// Interleave classes; the unified poll stream must be ts-sorted.
 	for i := 0; i < 10; i++ {
 		if i%2 == 0 {
-			cl.Process(0).UnreliableSend([]Message{{Dst: 5, Data: i, Size: 16}})
+			cl.Process(0).Send([]Message{{Dst: 5, Data: i, Size: 16}})
 		} else {
-			cl.Process(1).ReliableSend([]Message{{Dst: 5, Data: i, Size: 16}})
+			cl.Process(1).Send([]Message{{Dst: 5, Data: i, Size: 16}}, Reliable())
 		}
 		cl.Run(5 * Microsecond)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"onepipe"
+	"onepipe/internal/netsim"
 )
 
 // collectDeliveries runs a fixed multi-round workload — bursty scatterings
@@ -15,7 +16,7 @@ func collectDeliveries(t *testing.T, disableBatching bool, lossRate float64) [][
 	t.Helper()
 	cfg := onepipe.Defaults()
 	cfg.Seed = 7
-	cfg.LossRate = lossRate
+	cfg.Impair = netsim.UniformLoss(lossRate)
 	cfg.DisableBatching = disableBatching
 	cl := onepipe.NewCluster(cfg)
 	n := cl.NumProcesses()

@@ -57,10 +57,9 @@ func main() {
 
 	ncfg := netsim.DefaultConfig(topo, *procs)
 	ncfg.Mode = mode
-	ncfg.LossRate = *loss
+	ncfg.Impair = netsim.Uniform(netsim.Impairment{Loss: *loss, Jitter: sim.Time(*jitterUs * 1000)})
 	ncfg.BeaconInterval = sim.Time(*beaconUs * 1000)
 	ncfg.Seed = *seed
-	ncfg.Jitter = sim.Time(*jitterUs * 1000)
 	net := netsim.New(ncfg)
 	ecfg := core.DefaultConfig()
 	ecfg.DisableBEAck = *noack

@@ -12,10 +12,10 @@ func Example() {
 	cluster := onepipe.NewCluster(onepipe.Defaults())
 	cluster.Run(50 * onepipe.Microsecond)
 
-	cluster.Process(0).ReliableSend([]onepipe.Message{
+	cluster.Process(0).Send([]onepipe.Message{
 		{Dst: 1, Data: "debit", Size: 32},
 		{Dst: 2, Data: "credit", Size: 32},
-	})
+	}, onepipe.Reliable())
 	cluster.Run(300 * onepipe.Microsecond)
 
 	d1, _ := cluster.Process(1).Poll()
@@ -31,10 +31,10 @@ func Example_totalOrder() {
 	cluster.Run(50 * onepipe.Microsecond)
 
 	// Two senders race.
-	cluster.Process(3).UnreliableSend([]onepipe.Message{
+	cluster.Process(3).Send([]onepipe.Message{
 		{Dst: 1, Data: "from-3", Size: 16}, {Dst: 2, Data: "from-3", Size: 16},
 	})
-	cluster.Process(5).UnreliableSend([]onepipe.Message{
+	cluster.Process(5).Send([]onepipe.Message{
 		{Dst: 1, Data: "from-5", Size: 16}, {Dst: 2, Data: "from-5", Size: 16},
 	})
 	cluster.Run(300 * onepipe.Microsecond)
@@ -69,10 +69,10 @@ func Example_sendFailure() {
 	fails := 0
 	cluster.Process(0).OnSendFail(func(onepipe.SendFailure) { fails++ })
 	cluster.KillHost(1) // destination dies
-	cluster.Process(0).ReliableSend([]onepipe.Message{
+	cluster.Process(0).Send([]onepipe.Message{
 		{Dst: 1, Data: "doomed", Size: 16},
 		{Dst: 2, Data: "recalled with it", Size: 16},
-	})
+	}, onepipe.Reliable())
 	cluster.Run(5 * onepipe.Millisecond)
 	fmt.Println("failures reported:", fails)
 	// Output: failures reported: 2

@@ -15,7 +15,8 @@ import (
 
 func main() {
 	cfg := onepipe.Defaults()
-	cfg.LossRate = 0.002 // a slightly lossy fabric, to show recovery
+	const loss = 0.002 // a slightly lossy fabric, to show recovery
+	cfg.Impair = netsim.UniformLoss(loss)
 	cfg.Seed = 7
 	cluster := onepipe.NewCluster(cfg)
 
@@ -42,7 +43,7 @@ func main() {
 	cluster.Run(20 * onepipe.Millisecond)
 
 	fmt.Printf("acknowledged %d/50 appends (latency mean %.1fus, %d retransmits under %.1f%% loss)\n",
-		acked, group.Stats.Latency.Mean(), group.Stats.Retransmits, cfg.LossRate*100)
+		acked, group.Stats.Latency.Mean(), group.Stats.Retransmits, loss*100)
 
 	logs := make(map[netsim.ProcID][]replication.Entry)
 	for _, r := range replicas {

@@ -8,58 +8,27 @@ import (
 	"onepipe/internal/topology"
 )
 
-// TestLegacyKnobsViaProfileGoldenDigests re-runs the pinned golden seeds
-// with every legacy knob (BaseLoss → netsim LossRate, Jitter) expressed
-// through the Impairment profile API instead, and demands the exact
-// pre-redesign digests. This is the redesign's compatibility proof: the
-// profile's uniform Loss/Jitter consume the shared shard RNG at the same
-// code points the legacy fields did, so the runs are byte-identical.
-func TestLegacyKnobsViaProfileGoldenDigests(t *testing.T) {
-	golden := []struct {
-		seed       int64
-		digest     string
-		deliveries int
-	}{
-		{42, "7dd84620e944b40119c7e37aa8f2e1318ebb641d7e2181dd4b4300c70afd460e", 11793},
-		{20260805, "37bc8b4a49a5ca408fbff46279c5d74c42661018f736ad339a3ee85f8ba335f2", 24980},
-	}
-	for _, g := range golden {
-		p := NewPlan(g.seed)
-		p.Impair = &netsim.Profile{Default: &netsim.Impairment{Loss: p.BaseLoss, Jitter: p.Jitter}}
-		p.BaseLoss, p.Jitter = 0, 0
-		r := Run(p)
-		if got := r.Digest(); got != g.digest {
-			t.Errorf("seed %d via profile: digest %s, want %s", g.seed, got, g.digest)
-		}
-		if got := r.TotalDeliveries(); got != g.deliveries {
-			t.Errorf("seed %d via profile: %d deliveries, want %d", g.seed, got, g.deliveries)
-		}
-	}
-}
-
-// TestProfileExpressedKnobsFullEquivalence pins the stronger property on a
-// crafted plan where loss and jitter are both guaranteed nonzero (the golden
-// seeds draw theirs, so either may be zero): the legacy-knob run and the
-// profile-expressed run must agree on the FULL digest — delivery logs and
-// callback logs both.
-func TestProfileExpressedKnobsFullEquivalence(t *testing.T) {
-	legacy := craftedPlan(1311,
+// TestGoldenLossJitterFullDigest pins the FullDigest — delivery logs and
+// callback logs both — of a crafted plan where base loss and jitter are both
+// guaranteed nonzero (the golden seeds draw theirs, so either may be zero),
+// a loss burst raises the rate over that baseline and hands it back, and a
+// host crashes. The digest was recorded when BaseLoss/Jitter still reached
+// netsim as two global config knobs and the burst mutated the config
+// mid-run; the uniform profile and the SetLossOverride hook must consume the
+// shard RNG at the same draw points to reproduce it.
+func TestGoldenLossJitterFullDigest(t *testing.T) {
+	const want = "81a182ab5d21298e7b178f9937a8a8c11ae351dbe22866afa6f5682633b1db06"
+	p := craftedPlan(1311,
+		Fault{At: 1200 * sim.Microsecond, Kind: FaultLossBurst, Rate: 0.15, Dur: 400 * sim.Microsecond},
 		Fault{At: 1500 * sim.Microsecond, Kind: FaultHostCrash, Host: 4})
-	legacy.BaseLoss = 0.008
-	legacy.Jitter = 400 * sim.Nanosecond
-
-	profiled := legacy
-	profiled.Impair = &netsim.Profile{Default: &netsim.Impairment{
-		Loss: legacy.BaseLoss, Jitter: legacy.Jitter}}
-	profiled.BaseLoss, profiled.Jitter = 0, 0
-
-	a, b := Run(legacy), Run(profiled)
-	if a.FullDigest() != b.FullDigest() {
-		t.Fatalf("legacy vs profile full digests differ: %s != %s",
-			a.FullDigest()[:16], b.FullDigest()[:16])
+	p.BaseLoss = 0.008
+	p.Jitter = 400 * sim.Nanosecond
+	r := Run(p)
+	if got := r.FullDigest(); got != want {
+		t.Errorf("loss+jitter+burst schedule: full digest %s, want %s", got, want)
 	}
-	if a.TotalDeliveries() == 0 {
-		t.Fatal("no deliveries; equivalence vacuous")
+	if got := r.TotalDeliveries(); got != 7228 {
+		t.Errorf("%d deliveries, want 7228", got)
 	}
 }
 

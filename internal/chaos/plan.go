@@ -179,14 +179,11 @@ type Plan struct {
 	Joins  []JoinEvent
 	Drains []DrainEvent
 
-	// Impair attaches a composable link-impairment profile
-	// (netsim.Config.Impair): Gilbert-Elliott burst loss, duty-cycle
-	// loss, reorder, RTT classes, or profile-expressed uniform loss/
-	// jitter. Like BatchWindow it is a crafted-scenario knob seed
-	// derivation never sets, so existing golden digests are unaffected.
-	// A profile expressing only uniform Loss/Jitter (with BaseLoss and
-	// Jitter left zero) replays the legacy knobs' digests byte-for-byte
-	// — TestLegacyKnobsViaProfileGoldenDigests pins that.
+	// Impair, when set, replaces the uniform BaseLoss/Jitter profile with
+	// a crafted one (netsim.Config.Impair): Gilbert-Elliott burst loss,
+	// duty-cycle loss, reorder, RTT classes. Like BatchWindow it is a
+	// crafted-scenario knob seed derivation never sets, so existing golden
+	// digests are unaffected.
 	Impair *netsim.Profile
 
 	// Shards splits the network simulation into per-pod shard engines
@@ -387,9 +384,10 @@ func (p *Plan) HasPartition() bool {
 func (p *Plan) NetConfig() netsim.Config {
 	cfg := netsim.DefaultConfig(p.Topo, p.ProcsPerHost)
 	cfg.Seed = p.Seed
-	cfg.LossRate = p.BaseLoss
-	cfg.Jitter = p.Jitter
 	cfg.Impair = p.Impair
+	if cfg.Impair == nil {
+		cfg.Impair = netsim.Uniform(netsim.Impairment{Loss: p.BaseLoss, Jitter: p.Jitter})
+	}
 	cfg.FlowECMP = p.FlowECMP
 	cfg.ControllerManagedCommit = true
 	cfg.NonuniformPipeline = p.NonuniformPipeline

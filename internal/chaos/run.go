@@ -395,19 +395,15 @@ func runWith(p Plan, tap func(*netsim.Packet)) *Result {
 	}
 
 	// Fault executor: every fault is armed at an absolute engine time.
-	// Loss bursts restore the LossRate the network was built with (equal
-	// to p.BaseLoss for legacy plans, so goldens are unchanged) rather
-	// than p.BaseLoss itself: a plan expressing its baseline through
-	// p.Impair has BaseLoss 0, and restoring 0 is what lets the profile's
-	// uniform loss take over again after the burst window.
-	baseLoss := net.Cfg.LossRate
+	// A loss burst overrides every link's uniform loss for its window;
+	// clearing the override hands the rate back to the plan's profile.
 	crashed := make(map[int]bool)
 	for _, f := range p.Faults {
 		f := f
 		switch f.Kind {
 		case FaultLossBurst:
-			eng.At(f.At, func() { net.Cfg.LossRate = f.Rate })
-			eng.At(f.At+f.Dur, func() { net.Cfg.LossRate = baseLoss })
+			eng.At(f.At, func() { net.SetLossOverride(f.Rate) })
+			eng.At(f.At+f.Dur, func() { net.SetLossOverride(0) })
 		case FaultLinkDown:
 			eng.At(f.At, func() { net.G.KillLink(f.Link) })
 		case FaultHostCrash:

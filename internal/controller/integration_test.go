@@ -18,7 +18,7 @@ import (
 func TestAtomicityUnderContinuousTraffic(t *testing.T) {
 	cfg := netsim.DefaultConfig(topology.Testbed(), 1)
 	cfg.ControllerManagedCommit = true
-	cfg.LossRate = 1e-4
+	cfg.Impair = netsim.UniformLoss(1e-4)
 	net := netsim.New(cfg)
 	cl := core.Deploy(net, core.DefaultConfig())
 	ctrl := New(net, cl, DefaultConfig())

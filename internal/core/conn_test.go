@@ -116,7 +116,7 @@ func TestLargeScatteringEventuallyLaunches(t *testing.T) {
 
 func TestRetransmissionStopsAfterAck(t *testing.T) {
 	cfg := netsim.DefaultConfig(topology.ClosConfig{Pods: 1, RacksPerPod: 1, HostsPerRack: 2, SpinesPerPod: 1, Cores: 1}, 1)
-	cfg.LossRate = 0.3
+	cfg.Impair = netsim.UniformLoss(0.3)
 	cfg.Seed = 13
 	cl := Deploy(netsim.New(cfg), DefaultConfig())
 	cl.Procs[1].OnDeliver = func(Delivery) {}

@@ -148,7 +148,7 @@ func TestCausality(t *testing.T) {
 }
 
 func TestReliableDeliveryUnderLoss(t *testing.T) {
-	cl := smallNet(t, 1, func(c *netsim.Config) { c.LossRate = 0.02; c.Seed = 42 })
+	cl := smallNet(t, 1, func(c *netsim.Config) { c.Impair = netsim.UniformLoss(0.02); c.Seed = 42 })
 	logs := collect(cl)
 	cl.Run(50 * sim.Microsecond)
 	const rounds = 60
@@ -179,7 +179,7 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 }
 
 func TestReliableNoDuplicates(t *testing.T) {
-	cl := smallNet(t, 1, func(c *netsim.Config) { c.LossRate = 0.05; c.Seed = 7 })
+	cl := smallNet(t, 1, func(c *netsim.Config) { c.Impair = netsim.UniformLoss(0.05); c.Seed = 7 })
 	seen := make(map[int]int)
 	for _, p := range cl.Procs {
 		p.OnDeliver = func(d Delivery) { seen[d.Data.(int)]++ }
@@ -204,7 +204,7 @@ func TestReliableNoDuplicates(t *testing.T) {
 }
 
 func TestBestEffortLossReportedNotRetransmitted(t *testing.T) {
-	cl := smallNet(t, 1, func(c *netsim.Config) { c.LossRate = 0.10; c.Seed = 9 })
+	cl := smallNet(t, 1, func(c *netsim.Config) { c.Impair = netsim.UniformLoss(0.10); c.Seed = 9 })
 	delivered := make(map[int]bool)
 	failed := make(map[int]bool)
 	for _, p := range cl.Procs {
@@ -537,7 +537,7 @@ func TestInvariantsAcrossSeeds(t *testing.T) {
 				cl := smallNet(t, 1, func(c *netsim.Config) {
 					c.Seed = seed
 					c.Mode = mode
-					c.LossRate = 0.01
+					c.Impair = netsim.UniformLoss(0.01)
 				})
 				// DeliverSeparate gives each class its own total order;
 				// record the two streams separately.

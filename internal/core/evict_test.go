@@ -19,7 +19,7 @@ func runBurstyWorkload(t *testing.T, seed int64, evict sim.Time) ([][]propRec, *
 	t.Helper()
 	cfg := netsim.DefaultConfig(topology.ClosConfig{Pods: 1, RacksPerPod: 2, HostsPerRack: 2, SpinesPerPod: 2, Cores: 1}, 2)
 	cfg.Seed = seed
-	cfg.Jitter = 500 * sim.Nanosecond
+	cfg.Impair = netsim.UniformJitter(500 * sim.Nanosecond)
 	ccfg := DefaultConfig()
 	ccfg.ConnIdleEvict = evict
 	cl := Deploy(netsim.New(cfg), ccfg)

@@ -35,7 +35,7 @@ func runKeyedWorkload(t *testing.T, mode DeliveryMode, seed int64, keyFor func(i
 	t.Helper()
 	cfg := netsim.DefaultConfig(topology.ClosConfig{Pods: 1, RacksPerPod: 2, HostsPerRack: 2, SpinesPerPod: 2, Cores: 1}, 2)
 	cfg.Seed = seed
-	cfg.Jitter = 500 * sim.Nanosecond
+	cfg.Impair = netsim.UniformJitter(500 * sim.Nanosecond)
 	ccfg := DefaultConfig()
 	ccfg.Mode = mode
 	cl := Deploy(netsim.New(cfg), ccfg)

@@ -15,7 +15,7 @@ func deploy(t *testing.T, tr Transport) (*core.Cluster, *Store) {
 	// Realistic per-packet delay variation: this is what makes ordering
 	// hazards observable on the unordered transport (different paths,
 	// different delays — §2.2.1).
-	cfg.Jitter = 3 * sim.Microsecond
+	cfg.Impair = netsim.UniformJitter(3 * sim.Microsecond)
 	cl := core.Deploy(netsim.New(cfg), core.DefaultConfig())
 	return cl, New(cl, tr)
 }

@@ -33,7 +33,7 @@ func Hazards(sc Scale) *Table {
 	}
 	run := func(tr dsm.Transport, iriw bool) float64 {
 		cfg := netsim.DefaultConfig(topology.ClosConfig{Pods: 2, RacksPerPod: 2, HostsPerRack: 2, SpinesPerPod: 2, Cores: 2}, 1)
-		cfg.Jitter = 3 * sim.Microsecond
+		cfg.Impair = netsim.UniformJitter(3 * sim.Microsecond)
 		cl := core.Deploy(netsim.New(cfg), core.DefaultConfig())
 		st := dsm.New(cl, tr)
 		var res *dsm.HazardStats

@@ -15,7 +15,7 @@ import (
 func runLatencyProbe(sc Scale, n int, mode netsim.Mode, reliable, ordered bool, loss float64) stats.Sample {
 	cl := deploy(n, func(c *netsim.Config) {
 		c.Mode = mode
-		c.LossRate = loss
+		c.Impair = netsim.UniformLoss(loss)
 	}, nil)
 	eng := cl.Net.Eng
 	var lat stats.Sample

@@ -113,7 +113,6 @@ func TestZipfSkewReducesThroughput(t *testing.T) {
 
 func TestRecoveryUnderLoss(t *testing.T) {
 	st := deploy(t, Mode1Pipe, nil)
-	st.cl.Net.Cfg.LossRate = 0 // configured below via network cfg, keep simple
 	s := st.Run(200*sim.Microsecond, 500*sim.Microsecond)
 	if s.Committed == 0 {
 		t.Fatal("nothing committed")
@@ -122,7 +121,7 @@ func TestRecoveryUnderLoss(t *testing.T) {
 
 func TestLossyNetworkStillCommits(t *testing.T) {
 	ncfg := netsim.DefaultConfig(topology.ClosConfig{Pods: 2, RacksPerPod: 2, HostsPerRack: 2, SpinesPerPod: 2, Cores: 2}, 1)
-	ncfg.LossRate = 0.001
+	ncfg.Impair = netsim.UniformLoss(0.001)
 	cl := core.Deploy(netsim.New(ncfg), core.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.Keys = 1 << 16

@@ -42,10 +42,10 @@ func TestLiveReliableUnderImpairment(t *testing.T) {
 
 	const rounds = 12
 	for k := 0; k < rounds; k++ {
-		if err := n.Send(0, true, []core.Message{
+		if err := n.SendOpts(0, []core.Message{
 			{Dst: 1, Data: []byte{byte(k)}, Size: 1},
 			{Dst: 2, Data: []byte{byte(k)}, Size: 1},
-		}); err != nil {
+		}, core.SendOptions{Reliable: true}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)

@@ -3,18 +3,18 @@
 // aggregation (§4.1) over in-process links, and all protocol state is
 // driven by one event-loop goroutine fed by channels and wall-clock
 // timers. It exists to demonstrate that internal/core is genuinely
-// substrate-independent — the examples and cmd/onepipe-demo run on it with
-// real elapsed microseconds.
+// substrate-independent — `onepipe-live -fabric chan` runs on it with real
+// elapsed microseconds.
 //
 // The fabric is a single-switch star: every host connects to one software
-// switch that keeps a barrier register per host link and relays the
-// aggregated minimum, which is exactly the one-rack slice of the Clos
-// model (deeper hierarchies compose the same aggregation step).
+// switch (internal/starswitch, driven from the loop) that keeps a barrier
+// register per host link and relays the aggregated minimum, which is
+// exactly the one-rack slice of the Clos model (deeper hierarchies compose
+// the same aggregation step). This package only moves packets and time.
 package livenet
 
 import (
 	"fmt"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -23,6 +23,7 @@ import (
 	"onepipe/internal/netsim"
 	"onepipe/internal/obs"
 	"onepipe/internal/sim"
+	"onepipe/internal/starswitch"
 )
 
 // Config parameterizes the live fabric.
@@ -33,20 +34,14 @@ type Config struct {
 	LinkDelay time.Duration
 	// BeaconInterval is T_beacon in wall-clock time.
 	BeaconInterval time.Duration
-	// LossRate drops forwarded data-plane packets at the switch (the
-	// in-process links never lose on their own, so the retransmission
-	// machinery is exercised by injection, as in udpnet).
-	//
-	// Deprecated: use Impair with a netsim.Impairment{Loss: rate}. When
-	// both are set, the nonzero LossRate takes precedence over the
-	// impairment's uniform Loss (its other components still apply).
-	LossRate float64
-	// Seed seeds the loss RNG; zero draws from the wall clock.
+	// Seed seeds the impairment RNG; zero draws from the wall clock.
 	Seed int64
 	// Impair, when non-nil, degrades data-plane packets at the switch with
 	// the full composable model (uniform loss, burst loss, jitter, extra
 	// delay) — the live-fabric counterpart of netsim.Config.Impair. The
-	// fabric has one switch, so one Impairment covers every path.
+	// in-process links never lose on their own, so the retransmission
+	// machinery is exercised by injection, as in udpnet. The fabric has one
+	// switch, so one Impairment covers every path.
 	Impair *netsim.Impairment
 	// Endpoint overrides the lib1pipe configuration.
 	Endpoint *core.Config
@@ -70,32 +65,18 @@ func DefaultConfig(hosts, procsPerHost int) Config {
 
 // Net is a running live fabric.
 type Net struct {
-	cfg  Config
-	ecfg core.Config // resolved endpoint config, reused by runtime joins
-	loop chan func()
-	done chan struct{}
-	wg   sync.WaitGroup
+	cfg   Config
+	ecfg  core.Config // resolved endpoint config, reused by runtime joins
+	loop  chan func()
+	done  chan struct{}
+	wg    sync.WaitGroup
 	start time.Time
 
 	hosts []*core.Host
 	procs []*core.Proc
-	// drained marks hosts that have gracefully left: their uplink register
-	// is excluded from aggregation and the switch drops traffic toward
-	// them. Touched only on the loop.
-	drained []bool
-
-	// Switch state: per-host-uplink barrier registers.
-	regBE, regC []sim.Time
-	outBE, outC sim.Time
-	rng         *rand.Rand // loss injection; touched only on the loop
-	// imp applies Config.Impair (own RNG per the impairment determinism
-	// contract; touched only on the loop).
-	imp *netsim.ImpairState
-	// lastFwd records, per downlink, when the switch last forwarded a data
-	// packet: forwarded packets are restamped with the aggregated barrier,
-	// so a recently-active downlink needs no standalone beacon (§4.2
-	// piggybacking). Touched only on the loop.
-	lastFwd []time.Time
+	// sw is the switch: port h is host h's link pair. Touched only on the
+	// loop.
+	sw *starswitch.Core
 
 	traces []*obs.Trace
 	debug  *http.Server
@@ -136,23 +117,6 @@ func New(cfg Config) *Net {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	n := &Net{
-		cfg:   cfg,
-		loop:  make(chan func(), 4096),
-		done:  make(chan struct{}),
-		start: time.Now(),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
-	if cfg.Impair != nil && *cfg.Impair != (netsim.Impairment{}) {
-		imp := *cfg.Impair
-		if cfg.LossRate > 0 {
-			imp.Loss = 0 // legacy knob wins the uniform component
-		}
-		n.imp = netsim.NewImpairState(&imp, seed, 0)
-	}
-	n.wg.Add(1)
-	go n.run()
-
 	ecfg := core.DefaultConfig()
 	if cfg.Endpoint != nil {
 		ecfg = *cfg.Endpoint
@@ -164,7 +128,16 @@ func New(cfg Config) *Net {
 	ecfg.RTO = 20 * sim.Time(cfg.LinkDelay)
 	ecfg.SendFailTimeout = 100 * sim.Time(cfg.LinkDelay)
 
-	n.ecfg = ecfg
+	n := &Net{
+		cfg:   cfg,
+		ecfg:  ecfg,
+		loop:  make(chan func(), 4096),
+		done:  make(chan struct{}),
+		start: time.Now(),
+		sw:    starswitch.New(cfg.Impair, seed, !ecfg.DisablePiggyback),
+	}
+	n.wg.Add(1)
+	go n.run()
 
 	ready := make(chan struct{})
 	n.post(func() {
@@ -227,21 +200,12 @@ func (n *Net) post(fn func()) {
 	}
 }
 
-// addHost creates host len(n.hosts) on the loop: lib1pipe runtime, stuck
-// hook, procs, and a fresh uplink register pair seeded at the current
-// aggregate (everything a live host emits from now on carries at least
-// that barrier, so admitting the link can never regress the minimum).
+// addHost creates host len(n.hosts) on the loop: a switch port (its uplink
+// registers seeded at the current aggregate), the lib1pipe runtime, stuck
+// hook and procs.
 func (n *Net) addHost() *core.Host {
 	hi := len(n.hosts)
-	be, c := n.aggregate()
-	eff := be
-	if c > eff {
-		eff = c
-	}
-	n.regBE = append(n.regBE, eff)
-	n.regC = append(n.regC, eff)
-	n.lastFwd = append(n.lastFwd, time.Time{})
-	n.drained = append(n.drained, false)
+	n.sw.Admit(hi)
 	host := core.NewHost(hi, hostWire{n: n, host: hi}, n.ecfg)
 	if n.cfg.Trace {
 		host.Obs = obs.NewTrace()
@@ -254,8 +218,7 @@ func (n *Net) addHost() *core.Host {
 	host.SetFloor(n.Now())
 	host.OnStuck = func(src, dst netsim.ProcID, ts sim.Time) {
 		n.post(func() {
-			dh := int(dst) / n.cfg.ProcsPerHost
-			if dh >= 0 && dh < len(n.drained) && n.drained[dh] {
+			if n.sw.Drained(int(dst) / n.cfg.ProcsPerHost) {
 				host.ResolveUnreachable(dst, ts)
 			}
 		})
@@ -290,7 +253,7 @@ func (n *Net) Drain(host int) error {
 			close(fin)
 			return
 		}
-		if n.drained[host] {
+		if n.sw.Drained(host) {
 			errc <- fmt.Errorf("livenet: host %d already drained", host)
 			close(fin)
 			return
@@ -298,7 +261,7 @@ func (n *Net) Drain(host int) error {
 		h := n.hosts[host]
 		errc <- nil
 		h.Drain(func() {
-			n.drained[host] = true
+			n.sw.Drain(host)
 			h.Stop()
 			close(fin)
 		})
@@ -316,103 +279,42 @@ func (n *Net) Drain(host int) error {
 // Drained reports whether a host has gracefully left.
 func (n *Net) Drained(host int) bool {
 	var d bool
-	n.Do(func() { d = host >= 0 && host < len(n.drained) && n.drained[host] })
+	n.Do(func() { d = n.sw.Drained(host) })
 	return d
 }
 
-// switchReceive executes eq. 4.1 for a packet arriving on a host uplink
-// and forwards it toward its destination host.
+// switchReceive hands a packet arriving on a host uplink to the switch and,
+// if it says so, forwards the restamped packet down the destination link.
 func (n *Net) switchReceive(fromHost int, pkt *netsim.Packet) {
-	if n.drained[fromHost] {
-		netsim.PutPacket(pkt) // straggler from a departed host
-		return
-	}
-	if pkt.BarrierBE > n.regBE[fromHost] {
-		n.regBE[fromHost] = pkt.BarrierBE
-	}
-	if pkt.BarrierC > n.regC[fromHost] {
-		n.regC[fromHost] = pkt.BarrierC
-	}
-	switch pkt.Kind {
-	case netsim.KindBeacon, netsim.KindCommit:
-		netsim.PutPacket(pkt)
-		return // consumed: registers updated
-	}
-	if n.cfg.LossRate > 0 && n.rng.Float64() < n.cfg.LossRate {
-		netsim.PutPacket(pkt)
-		return // injected loss: barrier registers updated, packet gone
-	}
-	delay := n.cfg.LinkDelay
-	if n.imp != nil {
-		now := sim.Time(time.Since(n.start))
-		if n.imp.Drop(now) {
-			netsim.PutPacket(pkt)
-			return // impairment loss: registers updated, packet gone
-		}
-		delay += time.Duration(n.imp.Delay(now))
-	}
-	be, c := n.aggregate()
-	pkt.BarrierBE, pkt.BarrierC = be, c
 	dstHost := int(pkt.Dst) / n.cfg.ProcsPerHost
-	if dstHost < 0 || dstHost >= len(n.hosts) || n.drained[dstHost] {
-		netsim.PutPacket(pkt)
+	forward, extra := n.sw.Ingress(fromHost, dstHost, pkt, n.Now())
+	if !forward {
+		netsim.PutPacket(pkt) // consumed by the registers, or dropped
 		return
 	}
-	n.lastFwd[dstHost] = time.Now()
-	time.AfterFunc(delay, func() {
+	time.AfterFunc(n.cfg.LinkDelay+time.Duration(extra), func() {
 		n.post(func() { n.hosts[dstHost].HandlePacket(pkt) })
 	})
 }
 
-func (n *Net) aggregate() (be, c sim.Time) {
-	first := true
-	var minBE, minC sim.Time
-	for i := 0; i < len(n.regBE); i++ {
-		if n.drained[i] {
-			continue // departed for good: its parked register must not cap the minimum
-		}
-		if first {
-			minBE, minC = n.regBE[i], n.regC[i]
-			first = false
-			continue
-		}
-		if n.regBE[i] < minBE {
-			minBE = n.regBE[i]
-		}
-		if n.regC[i] < minC {
-			minC = n.regC[i]
-		}
-	}
-	if !first {
-		if minBE > n.outBE {
-			n.outBE = minBE
-		}
-		if minC > n.outC {
-			n.outC = minC
-		}
-	}
-	return n.outBE, n.outC
-}
-
-// relayBeacons pushes the aggregated barrier to every host downlink whose
-// recent traffic has not already carried it (beacon piggybacking, §4.2).
+// relayBeacons pushes the aggregated barrier down every host link that has
+// not already carried it (beacon piggybacking, §4.2).
 func (n *Net) relayBeacons() {
-	be, c := n.aggregate()
-	for h := range n.hosts {
-		h := h
-		if n.drained[h] {
-			continue
-		}
-		if !n.hosts[h].Cfg.DisablePiggyback &&
-			time.Since(n.lastFwd[h]) < n.cfg.BeaconInterval {
-			continue
-		}
+	n.sw.Relay(func(h int, be, c sim.Time) {
 		pkt := netsim.GetPacket()
 		pkt.Kind, pkt.BarrierBE, pkt.BarrierC, pkt.Size = netsim.KindBeacon, be, c, netsim.BeaconBytes
 		time.AfterFunc(n.cfg.LinkDelay, func() {
 			n.post(func() { n.hosts[h].HandlePacket(pkt) })
 		})
-	}
+	})
+}
+
+// SwitchStats returns the switch's data-plane and beacon-suppression
+// counters.
+func (n *Net) SwitchStats() starswitch.Stats {
+	var st starswitch.Stats
+	n.Do(func() { st = n.sw.Stats() })
+	return st
 }
 
 // NumProcs returns the process count.
@@ -458,11 +360,6 @@ func (n *Net) Do(fn func()) {
 // Proc returns process p's endpoint. Interact with it via Do, or from
 // delivery callbacks (which already run on the loop).
 func (n *Net) Proc(p int) *core.Proc { return n.procs[p] }
-
-// Send issues a scattering from process p on the loop.
-func (n *Net) Send(p int, reliable bool, msgs []core.Message) error {
-	return n.SendOpts(p, msgs, core.SendOptions{Reliable: reliable})
-}
 
 // SendOpts issues a scattering with explicit options on the loop. Sends
 // racing Stop return an error wrapping core.ErrClosed; a send that loses

@@ -22,7 +22,7 @@ func TestLiveDelivery(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	if err := n.Send(0, false, []core.Message{{Dst: 1, Data: "live", Size: 64}}); err != nil {
+	if err := n.SendOpts(0, []core.Message{{Dst: 1, Data: "live", Size: 64}}, core.SendOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
@@ -71,7 +71,7 @@ func TestLiveTotalOrder(t *testing.T) {
 						msgs = append(msgs, core.Message{Dst: netsim.ProcID(q), Size: 64})
 					}
 				}
-				n.Send(p, false, msgs)
+				n.SendOpts(p, msgs, core.SendOptions{})
 				time.Sleep(2 * time.Millisecond)
 			}
 		}()
@@ -108,7 +108,7 @@ func TestLiveReliable(t *testing.T) {
 			}
 		}
 	})
-	n.Send(0, true, []core.Message{{Dst: 1, Size: 64}, {Dst: 2, Size: 64}})
+	n.SendOpts(0, []core.Message{{Dst: 1, Size: 64}, {Dst: 2, Size: 64}}, core.SendOptions{Reliable: true})
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		mu.Lock()

@@ -6,16 +6,17 @@ import (
 	"time"
 
 	"onepipe/internal/core"
+	"onepipe/internal/netsim"
 	"onepipe/internal/sim"
 )
 
-// TestLiveReliableUnderLoss smoke-tests the live fabric's new loss
+// TestLiveReliableUnderLoss smoke-tests the live fabric's loss
 // injection: with a quarter of data-plane packets dropped at the switch,
 // every reliable scattering must still be delivered exactly once per member
 // and in timestamp order at each receiver.
 func TestLiveReliableUnderLoss(t *testing.T) {
 	cfg := DefaultConfig(3, 1)
-	cfg.LossRate = 0.25
+	cfg.Impair = &netsim.Impairment{Loss: 0.25}
 	cfg.Seed = 7 // deterministic drop pattern run to run
 	n := New(cfg)
 	defer n.Stop()
@@ -37,10 +38,10 @@ func TestLiveReliableUnderLoss(t *testing.T) {
 
 	const rounds = 15
 	for k := 0; k < rounds; k++ {
-		if err := n.Send(0, true, []core.Message{
+		if err := n.SendOpts(0, []core.Message{
 			{Dst: 1, Data: []byte{byte(k)}, Size: 1},
 			{Dst: 2, Data: []byte{byte(k)}, Size: 1},
-		}); err != nil {
+		}, core.SendOptions{Reliable: true}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)

@@ -58,28 +58,12 @@ type Config struct {
 	ECNThreshold sim.Time
 	QueueLimit   sim.Time
 
-	// LossRate is the per-link packet corruption probability.
-	//
-	// Deprecated: use Impair (netsim.UniformLoss(rate) is the exact
-	// equivalent — same RNG stream, same draws). LossRate remains the
-	// runtime fault-injection override: when nonzero it takes precedence
-	// over any profile's uniform Loss, which is how chaos loss bursts
-	// temporarily raise the rate over a profile baseline.
-	LossRate float64
-	// Jitter adds uniform [0, Jitter) of per-packet delay variation on
-	// every link (switch processing variance), clamped so per-link FIFO
-	// order is preserved. Zero keeps links perfectly deterministic.
-	//
-	// Deprecated: use Impair (netsim.UniformJitter(j) is the exact
-	// equivalent). When nonzero it takes precedence over any profile's
-	// Jitter field.
-	Jitter sim.Time
-	// Impair attaches a composable impairment profile — jitter,
-	// reordering, Gilbert-Elliott burst loss, duty-cycle loss, WAN RTT
-	// classes — per link, per link class, or fabric-wide. See the
-	// Impairment type for the determinism contract (uniform Loss/Jitter
-	// replay the legacy knobs' shard-RNG draws exactly; everything else
-	// uses a per-link RNG seeded from Seed and the link ID).
+	// Impair attaches a composable impairment profile — uniform loss,
+	// jitter, reordering, Gilbert-Elliott burst loss, duty-cycle loss, WAN
+	// RTT classes — per link, per link class, or fabric-wide; nil keeps
+	// links lossless and perfectly deterministic. It is the only loss and
+	// jitter input (UniformLoss / UniformJitter / Uniform build the common
+	// cases). See the Impairment type for the determinism contract.
 	Impair *Profile
 	// ControllerManagedCommit keeps a dead link inside commit-plane
 	// aggregation until the controller's Resume step explicitly removes
@@ -139,7 +123,6 @@ func DefaultConfig(topo topology.ClosConfig, procsPerHost int) Config {
 		HostDelegateDelay: 2 * sim.Microsecond,
 		ECNThreshold:      7 * sim.Microsecond,
 		QueueLimit:        0,
-		LossRate:          0,
 	}
 }
 

@@ -13,28 +13,22 @@ import (
 // loss and a WAN delay class on the same link.
 //
 // Determinism contract: every random decision an Impairment makes is drawn
-// from one of two deterministic streams. The uniform Loss and Jitter fields
-// reproduce the legacy Config.LossRate/Config.Jitter draws exactly — they
-// consume the engine-shard RNG (seeded from Config.Seed) at the very same
-// code points the legacy knobs did, so a profile expressing only those two
-// fields replays a legacy run byte-for-byte. All other fields (GE, Duty,
-// ReorderRate, ExtraDelay's reorder draw) consume a dedicated per-link RNG
-// seeded from Config.Seed XOR a salt derived from the link ID, and consume
-// nothing at all when unset — links without those fields configured draw
-// zero values from it, so enabling an advanced impairment on one link never
-// perturbs any other link's stream. Two runs with equal Config.Seed, equal
-// topology and equal profiles are therefore identical, shard count
-// notwithstanding (lockstep drive).
+// from one of two deterministic streams. In the simulator the uniform Loss
+// and Jitter fields consume the engine-shard RNG (seeded from Config.Seed)
+// inside transmit — the draw points every golden digest was recorded
+// against. All other fields (GE, Duty, ReorderRate, ExtraDelay's reorder
+// draw) consume a dedicated per-link RNG seeded from Config.Seed XOR a salt
+// derived from the link ID, and consume nothing at all when unset — so
+// enabling an advanced impairment on one link never perturbs any other
+// link's stream, and a link with only uniform fields never builds that RNG.
+// Two runs with equal Config.Seed, equal topology and equal profiles are
+// therefore identical, shard count notwithstanding (lockstep drive).
 type Impairment struct {
-	// Loss is a uniform per-packet corruption probability, equivalent to
-	// the deprecated Config.LossRate. When Config.LossRate is nonzero it
-	// takes precedence over this field (that is what lets chaos fault
-	// injection raise the rate at runtime over a profile baseline).
+	// Loss is a uniform per-packet corruption probability.
 	Loss float64
-	// Jitter adds the legacy Config.Jitter delay-variation pattern:
+	// Jitter is per-packet delay variation (switch processing variance):
 	// uniform [0, Jitter/3] per packet plus an occasional (5%) long tail
-	// of up to 4×Jitter, FIFO-clamped so the link never reorders. When
-	// Config.Jitter is nonzero it takes precedence over this field.
+	// of up to 4×Jitter, FIFO-clamped so the link never reorders.
 	Jitter sim.Time
 	// ExtraDelay adds a constant one-way delay — an RTT class. A WAN or
 	// cross-datacenter link is modeled by ExtraDelay = RTT/2. Constant
@@ -110,12 +104,12 @@ func (p *Profile) For(id topology.LinkID, kind topology.LinkKind) *Impairment {
 	return p.Default
 }
 
-// UniformLoss is the profile equivalent of the deprecated Config.LossRate.
+// UniformLoss corrupts packets on every link with probability rate.
 func UniformLoss(rate float64) *Profile {
 	return &Profile{Default: &Impairment{Loss: rate}}
 }
 
-// UniformJitter is the profile equivalent of the deprecated Config.Jitter.
+// UniformJitter adds delay variation j to every link.
 func UniformJitter(j sim.Time) *Profile {
 	return &Profile{Default: &Impairment{Jitter: j}}
 }
@@ -140,19 +134,33 @@ func impairSalt(seed int64, id topology.LinkID) int64 {
 // ImpairState is the runtime state of one link's Impairment: the dedicated
 // per-link RNG and the Gilbert-Elliott chain position. netsim keeps one per
 // impaired link (egress-owned: only transmit, which runs on the source
-// shard, touches it). Live fabrics (udpnet, livenet) use the exported
-// Drop/Delay methods, which apply the whole impairment from this one RNG —
-// they have no shared-shard stream to preserve.
+// shard, touches it). The real-time switch (internal/starswitch) uses the
+// exported Drop/Delay methods, which apply the whole impairment from this
+// one RNG — it has no shared-shard stream to preserve.
 type ImpairState struct {
-	Imp *Impairment
-	rng *rand.Rand
-	bad bool // Gilbert-Elliott chain state
+	Imp  *Impairment
+	seed int64
+	// lazy is the per-link RNG, built on first draw: a rand.Rand is ~5 KB,
+	// and a uniform-only profile on the simulator never draws from it.
+	lazy *rand.Rand
+	bad  bool // Gilbert-Elliott chain state
 }
 
 // NewImpairState builds runtime state for imp, seeding the per-link RNG
 // from the fabric seed and the link identity per the determinism contract.
+// A nil or zero imp impairs nothing and yields nil.
 func NewImpairState(imp *Impairment, seed int64, id topology.LinkID) *ImpairState {
-	return &ImpairState{Imp: imp, rng: rand.New(rand.NewSource(impairSalt(seed, id)))}
+	if imp == nil || *imp == (Impairment{}) {
+		return nil
+	}
+	return &ImpairState{Imp: imp, seed: impairSalt(seed, id)}
+}
+
+func (s *ImpairState) rng() *rand.Rand {
+	if s.lazy == nil {
+		s.lazy = rand.New(rand.NewSource(s.seed))
+	}
+	return s.lazy
 }
 
 // dropBurst applies the stateful loss models (Gilbert-Elliott, duty-cycle)
@@ -162,10 +170,10 @@ func NewImpairState(imp *Impairment, seed int64, id topology.LinkID) *ImpairStat
 func (s *ImpairState) dropBurst(now sim.Time) bool {
 	if ge := s.Imp.GE; ge != nil {
 		if s.bad {
-			if s.rng.Float64() < ge.PBadGood {
+			if s.rng().Float64() < ge.PBadGood {
 				s.bad = false
 			}
-		} else if ge.PGoodBad > 0 && s.rng.Float64() < ge.PGoodBad {
+		} else if ge.PGoodBad > 0 && s.rng().Float64() < ge.PGoodBad {
 			s.bad = true
 		}
 		p := ge.LossGood
@@ -178,7 +186,7 @@ func (s *ImpairState) dropBurst(now sim.Time) bool {
 		if p >= 1 {
 			return true
 		}
-		if p > 0 && s.rng.Float64() < p {
+		if p > 0 && s.rng().Float64() < p {
 			return true
 		}
 	}
@@ -188,7 +196,7 @@ func (s *ImpairState) dropBurst(now sim.Time) bool {
 			if r == 0 {
 				r = 1
 			}
-			if r >= 1 || s.rng.Float64() < r {
+			if r >= 1 || s.rng().Float64() < r {
 				return true
 			}
 		}
@@ -200,11 +208,11 @@ func (s *ImpairState) dropBurst(now sim.Time) bool {
 // packet is not reordered). Draws only when ReorderRate is set.
 func (s *ImpairState) reorderExtra() sim.Time {
 	rr := s.Imp.ReorderRate
-	if rr <= 0 || s.rng.Float64() >= rr {
+	if rr <= 0 || s.rng().Float64() >= rr {
 		return 0
 	}
 	if d := s.Imp.ReorderDelay; d > 0 {
-		return sim.Time(1 + s.rng.Int63n(int64(d)))
+		return sim.Time(1 + s.rng().Int63n(int64(d)))
 	}
 	return 0
 }
@@ -213,7 +221,7 @@ func (s *ImpairState) reorderExtra() sim.Time {
 // (uniform Loss plus the burst models) from the per-link RNG. Used by live
 // fabrics; netsim draws the uniform component from the shard RNG instead.
 func (s *ImpairState) Drop(now sim.Time) bool {
-	if s.Imp.Loss > 0 && s.rng.Float64() < s.Imp.Loss {
+	if s.Imp.Loss > 0 && s.rng().Float64() < s.Imp.Loss {
 		return true
 	}
 	return s.dropBurst(now)
@@ -228,7 +236,7 @@ func (s *ImpairState) Drop(now sim.Time) bool {
 func (s *ImpairState) Delay(now sim.Time) sim.Time {
 	extra := s.Imp.ExtraDelay
 	if j := s.Imp.Jitter; j > 0 {
-		extra += sim.Time(s.rng.Int63n(int64(j)))
+		extra += sim.Time(s.rng().Int63n(int64(j)))
 	}
 	extra += s.reorderExtra()
 	return extra

@@ -8,8 +8,7 @@ import (
 
 func runInv(t *testing.T, loss float64, jitter sim.Time, flowECMP bool, skew bool) int {
 	cfg := smallCfg()
-	cfg.LossRate = loss
-	cfg.Jitter = jitter
+	cfg.Impair = Uniform(Impairment{Loss: loss, Jitter: jitter})
 	cfg.FlowECMP = flowECMP
 	if skew {
 		cfg.Clock = DefaultConfig(cfg.Topo, 1).Clock

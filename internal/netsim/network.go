@@ -168,6 +168,9 @@ type Network struct {
 	// hostRx receives every packet (including beacons) delivered to a host.
 	hostRx []func(*Packet)
 	rng    *rand.Rand
+	// lossOverride, when nonzero, replaces every link's uniform Loss (see
+	// SetLossOverride).
+	lossOverride float64
 
 	// OnLinkDead, if set, is invoked when a switch's dead-link scanner
 	// removes an input link — the controller's failure Detect signal.
@@ -305,9 +308,7 @@ func (n *Network) newLinkState(l topology.Link) *linkState {
 		src:  n.nodeSh[l.From],
 		dst:  n.nodeSh[l.To],
 	}
-	if imp := n.Cfg.Impair.For(l.ID, l.Kind); imp != nil && *imp != (Impairment{}) {
-		ls.imp = NewImpairState(imp, n.Cfg.Seed, l.ID)
-	}
+	ls.imp = NewImpairState(n.Cfg.Impair.For(l.ID, l.Kind), n.Cfg.Seed, l.ID)
 	ls.dst.ingress = append(ls.dst.ingress, ls)
 	return ls
 }
@@ -374,6 +375,13 @@ func (n *Network) SendFromProc(p ProcID, pkt *Packet) {
 	n.SendFromHost(n.HostOfProc(p), pkt)
 }
 
+// SetLossOverride is the runtime fault hook for fabric-wide loss bursts: a
+// nonzero rate replaces every link profile's uniform Loss until it is
+// cleared with 0. The draw point and RNG stream are those of the profile's
+// own Loss, so a burst shifts no other draw. Lockstep and single-engine
+// drives only (the field is shared across shards).
+func (n *Network) SetLossOverride(rate float64) { n.lossOverride = rate }
+
 // transmit places a packet on a link's egress queue. It always executes on
 // the shard owning the link's egress (l.src); the scheduled arrival is the
 // one cross-shard handoff of the packet's life at this hop.
@@ -416,11 +424,11 @@ func (n *Network) transmit(l *linkState, pkt *Packet) {
 	}
 	sh.stats.PktsByKind[pkt.Kind]++
 	sh.stats.BytesByKind[pkt.Kind] += uint64(pkt.Size)
-	// Uniform corruption: the legacy global knob when set (runtime fault
-	// injection mutates it), otherwise the link profile's Loss. Either way
-	// the draw comes from the shared shard RNG at this exact point, so a
-	// profile-expressed LossRate replays a legacy run byte-for-byte.
-	loss := n.Cfg.LossRate
+	// Uniform corruption: the runtime fault override when set (chaos loss
+	// bursts), otherwise the link profile's Loss. Either way the draw comes
+	// from the shared shard RNG at this exact point — the golden digests
+	// were recorded against this draw sequence.
+	loss := n.lossOverride
 	if loss == 0 && l.imp != nil {
 		loss = l.imp.Imp.Loss
 	}
@@ -437,11 +445,8 @@ func (n *Network) transmit(l *linkState, pkt *Packet) {
 		return
 	}
 	arrive := l.busy + l.prop
-	j := n.Cfg.Jitter
-	if j == 0 && l.imp != nil {
-		j = l.imp.Imp.Jitter
-	}
-	if j > 0 {
+	if l.imp != nil && l.imp.Imp.Jitter > 0 {
+		j := l.imp.Imp.Jitter
 		// Bursty delay variance: mostly a small wiggle, occasionally a
 		// straggler several times the nominal jitter (transient queueing
 		// behind a burst) — the delay asymmetry that makes multi-path

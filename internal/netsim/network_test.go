@@ -82,8 +82,8 @@ func TestBarrierInvariant(t *testing.T) {
 			cfg := smallCfg()
 			cfg.Mode = mode
 			cfg.Clock = DefaultConfig(cfg.Topo, 1).Clock // realistic skew
-			cfg.LossRate = 1e-3
-			cfg.Jitter = 2 * sim.Microsecond // FIFO-clamped delay variance
+			// FIFO-clamped delay variance on top of uniform loss.
+			cfg.Impair = Uniform(Impairment{Loss: 1e-3, Jitter: 2 * sim.Microsecond})
 			n := testNet(t, cfg)
 			nh := len(n.G.Hosts)
 			maxBarrier := make([]sim.Time, nh)
@@ -184,9 +184,9 @@ func TestOutOfOrderArrivalsWithSpraying(t *testing.T) {
 	}
 }
 
-func TestLossRateDropsPackets(t *testing.T) {
+func TestUniformLossDropsPackets(t *testing.T) {
 	cfg := smallCfg()
-	cfg.LossRate = 0.5
+	cfg.Impair = UniformLoss(0.5)
 	n := testNet(t, cfg)
 	delivered := 0
 	n.AttachHost(1, func(p *Packet) {

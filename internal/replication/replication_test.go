@@ -80,7 +80,7 @@ func TestConcurrentClientsConsistentOrder(t *testing.T) {
 }
 
 func TestLossRecoveredByRetransmission(t *testing.T) {
-	cl := cluster(t, func(c *netsim.Config) { c.LossRate = 0.01; c.Seed = 11 })
+	cl := cluster(t, func(c *netsim.Config) { c.Impair = netsim.UniformLoss(0.01); c.Seed = 11 })
 	reps := []netsim.ProcID{5, 6, 7}
 	g := NewGroup(cl, reps, DefaultConfig())
 	c := g.Client(0)

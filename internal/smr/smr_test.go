@@ -49,7 +49,7 @@ func TestReplicasConverge(t *testing.T) {
 }
 
 func TestReplicasConvergeUnderLoss(t *testing.T) {
-	cl := cluster(t, func(c *netsim.Config) { c.LossRate = 0.01; c.Seed = 5 })
+	cl := cluster(t, func(c *netsim.Config) { c.Impair = netsim.UniformLoss(0.01); c.Seed = 5 })
 	reps := []netsim.ProcID{5, 6, 7}
 	g := NewGroup(cl, reps, func(netsim.ProcID) StateMachine { return &Counter{} })
 	eng := cl.Net.Eng

@@ -80,7 +80,7 @@ func TestLossResilience(t *testing.T) {
 	// Fig. 15b: packet loss barely dents 1Pipe's throughput because new
 	// transactions flow while lost packets retransmit.
 	clean := deploy(t, Mode1Pipe, 2, nil).Run(300*sim.Microsecond, 2*sim.Millisecond)
-	lossy := deploy(t, Mode1Pipe, 2, func(c *netsim.Config) { c.LossRate = 1e-3 }).
+	lossy := deploy(t, Mode1Pipe, 2, func(c *netsim.Config) { c.Impair = netsim.UniformLoss(1e-3) }).
 		Run(300*sim.Microsecond, 2*sim.Millisecond)
 	if lossy.Committed == 0 {
 		t.Fatal("nothing committed under loss")

@@ -30,11 +30,11 @@ func TestUDPMultipleProcsPerHost(t *testing.T) {
 	}
 	// Scattering from proc 0 to the other three procs, including its own
 	// host's sibling proc 1.
-	err = c.Proc(0).Send([]core.Message{
+	err = c.Proc(0).SendOpts([]core.Message{
 		{Dst: 1, Data: []byte("sib"), Size: 3},
 		{Dst: 2, Data: []byte("rem"), Size: 3},
 		{Dst: 3, Data: []byte("rem2"), Size: 4},
-	})
+	}, core.SendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestUDPSendToUnknownProc(t *testing.T) {
 		mu.Unlock()
 	}
 	c.Hosts[0].mu.Unlock()
-	c.Proc(0).Send([]core.Message{{Dst: 99, Data: []byte("x"), Size: 1}})
+	c.Proc(0).SendOpts([]core.Message{{Dst: 99, Data: []byte("x"), Size: 1}}, core.SendOptions{})
 	waitFor(t, 5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()

@@ -32,10 +32,10 @@ func TestUDPPartitionHealsAndDelivers(t *testing.T) {
 	}
 
 	c.Switch.SetBlackhole(2, true)
-	if err := c.Proc(0).SendReliable([]core.Message{
+	if err := c.Proc(0).SendOpts([]core.Message{
 		{Dst: 1, Data: []byte("x"), Size: 1},
 		{Dst: 2, Data: []byte("x"), Size: 1},
-	}); err != nil {
+	}, core.SendOptions{Reliable: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,7 +56,7 @@ func TestUDPPartitionHealsAndDelivers(t *testing.T) {
 		defer mu.Unlock()
 		return delivered[1] == 1 && delivered[2] == 1
 	})
-	if c.Switch.Dropped == 0 {
+	if c.Switch.Stats().Dropped == 0 {
 		t.Fatal("blackhole never dropped a packet")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"onepipe/internal/core"
 	"onepipe/internal/netsim"
 	"onepipe/internal/wire"
 )
@@ -71,5 +72,60 @@ func TestStartRegisterTimeout(t *testing.T) {
 	c.Close()
 	if waited := time.Since(begin); waited > 2*time.Second {
 		t.Fatalf("Start took %v; event-driven wait should return almost immediately", waited)
+	}
+}
+
+// TestSwitchIgnoresUnregisteredSource: a datagram whose Src host never
+// registered is outside input — the switch must not forward it and must not
+// create barrier state for the id it claims, however many ids one sender
+// invents.
+func TestSwitchIgnoresUnregisteredSource(t *testing.T) {
+	c, err := Start(DefaultConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	delivered := make(chan struct{}, 64)
+	c.Proc(1).OnDeliver(func(core.Delivery) { delivered <- struct{}{} })
+
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const forged = 32
+	for i := 0; i < forged; i++ {
+		// A far-future barrier stamp from an id nobody admitted: if it
+		// created a register it would also poison the aggregate.
+		raw := wire.Encode(&netsim.Packet{
+			Kind: netsim.KindData, Src: netsim.ProcID(1000 + i), Dst: 1,
+			PSN: 1, MsgTS: 1, BarrierBE: 1 << 40, BarrierC: 1 << 40, EndOfMsg: true,
+		}, []byte("forged"))
+		if _, err := conn.WriteToUDP(raw, c.Switch.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return c.Switch.Stats().Dropped >= forged })
+	if st := c.Switch.Stats(); st.Forwarded != 0 {
+		t.Fatalf("switch forwarded %d forged datagrams", st.Forwarded)
+	}
+	if got := c.Switch.registered(); got != 2 {
+		t.Fatalf("%d registered hosts after forged traffic, want 2", got)
+	}
+	select {
+	case <-delivered:
+		t.Fatal("forged datagram reached the application")
+	default:
+	}
+
+	// The fabric still works: the forged stamps moved no barrier past the
+	// real hosts' clocks.
+	if err := c.Proc(0).SendOpts([]core.Message{{Dst: 1, Data: []byte("real"), Size: 4}}, core.SendOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("genuine message not delivered after forged traffic")
 	}
 }

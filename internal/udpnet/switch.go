@@ -2,45 +2,30 @@ package udpnet
 
 import (
 	"bytes"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 
 	"onepipe/internal/netsim"
 	"onepipe/internal/sim"
+	"onepipe/internal/starswitch"
 	"onepipe/internal/wire"
 )
 
-// Switch is the software switch of the UDP fabric: one UDP socket that
-// keeps a barrier register pair per registered host uplink, stamps
-// forwarded packets with the aggregated minimum (eq. 4.1), relays beacons,
-// and optionally injects loss.
+// Switch is the software switch of the UDP fabric: one UDP socket in front
+// of the shared switch core (internal/starswitch), which keeps a barrier
+// register pair per registered host uplink, stamps forwarded packets with
+// the aggregated minimum (eq. 4.1), decides beacon relays, and optionally
+// injects loss. This type owns only the socket, the address table and the
+// lock that serialises the core.
 type Switch struct {
 	cfg   Config
 	conn  *net.UDPConn
 	epoch time.Time
 
-	mu        sync.Mutex
-	addrs     map[int]*net.UDPAddr // host id -> address
-	blackhole map[int]bool         // host id -> data-plane partitioned
-	// drained marks hosts that gracefully left: excluded from aggregation
-	// and beacon relays, data toward them dropped, and their registration
-	// never resurrected. Distinct from blackhole (a fault) — a drain is a
-	// decision, so the parked register must not freeze the barrier.
-	drained map[int]bool
-	regBE   map[int]sim.Time
-	regC    map[int]sim.Time
-	// lastFwd records when each downlink last carried a forwarded data
-	// packet; recently-active downlinks skip standalone beacons because the
-	// forwarded packets already carry the restamped aggregate (§4.2).
-	lastFwd map[int]time.Time
-	outBE   sim.Time
-	outC    sim.Time
-	rng     *rand.Rand
-	// imp applies Config.Impair. It draws from its own RNG, never s.rng —
-	// seed-pinned tests depend on the legacy stream staying untouched.
-	imp *netsim.ImpairState
+	mu      sync.Mutex
+	core    *starswitch.Core     // port id = host id
+	addrs   map[int]*net.UDPAddr // host id -> address
 	closed  bool
 	stopped chan struct{}
 	wg      sync.WaitGroup
@@ -48,10 +33,6 @@ type Switch struct {
 	// regNotify is signalled (non-blocking, capacity 1) whenever a NEW host
 	// registers, so Start can wait on registration instead of polling.
 	regNotify chan struct{}
-
-	// Forwarded / Dropped count data-plane packets; BeaconsSuppressed
-	// counts downlink beacons skipped by piggybacking (statistics).
-	Forwarded, Dropped, BeaconsSuppressed uint64
 }
 
 func newSwitch(cfg Config, epoch time.Time) (*Switch, error) {
@@ -63,24 +44,13 @@ func newSwitch(cfg Config, epoch time.Time) (*Switch, error) {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
+	piggyback := cfg.Endpoint == nil || !cfg.Endpoint.DisablePiggyback
 	s := &Switch{
 		cfg: cfg, conn: conn, epoch: epoch,
+		core:      starswitch.New(cfg.Impair, seed, piggyback),
 		addrs:     make(map[int]*net.UDPAddr),
-		blackhole: make(map[int]bool),
-		drained:   make(map[int]bool),
-		regBE:     make(map[int]sim.Time),
-		regC:      make(map[int]sim.Time),
-		lastFwd:   make(map[int]time.Time),
-		rng:       rand.New(rand.NewSource(seed)),
 		stopped:   make(chan struct{}),
 		regNotify: make(chan struct{}, 1),
-	}
-	if cfg.Impair != nil && *cfg.Impair != (netsim.Impairment{}) {
-		imp := *cfg.Impair
-		if cfg.LossRate > 0 {
-			imp.Loss = 0 // legacy knob wins the uniform component
-		}
-		s.imp = netsim.NewImpairState(&imp, seed, 0)
 	}
 	s.wg.Add(2)
 	go s.readLoop()
@@ -101,7 +71,7 @@ func (s *Switch) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) 
 func (s *Switch) SetBlackhole(host int, blocked bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blackhole[host] = blocked
+	s.core.SetBlackhole(host, blocked)
 }
 
 // SetDrained removes a gracefully departed host from aggregation and
@@ -109,14 +79,21 @@ func (s *Switch) SetBlackhole(host int, blocked bool) {
 func (s *Switch) SetDrained(host int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.drained[host] = true
+	s.core.Drain(host)
 }
 
 // Drained reports whether a host has gracefully left.
 func (s *Switch) Drained(host int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.drained[host]
+	return s.core.Drained(host)
+}
+
+// Stats returns the switch's data-plane and beacon-suppression counters.
+func (s *Switch) Stats() starswitch.Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.core.Stats()
 }
 
 func (s *Switch) registered() int {
@@ -140,11 +117,11 @@ func (s *Switch) readLoop() {
 		if derr != nil {
 			continue
 		}
-		s.handle(&pkt, payload, buf[:n], from)
+		s.handle(&pkt, payload, from)
 	}
 }
 
-func (s *Switch) handle(pkt *netsim.Packet, payload, raw []byte, from *net.UDPAddr) {
+func (s *Switch) handle(pkt *netsim.Packet, payload []byte, from *net.UDPAddr) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -152,28 +129,16 @@ func (s *Switch) handle(pkt *netsim.Packet, payload, raw []byte, from *net.UDPAd
 	}
 	srcHost := int(pkt.Src) / s.cfg.ProcsPerHost
 
-	// Registration heartbeat.
+	// Registration heartbeat: admit the uplink (the core seeds a new port's
+	// registers at the current aggregate; departed hosts do not rejoin under
+	// the same id) and learn or refresh its address.
 	if pkt.Kind == netsim.KindCtrl && bytes.Equal(payload, registerPayload) {
-		if s.drained[srcHost] {
-			return // departed hosts do not rejoin under the same id
-		}
-		_, known := s.addrs[srcHost]
-		if !known {
-			// Live join: seed the new uplink's registers at the current
-			// aggregate before it joins the minimum. The host's clock
-			// shares the fabric epoch, so everything it emits from now on
-			// carries at least this barrier — admitting the link can
-			// never regress the aggregate, only (briefly) hold it.
-			be, c := s.aggregateLocked()
-			if be > s.regBE[srcHost] {
-				s.regBE[srcHost] = be
-			}
-			if c > s.regC[srcHost] {
-				s.regC[srcHost] = c
-			}
+		fresh := s.core.Admit(srcHost)
+		if s.core.Drained(srcHost) {
+			return
 		}
 		s.addrs[srcHost] = from
-		if !known {
+		if fresh {
 			select {
 			case s.regNotify <- struct{}{}:
 			default:
@@ -182,91 +147,24 @@ func (s *Switch) handle(pkt *netsim.Packet, payload, raw []byte, from *net.UDPAd
 		return
 	}
 
-	if s.drained[srcHost] {
-		return // straggler from a departed host: no register resurrection
-	}
-	// Update this uplink's registers (§4.1).
-	if pkt.BarrierBE > s.regBE[srcHost] {
-		s.regBE[srcHost] = pkt.BarrierBE
-	}
-	if pkt.BarrierC > s.regC[srcHost] {
-		s.regC[srcHost] = pkt.BarrierC
-	}
-	switch pkt.Kind {
-	case netsim.KindBeacon, netsim.KindCommit:
-		return // consumed
-	}
-
 	dstHost := int(pkt.Dst) / s.cfg.ProcsPerHost
-	if s.blackhole[srcHost] || s.blackhole[dstHost] || s.drained[dstHost] {
-		s.Dropped++
+	forward, extra := s.core.Ingress(srcHost, dstHost, pkt, sim.Time(time.Since(s.epoch)))
+	if !forward {
 		return
 	}
-	if s.cfg.LossRate > 0 && s.rng.Float64() < s.cfg.LossRate {
-		s.Dropped++
-		return
-	}
-	var extra time.Duration
-	if s.imp != nil {
-		now := sim.Time(time.Since(s.epoch))
-		if s.imp.Drop(now) {
-			s.Dropped++
-			return
-		}
-		extra = time.Duration(s.imp.Delay(now))
-	}
-	be, c := s.aggregateLocked()
+	// The core restamped the barrier fields (the chip path: rewrite two
+	// header fields, forward the rest untouched). The encode buffer is
+	// owned by the switch and reused under the lock.
 	dst := s.addrs[dstHost]
-	if dst == nil {
-		s.Dropped++
-		return
-	}
-	// Restamp the barrier fields in the raw datagram (the chip path:
-	// rewrite two header fields, forward the rest untouched). The encode
-	// buffer is owned by the switch and reused under the lock.
-	pkt.BarrierBE, pkt.BarrierC = be, c
 	s.encBuf = wire.AppendEncode(s.encBuf[:0], pkt, payload)
-	s.Forwarded++
-	s.lastFwd[dstHost] = time.Now()
 	if extra > 0 {
 		// The encode buffer is reused on the next handle(); a delayed send
 		// needs its own copy of the datagram.
 		held := append([]byte(nil), s.encBuf...)
-		time.AfterFunc(extra, func() { s.conn.WriteToUDP(held, dst) })
+		time.AfterFunc(time.Duration(extra), func() { s.conn.WriteToUDP(held, dst) })
 		return
 	}
 	s.conn.WriteToUDP(s.encBuf, dst)
-}
-
-func (s *Switch) aggregateLocked() (sim.Time, sim.Time) {
-	first := true
-	var minBE, minC sim.Time
-	for h := range s.addrs {
-		if s.drained[h] {
-			continue
-		}
-		be, c := s.regBE[h], s.regC[h]
-		if first {
-			minBE, minC = be, c
-			first = false
-		} else {
-			if be < minBE {
-				minBE = be
-			}
-			if c < minC {
-				minC = c
-			}
-		}
-	}
-	if !first {
-		if minBE > s.outBE {
-			s.outBE = minBE
-		}
-		if minC > s.outC {
-			s.outC = minC
-		}
-	}
-	return s.outBE, s.outC
 }
 
 func (s *Switch) beaconLoop() {
@@ -281,20 +179,13 @@ func (s *Switch) beaconLoop() {
 				s.mu.Unlock()
 				return
 			}
-			be, c := s.aggregateLocked()
-			piggyback := s.cfg.Endpoint == nil || !s.cfg.Endpoint.DisablePiggyback
-			b := wire.Encode(&netsim.Packet{Kind: netsim.KindBeacon, BarrierBE: be, BarrierC: c}, nil)
-			now := time.Now()
-			for h, addr := range s.addrs {
-				if s.drained[h] {
-					continue
+			var b []byte // one encoding serves every downlink of this tick
+			s.core.Relay(func(h int, be, c sim.Time) {
+				if b == nil {
+					b = wire.Encode(&netsim.Packet{Kind: netsim.KindBeacon, BarrierBE: be, BarrierC: c}, nil)
 				}
-				if piggyback && now.Sub(s.lastFwd[h]) < s.cfg.BeaconInterval {
-					s.BeaconsSuppressed++
-					continue
-				}
-				s.conn.WriteToUDP(b, addr)
-			}
+				s.conn.WriteToUDP(b, s.addrs[h])
+			})
 			s.mu.Unlock()
 		case <-s.stopped:
 			return

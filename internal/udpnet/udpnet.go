@@ -32,19 +32,14 @@ type Config struct {
 	Hosts          int
 	ProcsPerHost   int
 	BeaconInterval time.Duration
-	// LossRate drops packets at the switch (loopback never loses, so the
-	// reliability machinery is exercised by injection).
-	//
-	// Deprecated: use Impair with a netsim.Impairment{Loss: rate}. When
-	// both are set, the nonzero LossRate takes precedence over the
-	// impairment's uniform Loss (its other components still apply).
-	LossRate float64
-	// Seed seeds the switch's loss-injection RNG so lossy runs are
+	// Seed seeds the switch's impairment RNG so lossy runs are
 	// reproducible; zero draws from the wall clock.
 	Seed int64
 	// Impair, when non-nil, degrades data-plane packets at the switch with
 	// the composable model (uniform loss, burst loss, jitter, extra delay).
-	// One switch serves the fabric, so one Impairment covers every path.
+	// Loopback never loses, so the reliability machinery is exercised by
+	// injection. One switch serves the fabric, so one Impairment covers
+	// every path.
 	Impair *netsim.Impairment
 	// Endpoint overrides lib1pipe configuration.
 	Endpoint *core.Config
@@ -295,18 +290,8 @@ func (p *ProcHandle) OnProcFail(fn func(netsim.ProcID, sim.Time)) {
 	p.host.procs[p.id].OnProcFail = fn
 }
 
-// Send issues a best-effort scattering; message Data must be []byte (it
-// crosses a real socket).
-func (p *ProcHandle) Send(msgs []core.Message) error {
-	return p.host.send(p.id, msgs, core.SendOptions{})
-}
-
-// SendReliable issues a reliable scattering.
-func (p *ProcHandle) SendReliable(msgs []core.Message) error {
-	return p.host.send(p.id, msgs, core.SendOptions{Reliable: true})
-}
-
-// SendOpts issues a scattering with explicit options.
+// SendOpts issues a scattering; message Data must be []byte (it crosses a
+// real socket).
 func (p *ProcHandle) SendOpts(msgs []core.Message, o core.SendOptions) error {
 	return p.host.send(p.id, msgs, o)
 }

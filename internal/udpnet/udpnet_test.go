@@ -35,7 +35,7 @@ func TestUDPDelivery(t *testing.T) {
 		got = append(got, string(d.Data.([]byte)))
 		mu.Unlock()
 	})
-	if err := c.Proc(0).Send([]core.Message{{Dst: 1, Data: []byte("over-udp"), Size: 8}}); err != nil {
+	if err := c.Proc(0).SendOpts([]core.Message{{Dst: 1, Data: []byte("over-udp"), Size: 8}}, core.SendOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
@@ -79,7 +79,7 @@ func TestUDPTotalOrderAcrossSockets(t *testing.T) {
 						msgs = append(msgs, core.Message{Dst: netsim.ProcID(q), Data: []byte{byte(p), byte(k)}, Size: 2})
 					}
 				}
-				c.Proc(p).Send(msgs)
+				c.Proc(p).SendOpts(msgs, core.SendOptions{})
 				time.Sleep(2 * time.Millisecond)
 			}
 		}()
@@ -106,7 +106,7 @@ func TestUDPReliableUnderInjectedLoss(t *testing.T) {
 	cfg := DefaultConfig(3, 1)
 	// High enough that a run with zero drops is implausible (the switch
 	// RNG is time-seeded): ~100 packets at 20% loss.
-	cfg.LossRate = 0.2
+	cfg.Impair = &netsim.Impairment{Loss: 0.2}
 	c, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,10 +123,10 @@ func TestUDPReliableUnderInjectedLoss(t *testing.T) {
 	}
 	const rounds = 20
 	for k := 0; k < rounds; k++ {
-		err := c.Proc(0).SendReliable([]core.Message{
+		err := c.Proc(0).SendOpts([]core.Message{
 			{Dst: 1, Data: []byte{byte(k)}, Size: 1},
 			{Dst: 2, Data: []byte{byte(k)}, Size: 1},
-		})
+		}, core.SendOptions{Reliable: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestUDPReliableUnderInjectedLoss(t *testing.T) {
 		}
 		return true
 	})
-	if c.Switch.Dropped == 0 {
+	if c.Switch.Stats().Dropped == 0 {
 		t.Fatal("loss injection never dropped a packet")
 	}
 }
@@ -166,10 +166,10 @@ func TestUDPScatteringSharedTimestamp(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	c.Proc(0).SendReliable([]core.Message{
+	c.Proc(0).SendOpts([]core.Message{
 		{Dst: 1, Data: []byte("a"), Size: 1},
 		{Dst: 2, Data: []byte("b"), Size: 1},
-	})
+	}, core.SendOptions{Reliable: true})
 	waitFor(t, 5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()

@@ -35,14 +35,9 @@ type LiveConfig struct {
 	// BeaconInterval is T_beacon in wall-clock time (default 1 ms —
 	// coarse enough for OS timers).
 	BeaconInterval time.Duration
-	// LossRate injects loss at the software switch.
-	//
-	// Deprecated: use Impair with an Impairment{Loss: rate}. A nonzero
-	// LossRate takes precedence over the impairment's uniform Loss.
-	LossRate float64
 	// Impair degrades data-plane packets at the software switch with the
-	// composable model (loss, burst loss, jitter, extra delay). Both live
-	// fabrics honor it.
+	// composable model (loss, burst loss, jitter, extra delay); both live
+	// fabrics honor it. &Impairment{Loss: rate} is plain injected loss.
 	Impair *Impairment
 	// Seed makes injected loss reproducible; zero draws from the wall
 	// clock.
@@ -101,7 +96,6 @@ func NewLiveCluster(cfg LiveConfig) *Live {
 	if cfg.BeaconInterval > 0 {
 		lcfg.BeaconInterval = cfg.BeaconInterval
 	}
-	lcfg.LossRate = cfg.LossRate
 	lcfg.Seed = cfg.Seed
 	lcfg.Impair = cfg.Impair
 	lcfg.Endpoint = cfg.endpointOverride()
@@ -143,7 +137,6 @@ func NewUDPCluster(cfg LiveConfig) (*Live, error) {
 	if cfg.BeaconInterval > 0 {
 		ucfg.BeaconInterval = cfg.BeaconInterval
 	}
-	ucfg.LossRate = cfg.LossRate
 	ucfg.Seed = cfg.Seed
 	ucfg.Impair = cfg.Impair
 	ucfg.Endpoint = cfg.endpointOverride()
@@ -206,24 +199,6 @@ func (l *Live) Process(p int) *Process {
 		l.handles[p] = newProcess(l.make(p))
 	}
 	return l.handles[p]
-}
-
-// OnDeliver installs process p's delivery callback. Callbacks run on the
-// fabric's internal goroutine; hand heavy work off.
-//
-// Deprecated: use Process(p).OnDeliver.
-func (l *Live) OnDeliver(p int, fn func(Delivery)) { l.Process(p).OnDeliver(fn) }
-
-// UnreliableSend issues a best-effort scattering from process p.
-//
-// Deprecated: use Process(p).Send.
-func (l *Live) UnreliableSend(p int, msgs []Message) error { return l.Process(p).Send(msgs) }
-
-// ReliableSend issues a reliable scattering from process p.
-//
-// Deprecated: use Process(p).Send with the Reliable option.
-func (l *Live) ReliableSend(p int, msgs []Message) error {
-	return l.Process(p).Send(msgs, Reliable())
 }
 
 // Close shuts the fabric down; subsequent sends fail with ErrClosed.

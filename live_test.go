@@ -11,12 +11,12 @@ func TestLiveClusterDelivery(t *testing.T) {
 	defer l.Close()
 	var mu sync.Mutex
 	var got []any
-	l.OnDeliver(2, func(d Delivery) {
+	l.Process(2).OnDeliver(func(d Delivery) {
 		mu.Lock()
 		got = append(got, d.Data)
 		mu.Unlock()
 	})
-	if err := l.UnreliableSend(0, []Message{{Dst: 2, Data: "rt", Size: 8}}); err != nil {
+	if err := l.Process(0).Send([]Message{{Dst: 2, Data: "rt", Size: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
@@ -41,7 +41,7 @@ func TestUDPClusterDelivery(t *testing.T) {
 	var mu sync.Mutex
 	okc := 0
 	for _, p := range []int{1, 2} {
-		l.OnDeliver(p, func(d Delivery) {
+		l.Process(p).OnDeliver(func(d Delivery) {
 			if string(d.Data.([]byte)) == "udp" {
 				mu.Lock()
 				okc++
@@ -49,10 +49,10 @@ func TestUDPClusterDelivery(t *testing.T) {
 			}
 		})
 	}
-	if err := l.ReliableSend(0, []Message{
+	if err := l.Process(0).Send([]Message{
 		{Dst: 1, Data: []byte("udp"), Size: 3},
 		{Dst: 2, Data: []byte("udp"), Size: 3},
-	}); err != nil {
+	}, Reliable()); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

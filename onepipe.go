@@ -184,14 +184,9 @@ type Config struct {
 	Mode Mode
 	// BeaconInterval is T_beacon (default 3 us).
 	BeaconInterval Timestamp
-	// LossRate is the per-link packet corruption probability.
-	//
-	// Deprecated: use Impair with netsim.UniformLoss(rate). A nonzero
-	// LossRate takes precedence over a profile's uniform Loss component.
-	LossRate float64
 	// Impair degrades simulated links with composable impairment profiles
-	// (loss, jitter, burst loss, RTT classes) — the structured replacement
-	// for the LossRate knob.
+	// (loss, jitter, burst loss, RTT classes); nil keeps links lossless.
+	// netsim.UniformLoss(rate) is the plain per-link corruption probability.
 	Impair *ImpairmentProfile
 	// Seed makes the run reproducible.
 	Seed int64
@@ -257,7 +252,6 @@ func NewCluster(cfg Config) *Cluster {
 		ncfg = *cfg.Net
 	} else {
 		ncfg.Mode = cfg.Mode
-		ncfg.LossRate = cfg.LossRate
 		ncfg.Impair = cfg.Impair
 		if cfg.BeaconInterval > 0 {
 			ncfg.BeaconInterval = cfg.BeaconInterval
@@ -463,8 +457,9 @@ func (p *Process) ID() ProcID { return p.backend.id() }
 
 // Send issues a scattering: a group of messages to different destinations
 // occupying one position in the total order. The zero-option call is a
-// best-effort send with the fabric's default frame coalescing; refine it
-// with Reliable, Batched, or Unbatched. Sends can fail with
+// best-effort send (Table 1's onepipe_unreliable_send) with the fabric's
+// default frame coalescing; refine it with Reliable (onepipe_reliable_send),
+// Batched, or Unbatched. Sends can fail with
 // ErrSendBufferFull, ErrBackpressure (doorbell queue full; the error
 // carries the earliest drain time), or ErrClosed.
 func (p *Process) Send(msgs []Message, opts ...SendOption) error {
@@ -474,17 +469,6 @@ func (p *Process) Send(msgs []Message, opts ...SendOption) error {
 	}
 	return p.backend.send(msgs, o)
 }
-
-// UnreliableSend issues a best-effort scattering
-// (onepipe_unreliable_send).
-//
-// Deprecated: use Send.
-func (p *Process) UnreliableSend(msgs []Message) error { return p.Send(msgs) }
-
-// ReliableSend issues a reliable scattering (onepipe_reliable_send).
-//
-// Deprecated: use Send with the Reliable option.
-func (p *Process) ReliableSend(msgs []Message) error { return p.Send(msgs, Reliable()) }
 
 // OnDeliver registers the delivery callback; messages arrive in
 // (timestamp, sender) total order (the push-style equivalent of

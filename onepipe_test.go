@@ -3,6 +3,8 @@ package onepipe
 import (
 	"sort"
 	"testing"
+
+	"onepipe/internal/netsim"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -10,7 +12,7 @@ func TestQuickstartFlow(t *testing.T) {
 	var got []Delivery
 	cl.Process(1).OnDeliver(func(d Delivery) { got = append(got, d) })
 	cl.Run(50 * Microsecond)
-	if err := cl.Process(0).UnreliableSend([]Message{{Dst: 1, Data: "hello", Size: 64}}); err != nil {
+	if err := cl.Process(0).Send([]Message{{Dst: 1, Data: "hello", Size: 64}}); err != nil {
 		t.Fatal(err)
 	}
 	cl.Run(200 * Microsecond)
@@ -30,11 +32,11 @@ func TestScatteringAtomicTimestampViaAPI(t *testing.T) {
 		cl.Process(i).OnDeliver(func(d Delivery) { ts[i] = d.TS })
 	}
 	cl.Run(50 * Microsecond)
-	cl.Process(0).ReliableSend([]Message{
+	cl.Process(0).Send([]Message{
 		{Dst: 1, Data: 1, Size: 64},
 		{Dst: 2, Data: 2, Size: 64},
 		{Dst: 3, Data: 3, Size: 64},
-	})
+	}, Reliable())
 	cl.Run(300 * Microsecond)
 	if len(ts) != 3 {
 		t.Fatalf("delivered to %d of 3", len(ts))
@@ -62,7 +64,7 @@ func TestTotalOrderAcrossReceiversViaAPI(t *testing.T) {
 					msgs = append(msgs, Message{Dst: ProcID(q), Size: 64})
 				}
 			}
-			cl.Process(p).UnreliableSend(msgs)
+			cl.Process(p).Send(msgs)
 		}
 		cl.Run(30 * Microsecond)
 	}
@@ -87,9 +89,9 @@ func TestFailureCallbacksViaAPI(t *testing.T) {
 	cl.Process(0).OnSendFail(func(SendFailure) { sendFails++ })
 	cl.Run(100 * Microsecond)
 	cl.KillHost(1)
-	cl.Process(0).ReliableSend([]Message{
+	cl.Process(0).Send([]Message{
 		{Dst: 1, Size: 64}, {Dst: 2, Size: 64},
-	})
+	}, Reliable())
 	cl.Run(5 * Millisecond)
 	if failedProc != 1 {
 		t.Fatalf("proc-fail callback saw %d, want 1", failedProc)
@@ -118,7 +120,7 @@ func TestTimestampMonotoneViaAPI(t *testing.T) {
 
 func TestLossConfigViaAPI(t *testing.T) {
 	cfg := Defaults()
-	cfg.LossRate = 0.05
+	cfg.Impair = netsim.UniformLoss(0.05)
 	cfg.Seed = 3
 	cl := NewCluster(cfg)
 	delivered, failed := 0, 0
@@ -126,7 +128,7 @@ func TestLossConfigViaAPI(t *testing.T) {
 	cl.Process(0).OnSendFail(func(SendFailure) { failed++ })
 	cl.Run(50 * Microsecond)
 	for i := 0; i < 200; i++ {
-		cl.Process(0).UnreliableSend([]Message{{Dst: 1, Size: 64}})
+		cl.Process(0).Send([]Message{{Dst: 1, Size: 64}})
 		cl.Run(2 * Microsecond)
 	}
 	cl.Run(2 * Millisecond)

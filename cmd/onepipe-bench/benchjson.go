@@ -10,6 +10,7 @@ import (
 	"time"
 
 	onepipe "onepipe"
+	"onepipe/internal/core"
 	"onepipe/internal/experiments"
 	"onepipe/internal/netsim"
 	"onepipe/internal/sim"
@@ -79,9 +80,9 @@ type benchReport struct {
 	// E2EUnbatchedMsgsPerSec is the same workload with frame coalescing
 	// and the delivery fast path off — the pre-batching wire behavior,
 	// kept for the batching speedup comparison.
-	E2EUnbatchedMsgsPerSec float64                `json:"e2e_unbatched_msgs_per_sec,omitempty"`
-	SendOccupancy          *occupancySummary      `json:"send_frame_occupancy,omitempty"`
-	RecvOccupancy          *occupancySummary      `json:"recv_batch_occupancy,omitempty"`
+	E2EUnbatchedMsgsPerSec float64           `json:"e2e_unbatched_msgs_per_sec,omitempty"`
+	SendOccupancy          *occupancySummary `json:"send_frame_occupancy,omitempty"`
+	RecvOccupancy          *occupancySummary `json:"recv_batch_occupancy,omitempty"`
 	// SLO carries the -fig slo percentile rows (batched / unbatched /
 	// conflict-aware under the reference trace + impairment profile) at
 	// quick scale. The slo gate compares fresh p99s against these.
@@ -125,6 +126,64 @@ func benchEngine() testing.BenchmarkResult {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.Step()
+		}
+	})
+}
+
+// benchTimer is the BenchmarkTimerArmCancel shape: 32 768 armed timers,
+// either one stopped and re-armed per op (the ACK path) or the earliest
+// fired through the engine and re-armed by its handler (the timeout path).
+func benchTimer(fire bool) testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
+		e := sim.NewEngine(1)
+		const depth = 32768
+		delay := func() sim.Time { return sim.Time(e.Rand().Intn(100000)) + 1 }
+		tms := make([]*sim.Timer, depth)
+		for i := range tms {
+			i := i
+			tms[i] = sim.NewTimer(e, func() { tms[i].Reset(delay()) })
+			tms[i].Reset(delay())
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if fire {
+				e.Step()
+				continue
+			}
+			tm := tms[i%depth]
+			tm.Stop()
+			tm.Reset(delay())
+		}
+	})
+}
+
+// benchBERound is one best-effort message from send to ACK on a warm
+// two-host simulated fabric, beacons and all: the simulated send path's
+// ns and allocations per message, timers included. One allocation per op
+// is the benchmark's own message slice.
+func benchBERound() testing.BenchmarkResult {
+	cfg := netsim.DefaultConfig(topology.ClosConfig{Pods: 1, RacksPerPod: 1, HostsPerRack: 2, SpinesPerPod: 1, Cores: 1}, 1)
+	cl := core.Deploy(netsim.New(cfg), core.DefaultConfig())
+	delivered := 0
+	cl.Proc(1).OnDeliverBatch = func(ds []core.Delivery) { delivered += len(ds) }
+	round := func() {
+		if err := cl.Proc(0).Send([]core.Message{{Dst: 1, Size: 64}}); err != nil {
+			panic(err)
+		}
+		cl.Run(4 * cfg.BeaconInterval)
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	return testing.Benchmark(func(b *testing.B) {
+		before := delivered
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+		if delivered-before != b.N {
+			b.Fatalf("%d of %d delivered", delivered-before, b.N)
 		}
 	})
 }
@@ -331,6 +390,9 @@ func runBenchJSON(outPath string, withSuite bool) error {
 			"wire_append_encode": toResult(enc),
 			"wire_decode_into":   toResult(dec),
 			"send_path":          toResult(sp),
+			"timer_arm_cancel":   toResult(benchTimer(false)),
+			"timer_arm_fire":     toResult(benchTimer(true)),
+			"send_be_round":      toResult(benchBERound()),
 		},
 		Baseline: prev.Baseline,
 	}
@@ -392,6 +454,9 @@ func runBenchJSON(outPath string, withSuite bool) error {
 		rep.Benchmarks["wire_decode_into"].NsPerOp, rep.Benchmarks["wire_decode_into"].AllocsPerOp)
 	fmt.Printf("send path   %8.1f ns/op  %d allocs/op\n",
 		rep.Benchmarks["send_path"].NsPerOp, rep.Benchmarks["send_path"].AllocsPerOp)
+	for _, name := range []string{"timer_arm_cancel", "timer_arm_fire", "send_be_round"} {
+		fmt.Printf("%-16s %8.1f ns/op  %d allocs/op\n", name, rep.Benchmarks[name].NsPerOp, rep.Benchmarks[name].AllocsPerOp)
+	}
 	fmt.Printf("e2e         %8.0f msgs/s  (unbatched %0.f)\n", rep.E2EMsgsPerSec, rep.E2EUnbatchedMsgsPerSec)
 	if rep.SendOccupancy != nil && rep.SendOccupancy.Count > 0 {
 		fmt.Printf("frame occ   mean %.2f p50 %.0f p99 %.0f max %.0f (%d frames)\n",

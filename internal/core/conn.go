@@ -38,6 +38,42 @@ type outPkt struct {
 	fnext *outPkt
 }
 
+// pktQueue is a FIFO of outPkts over one backing array. Consumed slots are
+// cleared, and the queue rewinds to the base of the array whenever it
+// drains: a lightly loaded connection keeps reusing one small array instead
+// of allocating a fresh one per message, and a dead prefix never keeps
+// transmitted packets reachable.
+type pktQueue struct {
+	buf  []*outPkt
+	head int
+}
+
+func (q *pktQueue) len() int { return len(q.buf) - q.head }
+
+// live returns the queued packets, oldest first; valid until the next push
+// or drop.
+func (q *pktQueue) live() []*outPkt { return q.buf[q.head:] }
+
+func (q *pktQueue) push(op *outPkt) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		// Full, and at least half of it is consumed prefix: slide the live
+		// part down rather than grow.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, op)
+}
+
+// drop removes the n oldest packets.
+func (q *pktQueue) drop(n int) {
+	clear(q.buf[q.head : q.head+n])
+	q.head += n
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
 // connCursor is the residue of an evicted send-side connection: the next
 // PSN of each plane, retained so a re-established conn continues the same
 // sequence spaces the receiver's consumed-prefix tracking expects.
@@ -65,7 +101,7 @@ type conn struct {
 	stuckPkts map[uint32]*outPkt
 	// sendQ holds launched-but-untransmitted fragments: a scattering
 	// larger than the window streams out as ACKs free space.
-	sendQ []*outPkt
+	sendQ pktQueue
 	// relOrder tracks reliable PSNs in transmission (= ascending PSN)
 	// order, so the RTO retransmits in PSN order without sorting the
 	// unacked map on every firing. Entries acked, dropped or parked out of
@@ -83,14 +119,14 @@ type conn struct {
 	ackTotal  int
 	ackECN    int
 	windowEnd [2]uint32
-	rto       *timer
+	rto       timer
 	// doorbell fires Config.BatchWindow after a partial frame started
 	// waiting for more same-destination messages; holding is set while the
 	// queue head is deliberately delayed (the host's barrier floor is
 	// clamped below the held timestamp meanwhile), and flushAll forces
 	// every queued batchable fragment out once the doorbell has rung, even
 	// if emission is interleaved with window waits.
-	doorbell *timer
+	doorbell timer
 	holding  bool
 	flushAll bool
 }
@@ -107,8 +143,8 @@ func (h *Host) getConn(src, dst netsim.ProcID) *conn {
 		}
 		c.unacked[0] = make(map[uint32]*outPkt)
 		c.unacked[1] = make(map[uint32]*outPkt)
-		c.rto = newTimer(h.wire, c.onRTO)
-		c.doorbell = newTimer(h.wire, c.onDoorbell)
+		c.rto.init(h, (*connRTO)(c))
+		c.doorbell.init(h, (*connDoorbell)(c))
 		// Re-establishment after idle eviction: resume the evicted PSN
 		// spaces so the receiver's duplicate detection stays coherent.
 		if cur, ok := h.connMemo[k]; ok {
@@ -201,14 +237,14 @@ func (c *conn) emitQueued(force bool) {
 		force = true
 	}
 	held := false
-	for c.inflight < c.window() && len(c.sendQ) > 0 {
-		op := c.sendQ[0]
+	for c.inflight < c.window() && c.sendQ.len() > 0 {
+		op := c.sendQ.live()[0]
 		if op.scat.aborted {
-			c.sendQ = c.sendQ[1:]
+			c.sendQ.drop(1)
 			continue
 		}
 		if !op.scat.batch {
-			c.sendQ = c.sendQ[1:]
+			c.sendQ.drop(1)
 			c.emitRun(op)
 			continue
 		}
@@ -217,14 +253,14 @@ func (c *conn) emitQueued(force bool) {
 			held = true
 			break
 		}
-		run := c.sendQ[:n]
+		run := c.sendQ.live()[:n]
 		for i := 0; i < n-1; i++ {
 			run[i].fnext = run[i+1]
 		}
-		c.sendQ = c.sendQ[n:]
+		c.sendQ.drop(n)
 		c.emitRun(op)
 	}
-	if len(c.sendQ) == 0 {
+	if c.sendQ.len() == 0 {
 		c.flushAll = false
 	}
 	c.updateHold(held)
@@ -235,13 +271,14 @@ func (c *conn) emitQueued(force bool) {
 // is full — by bytes, by entry count, or because a non-coalescible
 // fragment follows it (waiting longer could not grow it).
 func (c *conn) collectRun() (n int, full bool) {
-	head := c.sendQ[0]
+	q := c.sendQ.live()
+	head := q[0]
 	k := cls(head.scat.reliable)
 	budget := c.host.Cfg.BatchBytes
 	bytes := head.size + netsim.FrameEntryBytes
 	n = 1
-	for n < len(c.sendQ) {
-		op := c.sendQ[n]
+	for n < len(q) {
+		op := q[n]
 		if !op.scat.batch || cls(op.scat.reliable) != k {
 			return n, true
 		}
@@ -296,10 +333,19 @@ func (c *conn) emitRun(head *outPkt) {
 		}
 	}
 	h.emit(c.buildUnit(head))
-	if head.scat.reliable && !c.rto.armed {
-		c.rto.reset(h.Cfg.RTO)
+	if head.scat.reliable && !c.rto.isArmed() {
+		c.rto.reset(h, h.Cfg.RTO)
 	}
 }
+
+// connRTO and connDoorbell are the handlers of a conn's two timers.
+type (
+	connRTO      conn
+	connDoorbell conn
+)
+
+func (c *connRTO) Fire()      { (*conn)(c).onRTO() }
+func (c *connDoorbell) Fire() { (*conn)(c).onDoorbell() }
 
 // onDoorbell flushes a held partial frame when the batch window expires.
 // flushAll stays sticky until the queue drains so fragments blocked on
@@ -317,10 +363,10 @@ func (c *conn) onDoorbell() {
 func (c *conn) updateHold(held bool) {
 	h := c.host
 	if held {
-		head := c.sendQ[0]
+		head := c.sendQ.live()[0]
 		if !c.holding {
 			c.holding = true
-			c.doorbell.reset(head.scat.batchWin)
+			c.doorbell.reset(h, head.scat.batchWin)
 		}
 		h.holdSet(c, head.scat.ts)
 	} else if c.holding {
@@ -414,7 +460,7 @@ func (c *conn) onRTO() {
 	c.relOrder = kept
 	c.relStale = 0
 	if rearm {
-		c.rto.reset(h.Cfg.RTO * sim.Time(1+min(4, c.minRetx())))
+		c.rto.reset(h, h.Cfg.RTO*sim.Time(1+min(4, c.minRetx())))
 	}
 	if exhausted {
 		// The freed slots can admit queued fragments and credit-blocked
@@ -504,6 +550,20 @@ func (c *conn) buildUnit(head *outPkt) *netsim.Packet {
 	pkt.Payload = f
 	pkt.Size = size + netsim.HeaderBytes
 	return pkt
+}
+
+// stopFailTimers disarms the send-fail timer of every best-effort
+// scattering that still has a packet queued or in flight on this conn;
+// Host.Stop uses it so a stopped host leaves nothing in the timer queue.
+func (c *conn) stopFailTimers() {
+	for _, op := range c.unacked[0] {
+		for m := op; m != nil; m = m.fnext {
+			m.scat.failTimer.stop()
+		}
+	}
+	for _, op := range c.sendQ.live() {
+		op.scat.failTimer.stop()
+	}
 }
 
 // dropInflight abandons an un-ACKed packet (destination failed, scattering
@@ -607,8 +667,9 @@ type scattering struct {
 	credits []credit
 	// ACK tracking.
 	unackedPkts int
-	// failTimer drives best-effort loss detection.
-	failTimer *timer
+	// failTimer drives best-effort loss detection. It leaves the queue at
+	// the last ACK, so a completed scattering is garbage from then on.
+	failTimer timer
 	// ackedMsg[i] counts ACKed packets of msgs[i] (for per-message
 	// send-failure reporting).
 	ackedMsg []int
@@ -769,7 +830,7 @@ func (h *Host) launch(s *scattering) {
 			if track {
 				// Queue; the pump transmits within the window, streaming
 				// oversized scatterings as ACKs return.
-				c.sendQ = append(c.sendQ, op)
+				c.sendQ.push(op)
 			} else {
 				s.unackedPkts-- // fire-and-forget
 				h.emit(c.buildPacket(op, psn))
@@ -781,8 +842,8 @@ func (h *Host) launch(s *scattering) {
 		s.credits[i].conn.pump() // ordered: deterministic emission
 	}
 	if !s.reliable && !h.Cfg.DisableBEAck {
-		s.failTimer = newTimer(h.wire, func() { h.beSendTimeout(s) })
-		s.failTimer.reset(h.Cfg.SendFailTimeout)
+		s.failTimer.init(h, (*scatFail)(s))
+		s.failTimer.reset(h, h.Cfg.SendFailTimeout)
 	}
 }
 
@@ -800,7 +861,7 @@ func (h *Host) onPacketAcked(op *outPkt) {
 	}
 	if s.reliable {
 		h.reapOutstanding()
-	} else if s.failTimer != nil {
+	} else {
 		s.failTimer.stop()
 	}
 }
@@ -832,6 +893,11 @@ func (h *Host) sendCommit() {
 	pkt.Kind, pkt.Src, pkt.Size = netsim.KindCommit, h.reprProc, netsim.BeaconBytes
 	h.emit(pkt)
 }
+
+// scatFail is the handler of a best-effort scattering's send-fail timer.
+type scatFail scattering
+
+func (s *scatFail) Fire() { s.owner.host.beSendTimeout((*scattering)(s)) }
 
 // beSendTimeout fires the best-effort loss-detection timer: every message
 // with un-ACKed packets is reported failed (§2.1: detection without

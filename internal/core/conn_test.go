@@ -155,3 +155,58 @@ func TestRTOBackoffBounded(t *testing.T) {
 		t.Fatal("OnStuck escalation never fired")
 	}
 }
+
+// TestPktQueueFIFO: the send queue stays first-in-first-out through the
+// rewind (drained), slide (full with a consumed prefix) and grow paths, and
+// a queue that keeps draining never outgrows its first backing array.
+func TestPktQueueFIFO(t *testing.T) {
+	var q pktQueue
+	next, want := uint32(0), uint32(0)
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			q.push(&outPkt{psn: next})
+			next++
+		}
+	}
+	drop := func(n int) {
+		for i, op := range q.live()[:n] {
+			if op.psn != want+uint32(i) {
+				t.Fatalf("queue position %d holds psn %d, want %d", i, op.psn, want+uint32(i))
+			}
+		}
+		q.drop(n)
+		want += uint32(n)
+	}
+	// Never drains: the consumed prefix is slid away rather than the array
+	// growing without bound.
+	push(3)
+	for i := 0; i < 1000; i++ {
+		push(2)
+		drop(2)
+	}
+	if q.len() != 3 || cap(q.buf) > 16 {
+		t.Fatalf("len %d cap %d after 1000 push-2/drop-2 rounds over 3 queued, want len 3 and a small array", q.len(), cap(q.buf))
+	}
+	drop(3)
+	// Drains every time: one array, reused from its base.
+	base := cap(q.buf)
+	for i := 0; i < 1000; i++ {
+		push(1)
+		drop(1)
+	}
+	if cap(q.buf) != base || q.head != 0 || len(q.buf) != 0 {
+		t.Fatalf("drained queue did not rewind: head %d len %d cap %d (was %d)", q.head, len(q.buf), cap(q.buf), base)
+	}
+	push(100)
+	drop(40)
+	push(100)
+	drop(160)
+	if q.len() != 0 {
+		t.Fatalf("len %d, want 0", q.len())
+	}
+	for _, op := range q.buf[:cap(q.buf)] {
+		if op != nil {
+			t.Fatal("a consumed slot still references its packet")
+		}
+	}
+}

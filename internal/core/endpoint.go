@@ -92,7 +92,11 @@ type Host struct {
 	// predictable branch per record site.
 	Obs *obs.Trace
 
-	wire  Wire
+	wire Wire
+	// eng is the wire's simulation engine when it has one (engineWire): the
+	// host's timers then live in its timer heap. Nil selects the After
+	// fallback.
+	eng   *sim.Engine
 	procs map[netsim.ProcID]*Proc
 
 	// Timestamping.
@@ -116,22 +120,22 @@ type Host struct {
 	// floor (§5.1 Commit phase).
 	outstanding []*scattering
 	// Receive side.
-	rconns      map[connKey]*rconn
-	barrierBE   sim.Time
-	barrierC    sim.Time
+	rconns    map[connKey]*rconn
+	barrierBE sim.Time
+	barrierC  sim.Time
 	// beQ/relQ order the two reliability planes; rlxQ holds untagged
 	// reliable traffic under DeliverConflictAware, drained by the commit
 	// barrier alone (outside the cross-class order).
 	beQ, relQ, rlxQ reorderBuf
-	deliveredBE sim.Time
-	deliveredC  sim.Time
+	deliveredBE     sim.Time
+	deliveredC      sim.Time
 	// Lazy connection lifecycle: evicted peers leave a tiny PSN cursor
 	// behind (send-side next PSNs, receive-side consumed-prefix bases) so
 	// the pair re-establishes mid-epoch without a handshake; evictTimer
 	// drives the periodic idle sweep when Config.ConnIdleEvict is set.
 	connMemo   map[connKey]connCursor
 	rconnMemo  map[connKey][2]uint32
-	evictTimer *timer
+	evictTimer timer
 	// batchQ accumulates a contiguous run of below-barrier deliveries for
 	// one process during drain; flushed through OnDeliverBatch. The slice
 	// is reused across batches — receivers must not retain it.
@@ -154,8 +158,9 @@ type Host struct {
 	// controller-forwarding path (§5.2) hooks in here.
 	OnStuck func(src, dst netsim.ProcID, ts sim.Time)
 
-	beaconTimer    *timer
+	beaconTimer    timer
 	lastUplinkSend sim.Time
+	started        bool
 	stopped        bool
 	// draining refuses new sends while the window flushes — the first
 	// phase of a graceful leave. Unlike stopped, timers keep running so
@@ -175,7 +180,8 @@ type recallKey struct {
 
 type recallState struct {
 	scat  *scattering
-	timer *timer
+	key   recallKey
+	timer timer
 	tries int
 }
 
@@ -183,12 +189,12 @@ type recallState struct {
 // Call Start to begin beacon generation, then AddProc for each process.
 func NewHost(id int, wire Wire, cfg Config) *Host {
 	h := &Host{
-		Cfg:         cfg.withDefaults(),
-		ID:          id,
-		wire:        wire,
-		procs:       make(map[netsim.ProcID]*Proc),
-		conns:       make(map[connKey]*conn),
-		rconns:      make(map[connKey]*rconn),
+		Cfg:           cfg.withDefaults(),
+		ID:            id,
+		wire:          wire,
+		procs:         make(map[netsim.ProcID]*Proc),
+		conns:         make(map[connKey]*conn),
+		rconns:        make(map[connKey]*rconn),
 		failedPeers:   make(map[netsim.ProcID]sim.Time),
 		recallTomb:    make(map[recallKey]bool),
 		recalls:       make(map[recallKey]*recallState),
@@ -198,6 +204,9 @@ func NewHost(id int, wire Wire, cfg Config) *Host {
 		rconnMemo:     make(map[connKey][2]uint32),
 		sendOcc:       new(stats.Histogram),
 		recvOcc:       new(stats.Histogram),
+	}
+	if ew, ok := wire.(engineWire); ok {
+		h.eng = ew.TimerEngine()
 	}
 	h.beQ.cap = h.Cfg.ReorderHotCap
 	h.relQ.cap = h.Cfg.ReorderHotCap
@@ -247,23 +256,33 @@ func (h *Host) recomputeHeldFloor() {
 // Start arms the host's uplink beacon generator (§4.2) and, when idle
 // eviction is configured, the periodic connection sweep.
 func (h *Host) Start() {
-	if h.beaconTimer != nil {
+	if h.started {
 		return
 	}
-	h.beaconTimer = newTimer(h.wire, h.beaconTick)
-	h.beaconTimer.reset(h.Cfg.BeaconInterval)
+	h.started = true
+	h.beaconTimer.init(h, (*hostBeacon)(h))
+	h.beaconTimer.reset(h, h.Cfg.BeaconInterval)
 	if h.Cfg.ConnIdleEvict > 0 {
-		h.evictTimer = newTimer(h.wire, h.evictTick)
-		h.evictTimer.reset(h.Cfg.ConnIdleEvict)
+		h.evictTimer.init(h, (*hostEvict)(h))
+		h.evictTimer.reset(h, h.Cfg.ConnIdleEvict)
 	}
 }
+
+// hostBeacon and hostEvict are the handlers of the host's periodic timers.
+type (
+	hostBeacon Host
+	hostEvict  Host
+)
+
+func (h *hostBeacon) Fire() { (*Host)(h).beaconTick() }
+func (h *hostEvict) Fire()  { (*Host)(h).evictTick() }
 
 func (h *Host) evictTick() {
 	if h.stopped {
 		return
 	}
 	h.evictIdle(h.wire.Now() - h.Cfg.ConnIdleEvict)
-	h.evictTimer.reset(h.Cfg.ConnIdleEvict)
+	h.evictTimer.reset(h, h.Cfg.ConnIdleEvict)
 }
 
 // evictIdle reclaims per-peer state last used at or before deadline. A
@@ -271,7 +290,8 @@ func (h *Host) evictTick() {
 // or parked packets, an empty send queue, no reserved credits, no held
 // frame, and no credit-blocked scattering pointing at it. A receive-side
 // rconn is evictable only when both planes' assembly buffers are idle (no
-// buffered fragments, no reception holes). Eviction leaves a PSN cursor in
+// buffered fragments, no reception holes); an ACK accumulator once it has
+// flushed. Eviction leaves a PSN cursor in
 // the memo maps so getConn/getRconn re-establish the pair mid-epoch with
 // sequence spaces intact. Iteration is over sorted keys: eviction order is
 // part of the deterministic replay contract.
@@ -290,7 +310,7 @@ func (h *Host) evictIdle(deadline sim.Time) {
 		if c.lastUse > deadline || referenced[c] || c.holding {
 			continue
 		}
-		if c.inflight != 0 || c.reserved != 0 || len(c.sendQ) != 0 ||
+		if c.inflight != 0 || c.reserved != 0 || c.sendQ.len() != 0 ||
 			len(c.unacked[0]) != 0 || len(c.unacked[1]) != 0 || len(c.stuckPkts) != 0 {
 			continue
 		}
@@ -308,6 +328,14 @@ func (h *Host) evictIdle(deadline sim.Time) {
 		h.rconnMemo[k] = [2]uint32{rc.bufs[0].doneBase, rc.bufs[1].doneBase}
 		delete(h.rconns, k)
 		h.Stats.ConnsEvicted++
+	}
+	// An ACK accumulator with nothing pending holds no state ackPacket
+	// cannot rebuild. Dropping one emits nothing and counts nothing, so
+	// this walk needs no sorted order.
+	for k, p := range h.ackPending {
+		if len(p.batch.psns) == 0 && !p.timer.isArmed() {
+			delete(h.ackPending, k)
+		}
 	}
 	h.Stats.ConnsLive = int64(len(h.conns) + len(h.rconns))
 }
@@ -381,19 +409,12 @@ func (h *Host) Draining() bool { return h.draining }
 // Stop halts beacon generation and timers; the host no longer participates.
 func (h *Host) Stop() {
 	h.stopped = true
-	if h.beaconTimer != nil {
-		h.beaconTimer.stop()
-	}
-	if h.evictTimer != nil {
-		h.evictTimer.stop()
-	}
+	h.beaconTimer.stop()
+	h.evictTimer.stop()
 	for _, c := range h.conns {
-		if c.rto != nil {
-			c.rto.stop()
-		}
-		if c.doorbell != nil {
-			c.doorbell.stop()
-		}
+		c.rto.stop()
+		c.doorbell.stop()
+		c.stopFailTimers()
 	}
 	for _, r := range h.recalls {
 		r.timer.stop()
@@ -420,7 +441,7 @@ func (h *Host) beaconTick() {
 	} else {
 		h.sendBeacon()
 	}
-	h.beaconTimer.reset(h.Cfg.BeaconInterval)
+	h.beaconTimer.reset(h, h.Cfg.BeaconInterval)
 }
 
 func (h *Host) sendBeacon() {
@@ -614,10 +635,10 @@ func (h *Host) send(p *Proc, msgs []Message, o SendOptions) error {
 	// state behind.
 	for i := range s.credits {
 		cr := &s.credits[i]
-		if len(cr.conn.sendQ)+cr.needed > h.Cfg.SendQueueCap {
+		if cr.conn.sendQ.len()+cr.needed > h.Cfg.SendQueueCap {
 			h.Stats.Backpressure++
 			retry := h.wire.Now() + h.Cfg.RTO
-			if cr.conn.holding && cr.conn.doorbell.armed {
+			if cr.conn.holding && cr.conn.doorbell.isArmed() {
 				retry = h.wire.Now() + h.Cfg.BatchWindow
 			}
 			return &BackpressureError{Dst: cr.conn.key.dst, RetryAt: retry}

@@ -178,6 +178,7 @@ func (h *Host) recallAffected(failed map[netsim.ProcID]sim.Time) {
 				for m := op; m != nil; m = m.fnext {
 					if !m.scat.reliable && !m.scat.aborted {
 						m.scat.aborted = true
+						m.scat.failTimer.stop()
 						for i := range m.scat.msgs {
 							if m.scat.ackedMsg[i] < m.scat.fragsPerMsg[i] {
 								h.failMessage(m.scat, i)
@@ -232,11 +233,11 @@ func (h *Host) abortScatteringExcept(s *scattering, noRecall netsim.ProcID) {
 		}
 		s.recallsPending++
 		h.failWait++
-		rs := &recallState{scat: s}
-		rs.timer = newTimer(h.wire, func() { h.resendRecall(rk, rs) })
+		rs := &recallState{scat: s, key: rk}
+		rs.timer.init(h, (*recallResend)(rs))
 		h.recalls[rk] = rs
 		h.sendRecall(s.owner.ID, rk)
-		rs.timer.reset(h.Cfg.RTO)
+		rs.timer.reset(h, h.Cfg.RTO)
 	}
 	// Drop un-ACKed packets of this scattering to stop retransmission.
 	for i := range s.credits {
@@ -253,6 +254,14 @@ func (h *Host) sendRecall(src netsim.ProcID, rk recallKey) {
 	pkt.Kind, pkt.Src, pkt.Dst = netsim.KindRecall, src, rk.dst
 	pkt.MsgTS, pkt.Size = rk.ts, netsim.BeaconBytes
 	h.emit(pkt)
+}
+
+// recallResend is the handler of a recall's retransmission timer.
+type recallResend recallState
+
+func (r *recallResend) Fire() {
+	rs := (*recallState)(r)
+	rs.scat.owner.host.resendRecall(rs.key, rs)
 }
 
 func (h *Host) resendRecall(rk recallKey, rs *recallState) {
@@ -272,7 +281,7 @@ func (h *Host) resendRecall(rk recallKey, rs *recallState) {
 		return
 	}
 	h.sendRecall(rs.scat.owner.ID, rk)
-	rs.timer.reset(h.Cfg.RTO)
+	rs.timer.reset(h, h.Cfg.RTO)
 }
 
 // finishRecall resolves one outstanding recall — acknowledged, controller-
@@ -356,7 +365,7 @@ func (h *Host) PendingTo(src, dst netsim.ProcID) []*netsim.Packet {
 			out = append(out, pkt)
 		}
 	}
-	for _, op := range c.sendQ {
+	for _, op := range c.sendQ.live() {
 		if op.scat.reliable && !op.scat.aborted {
 			out = append(out, c.buildPacket(op, op.psn))
 		}

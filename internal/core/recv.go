@@ -618,9 +618,16 @@ type ackBatch struct {
 
 // ackPend accumulates ACKs toward one sender/class until flushed.
 type ackPend struct {
+	host  *Host
+	key   ackKey
 	batch ackBatch
-	timer *timer
+	timer timer
 }
+
+// ackFlush is the handler of an ackPend's flush timer.
+type ackFlush ackPend
+
+func (p *ackFlush) Fire() { p.host.flushAcks(p.key) }
 
 type ackKey struct {
 	local, remote netsim.ProcID
@@ -642,12 +649,12 @@ func (h *Host) ackPacket(pkt *netsim.Packet) {
 	k := ackKey{local: pkt.Dst, remote: pkt.Src, reliable: pkt.Reliable}
 	p := h.ackPending[k]
 	if p == nil {
-		p = &ackPend{}
-		p.timer = newTimer(h.wire, func() { h.flushAcks(k) })
+		p = &ackPend{host: h, key: k}
+		p.timer.init(h, (*ackFlush)(p))
 		h.ackPending[k] = p
 	}
 	if len(p.batch.psns) == 0 {
-		p.timer.reset(h.Cfg.AckFlush)
+		p.timer.reset(h, h.Cfg.AckFlush)
 	}
 	p.batch.psns = append(p.batch.psns, pkt.PSN)
 	p.batch.ecn = append(p.batch.ecn, pkt.ECN)

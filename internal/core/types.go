@@ -233,30 +233,64 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// timer is a light re-armable timer over Wire.After.
+// engineWire is the optional Wire extension of a wire that runs on a
+// simulation engine. A host on such a wire keeps its timers in that
+// engine's timer heap — armed without allocating, gone from the queue the
+// moment they are stopped — instead of over After.
+type engineWire interface {
+	// TimerEngine returns the engine the wire's After schedules on.
+	TimerEngine() *sim.Engine
+}
+
+// timer is core's one re-armable timer, embedded by value in the struct
+// whose timeout it is; init binds it to the host and to a pointer-shaped
+// handler over that struct (`(*connRTO)(c)`), so neither creating nor
+// arming it allocates. On an engineWire it is the engine's cancellable
+// timer; on any other wire it falls back to an epoch check over Wire.After,
+// where a stopped or superseded firing still runs as a no-op.
+//
+// Whoever drops a struct with an embedded timer must stop it first: an
+// armed timer is reachable from the queue. The struct is 48 bytes and must
+// stay there — sparse fabrics hold two per connection and one per ACK peer.
 type timer struct {
-	wire  Wire
-	fn    func()
+	// st holds the handler on either path and is the queue entry on the
+	// engine path.
+	st sim.Timer
+	// After fallback only.
 	epoch uint64
 	armed bool
 }
 
-func newTimer(w Wire, fn func()) *timer { return &timer{wire: w, fn: fn} }
+// init binds the timer to h's timer queue and to the handler it fires.
+func (t *timer) init(h *Host, hd sim.Handler) { t.st.Init(h.eng, hd) }
 
-func (t *timer) reset(d sim.Time) {
+func (t *timer) reset(h *Host, d sim.Time) {
+	if h.eng != nil {
+		t.st.Reset(d)
+		return
+	}
+	t.resetAfter(h.wire, d)
+}
+
+// resetAfter is the fallback arm: a fresh closure over Wire.After that the
+// epoch invalidates if the timer is stopped or re-armed before it runs.
+func (t *timer) resetAfter(w Wire, d sim.Time) {
 	t.epoch++
 	t.armed = true
 	e := t.epoch
-	t.wire.After(d, func() {
+	w.After(d, func() {
 		if t.epoch != e || !t.armed {
 			return
 		}
 		t.armed = false
-		t.fn()
+		t.st.Handler().Fire()
 	})
 }
 
 func (t *timer) stop() {
+	t.st.Stop()
 	t.epoch++
 	t.armed = false
 }
+
+func (t *timer) isArmed() bool { return t.armed || t.st.Armed() }

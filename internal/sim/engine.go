@@ -6,16 +6,20 @@
 // FIFO tie-break on equal timestamps and by the seeded random source, so a
 // simulation run is exactly reproducible from its seed.
 //
-// The event queue is a monomorphic 4-ary min-heap over a concrete event
-// struct: no container/heap, no interface boxing, no allocation per
-// scheduled event once the backing array has grown to the working set. The
-// (time, seq) tie-break gives every event a unique total-order key, so the
-// pop order — and therefore every simulation trace — is byte-identical to
-// the previous binary-heap implementation.
+// The engine keeps two queues under that one order. One-shot events sit in
+// a monomorphic 4-ary min-heap over a concrete event struct: no
+// container/heap, no interface boxing, no allocation per scheduled event
+// once the backing array has grown to the working set. Armed Timers sit in
+// a second, indexed 4-ary min-heap (timer.go) so that Stop and Reset take
+// the entry out instead of leaving it to fire as a no-op. Both draw their
+// (time, seq) keys from the same counter, every key is unique, and the
+// engine always executes the smaller of the two heads — the execution
+// order is that of a single queue holding exactly the live entries.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -61,16 +65,12 @@ type event struct {
 type Engine struct {
 	now    Time
 	seq    uint64
-	events []event // 4-ary min-heap ordered by (at, seq)
+	events []event      // 4-ary min-heap ordered by (at, seq)
+	timers []timerEntry // armed Timers: indexed 4-ary min-heap, same key space
 	rng    *rand.Rand
-	// Executed counts events run so far; useful as a progress and
-	// runaway-loop diagnostic.
+	// Executed counts events and timer firings run so far; useful as a
+	// progress and runaway-loop diagnostic.
 	Executed uint64
-
-	// dead counts tombstones: events still in the heap whose effect was
-	// cancelled (a stopped or re-armed Timer). They execute as no-ops, so
-	// Pending subtracts them to report the number of *live* events.
-	dead int
 
 	// Sharded operation (see ShardedEngine). A standalone engine leaves all
 	// of these zero and pays only a nil check on the hot paths.
@@ -174,19 +174,24 @@ func (e *Engine) pop() event {
 	return top
 }
 
+// nextSeq draws the next FIFO sequence number: from the lockstep group's
+// shared counter when there is one, else from the engine's own.
+func (e *Engine) nextSeq() uint64 {
+	if e.gseq != nil {
+		*e.gseq++
+		return *e.gseq
+	}
+	e.seq++
+	return e.seq
+}
+
 // schedule clamps t to the present, assigns the FIFO sequence number and
 // enqueues.
 func (e *Engine) schedule(t Time, ev event) {
 	if now := e.Now(); t < now {
 		t = now
 	}
-	if e.gseq != nil {
-		*e.gseq++
-		ev.seq = *e.gseq
-	} else {
-		e.seq++
-		ev.seq = e.seq
-	}
+	ev.seq = e.nextSeq()
 	ev.at = t
 	e.push(ev)
 }
@@ -235,10 +240,34 @@ func (e *Engine) At2On(dst *Engine, t Time, fn func(a, b any), a, b any) {
 	*ob = append(*ob, xev{dst: dst.id, at: t, seq: e.seq, src: e.id, fn2: fn, a: a, b: b})
 }
 
-// Step executes the next pending event, advancing virtual time. It reports
-// whether an event was executed.
-func (e *Engine) Step() bool {
+// Step executes the next pending event or timer firing, advancing virtual
+// time. It reports whether one was executed.
+func (e *Engine) Step() bool { return e.stepUntil(math.MaxInt64) }
+
+// timerFirst reports whether the earliest queued entry is a timer firing:
+// the timer heap's head has the smaller (at, seq) key of the two heaps.
+func (e *Engine) timerFirst() bool {
+	if len(e.timers) == 0 {
+		return false
+	}
 	if len(e.events) == 0 {
+		return true
+	}
+	t, ev := &e.timers[0], &e.events[0]
+	return t.at < ev.at || (t.at == ev.at && t.seq < ev.seq)
+}
+
+// stepUntil executes the earliest queued entry provided its timestamp is at
+// most limit, and reports whether it did.
+func (e *Engine) stepUntil(limit Time) bool {
+	if e.timerFirst() {
+		if e.timers[0].at > limit {
+			return false
+		}
+		e.fireTimer()
+		return true
+	}
+	if len(e.events) == 0 || e.events[0].at > limit {
 		return false
 	}
 	ev := e.pop()
@@ -250,6 +279,18 @@ func (e *Engine) Step() bool {
 		ev.fn2(ev.a, ev.b)
 	}
 	return true
+}
+
+// head returns the (at, seq) key of the earliest queued entry across both
+// heaps and whether there is one.
+func (e *Engine) head() (at Time, seq uint64, ok bool) {
+	if e.timerFirst() {
+		return e.timers[0].at, e.timers[0].seq, true
+	}
+	if len(e.events) == 0 {
+		return 0, 0, false
+	}
+	return e.events[0].at, e.events[0].seq, true
 }
 
 // Run executes events until the queue is empty. On a shard of a
@@ -275,8 +316,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.sh.RunUntil(deadline)
 		return
 	}
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
+	for e.stepUntil(deadline) {
 	}
 	if e.Now() < deadline {
 		e.setNow(deadline)
@@ -291,35 +331,35 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.Now() + d) }
 // or beyond the horizon may still be preempted by a cross-shard arrival, so
 // they stay queued. The shard clock is left at the last executed event.
 func (e *Engine) runWindow(horizon Time) {
-	for len(e.events) > 0 && e.events[0].at < horizon {
-		e.Step()
+	for e.stepUntil(horizon - 1) {
 	}
 }
 
-// Pending reports the number of queued *live* events: cancelled timer
-// firings still sitting in the heap as tombstones are not counted, so the
-// value is accurate after RunUntil exits early with stopped timers pending.
-func (e *Engine) Pending() int { return len(e.events) - e.dead }
+// Pending reports the number of queued events plus armed timers. A stopped
+// or re-armed Timer leaves nothing behind, so the count is exact.
+func (e *Engine) Pending() int { return len(e.events) + len(e.timers) }
 
-// Drain discards every queued event and returns how many of them were live
-// (not tombstones of cancelled timers). Use it at shutdown to account for
-// work the simulation never executed; after Drain the queue is empty and
-// Pending reports zero.
+// Drain discards every queued event, disarms every armed timer and returns
+// how many entries that was. Use it at shutdown to account for work the
+// simulation never executed; after Drain the queues are empty, Pending
+// reports zero, and the disarmed timers can be armed again.
 func (e *Engine) Drain() int {
-	n := len(e.events) - e.dead
+	n := e.Pending()
 	for i := range e.events {
 		e.events[i] = event{}
 	}
 	e.events = e.events[:0]
-	e.dead = 0
+	for i := range e.timers {
+		e.timers[i].t.idx = 0
+		e.timers[i] = timerEntry{}
+	}
+	e.timers = e.timers[:0]
 	return n
 }
 
-// NextEventTime returns the timestamp of the earliest queued event and
-// whether one exists.
+// NextEventTime returns the timestamp of the earliest queued event or timer
+// firing and whether one exists.
 func (e *Engine) NextEventTime() (Time, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
+	at, _, ok := e.head()
+	return at, ok
 }

@@ -48,6 +48,40 @@ func BenchmarkEngineSchedule2(b *testing.B) {
 	}
 }
 
+// BenchmarkTimerArmCancel measures the timer heap at the depth the
+// best-effort broadcast keeps send-fail timers armed (32 768). cancel is the
+// ACK path: one armed timer is stopped and armed again at a new random
+// deadline, the population staying constant. fire is the timeout path:
+// the earliest timer fires through the engine and its handler re-arms it,
+// BenchmarkEngineSchedule's churn through the timer heap.
+func BenchmarkTimerArmCancel(b *testing.B) {
+	for _, mode := range []string{"cancel", "fire"} {
+		fire := mode == "fire"
+		b.Run(mode, func(b *testing.B) {
+			e := NewEngine(1)
+			const depth = 32768
+			delay := func() Time { return Time(e.Rand().Intn(100000)) + 1 }
+			tms := make([]*Timer, depth)
+			for i := range tms {
+				i := i
+				tms[i] = NewTimer(e, func() { tms[i].Reset(delay()) })
+				tms[i].Reset(delay())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if fire {
+					e.Step()
+					continue
+				}
+				tm := tms[i%depth]
+				tm.Stop()
+				tm.Reset(delay())
+			}
+		})
+	}
+}
+
 // TestEngineScheduleAllocs pins the zero-allocation property of the event
 // queue: once the backing array has grown to the working set, At/After/At2
 // plus Step allocate nothing. A regression here (interface boxing, closure

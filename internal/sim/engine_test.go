@@ -277,9 +277,8 @@ func TestTickerStopInsideCallback(t *testing.T) {
 }
 
 // TestPendingExcludesStoppedTimers is the Stop()-vs-pending regression: a
-// stopped timer leaves its scheduled firing in the heap as a tombstone, and
-// Pending must not count it — before tombstone accounting, RunUntil exiting
-// early with a stopped timer queued reported one pending event too many.
+// stopped timer must not count as pending work when RunUntil exits early —
+// Stop takes its entry out of the timer heap.
 func TestPendingExcludesStoppedTimers(t *testing.T) {
 	e := NewEngine(1)
 	e.At(200, func() {})
@@ -296,7 +295,7 @@ func TestPendingExcludesStoppedTimers(t *testing.T) {
 	}
 }
 
-// TestPendingExcludesRearmedTimers: each Reset of an armed timer orphans
+// TestPendingExcludesRearmedTimers: each Reset of an armed timer replaces
 // the previous firing; only the latest counts.
 func TestPendingExcludesRearmedTimers(t *testing.T) {
 	e := NewEngine(1)
@@ -318,7 +317,7 @@ func TestPendingExcludesRearmedTimers(t *testing.T) {
 }
 
 // TestDrainReturnsLiveCount: Drain empties the queue and reports only live
-// events, not timer tombstones.
+// events, not cancelled timers.
 func TestDrainReturnsLiveCount(t *testing.T) {
 	e := NewEngine(1)
 	e.At(100, func() {})

@@ -130,7 +130,8 @@ func (s *ShardedEngine) ExecutedTotal() uint64 {
 	return n
 }
 
-// Pending sums the live queued events across shards and outboxes.
+// Pending sums the queued events and armed timers across shards and
+// outboxes.
 func (s *ShardedEngine) Pending() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -142,8 +143,8 @@ func (s *ShardedEngine) Pending() int {
 	return n
 }
 
-// Drain discards all queued events on every shard and returns the live
-// count, mirroring Engine.Drain.
+// Drain discards all queued events and disarms all timers on every shard
+// and returns the count, mirroring Engine.Drain.
 func (s *ShardedEngine) Drain() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -179,20 +180,21 @@ const runAllSentinel = Time(math.MaxInt64)
 func (s *ShardedEngine) Run() { s.RunUntil(runAllSentinel) }
 
 // runLockstepUntil picks the globally earliest (time, seq) head across the
-// shard heaps and steps that shard, one event at a time. With the shared
-// clock and sequence counter this is exactly the single-heap order.
+// shards' event and timer heaps and steps that shard, one entry at a time.
+// With the shared clock and sequence counter this is exactly the
+// single-heap order.
 func (s *ShardedEngine) runLockstepUntil(deadline Time) {
 	for {
 		best := -1
 		var ba Time
 		var bs uint64
 		for i, sh := range s.shards {
-			if len(sh.events) == 0 {
+			at, seq, ok := sh.head()
+			if !ok {
 				continue
 			}
-			h := &sh.events[0]
-			if best < 0 || h.at < ba || (h.at == ba && h.seq < bs) {
-				best, ba, bs = i, h.at, h.seq
+			if best < 0 || at < ba || (at == ba && seq < bs) {
+				best, ba, bs = i, at, seq
 			}
 		}
 		if best < 0 || ba > deadline {
@@ -264,11 +266,8 @@ func (s *ShardedEngine) nextEventTime() (Time, bool) {
 	var t Time
 	ok := false
 	for _, sh := range s.shards {
-		if len(sh.events) == 0 {
-			continue
-		}
-		if !ok || sh.events[0].at < t {
-			t, ok = sh.events[0].at, true
+		if at, live := sh.NextEventTime(); live && (!ok || at < t) {
+			t, ok = at, true
 		}
 	}
 	return t, ok

@@ -1,66 +1,187 @@
 package sim
 
+// Handler is what a Timer runs when it fires. Implementations are normally
+// pointer-shaped adapter types over the struct that embeds the timer
+// (`type connRTO conn`, armed as `(*connRTO)(c)`), so storing one in a Timer
+// boxes nothing and arming allocates nothing.
+type Handler interface {
+	Fire()
+}
+
+// funcHandler adapts a plain func to Handler; func values are
+// pointer-shaped, so the conversion does not allocate.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
 // Timer is a cancelable, re-armable one-shot timer on the simulation clock.
 // It is the building block for retransmission timeouts, beacon intervals,
 // and dead-link detection in the network model.
+//
+// An armed Timer is one entry of its engine's timer heap and nothing else:
+// Stop and Reset remove or re-key that entry, so a cancelled firing costs
+// nothing later and keeps nothing reachable. The zero Timer is disarmed;
+// give it an engine and a handler with Init before the first Reset. Timers
+// are meant to be embedded by value — the struct is 32 bytes, the (at, seq)
+// key lives in the heap entry — and whoever drops a struct with an embedded
+// timer must Stop it first, or the engine keeps the struct alive until it
+// fires.
 type Timer struct {
-	eng   *Engine
-	fn    func()
-	epoch uint64 // invalidates in-flight events from earlier arms
-	armed bool
-	at    Time
+	eng *Engine
+	h   Handler
+	idx int32 // position in eng.timers plus one; 0 = disarmed
+}
+
+// timerEntry is one armed timer in the heap. The key is inline so a sift
+// compares entries without dereferencing two Timers.
+type timerEntry struct {
+	at  Time
+	seq uint64
+	t   *Timer
+}
+
+func (a *timerEntry) less(b *timerEntry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // NewTimer creates a timer that invokes fn when it fires. The timer starts
 // disarmed.
 func NewTimer(eng *Engine, fn func()) *Timer {
-	return &Timer{eng: eng, fn: fn}
+	return &Timer{eng: eng, h: funcHandler(fn)}
 }
 
+// Init binds a disarmed (typically embedded, zero) timer to its engine and
+// handler.
+func (t *Timer) Init(eng *Engine, h Handler) {
+	t.eng, t.h = eng, h
+}
+
+// Handler returns the handler the timer was initialised with.
+func (t *Timer) Handler() Handler { return t.h }
+
 // Reset (re)arms the timer to fire d nanoseconds from now, replacing any
-// previously scheduled firing. The replaced firing stays in the event heap
-// as a tombstone (it runs as a no-op); the engine counts tombstones so
-// Pending stays accurate.
+// previously scheduled firing. The firing takes its place in the engine's
+// (time, seq) order exactly as an event scheduled by After(d) at this
+// moment would: same clamp to the present, same sequence counter.
 func (t *Timer) Reset(d Time) {
-	if t.armed {
-		t.eng.dead++
+	e := t.eng
+	now := e.Now()
+	at := now + d
+	if at < now {
+		at = now
 	}
-	t.epoch++
-	t.armed = true
-	t.at = t.eng.Now() + d
-	epoch := t.epoch
-	t.eng.After(d, func() {
-		if t.epoch != epoch {
-			t.eng.dead--
-			return
-		}
-		t.armed = false
-		t.fn()
-	})
+	ent := timerEntry{at: at, seq: e.nextSeq(), t: t}
+	i := int(t.idx) - 1
+	if i < 0 {
+		e.timers = append(e.timers, timerEntry{})
+		i = len(e.timers) - 1
+	}
+	e.placeTimer(i, ent)
 }
 
 // Stop disarms the timer. It is safe to call on a disarmed timer.
 func (t *Timer) Stop() {
-	if t.armed {
-		t.eng.dead++
+	if t.idx != 0 {
+		t.eng.removeTimer(int(t.idx) - 1)
 	}
-	t.epoch++
-	t.armed = false
 }
 
 // Armed reports whether the timer has a pending firing.
-func (t *Timer) Armed() bool { return t.armed }
+func (t *Timer) Armed() bool { return t.idx != 0 }
 
 // Deadline returns the virtual time at which the timer will fire. Only
 // meaningful while Armed.
-func (t *Timer) Deadline() Time { return t.at }
+func (t *Timer) Deadline() Time {
+	if t.idx == 0 {
+		return 0
+	}
+	return t.eng.timers[t.idx-1].at
+}
+
+// placeTimer writes ent into the timer heap starting from the hole at slot
+// i, sifting it up or down to where its key belongs and keeping every moved
+// timer's index current. The held entry is written once, at its final slot.
+func (e *Engine) placeTimer(i int, ent timerEntry) {
+	h := e.timers
+	for i > 0 {
+		p := (i - 1) >> 2
+		if h[p].less(&ent) {
+			break
+		}
+		h[i] = h[p]
+		h[i].t.idx = int32(i + 1)
+		i = p
+	}
+	n := len(h)
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if h[j].less(&h[m]) {
+				m = j
+			}
+		}
+		if ent.less(&h[m]) {
+			break
+		}
+		h[i] = h[m]
+		h[i].t.idx = int32(i + 1)
+		i = m
+	}
+	h[i] = ent
+	ent.t.idx = int32(i + 1)
+}
+
+// removeTimer takes the entry at slot i out of the heap and disarms its
+// timer. The vacated tail slot is zeroed so the backing array does not keep
+// the timer's owner reachable.
+func (e *Engine) removeTimer(i int) {
+	h := e.timers
+	n := len(h) - 1
+	h[i].t.idx = 0
+	last := h[n]
+	h[n] = timerEntry{}
+	e.timers = h[:n]
+	if i < n {
+		e.placeTimer(i, last)
+	}
+}
+
+// fireTimer pops the earliest armed timer and runs its handler. The timer
+// is disarmed first, so the handler may re-arm it.
+func (e *Engine) fireTimer() {
+	ent := e.timers[0]
+	e.removeTimer(0)
+	e.setNow(ent.at)
+	e.Executed++
+	ent.t.h.Fire()
+}
 
 // Ticker invokes fn every interval until stopped. Used for periodic beacon
 // generation and controller heartbeats.
 type Ticker struct {
-	timer    *Timer
+	timer    Timer
+	fn       func()
 	interval Time
 	stopped  bool
+}
+
+// tickerFire is the Ticker's timer handler: run the callback, re-arm.
+type tickerFire Ticker
+
+func (f *tickerFire) Fire() {
+	tk := (*Ticker)(f)
+	tk.fn()
+	if !tk.stopped {
+		tk.timer.Reset(tk.interval)
+	}
 }
 
 // NewTicker starts a ticker with the given interval. The first tick fires
@@ -68,16 +189,8 @@ type Ticker struct {
 // so ticks land at times ≡ phase (mod interval); the paper synchronizes
 // beacon emission times across hosts this way (§4.2).
 func NewTicker(eng *Engine, interval, phase Time, fn func()) *Ticker {
-	tk := &Ticker{interval: interval}
-	tk.timer = NewTimer(eng, func() {
-		if tk.stopped {
-			return
-		}
-		fn()
-		if !tk.stopped {
-			tk.timer.Reset(tk.interval)
-		}
-	})
+	tk := &Ticker{fn: fn, interval: interval}
+	tk.timer.Init(eng, (*tickerFire)(tk))
 	first := interval
 	if phase > 0 {
 		now := eng.Now()

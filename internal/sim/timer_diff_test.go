@@ -1,0 +1,429 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"onepipe/internal/race"
+)
+
+// The differential test drives one seeded script of At/After2, Timer
+// Reset/Stop, Ticker start/stop and RunUntil against the engine and against
+// a reference model, and requires the identical sequence of live firings
+// and the identical live count after every step.
+//
+// The reference model is the timer implementation the engine had before the
+// timer heap: one queue, and a Timer that bumps an epoch and abandons its
+// old event as a tombstone. The queue is a plain sorted (at, seq) list.
+
+type simAPI interface {
+	Now() Time
+	// After schedules a one-shot event; shard and two pick the shard engine
+	// and the After/After2 entry point where the implementation has them.
+	After(shard int, two bool, d Time, fn func())
+	NewTimer(shard int, fn func()) timerAPI
+	NewTicker(shard int, interval, phase Time, fn func()) stopper
+	RunUntil(t Time)
+	Pending() int
+	// Executed is how many queue entries the implementation has run.
+	Executed() uint64
+}
+
+type timerAPI interface {
+	Reset(d Time)
+	Stop()
+	Armed() bool
+}
+
+type stopper interface{ Stop() }
+
+// --- reference model ---
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+type refEngine struct {
+	now      Time
+	seq      uint64
+	q        []refEvent // sorted by (at, seq)
+	dead     int
+	executed uint64
+}
+
+func (r *refEngine) Now() Time { return r.now }
+
+func (r *refEngine) at(t Time, fn func()) {
+	if t < r.now {
+		t = r.now
+	}
+	r.seq++
+	ev := refEvent{at: t, seq: r.seq, fn: fn}
+	i := sort.Search(len(r.q), func(i int) bool {
+		return r.q[i].at > ev.at || (r.q[i].at == ev.at && r.q[i].seq > ev.seq)
+	})
+	r.q = append(r.q, refEvent{})
+	copy(r.q[i+1:], r.q[i:])
+	r.q[i] = ev
+}
+
+func (r *refEngine) After(_ int, _ bool, d Time, fn func()) { r.at(r.now+d, fn) }
+
+func (r *refEngine) RunUntil(deadline Time) {
+	for len(r.q) > 0 && r.q[0].at <= deadline {
+		ev := r.q[0]
+		r.q = r.q[1:]
+		r.now = ev.at
+		r.executed++
+		ev.fn()
+	}
+	if r.now < deadline {
+		r.now = deadline
+	}
+}
+
+func (r *refEngine) Pending() int     { return len(r.q) - r.dead }
+func (r *refEngine) Executed() uint64 { return r.executed }
+
+type refTimer struct {
+	eng   *refEngine
+	fn    func()
+	epoch uint64
+	armed bool
+}
+
+func (r *refEngine) NewTimer(_ int, fn func()) timerAPI { return &refTimer{eng: r, fn: fn} }
+
+func (t *refTimer) Reset(d Time) {
+	if t.armed {
+		t.eng.dead++
+	}
+	t.epoch++
+	t.armed = true
+	epoch := t.epoch
+	t.eng.at(t.eng.now+d, func() {
+		if t.epoch != epoch {
+			t.eng.dead--
+			return
+		}
+		t.armed = false
+		t.fn()
+	})
+}
+
+func (t *refTimer) Stop() {
+	if t.armed {
+		t.eng.dead++
+	}
+	t.epoch++
+	t.armed = false
+}
+
+func (t *refTimer) Armed() bool { return t.armed }
+
+type refTicker struct {
+	timer    *refTimer
+	interval Time
+	stopped  bool
+}
+
+func (r *refEngine) NewTicker(_ int, interval, phase Time, fn func()) stopper {
+	tk := &refTicker{interval: interval}
+	tk.timer = &refTimer{eng: r, fn: func() {
+		if tk.stopped {
+			return
+		}
+		fn()
+		if !tk.stopped {
+			tk.timer.Reset(tk.interval)
+		}
+	}}
+	first := interval
+	if phase > 0 {
+		next := ((r.now-phase)/interval+1)*interval + phase
+		if next <= r.now {
+			next += interval
+		}
+		first = next - r.now
+	}
+	tk.timer.Reset(first)
+	return tk
+}
+
+func (tk *refTicker) Stop() {
+	tk.stopped = true
+	tk.timer.Stop()
+}
+
+// --- the engine under test, standalone or as a lockstep group ---
+
+type engAPI struct {
+	shards []*Engine
+	group  *ShardedEngine // nil: shards[0] is a standalone engine
+}
+
+func newEngAPI(n int) *engAPI {
+	if n == 0 {
+		return &engAPI{shards: []*Engine{NewEngine(1)}}
+	}
+	a := &engAPI{group: NewShardedEngine(1, n, 0, false)}
+	for i := 0; i < n; i++ {
+		a.shards = append(a.shards, a.group.Shard(i))
+	}
+	return a
+}
+
+func (a *engAPI) eng(shard int) *Engine { return a.shards[shard%len(a.shards)] }
+func (a *engAPI) Now() Time             { return a.shards[0].Now() }
+
+func (a *engAPI) After(shard int, two bool, d Time, fn func()) {
+	if two {
+		a.eng(shard).After2(d, func(f, _ any) { f.(func())() }, fn, nil)
+	} else {
+		a.eng(shard).After(d, fn)
+	}
+}
+
+func (a *engAPI) NewTimer(shard int, fn func()) timerAPI { return NewTimer(a.eng(shard), fn) }
+
+func (a *engAPI) NewTicker(shard int, interval, phase Time, fn func()) stopper {
+	return NewTicker(a.eng(shard), interval, phase, fn)
+}
+
+func (a *engAPI) RunUntil(t Time) { a.shards[0].RunUntil(t) } // drives the whole group
+
+func (a *engAPI) Pending() int {
+	if a.group != nil {
+		return a.group.Pending()
+	}
+	return a.shards[0].Pending()
+}
+
+func (a *engAPI) Executed() uint64 {
+	if a.group != nil {
+		return a.group.ExecutedTotal()
+	}
+	return a.shards[0].Executed
+}
+
+// --- the script ---
+
+// runTimerScript plays steps random operations and returns one line per
+// live firing and per top-level step. Every decision, including the ones
+// handlers make while firing, is drawn from one rng: two implementations
+// that fire in the same order draw the same script.
+func runTimerScript(api simAPI, seed int64, steps int) (log []string, fired int) {
+	rng := rand.New(rand.NewSource(seed))
+	// Delays cluster on a few values so many deadlines are equal, and
+	// include zero and negative ones (clamped to now).
+	delay := func() Time {
+		switch rng.Intn(6) {
+		case 0:
+			return Time(rng.Intn(7)) - 3
+		case 1, 2:
+			return Time(10 * (1 + rng.Intn(3)))
+		default:
+			return Time(rng.Intn(200))
+		}
+	}
+	const nTimers = 24
+	timers := make([]timerAPI, nTimers)
+	for i := range timers {
+		i := i
+		timers[i] = api.NewTimer(i, func() {
+			fired++
+			log = append(log, fmt.Sprintf("timer %d @%d", i, api.Now()))
+			// A firing timer sometimes re-arms itself or meddles with a
+			// neighbor, the way an RTO handler does.
+			switch rng.Intn(5) {
+			case 0:
+				timers[i].Reset(delay())
+			case 1:
+				timers[rng.Intn(nTimers)].Reset(delay())
+			case 2:
+				timers[rng.Intn(nTimers)].Stop()
+			}
+		})
+	}
+	var tickers []stopper
+	oneShots := 0
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(10); {
+		case op < 2:
+			id := oneShots
+			oneShots++
+			api.After(rng.Intn(4), rng.Intn(2) == 0, delay(), func() {
+				fired++
+				log = append(log, fmt.Sprintf("event %d @%d", id, api.Now()))
+				if rng.Intn(3) == 0 {
+					timers[rng.Intn(nTimers)].Reset(delay())
+				}
+			})
+		case op < 6:
+			timers[rng.Intn(nTimers)].Reset(delay())
+		case op < 8:
+			timers[rng.Intn(nTimers)].Stop()
+		case op == 8:
+			if len(tickers) < 6 && rng.Intn(2) == 0 {
+				id := len(tickers)
+				interval := Time(5 + rng.Intn(40))
+				phase := Time(rng.Intn(2) * rng.Intn(int(interval)))
+				tickers = append(tickers, api.NewTicker(id, interval, phase, func() {
+					fired++
+					log = append(log, fmt.Sprintf("tick %d @%d", id, api.Now()))
+					if rng.Intn(20) == 0 {
+						tickers[id].Stop() // from inside its own callback
+					}
+				}))
+			} else if len(tickers) > 0 {
+				tickers[rng.Intn(len(tickers))].Stop()
+			}
+		default:
+			api.RunUntil(api.Now() + Time(rng.Intn(60)))
+		}
+		armed := 0
+		for _, tm := range timers {
+			if tm.Armed() {
+				armed++
+			}
+		}
+		log = append(log, fmt.Sprintf("step %d: now %d pending %d armed %d", step, api.Now(), api.Pending(), armed))
+	}
+	for _, tk := range tickers {
+		tk.Stop()
+	}
+	api.RunUntil(api.Now() + 1000)
+	log = append(log, fmt.Sprintf("end: now %d pending %d", api.Now(), api.Pending()))
+	return log, fired
+}
+
+func TestTimerHeapMatchesTombstoneModel(t *testing.T) {
+	steps := 4000
+	if race.Enabled {
+		steps = 1500
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		ref := &refEngine{}
+		want, _ := runTimerScript(ref, seed, steps)
+		for _, shards := range []int{0, 2, 4} {
+			api := newEngAPI(shards)
+			got, fired := runTimerScript(api, seed, steps)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d shards %d: %d log lines, model has %d", seed, shards, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d shards %d: line %d = %q, model has %q", seed, shards, i, got[i], want[i])
+				}
+			}
+			// Nothing but live firings ran: a cancelled arm costs no event.
+			if ex := api.Executed(); ex != uint64(fired) {
+				t.Errorf("seed %d shards %d: executed %d queue entries for %d live firings", seed, shards, ex, fired)
+			}
+		}
+		if ref.executed <= uint64(len(want))/8 {
+			t.Fatalf("seed %d: script too idle (%d model events)", seed, ref.executed)
+		}
+	}
+}
+
+// TestDrainDisarmsTimers: Drain counts armed timers as queued work, leaves
+// them disarmed, and they can be armed again afterwards.
+func TestDrainDisarmsTimers(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	tms := make([]*Timer, 5)
+	for i := range tms {
+		tms[i] = NewTimer(e, func() { fired++ })
+		tms[i].Reset(Time(100 + i))
+	}
+	tk := NewTicker(e, 10, 0, func() { fired++ })
+	e.At(50, func() { fired++ })
+	if got := e.Drain(); got != 7 {
+		t.Fatalf("Drain = %d, want 7 (5 timers, 1 ticker, 1 event)", got)
+	}
+	if got := e.Pending(); got != 0 {
+		t.Fatalf("Pending after Drain = %d, want 0", got)
+	}
+	for i, tm := range tms {
+		if tm.Armed() {
+			t.Fatalf("timer %d still armed after Drain", i)
+		}
+	}
+	tk.Stop() // stopping a drained ticker is harmless
+	tms[3].Stop()
+	tms[1].Reset(5)
+	tms[4].Reset(2)
+	if got := e.Pending(); got != 2 {
+		t.Fatalf("Pending after re-arming two = %d, want 2", got)
+	}
+	e.Run()
+	if fired != 2 {
+		t.Fatalf("fired %d after Drain and re-arm, want 2", fired)
+	}
+}
+
+// TestTimerDeadline: the deadline is the heap entry's key, so it follows
+// re-arms and survives other timers moving around it.
+func TestTimerDeadline(t *testing.T) {
+	e := NewEngine(1)
+	a, b := NewTimer(e, func() {}), NewTimer(e, func() {})
+	a.Reset(50)
+	b.Reset(20)
+	if a.Deadline() != 50 || b.Deadline() != 20 {
+		t.Fatalf("deadlines = %v, %v; want 50, 20", a.Deadline(), b.Deadline())
+	}
+	a.Reset(5)
+	if a.Deadline() != 5 || b.Deadline() != 20 {
+		t.Fatalf("after re-arm: deadlines = %v, %v; want 5, 20", a.Deadline(), b.Deadline())
+	}
+}
+
+// TestTimerAllocs pins the point of the timer heap: once the heap's backing
+// array has grown, arming, cancelling, firing and ticking allocate nothing.
+// The tombstone timer allocated a closure per arm.
+func TestTimerAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	e := NewEngine(1)
+	fires := 0
+	tm := NewTimer(e, func() { fires++ })
+	others := make([]*Timer, 256)
+	for i := range others {
+		others[i] = NewTimer(e, func() {})
+		others[i].Reset(Time(1_000_000 + i))
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		tm.Reset(3)
+		e.Step()
+	}); avg != 0 {
+		t.Errorf("Reset+fire: %v allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		tm.Reset(3)
+		tm.Reset(7) // re-key in place
+		tm.Stop()
+	}); avg != 0 {
+		t.Errorf("Reset+Stop: %v allocs/op, want 0", avg)
+	}
+	if fires != 1001 { // AllocsPerRun adds one warm-up run
+		t.Fatalf("timer fired %d times, want 1001", fires)
+	}
+	ticks := 0
+	tk := NewTicker(e, 5, 0, func() { ticks++ })
+	if avg := testing.AllocsPerRun(1000, func() { e.Step() }); avg != 0 {
+		t.Errorf("Ticker tick: %v allocs/op, want 0", avg)
+	}
+	tk.Stop()
+	if ticks != 1001 {
+		t.Fatalf("ticker ticked %d times, want 1001", ticks)
+	}
+	if got := e.Pending(); got != len(others) {
+		t.Fatalf("Pending = %d, want the %d long timers", got, len(others))
+	}
+}

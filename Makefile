@@ -30,13 +30,14 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .
 
 # Refresh the committed performance-tracking report (engine scheduling,
-# wire codec, simulated send path, e2e message rate). Add
-# BENCH_ARGS=-bench-suite to also re-time the quick figure suite.
+# wire codec, simulated send path, e2e message rate). The hand-set
+# baseline and gate_floor blocks are carried over untouched.
 bench-json:
-	$(GO) run ./cmd/onepipe-bench -bench-json -bench-out BENCH_core.json $(BENCH_ARGS)
+	$(GO) run ./cmd/onepipe-bench -bench-json -bench-out BENCH_core.json
 
-# CI's perf smoke: re-measure engine events/sec and fail on a >10%
-# regression against the committed BENCH_core.json.
+# CI's perf smoke: re-measure engine events/sec and fail below the
+# hand-pinned gate_floor in the committed BENCH_core.json (a floor that
+# re-capturing the file cannot lower).
 bench-gate:
 	$(GO) run ./cmd/onepipe-bench -bench-gate BENCH_core.json
 

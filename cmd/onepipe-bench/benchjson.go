@@ -36,7 +36,15 @@ type benchBaseline struct {
 	EngineEventsPerSec float64 `json:"engine_events_per_sec"`
 	WireEncodeNsPerOp  float64 `json:"wire_encode_ns_per_op"`
 	WireDecodeNsPerOp  float64 `json:"wire_decode_ns_per_op"`
-	QuickSuiteWallS    float64 `json:"quick_suite_wall_s"`
+}
+
+// gateFloor is what -bench-gate enforces. Like the baseline it is set by
+// hand — with a note of the machine and date it was sized on — and
+// `-bench-json` copies it verbatim from the previous file, so re-capturing
+// the report cannot move the gate.
+type gateFloor struct {
+	Note               string  `json:"note"`
+	EngineEventsPerSec float64 `json:"engine_events_per_sec"`
 }
 
 // parallelEngineBench is the sharded-engine throughput row. The figure is
@@ -60,7 +68,7 @@ type scaleBench struct {
 
 // benchReport is the machine-readable performance contract: refreshed by
 // `make bench-json`, gated by CI's bench-smoke job (engine events/sec must
-// stay within 10% of the committed figure).
+// stay at or above the hand-pinned gate_floor).
 type benchReport struct {
 	Generated          string  `json:"generated"`
 	GoVersion          string  `json:"go_version"`
@@ -94,10 +102,10 @@ type benchReport struct {
 	Serve []experiments.ServeRow `json:"serve,omitempty"`
 	// ServeNotes records the elastic segment's self-asserted verdict
 	// (RECOVERED/EXCEEDED) from the run that produced Serve.
-	ServeNotes      []string               `json:"serve_notes,omitempty"`
-	QuickSuiteWallS float64                `json:"quick_suite_wall_s,omitempty"`
-	Benchmarks      map[string]benchResult `json:"benchmarks"`
-	Baseline        *benchBaseline         `json:"baseline,omitempty"`
+	ServeNotes []string               `json:"serve_notes,omitempty"`
+	Benchmarks map[string]benchResult `json:"benchmarks"`
+	Baseline   *benchBaseline         `json:"baseline,omitempty"`
+	GateFloor  *gateFloor             `json:"gate_floor,omitempty"`
 }
 
 func toResult(r testing.BenchmarkResult) benchResult {
@@ -366,11 +374,10 @@ func benchE2E(batched bool) (float64, *stats.Histogram, *stats.Histogram) {
 	return rate, sendOcc, recvOcc
 }
 
-// runBenchJSON runs the core benchmark set and writes outPath. When
-// withSuite is set it also regenerates the full quick-scale figure suite to
-// measure end-to-end wall time; otherwise a previous measurement in outPath
-// is carried forward so CI's fast refresh does not erase it.
-func runBenchJSON(outPath string, withSuite bool) error {
+// runBenchJSON runs the core benchmark set and writes outPath. The
+// hand-set blocks of a previous outPath (baseline, gate_floor) are carried
+// over untouched.
+func runBenchJSON(outPath string) error {
 	var prev benchReport
 	if raw, err := os.ReadFile(outPath); err == nil {
 		_ = json.Unmarshal(raw, &prev)
@@ -394,7 +401,8 @@ func runBenchJSON(outPath string, withSuite bool) error {
 			"timer_arm_fire":     toResult(benchTimer(true)),
 			"send_be_round":      toResult(benchBERound()),
 		},
-		Baseline: prev.Baseline,
+		Baseline:  prev.Baseline,
+		GateFloor: prev.GateFloor,
 	}
 	rep.EngineEventsPerSec = 1e9 / rep.Benchmarks["engine_schedule"].NsPerOp
 	par := benchEngineParallel()
@@ -416,19 +424,6 @@ func runBenchJSON(outPath string, withSuite bool) error {
 	rep.E2EUnbatchedMsgsPerSec, _, _ = benchE2E(false)
 	rep.SLO = experiments.RunSLO(experiments.Quick())
 	rep.Serve, rep.ServeNotes = experiments.RunServe(experiments.Quick())
-
-	if withSuite {
-		start := time.Now()
-		sc := experiments.Quick()
-		for _, r := range experiments.Registry() {
-			if tbl := r.Run(sc); len(tbl.Rows) == 0 {
-				return fmt.Errorf("experiment %s produced no rows", r.ID)
-			}
-		}
-		rep.QuickSuiteWallS = time.Since(start).Seconds()
-	} else {
-		rep.QuickSuiteWallS = prev.QuickSuiteWallS
-	}
 
 	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -479,17 +474,17 @@ func runBenchJSON(outPath string, withSuite bool) error {
 	for _, n := range rep.ServeNotes {
 		fmt.Println("serve note: " + n)
 	}
-	if rep.QuickSuiteWallS > 0 {
-		fmt.Printf("quick suite %8.1f s wall\n", rep.QuickSuiteWallS)
-	}
 	fmt.Printf("wrote %s\n", outPath)
 	return nil
 }
 
-// runBenchGate re-measures engine scheduling and fails if events/sec
-// regressed more than 10% against the committed BENCH_core.json — the CI
-// bench-smoke contract. The engine figure is the gate because every
-// simulated packet hop pays it and it is the least noisy of the set.
+// runBenchGate re-measures engine scheduling and fails if events/sec fall
+// below the hand-pinned gate_floor of the committed BENCH_core.json — the CI
+// bench-smoke contract. The floor, not the file's last capture, is the gate:
+// a capture is overwritten by every `-bench-json` run, so gating on it lets
+// the bar sink 10% at a time. The ratio to the last capture is only printed.
+// The engine figure is the gate because every simulated packet hop pays it
+// and it is the least noisy of the set.
 func runBenchGate(committedPath string) error {
 	raw, err := os.ReadFile(committedPath)
 	if err != nil {
@@ -499,9 +494,10 @@ func runBenchGate(committedPath string) error {
 	if err := json.Unmarshal(raw, &committed); err != nil {
 		return fmt.Errorf("bench gate: parse %s: %w", committedPath, err)
 	}
-	if committed.EngineEventsPerSec <= 0 {
-		return fmt.Errorf("bench gate: %s has no engine_events_per_sec", committedPath)
+	if committed.GateFloor == nil || committed.GateFloor.EngineEventsPerSec <= 0 {
+		return fmt.Errorf("bench gate: %s has no gate_floor.engine_events_per_sec", committedPath)
 	}
+	floor := committed.GateFloor.EngineEventsPerSec
 	// Best of 3 to damp shared-runner noise.
 	var best float64
 	for i := 0; i < 3; i++ {
@@ -510,12 +506,13 @@ func runBenchGate(committedPath string) error {
 			best = ev
 		}
 	}
-	ratio := best / committed.EngineEventsPerSec
-	fmt.Printf("bench gate: engine %.2fM events/s vs committed %.2fM (ratio %.2f)\n",
-		best/1e6, committed.EngineEventsPerSec/1e6, ratio)
-	if ratio < 0.90 {
-		return fmt.Errorf("bench gate: engine events/sec regressed %.0f%% (> 10%% budget)",
-			(1-ratio)*100)
+	fmt.Printf("bench gate: engine %.2fM events/s, floor %.2fM", best/1e6, floor/1e6)
+	if committed.EngineEventsPerSec > 0 {
+		fmt.Printf(" (last capture %.2fM, ratio %.2f)", committed.EngineEventsPerSec/1e6, best/committed.EngineEventsPerSec)
+	}
+	fmt.Println()
+	if best < floor {
+		return fmt.Errorf("bench gate: engine %.2fM events/s is below the pinned floor %.2fM", best/1e6, floor/1e6)
 	}
 	return nil
 }

@@ -6,7 +6,7 @@
 //	onepipe-bench -list
 //	onepipe-bench -fig 8a [-full] [-shards N]
 //	onepipe-bench -all [-full]
-//	onepipe-bench -bench-json [-bench-suite] [-bench-out BENCH_core.json]
+//	onepipe-bench -bench-json [-bench-out BENCH_core.json]
 //	onepipe-bench -bench-gate BENCH_core.json
 //	onepipe-bench -slo-gate BENCH_core.json
 //	onepipe-bench -serve-gate BENCH_core.json
@@ -18,8 +18,8 @@
 // -bench-json runs the core micro-benchmark set (engine scheduling, wire
 // codec, simulated send path, end-to-end message rate) and writes the
 // machine-readable report used for performance tracking; -bench-gate
-// compares a fresh engine measurement against a committed report and exits
-// nonzero on a >10% events/sec regression. -cpuprofile and -memprofile
+// compares a fresh engine measurement against the hand-pinned gate_floor of
+// a committed report and exits nonzero below it. -cpuprofile and -memprofile
 // capture pprof profiles of whichever mode runs.
 package main
 
@@ -46,8 +46,7 @@ func realMain() int {
 	shards := flag.Int("shards", 0, "run experiments on N lockstep engine shards (0/1 = single engine; results are identical by construction)")
 	benchJSON := flag.Bool("bench-json", false, "run core benchmarks, write machine-readable report")
 	benchOut := flag.String("bench-out", "BENCH_core.json", "output path for -bench-json")
-	benchSuite := flag.Bool("bench-suite", false, "with -bench-json: also time the quick figure suite (slow)")
-	benchGate := flag.String("bench-gate", "", "compare fresh engine events/sec against this committed report; fail on >10% regression")
+	benchGate := flag.String("bench-gate", "", "compare fresh engine events/sec against this committed report's hand-pinned gate_floor; fail below it")
 	sloGate := flag.String("slo-gate", "", "re-run the quick SLO race against this committed report; fail on delivery drift or >25% p99 regression")
 	serveGate := flag.String("serve-gate", "", "re-run the quick serving-tier figure against this committed report; fail on delivered-count drift, >25% p99 regression, or a failed elastic recovery")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -117,7 +116,7 @@ func realMain() int {
 			return 1
 		}
 	case *benchJSON:
-		if err := runBenchJSON(*benchOut, *benchSuite); err != nil {
+		if err := runBenchJSON(*benchOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}

@@ -41,7 +41,7 @@ func CaptureWirePackets(seed int64, perKind int) [][]byte {
 	counts := make(map[netsim.Kind]int)
 	frames := 0
 	var out [][]byte
-	runWith(p, func(pkt *netsim.Packet) {
+	runWith(p, func(_ int, _ sim.Time, pkt *netsim.Packet) {
 		// Frame-flagged data packets get their own quota: they are rarer
 		// than plain data packets and would otherwise be crowded out.
 		if pkt.Frame {

@@ -1,6 +1,14 @@
 package chaos
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"testing"
+
+	"onepipe/internal/netsim"
+	"onepipe/internal/sim"
+)
 
 // TestGoldenSeedDigests pins the delivery-log digest of two chaos seeds.
 // The digest hashes every delivery (timestamp, sender, message id, barrier
@@ -29,6 +37,60 @@ func TestGoldenSeedDigests(t *testing.T) {
 		}
 		if got := r.TotalDeliveries(); got != g.deliveries {
 			t.Errorf("seed %d: %d deliveries, want %d", g.seed, got, g.deliveries)
+		}
+	}
+}
+
+// wireDigest runs p and hashes every packet handed to any host, in global
+// arrival order: where and when it arrived, and the header fields the fabric
+// stamps or that identify it. It also returns the packet count.
+func wireDigest(p Plan) (string, int, *Result) {
+	h := sha256.New()
+	var buf [8]byte
+	n := 0
+	r := runWith(p, func(hi int, at sim.Time, pkt *netsim.Packet) {
+		n++
+		for _, v := range [...]int64{int64(hi), int64(at), int64(pkt.Kind), int64(pkt.Src), int64(pkt.Dst),
+			int64(pkt.PSN), int64(pkt.BarrierBE), int64(pkt.BarrierC), int64(pkt.SentAt), int64(pkt.QueueWait)} {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+	})
+	return hex.EncodeToString(h.Sum(nil)), n, r
+}
+
+// TestGoldenWireDigest pins the packet stream itself. The delivery digests
+// above see a beacon only through the barrier a later delivery happened to
+// wait for; this one sees every beacon's stamp and the nanosecond it reached
+// its host, so a netsim change that moves one relay by one tie-break — or
+// ticks a grown link's fallback off a different grid — fails here even when
+// every message is still delivered in the same order at the same time. The
+// third plan joins two hosts and drains a host and a spine mid-run under
+// base loss and jitter, so links grown after construction and a drained
+// egress link among a switch's relays are on the wire too. Recorded before
+// the beacon plane was restructured into waves and cohort scans.
+func TestGoldenWireDigest(t *testing.T) {
+	elastic := elasticPlan(23)
+	elastic.BaseLoss = 0.004
+	elastic.Jitter = 400 * sim.Nanosecond
+	golden := []struct {
+		name   string
+		plan   Plan
+		digest string
+		pkts   int
+	}{
+		{"seed=42", NewPlan(42), "d2e15bff4c2e85dbaac7460edd3a74d8189342bf78b0e2355e83cb6795e112ed", 52898},
+		{"seed=20260805", NewPlan(20260805), "e31197548a0b4cfe788a10e6659d224f3cd19ce5c1d2878111e93ed3cb07f0bc", 86146},
+		{"elastic+loss+jitter", elastic, "576f1a46e08de502f81fb767686fbef8336967a17c5ba575f6e0d09adc171b93", 39700},
+	}
+	for _, g := range golden {
+		got, n, r := wireDigest(g.plan)
+		if got != g.digest || n != g.pkts {
+			t.Errorf("%s: wire digest %s over %d packets, want %s over %d", g.name, got, n, g.digest, g.pkts)
+		}
+		if len(g.plan.Joins) > 0 && (len(r.Joined) != len(g.plan.Joins) || len(r.DrainedLogLen) != 1 || len(r.DrainedSwitches) != 1) {
+			t.Errorf("%s: %d joins, %d drained procs, %d drained switches completed; the plan schedules %d, 1 and 1",
+				g.name, len(r.Joined), len(r.DrainedLogLen), len(r.DrainedSwitches), len(g.plan.Joins))
 		}
 	}
 }

@@ -162,8 +162,9 @@ type JoinInfo struct {
 func Run(p Plan) *Result { return runWith(p, nil) }
 
 // runWith is Run plus an optional packet tap observing every packet
-// delivered to any host (used to harvest wire-format fuzz seeds).
-func runWith(p Plan, tap func(*netsim.Packet)) *Result {
+// delivered to any host, with the host index and arrival time (used to
+// harvest wire-format fuzz seeds and by the wire-level golden digest).
+func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result {
 	net := netsim.New(p.NetConfig())
 	cl := core.Deploy(net, p.CoreConfig())
 	ctrl := controller.New(net, cl, controller.DefaultConfig())
@@ -206,7 +207,7 @@ func runWith(p Plan, tap func(*netsim.Packet)) *Result {
 		rx := cl.Hosts[hi].HandlePacket
 		net.AttachHost(hi, func(pkt *netsim.Packet) {
 			if tap != nil {
-				tap(pkt)
+				tap(hi, eng.Now(), pkt)
 			}
 			if chip {
 				if pkt.Kind == netsim.KindData && len(res.WireSuspects) < 256 {

@@ -135,7 +135,7 @@ func AblRelay(sc Scale) *Table {
 		t.AddRow(f1(float64(n)), f1(measure(n, false)), f1(measure(n, true)))
 	}
 	t.Notes = append(t.Notes,
-		"the gap grows with hop count; the event-driven relay is what achieves the paper's interval/2-style idle overhead (DESIGN.md deviation #1)")
+		"ticker only: every switch hop waits for its next tick, one beacon interval per hop, and the barrier's path (ToR, spine, core and back) is the same five logical hops at every size of this sweep, so the column is flat, four intervals (12 us) above the event-driven relay — which is what achieves the paper's interval/2-style idle overhead (DESIGN.md deviation #1)")
 	return t
 }
 

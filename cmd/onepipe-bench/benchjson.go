@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -19,9 +20,14 @@ import (
 	"onepipe/internal/wire"
 )
 
-// benchResult is one micro-benchmark's figures in BENCH_core.json.
+// benchResult is one micro-benchmark's figures in BENCH_core.json. A row
+// measured several times (the engine rows) carries the median run, the
+// number of runs and the fastest and slowest ns/op beside it.
 type benchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
+	Runs        int     `json:"runs,omitempty"`
+	NsPerOpMin  float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax  float64 `json:"ns_per_op_max,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
@@ -54,7 +60,10 @@ type gateFloor struct {
 type parallelEngineBench struct {
 	GOMAXPROCS   int     `json:"gomaxprocs"`
 	Shards       int     `json:"shards"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	EventsPerSec float64 `json:"events_per_sec"` // median of Runs
+	Runs         int     `json:"runs,omitempty"`
+	EventsMin    float64 `json:"events_per_sec_min,omitempty"`
+	EventsMax    float64 `json:"events_per_sec_max,omitempty"`
 }
 
 // scaleBench is the 1024-host fabric wall-time row (experiments.FabricScaleOnce).
@@ -116,19 +125,38 @@ func toResult(r testing.BenchmarkResult) benchResult {
 	}
 }
 
-// benchEngine is the BenchmarkEngineSchedule shape: a 4096-deep event heap
-// where every executed event re-schedules itself. 1e9/ns_per_op is the
-// engine events/sec figure.
-func benchEngine() testing.BenchmarkResult {
+// engineRuns is how many times each engine row is measured; the median is
+// recorded with the min–max spread.
+const engineRuns = 5
+
+// engineRow measures benchEngine(lo, span) engineRuns times and returns the
+// median run with the spread of ns/op across the runs.
+func engineRow(lo, span int) benchResult {
+	rs := make([]benchResult, engineRuns)
+	for i := range rs {
+		rs[i] = toResult(benchEngine(lo, span))
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+	r := rs[engineRuns/2]
+	r.Runs, r.NsPerOpMin, r.NsPerOpMax = engineRuns, rs[0].NsPerOp, rs[engineRuns-1].NsPerOp
+	return r
+}
+
+// benchEngine is the BenchmarkEngineSchedule shape: 4096 pending events,
+// every executed one re-scheduling itself lo..lo+span-1 ns ahead. With
+// delays of 1–1000 ns (all through the timing wheel) 1e9/ns_per_op is the
+// engine events/sec figure; 5 000–105 000 ns is BenchmarkEngineScheduleFar,
+// all through the far-event heap.
+func benchEngine(lo, span int) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
 		e := sim.NewEngine(1)
 		const depth = 4096
 		var step func()
 		step = func() {
-			e.After(sim.Time(e.Rand().Intn(1000))+1, step)
+			e.After(sim.Time(lo+e.Rand().Intn(span)), step)
 		}
 		for i := 0; i < depth; i++ {
-			e.After(sim.Time(e.Rand().Intn(1000))+1, step)
+			step()
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -196,12 +224,16 @@ func benchBERound() testing.BenchmarkResult {
 	})
 }
 
-// benchEngineParallel mirrors internal/sim's BenchmarkShardedEngineParallel:
-// an 8-shard parallel group, 4096-deep self-rescheduling heap per shard,
-// one cross-shard handoff every 16 events. Returns aggregate events/sec.
-func benchEngineParallel() parallelEngineBench {
+// parallelShards is the shard count of the parallel engine row.
+const parallelShards = 8
+
+// benchEngineParallelOnce mirrors internal/sim's
+// BenchmarkShardedEngineParallel: an 8-shard parallel group, 4096 pending
+// self-rescheduling events per shard, one cross-shard handoff every 16
+// events. Returns aggregate events/sec.
+func benchEngineParallelOnce() float64 {
 	const (
-		nShards   = 8
+		nShards   = parallelShards
 		depth     = 4096
 		lookahead = sim.Time(1000)
 	)
@@ -234,10 +266,24 @@ func benchEngineParallel() parallelEngineBench {
 	for time.Since(start) < 2*time.Second {
 		s.RunFor(50 * sim.Microsecond)
 	}
+	return float64(s.ExecutedTotal()-n0) / time.Since(start).Seconds()
+}
+
+// benchEngineParallel is the median of engineRuns parallel-engine runs
+// with its spread.
+func benchEngineParallel() parallelEngineBench {
+	rs := make([]float64, engineRuns)
+	for i := range rs {
+		rs[i] = benchEngineParallelOnce()
+	}
+	sort.Float64s(rs)
 	return parallelEngineBench{
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Shards:       nShards,
-		EventsPerSec: float64(s.ExecutedTotal()-n0) / time.Since(start).Seconds(),
+		Shards:       parallelShards,
+		EventsPerSec: rs[engineRuns/2],
+		Runs:         engineRuns,
+		EventsMin:    rs[0],
+		EventsMax:    rs[engineRuns-1],
 	}
 }
 
@@ -383,7 +429,6 @@ func runBenchJSON(outPath string) error {
 		_ = json.Unmarshal(raw, &prev)
 	}
 
-	eng := benchEngine()
 	enc := benchWireEncode()
 	dec := benchWireDecode()
 	sp := benchSendPath()
@@ -393,13 +438,14 @@ func runBenchJSON(outPath string) error {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]benchResult{
-			"engine_schedule":    toResult(eng),
-			"wire_append_encode": toResult(enc),
-			"wire_decode_into":   toResult(dec),
-			"send_path":          toResult(sp),
-			"timer_arm_cancel":   toResult(benchTimer(false)),
-			"timer_arm_fire":     toResult(benchTimer(true)),
-			"send_be_round":      toResult(benchBERound()),
+			"engine_schedule":     engineRow(1, 1000),
+			"engine_schedule_far": engineRow(5000, 100000),
+			"wire_append_encode":  toResult(enc),
+			"wire_decode_into":    toResult(dec),
+			"send_path":           toResult(sp),
+			"timer_arm_cancel":    toResult(benchTimer(false)),
+			"timer_arm_fire":      toResult(benchTimer(true)),
+			"send_be_round":       toResult(benchBERound()),
 		},
 		Baseline:  prev.Baseline,
 		GateFloor: prev.GateFloor,
@@ -432,12 +478,14 @@ func runBenchJSON(outPath string) error {
 	if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("engine      %8.1f ns/op  %d allocs/op  (%.2fM events/s)\n",
-		rep.Benchmarks["engine_schedule"].NsPerOp, rep.Benchmarks["engine_schedule"].AllocsPerOp,
-		rep.EngineEventsPerSec/1e6)
+	for _, name := range []string{"engine_schedule", "engine_schedule_far"} {
+		r := rep.Benchmarks[name]
+		fmt.Printf("%-19s %6.1f ns/op (median of %d, %.1f–%.1f)  %d allocs/op  (%.2fM events/s)\n",
+			name, r.NsPerOp, r.Runs, r.NsPerOpMin, r.NsPerOpMax, r.AllocsPerOp, 1e3/r.NsPerOp)
+	}
 	if p := rep.EngineEventsPerSecParallel; p != nil {
-		fmt.Printf("engine||    %8.2fM events/s  (%d shards, GOMAXPROCS=%d)\n",
-			p.EventsPerSec/1e6, p.Shards, p.GOMAXPROCS)
+		fmt.Printf("engine||    %8.2fM events/s (median of %d, %.2f–%.2f)  (%d shards, GOMAXPROCS=%d)\n",
+			p.EventsPerSec/1e6, p.Runs, p.EventsMin/1e6, p.EventsMax/1e6, p.Shards, p.GOMAXPROCS)
 	}
 	if sb := rep.Scale1024; sb != nil {
 		fmt.Printf("scale 1024  %8.2f s wall  (%d events, %.0fus window, %d shards)\n",
@@ -501,7 +549,7 @@ func runBenchGate(committedPath string) error {
 	// Best of 3 to damp shared-runner noise.
 	var best float64
 	for i := 0; i < 3; i++ {
-		r := benchEngine()
+		r := benchEngine(1, 1000)
 		if ev := 1e9 / (float64(r.T.Nanoseconds()) / float64(r.N)); ev > best {
 			best = ev
 		}

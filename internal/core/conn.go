@@ -121,13 +121,14 @@ type conn struct {
 	windowEnd [2]uint32
 	rto       timer
 	// doorbell fires Config.BatchWindow after a partial frame started
-	// waiting for more same-destination messages; holding is set while the
-	// queue head is deliberately delayed (the host's barrier floor is
-	// clamped below the held timestamp meanwhile), and flushAll forces
-	// every queued batchable fragment out once the doorbell has rung, even
-	// if emission is interleaved with window waits.
+	// waiting for more same-destination messages; holdIdx is non-zero
+	// while the queue head is deliberately delayed (the conn's position in
+	// Host.held plus one; the host's barrier floor is clamped below the
+	// held timestamp meanwhile), and flushAll forces every queued batchable
+	// fragment out once the doorbell has rung, even if emission is
+	// interleaved with window waits.
 	doorbell timer
-	holding  bool
+	holdIdx  int32
 	flushAll bool
 }
 
@@ -364,13 +365,11 @@ func (c *conn) updateHold(held bool) {
 	h := c.host
 	if held {
 		head := c.sendQ.live()[0]
-		if !c.holding {
-			c.holding = true
+		if c.holdIdx == 0 {
 			c.doorbell.reset(h, head.scat.batchWin)
 		}
 		h.holdSet(c, head.scat.ts)
-	} else if c.holding {
-		c.holding = false
+	} else if c.holdIdx != 0 {
 		c.doorbell.stop()
 		h.holdClear(c)
 	}

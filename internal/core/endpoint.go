@@ -105,11 +105,12 @@ type Host struct {
 	// Send side.
 	conns map[connKey]*conn
 	waitQ []*scattering // credit-blocked, FIFO (held credits, §6.1)
-	// holding maps connections with a doorbell-held partial frame to the
-	// held head's timestamp; heldFloor caches the minimum so tsFloor can
-	// clamp the advertised barrier below every held (already timestamped
-	// but not yet emitted) message in O(1).
-	holding   map[*conn]sim.Time
+	// held lists the connections with a doorbell-held partial frame and
+	// the held head's timestamp (conn.holdIdx is the position plus one);
+	// heldFloor caches the minimum so tsFloor can clamp the advertised
+	// barrier below every held (already timestamped but not yet emitted)
+	// message in O(1).
+	held      []heldConn
 	heldFloor sim.Time
 	// sendOcc / recvOcc record batch occupancy: messages per emitted
 	// batchable unit and per delivery batch.
@@ -222,32 +223,56 @@ func (h *Host) SendOccupancy() *stats.Histogram { return h.sendOcc }
 // invocation.
 func (h *Host) RecvOccupancy() *stats.Histogram { return h.recvOcc }
 
-// holdSet records that c is doorbell-holding a partial frame whose oldest
-// member carries ts.
-func (h *Host) holdSet(c *conn, ts sim.Time) {
-	if h.holding == nil {
-		h.holding = make(map[*conn]sim.Time)
-	}
-	if old, ok := h.holding[c]; ok && old == ts {
-		return
-	}
-	h.holding[c] = ts
-	h.recomputeHeldFloor()
+// heldConn is one entry of Host.held.
+type heldConn struct {
+	c  *conn
+	ts sim.Time
 }
 
-// holdClear removes c from the held set.
+// holdSet records that c is doorbell-holding a partial frame whose oldest
+// member carries ts (never 0: nextTS starts at 1). A new or moved hold can
+// only lower the floor, unless it is the first or moves the one that was
+// the floor (or tied with it): only then is the list walked.
+func (h *Host) holdSet(c *conn, ts sim.Time) {
+	var old sim.Time
+	if c.holdIdx == 0 {
+		h.held = append(h.held, heldConn{c, ts})
+		c.holdIdx = int32(len(h.held))
+	} else {
+		e := &h.held[c.holdIdx-1]
+		if old = e.ts; old == ts {
+			return
+		}
+		e.ts = ts
+	}
+	if old == h.heldFloor {
+		h.recomputeHeldFloor()
+	} else if ts < h.heldFloor {
+		h.heldFloor = ts
+	}
+}
+
+// holdClear removes c from the held set; the last entry takes its place.
 func (h *Host) holdClear(c *conn) {
-	if _, ok := h.holding[c]; !ok {
+	if c.holdIdx == 0 {
 		return
 	}
-	delete(h.holding, c)
-	h.recomputeHeldFloor()
+	i, last := int(c.holdIdx)-1, len(h.held)-1
+	old := h.held[i].ts
+	h.held[i] = h.held[last]
+	h.held[i].c.holdIdx = int32(i + 1)
+	h.held[last] = heldConn{}
+	h.held = h.held[:last]
+	c.holdIdx = 0
+	if old == h.heldFloor {
+		h.recomputeHeldFloor()
+	}
 }
 
 func (h *Host) recomputeHeldFloor() {
 	h.heldFloor = 0
-	for _, ts := range h.holding {
-		if h.heldFloor == 0 || ts < h.heldFloor {
+	for i := range h.held {
+		if ts := h.held[i].ts; h.heldFloor == 0 || ts < h.heldFloor {
 			h.heldFloor = ts
 		}
 	}
@@ -307,7 +332,7 @@ func (h *Host) evictIdle(deadline sim.Time) {
 	}
 	for _, k := range sortedConnKeys(h.conns) {
 		c := h.conns[k]
-		if c.lastUse > deadline || referenced[c] || c.holding {
+		if c.lastUse > deadline || referenced[c] || c.holdIdx != 0 {
 			continue
 		}
 		if c.inflight != 0 || c.reserved != 0 || c.sendQ.len() != 0 ||
@@ -393,7 +418,7 @@ func (h *Host) Drain(done func()) {
 		// run until Stop; a scattering the departing host never finished
 		// acknowledging is recalled at its sender, which is the same
 		// outcome an ignored ACK would produce.
-		if len(h.outstanding) == 0 && len(h.waitQ) == 0 && len(h.holding) == 0 &&
+		if len(h.outstanding) == 0 && len(h.waitQ) == 0 && len(h.held) == 0 &&
 			len(h.recalls) == 0 {
 			done()
 			return
@@ -638,7 +663,7 @@ func (h *Host) send(p *Proc, msgs []Message, o SendOptions) error {
 		if cr.conn.sendQ.len()+cr.needed > h.Cfg.SendQueueCap {
 			h.Stats.Backpressure++
 			retry := h.wire.Now() + h.Cfg.RTO
-			if cr.conn.holding && cr.conn.doorbell.isArmed() {
+			if cr.conn.holdIdx != 0 && cr.conn.doorbell.isArmed() {
 				retry = h.wire.Now() + h.Cfg.BatchWindow
 			}
 			return &BackpressureError{Dst: cr.conn.key.dst, RetryAt: retry}

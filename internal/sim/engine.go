@@ -6,20 +6,24 @@
 // FIFO tie-break on equal timestamps and by the seeded random source, so a
 // simulation run is exactly reproducible from its seed.
 //
-// The engine keeps two queues under that one order. One-shot events sit in
-// a monomorphic 4-ary min-heap over a concrete event struct: no
-// container/heap, no interface boxing, no allocation per scheduled event
-// once the backing array has grown to the working set. Armed Timers sit in
-// a second, indexed 4-ary min-heap (timer.go) so that Stop and Reset take
-// the entry out instead of leaving it to fire as a no-op. Both draw their
-// (time, seq) keys from the same counter, every key is unique, and the
-// engine always executes the smaller of the two heads — the execution
-// order is that of a single queue holding exactly the live entries.
+// The engine keeps three queues under that one order. One-shot events due
+// less than wheelSize nanoseconds ahead — nearly all of them — sit in a
+// timing wheel with one FIFO per nanosecond: scheduling and executing one is
+// O(1) with no data-dependent branch. Events due later sit in a monomorphic
+// 4-ary min-heap over the concrete event struct, and armed Timers in a
+// second, indexed 4-ary min-heap (timer.go) so that Stop and Reset take the
+// entry out instead of leaving it to fire as a no-op. No queue allocates per
+// entry once its backing array has grown to the working set, all three draw
+// their (time, seq) keys from the same counter, every key is unique, and
+// the engine always executes the smallest of the three heads — the
+// execution order is that of a single queue holding exactly the live
+// entries.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -47,27 +51,71 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros converts a virtual duration to floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// event is one queue entry. Exactly one of fn / fn2 is set: fn2 events
-// carry their two arguments inline, so hot callers (netsim's per-packet
-// transmit/receive hops) schedule without allocating a capturing closure —
-// pointer-shaped arguments box into `any` for free.
+// event is one queue entry. Its two arguments travel inline, so hot callers
+// (netsim's per-packet transmit/receive hops) schedule without allocating a
+// capturing closure — pointer-shaped arguments box into `any` for free. A
+// plain func() is scheduled as runFunc with the func as its argument.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among events with equal time
-	fn   func()
 	fn2  func(a, b any)
 	a, b any
 }
 
+func runFunc(a, _ any) { a.(func())() }
+
+// wheelBits sizes the timing wheel: 4 096 one-nanosecond slots, the smallest
+// power of two that keeps >= 98.6 % of the events out of the heap on all
+// four benchmark workloads (docs/performance.md "Event queue": due >= 4 096
+// ns ahead are 0 / 0.018 % / 0 / 1.41 % of the events scheduled by bcast-be /
+// scatter-rel-loss / sparse-fabric / serve-kv).
+const (
+	wheelBits = 12
+	wheelSize = 1 << wheelBits
+	wheelMask = wheelSize - 1
+)
+
+// wnode is one wheel entry in the slab: the event plus the link to the next
+// entry of its slot's FIFO or of the free list (slab index plus one, 0 =
+// none). 64 bytes, one cache line.
+type wnode struct {
+	event
+	next uint32
+}
+
+// wslot is one nanosecond's FIFO of slab indices plus one (0 = empty).
+type wslot struct{ head, tail uint32 }
+
 // Engine is a discrete-event simulation loop.
 //
 // The zero value is not usable; construct with NewEngine.
+//
+// Why the wheel cannot move the order: (1) an event enters slot at&wheelMask
+// only while now <= at < now+wheelSize and now never decreases, so two
+// events that share a slot at the same moment have the same at; (2) seq is
+// drawn in scheduling order, so a slot's FIFO is in seq order and its head
+// carries the slot's smallest key; (3) every key is unique, so comparing
+// the three heads on (at, seq) selects exactly the entry a single queue of
+// the live entries would. This holds for a standalone engine, for a
+// lockstep group (Now is the group clock, nextSeq the group counter) and
+// for a parallel shard (own monotone clock; injected events lie beyond it).
 type Engine struct {
 	now    Time
 	seq    uint64
-	events []event      // 4-ary min-heap ordered by (at, seq)
+	events []event      // far events: 4-ary min-heap ordered by (at, seq)
 	timers []timerEntry // armed Timers: indexed 4-ary min-heap, same key space
 	rng    *rand.Rand
+
+	// The wheel holds every event scheduled less than wheelSize ahead. wbits
+	// has one bit per occupied slot and wsum one bit per non-zero wbits
+	// word; wnodes is the slab, recycled LIFO through the free list wfree.
+	wheel  [wheelSize]wslot
+	wbits  [wheelSize / 64]uint64
+	wsum   uint64
+	wnodes []wnode
+	wfree  uint32
+	wn     int // events in the wheel
+
 	// Executed counts events and timer firings run so far; useful as a
 	// progress and runaway-loop diagnostic.
 	Executed uint64
@@ -80,7 +128,7 @@ type Engine struct {
 	// observe the same virtual time, exactly as a single engine would.
 	// gseq, when non-nil, is the group's shared sequence counter: ties on
 	// equal timestamps break in global scheduling order across shards,
-	// which makes the lockstep group order-identical to one big heap.
+	// which makes the lockstep group order-identical to one big queue.
 	nowp *Time
 	gseq *uint64
 	sh   *ShardedEngine
@@ -186,21 +234,86 @@ func (e *Engine) nextSeq() uint64 {
 }
 
 // schedule clamps t to the present, assigns the FIFO sequence number and
-// enqueues.
+// files the event by its distance from now: into its nanosecond's wheel
+// slot when that is below wheelSize, else into the heap. Nothing migrates
+// between the two afterwards.
 func (e *Engine) schedule(t Time, ev event) {
-	if now := e.Now(); t < now {
+	now := e.Now()
+	if t < now {
 		t = now
 	}
 	ev.seq = e.nextSeq()
 	ev.at = t
-	e.push(ev)
+	if t-now >= wheelSize {
+		e.push(ev)
+		return
+	}
+	i := e.wfree
+	if i != 0 {
+		e.wfree = e.wnodes[i-1].next
+	} else {
+		e.wnodes = append(e.wnodes, wnode{})
+		i = uint32(len(e.wnodes))
+	}
+	e.wnodes[i-1] = wnode{event: ev}
+	s := uint(t) & wheelMask
+	sl := &e.wheel[s]
+	if sl.tail == 0 {
+		sl.head = i
+		e.wbits[s>>6] |= 1 << (s & 63)
+		e.wsum |= 1 << (s >> 6)
+	} else {
+		e.wnodes[sl.tail-1].next = i
+	}
+	sl.tail = i
+	e.wn++
+}
+
+// wheelHead returns the wheel's earliest event; the wheel must not be empty.
+// Every event in it is due in [now, now+wheelSize), so that is the head of
+// the first occupied slot in a circular scan from now's own: the rest of
+// the current bitmap word, then later words, then the wrap-around.
+func (e *Engine) wheelHead() *wnode {
+	s := uint(e.Now()) & wheelMask
+	w := s >> 6
+	if m := e.wbits[w] >> (s & 63); m != 0 {
+		s += uint(bits.TrailingZeros64(m))
+	} else {
+		if m = e.wsum &^ (1<<(w+1) - 1); m == 0 {
+			m = e.wsum
+		}
+		w = uint(bits.TrailingZeros64(m))
+		s = w<<6 + uint(bits.TrailingZeros64(e.wbits[w]))
+	}
+	return &e.wnodes[e.wheel[s].head-1]
+}
+
+// popWheel removes and returns the head of the slot of time at. The node's
+// payload is cleared as it joins the free list, so the slab does not retain
+// closures or boxed arguments.
+func (e *Engine) popWheel(at Time) event {
+	s := uint(at) & wheelMask
+	sl := &e.wheel[s]
+	i := sl.head
+	n := &e.wnodes[i-1]
+	ev := n.event
+	if sl.head = n.next; sl.head == 0 {
+		sl.tail = 0
+		if e.wbits[s>>6] &^= 1 << (s & 63); e.wbits[s>>6] == 0 {
+			e.wsum &^= 1 << (s >> 6)
+		}
+	}
+	*n = wnode{next: e.wfree}
+	e.wfree = i
+	e.wn--
+	return ev
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is clamped to the current time (the event runs next, after already-pending
 // events at the current time).
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, event{fn: fn})
+	e.schedule(t, event{fn2: runFunc, a: fn})
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -224,8 +337,8 @@ func (e *Engine) After2(d Time, fn func(a, b any), a, b any) {
 // executing (the caller's shard), dst the shard that owns the target state.
 //
 //   - Standalone or same-shard: identical to dst.At2.
-//   - Lockstep group: a direct push onto dst's heap with the group's shared
-//     sequence number — order-identical to a single global heap.
+//   - Lockstep group: scheduled directly on dst with the group's shared
+//     sequence number — order-identical to a single global queue.
 //   - Parallel group: the event is buffered in the sender's outbox and
 //     injected at the next window barrier, ordered by (time, srcShard, seq).
 //     t must be at least one lookahead ahead of the sender's clock; the
@@ -244,53 +357,62 @@ func (e *Engine) At2On(dst *Engine, t Time, fn func(a, b any), a, b any) {
 // time. It reports whether one was executed.
 func (e *Engine) Step() bool { return e.stepUntil(math.MaxInt64) }
 
-// timerFirst reports whether the earliest queued entry is a timer firing:
-// the timer heap's head has the smaller (at, seq) key of the two heaps.
-func (e *Engine) timerFirst() bool {
-	if len(e.timers) == 0 {
-		return false
+// The queue an entry is taken from, as returned by next.
+const (
+	qNone = iota
+	qWheel
+	qHeap
+	qTimer
+)
+
+// next returns which queue holds the earliest entry — the smallest (at, seq)
+// of the wheel's, the heap's and the timer heap's heads — and its key.
+func (e *Engine) next() (q int, at Time, seq uint64) {
+	if e.wn > 0 {
+		n := e.wheelHead()
+		q, at, seq = qWheel, n.at, n.seq
 	}
-	if len(e.events) == 0 {
-		return true
+	if len(e.events) > 0 {
+		if h := &e.events[0]; q == qNone || h.at < at || (h.at == at && h.seq < seq) {
+			q, at, seq = qHeap, h.at, h.seq
+		}
 	}
-	t, ev := &e.timers[0], &e.events[0]
-	return t.at < ev.at || (t.at == ev.at && t.seq < ev.seq)
+	if len(e.timers) > 0 {
+		if h := &e.timers[0]; q == qNone || h.at < at || (h.at == at && h.seq < seq) {
+			q, at, seq = qTimer, h.at, h.seq
+		}
+	}
+	return q, at, seq
 }
 
 // stepUntil executes the earliest queued entry provided its timestamp is at
 // most limit, and reports whether it did.
 func (e *Engine) stepUntil(limit Time) bool {
-	if e.timerFirst() {
-		if e.timers[0].at > limit {
-			return false
-		}
-		e.fireTimer()
-		return true
-	}
-	if len(e.events) == 0 || e.events[0].at > limit {
+	q, at, _ := e.next()
+	if q == qNone || at > limit {
 		return false
 	}
-	ev := e.pop()
-	e.setNow(ev.at)
-	e.Executed++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.fn2(ev.a, ev.b)
+	var ev event
+	switch q {
+	case qTimer:
+		e.fireTimer()
+		return true
+	case qWheel:
+		ev = e.popWheel(at)
+	default:
+		ev = e.pop()
 	}
+	e.setNow(at)
+	e.Executed++
+	ev.fn2(ev.a, ev.b)
 	return true
 }
 
-// head returns the (at, seq) key of the earliest queued entry across both
-// heaps and whether there is one.
+// head returns the (at, seq) key of the earliest queued entry across the
+// three queues and whether there is one.
 func (e *Engine) head() (at Time, seq uint64, ok bool) {
-	if e.timerFirst() {
-		return e.timers[0].at, e.timers[0].seq, true
-	}
-	if len(e.events) == 0 {
-		return 0, 0, false
-	}
-	return e.events[0].at, e.events[0].seq, true
+	q, at, seq := e.next()
+	return at, seq, q != qNone
 }
 
 // Run executes events until the queue is empty. On a shard of a
@@ -337,7 +459,7 @@ func (e *Engine) runWindow(horizon Time) {
 
 // Pending reports the number of queued events plus armed timers. A stopped
 // or re-armed Timer leaves nothing behind, so the count is exact.
-func (e *Engine) Pending() int { return len(e.events) + len(e.timers) }
+func (e *Engine) Pending() int { return e.wn + len(e.events) + len(e.timers) }
 
 // Drain discards every queued event, disarms every armed timer and returns
 // how many entries that was. Use it at shutdown to account for work the
@@ -354,6 +476,10 @@ func (e *Engine) Drain() int {
 		e.timers[i] = timerEntry{}
 	}
 	e.timers = e.timers[:0]
+	clear(e.wnodes)
+	e.wnodes = e.wnodes[:0]
+	e.wheel, e.wbits = [wheelSize]wslot{}, [wheelSize / 64]uint64{}
+	e.wsum, e.wfree, e.wn = 0, 0, 0
 	return n
 }
 

@@ -6,19 +6,23 @@ import (
 	"onepipe/internal/race"
 )
 
-// BenchmarkEngineSchedule measures steady-state scheduling throughput: a
-// K-deep event heap where every executed event re-schedules itself at a
-// pseudo-random future offset. 1/ns-per-op is the engine events/sec figure
-// tracked in BENCH_core.json.
-func BenchmarkEngineSchedule(b *testing.B) {
+// benchSchedule is the steady-state scheduling churn: depth pending events,
+// every executed one re-scheduling itself lo..lo+span-1 ns ahead, through
+// After (a plain func, two=false) or After2.
+func benchSchedule(b *testing.B, two bool, lo, span int) {
 	e := NewEngine(1)
 	const depth = 4096
+	var x, y int
 	var step func()
-	step = func() {
-		e.After(Time(e.Rand().Intn(1000))+1, step)
-	}
+	var step2 func(a, b any)
+	step = func() { e.After(Time(lo+e.Rand().Intn(span)), step) }
+	step2 = func(a, b any) { e.After2(Time(lo+e.Rand().Intn(span)), step2, a, b) }
 	for i := 0; i < depth; i++ {
-		e.After(Time(e.Rand().Intn(1000))+1, step)
+		if two {
+			step2(&x, &y)
+		} else {
+			step()
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -27,26 +31,24 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSchedule measures steady-state scheduling throughput: a
+// K-deep event queue where every executed event re-schedules itself at a
+// pseudo-random future offset, all within the wheel. 1/ns-per-op is the
+// engine events/sec figure tracked in BENCH_core.json.
+func BenchmarkEngineSchedule(b *testing.B) { benchSchedule(b, false, 1, 1000) }
+
 // BenchmarkEngineSchedule2 is the same churn through the At2 fast path
 // (capture-free callback, two pointer-shaped arguments) that netsim's
 // per-packet hops use.
-func BenchmarkEngineSchedule2(b *testing.B) {
-	e := NewEngine(1)
-	const depth = 4096
-	var x, y int
-	var step func(a, b any)
-	step = func(a, b any) {
-		e.After2(Time(e.Rand().Intn(1000))+1, step, a, b)
-	}
-	for i := 0; i < depth; i++ {
-		e.After2(Time(e.Rand().Intn(1000))+1, step, &x, &y)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
+func BenchmarkEngineSchedule2(b *testing.B) { benchSchedule(b, true, 1, 1000) }
+
+// BenchmarkEngineScheduleFar keeps every delay beyond the wheel, so the
+// far-event heap's push and pop stay measured.
+func BenchmarkEngineScheduleFar(b *testing.B) { benchSchedule(b, true, 5000, 100000) }
+
+// BenchmarkEngineScheduleMixed straddles the wheel's edge: about half the
+// events go each way.
+func BenchmarkEngineScheduleMixed(b *testing.B) { benchSchedule(b, true, 1, 8000) }
 
 // BenchmarkTimerArmCancel measures the timer heap at the depth the
 // best-effort broadcast keeps send-fail timers armed (32 768). cancel is the
@@ -83,34 +85,43 @@ func BenchmarkTimerArmCancel(b *testing.B) {
 }
 
 // TestEngineScheduleAllocs pins the zero-allocation property of the event
-// queue: once the backing array has grown to the working set, At/After/At2
-// plus Step allocate nothing. A regression here (interface boxing, closure
-// capture, heap re-growth) multiplies across every simulated packet hop.
+// queue: once the wheel's slab and the heap's backing array have grown to
+// the working set, At/After/At2 plus Step allocate nothing, whichever queue
+// the event goes through. A regression here (interface boxing, closure
+// capture, slab or heap re-growth) multiplies across every simulated packet
+// hop.
 func TestEngineScheduleAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	e := NewEngine(1)
 	fn := func() {}
-	// Grow the heap past the steady-state depth first.
-	for i := 0; i < 1024; i++ {
-		e.After(Time(i%37)+1, fn)
-	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		e.After(1, fn)
-		e.Step()
-	}); avg != 0 {
-		t.Errorf("At+Step: %v allocs/op, want 0", avg)
-	}
 	var x, y int
 	fn2 := func(a, b any) {}
-	for i := 0; i < 1024; i++ {
-		e.After2(Time(i%37)+1, fn2, &x, &y)
+	// Grow both queues well past the steady-state depth first, then run at
+	// a quarter of it.
+	for _, n := range []int{4096, 1024} {
+		e.Run()
+		for i := 0; i < n; i++ {
+			e.After(Time(i%37)+1, fn)
+			e.After2(wheelSize+Time(i%37), fn2, &x, &y)
+		}
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		e.After2(1, fn2, &x, &y)
-		e.Step()
-	}); avg != 0 {
-		t.Errorf("At2+Step: %v allocs/op, want 0", avg)
+	i := 0
+	for _, c := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"near At (boxed func)", func() { e.After(1, fn) }},
+		{"near At2", func() { e.After2(1, fn2, &x, &y) }},
+		{"far At2", func() { e.After2(2*wheelSize, fn2, &x, &y) }},
+		{"mixed", func() { i++; e.After2(Time(i*613%(2*wheelSize)), fn2, &x, &y) }},
+	} {
+		if avg := testing.AllocsPerRun(1000, func() {
+			c.schedule()
+			e.Step()
+		}); avg != 0 {
+			t.Errorf("%s + Step: %v allocs/op, want 0", c.name, avg)
+		}
 	}
 }

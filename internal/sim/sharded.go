@@ -16,12 +16,12 @@ import (
 // handoff API (Engine.At2On):
 //
 //   - Lockstep (parallel=false): a single goroutine executes the globally
-//     earliest event across all shard heaps, with one shared clock and one
+//     earliest event across all shard queues, with one shared clock and one
 //     shared sequence counter. This is order-identical to a single engine by
 //     construction — every schedule call happens in the same program order
 //     and receives the same (time, seq) key — so chaos digests are
 //     byte-identical at any shard count. It exercises the full sharded
-//     routing (per-shard heaps, ownership split, handoff points) without
+//     routing (per-shard queues, ownership split, handoff points) without
 //     concurrency.
 //
 //   - Parallel (parallel=true): one goroutine per shard. The coordinator
@@ -29,7 +29,7 @@ import (
 //     horizon H = T + lookahead, lets every shard execute its events with
 //     timestamp < H concurrently, then at the barrier merges the cross-shard
 //     outboxes sorted by (time, srcShard, srcSeq) and injects them into the
-//     destination heaps. Runs are deterministic for a fixed shard count;
+//     destination queues. Runs are deterministic for a fixed shard count;
 //     workloads whose randomness is partitioned per shard (no shared RNG
 //     stream) additionally reproduce the lockstep order exactly when event
 //     timestamps are distinct.
@@ -180,9 +180,9 @@ const runAllSentinel = Time(math.MaxInt64)
 func (s *ShardedEngine) Run() { s.RunUntil(runAllSentinel) }
 
 // runLockstepUntil picks the globally earliest (time, seq) head across the
-// shards' event and timer heaps and steps that shard, one entry at a time.
+// shards' queues (Engine.head) and steps that shard, one entry at a time.
 // With the shared clock and sequence counter this is exactly the
-// single-heap order.
+// single-queue order.
 func (s *ShardedEngine) runLockstepUntil(deadline Time) {
 	for {
 		best := -1
@@ -274,8 +274,8 @@ func (s *ShardedEngine) nextEventTime() (Time, bool) {
 }
 
 // injectOutboxes merges the window's cross-shard events in deterministic
-// (time, srcShard, srcSeq) order and pushes them onto the destination
-// heaps. horizon is the (unclamped) window bound every shard executed up
+// (time, srcShard, srcSeq) order and schedules them on the destination
+// shards. horizon is the (unclamped) window bound every shard executed up
 // to; an event below it would have to run in a shard's past, which means
 // the sender violated the declared lookahead.
 func (s *ShardedEngine) injectOutboxes(horizon Time) {

@@ -20,11 +20,14 @@ type shardEntry struct {
 // cross-shard event to the next host with at least `lookahead` of delay.
 // Event times are arranged so every host executes at times ≡ host (mod H),
 // which keeps timestamps distinct across hosts — the same workload then
-// produces the same per-host trace under lockstep and parallel drive.
+// produces the same per-host trace under lockstep and parallel drive. far,
+// a multiple of hosts, is added to every fifth local step and every other
+// handoff: at wheelSize or more those go through the far-event heap while
+// the rest stay in the wheel.
 //
 // Returns one trace per host; each host's trace is only ever appended by
 // the shard goroutine that owns it.
-func crossWorkload(s *ShardedEngine, hosts int, lookahead, until Time) [][]shardEntry {
+func crossWorkload(s *ShardedEngine, hosts int, lookahead, until, far Time) [][]shardEntry {
 	traces := make([][]shardEntry, hosts)
 	H := Time(hosts)
 	chain := make([]func(k int), hosts)
@@ -38,7 +41,11 @@ func crossWorkload(s *ShardedEngine, hosts int, lookahead, until Time) [][]shard
 				return
 			}
 			// Local successor stays on the host's residue class.
-			eng.After(H*Time(1+(k*7)%97), func() { chain[h](k + 1) })
+			d := H * Time(1+(k*7)%97)
+			if k%5 == 0 {
+				d += far
+			}
+			eng.After(d, func() { chain[h](k + 1) })
 			if k%3 == 0 {
 				// Cross-shard handoff to the next host, aligned to its
 				// residue class and spread by sender identity and step so
@@ -46,6 +53,9 @@ func crossWorkload(s *ShardedEngine, hosts int, lookahead, until Time) [][]shard
 				dst := (h + 1) % hosts
 				deng := s.Shard(dst % s.N())
 				base := now + lookahead + H*Time(1+h+3*(k%50))
+				if k%2 == 0 {
+					base += far
+				}
 				t := base + ((Time(dst)-base)%H+H)%H
 				eng.At2On(deng, t, func(a, b any) {
 					hh := a.(*int)
@@ -91,12 +101,12 @@ func traceTotal(tr [][]shardEntry) int {
 func TestLockstepMatchesSingleShard(t *testing.T) {
 	const hosts, lookahead = 8, 64
 	until := 200 * Microsecond
-	ref := crossWorkload(NewShardedEngine(7, 1, lookahead, false), hosts, lookahead, until)
+	ref := crossWorkload(NewShardedEngine(7, 1, lookahead, false), hosts, lookahead, until, 0)
 	if traceTotal(ref) == 0 {
 		t.Fatal("reference workload executed no events")
 	}
 	for _, n := range []int{2, 4} {
-		got := crossWorkload(NewShardedEngine(7, n, lookahead, false), hosts, lookahead, until)
+		got := crossWorkload(NewShardedEngine(7, n, lookahead, false), hosts, lookahead, until, 0)
 		tracesEqual(t, ref, got, fmt.Sprintf("lockstep shards=%d", n))
 	}
 }
@@ -108,10 +118,34 @@ func TestLockstepMatchesSingleShard(t *testing.T) {
 func TestParallelMatchesLockstep(t *testing.T) {
 	const hosts, lookahead = 8, 64
 	until := 200 * Microsecond
-	ref := crossWorkload(NewShardedEngine(7, 1, lookahead, false), hosts, lookahead, until)
+	ref := crossWorkload(NewShardedEngine(7, 1, lookahead, false), hosts, lookahead, until, 0)
 	for _, n := range []int{2, 4} {
 		s := NewShardedEngine(7, n, lookahead, true)
-		got := crossWorkload(s, hosts, lookahead, until)
+		got := crossWorkload(s, hosts, lookahead, until, 0)
+		s.Close()
+		tracesEqual(t, ref, got, fmt.Sprintf("parallel shards=%d", n))
+	}
+}
+
+// TestParallelWheelMatchesSingle is the same comparison with every fifth
+// local step and every other handoff pushed beyond the wheel, so that each
+// shard interleaves wheel and heap entries and cross-shard events are
+// injected into both: the lockstep and the parallel drive must reproduce
+// the single engine's traces element for element.
+func TestParallelWheelMatchesSingle(t *testing.T) {
+	const hosts, lookahead = 8, 64
+	const far = hosts * (wheelSize/hosts + 3)
+	until := 600 * Microsecond
+	single := NewShardedEngine(7, 1, lookahead, false)
+	ref := crossWorkload(single, hosts, lookahead, until, far)
+	if e := single.Shard(0); len(e.wnodes) == 0 || cap(e.events) == 0 {
+		t.Fatalf("workload used only one of wheel (%d nodes) and heap (cap %d)", len(e.wnodes), cap(e.events))
+	}
+	for _, n := range []int{2, 4} {
+		got := crossWorkload(NewShardedEngine(7, n, lookahead, false), hosts, lookahead, until, far)
+		tracesEqual(t, ref, got, fmt.Sprintf("lockstep shards=%d", n))
+		s := NewShardedEngine(7, n, lookahead, true)
+		got = crossWorkload(s, hosts, lookahead, until, far)
 		s.Close()
 		tracesEqual(t, ref, got, fmt.Sprintf("parallel shards=%d", n))
 	}
@@ -126,7 +160,7 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	run := func() [][]shardEntry {
 		s := NewShardedEngine(99, 3, lookahead, true)
 		defer s.Close()
-		return crossWorkload(s, hosts, lookahead, 150*Microsecond)
+		return crossWorkload(s, hosts, lookahead, 150*Microsecond, 0)
 	}
 	a, b := run(), run()
 	tracesEqual(t, a, b, "replay")
@@ -186,7 +220,7 @@ func TestShardedPendingAndDrain(t *testing.T) {
 func TestShardedEngineRace(t *testing.T) {
 	s := NewShardedEngine(42, 4, 64, true)
 	defer s.Close()
-	tr := crossWorkload(s, 8, 64, 300*Microsecond)
+	tr := crossWorkload(s, 8, 64, 300*Microsecond, 0)
 	if traceTotal(tr) == 0 {
 		t.Fatal("no events executed")
 	}

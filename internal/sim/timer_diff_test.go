@@ -12,7 +12,10 @@ import (
 // The differential test drives one seeded script of At/After2, Timer
 // Reset/Stop, Ticker start/stop and RunUntil against the engine and against
 // a reference model, and requires the identical sequence of live firings
-// and the identical live count after every step.
+// and the identical live count after every step. Its delays straddle the
+// wheel's edge and aim at the deadlines of far events scheduled earlier, so
+// the engine's three queues — wheel, far-event heap, timer heap — keep
+// meeting at equal timestamps.
 //
 // The reference model is the timer implementation the engine had before the
 // timer heap: one queue, and a Timer that bumps an epoch and abandons its
@@ -212,31 +215,95 @@ func (a *engAPI) Executed() uint64 {
 
 // --- the script ---
 
-// runTimerScript plays steps random operations and returns one line per
-// live firing and per top-level step. Every decision, including the ones
-// handlers make while firing, is drawn from one rng: two implementations
-// that fire in the same order draw the same script.
-func runTimerScript(api simAPI, seed int64, steps int) (log []string, fired int) {
-	rng := rand.New(rand.NewSource(seed))
-	// Delays cluster on a few values so many deadlines are equal, and
-	// include zero and negative ones (clamped to now).
+// draws is the script's source of decisions: a seeded rng, or the bytes of
+// a fuzz input.
+type draws interface{ Intn(n int) int }
+
+// byteDraws answers each draw from the next byte of a fuzz input. A spent
+// input answers n-1, which everywhere in the script means "do nothing
+// more", so the run winds down.
+type byteDraws struct{ data []byte }
+
+func (d *byteDraws) Intn(n int) int {
+	if len(d.data) == 0 {
+		return n - 1
+	}
+	v := int(d.data[0]) % n
+	d.data = d.data[1:]
+	return v
+}
+
+// recDraws records another source's answers as bytes (every bound the
+// script draws under is at most 256), which replay through byteDraws.
+type recDraws struct {
+	src draws
+	out []byte
+}
+
+func (d *recDraws) Intn(n int) int {
+	v := d.src.Intn(n)
+	d.out = append(d.out, byte(v))
+	return v
+}
+
+// The queue a firing came from, by how it was scheduled: a one-shot event
+// less than wheelSize ahead, one at least that far, or a timer.
+const (
+	fromNear = 1 << iota
+	fromFar
+	fromTimer
+	fromAll = fromNear | fromFar | fromTimer
+)
+
+// runTimerScript plays steps drawn operations and returns one line per live
+// firing and per top-level step. Every decision, including the ones
+// handlers make while firing, is drawn from rng: two implementations that
+// fire in the same order draw the same script. ties counts the instants at
+// which a near event, a far event and a timer all fired.
+func runTimerScript(api simAPI, rng draws, steps int) (log []string, fired, ties int) {
+	// Delays cluster on a few values so many deadlines are equal, and include
+	// zero and negative ones (clamped to now), the wheel's edge, whole wheel
+	// turns plus a little (the slot of a live near event), 1 ms, and the
+	// instant of a far event scheduled a while ago — by now usually less
+	// than a wheel away, so near events and timers meet it there.
+	var farAt []Time // deadlines of the far one-shot events, oldest first
 	delay := func() Time {
-		switch rng.Intn(6) {
+		switch rng.Intn(8) {
 		case 0:
 			return Time(rng.Intn(7)) - 3
 		case 1, 2:
 			return Time(10 * (1 + rng.Intn(3)))
-		default:
-			return Time(rng.Intn(200))
+		case 3:
+			return wheelSize + Time(rng.Intn(3)) - 1
+		case 4:
+			if rng.Intn(8) == 0 {
+				return Millisecond
+			}
+			return Time(1+rng.Intn(3))*wheelSize + Time(rng.Intn(200))
+		case 5, 6:
+			if n := len(farAt); n > 0 {
+				return farAt[n-1-rng.Intn(min(n, 8))] - api.Now()
+			}
 		}
+		return Time(rng.Intn(200))
+	}
+	kinds := map[Time]int{}
+	fire := func(kind int, what string, id int) {
+		fired++
+		now := api.Now()
+		if kinds[now] != fromAll {
+			if kinds[now] |= kind; kinds[now] == fromAll {
+				ties++
+			}
+		}
+		log = append(log, fmt.Sprintf("%s %d @%d", what, id, now))
 	}
 	const nTimers = 24
 	timers := make([]timerAPI, nTimers)
 	for i := range timers {
 		i := i
 		timers[i] = api.NewTimer(i, func() {
-			fired++
-			log = append(log, fmt.Sprintf("timer %d @%d", i, api.Now()))
+			fire(fromTimer, "timer", i)
 			// A firing timer sometimes re-arms itself or meddles with a
 			// neighbor, the way an RTO handler does.
 			switch rng.Intn(5) {
@@ -256,9 +323,13 @@ func runTimerScript(api simAPI, seed int64, steps int) (log []string, fired int)
 		case op < 2:
 			id := oneShots
 			oneShots++
-			api.After(rng.Intn(4), rng.Intn(2) == 0, delay(), func() {
-				fired++
-				log = append(log, fmt.Sprintf("event %d @%d", id, api.Now()))
+			d, kind := delay(), fromNear
+			if d >= wheelSize {
+				kind = fromFar
+				farAt = append(farAt, api.Now()+d)
+			}
+			api.After(rng.Intn(4), rng.Intn(2) == 0, d, func() {
+				fire(kind, "event", id)
 				if rng.Intn(3) == 0 {
 					timers[rng.Intn(nTimers)].Reset(delay())
 				}
@@ -273,8 +344,7 @@ func runTimerScript(api simAPI, seed int64, steps int) (log []string, fired int)
 				interval := Time(5 + rng.Intn(40))
 				phase := Time(rng.Intn(2) * rng.Intn(int(interval)))
 				tickers = append(tickers, api.NewTicker(id, interval, phase, func() {
-					fired++
-					log = append(log, fmt.Sprintf("tick %d @%d", id, api.Now()))
+					fire(fromTimer, "tick", id)
 					if rng.Intn(20) == 0 {
 						tickers[id].Stop() // from inside its own callback
 					}
@@ -283,7 +353,11 @@ func runTimerScript(api simAPI, seed int64, steps int) (log []string, fired int)
 				tickers[rng.Intn(len(tickers))].Stop()
 			}
 		default:
-			api.RunUntil(api.Now() + Time(rng.Intn(60)))
+			d := Time(rng.Intn(60))
+			if rng.Intn(16) == 0 { // a jump longer than the wheel
+				d += Time(1+rng.Intn(2)) * wheelSize
+			}
+			api.RunUntil(api.Now() + d)
 		}
 		armed := 0
 		for _, tm := range timers {
@@ -296,9 +370,35 @@ func runTimerScript(api simAPI, seed int64, steps int) (log []string, fired int)
 	for _, tk := range tickers {
 		tk.Stop()
 	}
-	api.RunUntil(api.Now() + 1000)
+	api.RunUntil(api.Now() + 2*Millisecond)
 	log = append(log, fmt.Sprintf("end: now %d pending %d", api.Now(), api.Pending()))
-	return log, fired
+	return log, fired, ties
+}
+
+// diffScript plays one script against the reference model and against the
+// engine, standalone and as 2- and 4-shard lockstep groups, and requires
+// identical logs. mk returns a fresh copy of the decision source per run.
+func diffScript(t *testing.T, label string, mk func() draws, steps int) (modelFirings uint64, ties int) {
+	t.Helper()
+	ref := &refEngine{}
+	want, _, ties := runTimerScript(ref, mk(), steps)
+	for _, shards := range []int{0, 2, 4} {
+		api := newEngAPI(shards)
+		got, fired, _ := runTimerScript(api, mk(), steps)
+		if len(got) != len(want) {
+			t.Fatalf("%s shards %d: %d log lines, model has %d", label, shards, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s shards %d: line %d = %q, model has %q", label, shards, i, got[i], want[i])
+			}
+		}
+		// Nothing but live firings ran: a cancelled arm costs no event.
+		if ex := api.Executed(); ex != uint64(fired) {
+			t.Errorf("%s shards %d: executed %d queue entries for %d live firings", label, shards, ex, fired)
+		}
+	}
+	return ref.executed, ties
 }
 
 func TestTimerHeapMatchesTombstoneModel(t *testing.T) {
@@ -307,28 +407,32 @@ func TestTimerHeapMatchesTombstoneModel(t *testing.T) {
 		steps = 1500
 	}
 	for seed := int64(1); seed <= 8; seed++ {
-		ref := &refEngine{}
-		want, _ := runTimerScript(ref, seed, steps)
-		for _, shards := range []int{0, 2, 4} {
-			api := newEngAPI(shards)
-			got, fired := runTimerScript(api, seed, steps)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d shards %d: %d log lines, model has %d", seed, shards, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d shards %d: line %d = %q, model has %q", seed, shards, i, got[i], want[i])
-				}
-			}
-			// Nothing but live firings ran: a cancelled arm costs no event.
-			if ex := api.Executed(); ex != uint64(fired) {
-				t.Errorf("seed %d shards %d: executed %d queue entries for %d live firings", seed, shards, ex, fired)
-			}
+		label := fmt.Sprintf("seed %d", seed)
+		firings, ties := diffScript(t, label, func() draws { return rand.New(rand.NewSource(seed)) }, steps)
+		if firings <= uint64(steps)/8 {
+			t.Fatalf("%s: script too idle (%d model events)", label, firings)
 		}
-		if ref.executed <= uint64(len(want))/8 {
-			t.Fatalf("seed %d: script too idle (%d model events)", seed, ref.executed)
+		if ties == 0 {
+			t.Fatalf("%s: wheel, heap and timer heap never met at one instant", label)
 		}
 	}
+}
+
+// FuzzEngineOrder plays the differential script with every decision read
+// from the fuzz input. The seed corpus is the start of the seeded scripts
+// above, recorded draw by draw.
+func FuzzEngineOrder(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rec := &recDraws{src: rand.New(rand.NewSource(seed))}
+		runTimerScript(&refEngine{}, rec, 150)
+		f.Add(rec.out)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			data = data[:4096]
+		}
+		diffScript(t, "fuzz", func() draws { return &byteDraws{data: data} }, len(data)/2)
+	})
 }
 
 // TestDrainDisarmsTimers: Drain counts armed timers as queued work, leaves

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench-module race bench bench-json bench-gate slo slo-gate serve serve-gate results full-results fuzz examples vet chaos chaos-nightly elastic conflict scale
+.PHONY: all build test fmt-check bench-module race bench bench-json bench-gate slo slo-gate serve serve-gate results full-results fuzz examples vet chaos chaos-nightly elastic conflict scale
 
 all: vet test
 
@@ -11,6 +11,9 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -23,7 +26,7 @@ bench-module:
 
 race:
 	$(GO) test -race ./internal/core/ ./internal/livenet/ ./internal/udpnet/ ./internal/sim/
-	$(GO) test -race ./internal/netsim/ -run 'TestParallel' -count=1
+	$(GO) test -race ./internal/netsim/ -run 'TestPutPacket' -count=1
 
 # One pass over every figure/table as Go benchmarks.
 bench:
@@ -100,10 +103,7 @@ elastic:
 conflict:
 	$(GO) run ./cmd/onepipe-bench -fig conflict
 
-# Sharded-engine scaling table: the 1024-host fat-tree workload swept
-# over shard counts (docs/performance.md "Parallel simulation"). Real
-# speedup needs free cores; the delivered/latency columns must be
-# identical on every row regardless.
+# Simulator scale: all-to-all on a 1024-host fat-tree, engine Mev/s.
 scale:
 	$(GO) run ./cmd/onepipe-bench -fig scale
 

@@ -53,23 +53,9 @@ type gateFloor struct {
 	EngineEventsPerSec float64 `json:"engine_events_per_sec"`
 }
 
-// parallelEngineBench is the sharded-engine throughput row. The figure is
-// GOMAXPROCS-dependent (shard goroutines need real cores to overlap), so
-// the core count it was measured at is recorded beside it rather than
-// letting numbers from different machines be compared bare.
-type parallelEngineBench struct {
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Shards       int     `json:"shards"`
-	EventsPerSec float64 `json:"events_per_sec"` // median of Runs
-	Runs         int     `json:"runs,omitempty"`
-	EventsMin    float64 `json:"events_per_sec_min,omitempty"`
-	EventsMax    float64 `json:"events_per_sec_max,omitempty"`
-}
-
 // scaleBench is the 1024-host fabric wall-time row (experiments.FabricScaleOnce).
 type scaleBench struct {
 	GOMAXPROCS int     `json:"gomaxprocs"`
-	Shards     int     `json:"shards"`
 	WallS      float64 `json:"wall_s"`
 	Events     uint64  `json:"events"`
 	WindowUs   float64 `json:"window_us"`
@@ -83,15 +69,8 @@ type benchReport struct {
 	GoVersion          string  `json:"go_version"`
 	GOMAXPROCS         int     `json:"gomaxprocs"`
 	EngineEventsPerSec float64 `json:"engine_events_per_sec"`
-	// EngineEventsPerSecParallel is the 8-shard conservative-lookahead
-	// engine on the same self-rescheduling workload (one cross-shard
-	// handoff per 16 events). Single-threaded it trails the classic engine
-	// (window barriers cost more than the smaller heaps save); the figure
-	// exists to track the parallel drive's overhead and its scaling with
-	// cores.
-	EngineEventsPerSecParallel *parallelEngineBench `json:"engine_events_per_sec_parallel,omitempty"`
 	// Scale1024 is the wall time of the 1024-host fabric scale workload
-	// at 8 parallel shards (the -fig scale tentpole row).
+	// (the -fig scale row).
 	Scale1024     *scaleBench `json:"scale_1024,omitempty"`
 	E2EMsgsPerSec float64     `json:"e2e_msgs_per_sec"`
 	// E2EUnbatchedMsgsPerSec is the same workload with frame coalescing
@@ -222,69 +201,6 @@ func benchBERound() testing.BenchmarkResult {
 			b.Fatalf("%d of %d delivered", delivered-before, b.N)
 		}
 	})
-}
-
-// parallelShards is the shard count of the parallel engine row.
-const parallelShards = 8
-
-// benchEngineParallelOnce mirrors internal/sim's
-// BenchmarkShardedEngineParallel: an 8-shard parallel group, 4096 pending
-// self-rescheduling events per shard, one cross-shard handoff every 16
-// events. Returns aggregate events/sec.
-func benchEngineParallelOnce() float64 {
-	const (
-		nShards   = parallelShards
-		depth     = 4096
-		lookahead = sim.Time(1000)
-	)
-	s := sim.NewShardedEngine(1, nShards, lookahead, true)
-	defer s.Close()
-	steps := make([]func(a, b any), nShards)
-	for i := 0; i < nShards; i++ {
-		i := i
-		e := s.Shard(i)
-		next := (i + 1) % nShards
-		var k int
-		steps[i] = func(a, b any) {
-			k++
-			if k%16 == 0 {
-				e.At2On(s.Shard(next), e.Now()+lookahead+sim.Time(e.Rand().Intn(1000)), steps[next], a, b)
-				return
-			}
-			e.After2(sim.Time(e.Rand().Intn(1000))+1, steps[i], a, b)
-		}
-	}
-	for i := 0; i < nShards; i++ {
-		e := s.Shard(i)
-		for j := 0; j < depth; j++ {
-			e.After2(sim.Time(e.Rand().Intn(1000))+1, steps[i], nil, nil)
-		}
-	}
-	s.RunFor(10 * sim.Microsecond) // warm up workers and heaps
-	n0 := s.ExecutedTotal()
-	start := time.Now()
-	for time.Since(start) < 2*time.Second {
-		s.RunFor(50 * sim.Microsecond)
-	}
-	return float64(s.ExecutedTotal()-n0) / time.Since(start).Seconds()
-}
-
-// benchEngineParallel is the median of engineRuns parallel-engine runs
-// with its spread.
-func benchEngineParallel() parallelEngineBench {
-	rs := make([]float64, engineRuns)
-	for i := range rs {
-		rs[i] = benchEngineParallelOnce()
-	}
-	sort.Float64s(rs)
-	return parallelEngineBench{
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Shards:       parallelShards,
-		EventsPerSec: rs[engineRuns/2],
-		Runs:         engineRuns,
-		EventsMin:    rs[0],
-		EventsMax:    rs[engineRuns-1],
-	}
 }
 
 func benchWireEncode() testing.BenchmarkResult {
@@ -451,14 +367,10 @@ func runBenchJSON(outPath string) error {
 		GateFloor: prev.GateFloor,
 	}
 	rep.EngineEventsPerSec = 1e9 / rep.Benchmarks["engine_schedule"].NsPerOp
-	par := benchEngineParallel()
-	rep.EngineEventsPerSecParallel = &par
-	const scaleShards = 8
 	scaleWindow := 400 * sim.Microsecond
-	wall, events, _ := experiments.FabricScaleOnce(scaleShards, true, scaleWindow)
+	wall, events, _, _ := experiments.FabricScaleOnce(scaleWindow)
 	rep.Scale1024 = &scaleBench{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Shards:     scaleShards,
 		WallS:      wall,
 		Events:     events,
 		WindowUs:   scaleWindow.Micros(),
@@ -483,13 +395,9 @@ func runBenchJSON(outPath string) error {
 		fmt.Printf("%-19s %6.1f ns/op (median of %d, %.1f–%.1f)  %d allocs/op  (%.2fM events/s)\n",
 			name, r.NsPerOp, r.Runs, r.NsPerOpMin, r.NsPerOpMax, r.AllocsPerOp, 1e3/r.NsPerOp)
 	}
-	if p := rep.EngineEventsPerSecParallel; p != nil {
-		fmt.Printf("engine||    %8.2fM events/s (median of %d, %.2f–%.2f)  (%d shards, GOMAXPROCS=%d)\n",
-			p.EventsPerSec/1e6, p.Runs, p.EventsMin/1e6, p.EventsMax/1e6, p.Shards, p.GOMAXPROCS)
-	}
 	if sb := rep.Scale1024; sb != nil {
-		fmt.Printf("scale 1024  %8.2f s wall  (%d events, %.0fus window, %d shards)\n",
-			sb.WallS, sb.Events, sb.WindowUs, sb.Shards)
+		fmt.Printf("scale 1024  %8.2f s wall  (%d events, %.0fus window)\n",
+			sb.WallS, sb.Events, sb.WindowUs)
 	}
 	fmt.Printf("encode      %8.1f ns/op  %d allocs/op\n",
 		rep.Benchmarks["wire_append_encode"].NsPerOp, rep.Benchmarks["wire_append_encode"].AllocsPerOp)

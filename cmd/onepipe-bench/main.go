@@ -4,7 +4,7 @@
 // Usage:
 //
 //	onepipe-bench -list
-//	onepipe-bench -fig 8a [-full] [-shards N]
+//	onepipe-bench -fig 8a [-full]
 //	onepipe-bench -all [-full]
 //	onepipe-bench -bench-json [-bench-out BENCH_core.json]
 //	onepipe-bench -bench-gate BENCH_core.json
@@ -43,7 +43,6 @@ func realMain() int {
 	all := flag.Bool("all", false, "run every experiment")
 	list := flag.Bool("list", false, "list experiments")
 	full := flag.Bool("full", false, "paper-scale sweeps (slow)")
-	shards := flag.Int("shards", 0, "run experiments on N lockstep engine shards (0/1 = single engine; results are identical by construction)")
 	benchJSON := flag.Bool("bench-json", false, "run core benchmarks, write machine-readable report")
 	benchOut := flag.String("bench-out", "BENCH_core.json", "output path for -bench-json")
 	benchGate := flag.String("bench-gate", "", "compare fresh engine events/sec against this committed report's hand-pinned gate_floor; fail below it")
@@ -92,7 +91,6 @@ func realMain() int {
 	if *full {
 		sc = experiments.Full()
 	}
-	experiments.EngineShards = *shards
 	run := func(r experiments.Runner) {
 		start := time.Now()
 		tbl := r.Run(sc)

@@ -32,61 +32,61 @@ const (
 //
 // Invariant catalog (see docs/testing.md for the paper citations):
 //  1. local-order     — each receiver's log is strictly sorted by (ts, src);
-//                       per plane under DeliverSeparate, across both planes
-//                       under DeliverUnified (§2.1, DESIGN deviation #4).
+//     per plane under DeliverSeparate, across both planes
+//     under DeliverUnified (§2.1, DESIGN deviation #4).
 //  2. pairwise-order  — any two receivers deliver their common messages in
-//                       the same relative order (§2.1 total order).
+//     the same relative order (§2.1 total order).
 //  3. causality       — a message timestamped T is delivered only once the
-//                       receiver's clock passed T (§2.1, §3).
+//     receiver's clock passed T (§2.1, §3).
 //  4. at-most-once    — no receiver delivers the same scattering member
-//                       twice (§4.1 dedup + §5.1 commit dedup).
+//     twice (§4.1 dedup + §5.1 commit dedup).
 //  5. atomicity       — a reliable scattering from a correct sender is
-//                       delivered at all of its correct destinations or at
-//                       none, and in the latter case the sender got a
-//                       send-failure callback (§5.1/§5.2 restricted
-//                       failure atomicity).
+//     delivered at all of its correct destinations or at
+//     none, and in the latter case the sender got a
+//     send-failure callback (§5.1/§5.2 restricted
+//     failure atomicity).
 //  6. barrier-gate    — every delivery was covered by the barrier the
-//                       receiver had announced at that instant (§4.1).
+//     receiver had announced at that instant (§4.1).
 //  7. discard-floor   — no reliable message from a failed process is
-//                       delivered beyond its failure timestamp (§5.2
-//                       Discard).
+//     delivered beyond its failure timestamp (§5.2
+//     Discard).
 //  8. wire-barrier    — on every host downlink, no data packet's message
-//                       timestamp falls below a barrier the link already
-//                       carried (the §4.1 per-link barrier promise; chip
-//                       mode only). Catches in-switch stamp/wire-order
-//                       inversions directly.
+//     timestamp falls below a barrier the link already
+//     carried (the §4.1 per-link barrier promise; chip
+//     mode only). Catches in-switch stamp/wire-order
+//     inversions directly.
 //  9. epoch-barrier   — no receiver's announced barrier pair ever
-//                       regresses across its delivery log; membership
-//                       epochs (join/drain/switch add) must leave the
-//                       aggregated minimum monotone.
-// 10. join-epoch      — every message a mid-run joined process sent
-//                       carries a timestamp at or above its effective join
-//                       epoch, at every receiver (the activation's
-//                       register-seeding promise).
-// 11. join-suffix     — a joined receiver's log agrees with every
-//                       incumbent on the relative order of their common
-//                       scatterings: the joiner delivers a suffix of the
-//                       same total order, never an interleaving of its own.
-// 12. drain-silence   — a gracefully drained process delivers nothing
-//                       after its drain completed.
-// 13. drain-no-failure — a graceful drain is a decision, not a failure: no
-//                       controller failure record may name a drained
-//                       process unless the fault schedule also crashed it.
-// 14. hot-buffer-bound — when the plan caps the hot reorder heap
-//                       (ReorderHotCap > 0), no host's peak hot occupancy
-//                       may exceed the cap: overflow must spill to the
-//                       cold store, never grow the heap (bounded receiver
-//                       memory).
-// 15. conflict-pair-order — under DeliverConflictAware, any two deliveries
-//                       carrying the same nonzero conflict key appear in
-//                       (ts, src) order at every receiver, and every pair
-//                       of receivers agrees on the relative order of their
-//                       common same-key scatterings (the Generic Multicast
-//                       contract: declared-conflicting messages keep the
-//                       total order even though untagged traffic is
-//                       relaxed). The implementation orders ALL tagged
-//                       messages mutually — a coarser relation — so this
-//                       checks the declared relation it subsumes.
+//     regresses across its delivery log; membership
+//     epochs (join/drain/switch add) must leave the
+//     aggregated minimum monotone.
+//  10. join-epoch      — every message a mid-run joined process sent
+//     carries a timestamp at or above its effective join
+//     epoch, at every receiver (the activation's
+//     register-seeding promise).
+//  11. join-suffix     — a joined receiver's log agrees with every
+//     incumbent on the relative order of their common
+//     scatterings: the joiner delivers a suffix of the
+//     same total order, never an interleaving of its own.
+//  12. drain-silence   — a gracefully drained process delivers nothing
+//     after its drain completed.
+//  13. drain-no-failure — a graceful drain is a decision, not a failure: no
+//     controller failure record may name a drained
+//     process unless the fault schedule also crashed it.
+//  14. hot-buffer-bound — when the plan caps the hot reorder heap
+//     (ReorderHotCap > 0), no host's peak hot occupancy
+//     may exceed the cap: overflow must spill to the
+//     cold store, never grow the heap (bounded receiver
+//     memory).
+//  15. conflict-pair-order — under DeliverConflictAware, any two deliveries
+//     carrying the same nonzero conflict key appear in
+//     (ts, src) order at every receiver, and every pair
+//     of receivers agrees on the relative order of their
+//     common same-key scatterings (the Generic Multicast
+//     contract: declared-conflicting messages keep the
+//     total order even though untagged traffic is
+//     relaxed). The implementation orders ALL tagged
+//     messages mutually — a coarser relation — so this
+//     checks the declared relation it subsumes.
 func Check(r *Result) []Violation {
 	var out []Violation
 	add := func(inv, format string, args ...any) {

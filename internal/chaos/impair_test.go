@@ -15,7 +15,7 @@ import (
 // host crashes. The digest was recorded when BaseLoss/Jitter still reached
 // netsim as two global config knobs and the burst mutated the config
 // mid-run; the uniform profile and the SetLossOverride hook must consume the
-// shard RNG at the same draw points to reproduce it.
+// network's RNG at the same draw points to reproduce it.
 func TestGoldenLossJitterFullDigest(t *testing.T) {
 	const want = "81a182ab5d21298e7b178f9937a8a8c11ae351dbe22866afa6f5682633b1db06"
 	p := craftedPlan(1311,

@@ -185,14 +185,6 @@ type Plan struct {
 	// crafted-scenario knob seed derivation never sets, so existing golden
 	// digests are unaffected.
 	Impair *netsim.Profile
-
-	// Shards splits the network simulation into per-pod shard engines
-	// driven in deterministic lockstep (netsim.Config.Shards): the event
-	// order — and therefore every digest — is provably identical to the
-	// single-engine run, which TestShardedDigestEquivalence pins. Like
-	// BatchWindow this is a crafted-scenario knob seed derivation never
-	// sets, so existing golden digests are unaffected.
-	Shards int
 }
 
 // quiesce is the post-workload tail left for every outstanding scattering
@@ -391,7 +383,6 @@ func (p *Plan) NetConfig() netsim.Config {
 	cfg.FlowECMP = p.FlowECMP
 	cfg.ControllerManagedCommit = true
 	cfg.NonuniformPipeline = p.NonuniformPipeline
-	cfg.Shards = p.Shards // lockstep only: chaos shares RNG streams across shards
 	if p.SkewedClocks {
 		cfg.Clock = clock.Config{
 			SyncInterval: 10 * sim.Millisecond,

@@ -249,11 +249,11 @@ func TestScenarioCheckerSensitivity(t *testing.T) {
 		}
 	}
 	log := r.Deliveries[victim]
-	log[0], log[1] = log[1], log[0]        // local-order
-	log[2] = log[3]                        // at-most-once
-	log[len(log)-1].BarBE = 0              // barrier-gate
-	log[len(log)-1].BarC = 0               //
-	log[len(log)-1].ClockAt = 0            // causality
+	log[0], log[1] = log[1], log[0] // local-order
+	log[2] = log[3]                 // at-most-once
+	log[len(log)-1].BarBE = 0       // barrier-gate
+	log[len(log)-1].BarC = 0        //
+	log[len(log)-1].ClockAt = 0     // causality
 	want := map[string]bool{"local-order": false, "at-most-once": false, "barrier-gate": false, "causality": false}
 	for _, v := range Check(r) {
 		if _, ok := want[v.Invariant]; ok {

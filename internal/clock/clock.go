@@ -90,13 +90,6 @@ func (c *Clock) Now() sim.Time {
 	return t
 }
 
-// Reseed replaces the clock's random source. The parallel sharded simulator
-// uses it to give each host clock a stream derived from the root seed and
-// the host index: the construction-time draws already happened on the
-// shared stream (identically at every shard count), but runtime resyncs on
-// a shard goroutine must not touch a source shared across shards.
-func (c *Clock) Reseed(rng *rand.Rand) { c.rng = rng }
-
 // AdvanceTo forces all subsequent reads to be at least t. Live
 // reconfiguration uses it to push a joining host's clock above the join
 // epoch T_join: the host's first timestamps must not fall below the value

@@ -92,8 +92,7 @@ func (cl *Cluster) EnableTracing() []*obs.Trace {
 	return out
 }
 
-// Run advances the simulation by d, dispatching through the network so
-// sharded simulations drive every shard engine.
+// Run advances the simulation by d.
 func (cl *Cluster) Run(d sim.Time) { cl.Net.RunFor(d) }
 
 // TotalStats sums the per-host statistics.

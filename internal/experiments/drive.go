@@ -16,10 +16,8 @@ type pump struct {
 // drivePump pumps a workload.Source into a cluster: each intent becomes
 // one scattering from Procs[Src]. With stamp set, messages carry the send
 // time as payload (the latency convention every figure uses); without it
-// they are anonymous background load. Events are scheduled on the root
-// engine — the same shard the ticker loops this replaces lived on — so
-// lockstep-sharded runs reproduce the identical schedule. Intents at or
-// past stop (when nonzero) end the pump.
+// they are anonymous background load. Intents at or past stop (when
+// nonzero) end the pump.
 func drivePump(cl *core.Cluster, src workload.Source, stop sim.Time, stamp bool) *pump {
 	p := &pump{}
 	eng := cl.Net.Eng

@@ -123,7 +123,7 @@ func Registry() []Runner {
 		{"proj", "Projected loss penalty at 32K hosts (§7.2 analysis)", Projection},
 		{"stages", "Per-stage latency decomposition (Fig. 9/10 breakdown)", Stages},
 		{"chaos", "Randomized fault sweep with invariant checking (harness)", ChaosSweep},
-		{"scale", "Sharded-engine scaling: 1024-host fabric, parallel lookahead sweep", FabricScale},
+		{"scale", "Simulator scale: all-to-all on a 1024-host fabric", FabricScale},
 		{"conflict", "Ablation: conflict-aware relaxed order vs unified, by conflict rate", Conflict},
 		{"slo", "SLO race: p50/p99/p999 under one trace + impairment profile", SLO},
 		{"serve", "Serving tier: closed-loop clients on the Fabric API (KV/txn/SMR/elastic)", Serve},
@@ -156,18 +156,10 @@ func topoFor(n int) (topology.ClosConfig, int) {
 	}
 }
 
-// EngineShards, when > 1, runs every deploy-based experiment on a sharded
-// lockstep engine (netsim.Config.Shards). Because the lockstep drive is
-// event-order identical to the single engine, any figure re-run with
-// -shards must reproduce its table exactly — a whole-suite determinism
-// check for the sharded routing. Set from onepipe-bench's -shards flag.
-var EngineShards int
-
 // deploy builds a 1Pipe cluster for n processes.
 func deploy(n int, mutNet func(*netsim.Config), mutCore func(*core.Config)) *core.Cluster {
 	topo, pph := topoFor(n)
 	ncfg := netsim.DefaultConfig(topo, pph)
-	ncfg.Shards = EngineShards
 	if mutNet != nil {
 		mutNet(&ncfg)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"onepipe/internal/netsim"
@@ -10,102 +9,65 @@ import (
 	"onepipe/internal/topology"
 )
 
+// scaleTopo is the 1024-host fat-tree of the scale figure.
+var scaleTopo = topology.ClosConfig{Pods: 8, RacksPerPod: 8, HostsPerRack: 16, SpinesPerPod: 4, Cores: 8}
+
 // FabricScale drives a packet-level all-to-all workload on a 1024-host
-// fat-tree (8 pods x 8 racks x 16 hosts) and sweeps the simulation engine's
-// shard count: the classic single engine, then the parallel conservative-
-// lookahead engine at 2/4/8 pod-cut shards. The workload is fault-free and
-// rng-free on the data path (flow ECMP, no loss, no jitter), so delivered
-// counts and mean latency must agree across every row — the table doubles
-// as an end-to-end determinism check while measuring wall-clock speedup.
+// fat-tree (8 pods x 8 racks x 16 hosts) and reports how fast the event
+// engine executes it. The workload is fault-free and rng-free on the data
+// path (flow ECMP, no loss, no jitter), so events, delivered and mean
+// latency are the same on every run.
 //
 // Unlike the paper figures this is a simulator scaling experiment, not a
-// 1Pipe result: it exists to show the event engine reaches fabric sizes
-// (§7.2's 32K-host projection territory) that a single event loop cannot.
+// 1Pipe result: it shows the engine's rate at a fabric size in §7.2's
+// projection territory.
 func FabricScale(sc Scale) *Table {
-	topo := topology.ClosConfig{Pods: 8, RacksPerPod: 8, HostsPerRack: 16, SpinesPerPod: 4, Cores: 8}
 	window := sc.Window
 	t := &Table{
 		ID:      "scale",
-		Title:   fmt.Sprintf("Sharded engine scaling, %d-host fat-tree, %v window", topo.NumHosts(), window),
-		Columns: []string{"shards", "drive", "wall_s", "events", "Mev/s", "delivered", "avg_lat_us"},
+		Title:   fmt.Sprintf("Simulator scale, %d-host fat-tree, %v window", scaleTopo.NumHosts(), window),
+		Columns: []string{"hosts", "wall_s", "events", "Mev/s", "delivered", "avg_lat_us"},
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("GOMAXPROCS=%d; parallel speedup needs free cores", runtime.GOMAXPROCS(0)),
-		"deterministic workload: delivered and avg_lat_us must match across rows")
-	type cfgRow struct {
-		shards   int
-		parallel bool
-	}
-	rows := []cfgRow{{1, false}, {2, true}, {4, true}, {8, true}}
-	for _, r := range rows {
-		res := runFabricScale(topo, r.shards, r.parallel, window)
-		drive := "single"
-		if r.shards > 1 {
-			drive = "parallel"
-		}
-		t.AddRow(
-			fmt.Sprintf("%d", r.shards), drive,
-			fmt.Sprintf("%.2f", res.wall),
-			fmt.Sprintf("%d", res.events),
-			fm(float64(res.events)/res.wall),
-			fmt.Sprintf("%d", res.delivered),
-			f2(res.avgLatUs),
-		)
-	}
+		"deterministic workload: events, delivered and avg_lat_us are the same on every run")
+	wall, events, delivered, avgLatUs := FabricScaleOnce(window)
+	t.AddRow(
+		fmt.Sprintf("%d", scaleTopo.NumHosts()),
+		fmt.Sprintf("%.2f", wall),
+		fmt.Sprintf("%d", events),
+		fm(float64(events)/wall),
+		fmt.Sprintf("%d", delivered),
+		f2(avgLatUs),
+	)
 	return t
 }
 
-// FabricScaleOnce runs a single configuration of the 1024-host scale
-// workload and returns wall-clock seconds, executed events and delivered
-// messages — the scale_1024_wall_s figure in BENCH_core.json.
-func FabricScaleOnce(shards int, parallel bool, window sim.Time) (wallS float64, events, delivered uint64) {
-	topo := topology.ClosConfig{Pods: 8, RacksPerPod: 8, HostsPerRack: 16, SpinesPerPod: 4, Cores: 8}
-	res := runFabricScale(topo, shards, parallel, window)
-	return res.wall, res.events, res.delivered
-}
-
-type fabricScaleResult struct {
-	wall      float64
-	events    uint64
-	delivered uint64
-	avgLatUs  float64
-}
-
-// runFabricScale runs one (shards, parallel) configuration: every host
-// sends a 512 B message every 2 μs to a deterministically rotating
-// destination; receivers account delivery count and send-to-deliver
-// latency in per-host (shard-confined) slots.
-func runFabricScale(topo topology.ClosConfig, shards int, parallel bool, window sim.Time) fabricScaleResult {
-	cfg := netsim.DefaultConfig(topo, 1)
-	cfg.FlowECMP = true // rng-free path selection: identical physics at any shard count
-	cfg.Shards = shards
-	cfg.Parallel = parallel
+// FabricScaleOnce runs the 1024-host scale workload once: every host sends
+// a 512 B message every 2 μs to a deterministically rotating destination;
+// receivers account delivery count and send-to-deliver latency. It returns
+// wall-clock seconds, executed events, delivered messages and their mean
+// latency — the -fig scale row and the scale_1024 row of BENCH_core.json.
+func FabricScaleOnce(window sim.Time) (wallS float64, events, delivered uint64, avgLatUs float64) {
+	cfg := netsim.DefaultConfig(scaleTopo, 1)
+	cfg.FlowECMP = true // rng-free path selection
 	n := netsim.New(cfg)
-	defer n.Close()
 
 	hosts := len(n.G.Hosts)
-	type hostAcct struct {
-		delivered uint64
-		latSum    sim.Time
-		_         [48]byte // avoid false sharing between shard goroutines
+	var latSum sim.Time
+	rx := func(pkt *netsim.Packet) {
+		if pkt.Kind == netsim.KindData {
+			delivered++
+			latSum += n.Eng.Now() - pkt.SentAt
+		}
+		netsim.PutPacket(pkt)
 	}
-	acct := make([]hostAcct, hosts)
 	for hi := 0; hi < hosts; hi++ {
-		hi := hi
-		eng := n.HostEngine(hi)
-		n.AttachHost(hi, func(pkt *netsim.Packet) {
-			if pkt.Kind == netsim.KindData {
-				acct[hi].delivered++
-				acct[hi].latSum += eng.Now() - pkt.SentAt
-			}
-			netsim.PutPacket(pkt)
-		})
+		n.AttachHost(hi, rx)
 	}
 
 	const interval = 2 * sim.Microsecond
 	for hi := 0; hi < hosts; hi++ {
 		hi := hi
-		eng := n.HostEngine(hi)
 		k := 0
 		var send func()
 		send = func() {
@@ -120,27 +82,18 @@ func runFabricScale(topo topology.ClosConfig, shards int, parallel bool, window 
 			pkt.Size = 512 + netsim.HeaderBytes
 			n.SendFromHost(hi, pkt)
 			k++
-			eng.After(interval, send)
+			n.Eng.After(interval, send)
 		}
 		// Stagger start times so the fabric does not see a synchronized
 		// 1024-way burst at t=0.
-		eng.After(sim.Time(hi%200)*10*sim.Nanosecond, send)
+		n.Eng.After(sim.Time(hi%200)*10*sim.Nanosecond, send)
 	}
 
 	start := time.Now()
 	n.RunFor(window)
-	wall := time.Since(start).Seconds()
-
-	var res fabricScaleResult
-	res.wall = wall
-	res.events = n.ExecutedEvents()
-	var latSum sim.Time
-	for hi := range acct {
-		res.delivered += acct[hi].delivered
-		latSum += acct[hi].latSum
+	wallS = time.Since(start).Seconds()
+	if delivered > 0 {
+		avgLatUs = float64(latSum) / float64(delivered) / float64(sim.Microsecond)
 	}
-	if res.delivered > 0 {
-		res.avgLatUs = float64(latSum) / float64(res.delivered) / float64(sim.Microsecond)
-	}
-	return res
+	return wallS, n.ExecutedEvents(), delivered, avgLatUs
 }

@@ -33,14 +33,12 @@ func serveProcs(sc Scale) int {
 	return n
 }
 
-// serveCluster deploys a root-API fabric for n processes, honoring the
-// -shards flag the way every deploy-based experiment does.
+// serveCluster deploys a root-API fabric for n processes.
 func serveCluster(n int, withController bool) *onepipe.Cluster {
 	topo, pph := topoFor(n)
 	return onepipe.NewCluster(onepipe.Config{
 		Topology:       topo,
 		ProcsPerHost:   pph,
-		Shards:         EngineShards,
 		Seed:           1,
 		WithController: withController,
 	})

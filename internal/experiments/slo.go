@@ -61,9 +61,9 @@ func sloProfile() *netsim.Profile {
 	return &netsim.Profile{
 		Default: &netsim.Impairment{Jitter: jit},
 		ByKind: map[topology.LinkKind]*netsim.Impairment{
-			topology.LinkHostUp:       access,
-			topology.LinkTorHostDown:  access,
-			topology.LinkSpineCoreUp:  wan,
+			topology.LinkHostUp:        access,
+			topology.LinkTorHostDown:   access,
+			topology.LinkSpineCoreUp:   wan,
 			topology.LinkCoreSpineDown: wan,
 		},
 	}
@@ -150,8 +150,8 @@ func recordTrace(src workload.Source) []workload.Intent {
 // SLO regenerates the -fig slo table.
 func SLO(sc Scale) *Table {
 	t := &Table{
-		ID:    "slo",
-		Title: "Delivery latency SLO race: one trace + impairment profile, three configs",
+		ID:      "slo",
+		Title:   "Delivery latency SLO race: one trace + impairment profile, three configs",
 		Columns: []string{"config", "delivered", "p50(us)", "p99(us)", "p999(us)"},
 	}
 	for _, r := range RunSLO(sc) {
@@ -159,7 +159,6 @@ func SLO(sc Scale) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"workload: Zipf-skewed dsts (theta .99), ETC heavy-tailed sizes, diurnal ramp, 6-way incasts; recorded to the text trace format and replayed per config",
-		"impairments: 150ns jitter fabric-wide, Gilbert-Elliott burst loss (0.2%, mean burst 6) on access links, +1us RTT class on the core tier; no reordering (the barrier algebra assumes per-link FIFO)",
-		"identical 'delivered' across -shards values is the lockstep determinism check")
+		"impairments: 150ns jitter fabric-wide, Gilbert-Elliott burst loss (0.2%, mean burst 6) on access links, +1us RTT class on the core tier; no reordering (the barrier algebra assumes per-link FIFO)")
 	return t
 }

@@ -74,22 +74,6 @@ type Config struct {
 	// per-packet spraying.
 	FlowECMP bool
 
-	// Shards splits the simulation into per-pod shard engines (see
-	// internal/sim.ShardedEngine and topology.ShardMap). 0 or 1 keeps the
-	// classic single engine; chaos goldens and every existing experiment
-	// run there. With Shards > 1 and Parallel false the shards execute in
-	// deterministic lockstep — byte-identical event order to a single
-	// engine, used to prove digest equivalence across shard counts.
-	Shards int
-	// Parallel runs the shards on concurrent goroutines synchronized by
-	// conservative lookahead windows (the spine–core propagation delay
-	// under the pod cut). Runs are deterministic for a fixed shard count.
-	// Parallel mode is for fault-free, partitioned-randomness workloads
-	// (the scale figure): runtime fault injection, live reconfiguration,
-	// the controller and EnableObs all mutate cross-shard state and must
-	// stay on the single-engine or lockstep drive.
-	Parallel bool
-
 	// NonuniformPipeline reintroduces the pre-fix bug of DESIGN deviation
 	// #8: loopback-entered packets skip the logical switch's forwarding
 	// pipeline, so a freshly-stamped turnaround packet can overtake an
@@ -142,13 +126,4 @@ func (c *Config) PropOf(k topology.LinkKind) sim.Time {
 		return c.PropLoopback
 	}
 	return 0
-}
-
-// MinCrossShardLatency returns the conservative lookahead bound for the
-// given shard cut: the smallest propagation delay over links whose
-// endpoints live on different shards. Under the pod cut this is the
-// spine–core delay. ok is false when no link crosses (single shard).
-func (c *Config) MinCrossShardLatency(g *topology.Graph, m topology.ShardMap) (sim.Time, bool) {
-	min, ok := g.MinCrossShardLatency(m, func(k topology.LinkKind) int64 { return int64(c.PropOf(k)) })
-	return sim.Time(min), ok
 }

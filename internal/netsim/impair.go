@@ -14,7 +14,7 @@ import (
 //
 // Determinism contract: every random decision an Impairment makes is drawn
 // from one of two deterministic streams. In the simulator the uniform Loss
-// and Jitter fields consume the engine-shard RNG (seeded from Config.Seed)
+// and Jitter fields consume the network's RNG (seeded from Config.Seed)
 // inside transmit — the draw points every golden digest was recorded
 // against. All other fields (GE, Duty, ReorderRate, ExtraDelay's reorder
 // draw) consume a dedicated per-link RNG seeded from Config.Seed XOR a salt
@@ -22,7 +22,7 @@ import (
 // enabling an advanced impairment on one link never perturbs any other
 // link's stream, and a link with only uniform fields never builds that RNG.
 // Two runs with equal Config.Seed, equal topology and equal profiles are
-// therefore identical, shard count notwithstanding (lockstep drive).
+// therefore identical.
 type Impairment struct {
 	// Loss is a uniform per-packet corruption probability.
 	Loss float64
@@ -125,18 +125,17 @@ func WAN(rtt sim.Time) *Impairment {
 	return &Impairment{ExtraDelay: rtt / 2}
 }
 
-// impairSalt derives the per-link RNG seed from the fabric seed. Same
-// golden-ratio mix as shardSalt, keyed by link instead of shard.
+// impairSalt derives the per-link RNG seed from the fabric seed.
 func impairSalt(seed int64, id topology.LinkID) int64 {
 	return seed ^ int64((uint64(id)+1)*0xd1342543de82ef95)
 }
 
 // ImpairState is the runtime state of one link's Impairment: the dedicated
 // per-link RNG and the Gilbert-Elliott chain position. netsim keeps one per
-// impaired link (egress-owned: only transmit, which runs on the source
-// shard, touches it). The real-time switch (internal/starswitch) uses the
-// exported Drop/Delay methods, which apply the whole impairment from this
-// one RNG — it has no shared-shard stream to preserve.
+// impaired link (only transmit touches it). The real-time switch
+// (internal/starswitch) uses the exported Drop/Delay methods, which apply
+// the whole impairment from this one RNG — it has no network-wide stream to
+// preserve.
 type ImpairState struct {
 	Imp  *Impairment
 	seed int64
@@ -164,7 +163,7 @@ func (s *ImpairState) rng() *rand.Rand {
 }
 
 // dropBurst applies the stateful loss models (Gilbert-Elliott, duty-cycle)
-// only — the uniform Loss field is drawn elsewhere (from the shared shard
+// only — the uniform Loss field is drawn elsewhere (from the network's
 // RNG inside netsim, or by Drop below on live fabrics). Draws nothing when
 // neither model is configured.
 func (s *ImpairState) dropBurst(now sim.Time) bool {
@@ -219,7 +218,7 @@ func (s *ImpairState) reorderExtra() sim.Time {
 
 // Drop decides whether to drop a packet, applying the full impairment
 // (uniform Loss plus the burst models) from the per-link RNG. Used by live
-// fabrics; netsim draws the uniform component from the shard RNG instead.
+// fabrics; netsim draws the uniform component from the network's RNG instead.
 func (s *ImpairState) Drop(now sim.Time) bool {
 	if s.Imp.Loss > 0 && s.rng().Float64() < s.Imp.Loss {
 		return true

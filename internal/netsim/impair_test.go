@@ -123,8 +123,8 @@ func TestBurstLossDerivation(t *testing.T) {
 // TestUniformProfileDrawSequence runs a small fabric workload under a
 // uniform loss+jitter profile and pins the drop count recorded with the
 // global loss/jitter config knobs that predated profiles: the profile
-// consumes the shard RNG at the same draw points those knobs did. It also checks the
-// allocation side of that move — no link built a per-link RNG.
+// consumes the network's RNG at the same draw points those knobs did. It also
+// checks the allocation side of that move — no link built a per-link RNG.
 func TestUniformProfileDrawSequence(t *testing.T) {
 	topo := topology.ClosConfig{Pods: 1, RacksPerPod: 2, HostsPerRack: 2, SpinesPerPod: 1, Cores: 1}
 	cfg := DefaultConfig(topo, 1)

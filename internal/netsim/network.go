@@ -21,19 +21,6 @@ type Stats struct {
 	Delivered   uint64
 }
 
-// Add accumulates o into s (per-shard stats merging).
-func (s *Stats) Add(o *Stats) {
-	for i := range s.PktsByKind {
-		s.PktsByKind[i] += o.PktsByKind[i]
-		s.BytesByKind[i] += o.BytesByKind[i]
-	}
-	s.CorruptDrop += o.CorruptDrop
-	s.QueueDrop += o.QueueDrop
-	s.DeadDrop += o.DeadDrop
-	s.ECNMarks += o.ECNMarks
-	s.Delivered += o.Delivered
-}
-
 // BeaconBandwidthFraction returns the fraction of total bytes that were
 // beacons (Fig. 13b).
 func (s *Stats) BeaconBandwidthFraction() float64 {
@@ -54,18 +41,10 @@ type linkState struct {
 	to   topology.NodeID
 	bpns float64 // bytes per nanosecond; 0 = infinite
 	prop sim.Time
-	// src owns the egress half of the link state (busy, lastTx*,
-	// lastArrival, beacon relay fields): every transmit/beacon event for
-	// this link runs on src's engine. dst owns the ingress half (reg*,
-	// lastRx, alive*, drained): receive events run on dst's engine. The
-	// only cross-shard handoff is the transmit->receive edge, whose delay
-	// is at least the link propagation — which bounds the lookahead. With
-	// one shard both point at the same state and nothing changes.
-	src, dst *shardState
 	busy sim.Time // egress busy-until
 	last sim.Time // last transmit completion (idle detection)
 	// imp is the resolved impairment state for this link (nil when the
-	// profile leaves it clean). Egress-owned: only transmit touches it.
+	// profile leaves it clean). Only transmit touches it.
 	imp *ImpairState
 	// lastTxBE/C track the freshest barriers already carried on this link
 	// (by stamped data in chip mode, or by earlier beacons), so a beacon
@@ -126,26 +105,6 @@ type nodeState struct {
 	lastRelayC  sim.Time
 }
 
-// shardState is the per-shard execution context: the shard's engine plus
-// everything the per-packet hot path touches that must not be shared
-// between concurrently executing shards. A single-engine network has
-// exactly one, pointing at the Network's own Eng/Stats/rng — the classic
-// code path, unchanged. In lockstep sharding all shardStates share one rng
-// (the global event order makes the draws identical to a single engine);
-// in parallel sharding each shard gets its own stream derived from the
-// root seed.
-type shardState struct {
-	eng   *sim.Engine
-	stats *Stats
-	rng   *rand.Rand
-	// hopsBuf is this shard's ECMP candidate scratch; it never escapes
-	// one receive call.
-	hopsBuf []topology.LinkID
-	// ingress lists the links whose receive side this shard owns; the
-	// per-shard dead-link scanner (parallel mode) walks it.
-	ingress []*linkState
-}
-
 // Network is the simulated data center network.
 type Network struct {
 	Eng    *sim.Engine
@@ -153,15 +112,6 @@ type Network struct {
 	Cfg    Config
 	Clocks []*clock.Clock // one per host
 	Stats  Stats
-
-	// Sharded operation (Cfg.Shards > 1): sh drives the shard group,
-	// shardMap is the pod cut, shards the per-shard contexts, and nodeSh
-	// maps every node to its owner. With one shard sh is nil and shards
-	// holds a single context aliasing Eng/Stats/rng.
-	sh       *sim.ShardedEngine
-	shardMap topology.ShardMap
-	shards   []*shardState
-	nodeSh   []*shardState
 
 	// links and nodes hold pointers, not values: scheduled events and
 	// beacon-ticker closures capture *linkState/*nodeState, and Grow
@@ -172,6 +122,9 @@ type Network struct {
 	// hostRx receives every packet (including beacons) delivered to a host.
 	hostRx []func(*Packet)
 	rng    *rand.Rand
+	// hopsBuf is the ECMP candidate scratch; it never escapes one receive
+	// call.
+	hopsBuf []topology.LinkID
 	// lossOverride, when nonzero, replaces every link's uniform Loss (see
 	// SetLossOverride).
 	lossOverride float64
@@ -204,50 +157,10 @@ func New(cfg Config) *Network {
 	if cfg.Oversub < 1 {
 		cfg.Oversub = 1
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
 	g := topology.NewClos(cfg.Topo)
-	m := g.PodShards(cfg.Shards)
-	if cfg.Shards > 1 {
-		if _, ok := cfg.MinCrossShardLatency(g, m); !ok {
-			// Degenerate cut (e.g. one pod): every node landed on shard 0,
-			// so extra shards would idle. Fall back to a single engine.
-			cfg.Shards = 1
-			m = g.PodShards(1)
-		}
-	}
-	n := &Network{G: g, Cfg: cfg, shardMap: m,
+	n := &Network{Eng: sim.NewEngine(cfg.Seed), G: g, Cfg: cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed + 7919)),
 		hostRx: make([]func(*Packet), len(g.Hosts)),
-	}
-	if cfg.Shards == 1 {
-		n.Eng = sim.NewEngine(cfg.Seed)
-	} else {
-		la, _ := cfg.MinCrossShardLatency(g, m)
-		n.sh = sim.NewShardedEngine(cfg.Seed, cfg.Shards, la, cfg.Parallel)
-		n.Eng = n.sh.Shard(0)
-	}
-	n.shards = make([]*shardState, cfg.Shards)
-	for i := range n.shards {
-		s := &shardState{rng: n.rng}
-		if n.sh == nil {
-			s.eng, s.stats = n.Eng, &n.Stats
-		} else {
-			s.eng = n.sh.Shard(i)
-			s.stats = new(Stats)
-			if cfg.Parallel {
-				// Parallel shards draw loss/jitter/ECMP from their own
-				// streams; lockstep shards share the root stream, whose
-				// draws happen in single-engine order.
-				s.rng = rand.New(rand.NewSource(shardSalt(cfg.Seed+7919, i)))
-			}
-		}
-		n.shards[i] = s
-	}
-	n.nodeSh = make([]*shardState, len(g.Nodes))
-	for i := range g.Nodes {
-		n.nodeSh[i] = n.shards[m.Of(topology.NodeID(i))]
 	}
 	n.transmitFn = func(a, b any) { n.transmit(a.(*linkState), b.(*Packet)) }
 	n.receiveFn = func(a, b any) { n.receive(a.(*linkState), b.(*Packet)) }
@@ -255,7 +168,7 @@ func New(cfg Config) *Network {
 	n.waveTriggerFn = func(a, b any) {
 		node, head := a.(*nodeState), b.(*linkState)
 		head.pendBE, head.pendC = n.nodeBarriers(node)
-		head.src.eng.After2(n.beaconProcDelay(), n.waveFireFn, node, head)
+		n.Eng.After2(n.beaconProcDelay(), n.waveFireFn, node, head)
 	}
 	n.waveFireFn = func(a, b any) {
 		node, head := a.(*nodeState), b.(*linkState)
@@ -266,8 +179,8 @@ func New(cfg Config) *Network {
 			ls = next
 		}
 	}
-	for i := 0; i < len(g.Hosts); i++ {
-		n.Clocks = append(n.Clocks, n.newHostClock(i))
+	for range g.Hosts {
+		n.Clocks = append(n.Clocks, clock.New(n.Eng, n.Eng.Rand(), cfg.Clock))
 	}
 	n.links = make([]*linkState, len(g.Links))
 	for i, l := range g.Links {
@@ -287,42 +200,15 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// shardSalt derives shard i's seed for an auxiliary stream.
-func shardSalt(seed int64, i int) int64 {
-	if i == 0 {
-		return seed
-	}
-	return seed ^ int64(uint64(i)*0x9e3779b97f4a7c15)
-}
-
-// newHostClock builds host hi's clock on its owning shard's engine. The
-// construction-time offset/drift draws always come from the root engine's
-// stream — in that order they are identical at every shard count — and in
-// parallel mode the clock is then re-seeded with a per-host stream so
-// runtime resyncs stay off the shared source.
-func (n *Network) newHostClock(hi int) *clock.Clock {
-	sh := n.nodeSh[n.G.Host(hi)]
-	c := clock.New(sh.eng, n.Eng.Rand(), n.Cfg.Clock)
-	if n.sh != nil && n.Cfg.Parallel {
-		c.Reseed(rand.New(rand.NewSource(shardSalt(n.Cfg.Seed+104729, hi+1))))
-	}
-	return c
-}
-
 func (n *Network) newLinkState(l topology.Link) *linkState {
 	ls := &linkState{
 		id: l.ID, kind: l.Kind, from: l.From, to: l.To,
-		prop: n.propOf(l.Kind),
+		prop: n.Cfg.PropOf(l.Kind),
 		bpns: n.bandwidthOf(l.Kind),
-		src:  n.nodeSh[l.From],
-		dst:  n.nodeSh[l.To],
 	}
 	ls.imp = NewImpairState(n.Cfg.Impair.For(l.ID, l.Kind), n.Cfg.Seed, l.ID)
-	ls.dst.ingress = append(ls.dst.ingress, ls)
 	return ls
 }
-
-func (n *Network) propOf(k topology.LinkKind) sim.Time { return n.Cfg.PropOf(k) }
 
 func (n *Network) bandwidthOf(k topology.LinkKind) float64 {
 	const bytesPerNsPerGbps = 1.0 / 8.0
@@ -366,18 +252,11 @@ func (n *Network) uplink(host int) *linkState {
 
 // SendFromHost injects a packet from a host into the network, charging host
 // processing delay then the uplink. Beacon and commit packets go to the ToR
-// (Dst ignored); data goes toward Dst's host. In sharded operation the call
-// must come from the host's own shard (HostEngine); the uplink's egress is
-// on the same shard under the pod cut.
+// (Dst ignored); data goes toward Dst's host.
 func (n *Network) SendFromHost(host int, pkt *Packet) {
-	up := n.uplink(host)
-	pkt.SentAt = up.src.eng.Now()
-	up.src.eng.After2(n.Cfg.HostDelay, n.transmitFn, up, pkt)
+	pkt.SentAt = n.Eng.Now()
+	n.Eng.After2(n.Cfg.HostDelay, n.transmitFn, n.uplink(host), pkt)
 }
-
-// HostEngine returns the engine of the shard owning host hi. Workloads
-// driving a sharded network must schedule each host's events here.
-func (n *Network) HostEngine(hi int) *sim.Engine { return n.nodeSh[n.G.Host(hi)].eng }
 
 // SendFromProc is SendFromHost keyed by source process.
 func (n *Network) SendFromProc(p ProcID, pkt *Packet) {
@@ -387,35 +266,31 @@ func (n *Network) SendFromProc(p ProcID, pkt *Packet) {
 // SetLossOverride is the runtime fault hook for fabric-wide loss bursts: a
 // nonzero rate replaces every link profile's uniform Loss until it is
 // cleared with 0. The draw point and RNG stream are those of the profile's
-// own Loss, so a burst shifts no other draw. Lockstep and single-engine
-// drives only (the field is shared across shards).
+// own Loss, so a burst shifts no other draw.
 func (n *Network) SetLossOverride(rate float64) { n.lossOverride = rate }
 
-// transmit places a packet on a link's egress queue. It always executes on
-// the shard owning the link's egress (l.src); the scheduled arrival is the
-// one cross-shard handoff of the packet's life at this hop.
+// transmit places a packet on a link's egress queue.
 func (n *Network) transmit(l *linkState, pkt *Packet) {
-	sh := l.src
 	if n.G.LinkDead(l.id) {
-		sh.stats.DeadDrop++
+		n.Stats.DeadDrop++
 		PutPacket(pkt)
 		return
 	}
-	now := sh.eng.Now()
+	now := n.Eng.Now()
 	start := now
 	if l.busy > start {
 		start = l.busy
 	}
 	qdelay := start - now
 	if n.Cfg.QueueLimit > 0 && qdelay > n.Cfg.QueueLimit {
-		sh.stats.QueueDrop++
+		n.Stats.QueueDrop++
 		PutPacket(pkt)
 		return
 	}
 	pkt.QueueWait += qdelay
 	if n.Cfg.ECNThreshold > 0 && qdelay > n.Cfg.ECNThreshold {
 		pkt.ECN = true
-		sh.stats.ECNMarks++
+		n.Stats.ECNMarks++
 	}
 	ser := sim.Time(0)
 	if l.bpns > 0 {
@@ -431,25 +306,25 @@ func (n *Network) transmit(l *linkState, pkt *Packet) {
 			l.lastTxC = pkt.BarrierC
 		}
 	}
-	sh.stats.PktsByKind[pkt.Kind]++
-	sh.stats.BytesByKind[pkt.Kind] += uint64(pkt.Size)
+	n.Stats.PktsByKind[pkt.Kind]++
+	n.Stats.BytesByKind[pkt.Kind] += uint64(pkt.Size)
 	// Uniform corruption: the runtime fault override when set (chaos loss
 	// bursts), otherwise the link profile's Loss. Either way the draw comes
-	// from the shared shard RNG at this exact point — the golden digests
+	// from n.rng at this exact point — the golden digests
 	// were recorded against this draw sequence.
 	loss := n.lossOverride
 	if loss == 0 && l.imp != nil {
 		loss = l.imp.Imp.Loss
 	}
-	if loss > 0 && sh.rng.Float64() < loss {
-		sh.stats.CorruptDrop++
+	if loss > 0 && n.rng.Float64() < loss {
+		n.Stats.CorruptDrop++
 		PutPacket(pkt) // corrupted in flight; bandwidth already consumed
 		return
 	}
 	// Stateful loss models (Gilbert-Elliott bursts, duty-cycle windows)
 	// draw from the per-link RNG — and draw nothing when unconfigured.
 	if l.imp != nil && l.imp.dropBurst(now) {
-		sh.stats.CorruptDrop++
+		n.Stats.CorruptDrop++
 		PutPacket(pkt)
 		return
 	}
@@ -460,9 +335,9 @@ func (n *Network) transmit(l *linkState, pkt *Packet) {
 		// straggler several times the nominal jitter (transient queueing
 		// behind a burst) — the delay asymmetry that makes multi-path
 		// ordering hazards real (§2.2.1).
-		extra := sim.Time(sh.rng.Int63n(int64(j)/3 + 1))
-		if sh.rng.Intn(20) == 0 {
-			extra += sim.Time(sh.rng.Int63n(int64(j) * 4))
+		extra := sim.Time(n.rng.Int63n(int64(j)/3 + 1))
+		if n.rng.Intn(20) == 0 {
+			extra += sim.Time(n.rng.Int63n(int64(j) * 4))
 		}
 		arrive += extra
 		// FIFO clamp: a jittered packet never overtakes its predecessor
@@ -480,25 +355,17 @@ func (n *Network) transmit(l *linkState, pkt *Packet) {
 		arrive += l.imp.Imp.ExtraDelay
 		arrive += l.imp.reorderExtra()
 	}
-	// Ownership handoff: from here the packet belongs to the receive-side
-	// shard. Cross-shard arrivals ride the window-barrier outbox; arrive is
-	// at least l.prop >= lookahead in the future, which is what makes the
-	// conservative window sound.
-	sh.eng.At2On(l.dst.eng, arrive, n.receiveFn, l, pkt)
+	n.Eng.At2(arrive, n.receiveFn, l, pkt)
 }
 
-// receive handles packet arrival at the downstream end of a link. It
-// executes on the shard owning the link's ingress (l.dst), which under the
-// pod cut also owns the downstream node's registers, barriers and egress
-// links — forwarding stays shard-local.
+// receive handles packet arrival at the downstream end of a link.
 func (n *Network) receive(l *linkState, pkt *Packet) {
-	sh := l.dst
 	if n.G.NodeDead(l.to) {
-		sh.stats.DeadDrop++
+		n.Stats.DeadDrop++
 		PutPacket(pkt)
 		return
 	}
-	now := sh.eng.Now()
+	now := n.Eng.Now()
 	if !l.drained {
 		l.lastRx = now
 		l.alive = true
@@ -531,12 +398,12 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 
 	dst := n.G.Node(l.to)
 	if dst.Kind == topology.KindHost {
-		sh.stats.Delivered++
+		n.Stats.Delivered++
 		host := n.G.HostIndex(l.to)
 		if rx := n.hostRx[host]; rx != nil {
 			// Ownership transfers to the host layer: core's receive path
 			// releases the packet once it is terminally consumed.
-			sh.eng.After2(n.Cfg.HostDelay, n.deliverFn, rx, pkt)
+			n.Eng.After2(n.Cfg.HostDelay, n.deliverFn, rx, pkt)
 		} else {
 			PutPacket(pkt)
 		}
@@ -572,10 +439,10 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 		pkt.BarrierBE, pkt.BarrierC = be, c
 	}
 	dstHost := n.G.Host(n.HostOfProc(pkt.Dst))
-	sh.hopsBuf = n.G.AppendNextHops(sh.hopsBuf[:0], l.to, dstHost)
-	hops := sh.hopsBuf
+	n.hopsBuf = n.G.AppendNextHops(n.hopsBuf[:0], l.to, dstHost)
+	hops := n.hopsBuf
 	if len(hops) == 0 {
-		sh.stats.DeadDrop++
+		n.Stats.DeadDrop++
 		PutPacket(pkt)
 		return
 	}
@@ -586,7 +453,7 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 		h := uint32(pkt.Src)*2654435761 + uint32(pkt.Dst)*40503
 		out = hops[h%uint32(len(hops))]
 	} else {
-		out = hops[sh.rng.Intn(len(hops))]
+		out = hops[n.rng.Intn(len(hops))]
 	}
 	// A uniform pipeline latency per logical switch: a physical switch is
 	// two logical halves (Fig. 3), each charging half the physical
@@ -598,9 +465,7 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 	if n.Cfg.NonuniformPipeline && l.kind == topology.LinkLoopback {
 		fwd = 0 // chaos-harness self-test: the pre-fix nonuniform pipeline
 	}
-	// The chosen egress leaves this node, whose shard we are on: the
-	// forwarding hop never crosses shards.
-	sh.eng.After2(fwd, n.transmitFn, n.links[out], pkt)
+	n.Eng.After2(fwd, n.transmitFn, n.links[out], pkt)
 }
 
 // nodeBarriers computes the per-plane min over live input links, clamped
@@ -700,7 +565,7 @@ func (n *Network) scheduleRelays(node *nodeState) {
 			at[waves], tail[waves] = trigger, ls
 			waves++
 		}
-		ls.src.eng.At2(trigger, n.waveTriggerFn, node, ls)
+		n.Eng.At2(trigger, n.waveTriggerFn, node, ls)
 	}
 }
 
@@ -719,7 +584,7 @@ func (n *Network) claimRelay(ls *linkState) (trigger sim.Time, ok bool) {
 		return 0, false
 	}
 	ls.beaconPending = true
-	trigger = ls.src.eng.Now()
+	trigger = n.Eng.Now()
 	if earliest := ls.lastBeaconTx + n.Cfg.BeaconInterval - n.beaconProcDelay(); earliest > trigger {
 		trigger = earliest
 	}
@@ -734,7 +599,7 @@ func (n *Network) fireBeacon(node *nodeState, ls *linkState, be, c sim.Time) {
 	if ls.drained || n.G.LinkDead(ls.id) || n.G.NodeDead(node.id) {
 		return
 	}
-	now := ls.src.eng.Now()
+	now := n.Eng.Now()
 	if node.lastRelayBE < be {
 		node.lastRelayBE = be
 	}
@@ -762,7 +627,6 @@ func (n *Network) fireBeacon(node *nodeState, ls *linkState, be, c sim.Time) {
 // and a due link always triggers at the tick itself, so one scan in link
 // order is that block, event for event. A cohort per creation instant
 // rather than one scan for the fabric keeps grown links on their own grid.
-// Parallel shards each scan the links whose egress they own.
 func (n *Network) startFallbackScan(links []*linkState) {
 	var cohort []*linkState
 	for _, ls := range links {
@@ -773,23 +637,13 @@ func (n *Network) startFallbackScan(links []*linkState) {
 	if len(cohort) == 0 {
 		return
 	}
-	arm := func(eng *sim.Engine, own *shardState) {
-		n.tickers = append(n.tickers, sim.NewTicker(eng, n.Cfg.BeaconInterval, 0, func() {
-			n.fallbackScan(eng.Now(), cohort, own)
-		}))
-	}
-	if n.sh != nil && n.Cfg.Parallel {
-		for _, sh := range n.shards {
-			arm(sh.eng, sh)
-		}
-		return
-	}
-	arm(n.Eng, nil)
+	n.tickers = append(n.tickers, sim.NewTicker(n.Eng, n.Cfg.BeaconInterval, 0, func() {
+		n.fallbackScan(n.Eng.Now(), cohort)
+	}))
 }
 
-// fallbackScan is one pass of the fallback over a cohort (own, when set,
-// restricts it to one shard's egress links).
-func (n *Network) fallbackScan(now sim.Time, cohort []*linkState, own *shardState) {
+// fallbackScan is one pass of the fallback over a cohort.
+func (n *Network) fallbackScan(now sim.Time, cohort []*linkState) {
 	// Pure liveness fallback: stay out of the way of the event-driven relay
 	// wave, which self-clocks at one beacon per interval — competing with
 	// it would steal its rate-limit slot and add a full interval of barrier
@@ -801,11 +655,11 @@ func (n *Network) fallbackScan(now sim.Time, cohort []*linkState, own *shardStat
 		holdoff = 0
 	}
 	for _, ls := range cohort {
-		if own != nil && ls.src != own || n.G.NodeDead(ls.from) || now-ls.lastBeaconTx < holdoff {
+		if n.G.NodeDead(ls.from) || now-ls.lastBeaconTx < holdoff {
 			continue
 		}
 		if trigger, ok := n.claimRelay(ls); ok {
-			ls.src.eng.At2(trigger, n.waveTriggerFn, n.nodes[ls.from], ls)
+			n.Eng.At2(trigger, n.waveTriggerFn, n.nodes[ls.from], ls)
 		}
 	}
 }
@@ -815,21 +669,6 @@ func (n *Network) fallbackScan(now sim.Time, cohort []*linkState, own *shardStat
 // aggregation and the controller hook is notified once.
 func (n *Network) startDeadLinkScanner() {
 	if n.Cfg.DeadLinkBeacons <= 0 || n.Cfg.DisableBeacons {
-		return
-	}
-	if n.sh != nil && n.Cfg.Parallel {
-		// Parallel shards must not read other shards' ingress state: each
-		// shard scans only the links it owns the receive side of. (The
-		// single global scanner below would race; in lockstep it is kept
-		// precisely because its one-event scan order matches the classic
-		// engine event for event.)
-		for _, sh := range n.shards {
-			sh := sh
-			tk := sim.NewTicker(sh.eng, n.Cfg.BeaconInterval, 0, func() {
-				n.scanLinks(sh.eng.Now(), sh.ingress)
-			})
-			n.tickers = append(n.tickers, tk)
-		}
 		return
 	}
 	tk := sim.NewTicker(n.Eng, n.Cfg.BeaconInterval, 0, func() {
@@ -876,14 +715,7 @@ func (n *Network) scanLinks(now sim.Time, links []*linkState) {
 // (SpanSwitchQDepth). Host nodes are skipped: their barrier state lives in
 // the core endpoint, not in the fabric. Returns the trace for merging into
 // experiment reports.
-//
-// The sampler reads every switch's state from one ticker, so it is only
-// valid on single-engine and lockstep networks; it panics on a parallel
-// one rather than race on cross-shard reads.
 func (n *Network) EnableObs(interval sim.Time) *obs.Trace {
-	if n.sh != nil && n.Cfg.Parallel {
-		panic("netsim: EnableObs is not supported on a parallel sharded network")
-	}
 	if n.Obs != nil {
 		return n.Obs
 	}
@@ -963,13 +795,11 @@ const DrainedRegister = sim.Time(1) << 62
 func (n *Network) Grow() []topology.LinkID {
 	g := n.G
 	now := n.Eng.Now()
-	n.shardMap.Grow(g)
 	for i := len(n.nodes); i < len(g.Nodes); i++ {
 		n.nodes = append(n.nodes, &nodeState{id: topology.NodeID(i)})
-		n.nodeSh = append(n.nodeSh, n.shards[n.shardMap.Of(topology.NodeID(i))])
 	}
 	for hi := len(n.Clocks); hi < len(g.Hosts); hi++ {
-		n.Clocks = append(n.Clocks, n.newHostClock(hi))
+		n.Clocks = append(n.Clocks, clock.New(n.Eng, n.Eng.Rand(), n.Cfg.Clock))
 		n.hostRx = append(n.hostRx, nil)
 	}
 	first := len(n.links)
@@ -1069,73 +899,18 @@ func (n *Network) MaxBarrier() sim.Time {
 	return max
 }
 
-// Sharded reports the shard group driving the network, or nil for the
-// classic single engine.
-func (n *Network) Sharded() *sim.ShardedEngine { return n.sh }
+// RunFor, TotalStats and ExecutedEvents forward to Eng and Stats; they are
+// part of the surface benchmark/ drives the network through (its README,
+// "What the benchmark depends on").
 
-// ShardCount returns the number of shard engines (1 for the classic
-// single-engine network; may be lower than Cfg asked for if the cut was
-// degenerate).
-func (n *Network) ShardCount() int { return len(n.shards) }
+// RunFor advances the simulation by d.
+func (n *Network) RunFor(d sim.Time) { n.Eng.RunFor(d) }
 
-// Now returns the completed virtual time of the simulation.
-func (n *Network) Now() sim.Time {
-	if n.sh != nil {
-		return n.sh.Now()
-	}
-	return n.Eng.Now()
-}
+// TotalStats returns the network statistics.
+func (n *Network) TotalStats() Stats { return n.Stats }
 
-// RunFor advances the simulation by d, through the shard group when the
-// network is sharded. Callers must use this (or RunUntil) instead of
-// driving Eng directly so sharded networks execute all shards.
-func (n *Network) RunFor(d sim.Time) {
-	if n.sh != nil {
-		n.sh.RunFor(d)
-		return
-	}
-	n.Eng.RunFor(d)
-}
-
-// RunUntil advances the simulation to the absolute time deadline.
-func (n *Network) RunUntil(deadline sim.Time) {
-	if n.sh != nil {
-		n.sh.RunUntil(deadline)
-		return
-	}
-	n.Eng.RunUntil(deadline)
-}
-
-// DrainEvents empties every event queue, returning the count of live
-// events that never executed (Engine.Drain aggregated over shards).
-func (n *Network) DrainEvents() int {
-	if n.sh != nil {
-		return n.sh.Drain()
-	}
-	return n.Eng.Drain()
-}
-
-// TotalStats merges the per-shard network statistics. On a single-engine
-// network it is exactly the Stats field.
-func (n *Network) TotalStats() Stats {
-	if n.sh == nil {
-		return n.Stats
-	}
-	t := n.Stats
-	for _, sh := range n.shards {
-		t.Add(sh.stats)
-	}
-	return t
-}
-
-// ExecutedEvents returns the total number of events executed so far,
-// summed over shards.
-func (n *Network) ExecutedEvents() uint64 {
-	if n.sh != nil {
-		return n.sh.ExecutedTotal()
-	}
-	return n.Eng.Executed
-}
+// ExecutedEvents returns the number of events executed so far.
+func (n *Network) ExecutedEvents() uint64 { return n.Eng.Executed }
 
 // Stop halts all periodic activity so the event queue can drain.
 func (n *Network) Stop() {
@@ -1143,15 +918,6 @@ func (n *Network) Stop() {
 		tk.Stop()
 	}
 	n.tickers = nil
-}
-
-// Close releases the shard worker goroutines of a parallel network. The
-// network cannot run afterwards. A no-op for single-engine and lockstep
-// networks.
-func (n *Network) Close() {
-	if n.sh != nil {
-		n.sh.Close()
-	}
 }
 
 // String summarizes the network for logs.

@@ -144,9 +144,11 @@ type Packet struct {
 	QueueWait sim.Time
 
 	// pooled guards against double-release; see PutPacket. It is flipped
-	// with atomic compare-and-swap so the guard stays sound when shards
-	// release packets concurrently (a plain uint32 rather than
-	// atomic.Uint32 so the PutPacket struct reset stays a plain copy).
+	// with atomic compare-and-swap so the guard stays sound when the
+	// goroutines of a real-time fabric (udpnet, livenet) release packets
+	// concurrently. Nothing else may write it: PutPacket resets the other
+	// fields one by one, because a whole-struct copy would store to the flag
+	// while a second, buggy release is comparing it.
 	pooled uint32
 }
 
@@ -239,15 +241,15 @@ var pktPool = sync.Pool{New: func() any { return new(Packet) }}
 // packets with plain literals keeps working: such packets simply join the
 // pool on their first release.
 //
-// Cross-shard handoff (parallel sharded simulation): exactly one shard
-// owns a packet at any instant. The owning shard is the one executing the
-// packet's current event — transmit runs on the egress shard, which
-// schedules the arrival through the window-barrier outbox; from that point
-// the ingress shard owns the packet and the sender shard must not touch it
-// again. The barrier's happens-before edge publishes the packet's fields;
-// sync.Pool is itself concurrency-safe, and the atomic double-free guard
-// below keeps the twice-released diagnostic sound even if two shards race
-// on a buggy release.
+// Concurrency: the simulator releases every packet from the goroutine that
+// drives its engine, but the pool is process-wide and the real-time fabrics
+// release into it from others: udpnet from each host's socket reader and
+// from whichever goroutine called Send, livenet from its event loop, to
+// which sender and timer goroutines hand their packets. One goroutine owns
+// a packet at any instant and the handoff (channel, mutex) publishes its
+// fields; sync.Pool is itself concurrency-safe, and the atomic double-free
+// guard below keeps the twice-released diagnostic sound even if two
+// goroutines race on a buggy release.
 func GetPacket() *Packet {
 	p := pktPool.Get().(*Packet)
 	atomic.StoreUint32(&p.pooled, 0)
@@ -257,8 +259,8 @@ func GetPacket() *Packet {
 // PutPacket resets p and returns it to the free list. Releasing the same
 // packet twice is an ownership bug that would silently alias two in-flight
 // packets; it panics instead — the pooled flag is claimed with a CAS so
-// concurrent double release from two shards panics on one of them rather
-// than corrupting the pool.
+// concurrent double release from two goroutines panics on one of them
+// rather than corrupting the pool.
 func PutPacket(p *Packet) {
 	if !atomic.CompareAndSwapUint32(&p.pooled, 0, 1) {
 		panic("netsim: PutPacket called twice on the same packet")
@@ -266,7 +268,11 @@ func PutPacket(p *Packet) {
 	if f, ok := p.Payload.(*Frame); ok {
 		PutFrame(f)
 	}
-	*p = Packet{pooled: 1}
+	p.Kind, p.Src, p.Dst = 0, 0, 0
+	p.MsgTS, p.BarrierBE, p.BarrierC = 0, 0, 0
+	p.Reliable, p.ConflictKey, p.PSN, p.FragIdx, p.EndOfMsg = false, 0, 0, 0, false
+	p.Size, p.ECN, p.Payload, p.Frame = 0, false, nil, false
+	p.SentAt, p.QueueWait = 0, 0
 	pktPool.Put(p)
 }
 

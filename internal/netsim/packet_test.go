@@ -1,0 +1,116 @@
+package netsim
+
+import (
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+const putTwiceMsg = "netsim: PutPacket called twice on the same packet"
+
+// putPanics releases p and reports whether PutPacket panicked; a panic with
+// any message but the double-release guard's is re-raised.
+func putPanics(p *Packet) (panicked bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != putTwiceMsg {
+				panic(r)
+			}
+			panicked = true
+		}
+	}()
+	PutPacket(p)
+	return false
+}
+
+// TestPutPacketTwicePanics: a second release of the same packet panics, and
+// a packet handed out again by GetPacket can be released again.
+func TestPutPacketTwicePanics(t *testing.T) {
+	p := GetPacket()
+	if putPanics(p) {
+		t.Fatal("first release panicked")
+	}
+	if !putPanics(p) {
+		t.Fatal("second release of the same packet did not panic")
+	}
+	// The pool may hand back any packet, p included; whichever it is, it is
+	// live again and its release is legal — once.
+	q := GetPacket()
+	if putPanics(q) {
+		t.Fatal("release after GetPacket panicked")
+	}
+	if !putPanics(q) {
+		t.Fatal("second release after GetPacket did not panic")
+	}
+	// A literal packet that never came from the pool joins it on its first
+	// release and is guarded from then on.
+	lit := &Packet{Kind: KindBeacon}
+	if putPanics(lit) || !putPanics(lit) {
+		t.Fatal("literal packet: want first release legal, second a panic")
+	}
+}
+
+// TestPutPacketConcurrentDoubleRelease: when several goroutines release the
+// same packet at once — the ownership bug the guard exists for on the
+// real-time fabrics — exactly one release goes through and every other one
+// panics, however the race falls.
+func TestPutPacketConcurrentDoubleRelease(t *testing.T) {
+	const goroutines, rounds = 8, 4000
+	for r := 0; r < rounds; r++ {
+		p := &Packet{} // not from the pool: nothing else can hold it
+		var start, returned atomic.Int32
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Add(1)
+				for start.Load() < goroutines { // line up, then race
+					runtime.Gosched()
+				}
+				if !putPanics(p) {
+					returned.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := returned.Load(); got != 1 {
+			t.Fatalf("round %d: %d of %d concurrent releases returned, want exactly 1", r, got, goroutines)
+		}
+	}
+}
+
+// TestPutPacketResetsEveryField: PutPacket clears the fields by name (it must
+// not store to the guard word), so a field added to Packet and forgotten
+// there would leak from one packet into the next. Every exported field is
+// set to a non-zero value and must read zero after the release.
+func TestPutPacketResetsEveryField(t *testing.T) {
+	p := new(Packet)
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if !f.CanSet() {
+			continue
+		}
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Interface:
+			f.Set(reflect.ValueOf([]byte("x")))
+		case reflect.Int, reflect.Int32, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32:
+			f.SetUint(1)
+		default:
+			t.Fatalf("field %s: kind %s not handled by this test", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	PutPacket(p)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.CanSet() && !f.IsZero() {
+			t.Errorf("field %s = %v after PutPacket, want zero", v.Type().Field(i).Name, f)
+		}
+	}
+}

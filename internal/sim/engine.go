@@ -96,9 +96,7 @@ type wslot struct{ head, tail uint32 }
 // drawn in scheduling order, so a slot's FIFO is in seq order and its head
 // carries the slot's smallest key; (3) every key is unique, so comparing
 // the three heads on (at, seq) selects exactly the entry a single queue of
-// the live entries would. This holds for a standalone engine, for a
-// lockstep group (Now is the group clock, nextSeq the group counter) and
-// for a parallel shard (own monotone clock; injected events lie beyond it).
+// the live entries would.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -119,20 +117,6 @@ type Engine struct {
 	// Executed counts events and timer firings run so far; useful as a
 	// progress and runaway-loop diagnostic.
 	Executed uint64
-
-	// Sharded operation (see ShardedEngine). A standalone engine leaves all
-	// of these zero and pays only a nil check on the hot paths.
-	//
-	// nowp, when non-nil, is a clock shared by every shard of a lockstep
-	// group: the group executes one global event at a time, so all shards
-	// observe the same virtual time, exactly as a single engine would.
-	// gseq, when non-nil, is the group's shared sequence counter: ties on
-	// equal timestamps break in global scheduling order across shards,
-	// which makes the lockstep group order-identical to one big queue.
-	nowp *Time
-	gseq *uint64
-	sh   *ShardedEngine
-	id   int32
 }
 
 // NewEngine returns an engine at time zero with a deterministic random
@@ -142,25 +126,7 @@ func NewEngine(seed int64) *Engine {
 }
 
 // Now returns the current virtual time.
-func (e *Engine) Now() Time {
-	if e.nowp != nil {
-		return *e.nowp
-	}
-	return e.now
-}
-
-// setNow advances the engine clock (or the lockstep group clock).
-func (e *Engine) setNow(t Time) {
-	if e.nowp != nil {
-		*e.nowp = t
-	} else {
-		e.now = t
-	}
-}
-
-// Shard returns the engine's shard index within its ShardedEngine group
-// (0 for a standalone engine).
-func (e *Engine) Shard() int32 { return e.id }
+func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random source. All randomness in a
 // simulation (loss, jitter, workload) must come from here to keep runs
@@ -222,13 +188,8 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// nextSeq draws the next FIFO sequence number: from the lockstep group's
-// shared counter when there is one, else from the engine's own.
+// nextSeq draws the next FIFO sequence number.
 func (e *Engine) nextSeq() uint64 {
-	if e.gseq != nil {
-		*e.gseq++
-		return *e.gseq
-	}
 	e.seq++
 	return e.seq
 }
@@ -332,27 +293,6 @@ func (e *Engine) After2(d Time, fn func(a, b any), a, b any) {
 	e.At2(e.Now()+d, fn, a, b)
 }
 
-// At2On schedules fn(a, b) at absolute time t on dst's event queue. It is
-// the cross-shard handoff primitive: e must be the engine currently
-// executing (the caller's shard), dst the shard that owns the target state.
-//
-//   - Standalone or same-shard: identical to dst.At2.
-//   - Lockstep group: scheduled directly on dst with the group's shared
-//     sequence number — order-identical to a single global queue.
-//   - Parallel group: the event is buffered in the sender's outbox and
-//     injected at the next window barrier, ordered by (time, srcShard, seq).
-//     t must be at least one lookahead ahead of the sender's clock; the
-//     barrier panics on violations instead of corrupting causality.
-func (e *Engine) At2On(dst *Engine, t Time, fn func(a, b any), a, b any) {
-	if dst == e || e.sh == nil || !e.sh.parallel {
-		dst.schedule(t, event{fn2: fn, a: a, b: b})
-		return
-	}
-	e.seq++
-	ob := &e.sh.outbox[e.id]
-	*ob = append(*ob, xev{dst: dst.id, at: t, seq: e.seq, src: e.id, fn2: fn, a: a, b: b})
-}
-
 // Step executes the next pending event or timer firing, advancing virtual
 // time. It reports whether one was executed.
 func (e *Engine) Step() bool { return e.stepUntil(math.MaxInt64) }
@@ -402,60 +342,31 @@ func (e *Engine) stepUntil(limit Time) bool {
 	default:
 		ev = e.pop()
 	}
-	e.setNow(at)
+	e.now = at
 	e.Executed++
 	ev.fn2(ev.a, ev.b)
 	return true
 }
 
-// head returns the (at, seq) key of the earliest queued entry across the
-// three queues and whether there is one.
-func (e *Engine) head() (at Time, seq uint64, ok bool) {
-	q, at, seq := e.next()
-	return at, seq, q != qNone
-}
-
-// Run executes events until the queue is empty. On a shard of a
-// ShardedEngine group, the call drives the whole group — pre-sharding
-// call sites that hold one engine keep working when the simulation is
-// sharded underneath them.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	if e.sh != nil {
-		e.sh.Run()
-		return
-	}
 	for e.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the
 // current time to the deadline. Events scheduled beyond the deadline remain
-// queued. On a shard of a ShardedEngine group, the call drives the whole
-// group (see Run); it must come from the coordinating goroutine, never
-// from inside an event.
+// queued.
 func (e *Engine) RunUntil(deadline Time) {
-	if e.sh != nil {
-		e.sh.RunUntil(deadline)
-		return
-	}
 	for e.stepUntil(deadline) {
 	}
-	if e.Now() < deadline {
-		e.setNow(deadline)
+	if e.now < deadline {
+		e.now = deadline
 	}
 }
 
 // RunFor advances the simulation by d nanoseconds of virtual time.
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.Now() + d) }
-
-// runWindow executes every event with timestamp strictly below horizon.
-// It is the per-shard body of one conservative-lookahead window: events at
-// or beyond the horizon may still be preempted by a cross-shard arrival, so
-// they stay queued. The shard clock is left at the last executed event.
-func (e *Engine) runWindow(horizon Time) {
-	for e.stepUntil(horizon - 1) {
-	}
-}
 
 // Pending reports the number of queued events plus armed timers. A stopped
 // or re-armed Timer leaves nothing behind, so the count is exact.
@@ -486,6 +397,6 @@ func (e *Engine) Drain() int {
 // NextEventTime returns the timestamp of the earliest queued event or timer
 // firing and whether one exists.
 func (e *Engine) NextEventTime() (Time, bool) {
-	at, _, ok := e.head()
-	return at, ok
+	q, at, _ := e.next()
+	return at, q != qNone
 }

@@ -159,7 +159,7 @@ func (e *Engine) removeTimer(i int) {
 func (e *Engine) fireTimer() {
 	ent := e.timers[0]
 	e.removeTimer(0)
-	e.setNow(ent.at)
+	e.now = ent.at
 	e.Executed++
 	ent.t.h.Fire()
 }

@@ -23,11 +23,11 @@ import (
 
 type simAPI interface {
 	Now() Time
-	// After schedules a one-shot event; shard and two pick the shard engine
-	// and the After/After2 entry point where the implementation has them.
-	After(shard int, two bool, d Time, fn func())
-	NewTimer(shard int, fn func()) timerAPI
-	NewTicker(shard int, interval, phase Time, fn func()) stopper
+	// After schedules a one-shot event; two picks the After2 entry point
+	// where the implementation has one.
+	After(two bool, d Time, fn func())
+	NewTimer(fn func()) timerAPI
+	NewTicker(interval, phase Time, fn func()) stopper
 	RunUntil(t Time)
 	Pending() int
 	// Executed is how many queue entries the implementation has run.
@@ -74,7 +74,7 @@ func (r *refEngine) at(t Time, fn func()) {
 	r.q[i] = ev
 }
 
-func (r *refEngine) After(_ int, _ bool, d Time, fn func()) { r.at(r.now+d, fn) }
+func (r *refEngine) After(_ bool, d Time, fn func()) { r.at(r.now+d, fn) }
 
 func (r *refEngine) RunUntil(deadline Time) {
 	for len(r.q) > 0 && r.q[0].at <= deadline {
@@ -99,7 +99,7 @@ type refTimer struct {
 	armed bool
 }
 
-func (r *refEngine) NewTimer(_ int, fn func()) timerAPI { return &refTimer{eng: r, fn: fn} }
+func (r *refEngine) NewTimer(fn func()) timerAPI { return &refTimer{eng: r, fn: fn} }
 
 func (t *refTimer) Reset(d Time) {
 	if t.armed {
@@ -134,7 +134,7 @@ type refTicker struct {
 	stopped  bool
 }
 
-func (r *refEngine) NewTicker(_ int, interval, phase Time, fn func()) stopper {
+func (r *refEngine) NewTicker(interval, phase Time, fn func()) stopper {
 	tk := &refTicker{interval: interval}
 	tk.timer = &refTimer{eng: r, fn: func() {
 		if tk.stopped {
@@ -162,56 +162,25 @@ func (tk *refTicker) Stop() {
 	tk.timer.Stop()
 }
 
-// --- the engine under test, standalone or as a lockstep group ---
+// --- the engine under test ---
 
-type engAPI struct {
-	shards []*Engine
-	group  *ShardedEngine // nil: shards[0] is a standalone engine
-}
+type engAPI struct{ *Engine }
 
-func newEngAPI(n int) *engAPI {
-	if n == 0 {
-		return &engAPI{shards: []*Engine{NewEngine(1)}}
-	}
-	a := &engAPI{group: NewShardedEngine(1, n, 0, false)}
-	for i := 0; i < n; i++ {
-		a.shards = append(a.shards, a.group.Shard(i))
-	}
-	return a
-}
-
-func (a *engAPI) eng(shard int) *Engine { return a.shards[shard%len(a.shards)] }
-func (a *engAPI) Now() Time             { return a.shards[0].Now() }
-
-func (a *engAPI) After(shard int, two bool, d Time, fn func()) {
+func (a engAPI) After(two bool, d Time, fn func()) {
 	if two {
-		a.eng(shard).After2(d, func(f, _ any) { f.(func())() }, fn, nil)
+		a.After2(d, func(f, _ any) { f.(func())() }, fn, nil)
 	} else {
-		a.eng(shard).After(d, fn)
+		a.Engine.After(d, fn)
 	}
 }
 
-func (a *engAPI) NewTimer(shard int, fn func()) timerAPI { return NewTimer(a.eng(shard), fn) }
+func (a engAPI) NewTimer(fn func()) timerAPI { return NewTimer(a.Engine, fn) }
 
-func (a *engAPI) NewTicker(shard int, interval, phase Time, fn func()) stopper {
-	return NewTicker(a.eng(shard), interval, phase, fn)
+func (a engAPI) NewTicker(interval, phase Time, fn func()) stopper {
+	return NewTicker(a.Engine, interval, phase, fn)
 }
 
-func (a *engAPI) RunUntil(t Time) { a.shards[0].RunUntil(t) } // drives the whole group
-
-func (a *engAPI) Pending() int {
-	if a.group != nil {
-		return a.group.Pending()
-	}
-	return a.shards[0].Pending()
-}
-
-func (a *engAPI) Executed() uint64 {
-	if a.group != nil {
-		return a.group.ExecutedTotal()
-	}
-	return a.shards[0].Executed
-}
+func (a engAPI) Executed() uint64 { return a.Engine.Executed }
 
 // --- the script ---
 
@@ -302,7 +271,7 @@ func runTimerScript(api simAPI, rng draws, steps int) (log []string, fired, ties
 	timers := make([]timerAPI, nTimers)
 	for i := range timers {
 		i := i
-		timers[i] = api.NewTimer(i, func() {
+		timers[i] = api.NewTimer(func() {
 			fire(fromTimer, "timer", i)
 			// A firing timer sometimes re-arms itself or meddles with a
 			// neighbor, the way an RTO handler does.
@@ -328,7 +297,7 @@ func runTimerScript(api simAPI, rng draws, steps int) (log []string, fired, ties
 				kind = fromFar
 				farAt = append(farAt, api.Now()+d)
 			}
-			api.After(rng.Intn(4), rng.Intn(2) == 0, d, func() {
+			api.After(rng.Intn(2) == 0, d, func() {
 				fire(kind, "event", id)
 				if rng.Intn(3) == 0 {
 					timers[rng.Intn(nTimers)].Reset(delay())
@@ -343,7 +312,7 @@ func runTimerScript(api simAPI, rng draws, steps int) (log []string, fired, ties
 				id := len(tickers)
 				interval := Time(5 + rng.Intn(40))
 				phase := Time(rng.Intn(2) * rng.Intn(int(interval)))
-				tickers = append(tickers, api.NewTicker(id, interval, phase, func() {
+				tickers = append(tickers, api.NewTicker(interval, phase, func() {
 					fire(fromTimer, "tick", id)
 					if rng.Intn(20) == 0 {
 						tickers[id].Stop() // from inside its own callback
@@ -376,27 +345,25 @@ func runTimerScript(api simAPI, rng draws, steps int) (log []string, fired, ties
 }
 
 // diffScript plays one script against the reference model and against the
-// engine, standalone and as 2- and 4-shard lockstep groups, and requires
-// identical logs. mk returns a fresh copy of the decision source per run.
+// engine and requires identical logs. mk returns a fresh copy of the
+// decision source per run.
 func diffScript(t *testing.T, label string, mk func() draws, steps int) (modelFirings uint64, ties int) {
 	t.Helper()
 	ref := &refEngine{}
 	want, _, ties := runTimerScript(ref, mk(), steps)
-	for _, shards := range []int{0, 2, 4} {
-		api := newEngAPI(shards)
-		got, fired, _ := runTimerScript(api, mk(), steps)
-		if len(got) != len(want) {
-			t.Fatalf("%s shards %d: %d log lines, model has %d", label, shards, len(got), len(want))
+	api := engAPI{NewEngine(1)}
+	got, fired, _ := runTimerScript(api, mk(), steps)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d log lines, model has %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: line %d = %q, model has %q", label, i, got[i], want[i])
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s shards %d: line %d = %q, model has %q", label, shards, i, got[i], want[i])
-			}
-		}
-		// Nothing but live firings ran: a cancelled arm costs no event.
-		if ex := api.Executed(); ex != uint64(fired) {
-			t.Errorf("%s shards %d: executed %d queue entries for %d live firings", label, shards, ex, fired)
-		}
+	}
+	// Nothing but live firings ran: a cancelled arm costs no event.
+	if ex := api.Executed(); ex != uint64(fired) {
+		t.Errorf("%s: executed %d queue entries for %d live firings", label, ex, fired)
 	}
 	return ref.executed, ties
 }

@@ -164,13 +164,13 @@ type Bench struct {
 }
 
 type node struct {
-	b       *Bench
-	proc    *core.Proc
-	rng *rand.Rand
-	gen workload.ShardTxnSource
+	b    *Bench
+	proc *core.Proc
+	rng  *rand.Rand
+	gen  workload.ShardTxnSource
 	// defGen, when the default generator is in use, lets genTxn track
 	// runtime Cfg.SnapshotFrac mutations (benchmarks set it post-New).
-	defGen *workload.TPCCGen
+	defGen  *workload.TPCCGen
 	data    map[uint64]*record
 	cpuBusy sim.Time
 	applied map[*txn]bool

@@ -202,10 +202,6 @@ type Config struct {
 	// wait; untagged ones deliver when locally stable (see
 	// internal/core.DeliverConflictAware). Takes precedence over Unified.
 	ConflictAware bool
-	// Shards splits the simulation engine into per-pod shard engines driven
-	// in deterministic lockstep (netsim.Config.Shards): results are
-	// byte-identical at any shard count. 0 or 1 keeps the single engine.
-	Shards int
 	// BatchWindow overrides how long a partial multi-message wire frame
 	// waits for more same-destination traffic (default 1 us simulated).
 	BatchWindow Timestamp
@@ -260,7 +256,6 @@ func NewCluster(cfg Config) *Cluster {
 			ncfg.Seed = cfg.Seed
 		}
 		ncfg.ControllerManagedCommit = cfg.WithController
-		ncfg.Shards = cfg.Shards
 	}
 	ecfg := core.DefaultConfig()
 	if cfg.Endpoint != nil {
@@ -423,11 +418,11 @@ func (b simBackend) id() ProcID { return b.proc.ID }
 func (b simBackend) send(msgs []Message, o core.SendOptions) error {
 	return b.proc.SendOpts(msgs, o)
 }
-func (b simBackend) setOnDeliver(fn func(Delivery))          { b.proc.OnDeliver = fn }
-func (b simBackend) setOnDeliverBatch(fn func([]Delivery))   { b.proc.OnDeliverBatch = fn }
-func (b simBackend) setOnSendFail(fn func(SendFailure))      { b.proc.OnSendFail = fn }
+func (b simBackend) setOnDeliver(fn func(Delivery))           { b.proc.OnDeliver = fn }
+func (b simBackend) setOnDeliverBatch(fn func([]Delivery))    { b.proc.OnDeliverBatch = fn }
+func (b simBackend) setOnSendFail(fn func(SendFailure))       { b.proc.OnSendFail = fn }
 func (b simBackend) setOnProcFail(fn func(ProcID, Timestamp)) { b.proc.OnProcFail = fn }
-func (b simBackend) now() Timestamp                          { return b.proc.Timestamp() }
+func (b simBackend) now() Timestamp                           { return b.proc.Timestamp() }
 
 // Process is one 1Pipe endpoint, exposing the Table 1 API. The same handle
 // type fronts every fabric (simulated or real-time).

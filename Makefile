@@ -26,7 +26,7 @@ bench-module:
 
 race:
 	$(GO) test -race ./internal/core/ ./internal/livenet/ ./internal/udpnet/ ./internal/sim/
-	$(GO) test -race ./internal/netsim/ -run 'TestPutPacket' -count=1
+	$(GO) test -race ./internal/netsim/ -run 'TestPutPacket|TestPutAckBatch' -count=1
 
 # One pass over every figure/table as Go benchmarks.
 bench:
@@ -80,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzDecodeCaptured -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/wire/ -fuzz FuzzTSOrdering -fuzztime 15s
+	$(GO) test ./internal/wire/ -fuzz FuzzParseAckBatch -fuzztime 15s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzAsmBufReorder -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/sim/ -fuzz FuzzEngineOrder -fuzztime 30s -fuzzminimizetime 0 -run '^$$'
 

@@ -104,21 +104,25 @@ func toResult(r testing.BenchmarkResult) benchResult {
 	}
 }
 
-// engineRuns is how many times each engine row is measured; the median is
+// medianRuns is how many times a median row is measured; the median is
 // recorded with the min–max spread.
-const engineRuns = 5
+const medianRuns = 5
 
-// engineRow measures benchEngine(lo, span) engineRuns times and returns the
-// median run with the spread of ns/op across the runs.
-func engineRow(lo, span int) benchResult {
-	rs := make([]benchResult, engineRuns)
+// medianRow measures bench medianRuns times and returns the median run with
+// the spread of ns/op across the runs.
+func medianRow(bench func() testing.BenchmarkResult) benchResult {
+	rs := make([]benchResult, medianRuns)
 	for i := range rs {
-		rs[i] = toResult(benchEngine(lo, span))
+		rs[i] = toResult(bench())
 	}
 	sort.Slice(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
-	r := rs[engineRuns/2]
-	r.Runs, r.NsPerOpMin, r.NsPerOpMax = engineRuns, rs[0].NsPerOp, rs[engineRuns-1].NsPerOp
+	r := rs[medianRuns/2]
+	r.Runs, r.NsPerOpMin, r.NsPerOpMax = medianRuns, rs[0].NsPerOp, rs[medianRuns-1].NsPerOp
 	return r
+}
+
+func engineRow(lo, span int) benchResult {
+	return medianRow(func() testing.BenchmarkResult { return benchEngine(lo, span) })
 }
 
 // benchEngine is the BenchmarkEngineSchedule shape: 4096 pending events,
@@ -361,7 +365,7 @@ func runBenchJSON(outPath string) error {
 			"send_path":           toResult(sp),
 			"timer_arm_cancel":    toResult(benchTimer(false)),
 			"timer_arm_fire":      toResult(benchTimer(true)),
-			"send_be_round":       toResult(benchBERound()),
+			"send_be_round":       medianRow(benchBERound),
 		},
 		Baseline:  prev.Baseline,
 		GateFloor: prev.GateFloor,
@@ -395,6 +399,9 @@ func runBenchJSON(outPath string) error {
 		fmt.Printf("%-19s %6.1f ns/op (median of %d, %.1f–%.1f)  %d allocs/op  (%.2fM events/s)\n",
 			name, r.NsPerOp, r.Runs, r.NsPerOpMin, r.NsPerOpMax, r.AllocsPerOp, 1e3/r.NsPerOp)
 	}
+	round := rep.Benchmarks["send_be_round"]
+	fmt.Printf("%-19s %6.1f ns/op (median of %d, %.1f–%.1f)  %d allocs/op  %d B/op\n",
+		"send_be_round", round.NsPerOp, round.Runs, round.NsPerOpMin, round.NsPerOpMax, round.AllocsPerOp, round.BytesPerOp)
 	if sb := rep.Scale1024; sb != nil {
 		fmt.Printf("scale 1024  %8.2f s wall  (%d events, %.0fus window)\n",
 			sb.WallS, sb.Events, sb.WindowUs)
@@ -405,7 +412,7 @@ func runBenchJSON(outPath string) error {
 		rep.Benchmarks["wire_decode_into"].NsPerOp, rep.Benchmarks["wire_decode_into"].AllocsPerOp)
 	fmt.Printf("send path   %8.1f ns/op  %d allocs/op\n",
 		rep.Benchmarks["send_path"].NsPerOp, rep.Benchmarks["send_path"].AllocsPerOp)
-	for _, name := range []string{"timer_arm_cancel", "timer_arm_fire", "send_be_round"} {
+	for _, name := range []string{"timer_arm_cancel", "timer_arm_fire"} {
 		fmt.Printf("%-16s %8.1f ns/op  %d allocs/op\n", name, rep.Benchmarks[name].NsPerOp, rep.Benchmarks[name].AllocsPerOp)
 	}
 	fmt.Printf("e2e         %8.0f msgs/s  (unbatched %0.f)\n", rep.E2EMsgsPerSec, rep.E2EUnbatchedMsgsPerSec)

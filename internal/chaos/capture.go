@@ -39,12 +39,18 @@ func CaptureWirePackets(seed int64, perKind int) [][]byte {
 	p.ConflictRate = 0.5
 
 	counts := make(map[netsim.Kind]int)
-	frames := 0
+	frames, multiAcks := 0, 0
 	var out [][]byte
 	runWith(p, func(_ int, _ sim.Time, pkt *netsim.Packet) {
-		// Frame-flagged data packets get their own quota: they are rarer
-		// than plain data packets and would otherwise be crowded out.
-		if pkt.Frame {
+		// Frame-flagged data packets and ACKs that coalesce several entries
+		// get their own quotas: they are rarer than plain data packets and
+		// one-entry ACKs and would otherwise be crowded out.
+		if b, ok := pkt.Payload.(*netsim.AckBatch); ok && len(b.PSNs) > 1 {
+			if multiAcks >= perKind {
+				return
+			}
+			multiAcks++
+		} else if pkt.Frame {
 			if frames >= perKind {
 				return
 			}

@@ -20,15 +20,18 @@ func cls(reliable bool) int {
 	return 0
 }
 
-// outPkt is an in-flight packet awaiting its end-to-end ACK.
+// outPkt is an in-flight packet awaiting its end-to-end ACK. It lives in
+// its scattering's pkts slab (40 bytes: the slab is sized by totalPkts and
+// one is embedded in every scattering), so sendQ, unacked, stuckPkts and
+// fnext chains all point into that slab.
 type outPkt struct {
 	psn      uint32
-	msgIdx   int // index into the scattering's message list
-	frag     int // fragment index within the message
+	msgIdx   int32 // index into the scattering's message list
+	frag     int32 // fragment index within the message
+	size     int32
+	retx     int32
 	endOfMsg bool
-	size     int
 	scat     *scattering
-	retx     int
 	// fnext links the members of a multi-message frame behind the head:
 	// a frame occupies one window slot, one unacked entry (the head's PSN)
 	// and one ACK, and member PSNs are consecutive from the head's. Chains
@@ -276,7 +279,7 @@ func (c *conn) collectRun() (n int, full bool) {
 	head := q[0]
 	k := cls(head.scat.reliable)
 	budget := c.host.Cfg.BatchBytes
-	bytes := head.size + netsim.FrameEntryBytes
+	bytes := int(head.size) + netsim.FrameEntryBytes
 	n = 1
 	for n < len(q) {
 		op := q[n]
@@ -291,7 +294,7 @@ func (c *conn) collectRun() (n int, full bool) {
 			n++
 			continue
 		}
-		nb := bytes + op.size + netsim.FrameEntryBytes
+		nb := bytes + int(op.size) + netsim.FrameEntryBytes
 		if nb > budget {
 			return n, true
 		}
@@ -422,7 +425,7 @@ func (c *conn) onRTO() {
 			continue // stale: acked, dropped or parked since queued
 		}
 		op.retx++
-		if h.Cfg.MaxRetx > 0 && op.retx > h.Cfg.MaxRetx {
+		if h.Cfg.MaxRetx > 0 && int(op.retx) > h.Cfg.MaxRetx {
 			// Retransmission budget exhausted: report the stall (once per
 			// (dst, ts)), free the window slot, and park the packet where
 			// Controller Forwarding can still find it. Leaving it in
@@ -470,7 +473,7 @@ func (c *conn) onRTO() {
 }
 
 func (c *conn) minRetx() int {
-	m := 1 << 30
+	m := int32(1 << 30)
 	for _, op := range c.unacked[1] {
 		if op.retx < m {
 			m = op.retx
@@ -479,7 +482,7 @@ func (c *conn) minRetx() int {
 	if m == 1<<30 {
 		return 0
 	}
-	return m
+	return int(m)
 }
 
 // buildPacket materializes the wire packet for an in-flight entry; used for
@@ -498,7 +501,7 @@ func (c *conn) buildPacket(op *outPkt, psn uint32) *netsim.Packet {
 	pkt.PSN = psn
 	pkt.FragIdx = uint16(op.frag)
 	pkt.EndOfMsg = op.endOfMsg
-	pkt.Size = op.size + netsim.HeaderBytes
+	pkt.Size = int(op.size) + netsim.HeaderBytes
 	if op.endOfMsg {
 		pkt.Payload = m.Data
 	}
@@ -525,11 +528,11 @@ func (c *conn) buildUnit(head *outPkt) *netsim.Packet {
 		f.Entries = append(f.Entries, netsim.FrameEntry{
 			TS:          m.scat.ts,
 			PSNOff:      uint16(m.psn - head.psn),
-			Size:        m.size,
+			Size:        int(m.size),
 			ConflictKey: m.scat.conflict,
 			Data:        m.scat.msgs[m.msgIdx].Data,
 		})
-		size += m.size + netsim.FrameEntryBytes
+		size += int(m.size) + netsim.FrameEntryBytes
 	}
 	if len(f.Entries) == 0 {
 		netsim.PutFrame(f)
@@ -664,6 +667,10 @@ type scattering struct {
 	// Credit reservation state, per destination connection, in first-use
 	// order (ordered for deterministic partial-credit acquisition).
 	credits []credit
+	// pkts is the slab launch carves this scattering's outPkts from, with
+	// capacity totalPkts. It is never re-grown: sendQ, unacked, stuckPkts and
+	// fnext chains hold pointers into it.
+	pkts []outPkt
 	// ACK tracking.
 	unackedPkts int
 	// failTimer drives best-effort loss detection. It leaves the queue at
@@ -674,7 +681,22 @@ type scattering struct {
 	ackedMsg []int
 	// recallsPending counts outstanding recall ACKs during abort.
 	recallsPending int
+
+	// Embedded storage for the common shape — one message, one destination,
+	// one packet — so that such a scattering is a single allocation:
+	// fragsPerMsg, ackedMsg, credits and pkts slice into these when they fit
+	// and into separate slabs when they do not.
+	fragsArr  [scatInline]int
+	ackedArr  [scatInline]int
+	creditArr [scatInline]credit
+	pktArr    [scatInline]outPkt
 }
+
+// scatInline is the embedded capacity of a scattering. It is 1, sized by
+// bytes and not by count: at 4 the struct grows from 320 to 656 bytes, which
+// on 64-byte single-message traffic cost more in collector work than the
+// allocations it saved the rarer wide scatterings (docs/performance.md).
+const scatInline = 1
 
 // credit tracks one connection's share of a scattering's window demand.
 type credit struct {
@@ -684,14 +706,14 @@ type credit struct {
 }
 
 func newScattering(p *Proc, msgs []Message, reliable bool, mtu int) *scattering {
-	s := &scattering{
-		owner:       p,
-		reliable:    reliable,
-		msgs:        msgs,
-		fragsPerMsg: make([]int, len(msgs)),
-		ackedMsg:    make([]int, len(msgs)),
+	s := &scattering{owner: p, reliable: reliable, msgs: msgs}
+	if n := len(msgs); n <= scatInline {
+		s.fragsPerMsg, s.ackedMsg, s.credits = s.fragsArr[:n], s.ackedArr[:n], s.creditArr[:0]
+	} else {
+		ints := make([]int, 2*n)
+		s.fragsPerMsg, s.ackedMsg = ints[:n:n], ints[n:]
+		s.credits = make([]credit, 0, n)
 	}
-	idx := make(map[*conn]int)
 	for i := range msgs {
 		size := msgs[i].Size
 		if size <= 0 {
@@ -701,10 +723,12 @@ func newScattering(p *Proc, msgs []Message, reliable bool, mtu int) *scattering 
 		s.fragsPerMsg[i] = frags
 		s.totalPkts += frags
 		c := p.host.getConn(p.ID, msgs[i].Dst)
-		j, ok := idx[c]
-		if !ok {
-			j = len(s.credits)
-			idx[c] = j
+		// Destinations per scattering are few: a scan beats a map.
+		j := 0
+		for j < len(s.credits) && s.credits[j].conn != c {
+			j++
+		}
+		if j == len(s.credits) {
 			s.credits = append(s.credits, credit{conn: c})
 		}
 		s.credits[j].needed += frags
@@ -806,6 +830,11 @@ func (h *Host) launch(s *scattering) {
 	}
 	k := cls(s.reliable)
 	mtu := h.Cfg.MTU
+	if s.totalPkts <= scatInline {
+		s.pkts = s.pktArr[:0]
+	} else {
+		s.pkts = make([]outPkt, 0, s.totalPkts)
+	}
 	for i := range s.msgs {
 		m := &s.msgs[i]
 		c := h.getConn(s.owner.ID, m.Dst)
@@ -820,11 +849,15 @@ func (h *Host) launch(s *scattering) {
 			}
 			psn := c.nextPSN[k]
 			c.nextPSN[k]++
-			op := &outPkt{
-				psn: psn, msgIdx: i, frag: f,
-				endOfMsg: f == s.fragsPerMsg[i]-1,
-				size:     fragSize, scat: s,
+			if len(s.pkts) == cap(s.pkts) {
+				panic("core: scattering packet slab would re-grow under live pointers")
 			}
+			s.pkts = append(s.pkts, outPkt{
+				psn: psn, msgIdx: int32(i), frag: int32(f),
+				endOfMsg: f == s.fragsPerMsg[i]-1,
+				size:     int32(fragSize), scat: s,
+			})
+			op := &s.pkts[len(s.pkts)-1]
 			track := s.reliable || !h.Cfg.DisableBEAck
 			if track {
 				// Queue; the pump transmits within the window, streaming
@@ -872,14 +905,20 @@ func (h *Host) onPacketAcked(op *outPkt) {
 // explicit commit packet is elided: the next data packet or beacon
 // propagates the advance within a fraction of the beacon interval.
 func (h *Host) reapOutstanding() {
-	advanced := false
-	for len(h.outstanding) > 0 && h.outstanding[0].done {
-		h.outstanding = h.outstanding[1:]
-		advanced = true
+	n := 0
+	for n < len(h.outstanding) && h.outstanding[n].done {
+		n++
 	}
-	if !advanced {
+	if n == 0 {
 		return
 	}
+	// Slide the rest down instead of re-slicing past the head: the list keeps
+	// its capacity (a host that commits as fast as it sends would otherwise
+	// re-grow it from nothing every scattering) and its dead prefix does not
+	// keep completed scatterings reachable.
+	rest := copy(h.outstanding, h.outstanding[n:])
+	clear(h.outstanding[rest:])
+	h.outstanding = h.outstanding[:rest]
 	if h.wire.Now()-h.lastUplinkSend < h.Cfg.BeaconInterval/4 {
 		return // a very recent emission (or an imminent one) carries it
 	}

@@ -130,6 +130,9 @@ type Host struct {
 	beQ, relQ, rlxQ reorderBuf
 	deliveredBE     sim.Time
 	deliveredC      sim.Time
+	// pendFree recycles delivered reorder-buffer entries (getPending /
+	// putPending); it never holds more than the buffers' peak occupancy.
+	pendFree []*pending
 	// Lazy connection lifecycle: evicted peers leave a tiny PSN cursor
 	// behind (send-side next PSNs, receive-side consumed-prefix bases) so
 	// the pair re-establishes mid-epoch without a handshake; evictTimer
@@ -358,7 +361,7 @@ func (h *Host) evictIdle(deadline sim.Time) {
 	// cannot rebuild. Dropping one emits nothing and counts nothing, so
 	// this walk needs no sorted order.
 	for k, p := range h.ackPending {
-		if len(p.batch.psns) == 0 && !p.timer.isArmed() {
+		if p.batch == nil && !p.timer.isArmed() {
 			delete(h.ackPending, k)
 		}
 	}

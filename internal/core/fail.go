@@ -121,21 +121,24 @@ func siftDown(h deliveryHeap, i int) {
 // destination are reported via the send-failure callback, and waiting
 // best-effort traffic to failed destinations is failed eagerly.
 func (h *Host) recallAffected(failed map[netsim.ProcID]sim.Time) {
+	// Selected first, aborted after: an abort with no recall to wait for
+	// reaps the outstanding list, which slides its entries in place.
+	var hits []*scattering
 	for _, s := range h.outstanding {
 		if s.done || s.aborted {
 			continue
 		}
-		hit := false
 		for i := range s.msgs {
 			if _, dead := failed[s.msgs[i].Dst]; dead {
-				hit = true
+				hits = append(hits, s)
 				break
 			}
 		}
-		if !hit {
-			continue
+	}
+	for _, s := range hits {
+		if !s.done && !s.aborted {
+			h.abortScattering(s)
 		}
-		h.abortScattering(s)
 	}
 	// Credit-blocked scatterings with failed destinations cannot launch.
 	remaining := h.waitQ[:0]

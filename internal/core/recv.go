@@ -8,7 +8,10 @@ import (
 	"onepipe/internal/sim"
 )
 
-// pending is one complete message waiting in the reorder buffer.
+// pending is one complete message waiting in the reorder buffer. Entries
+// come from the host's free list (getPending) and belong to the reorder
+// buffer until dispatch has copied them into a Delivery; the three deliver
+// functions are the one place they go back (putPending).
 type pending struct {
 	ts       sim.Time
 	src, dst netsim.ProcID
@@ -433,9 +436,9 @@ func (h *Host) HandlePacket(pkt *netsim.Packet) {
 			h.updateBarriers(pkt.BarrierBE, pkt.BarrierC)
 		}
 		if c := h.conns[connKey{src: pkt.Dst, dst: pkt.Src}]; c != nil {
-			if batch, ok := pkt.Payload.(ackBatch); ok {
-				for i, psn := range batch.psns {
-					c.onAck(pkt.Reliable, psn, batch.ecn[i])
+			if batch, ok := pkt.Payload.(*netsim.AckBatch); ok {
+				for i, psn := range batch.PSNs {
+					c.onAck(pkt.Reliable, psn, batch.ECN[i])
 				}
 			} else {
 				c.onAck(pkt.Reliable, pkt.PSN, pkt.ECN)
@@ -609,18 +612,13 @@ func (h *Host) relaxedKey(key uint32) bool {
 	return h.Cfg.Mode == DeliverConflictAware && key == 0
 }
 
-// ackBatch is the payload of a coalesced ACK: per-PSN entries with their
-// echoed ECN marks.
-type ackBatch struct {
-	psns []uint32
-	ecn  []bool
-}
-
-// ackPend accumulates ACKs toward one sender/class until flushed.
+// ackPend accumulates ACKs toward one sender/class until flushed. batch is
+// held from the first ackPacket of a flush window until flushAcks hands it
+// to the ACK packet; nil in between.
 type ackPend struct {
 	host  *Host
 	key   ackKey
-	batch ackBatch
+	batch *netsim.AckBatch
 	timer timer
 }
 
@@ -653,12 +651,13 @@ func (h *Host) ackPacket(pkt *netsim.Packet) {
 		p.timer.init(h, (*ackFlush)(p))
 		h.ackPending[k] = p
 	}
-	if len(p.batch.psns) == 0 {
+	if p.batch == nil {
+		p.batch = netsim.GetAckBatch()
 		p.timer.reset(h, h.Cfg.AckFlush)
 	}
-	p.batch.psns = append(p.batch.psns, pkt.PSN)
-	p.batch.ecn = append(p.batch.ecn, pkt.ECN)
-	if h.Cfg.AckBatchMax > 0 && len(p.batch.psns) >= h.Cfg.AckBatchMax {
+	p.batch.PSNs = append(p.batch.PSNs, pkt.PSN)
+	p.batch.ECN = append(p.batch.ECN, pkt.ECN)
+	if h.Cfg.AckBatchMax > 0 && len(p.batch.PSNs) >= h.Cfg.AckBatchMax {
 		h.flushAcks(k)
 	}
 }
@@ -666,17 +665,17 @@ func (h *Host) ackPacket(pkt *netsim.Packet) {
 // flushAcks emits one coalesced ACK packet carrying every pending PSN.
 func (h *Host) flushAcks(k ackKey) {
 	p := h.ackPending[k]
-	if p == nil || len(p.batch.psns) == 0 {
+	if p == nil || p.batch == nil {
 		return
 	}
 	batch := p.batch
-	p.batch = ackBatch{}
+	p.batch = nil
 	p.timer.stop()
 	ack := netsim.GetPacket()
 	ack.Kind, ack.Src, ack.Dst = netsim.KindAck, k.local, k.remote
-	ack.PSN, ack.Reliable = batch.psns[0], k.reliable
-	ack.Payload = batch
-	ack.Size = netsim.HeaderBytes + 5*len(batch.psns)
+	ack.PSN, ack.Reliable = batch.PSNs[0], k.reliable
+	ack.Payload = batch // the packet owns it from here: PutPacket releases it
+	ack.Size = netsim.HeaderBytes + 5*len(batch.PSNs)
 	h.emit(ack)
 }
 
@@ -698,7 +697,8 @@ func (h *Host) enqueuePending(ts sim.Time, src, dst netsim.ProcID, psn uint32,
 	if h.recallTomb[recallKey{dst: src, ts: ts}] {
 		return
 	}
-	p := &pending{
+	p := h.getPending()
+	*p = pending{
 		ts: ts, src: src, dst: dst, psn: psn,
 		data: data, size: size, reliable: reliable, conflict: conflict,
 	}
@@ -836,6 +836,7 @@ func (h *Host) deliver(p *pending) {
 	h.Stats.MsgsDelivered++
 	h.recObs(p)
 	h.dispatch(p)
+	h.putPending(p)
 }
 
 // deliverNow surfaces an untagged best-effort message the moment its
@@ -848,6 +849,7 @@ func (h *Host) deliverNow(p *pending) {
 	h.Stats.RelaxedDeliveries++
 	h.recObs(p)
 	h.dispatch(p)
+	h.putPending(p)
 }
 
 // deliverRelaxed surfaces an untagged reliable message once the commit
@@ -859,6 +861,29 @@ func (h *Host) deliverRelaxed(p *pending) {
 	h.Stats.RelaxedDeliveries++
 	h.recObs(p)
 	h.dispatch(p)
+	h.putPending(p)
+}
+
+// getPending takes an entry off the host's free list, or allocates one.
+func (h *Host) getPending() *pending {
+	n := len(h.pendFree)
+	if n == 0 {
+		return new(pending)
+	}
+	p := h.pendFree[n-1]
+	h.pendFree = h.pendFree[:n-1]
+	return p
+}
+
+// putPending recycles a delivered entry. dispatch has returned, so neither
+// OnDeliver nor the batchQ slice refers to it (both hold Delivery copies);
+// it is zeroed so that a stale pointer would read as nothing and the payload
+// is not kept reachable. Entries dropped on the failure paths (discardFrom,
+// removeBuffered) are left to the collector instead: this is the only
+// release point.
+func (h *Host) putPending(p *pending) {
+	*p = pending{}
+	h.pendFree = append(h.pendFree, p)
 }
 
 func (h *Host) recObs(p *pending) {
@@ -927,7 +952,7 @@ func (h *Host) handleNak(pkt *netsim.Packet) {
 		if m.scat.aborted || m.scat.done {
 			continue
 		}
-		h.failMessage(m.scat, m.msgIdx)
+		h.failMessage(m.scat, int(m.msgIdx))
 	}
 	h.grantCredits()
 }

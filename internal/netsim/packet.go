@@ -125,7 +125,8 @@ type Packet struct {
 	ECN bool
 
 	// Payload carries the application message by reference; the simulator
-	// never inspects it. For Frame packets it holds a *Frame.
+	// never inspects it. For Frame packets it holds a *Frame, for coalesced
+	// ACKs an *AckBatch.
 	Payload any
 
 	// Frame marks a multi-message data frame: Payload is a *Frame whose
@@ -228,6 +229,37 @@ func PutFrame(f *Frame) {
 	framePool.Put(f)
 }
 
+// AckBatch is the payload of a coalesced ACK packet: the acknowledged PSNs
+// of one (sender, class) with their echoed ECN marks, index-aligned. The
+// packet's own PSN repeats PSNs[0].
+type AckBatch struct {
+	PSNs []uint32
+	ECN  []bool
+
+	pooled bool
+}
+
+var ackBatchPool = sync.Pool{New: func() any { return new(AckBatch) }}
+
+// GetAckBatch returns an empty AckBatch from the free list. Ownership
+// follows the packet that carries it: PutPacket releases an attached batch.
+func GetAckBatch() *AckBatch {
+	b := ackBatchPool.Get().(*AckBatch)
+	b.pooled = false
+	return b
+}
+
+// PutAckBatch empties b (keeping slice capacity) and returns it to the free
+// list. Double release panics, mirroring PutPacket.
+func PutAckBatch(b *AckBatch) {
+	if b.pooled {
+		panic("netsim: PutAckBatch called twice on the same batch")
+	}
+	b.PSNs, b.ECN = b.PSNs[:0], b.ECN[:0]
+	b.pooled = true
+	ackBatchPool.Put(b)
+}
+
 // pktPool recycles Packet structs across the send and receive hot paths.
 // See docs/performance.md for the ownership rules.
 var pktPool = sync.Pool{New: func() any { return new(Packet) }}
@@ -265,8 +297,11 @@ func PutPacket(p *Packet) {
 	if !atomic.CompareAndSwapUint32(&p.pooled, 0, 1) {
 		panic("netsim: PutPacket called twice on the same packet")
 	}
-	if f, ok := p.Payload.(*Frame); ok {
-		PutFrame(f)
+	switch pl := p.Payload.(type) {
+	case *Frame:
+		PutFrame(pl)
+	case *AckBatch:
+		PutAckBatch(pl)
 	}
 	p.Kind, p.Src, p.Dst = 0, 0, 0
 	p.MsgTS, p.BarrierBE, p.BarrierC = 0, 0, 0

@@ -114,3 +114,63 @@ func TestPutPacketResetsEveryField(t *testing.T) {
 		}
 	}
 }
+
+const putBatchTwiceMsg = "netsim: PutAckBatch called twice on the same batch"
+
+// putBatchPanics is putPanics for PutAckBatch.
+func putBatchPanics(b *AckBatch) (panicked bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != putBatchTwiceMsg {
+				panic(r)
+			}
+			panicked = true
+		}
+	}()
+	PutAckBatch(b)
+	return false
+}
+
+// TestPutAckBatchTwicePanics: a second release of the same batch panics; a
+// batch handed out again by GetAckBatch comes back empty, with its slice
+// capacity kept, and can be released again.
+func TestPutAckBatchTwicePanics(t *testing.T) {
+	b := GetAckBatch()
+	b.PSNs, b.ECN = append(b.PSNs, 7, 8, 9), append(b.ECN, false, true, false)
+	if putBatchPanics(b) {
+		t.Fatal("first release panicked")
+	}
+	if cap(b.PSNs) < 3 || cap(b.ECN) < 3 {
+		t.Fatalf("release dropped the slices: cap %d / %d", cap(b.PSNs), cap(b.ECN))
+	}
+	if !putBatchPanics(b) {
+		t.Fatal("second release of the same batch did not panic")
+	}
+	q := GetAckBatch()
+	if len(q.PSNs) != 0 || len(q.ECN) != 0 {
+		t.Fatalf("GetAckBatch returned %d PSNs, %d ECN marks, want an empty batch", len(q.PSNs), len(q.ECN))
+	}
+	if putBatchPanics(q) || !putBatchPanics(q) {
+		t.Fatal("after GetAckBatch: want first release legal, second a panic")
+	}
+}
+
+// TestPutPacketReleasesAckBatchOnce: the batch follows its packet — PutPacket
+// releases it, exactly once, so whoever ends an ACK packet (the sender's
+// HandlePacket, a drop site, a wire that encoded it) ends the batch too and
+// must not release it separately.
+func TestPutPacketReleasesAckBatchOnce(t *testing.T) {
+	b := &AckBatch{PSNs: []uint32{1, 2}, ECN: []bool{false, true}} // not from the pool: nothing else can hold it
+	p := GetPacket()
+	p.Kind, p.Payload = KindAck, b
+	PutPacket(p)
+	if !b.pooled || len(b.PSNs) != 0 || len(b.ECN) != 0 {
+		t.Fatalf("PutPacket left the batch live: pooled=%v, %d PSNs", b.pooled, len(b.PSNs))
+	}
+	if p.Payload != nil {
+		t.Fatal("PutPacket kept the payload reference")
+	}
+	if !putBatchPanics(b) {
+		t.Fatal("releasing the batch after its packet did not panic")
+	}
+}

@@ -407,17 +407,9 @@ func (h *HostNode) readLoop() {
 			continue
 		}
 		if len(payload) > 0 {
-			// The payload aliases the read buffer; copy before the next read.
-			cp := append([]byte(nil), payload...)
-			if pkt.Frame {
-				f, ferr := wire.ParseFramePayload(cp, sim.Time(time.Since(h.epoch)))
-				if ferr != nil {
-					netsim.PutPacket(pkt)
-					continue
-				}
-				pkt.Payload = f // entry Data aliases cp, which outlives the frame
-			} else {
-				pkt.Payload = cp
+			if perr := h.attachPayload(pkt, payload); perr != nil {
+				netsim.PutPacket(pkt)
+				continue
 			}
 		}
 		h.mu.Lock()
@@ -428,6 +420,32 @@ func (h *HostNode) readLoop() {
 		}
 		h.mu.Unlock()
 	}
+}
+
+// attachPayload turns the payload bytes of a decoded packet into the value
+// core expects in pkt.Payload: a pooled ACK batch for a coalesced ACK, a
+// pooled frame for a multi-message frame, the bytes themselves otherwise.
+func (h *HostNode) attachPayload(pkt *netsim.Packet, payload []byte) error {
+	if pkt.Kind == netsim.KindAck {
+		b, err := wire.ParseAckBatch(payload) // copies the entries out
+		if err != nil {
+			return err
+		}
+		pkt.Payload = b
+		return nil
+	}
+	// The payload aliases the read buffer; copy before the next read.
+	cp := append([]byte(nil), payload...)
+	if !pkt.Frame {
+		pkt.Payload = cp
+		return nil
+	}
+	f, err := wire.ParseFramePayload(cp, sim.Time(time.Since(h.epoch)))
+	if err != nil {
+		return err
+	}
+	pkt.Payload = f // entry Data aliases cp, which outlives the frame
+	return nil
 }
 
 // Trace returns the host's lifecycle tracer (nil unless Config.Trace).

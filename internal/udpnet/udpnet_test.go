@@ -181,3 +181,54 @@ func TestUDPScatteringSharedTimestamp(t *testing.T) {
 		t.Fatalf("scattering timestamps differ over UDP: %v vs %v", ts[1], ts[2])
 	}
 }
+
+// TestUDPBurstNoFalseSendFail: a burst makes the receiver coalesce its ACKs,
+// and every entry of a coalesced ACK has to cross the socket. When only the
+// header's PSN did, the sender saw one packet in each batch acknowledged and
+// reported the rest — all delivered — through OnSendFail.
+func TestUDPBurstNoFalseSendFail(t *testing.T) {
+	cfg := DefaultConfig(2, 1)
+	c, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 300
+	var mu sync.Mutex
+	delivered, failed := 0, 0
+	c.Proc(1).OnDeliverBatch(func(ds []core.Delivery) {
+		mu.Lock()
+		delivered += len(ds)
+		mu.Unlock()
+	})
+	c.Proc(0).OnSendFail(func(core.SendFailure) {
+		mu.Lock()
+		failed++
+		mu.Unlock()
+	})
+	for i := 0; i < n; i++ {
+		msg := []core.Message{{Dst: 1, Data: make([]byte, 64), Size: 64}}
+		if err := c.Proc(0).SendOpts(msg, core.SendOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return delivered == n
+	})
+	// A send failure is the absence of an ACK for SendFailTimeout (100 beacon
+	// intervals here): give every timer that is going to fire the time to.
+	time.Sleep(150 * cfg.BeaconInterval)
+	mu.Lock()
+	defer mu.Unlock()
+	if failed != 0 {
+		t.Fatalf("%d of %d delivered messages reported through OnSendFail", failed, n)
+	}
+	hn := c.Hosts[0]
+	hn.mu.Lock()
+	defer hn.mu.Unlock()
+	if retx := hn.core.Stats.PktsRetx; retx != 0 {
+		t.Fatalf("PktsRetx = %d on a lossless loopback", retx)
+	}
+}

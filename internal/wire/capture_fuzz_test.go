@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"onepipe/internal/chaos"
+	"onepipe/internal/netsim"
 	"onepipe/internal/wire"
 )
 
@@ -70,11 +71,51 @@ func FuzzParseFrameCaptured(f *testing.F) {
 	})
 }
 
+// capturedAckBodies returns the entry bodies of the coalesced ACKs in a chaos
+// capture.
+func capturedAckBodies() [][]byte {
+	var out [][]byte
+	for _, raw := range chaos.CaptureWirePackets(42, 8) {
+		if len(raw) > wire.HeaderLen && raw[24] == byte(netsim.KindAck) { // opcode byte
+			out = append(out, raw[wire.HeaderLen:])
+		}
+	}
+	return out
+}
+
+// FuzzParseAckBatch seeds the coalesced-ACK parser with the bodies real
+// receivers flushed during a chaos run and mutates from there. It must never
+// panic; it accepts a body only when the declared count accounts for every
+// byte (so a forged count cannot size an allocation), and what it accepts
+// re-encodes to the same bytes.
+func FuzzParseAckBatch(f *testing.F) {
+	for _, body := range capturedAckBodies() {
+		f.Add(body)
+	}
+	f.Add([]byte{0xff, 0xff})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		b, err := wire.ParseAckBatch(body)
+		if err != nil {
+			return
+		}
+		defer netsim.PutAckBatch(b)
+		n := int(body[0])<<8 | int(body[1])
+		if n == 0 || len(b.PSNs) != n || len(b.ECN) != n || len(body) != 2+5*n {
+			t.Fatalf("accepted %d-byte body declaring %d entries as %d PSNs, %d ECN marks",
+				len(body), n, len(b.PSNs), len(b.ECN))
+		}
+		re := wire.Encode(&netsim.Packet{Kind: netsim.KindAck, PSN: b.PSNs[0], Payload: b}, nil)
+		if !bytes.Equal(re[wire.HeaderLen:], body) {
+			t.Fatal("accepted body does not re-encode to itself")
+		}
+	})
+}
+
 // TestCapturedCorpusCoversKinds asserts the harvest actually contains frames
 // of several distinct kinds — a capture that only ever saw data packets
 // would silently gut FuzzDecodeCaptured's seed diversity. It also requires
-// at least one coalesced multi-message frame, the seed material for
-// FuzzParseFrameCaptured.
+// at least one coalesced multi-message frame and one multi-entry coalesced
+// ACK, the seed material for FuzzParseFrameCaptured and FuzzParseAckBatch.
 func TestCapturedCorpusCoversKinds(t *testing.T) {
 	frames := chaos.CaptureWirePackets(42, 4)
 	if len(frames) < 8 {
@@ -95,5 +136,14 @@ func TestCapturedCorpusCoversKinds(t *testing.T) {
 	}
 	if coalesced == 0 {
 		t.Fatal("capture contains no coalesced frame packets")
+	}
+	multi := 0
+	for _, body := range capturedAckBodies() {
+		if len(body) > 2+5 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("capture contains no coalesced ACK with more than one entry")
 	}
 }

@@ -82,6 +82,27 @@ func TestCodecAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("DecodeInto: %v allocs/op, want 0", avg)
 	}
+	// A 16-PSN coalesced ACK: the entries are written from, and parsed back
+	// into, a pooled batch.
+	ack := ackPacket(16)
+	if avg := testing.AllocsPerRun(1000, func() {
+		buf = AppendEncode(buf[:0], ack, nil)
+	}); avg != 0 {
+		t.Errorf("AppendEncode of a 16-PSN ACK: %v allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		body, err := DecodeInto(&dst, buf, sim.Time(123456789))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ParseAckBatch(body)
+		if err != nil || len(b.PSNs) != 16 {
+			t.Fatal(err, b)
+		}
+		netsim.PutAckBatch(b)
+	}); avg != 0 {
+		t.Errorf("DecodeInto + ParseAckBatch of a 16-PSN ACK: %v allocs/op, want 0", avg)
+	}
 }
 
 // TestAppendEncodeRoundTrip checks AppendEncode against Encode byte-for-byte,

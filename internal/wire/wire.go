@@ -93,6 +93,21 @@ var ErrBadOpcode = errors.New("wire: bad opcode")
 // ErrBadFrame reports a structurally invalid multi-message frame payload.
 var ErrBadFrame = errors.New("wire: bad frame payload")
 
+// ErrBadAckBatch reports a coalesced-ACK body whose length disagrees with
+// its entry count, that declares no entry, or whose ECN byte is not 0 or 1.
+var ErrBadAckBatch = errors.New("wire: bad ack batch payload")
+
+// A coalesced-ACK body is a 16-bit entry count followed by one 5-byte entry
+// per acknowledged packet — 32-bit PSN, one ECN-echo byte — the 5 bytes per
+// entry the simulator charges.
+const (
+	ackHeadLen  = 2
+	ackEntryLen = 5
+	// maxAckEntries is what the count field (and no datagram) can hold; a
+	// longer batch is cut there and its tail left to retransmission.
+	maxAckEntries = 1<<16 - 1
+)
+
 func put48(b []byte, v uint64) {
 	b[0] = byte(v >> 40)
 	b[1] = byte(v >> 32)
@@ -122,13 +137,21 @@ func Encode(pkt *netsim.Packet, payload []byte) []byte {
 // a length-prefixed multi-payload frame body (entry Data values that are
 // not []byte encode as zero-length payloads). A Frame packet with explicit
 // payload bytes — a forwarder restamping barriers — passes them through
-// opaquely.
+// opaquely. Likewise a KindAck packet with a nil payload serializes an
+// *netsim.AckBatch Payload as a coalesced-ACK body (ParseAckBatch).
 func AppendEncode(dst []byte, pkt *netsim.Packet, payload []byte) []byte {
 	var frame *netsim.Frame
+	var acks *netsim.AckBatch
 	plen := len(payload)
-	if pkt.Frame && payload == nil {
-		frame, _ = pkt.Payload.(*netsim.Frame)
-		plen = framePayloadLen(frame)
+	if payload == nil {
+		if pkt.Frame {
+			frame, _ = pkt.Payload.(*netsim.Frame)
+			plen = framePayloadLen(frame)
+		} else if pkt.Kind == netsim.KindAck {
+			if acks, _ = pkt.Payload.(*netsim.AckBatch); acks != nil {
+				plen = ackHeadLen + ackEntryLen*ackEntries(acks)
+			}
+		}
 	}
 	off := len(dst)
 	n := off + HeaderLen + plen
@@ -164,12 +187,61 @@ func AppendEncode(dst []byte, pkt *netsim.Packet, payload []byte) []byte {
 	binary.BigEndian.PutUint32(buf[30:], uint32(pkt.Dst))
 	binary.BigEndian.PutUint32(buf[34:], pkt.ConflictKey)
 	binary.BigEndian.PutUint32(buf[38:], uint32(plen))
-	if frame != nil {
+	switch {
+	case frame != nil:
 		putFramePayload(buf[HeaderLen:], frame)
-	} else {
+	case acks != nil:
+		putAckBatch(buf[HeaderLen:], acks)
+	default:
 		copy(buf[HeaderLen:], payload)
 	}
 	return dst
+}
+
+func ackEntries(b *netsim.AckBatch) int {
+	if len(b.PSNs) > maxAckEntries {
+		return maxAckEntries
+	}
+	return len(b.PSNs)
+}
+
+func putAckBatch(b []byte, acks *netsim.AckBatch) {
+	n := ackEntries(acks)
+	binary.BigEndian.PutUint16(b, uint16(n))
+	off := ackHeadLen
+	for i, psn := range acks.PSNs[:n] {
+		binary.BigEndian.PutUint32(b[off:], psn)
+		b[off+4] = 0
+		if acks.ECN[i] {
+			b[off+4] = 1
+		}
+		off += ackEntryLen
+	}
+}
+
+// ParseAckBatch decodes a coalesced-ACK body (the payload bytes of a KindAck
+// packet) into a pooled *netsim.AckBatch; nothing aliases payload. The body
+// must be exactly as long as its entry count says, so a forged count cannot
+// make the parser allocate more than the datagram carried.
+func ParseAckBatch(payload []byte) (*netsim.AckBatch, error) {
+	if len(payload) < ackHeadLen {
+		return nil, ErrShort
+	}
+	n := int(binary.BigEndian.Uint16(payload))
+	if n == 0 || len(payload) != ackHeadLen+ackEntryLen*n {
+		return nil, ErrBadAckBatch
+	}
+	b := netsim.GetAckBatch()
+	for off := ackHeadLen; off < len(payload); off += ackEntryLen {
+		ecn := payload[off+4]
+		if ecn > 1 {
+			netsim.PutAckBatch(b)
+			return nil, ErrBadAckBatch
+		}
+		b.PSNs = append(b.PSNs, binary.BigEndian.Uint32(payload[off:]))
+		b.ECN = append(b.ECN, ecn == 1)
+	}
+	return b, nil
 }
 
 // framePayloadLen is the encoded size of a frame body.

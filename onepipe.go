@@ -458,6 +458,11 @@ func (p *Process) ID() ProcID { return p.backend.id() }
 // ErrSendBufferFull, ErrBackpressure (doorbell queue full; the error
 // carries the earliest drain time), or ErrClosed.
 func (p *Process) Send(msgs []Message, opts ...SendOption) error {
+	if len(opts) == 0 {
+		return p.backend.send(msgs, core.SendOptions{})
+	}
+	// Applying an option through its func value makes o escape; only sends
+	// that pass options pay for it.
 	var o core.SendOptions
 	for _, opt := range opts {
 		opt(&o)

@@ -27,6 +27,7 @@ bench-module:
 race:
 	$(GO) test -race ./internal/core/ ./internal/livenet/ ./internal/udpnet/ ./internal/sim/
 	$(GO) test -race ./internal/netsim/ -run 'TestPutPacket|TestPutAckBatch' -count=1
+	$(GO) test -race . -run 'TestSendOptionsConcurrent' -count=10
 
 # One pass over every figure/table as Go benchmarks.
 bench:

@@ -2,24 +2,22 @@ package serve
 
 import "onepipe/internal/workload"
 
-// nextOps draws session s's next request. Every draw comes from the
-// session's own SplitMix64 stream; the Zipf table is shared and stateless
-// (FromU), so a million sessions share one table.
-func (t *Tier) nextOps(s *session) []workload.Op {
+// nextOps draws session s's next request into dst (see room: a request
+// that does not fit takes a slab). Every draw comes from the session's own
+// SplitMix64 stream; the Zipf table is shared and stateless (FromU), so a
+// million sessions share one table.
+func (t *Tier) nextOps(s *session, dst []workload.Op) []workload.Op {
 	if s.gen != nil {
-		return s.gen.Next()
+		// Copied: split reorders the ops, and the list is the caller's.
+		src := s.gen.Next()
+		return append(room(dst, len(src)), src...)
 	}
-	switch t.Cfg.Service {
-	case Txn, SMRFabric, SMRRaft:
-		if t.Cfg.Service == Txn {
-			return t.txnMix(s)
-		}
-		// SMR commands reuse the KV request shape; replicas apply them to
-		// the replicated machine.
-		return t.kvOps(s)
-	default:
-		return t.kvOps(s)
+	if t.Cfg.Service == Txn {
+		return t.txnMix(s, dst)
 	}
+	// SMR commands reuse the KV request shape; replicas apply them to the
+	// replicated machine.
+	return t.kvOps(s, dst)
 }
 
 func (t *Tier) key(s *session) uint64 {
@@ -38,16 +36,16 @@ func valueSize(s *session) int {
 // kvOps emits a get/put/scan request: with probability ScanFrac one scan of
 // ScanLen consecutive keys, otherwise OpsPerReq point ops, each a put with
 // probability WriteFrac.
-func (t *Tier) kvOps(s *session) []workload.Op {
+func (t *Tier) kvOps(s *session, dst []workload.Op) []workload.Op {
 	if t.Cfg.ScanFrac > 0 && workload.SplitMixFloat(&s.rng) < t.Cfg.ScanFrac {
 		base := t.key(s)
-		ops := make([]workload.Op, t.Cfg.ScanLen)
-		for i := range ops {
-			ops[i] = workload.Op{Kind: workload.OpRead, Key: (base + uint64(i)) % t.Cfg.Keys}
+		ops := room(dst, t.Cfg.ScanLen)
+		for i := 0; i < t.Cfg.ScanLen; i++ {
+			ops = append(ops, workload.Op{Kind: workload.OpRead, Key: (base + uint64(i)) % t.Cfg.Keys})
 		}
 		return ops
 	}
-	ops := make([]workload.Op, 0, t.Cfg.OpsPerReq)
+	ops := room(dst, t.Cfg.OpsPerReq)
 	for len(ops) < t.Cfg.OpsPerReq {
 		k := t.key(s)
 		dup := false
@@ -73,7 +71,7 @@ func (t *Tier) kvOps(s *session) []workload.Op {
 // txnMix emits the tpcc-style transaction mix (shapes scaled to the
 // simulated keyspace: reads and writes across warehouse/district/stock
 // keys stand in for the full relational rows).
-func (t *Tier) txnMix(s *session) []workload.Op {
+func (t *Tier) txnMix(s *session, dst []workload.Op) []workload.Op {
 	u := workload.SplitMixFloat(&s.rng)
 	var reads, writes int
 	switch {
@@ -88,7 +86,7 @@ func (t *Tier) txnMix(s *session) []workload.Op {
 	default: // stock-level: wide read
 		reads, writes = 12, 0
 	}
-	ops := make([]workload.Op, 0, reads+writes)
+	ops := room(dst, reads+writes)
 	for i := 0; i < reads; i++ {
 		ops = append(ops, workload.Op{Kind: workload.OpRead, Key: t.key(s)})
 	}

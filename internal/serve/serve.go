@@ -16,9 +16,9 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"onepipe"
 	"onepipe/internal/sim"
@@ -161,16 +161,48 @@ type session struct {
 	start   sim.Time
 	done    int
 	retryEp uint32 // guards the loss-retry timer
+	id      int32  // index in Tier.sessions
 	gen     workload.TxnSource
-	ops     []workload.Op // current request
+	req     *request // the outstanding request's latest attempt; nil while thinking
 }
 
-// reqMsg is one owner's share of a request scattering.
+// reqInline is how many ops, owner parts and fabric messages a request
+// holds without a slab of its own: the default OpsPerReq. It is sized by
+// bytes — a request is 368 B with it (the 384 B size class), 176 B of that
+// the two parts — and a scan or a transaction that does not fit takes one
+// slab per kind through the same code.
+const reqInline = 2
+
+// request is one attempt at a session's request, in one allocation: the
+// ops grouped by owner, one part per owner, and the scattering's messages,
+// msgs[i].Data pointing at parts[i] (the SMR services have one part, which
+// every message points at). The owner's verdict and its reply live in the
+// part, so from the moment Process.Send accepts an attempt its request
+// belongs to the fabric and the owners: a resend takes a fresh one.
+type request struct {
+	ops   []workload.Op
+	parts []reqMsg
+	msgs  []onepipe.Message
+	sent  bool // Process.Send accepted it
+
+	opsArr   [reqInline]workload.Op
+	partsArr [reqInline]reqMsg
+	msgsArr  [reqInline]onepipe.Message
+}
+
+// reqMsg is one owner's share of a request scattering, and what the owner
+// needs to answer it: a delivered part is served and replied to once, so the
+// dedup verdict and the reply sit in it.
 type reqMsg struct {
-	Sess int32
-	FE   int32
-	Seq  uint32
-	Ops  []workload.Op
+	Sess  int32
+	FE    int32
+	Seq   uint32
+	owner int32         // the proc serving the part (set on delivery)
+	Ops   []workload.Op // a subslice of the request's ops
+
+	rep repMsg
+	dup bool               // the owner had already applied (Sess, Seq)
+	out [1]onepipe.Message // the reply scattering: &rep, to FE
 }
 
 // repMsg completes one owner's share back at the frontend.
@@ -183,7 +215,7 @@ type repMsg struct {
 // shard is one owner process's state: the data it owns plus a modeled CPU.
 type shard struct {
 	data    map[uint64]uint64 // key -> write version
-	lastSeq map[int32]uint32  // per-session dedup cursor
+	lastSeq map[int32]uint32  // per-session dedup cursor (RetryTimeout > 0 only)
 	cpuBusy sim.Time
 	applied uint64 // ops applied (reads + writes)
 }
@@ -286,7 +318,7 @@ func (t *Tier) addSessions(fes []int, count int, base sim.Time) {
 	for i := 0; i < count; i++ {
 		id := first + i
 		st := uint64(t.Cfg.Seed)*0x9e3779b97f4a7c15 + uint64(id)*0xd1b54a32d192ed03 + 0x2545f4914f6cdd1d
-		s := &session{fe: int32(fes[i%len(fes)]), rng: st}
+		s := &session{fe: int32(fes[i%len(fes)]), rng: st, id: int32(id)}
 		if t.Cfg.Txns != nil {
 			s.gen = t.Cfg.Txns(id)
 		}
@@ -310,55 +342,142 @@ func (t *Tier) startRange(lo, hi int, base sim.Time) {
 	spread := t.Cfg.StartSpread
 	n := hi - lo
 	for i := lo; i < hi; i++ {
-		id := i
 		at := base + sim.Time(int64(i-lo)*int64(spread)/int64(n))
-		t.eng.At(at, func() { t.issue(id) })
+		t.eng.At2(at, issueEv, t, t.sessions[i])
 	}
 }
 
-// issue builds and sends session id's next request; the client-observed
-// clock starts here, before any backpressure or batching delay.
-func (t *Tier) issue(id int) {
-	s := t.sessions[id]
+// The session events — first request, think, backoff — are capture-free
+// (tier, session) pairs: scheduling one allocates nothing.
+func issueEv(a, b any) { a.(*Tier).issue(b.(*session)) }
+func sendEv(a, b any)  { a.(*Tier).send(b.(*session)) }
+
+// issue builds and sends s's next request; the client-observed clock
+// starts here, before any backpressure or batching delay.
+func (t *Tier) issue(s *session) {
 	if s.stopped || (t.Cfg.MaxRequests > 0 && s.done >= t.Cfg.MaxRequests) {
 		return
 	}
 	s.seq++
 	s.start = t.eng.Now()
-	s.ops = t.nextOps(s)
-	t.send(id)
+	r := &request{}
+	r.ops = t.nextOps(s, r.opsArr[:0])
+	t.split(r, s)
+	s.req = r
+	t.send(s)
+}
+
+// messages returns room for an n-message scattering: r's inline array when
+// it fits, else one slab.
+func (r *request) messages(n int) []onepipe.Message {
+	if n <= reqInline {
+		return r.msgsArr[:n]
+	}
+	return make([]onepipe.Message, n)
+}
+
+// room returns dst emptied when it can hold n ops, else one slab that can.
+func room(dst []workload.Op, n int) []workload.Op {
+	if cap(dst) >= n {
+		return dst[:0]
+	}
+	return make([]workload.Op, 0, n)
+}
+
+// split cuts r.ops into one part per owner and fills the scattering's
+// messages. KV / Txn ops are grouped by owner stably and in place — owners
+// in first-seen order, each owner's ops in request order — so message order
+// and sizes are a function of the op list alone; an SMR command is one part
+// (smrSend addresses it).
+func (t *Tier) split(r *request, s *session) {
+	ops := r.ops
+	if t.smr != nil {
+		r.parts = r.partsArr[:1]
+		r.parts[0] = reqMsg{Sess: s.id, FE: s.fe, Seq: s.seq, Ops: ops}
+		return
+	}
+	// Group: the first op not yet placed opens the next owner's run, and
+	// every later op of that owner is rotated up behind it.
+	n := 0
+	for i := 0; i < len(ops); n++ {
+		o := t.owner(ops[i].Key)
+		j := i + 1
+		for k := j; k < len(ops); k++ {
+			if t.owner(ops[k].Key) == o {
+				op := ops[k]
+				copy(ops[j+1:k+1], ops[j:k])
+				ops[j] = op
+				j++
+			}
+		}
+		i = j
+	}
+	r.msgs = r.messages(n)
+	if n <= reqInline {
+		r.parts = r.partsArr[:n]
+	} else {
+		r.parts = make([]reqMsg, n)
+	}
+	for i, p := 0, 0; i < len(ops); p++ {
+		o := t.owner(ops[i].Key)
+		j := i + 1
+		for j < len(ops) && t.owner(ops[j].Key) == o {
+			j++
+		}
+		size := 16 * (j - i)
+		for _, op := range ops[i:j] {
+			size += op.Value
+		}
+		r.parts[p] = reqMsg{Sess: s.id, FE: s.fe, Seq: s.seq, Ops: ops[i:j:j]}
+		r.msgs[p] = onepipe.Message{Dst: onepipe.ProcID(o), Data: &r.parts[p], Size: size}
+		i = j
+	}
 }
 
 // send transmits the current request (also the retry path: same seq, same
 // ops, same start time — latency includes every retry).
-func (t *Tier) send(id int) {
-	s := t.sessions[id]
-	if t.smr != nil {
-		t.smrSend(id)
+func (t *Tier) send(s *session) {
+	r := s.req
+	if r == nil {
+		// A backoff outlived its request: the retry it was to resend lost
+		// to the replies of the attempt before.
 		return
 	}
-	buckets := t.bucketOps(s.ops)
-	msgs := make([]onepipe.Message, 0, len(buckets))
-	write := false
-	var wkey uint64
-	for _, b := range buckets {
-		size := 16 * len(b.ops)
-		for _, op := range b.ops {
-			size += op.Value
-			if op.Kind == workload.OpWrite && !write {
-				write = true
-				wkey = op.Key
-			}
-		}
-		msgs = append(msgs, onepipe.Message{
-			Dst:  onepipe.ProcID(b.owner),
-			Data: &reqMsg{Sess: int32(id), FE: s.fe, Seq: s.seq, Ops: b.ops},
-			Size: size,
-		})
+	if r.sent {
+		// The loss-retry timer fired. The attempt before may still be in
+		// flight, in an owner's station, or held by core (a reliable
+		// scattering keeps its msgs until it settles), and its parts carry
+		// the owners' state: resend a copy. An attempt Process.Send refused
+		// was kept by nobody and is sent again as it is.
+		r = &request{}
+		r.ops = append(room(r.opsArr[:0], len(s.req.ops)), s.req.ops...)
+		t.split(r, s)
+		s.req = r
 	}
-	s.pending = int32(len(msgs))
-	opts := t.sendOpts(write, wkey)
-	if err := t.cl.Process(int(s.fe)).Send(msgs, opts...); err != nil {
+	if t.smr != nil {
+		t.smrSend(s)
+		return
+	}
+	var conflict uint32
+	write := false
+	for _, op := range r.ops {
+		if op.Kind == workload.OpWrite {
+			write = true
+			if t.Cfg.Conflicts {
+				conflict = uint32(op.Key) | 1
+			}
+			break
+		}
+	}
+	s.pending = int32(len(r.msgs))
+	t.transmit(s, t.sendOpts(write, conflict))
+}
+
+// transmit hands the current attempt's scattering to the frontend's
+// process.
+func (t *Tier) transmit(s *session, opts []onepipe.SendOption) {
+	r := s.req
+	if err := t.cl.Process(int(s.fe)).Send(r.msgs, opts...); err != nil {
 		// Backpressure / full buffer: hold the request and retry shortly;
 		// the wait stays inside the client-observed latency. A closed
 		// frontend (crashed or drained host) ends the session instead.
@@ -366,71 +485,58 @@ func (t *Tier) send(id int) {
 			s.stopped = true
 			return
 		}
-		t.eng.After(2*sim.Microsecond, func() { t.send(id) })
+		t.eng.After2(2*sim.Microsecond, sendEv, t, s)
 		return
 	}
+	r.sent = true
 	t.issued++
-	t.armRetry(id)
+	t.armRetry(s)
 }
 
-// sendOpts maps the request class onto Fabric send options.
-func (t *Tier) sendOpts(write bool, wkey uint64) []onepipe.SendOption {
+// reliableOnly is the option list of a plain write: shared, never appended
+// to.
+var reliableOnly = []onepipe.SendOption{onepipe.Reliable()}
+
+// sendOpts maps the request class onto Fabric send options; conflict is
+// the scattering's conflict key, 0 for none.
+func (t *Tier) sendOpts(reliable bool, conflict uint32) []onepipe.SendOption {
+	if t.Cfg.BatchWindow <= 0 && conflict == 0 {
+		if reliable {
+			return reliableOnly
+		}
+		return nil
+	}
 	var opts []onepipe.SendOption
-	if write {
+	if reliable {
 		opts = append(opts, onepipe.Reliable())
 	}
 	if t.Cfg.BatchWindow > 0 {
 		opts = append(opts, onepipe.Batched(t.Cfg.BatchWindow))
 	}
-	if t.Cfg.Conflicts && write {
-		opts = append(opts, onepipe.Conflicts(uint32(wkey)|1))
+	if conflict != 0 {
+		opts = append(opts, onepipe.Conflicts(conflict))
 	}
 	return opts
 }
 
 // armRetry guards against lost best-effort parts (loss profiles, faults).
-func (t *Tier) armRetry(id int) {
+// It keeps its closure: RetryTimeout is 0 in every workload and figure, and
+// the (ep, seq) guard does not fit the two pointer arguments of After2.
+func (t *Tier) armRetry(s *session) {
 	if t.Cfg.RetryTimeout <= 0 {
 		return
 	}
-	s := t.sessions[id]
 	s.retryEp++
 	ep, seq := s.retryEp, s.seq
 	t.eng.After(t.Cfg.RetryTimeout, func() {
 		if s.retryEp != ep || s.seq != seq || s.pending == 0 {
 			return
 		}
-		t.send(id) // same seq: owners dedup, stale replies are dropped
+		t.send(s) // same seq: owners dedup, stale replies are dropped
 	})
 }
 
-// opBucket groups ops by owner in first-seen order (deterministic emission).
-type opBucket struct {
-	owner int
-	ops   []workload.Op
-}
-
 func (t *Tier) owner(key uint64) int { return int(key % uint64(t.Cfg.Servers)) }
-
-func (t *Tier) bucketOps(ops []workload.Op) []opBucket {
-	var buckets []opBucket
-	for _, op := range ops {
-		o := t.owner(op.Key)
-		j := -1
-		for i := range buckets {
-			if buckets[i].owner == o {
-				j = i
-				break
-			}
-		}
-		if j < 0 {
-			j = len(buckets)
-			buckets = append(buckets, opBucket{owner: o})
-		}
-		buckets[j].ops = append(buckets[j].ops, op)
-	}
-	return buckets
-}
 
 // dispatch routes one delivery by payload type: owner work or frontend
 // completion (a process can be both).
@@ -458,32 +564,37 @@ func (t *Tier) serveReq(p int, m *reqMsg) {
 	if sh == nil {
 		return
 	}
-	dup := m.Seq <= sh.lastSeq[m.Sess]
-	if !dup {
-		sh.lastSeq[m.Sess] = m.Seq
-	}
+	m.owner = int32(p)
 	work := len(m.Ops)
-	if dup {
-		work = 0
-	}
-	t.station(sh, work, func() {
-		if !dup {
-			for _, op := range m.Ops {
-				sh.apply(op)
-			}
+	// The dedup cursor exists only where a duplicate can: the loss-retry
+	// timer is the one source of a repeated (Sess, Seq) — the fabric never
+	// delivers twice, and the backoff resends only what Send refused.
+	if t.Cfg.RetryTimeout > 0 {
+		if m.dup = m.Seq <= sh.lastSeq[m.Sess]; m.dup {
+			work = 0
+		} else {
+			sh.lastSeq[m.Sess] = m.Seq
 		}
-		t.reply(p, m)
-	})
-}
-
-// station models server CPU as a FIFO: fn runs once nops clear it.
-func (t *Tier) station(sh *shard, nops int, fn func()) {
+	}
+	// The CPU station is a FIFO: the part is served once its ops clear it.
 	now := t.eng.Now()
 	if sh.cpuBusy < now {
 		sh.cpuBusy = now
 	}
-	sh.cpuBusy += sim.Time(nops) * t.Cfg.ServerOpCost
-	t.eng.At(sh.cpuBusy, fn)
+	sh.cpuBusy += sim.Time(work) * t.Cfg.ServerOpCost
+	t.eng.At2(sh.cpuBusy, servedEv, t, m)
+}
+
+// servedEv applies a part that cleared its owner's station and replies.
+func servedEv(a, b any) {
+	t, m := a.(*Tier), b.(*reqMsg)
+	if !m.dup {
+		sh := t.shards[int(m.owner)]
+		for _, op := range m.Ops {
+			sh.apply(op)
+		}
+	}
+	t.reply(int(m.owner), m)
 }
 
 func (sh *shard) apply(op workload.Op) {
@@ -493,13 +604,15 @@ func (sh *shard) apply(op workload.Op) {
 	sh.applied++
 }
 
+// reply answers part m from proc p out of the part's own storage. A KV /
+// Txn part is delivered to one owner once, so it is filled once; where an
+// SMR command can be answered twice (see smr.go) the second fill writes the
+// same bytes — the reply is a function of the part — and core only reads a
+// scattering's messages.
 func (t *Tier) reply(p int, m *reqMsg) {
-	msg := []onepipe.Message{{
-		Dst:  onepipe.ProcID(m.FE),
-		Data: &repMsg{Sess: m.Sess, Seq: m.Seq, N: uint16(len(m.Ops))},
-		Size: 16,
-	}}
-	if err := t.cl.Process(p).Send(msg); err != nil {
+	m.rep = repMsg{Sess: m.Sess, Seq: m.Seq, N: uint16(len(m.Ops))}
+	m.out[0] = onepipe.Message{Dst: onepipe.ProcID(m.FE), Data: &m.rep, Size: 16}
+	if err := t.cl.Process(p).Send(m.out[:]); err != nil {
 		if errors.Is(err, onepipe.ErrClosed) {
 			return
 		}
@@ -528,14 +641,24 @@ func (t *Tier) complete(m *repMsg) {
 		t.hist.Add(float64(lat) / 1000) // µs
 	}
 	if t.Cfg.RecordLog {
-		t.log = append(t.log, fmt.Sprintf("s=%d q=%d at=%d lat=%d n=%d\n",
-			m.Sess, m.Seq, now, lat, len(s.ops))...)
+		t.log = appendLogLine(t.log, m.Sess, m.Seq, now, lat, len(s.req.ops))
 	}
+	s.req = nil // nothing request-sized stays reachable while the session thinks
 	if s.stopped || (t.Cfg.MaxRequests > 0 && s.done >= t.Cfg.MaxRequests) {
 		return
 	}
-	id := int(m.Sess)
-	t.eng.After(workload.ExpDraw(&s.rng, t.Cfg.ThinkTime), func() { t.issue(id) })
+	t.eng.After2(workload.ExpDraw(&s.rng, t.Cfg.ThinkTime), issueEv, t, s)
+}
+
+// appendLogLine appends "s=%d q=%d at=%d lat=%d n=%d\n" without fmt's
+// boxed arguments and intermediate string.
+func appendLogLine(b []byte, sess int32, seq uint32, at, lat sim.Time, n int) []byte {
+	b = strconv.AppendInt(append(b, "s="...), int64(sess), 10)
+	b = strconv.AppendUint(append(b, " q="...), uint64(seq), 10)
+	b = strconv.AppendInt(append(b, " at="...), int64(at), 10)
+	b = strconv.AppendInt(append(b, " lat="...), int64(lat), 10)
+	b = strconv.AppendInt(append(b, " n="...), int64(n), 10)
+	return append(b, '\n')
 }
 
 // --- measurement windows ---
@@ -573,9 +696,14 @@ func (t *Tier) RunLoad(warmup, window sim.Time) Result {
 }
 
 // RunToCompletion drives until every session finished Cfg.MaxRequests (or
-// limit elapses); it returns true on full completion.
+// limit elapses); it returns true on full completion. Unbounded sessions
+// (MaxRequests 0) never complete: it runs to limit and returns false.
 func (t *Tier) RunToCompletion(limit sim.Time) bool {
 	t.Start()
+	if t.Cfg.MaxRequests <= 0 {
+		t.cl.Run(limit)
+		return false
+	}
 	deadline := t.eng.Now() + limit
 	for t.eng.Now() < deadline {
 		done := true

@@ -2,11 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"onepipe"
 	"onepipe/internal/kvstore"
+	"onepipe/internal/race"
 	"onepipe/internal/sim"
 	"onepipe/internal/workload"
 )
@@ -236,5 +244,288 @@ func TestFrontendCrashUnderLoad(t *testing.T) {
 	d2, c2, g2 := run()
 	if d1 != d2 || c1 != c2 || g1 != g2 {
 		t.Fatalf("faulted run not deterministic: (%d,%d,%x) vs (%d,%d,%x)", d1, c1, g1, d2, c2, g2)
+	}
+}
+
+// TestParentPins compares the tier with values captured at commit 03043d8 —
+// the last one before a request became a single object — not with a second
+// run of the same code, which a mistake that both runs share passes (every
+// session created with id 0 passed the replay tests). Each row is 100 us of
+// load, an optional host kill, then a 300 us window; the pins are the FNV-1a
+// of the request log, the state digest, the window's delivered and issued
+// counts and the engine's executed-event count. They move only with a
+// deliberate change to what the tier sends, and then all of them are
+// recaptured together on the commit that makes it.
+func TestParentPins(t *testing.T) {
+	conflictAware := func() *onepipe.Cluster {
+		c := onepipe.Defaults()
+		c.ConflictAware = true
+		return onepipe.NewCluster(c)
+	}
+	rows := []struct {
+		name              string
+		edit              func(*Config)
+		cluster           func() *onepipe.Cluster
+		kill              int
+		log, state        uint64
+		delivered, issued int
+		events            uint64
+	}{
+		{"kv", func(*Config) {}, testCluster, -1,
+			0x6724988549e9bd8e, 0xa9a6cf2ff76e4944, 262, 268, 58824},
+		{"txn", func(c *Config) {
+			c.Service = Txn
+			c.Conflicts = true
+			c.BatchWindow = 2 * sim.Microsecond
+		}, conflictAware, -1,
+			0x40123e7035518b9f, 0x11a3868d098f7420, 324, 319, 111874},
+		{"kv-crash", func(c *Config) { // five retries fire, no owner sees a duplicate
+			c.Servers = 4
+			c.Clients = 48
+			c.RetryTimeout = 60 * sim.Microsecond
+		}, testCluster, 6,
+			0x1bb6bec6be24e068, 0xefb77968c015b980, 143, 149, 41982},
+		{"kv-retry", func(c *Config) { // timeout below the p50: 624 retries, 1259 duplicates at the owners
+			c.RetryTimeout = 10 * sim.Microsecond
+		}, testCluster, -1,
+			0xf61a5765de01a1d1, 0x31d0d6f2dc28a1a6, 287, 737, 120557},
+		{"smr-fabric", func(c *Config) {
+			c.Service = SMRFabric
+			c.Replicas = 3
+		}, testCluster, -1,
+			0x3c464691861e9ac6, 0x585da39ceaae9f98, 252, 260, 60086},
+		{"smr-raft", func(c *Config) {
+			c.Service = SMRRaft
+			c.Replicas = 3
+		}, testCluster, -1,
+			0x207de236d1b93cc, 0x44aabdb39f0b4bd, 206, 198, 54872},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			cfg := smallCfg()
+			cfg.RecordLog = true
+			r.edit(&cfg)
+			cl := r.cluster()
+			tier := New(cl, cfg)
+			if !tier.WaitSMRReady(5 * sim.Millisecond) {
+				t.Fatal("raft group elected no leader")
+			}
+			tier.Start()
+			cl.Run(100 * sim.Microsecond)
+			if r.kill >= 0 {
+				cl.KillHost(r.kill)
+			}
+			tier.StartMeasure()
+			cl.Run(300 * sim.Microsecond)
+			res := tier.StopMeasure()
+			h := fnv.New64a()
+			h.Write(tier.Log())
+			if got := h.Sum64(); got != r.log {
+				t.Errorf("request log digest %#x, parent %#x", got, r.log)
+			}
+			if got := tier.StateDigest(); got != r.state {
+				t.Errorf("state digest %#x, parent %#x", got, r.state)
+			}
+			if res.Delivered != r.delivered || res.Issued != r.issued {
+				t.Errorf("delivered/issued %d/%d, parent %d/%d", res.Delivered, res.Issued, r.delivered, r.issued)
+			}
+			if got := cl.Network().ExecutedEvents(); got != r.events {
+				t.Errorf("executed events %d, parent %d", got, r.events)
+			}
+		})
+	}
+}
+
+// pairTxns is a request of two ops on consecutive keys — two distinct
+// owners whenever there are at least two — drawn without allocating.
+type pairTxns struct{ ops [2]workload.Op }
+
+func (p *pairTxns) Next() []workload.Op { return p.ops[:] }
+
+// pairCfg is smallCfg with every session issuing pairTxns requests; every
+// other session's second op is a write, so both service classes are sent.
+func pairCfg() Config {
+	cfg := smallCfg()
+	cfg.Txns = func(sess int) workload.TxnSource {
+		p := &pairTxns{}
+		p.ops[0] = workload.Op{Kind: workload.OpRead, Key: uint64(2 * sess)}
+		p.ops[1] = workload.Op{Kind: workload.OpRead, Key: uint64(2*sess + 1)}
+		if sess%2 == 1 {
+			p.ops[1].Kind, p.ops[1].Value = workload.OpWrite, 64
+		}
+		return p
+	}
+	return cfg
+}
+
+// TestServeRequestAllocs pins what a request costs the heap end to end on a
+// warm tier: the request object, the four objects core takes for a 2-way
+// scattering (the scattering and the three slabs of one wider than its
+// inline room), and one scattering per reply — nothing for the parts, the
+// messages, the replies, the station and think events or the send options.
+func TestServeRequestAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	cl := testCluster()
+	tier := New(cl, pairCfg())
+	tier.Start()
+	cl.Run(2 * sim.Millisecond) // warm: connections, pools, event queue, owner maps
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	done := tier.Completed()
+	runtime.ReadMemStats(&before)
+	cl.Run(3 * sim.Millisecond)
+	runtime.ReadMemStats(&after)
+	done = tier.Completed() - done
+	if done < 2000 {
+		t.Fatalf("only %d requests completed in the window", done)
+	}
+	got := float64(after.Mallocs-before.Mallocs) / float64(done)
+	t.Logf("%d requests, %.3f allocs each", done, got)
+	// 1 request + 4 (the 2-way scattering) + 2 × 1 (the replies); the
+	// runtime's own background objects add 0.01–0.02 on top.
+	const want = 7
+	if got < want || got > want+0.05 {
+		t.Errorf("%.3f allocs per request, want %d", got, want)
+	}
+}
+
+// TestIdleSessionFootprint: a session that is not waiting for replies holds
+// nothing request-sized, and the two structs keep the sizes their comments
+// state.
+func TestIdleSessionFootprint(t *testing.T) {
+	cl := testCluster()
+	tier := New(cl, smallCfg())
+	tier.Start()
+	cl.Run(200 * sim.Microsecond)
+	for p := 0; p < cl.NumProcesses(); p++ {
+		tier.StopFrontend(p)
+	}
+	cl.Run(200 * sim.Microsecond) // drain what was outstanding
+	if tier.Completed() == 0 {
+		t.Fatal("tier idle before the drain")
+	}
+	for _, s := range tier.sessions {
+		if s.req != nil {
+			t.Fatalf("drained session %d still holds a request", s.id)
+		}
+	}
+	if got := unsafe.Sizeof(session{}); got > 72 {
+		t.Errorf("session is %d B, want <= 72", got)
+	}
+	if got := unsafe.Sizeof(request{}); got > 384 {
+		t.Errorf("request is %d B, want within the 384 B size class", got)
+	}
+}
+
+// TestRetryTakesFreshRequest: once Process.Send has accepted an attempt,
+// its request belongs to the fabric and the owners. The retry path must
+// send a copy and leave the first attempt — ops, parts with the owners'
+// state and replies, message slice — exactly as it was.
+func TestRetryTakesFreshRequest(t *testing.T) {
+	cfg := pairCfg()
+	cfg.Clients = 1
+	cfg.MaxRequests = 1
+	cl := testCluster()
+	tier := New(cl, cfg)
+	s := tier.sessions[0]
+	tier.issue(s)
+	first := s.req
+	if first == nil || !first.sent || len(first.parts) != 2 {
+		t.Fatalf("first attempt not sent as two parts: %+v", first)
+	}
+	// Run until an owner has answered a part, so the attempt carries
+	// owner-side state, but the request is still outstanding.
+	for i := 0; first.parts[0].out[0].Data == nil && first.parts[1].out[0].Data == nil; i++ {
+		if i == 100 {
+			t.Fatal("no owner replied within 100 us")
+		}
+		cl.Run(sim.Microsecond)
+	}
+	if s.req != first || s.pending == 0 {
+		t.Fatal("request completed before the retry could be staged")
+	}
+	ops := append([]workload.Op(nil), first.ops...)
+	parts := append([]reqMsg(nil), first.parts...)
+	msgs := append([]onepipe.Message(nil), first.msgs...)
+
+	tier.send(s) // what the loss-retry timer does
+
+	if s.req == first {
+		t.Fatal("the retry reused a request the fabric and the owners still hold")
+	}
+	if !reflect.DeepEqual(first.ops, ops) || !reflect.DeepEqual(first.parts, parts) || !reflect.DeepEqual(first.msgs, msgs) {
+		t.Fatal("the retry rewrote the first attempt")
+	}
+	if !reflect.DeepEqual(s.req.ops, ops) || len(s.req.parts) != 2 || s.req.parts[0].out[0].Data != nil {
+		t.Fatalf("the retry is not a clean copy of the request: %+v", s.req)
+	}
+	for i := range s.req.msgs {
+		if s.req.msgs[i].Data != &s.req.parts[i] || s.req.msgs[i].Size != msgs[i].Size || s.req.msgs[i].Dst != msgs[i].Dst {
+			t.Fatalf("retry message %d does not carry its own part", i)
+		}
+	}
+	cl.Run(100 * sim.Microsecond)
+	if s.done != 1 || s.req != nil {
+		t.Fatalf("after both attempts settled: done=%d req=%v, want one completion", s.done, s.req)
+	}
+}
+
+// TestTxnsSliceNotMutated: grouping by owner reorders a request's ops in
+// place, so a Config.Txns generator's lists are copied first.
+func TestTxnsSliceNotMutated(t *testing.T) {
+	// Owners 0,1,0,1 and 3,2,3 under key%8: grouping reorders both.
+	lists := [][]workload.Op{
+		{{Kind: workload.OpRead, Key: 0}, {Kind: workload.OpWrite, Key: 1, Value: 8}, {Kind: workload.OpRead, Key: 8}, {Kind: workload.OpRead, Key: 9}},
+		{{Kind: workload.OpWrite, Key: 3, Value: 8}, {Kind: workload.OpRead, Key: 2}, {Kind: workload.OpRead, Key: 11}},
+	}
+	want := make([][]workload.Op, len(lists))
+	for i, l := range lists {
+		want[i] = append([]workload.Op(nil), l...)
+	}
+	cfg := smallCfg()
+	cfg.Clients = 1
+	cfg.MaxRequests = len(lists)
+	cfg.Txns = func(int) workload.TxnSource { return &replayTxns{list: lists} }
+	tier := New(testCluster(), cfg)
+	if !tier.RunToCompletion(5 * sim.Millisecond) {
+		t.Fatal("fixed transaction list did not complete")
+	}
+	if tier.AppliedOps() != 7 {
+		t.Fatalf("owners applied %d ops, want 7", tier.AppliedOps())
+	}
+	if !reflect.DeepEqual(lists, want) {
+		t.Fatalf("the generator's op lists were reordered: %v", lists)
+	}
+}
+
+// TestLogLineMatchesFmt: the fmt-free log line is byte-identical to the
+// format the benchmark parses.
+func TestLogLineMatchesFmt(t *testing.T) {
+	for _, c := range []struct {
+		sess    int32
+		seq     uint32
+		at, lat sim.Time
+		n       int
+	}{
+		{0, 0, 0, 0, 0},
+		{255, 256, 1, 12174, 2},
+		{256, 255, 4600000, 19291, 8},
+		{math.MaxInt32, math.MaxUint32, 1234567890123, math.MaxInt32, 12},
+	} {
+		want := fmt.Sprintf("s=%d q=%d at=%d lat=%d n=%d\n", c.sess, c.seq, c.at, c.lat, c.n)
+		if got := string(appendLogLine([]byte("x\n"), c.sess, c.seq, c.at, c.lat, c.n)); got != "x\n"+want {
+			t.Errorf("appendLogLine = %q, want %q", got, "x\n"+want)
+		}
+	}
+}
+
+// TestRunToCompletionUnbounded: sessions without a request cap never
+// complete, so the tier runs to the limit and says so.
+func TestRunToCompletionUnbounded(t *testing.T) {
+	tier := New(testCluster(), smallCfg())
+	if tier.RunToCompletion(200*sim.Microsecond) || tier.Completed() == 0 {
+		t.Fatalf("unbounded run reported complete or did not run (completed %d)", tier.Completed())
 	}
 }

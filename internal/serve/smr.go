@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"math/rand"
 
 	"onepipe"
@@ -78,54 +77,38 @@ type transportFn func(raft.Message)
 
 func (f transportFn) Send(m raft.Message) { f(m) }
 
-// smrSend issues session id's command. Fabric mode scatters it reliably to
-// every replica in one position of the total order; Raft mode sends it to
-// the current leader.
-func (t *Tier) smrSend(id int) {
-	s := t.sessions[id]
-	size := 16 * len(s.ops)
-	for _, op := range s.ops {
+// smrSend issues s's command — the one part of its request. Fabric mode
+// scatters it reliably to every replica in one position of the total order;
+// Raft mode sends it to the current leader.
+func (t *Tier) smrSend(s *session) {
+	r := s.req
+	req := &r.parts[0]
+	size := 16 * len(req.Ops)
+	for _, op := range req.Ops {
 		size += op.Value
 	}
-	req := &reqMsg{Sess: int32(id), FE: s.fe, Seq: s.seq, Ops: s.ops}
+	dsts := t.smr.replicas
+	var opts []onepipe.SendOption
 	if t.Cfg.Service == SMRFabric {
-		msgs := make([]onepipe.Message, 0, len(t.smr.replicas))
-		for _, rp := range t.smr.replicas {
-			msgs = append(msgs, onepipe.Message{Dst: onepipe.ProcID(rp), Data: req, Size: size})
-		}
-		s.pending = 1 // one reply, from the designated responder
-		opts := append(t.sendOpts(false, 0), onepipe.Reliable())
-		if err := t.cl.Process(int(s.fe)).Send(msgs, opts...); err != nil {
-			if errors.Is(err, onepipe.ErrClosed) {
-				s.stopped = true
-				return
-			}
-			t.eng.After(2*sim.Microsecond, func() { t.send(id) })
+		opts = t.sendOpts(true, 0)
+	} else {
+		// Raft baseline: route to the leader; if the group is mid-election,
+		// wait it out.
+		lead := t.raftLeader()
+		if lead < 0 {
+			t.eng.After2(50*sim.Microsecond, sendEv, t, s)
 			return
 		}
-		t.issued++
-		t.armRetry(id)
-		return
+		dsts = dsts[lead : lead+1]
 	}
-	// Raft baseline: route to the leader; if the group is mid-election,
-	// wait it out.
-	lead := t.raftLeader()
-	if lead < 0 {
-		t.eng.After(50*sim.Microsecond, func() { t.send(id) })
-		return
+	if len(r.msgs) != len(dsts) { // else an attempt Send refused, addressed again
+		r.msgs = r.messages(len(dsts))
 	}
-	s.pending = 1
-	msg := []onepipe.Message{{Dst: onepipe.ProcID(lead), Data: req, Size: size}}
-	if err := t.cl.Process(int(s.fe)).Send(msg); err != nil {
-		if errors.Is(err, onepipe.ErrClosed) {
-			s.stopped = true
-			return
-		}
-		t.eng.After(2*sim.Microsecond, func() { t.send(id) })
-		return
+	for i, rp := range dsts {
+		r.msgs[i] = onepipe.Message{Dst: onepipe.ProcID(rp), Data: req, Size: size}
 	}
-	t.issued++
-	t.armRetry(id)
+	s.pending = 1 // one reply: the designated responder's, or the leader's
+	t.transmit(s, opts)
 }
 
 // raftLeader returns the current leader's replica index, or -1.
@@ -175,6 +158,9 @@ func (t *Tier) smrRequest(p int, m *reqMsg) {
 			if !dup {
 				sm.applyCmd(m)
 			}
+			// The replicas share m. Its embedded reply has one writer:
+			// only the designated responder answers, and the fabric
+			// delivers the command to it once.
 			if int(m.Sess)%len(t.smr.machines) == p {
 				t.reply(p, m)
 			}
@@ -218,6 +204,9 @@ func (t *Tier) raftApply(replica, index int, cmd any) {
 		if !dup {
 			sm.applyCmd(m)
 		}
+		// Whoever led at apply time answers out of m's embedded reply.
+		// Across a term change two replicas can each have led when they
+		// applied the entry: both write the same bytes (see reply).
 		if leader {
 			t.reply(replica, m)
 		}

@@ -461,14 +461,22 @@ func (p *Process) Send(msgs []Message, opts ...SendOption) error {
 	if len(opts) == 0 {
 		return p.backend.send(msgs, core.SendOptions{})
 	}
-	// Applying an option through its func value makes o escape; only sends
-	// that pass options pay for it.
-	var o core.SendOptions
+	// Applying an option through its func value makes its target escape, so
+	// the options are applied into a pooled scratch struct and copied out by
+	// value: an option-carrying send allocates nothing either. A pool rather
+	// than a field of the Process, because the real-time fabrics send from
+	// several goroutines.
+	scratch := sendOptsPool.Get().(*core.SendOptions)
+	*scratch = core.SendOptions{}
 	for _, opt := range opts {
-		opt(&o)
+		opt(scratch)
 	}
+	o := *scratch
+	sendOptsPool.Put(scratch)
 	return p.backend.send(msgs, o)
 }
+
+var sendOptsPool = sync.Pool{New: func() any { return new(core.SendOptions) }}
 
 // OnDeliver registers the delivery callback; messages arrive in
 // (timestamp, sender) total order (the push-style equivalent of

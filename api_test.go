@@ -97,8 +97,12 @@ func TestTestbedTopology(t *testing.T) {
 func TestModeConfigPropagates(t *testing.T) {
 	cfg := Defaults()
 	cfg.Mode = ModeHostDelegate
+	cfg.BeaconInterval = 1 * Microsecond
 	cl := NewCluster(cfg)
 	if cl.Network().Cfg.Mode != ModeHostDelegate {
 		t.Fatal("mode not propagated")
+	}
+	if cl.Network().Cfg.BeaconInterval != 1*Microsecond {
+		t.Fatal("beacon interval not propagated")
 	}
 }

@@ -11,41 +11,36 @@ import (
 	"fmt"
 
 	"onepipe"
-	"onepipe/internal/netsim"
-	"onepipe/internal/smr"
 )
 
 func main() {
 	cluster := onepipe.NewCluster(onepipe.Defaults())
 	replicas := []onepipe.ProcID{5, 6, 7}
-	group := smr.NewGroup(cluster.Core(), replicas, func(netsim.ProcID) smr.StateMachine {
-		return smr.NewLockManager()
-	})
+	lms, submit := replicate(cluster, replicas)
 	eng := cluster.Network().Eng
 	cluster.Run(50 * onepipe.Microsecond)
 
 	// Four clients race for the same resource; each holds it for 15us.
-	lm := group.SM(5).(*smr.LockManager)
-	lm.OnGrant = func(ev smr.GrantEvent) {
+	lms[0].OnGrant = func(ev GrantEvent) {
 		owner := ev.Owner
 		fmt.Printf("granted %-8s to client %d at ts=%v\n", ev.Resource, owner, ev.TS)
 		eng.After(15*onepipe.Microsecond, func() {
-			group.Submit(owner, smr.LockCmd{Resource: ev.Resource, Owner: owner, Release: true}, 16)
+			submit(owner, LockCmd{Resource: ev.Resource, Owner: owner, Release: true})
 		})
 	}
 	for _, client := range []onepipe.ProcID{0, 1, 2, 3} {
 		client := client
 		eng.At(eng.Now()+onepipe.Timestamp(60+client)*onepipe.Microsecond, func() {
-			group.Submit(client, smr.LockCmd{Resource: "database", Owner: client}, 16)
+			submit(client, LockCmd{Resource: "database", Owner: client})
 		})
 	}
 	cluster.Run(2 * onepipe.Millisecond)
 
 	// Verify all replicas computed the identical grant sequence.
-	ref := group.SM(5).(*smr.LockManager).Grants
+	ref := lms[0].Grants
 	same := true
-	for _, r := range replicas[1:] {
-		g := group.SM(r).(*smr.LockManager).Grants
+	for _, lm := range lms[1:] {
+		g := lm.Grants
 		if len(g) != len(ref) {
 			same = false
 			break

@@ -18,7 +18,7 @@ import (
 	"onepipe/internal/stats"
 )
 
-// Config parameterizes one baseline run.
+// Config parameterizes one baseline run: what Figure 8 sweeps.
 type Config struct {
 	// Procs is the number of processes; the traffic pattern is all-to-all
 	// (each message goes to a uniformly random peer, as a slice of a
@@ -28,41 +28,39 @@ type Config struct {
 	OfferedPerProc float64
 	// Duration is the measured window of virtual time.
 	Duration sim.Time
-	// ProcRate is the per-process CPU send/receive capacity (msg/s); the
-	// paper's lib1pipe tops out near 5M msg/s per process.
-	ProcRate float64
-	// PathDelay is the average one-way host-to-host latency.
-	PathDelay sim.Time
-	// SeqRate is the sequencer's service rate (msg/s): a programmable
-	// switch stamps at line rate; a host NIC sequencer is ~an order of
-	// magnitude slower.
-	SeqRate float64
-	// SeqDetour is the extra one-way delay to reach the sequencer.
-	SeqDetour sim.Time
-	// TokenPass is the token hand-off delay; TokenBatch the messages a
-	// holder may send per possession.
-	TokenPass  sim.Time
-	TokenBatch int
-	// ExchangeInterval is the Lamport timestamp-exchange period.
-	ExchangeInterval sim.Time
-	Seed             int64
 }
 
-// DefaultConfig calibrates the baselines against the netsim testbed
-// constants.
+// The calibration against the netsim testbed constants, the same in every
+// run.
+const (
+	// procRate is the per-process CPU send/receive capacity (msg/s); the
+	// paper's lib1pipe tops out near 5M msg/s per process.
+	procRate = 5e6
+	// pathDelay is the average one-way host-to-host latency.
+	pathDelay = 2500 * sim.Nanosecond
+	// seqRate is the sequencer's service rate (msg/s): a programmable
+	// switch stamps at line rate; a host NIC sequencer is ~an order of
+	// magnitude slower.
+	seqRate = 100e6
+	// seqDetour is the extra one-way delay to reach the sequencer.
+	seqDetour = 1500 * sim.Nanosecond
+	// tokenPass is the token hand-off delay; tokenBatch the messages a
+	// holder may send per possession.
+	tokenPass  = 2 * sim.Microsecond
+	tokenBatch = 16
+	// exchangeInterval is the Lamport timestamp-exchange period before
+	// RunLamport stretches it.
+	exchangeInterval = 10 * sim.Microsecond
+	seed             = 1
+)
+
+// DefaultConfig is the Figure 8 operating point for the given process
+// count.
 func DefaultConfig(procs int) Config {
 	return Config{
-		Procs:            procs,
-		OfferedPerProc:   5e6,
-		Duration:         200 * sim.Microsecond,
-		ProcRate:         5e6,
-		PathDelay:        2500 * sim.Nanosecond,
-		SeqRate:          100e6,
-		SeqDetour:        1500 * sim.Nanosecond,
-		TokenPass:        2 * sim.Microsecond,
-		TokenBatch:       16,
-		ExchangeInterval: 10 * sim.Microsecond,
-		Seed:             1,
+		Procs:          procs,
+		OfferedPerProc: 5e6,
+		Duration:       200 * sim.Microsecond,
 	}
 }
 
@@ -114,23 +112,23 @@ const maxQueueDelay = 5 * sim.Millisecond
 // pipeline, and continues to its destination. Receivers deliver in stamp
 // order (which the single sequencer makes trivially total).
 func RunSwitchSeq(cfg Config) Result {
-	return runSequencer("SwitchSeq", cfg, cfg.SeqRate)
+	return runSequencer("SwitchSeq", cfg, seqRate)
 }
 
 // RunHostSeq models the sequencer on a host NIC (design of "Design
 // Guidelines for High Performance RDMA Systems"): same structure, an order
 // of magnitude less stamping throughput.
 func RunHostSeq(cfg Config) Result {
-	return runSequencer("HostSeq", cfg, cfg.SeqRate/8)
+	return runSequencer("HostSeq", cfg, seqRate/8)
 }
 
 func runSequencer(name string, cfg Config, rate float64) Result {
-	eng := sim.NewEngine(cfg.Seed)
+	eng := sim.NewEngine(seed)
 	res := Result{Name: name, Procs: cfg.Procs}
 	seq := newQueue(rate)
 	recv := make([]*queue, cfg.Procs)
 	for i := range recv {
-		recv[i] = newQueue(cfg.ProcRate)
+		recv[i] = newQueue(procRate)
 	}
 	delivered := 0
 	gap := sim.Time(1e9 / cfg.OfferedPerProc)
@@ -143,11 +141,11 @@ func runSequencer(name string, cfg Config, rate float64) Result {
 			if seq.depth(sent) > maxQueueDelay {
 				return // sequencer ingress drop under overload
 			}
-			atSeq := sent + cfg.PathDelay/2 + cfg.SeqDetour
+			atSeq := sent + pathDelay/2 + seqDetour
 			eng.At(atSeq, func() {
 				stamped := seq.admit(eng.Now())
 				dst := eng.Rand().Intn(cfg.Procs)
-				arrive := stamped + cfg.SeqDetour + cfg.PathDelay/2
+				arrive := stamped + seqDetour + pathDelay/2
 				eng.At(arrive, func() {
 					if recv[dst].depth(eng.Now()) > maxQueueDelay {
 						return
@@ -170,7 +168,7 @@ func runSequencer(name string, cfg Config, rate float64) Result {
 // up to TokenBatch pending messages, then passes the token to the next
 // process.
 func RunToken(cfg Config) Result {
-	eng := sim.NewEngine(cfg.Seed)
+	eng := sim.NewEngine(seed)
 	res := Result{Name: "Token", Procs: cfg.Procs}
 	type msg struct{ created sim.Time }
 	pendings := make([][]msg, cfg.Procs)
@@ -179,23 +177,23 @@ func RunToken(cfg Config) Result {
 	for p := 0; p < cfg.Procs; p++ {
 		p := p
 		sim.NewTicker(eng, gap, 0, func() {
-			if len(pendings[p]) < 4*cfg.TokenBatch { // bounded send buffer
+			if len(pendings[p]) < 4*tokenBatch { // bounded send buffer
 				pendings[p] = append(pendings[p], msg{created: eng.Now()})
 			}
 		})
 	}
-	perMsg := sim.Time(1e9 / cfg.ProcRate)
+	perMsg := sim.Time(1e9 / procRate)
 	var rotate func(holder int)
 	rotate = func(holder int) {
 		n := len(pendings[holder])
-		if n > cfg.TokenBatch {
-			n = cfg.TokenBatch
+		if n > tokenBatch {
+			n = tokenBatch
 		}
 		busy := eng.Now()
 		for i := 0; i < n; i++ {
 			m := pendings[holder][i]
 			busy += perMsg
-			arrive := busy + cfg.PathDelay
+			arrive := busy + pathDelay
 			created := m.created
 			eng.At(arrive, func() {
 				delivered++
@@ -203,7 +201,7 @@ func RunToken(cfg Config) Result {
 			})
 		}
 		pendings[holder] = pendings[holder][n:]
-		eng.At(busy+cfg.TokenPass, func() { rotate((holder + 1) % cfg.Procs) })
+		eng.At(busy+tokenPass, func() { rotate((holder + 1) % cfg.Procs) })
 	}
 	rotate(0)
 	eng.RunUntil(cfg.Duration)
@@ -219,7 +217,7 @@ func RunToken(cfg Config) Result {
 // interval — and the (N-1) exchange messages per interval eat into each
 // process's send budget.
 func RunLamport(cfg Config) Result {
-	eng := sim.NewEngine(cfg.Seed)
+	eng := sim.NewEngine(seed)
 	res := Result{Name: "Lamport", Procs: cfg.Procs}
 	n := cfg.Procs
 
@@ -228,18 +226,17 @@ func RunLamport(cfg Config) Result {
 	// stretched so exactly half the budget remains for data — the paper's
 	// "even if 50% throughput is used for timestamp exchange" trade-off;
 	// delivery latency then grows with the stretched interval.
-	exchangeInterval := cfg.ExchangeInterval
-	ctrlRate := float64(n-1) / exchangeInterval.Seconds()
-	if ctrlRate > cfg.ProcRate/2 {
-		ctrlRate = cfg.ProcRate / 2
-		exchangeInterval = sim.Time(float64(n-1) / ctrlRate * 1e9)
+	exchange := exchangeInterval
+	ctrlRate := float64(n-1) / exchange.Seconds()
+	if ctrlRate > procRate/2 {
+		ctrlRate = procRate / 2
+		exchange = sim.Time(float64(n-1) / ctrlRate * 1e9)
 	}
-	dataBudget := cfg.ProcRate - ctrlRate
+	dataBudget := procRate - ctrlRate
 	offered := cfg.OfferedPerProc
 	if offered > dataBudget {
 		offered = dataBudget
 	}
-	cfg.ExchangeInterval = exchangeInterval
 
 	type inflight struct {
 		ts      sim.Time
@@ -277,7 +274,7 @@ func RunLamport(cfg Config) Result {
 		sim.NewTicker(eng, gap, 0, func() {
 			now := eng.Now()
 			dst := eng.Rand().Intn(n)
-			eng.At(now+cfg.PathDelay, func() {
+			eng.At(now+pathDelay, func() {
 				if len(buffered[dst]) < 1<<16 {
 					buffered[dst] = append(buffered[dst], inflight{ts: now, created: now})
 				}
@@ -286,11 +283,11 @@ func RunLamport(cfg Config) Result {
 			})
 		})
 		// Periodic clock exchange to every peer.
-		sim.NewTicker(eng, cfg.ExchangeInterval, 0, func() {
+		sim.NewTicker(eng, exchange, 0, func() {
 			now := eng.Now()
 			for r := 0; r < n; r++ {
 				r := r
-				eng.At(now+cfg.PathDelay, func() {
+				eng.At(now+pathDelay, func() {
 					if now > lastHeard[r][p] {
 						lastHeard[r][p] = now
 						drain(r)

@@ -63,7 +63,7 @@ func TestLamportLatencyBoundedByExchangeInterval(t *testing.T) {
 	}
 	// Delivery waits for the slowest peer's next exchange: mean latency
 	// must be at least a fraction of the interval.
-	if r.Latency.Mean() < float64(cfg.ExchangeInterval)/1000/4 {
+	if r.Latency.Mean() < float64(exchangeInterval)/1000/4 {
 		t.Fatalf("lamport latency %.2fus implausibly below exchange interval", r.Latency.Mean())
 	}
 }

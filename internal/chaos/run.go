@@ -167,7 +167,7 @@ func Run(p Plan) *Result { return runWith(p, nil) }
 func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result {
 	net := netsim.New(p.NetConfig())
 	cl := core.Deploy(net, p.CoreConfig())
-	ctrl := controller.New(net, cl, controller.DefaultConfig())
+	ctrl := controller.New(net, cl)
 	eng := net.Eng
 
 	nprocs := net.NumProcs()
@@ -349,7 +349,7 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 	// host's log length is frozen for the drain-silence checker.
 	departed := make(map[int]bool)
 	if len(p.Joins) > 0 || len(p.Drains) > 0 {
-		reconf := reconfig.New(net, cl, ctrl, reconfig.Config{})
+		reconf := reconfig.New(net, cl, ctrl)
 		for _, j := range p.Joins {
 			j := j
 			eng.At(j.At, func() {

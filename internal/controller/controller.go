@@ -15,32 +15,22 @@ import (
 	"onepipe/internal/topology"
 )
 
-// Config tunes the controller deployment.
-type Config struct {
-	// Replicas is the Raft group size backing the controller store.
-	Replicas int
-	// MgmtDelay is the one-way management-network latency between the
+// The controller deployment: a 3-replica store on a management network
+// with 10 us one-way latency.
+const (
+	// replicas is the Raft group size backing the controller store.
+	replicas = 3
+	// mgmtDelay is the one-way management-network latency between the
 	// controller and any host or switch.
-	MgmtDelay sim.Time
-	// PerHostCost is the controller's serialization cost per contacted
+	mgmtDelay = 10 * sim.Microsecond
+	// perHostCost is the controller's serialization cost per contacted
 	// host during Broadcast (§7.2: recovery grows 3-15us per host at
 	// scale because the controller must reach every process).
-	PerHostCost sim.Time
-	// AggregationWindow batches near-simultaneous dead-link reports (a
+	perHostCost = 3 * sim.Microsecond
+	// aggregationWindow batches near-simultaneous dead-link reports (a
 	// ToR failure produces one report per spine) into one failure event.
-	AggregationWindow sim.Time
-}
-
-// DefaultConfig returns deployment defaults: a 3-replica store on a
-// management network with 10 us one-way latency.
-func DefaultConfig() Config {
-	return Config{
-		Replicas:          3,
-		MgmtDelay:         10 * sim.Microsecond,
-		PerHostCost:       3 * sim.Microsecond,
-		AggregationWindow: 10 * sim.Microsecond,
-	}
-}
+	aggregationWindow = 10 * sim.Microsecond
+)
 
 // FailureRecord is the replicated decision for one failure event.
 type FailureRecord struct {
@@ -109,7 +99,6 @@ type EpochRecord struct {
 
 // Controller coordinates failure handling for one simulated cluster.
 type Controller struct {
-	Cfg  Config
 	net  *netsim.Network
 	cl   *core.Cluster
 	Raft *raft.Cluster
@@ -151,13 +140,13 @@ type report struct {
 // New deploys the controller over a cluster: it hooks the network's
 // dead-link reports, the hosts' stuck-message escalation, and builds the
 // Raft store on the same engine.
-func New(net *netsim.Network, cl *core.Cluster, cfg Config) *Controller {
-	c := &Controller{Cfg: cfg, net: net, cl: cl, declared: make(map[netsim.ProcID]bool)}
-	c.Raft = buildRaft(net, c, cfg)
+func New(net *netsim.Network, cl *core.Cluster) *Controller {
+	c := &Controller{net: net, cl: cl, declared: make(map[netsim.ProcID]bool)}
+	c.Raft = buildRaft(net, c)
 	net.OnLinkDead = func(l topology.Link, lastCommit sim.Time) {
 		// Switch -> controller report over the management network.
 		at := net.Eng.Now()
-		net.Eng.After(cfg.MgmtDelay, func() { c.onReport(report{link: l, lastCommit: lastCommit, at: at}) })
+		net.Eng.After(mgmtDelay, func() { c.onReport(report{link: l, lastCommit: lastCommit, at: at}) })
 	}
 	for _, h := range cl.Hosts {
 		h := h
@@ -169,8 +158,8 @@ func New(net *netsim.Network, cl *core.Cluster, cfg Config) *Controller {
 // buildRaft constructs the replicated store backing a controller: every
 // replica applies the committed log; the controller reads replica 0's
 // materialized state.
-func buildRaft(net *netsim.Network, c *Controller, cfg Config) *raft.Cluster {
-	return raft.NewCluster(net.Eng, cfg.Replicas, raft.DefaultConfig(), func(node, index int, cmd any) {
+func buildRaft(net *netsim.Network, c *Controller) *raft.Cluster {
+	return raft.NewCluster(net.Eng, replicas, raft.DefaultConfig(), func(node, index int, cmd any) {
 		if node != 0 {
 			return // single logical view: apply on replica 0's state
 		}
@@ -193,7 +182,7 @@ func (c *Controller) onReport(r report) {
 		return
 	}
 	c.windowOpen = true
-	c.net.Eng.After(c.Cfg.AggregationWindow, c.determine)
+	c.net.Eng.After(aggregationWindow, c.determine)
 }
 
 // determine computes the failed process set and failure timestamps
@@ -205,7 +194,7 @@ func (c *Controller) determine() {
 	if c.busy {
 		// A handling round is in flight; re-arm to pick these reports up
 		// afterwards.
-		c.net.Eng.After(c.Cfg.AggregationWindow, c.determine)
+		c.net.Eng.After(aggregationWindow, c.determine)
 		c.windowOpen = true
 		return
 	}
@@ -392,7 +381,7 @@ func (c *Controller) broadcast(rec FailureRecord, gated []topology.LinkID) {
 	var resume func()
 	done := func(hi int) {
 		// Host -> controller completion, one management hop back.
-		eng.After(c.Cfg.MgmtDelay, func() {
+		eng.After(mgmtDelay, func() {
 			if !pending[hi] {
 				return // already written off by the sweep
 			}
@@ -428,7 +417,7 @@ func (c *Controller) broadcast(rec FailureRecord, gated []topology.LinkID) {
 		// Pure fabric failure (core link/switch): no process failed; no
 		// host involvement needed (§7.2: "only the controller needs to
 		// be involved").
-		eng.After(2*c.Cfg.MgmtDelay, resume)
+		eng.After(2*mgmtDelay, resume)
 		return
 	}
 	i := 0
@@ -441,7 +430,7 @@ func (c *Controller) broadcast(rec FailureRecord, gated []topology.LinkID) {
 		hi, h := hi, h
 		// The controller serializes its broadcast: each additional host
 		// costs PerHostCost of controller CPU/NIC time.
-		eng.After(c.Cfg.MgmtDelay+sim.Time(i)*c.Cfg.PerHostCost, func() { h.ApplyFailure(rec.Procs, func() { done(hi) }) })
+		eng.After(mgmtDelay+sim.Time(i)*perHostCost, func() { h.ApplyFailure(rec.Procs, func() { done(hi) }) })
 		i++
 	}
 	if waiting == 0 {
@@ -478,7 +467,7 @@ func (c *Controller) broadcast(rec FailureRecord, gated []topology.LinkID) {
 // sender released.
 func (c *Controller) onStuck(h *core.Host, src, dst netsim.ProcID, ts sim.Time) {
 	eng := c.net.Eng
-	eng.After(c.Cfg.MgmtDelay, func() {
+	eng.After(mgmtDelay, func() {
 		dstHost := c.net.G.Host(c.net.HostOfProc(dst))
 		if c.hostConnected(dstHost) {
 			c.forward(h, src, dst)
@@ -489,7 +478,7 @@ func (c *Controller) onStuck(h *core.Host, src, dst netsim.ProcID, ts sim.Time) 
 		if leader != nil {
 			leader.Propose(rec)
 		}
-		eng.After(c.Cfg.MgmtDelay, func() { h.ResolveUnreachable(dst, ts) })
+		eng.After(mgmtDelay, func() { h.ResolveUnreachable(dst, ts) })
 	})
 }
 
@@ -512,7 +501,7 @@ func (c *Controller) forward(h *core.Host, src, dst netsim.ProcID) {
 		if c.OnForward != nil {
 			c.OnForward(pkt)
 		}
-		eng.After(c.Cfg.MgmtDelay, func() {
+		eng.After(mgmtDelay, func() {
 			// Acknowledge on the receiver's behalf: the receiver's own
 			// ACK would die on the partitioned path. Built before the
 			// handoff — HandlePacket consumes pkt.
@@ -522,7 +511,7 @@ func (c *Controller) forward(h *core.Host, src, dst netsim.ProcID) {
 				Size: netsim.BeaconBytes,
 			}
 			dstHost.HandlePacket(pkt)
-			eng.After(c.Cfg.MgmtDelay, func() { h.HandlePacket(ack) })
+			eng.After(mgmtDelay, func() { h.HandlePacket(ack) })
 		})
 	}
 }

@@ -18,7 +18,7 @@ func testCluster(t *testing.T, mut func(*netsim.Config)) (*core.Cluster, *Contro
 	}
 	n := netsim.New(cfg)
 	cl := core.Deploy(n, core.DefaultConfig())
-	ctrl := New(n, cl, DefaultConfig())
+	ctrl := New(n, cl)
 	// Let the Raft group elect before traffic starts.
 	if ctrl.Raft.WaitLeader(50*sim.Millisecond) == nil {
 		t.Fatal("controller replicas never elected a leader")
@@ -85,7 +85,7 @@ func TestCommitBarrierStallsThenResumes(t *testing.T) {
 	}
 	// While the failed host's link gated the commit plane, the barrier
 	// could not advance much past the kill time.
-	if cAtRecovery > killAt+sim.Time(cl.Net.Cfg.DeadLinkBeacons)*cl.Net.Cfg.BeaconInterval {
+	if cAtRecovery > killAt+netsim.DeadLinkBeacons*cl.Net.Cfg.BeaconInterval {
 		t.Fatalf("commit barrier %v advanced during the stall (killed at %v)", cAtRecovery, killAt)
 	}
 	cl.Run(1 * sim.Millisecond)

@@ -27,7 +27,7 @@ func TestControllerForwardingAcrossPartition(t *testing.T) {
 	ccfg.MaxRetx = 4 // escalate to the controller quickly
 	net := netsim.New(ncfg)
 	cl := core.Deploy(net, ccfg)
-	ctrl := New(net, cl, DefaultConfig())
+	ctrl := New(net, cl)
 	if ctrl.Raft.WaitLeader(50*sim.Millisecond) == nil {
 		t.Fatal("no controller leader")
 	}
@@ -72,7 +72,7 @@ func TestSecondFailureDuringRecovery(t *testing.T) {
 	ncfg.ControllerManagedCommit = true
 	net := netsim.New(ncfg)
 	cl := core.Deploy(net, core.DefaultConfig())
-	ctrl := New(net, cl, DefaultConfig())
+	ctrl := New(net, cl)
 	if ctrl.Raft.WaitLeader(50*sim.Millisecond) == nil {
 		t.Fatal("no controller leader")
 	}
@@ -115,7 +115,7 @@ func TestReceiverRecoveryDeliversConsistently(t *testing.T) {
 	ncfg.ControllerManagedCommit = true
 	net := netsim.New(ncfg)
 	cl := core.Deploy(net, core.DefaultConfig())
-	ctrl := New(net, cl, DefaultConfig())
+	ctrl := New(net, cl)
 	if ctrl.Raft.WaitLeader(50*sim.Millisecond) == nil {
 		t.Fatal("no leader")
 	}

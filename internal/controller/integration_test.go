@@ -21,7 +21,7 @@ func TestAtomicityUnderContinuousTraffic(t *testing.T) {
 	cfg.Impair = netsim.UniformLoss(1e-4)
 	net := netsim.New(cfg)
 	cl := core.Deploy(net, core.DefaultConfig())
-	ctrl := New(net, cl, DefaultConfig())
+	ctrl := New(net, cl)
 	if ctrl.Raft.WaitLeader(50*sim.Millisecond) == nil {
 		t.Fatal("no controller leader")
 	}

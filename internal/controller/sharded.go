@@ -22,21 +22,21 @@ type Sharded struct {
 	net    *netsim.Network
 }
 
-// NewSharded deploys one controller shard per pod. The per-shard
-// configuration is cfg with its own Raft group.
-func NewSharded(net *netsim.Network, cl *core.Cluster, cfg Config) *Sharded {
+// NewSharded deploys one controller shard per pod, each with its own Raft
+// group.
+func NewSharded(net *netsim.Network, cl *core.Cluster) *Sharded {
 	s := &Sharded{net: net}
 	pods := net.Cfg.Topo.Pods
 	for p := 0; p < pods; p++ {
-		c := &Controller{Cfg: cfg, net: net, cl: cl, declared: make(map[netsim.ProcID]bool)}
-		c.Raft = buildRaft(net, c, cfg)
+		c := &Controller{net: net, cl: cl, declared: make(map[netsim.ProcID]bool)}
+		c.Raft = buildRaft(net, c)
 		s.Shards = append(s.Shards, c)
 	}
 	// Route dead-link reports to the owning shard.
 	net.OnLinkDead = func(l topology.Link, lastCommit sim.Time) {
 		shard := s.owner(l)
 		at := net.Eng.Now()
-		net.Eng.After(cfg.MgmtDelay, func() {
+		net.Eng.After(mgmtDelay, func() {
 			shard.onReport(report{link: l, lastCommit: lastCommit, at: at})
 		})
 	}

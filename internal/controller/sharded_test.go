@@ -15,7 +15,7 @@ func shardedCluster(t *testing.T) (*core.Cluster, *Sharded) {
 	ncfg.ControllerManagedCommit = true
 	net := netsim.New(ncfg)
 	cl := core.Deploy(net, core.DefaultConfig())
-	s := NewSharded(net, cl, DefaultConfig())
+	s := NewSharded(net, cl)
 	if !s.WaitLeaders(100 * sim.Millisecond) {
 		t.Fatal("shard leaders not elected")
 	}

@@ -112,10 +112,9 @@ type conn struct {
 	// counts them so compaction cost stays amortized O(1) per removal.
 	relOrder []uint32
 	relStale int
-	// inflight + reserved are charged against min(cwnd, rwnd).
+	// inflight + reserved are charged against min(cwnd, recvWindow).
 	inflight int
 	reserved int
-	rwnd     int
 	// DCTCP state (§6.1: "Congestion control follows DCTCP").
 	cwnd      float64
 	alpha     float64
@@ -142,7 +141,6 @@ func (h *Host) getConn(src, dst netsim.ProcID) *conn {
 		c = &conn{
 			key:  k,
 			host: h,
-			rwnd: h.Cfg.RecvWindow,
 			cwnd: h.Cfg.InitCwnd,
 		}
 		c.unacked[0] = make(map[uint32]*outPkt)
@@ -166,13 +164,7 @@ func (h *Host) getConn(src, dst netsim.ProcID) *conn {
 }
 
 // window is the send window: min(receive window, congestion window).
-func (c *conn) window() int {
-	w := int(c.cwnd)
-	if c.rwnd < w {
-		w = c.rwnd
-	}
-	return w
-}
+func (c *conn) window() int { return min(int(c.cwnd), recvWindow) }
 
 func (c *conn) available() int {
 	a := c.window() - c.inflight - c.reserved
@@ -227,12 +219,12 @@ func (c *conn) onAck(reliable bool, psn uint32, ecn bool) {
 // frames (§6.1 send batching).
 func (c *conn) pump() { c.emitQueued(false) }
 
-// maxFrameEntries bounds a frame's member count independently of
-// Config.BatchBytes so the 16-bit span/offset fields cannot overflow.
+// maxFrameEntries bounds a frame's member count independently of the byte
+// budget so the 16-bit span/offset fields cannot overflow.
 const maxFrameEntries = 512
 
 // emitQueued drains the send queue within the window. A run of batchable
-// same-class fragments at the head either fills a frame (BatchBytes) and
+// same-class fragments at the head either fills a frame (MTU bytes) and
 // goes out immediately, or — unless force is set — stays queued with the
 // doorbell timer armed, waiting up to the batch window for more
 // same-destination traffic to coalesce with.
@@ -278,7 +270,7 @@ func (c *conn) collectRun() (n int, full bool) {
 	q := c.sendQ.live()
 	head := q[0]
 	k := cls(head.scat.reliable)
-	budget := c.host.Cfg.BatchBytes
+	budget := c.host.Cfg.MTU
 	bytes := int(head.size) + netsim.FrameEntryBytes
 	n = 1
 	for n < len(q) {
@@ -388,8 +380,7 @@ func (c *conn) dctcpAck(k int, psn uint32, ecn bool) {
 	}
 	if psn >= c.windowEnd[k] {
 		frac := float64(c.ackECN) / float64(c.ackTotal)
-		g := c.host.Cfg.DCTCPGain
-		c.alpha = (1-g)*c.alpha + g*frac
+		c.alpha = (1-dctcpGain)*c.alpha + dctcpGain*frac
 		if c.ackECN > 0 {
 			c.cwnd = c.cwnd * (1 - c.alpha/2)
 			if c.cwnd < 1 {
@@ -963,11 +954,4 @@ func (h *Host) failMessage(s *scattering, msgIdx int) {
 	if s.owner.OnSendFail != nil {
 		s.owner.OnSendFail(SendFailure{TS: s.ts, Dst: m.Dst, Data: m.Data})
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -27,7 +27,7 @@ var ErrClosed = errors.New("onepipe: closed")
 var ErrBackpressure = errors.New("onepipe: backpressure")
 
 // BackpressureError is returned when a destination's doorbell/send queue
-// is at Config.SendQueueCap: instead of growing the queue without bound
+// is at sendQueueCap: instead of growing the queue without bound
 // the send is refused, carrying the earliest time the queue is expected
 // to have drained enough to retry.
 type BackpressureError struct {
@@ -463,7 +463,7 @@ func (h *Host) beaconTick() {
 	if h.stopped {
 		return
 	}
-	if !h.Cfg.DisablePiggyback && h.lastUplinkSend > 0 &&
+	if h.lastUplinkSend > 0 &&
 		h.wire.Now()-h.lastUplinkSend < h.Cfg.BeaconInterval {
 		h.Stats.BeaconsSuppressed++
 	} else {
@@ -658,12 +658,12 @@ func (h *Host) send(p *Proc, msgs []Message, o SendOptions) error {
 			return fmt.Errorf("onepipe: destination %d failed", s.msgs[i].Dst)
 		}
 	}
-	// Backpressure: refuse to grow a destination queue past SendQueueCap.
+	// Backpressure: refuse to grow a destination queue past sendQueueCap.
 	// Checked before credits are acquired, so a refused send leaves no
 	// state behind.
 	for i := range s.credits {
 		cr := &s.credits[i]
-		if cr.conn.sendQ.len()+cr.needed > h.Cfg.SendQueueCap {
+		if cr.conn.sendQ.len()+cr.needed > sendQueueCap {
 			h.Stats.Backpressure++
 			retry := h.wire.Now() + h.Cfg.RTO
 			if cr.conn.holdIdx != 0 && cr.conn.doorbell.isArmed() {

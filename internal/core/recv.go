@@ -31,19 +31,10 @@ type pending struct {
 // order of §2.1 with ties broken by sender ID.
 type deliveryHeap []*pending
 
-func (h deliveryHeap) Len() int { return len(h) }
-func (h deliveryHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.ts != b.ts {
-		return a.ts < b.ts
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.psn < b.psn
-}
-func (h deliveryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *deliveryHeap) Push(x any)   { *h = append(*h, x.(*pending)) }
+func (h deliveryHeap) Len() int           { return len(h) }
+func (h deliveryHeap) Less(i, j int) bool { return pendingLess(h[i], h[j]) }
+func (h deliveryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *deliveryHeap) Push(x any)        { *h = append(*h, x.(*pending)) }
 func (h *deliveryHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -411,8 +402,8 @@ func (h *Host) getRconn(src, dst netsim.ProcID) *rconn {
 }
 
 // HandlePacket is the host's network receive entry point; the substrate
-// adapter (netsim or livenet) calls it for every packet delivered to the
-// host, beacons included.
+// adapter (netsim, livenet or udpnet) calls it for every packet delivered
+// to the host, beacons included.
 //
 // HandlePacket takes ownership of pkt and releases it to the packet pool
 // once consumed; data packets buffered for reassembly are released when the
@@ -657,7 +648,7 @@ func (h *Host) ackPacket(pkt *netsim.Packet) {
 	}
 	p.batch.PSNs = append(p.batch.PSNs, pkt.PSN)
 	p.batch.ECN = append(p.batch.ECN, pkt.ECN)
-	if h.Cfg.AckBatchMax > 0 && len(p.batch.PSNs) >= h.Cfg.AckBatchMax {
+	if len(p.batch.PSNs) >= ackBatchMax {
 		h.flushAcks(k)
 	}
 }

@@ -9,7 +9,8 @@
 //
 // The package is substrate-independent: all I/O goes through the Wire
 // interface, so the same state machines run on the deterministic network
-// simulator (internal/netsim) and the real-time emulator (internal/livenet).
+// simulator (internal/netsim) and both real-time fabrics (internal/livenet
+// in process, internal/udpnet over UDP sockets).
 package core
 
 import (
@@ -90,13 +91,8 @@ const (
 type Config struct {
 	// MTU is the maximum payload bytes per packet.
 	MTU int
-	// RecvWindow is the per-connection receive buffer provision, in
-	// packets; it caps the send window.
-	RecvWindow int
 	// InitCwnd and MaxCwnd bound the DCTCP congestion window (packets).
 	InitCwnd, MaxCwnd float64
-	// DCTCPGain is the g parameter of the DCTCP alpha EWMA.
-	DCTCPGain float64
 	// RTO is the reliable-service retransmission timeout.
 	RTO sim.Time
 	// MaxRetx bounds retransmissions before the sender escalates to the
@@ -118,29 +114,22 @@ type Config struct {
 	// count when loss detection is not needed, e.g. throughput sweeps).
 	DisableBEAck bool
 	// AckFlush batches end-to-end ACKs: per sender, ACK PSNs accumulate
-	// for up to AckFlush (or AckBatchMax entries) before one coalesced
+	// for up to AckFlush (or ackBatchMax entries) before one coalesced
 	// ACK packet is emitted — the polling-thread batching that keeps ACK
 	// packet rate off the NIC's critical path (§6.1). Zero disables
 	// batching (one ACK per packet).
-	AckFlush    sim.Time
-	AckBatchMax int
+	AckFlush sim.Time
 	// DeliveryHoldback artificially lowers the effective barriers by the
 	// given amount, inflating delivery latency and reorder-buffer
 	// occupancy — the knob behind the paper's Fig. 11 overhead sweep.
 	DeliveryHoldback sim.Time
 	// BatchWindow is how long a partial multi-message frame waits for more
 	// same-destination traffic before the doorbell flushes it (§6.1 send
-	// batching). DisableBatching turns coalescing off entirely (one packet
-	// per fragment, the pre-batching wire behavior).
+	// batching); a frame's payload budget is the MTU. DisableBatching turns
+	// coalescing off entirely (one packet per fragment, the pre-batching
+	// wire behavior).
 	BatchWindow     sim.Time
-	BatchBytes      int // frame payload budget; defaults to MTU
 	DisableBatching bool
-	// SendQueueCap bounds each connection's doorbell/send queue in
-	// fragments; sends that would exceed it fail with ErrBackpressure.
-	SendQueueCap int
-	// DisablePiggyback restores unconditional beacon ticks instead of
-	// suppressing beacons while data emissions already carry the floor.
-	DisablePiggyback bool
 	// ReorderHotCap bounds each delivery heap (per reliability plane) to
 	// this many hot entries. Overflow spills to the per-host ordered cold
 	// store and is refilled as the barriers advance, so hot reorder memory
@@ -156,14 +145,27 @@ type Config struct {
 	ConnIdleEvict sim.Time
 }
 
+// Deployment parameters no figure or test varies.
+const (
+	// recvWindow is the per-connection receive buffer provision, in
+	// packets; it caps the send window.
+	recvWindow = 1024
+	// dctcpGain is the g parameter of the DCTCP alpha EWMA.
+	dctcpGain = 1.0 / 16.0
+	// ackBatchMax flushes a coalesced ACK early once it holds this many
+	// PSNs.
+	ackBatchMax = 32
+	// sendQueueCap bounds each connection's doorbell/send queue in
+	// fragments; sends that would exceed it fail with ErrBackpressure.
+	sendQueueCap = 65536
+)
+
 // DefaultConfig matches the paper's deployment parameters.
 func DefaultConfig() Config {
 	return Config{
 		MTU:             1024,
-		RecvWindow:      1024,
 		InitCwnd:        64,
 		MaxCwnd:         1024,
-		DCTCPGain:       1.0 / 16.0,
 		RTO:             20 * sim.Microsecond,
 		MaxRetx:         64,
 		SendFailTimeout: 100 * sim.Microsecond,
@@ -171,10 +173,7 @@ func DefaultConfig() Config {
 		UseDataBarriers: true,
 		Mode:            DeliverSeparate,
 		AckFlush:        1 * sim.Microsecond,
-		AckBatchMax:     32,
 		BatchWindow:     1 * sim.Microsecond,
-		BatchBytes:      1024,
-		SendQueueCap:    65536,
 	}
 }
 
@@ -200,17 +199,11 @@ func (c Config) withDefaults() Config {
 	if c.MTU <= 0 {
 		c.MTU = d.MTU
 	}
-	if c.RecvWindow <= 0 {
-		c.RecvWindow = d.RecvWindow
-	}
 	if c.InitCwnd <= 0 {
 		c.InitCwnd = d.InitCwnd
 	}
 	if c.MaxCwnd <= 0 {
 		c.MaxCwnd = d.MaxCwnd
-	}
-	if c.DCTCPGain <= 0 {
-		c.DCTCPGain = d.DCTCPGain
 	}
 	if c.RTO <= 0 {
 		c.RTO = d.RTO
@@ -223,12 +216,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchWindow <= 0 {
 		c.BatchWindow = d.BatchWindow
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = c.MTU
-	}
-	if c.SendQueueCap <= 0 {
-		c.SendQueueCap = d.SendQueueCap
 	}
 	return c
 }

@@ -182,7 +182,7 @@ func AblBeacon(sc Scale) *Table {
 		// the probe traffic.
 		links := float64(len(cl.Net.G.Links))
 		bytesPerLinkPerSec := float64(cl.Net.Stats.BytesByKind[netsim.KindBeacon]) / links / dur.Seconds()
-		frac := bytesPerLinkPerSec * 8 / (cl.Net.Cfg.HostGbps * 1e9)
+		frac := bytesPerLinkPerSec * 8 / (netsim.HostGbps * 1e9)
 		t.AddRow(f1(float64(usI)), f1(lat.Mean()), fmt.Sprintf("%.4f", 100*frac))
 	}
 	t.Notes = append(t.Notes,

@@ -28,11 +28,11 @@ func Elastic(sc Scale) *Table {
 	ncfg.ControllerManagedCommit = true
 	net := netsim.New(ncfg)
 	cl := core.Deploy(net, core.DefaultConfig())
-	ctrl := controller.New(net, cl, controller.DefaultConfig())
+	ctrl := controller.New(net, cl)
 	ctrl.Raft.WaitLeader(50 * sim.Millisecond)
 	eng := net.Eng
 	g := net.G
-	engine := reconfig.New(net, cl, ctrl, reconfig.Config{})
+	engine := reconfig.New(net, cl, ctrl)
 	// Leader election consumed some simulated time; the timeline is
 	// relative to this start so bucket 0 carries traffic.
 	start := eng.Now()
@@ -188,7 +188,7 @@ func Elastic(sc Scale) *Table {
 			fmt.Sprintf("%d", b.minbar/sim.Microsecond),
 		)
 	}
-	skew := engine.Cfg.SkewBound
+	skew := engine.SkewBound()
 	stallVerdict := "ok"
 	// The minimum barrier may legitimately hold still for the skew bound
 	// plus a few beacon intervals while an epoch activates; anything

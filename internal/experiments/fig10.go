@@ -29,7 +29,7 @@ func runRecovery(n int, kind failureKind, seed int64) float64 {
 	ncfg.ControllerManagedCommit = true
 	net := netsim.New(ncfg)
 	cl := core.Deploy(net, core.DefaultConfig())
-	ctrl := controller.New(net, cl, controller.DefaultConfig())
+	ctrl := controller.New(net, cl)
 	if ctrl.Raft.WaitLeader(50*sim.Millisecond) == nil {
 		return -1
 	}

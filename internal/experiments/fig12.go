@@ -14,7 +14,6 @@ func runQueueingProbe(sc Scale, n int, flowsPerHost int, oversub float64) (be, r
 	cl := deploy(n, func(c *netsim.Config) {
 		c.Mode = netsim.ModeHostDelegate // the paper's Fig. 12 uses host representatives
 		c.Oversub = oversub
-		c.ECNThreshold = 7 * sim.Microsecond
 	}, nil)
 	eng := cl.Net.Eng
 	nh := len(cl.Net.G.Hosts)

@@ -8,7 +8,6 @@ import (
 func kvRun(sc Scale, n int, mode kvstore.Mode, mut func(*kvstore.Config)) *kvstore.Stats {
 	cl := deploy(n, nil, nil)
 	cfg := kvstore.DefaultConfig()
-	cfg.Keys = 1 << 20
 	if mut != nil {
 		mut(&cfg)
 	}

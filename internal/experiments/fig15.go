@@ -9,7 +9,7 @@ import (
 
 func tpccRun(sc Scale, n int, mode tpcc.Mode, loss float64) *tpcc.Stats {
 	cl := deploy(n, func(c *netsim.Config) { c.Impair = netsim.UniformLoss(loss) }, nil)
-	b := tpcc.New(cl, mode, tpcc.DefaultConfig())
+	b := tpcc.New(cl, mode)
 	return b.Run(sc.Warmup, sc.Window)
 }
 

@@ -15,10 +15,7 @@ func htRun(sc Scale, d hashtable.Design, mix hashtable.OpMix, replicas int) *has
 	ncfg := netsim.DefaultConfig(topology.Testbed(), 1)
 	ncfg.BeaconInterval = 1 * sim.Microsecond // latency-sensitive data structure
 	cl := core.Deploy(netsim.New(ncfg), core.DefaultConfig())
-	cfg := hashtable.DefaultConfig()
-	cfg.Replicas = replicas
-	tb := hashtable.New(cl, d, mix, cfg)
-	return tb.Run(sc.Warmup, sc.Window)
+	return hashtable.New(cl, d, mix, replicas).Run(sc.Warmup, sc.Window)
 }
 
 // Fig16 regenerates the replicated remote hash table comparison.
@@ -27,13 +24,12 @@ func Fig16(sc Scale) *Table {
 		ID: "16", Title: "Remote hash table per-client throughput (M op/s) vs. replicas",
 		Columns: []string{"replicas", "1Pipe/insert", "base/insert", "1Pipe/lookup", "base/lookup"},
 	}
-	clients := hashtable.DefaultConfig().Clients
 	for _, reps := range []int{1, 2, 3, 4} {
 		row := []string{f1(float64(reps))}
 		for _, mix := range []hashtable.OpMix{hashtable.MixInsert, hashtable.MixLookup} {
 			for _, d := range []hashtable.Design{hashtable.DesignOnePipe, hashtable.DesignBase} {
 				s := htRun(sc, d, mix, reps)
-				row = append(row, fm(s.OpsPerClientPerSec(clients)*1e0))
+				row = append(row, fm(s.OpsPerClientPerSec(hashtable.Clients)*1e0))
 			}
 		}
 		t.AddRow(row...)

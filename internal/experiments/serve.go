@@ -94,7 +94,6 @@ func RunServe(sc Scale) ([]ServeRow, []string) {
 		clients := smrProcs * 64
 		cfg := serve.DefaultConfig()
 		cfg.Service = svc
-		cfg.Replicas = 3
 		cfg.Clients = clients
 		cfg.ThinkTime = 200 * sim.Microsecond
 		cfg.Seed = 1

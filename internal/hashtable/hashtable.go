@@ -48,40 +48,28 @@ const (
 	MixLookup
 )
 
-// Config parameterizes a run.
-type Config struct {
-	// Clients and Shards partition the process space: processes
+// The paper's deployment (16 clients, 16 shards) and the serving costs, the
+// same in every run; Fig. 16 sweeps only the replica count.
+const (
+	// Clients and shards partition the process space: processes
 	// [0,Clients) are clients; servers follow.
-	Clients, Shards int
-	// Replicas per shard.
-	Replicas int
-	// Buckets per shard.
-	Buckets uint64
-	// Outstanding is the closed-loop depth per client.
-	Outstanding int
-	// NICOpCost models the server-side cost of serving a one-sided
+	Clients = 16
+	shards  = 16
+	// buckets per shard.
+	buckets = 1 << 16
+	// outstanding is the closed-loop depth per client. Moderate pipelining
+	// keeps lookups latency-bound (the fence removal is a latency win for
+	// inserts) while the serving cost makes replicated-write amplification
+	// visible. See EXPERIMENTS.md for how these regimes map onto Fig. 16's
+	// claims.
+	outstanding = 8
+	// nicOpCost models the server-side cost of serving a one-sided
 	// operation (NIC processing, no CPU involvement).
-	NICOpCost sim.Time
-	// LeaderCPUCost models the leader's software replication cost per op.
-	LeaderCPUCost sim.Time
-	Seed          int64
-}
-
-// DefaultConfig mirrors the paper: 16 shards, 16 clients.
-func DefaultConfig() Config {
-	return Config{
-		Clients: 16, Shards: 16, Replicas: 1,
-		Buckets: 1 << 16,
-		// Moderate pipelining keeps lookups latency-bound (the fence
-		// removal is a latency win for inserts) while the serving cost
-		// makes replicated-write amplification visible. See EXPERIMENTS.md
-		// for how these regimes map onto Fig. 16's claims.
-		Outstanding:   8,
-		NICOpCost:     300 * sim.Nanosecond,
-		LeaderCPUCost: 2 * sim.Microsecond,
-		Seed:          1,
-	}
-}
+	nicOpCost = 300 * sim.Nanosecond
+	// leaderCPUCost models the leader's software replication cost per op.
+	leaderCPUCost = 2 * sim.Microsecond
+	seed          = 1
+)
 
 // Stats is one run's measurement.
 type Stats struct {
@@ -102,7 +90,6 @@ func (s *Stats) OpsPerClientPerSec(clients int) float64 {
 type Table struct {
 	Design Design
 	Mix    OpMix
-	Cfg    Config
 	Stats  Stats
 	cl     *core.Cluster
 	nodes  []*node
@@ -154,23 +141,23 @@ type replicate struct {
 	bucket uint64
 }
 
-// New deploys the benchmark. The cluster must have at least
-// Clients + Shards*Replicas processes.
-func New(cl *core.Cluster, design Design, mix OpMix, cfg Config) *Table {
-	tb := &Table{Design: design, Mix: mix, Cfg: cfg, cl: cl}
+// New deploys the benchmark with the given replicas per shard. The cluster
+// must have at least Clients + shards*replicas processes.
+func New(cl *core.Cluster, design Design, mix OpMix, replicas int) *Table {
+	tb := &Table{Design: design, Mix: mix, cl: cl}
 	np := len(cl.Procs)
-	for s := 0; s < cfg.Shards; s++ {
-		set := make([]netsim.ProcID, 0, cfg.Replicas)
-		for r := 0; r < cfg.Replicas; r++ {
-			set = append(set, netsim.ProcID(cfg.Clients+(s+r*cfg.Shards)%(np-cfg.Clients)))
+	for s := 0; s < shards; s++ {
+		set := make([]netsim.ProcID, 0, replicas)
+		for r := 0; r < replicas; r++ {
+			set = append(set, netsim.ProcID(Clients+(s+r*shards)%(np-Clients)))
 		}
 		tb.replicaProcs = append(tb.replicaProcs, set)
 	}
 	for i, p := range cl.Procs {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*31337))
+		rng := rand.New(rand.NewSource(seed + int64(i)*31337))
 		n := &node{
 			tb: tb, proc: p, rng: rng,
-			keys:  workload.NewUniform(rng, cfg.Buckets*uint64(cfg.Shards)),
+			keys:  workload.NewUniform(rng, buckets*shards),
 			heads: make(map[uint64]uint64),
 		}
 		tb.nodes = append(tb.nodes, n)
@@ -183,8 +170,8 @@ func New(cl *core.Cluster, design Design, mix OpMix, cfg Config) *Table {
 // Run drives the closed loop and returns window stats.
 func (tb *Table) Run(warmup, window sim.Time) *Stats {
 	eng := tb.cl.Net.Eng
-	for c := 0; c < tb.Cfg.Clients; c++ {
-		for i := 0; i < tb.Cfg.Outstanding; i++ {
+	for c := 0; c < Clients; c++ {
+		for i := 0; i < outstanding; i++ {
 			tb.nodes[c].startOp()
 		}
 	}
@@ -201,7 +188,7 @@ func (n *node) startOp() {
 	o := &op{
 		client:  n,
 		insert:  n.tb.Mix == MixInsert,
-		shard:   int(key % uint64(n.tb.Cfg.Shards)),
+		shard:   int(key % shards),
 		bucket:  key,
 		started: n.tb.cl.Net.Eng.Now(),
 	}
@@ -240,7 +227,7 @@ func (n *node) serveNIC(fn func()) {
 	if n.nicBusy > start {
 		start = n.nicBusy
 	}
-	n.nicBusy = start + n.tb.Cfg.NICOpCost
+	n.nicBusy = start + nicOpCost
 	eng.At(n.nicBusy, fn)
 }
 
@@ -350,10 +337,10 @@ func (n *node) onRaw(src netsim.ProcID, data any) {
 // followers in software before acknowledging.
 func (n *node) baseServeWrite(src netsim.ProcID, o *op, bucket uint64) {
 	reps := n.tb.replicaProcs[o.shard]
-	cost := n.tb.Cfg.NICOpCost
+	cost := nicOpCost
 	if len(reps) > 1 {
 		// Leader CPU copies the update to each follower.
-		cost = n.tb.Cfg.LeaderCPUCost * sim.Time(len(reps)-1)
+		cost = leaderCPUCost * sim.Time(len(reps)-1)
 	}
 	n.serveCPU(cost, func() {
 		n.heads[bucket]++

@@ -18,9 +18,7 @@ func deploy(t *testing.T, d Design, mix OpMix, replicas int) *Table {
 	ncfg := netsim.DefaultConfig(topology.Testbed(), 1)
 	ncfg.BeaconInterval = 1 * sim.Microsecond
 	cl := core.Deploy(netsim.New(ncfg), core.DefaultConfig())
-	cfg := DefaultConfig()
-	cfg.Replicas = replicas
-	return New(cl, d, mix, cfg)
+	return New(cl, d, mix, replicas)
 }
 
 func run(tb *Table) *Stats {

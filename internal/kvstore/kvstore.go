@@ -79,11 +79,6 @@ type Config struct {
 	ROFrac float64
 	// Outstanding is the closed-loop pipeline depth per client.
 	Outstanding int
-	// ServerOpCost is the modeled CPU time per KV operation.
-	ServerOpCost sim.Time
-	// RetryTimeout re-issues a transaction whose replies went missing.
-	RetryTimeout sim.Time
-	Seed         int64
 	// Txns, when non-nil, overrides the per-client transaction source
 	// (default: workload.NewTxnGen over the Zipf/Uniform keygen above,
 	// sharing the client's RNG). The rng argument is the client's own
@@ -101,12 +96,18 @@ func DefaultConfig() Config {
 		// Deep enough pipelining to saturate server CPU, so throughput
 		// reflects per-transaction server work (1 round for 1Pipe, 3-4
 		// for FaRM's OCC) rather than client-observed latency.
-		Outstanding:  24,
-		ServerOpCost: 300 * sim.Nanosecond,
-		RetryTimeout: 300 * sim.Microsecond,
-		Seed:         1,
+		Outstanding: 24,
 	}
 }
+
+// The cost model, the same in every run.
+const (
+	// serverOpCost is the modeled CPU time per KV operation.
+	serverOpCost = 300 * sim.Nanosecond
+	// retryTimeout re-issues a transaction whose replies went missing.
+	retryTimeout = 300 * sim.Microsecond
+	seed         = 1
+)
 
 // Stats aggregates a measurement window.
 type Stats struct {
@@ -234,7 +235,7 @@ type replay struct {
 func New(cl *core.Cluster, mode Mode, cfg Config) *Store {
 	st := &Store{Mode: mode, Cfg: cfg, cl: cl}
 	for i, p := range cl.Procs {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+		rng := rand.New(rand.NewSource(seed + int64(i)*7919))
 		var keys workload.KeyGen
 		if cfg.Zipf {
 			keys = workload.NewZipf(rng, cfg.Keys, 0.99)
@@ -302,7 +303,7 @@ func (n *node) serve(nops int, fn func()) {
 	if n.cpuBusy > start {
 		start = n.cpuBusy
 	}
-	n.cpuBusy = start + sim.Time(nops)*n.st.Cfg.ServerOpCost
+	n.cpuBusy = start + sim.Time(nops)*serverOpCost
 	eng.At(n.cpuBusy, fn)
 }
 
@@ -371,21 +372,11 @@ func (n *node) retryLater(t *txn) {
 	})
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // armRetry guards against lost replies (raw RPCs are unacknowledged).
 func (n *node) armRetry(t *txn) {
-	if n.st.Cfg.RetryTimeout <= 0 {
-		return
-	}
 	t.epoch++
 	epoch := t.epoch
-	n.st.eng().After(n.st.Cfg.RetryTimeout, func() {
+	n.st.eng().After(retryTimeout, func() {
 		if t.epoch != epoch {
 			return
 		}

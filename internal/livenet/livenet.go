@@ -30,8 +30,6 @@ import (
 type Config struct {
 	Hosts        int
 	ProcsPerHost int
-	// LinkDelay is the emulated one-way host-switch latency.
-	LinkDelay time.Duration
 	// BeaconInterval is T_beacon in wall-clock time.
 	BeaconInterval time.Duration
 	// Seed seeds the impairment RNG; zero draws from the wall clock.
@@ -58,10 +56,12 @@ func DefaultConfig(hosts, procsPerHost int) Config {
 	return Config{
 		Hosts:          hosts,
 		ProcsPerHost:   procsPerHost,
-		LinkDelay:      200 * time.Microsecond,
 		BeaconInterval: 1 * time.Millisecond,
 	}
 }
+
+// linkDelay is the emulated one-way host-switch latency.
+const linkDelay = 200 * time.Microsecond
 
 // Net is a running live fabric.
 type Net struct {
@@ -102,7 +102,7 @@ func (w hostWire) Send(pkt *netsim.Packet) {
 	// Host -> switch link with propagation delay.
 	n := w.n
 	host := w.host
-	time.AfterFunc(n.cfg.LinkDelay, func() {
+	time.AfterFunc(linkDelay, func() {
 		n.post(func() { n.switchReceive(host, pkt) })
 	})
 }
@@ -125,8 +125,8 @@ func New(cfg Config) *Net {
 	ecfg.UseDataBarriers = true
 	// Wall-clock timers are coarse: scale protocol timeouts with the link
 	// delay.
-	ecfg.RTO = 20 * sim.Time(cfg.LinkDelay)
-	ecfg.SendFailTimeout = 100 * sim.Time(cfg.LinkDelay)
+	ecfg.RTO = 20 * sim.Time(linkDelay)
+	ecfg.SendFailTimeout = 100 * sim.Time(linkDelay)
 
 	n := &Net{
 		cfg:   cfg,
@@ -134,7 +134,7 @@ func New(cfg Config) *Net {
 		loop:  make(chan func(), 4096),
 		done:  make(chan struct{}),
 		start: time.Now(),
-		sw:    starswitch.New(cfg.Impair, seed, !ecfg.DisablePiggyback),
+		sw:    starswitch.New(cfg.Impair, seed),
 	}
 	n.wg.Add(1)
 	go n.run()
@@ -292,7 +292,7 @@ func (n *Net) switchReceive(fromHost int, pkt *netsim.Packet) {
 		netsim.PutPacket(pkt) // consumed by the registers, or dropped
 		return
 	}
-	time.AfterFunc(n.cfg.LinkDelay+time.Duration(extra), func() {
+	time.AfterFunc(linkDelay+time.Duration(extra), func() {
 		n.post(func() { n.hosts[dstHost].HandlePacket(pkt) })
 	})
 }
@@ -303,7 +303,7 @@ func (n *Net) relayBeacons() {
 	n.sw.Relay(func(h int, be, c sim.Time) {
 		pkt := netsim.GetPacket()
 		pkt.Kind, pkt.BarrierBE, pkt.BarrierC, pkt.Size = netsim.KindBeacon, be, c, netsim.BeaconBytes
-		time.AfterFunc(n.cfg.LinkDelay, func() {
+		time.AfterFunc(linkDelay, func() {
 			n.post(func() { n.hosts[h].HandlePacket(pkt) })
 		})
 	})

@@ -128,7 +128,7 @@ func TestSilentHostReportsWholeFabric(t *testing.T) {
 		t.Fatalf("%d links reported dead on a healthy idle fabric", len(reports))
 	}
 	silence(0)
-	n.RunFor(sim.Time(n.Cfg.DeadLinkBeacons+5) * n.Cfg.BeaconInterval)
+	n.RunFor((DeadLinkBeacons + 5) * n.Cfg.BeaconInterval)
 	if len(reports) != 58 {
 		t.Fatalf("%d links reported dead after host 0 fell silent, want today's 58 (1 silent + 57 false positives)", len(reports))
 	}

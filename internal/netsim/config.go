@@ -6,9 +6,8 @@ import (
 	"onepipe/internal/topology"
 )
 
-// Config parameterizes the network simulation. Zero values are filled with
-// defaults calibrated to the paper's testbed (100 Gbps RoCEv2, 1–2 μs
-// intra-rack RTT, 3 μs beacon interval).
+// Config parameterizes the network simulation; DefaultConfig fills it with
+// the paper's testbed deployment (3 μs beacon interval).
 type Config struct {
 	Topo         topology.ClosConfig
 	ProcsPerHost int
@@ -18,10 +17,6 @@ type Config struct {
 
 	// BeaconInterval is T_beacon of §4.2; the paper's deployment uses 3 μs.
 	BeaconInterval sim.Time
-	// DeadLinkBeacons is the number of silent beacon intervals after which
-	// a switch declares an input link dead and removes it from barrier
-	// aggregation (the paper uses 10).
-	DeadLinkBeacons int
 	// DisableBeacons turns off all beacon generation (baselines that do
 	// not use barrier aggregation).
 	DisableBeacons bool
@@ -31,26 +26,9 @@ type Config struct {
 	// — see DESIGN.md deviation #1.
 	DisableEventRelay bool
 
-	// HostGbps is the host-link rate; FabricGbps is the per-host rate the
-	// fabric provisions (fabric links are full-bisection trunks sized
-	// from it — §7.1's "no oversubscription"). Oversub (>= 1) divides
-	// above-ToR capacity, modeling an oversubscribed core (Fig. 12b).
-	HostGbps, FabricGbps float64
-	Oversub              float64
-
-	// Propagation delays per link class and per-device processing delays.
-	PropHost, PropTorSpine, PropSpineCore, PropLoopback sim.Time
-	// SwitchFwdDelay is the pipeline latency of one LOGICAL switch (a
-	// physical switch is two logical halves and charges it twice for
-	// turnaround traffic).
-	SwitchFwdDelay sim.Time
-	// HostDelay is NIC+stack processing charged on both send and receive.
-	HostDelay sim.Time
-	// CPUBeaconDelay is the extra beacon processing delay per hop in
-	// ModeSwitchCPU; HostDelegateDelay is its ModeHostDelegate equivalent
-	// (switch-host RTT plus host processing, ~2 μs per §7.2).
-	CPUBeaconDelay    sim.Time
-	HostDelegateDelay sim.Time
+	// Oversub (>= 1) divides above-ToR capacity, modeling an
+	// oversubscribed core (Fig. 12b).
+	Oversub float64
 
 	// ECNThreshold marks packets whose egress queueing delay exceeds it
 	// (DCTCP-style). QueueLimit tail-drops beyond it; 0 means lossless
@@ -83,47 +61,66 @@ type Config struct {
 	NonuniformPipeline bool
 }
 
+// The testbed calibration (100 Gbps RoCEv2, 1–2 μs intra-rack RTT) no
+// figure or test varies.
+const (
+	// DeadLinkBeacons is the number of silent beacon intervals after which
+	// a switch declares an input link dead and removes it from barrier
+	// aggregation (the paper uses 10).
+	DeadLinkBeacons = 10
+	// HostGbps is the host-link rate; fabricGbps is the per-host rate the
+	// fabric provisions (fabric links are full-bisection trunks sized
+	// from it — §7.1's "no oversubscription").
+	HostGbps   = 100.0
+	fabricGbps = 100.0
+
+	// Propagation delays per link class.
+	propHost      = 200 * sim.Nanosecond
+	propTorSpine  = 300 * sim.Nanosecond
+	propSpineCore = 400 * sim.Nanosecond
+	propLoopback  = 20 * sim.Nanosecond
+	// switchFwdDelay is the pipeline latency of one LOGICAL switch (a
+	// physical switch is two logical halves and charges it twice for
+	// turnaround traffic).
+	switchFwdDelay = 150 * sim.Nanosecond
+	// hostDelay is NIC+stack processing charged on both send and receive.
+	hostDelay = 300 * sim.Nanosecond
+	// cpuBeaconDelay is the extra beacon processing delay per hop in
+	// ModeSwitchCPU; hostDelegateDelay is its ModeHostDelegate equivalent
+	// (switch-host RTT plus host processing, ~2 μs per §7.2).
+	cpuBeaconDelay    = 5 * sim.Microsecond
+	hostDelegateDelay = 2 * sim.Microsecond
+)
+
 // DefaultConfig returns the testbed-calibrated configuration for the given
 // topology and process count.
 func DefaultConfig(topo topology.ClosConfig, procsPerHost int) Config {
 	return Config{
-		Topo:              topo,
-		ProcsPerHost:      procsPerHost,
-		Mode:              ModeChip,
-		Clock:             clock.DefaultConfig(),
-		Seed:              1,
-		BeaconInterval:    3 * sim.Microsecond,
-		DeadLinkBeacons:   10,
-		HostGbps:          100,
-		FabricGbps:        100,
-		Oversub:           1,
-		PropHost:          200 * sim.Nanosecond,
-		PropTorSpine:      300 * sim.Nanosecond,
-		PropSpineCore:     400 * sim.Nanosecond,
-		PropLoopback:      20 * sim.Nanosecond,
-		SwitchFwdDelay:    150 * sim.Nanosecond,
-		HostDelay:         300 * sim.Nanosecond,
-		CPUBeaconDelay:    5 * sim.Microsecond,
-		HostDelegateDelay: 2 * sim.Microsecond,
-		ECNThreshold:      7 * sim.Microsecond,
-		QueueLimit:        0,
+		Topo:           topo,
+		ProcsPerHost:   procsPerHost,
+		Mode:           ModeChip,
+		Clock:          clock.DefaultConfig(),
+		Seed:           1,
+		BeaconInterval: 3 * sim.Microsecond,
+		Oversub:        1,
+		ECNThreshold:   7 * sim.Microsecond,
 	}
 }
 
 // NumProcs returns the total process count.
 func (c Config) NumProcs() int { return c.Topo.NumHosts() * c.ProcsPerHost }
 
-// PropOf returns the one-way propagation delay of a link class.
-func (c *Config) PropOf(k topology.LinkKind) sim.Time {
+// propOf returns the one-way propagation delay of a link class.
+func propOf(k topology.LinkKind) sim.Time {
 	switch k {
 	case topology.LinkHostUp, topology.LinkTorHostDown:
-		return c.PropHost
+		return propHost
 	case topology.LinkTorSpineUp, topology.LinkSpineTorDown:
-		return c.PropTorSpine
+		return propTorSpine
 	case topology.LinkSpineCoreUp, topology.LinkCoreSpineDown:
-		return c.PropSpineCore
+		return propSpineCore
 	case topology.LinkLoopback:
-		return c.PropLoopback
+		return propLoopback
 	}
 	return 0
 }

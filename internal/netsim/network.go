@@ -203,7 +203,7 @@ func New(cfg Config) *Network {
 func (n *Network) newLinkState(l topology.Link) *linkState {
 	ls := &linkState{
 		id: l.ID, kind: l.Kind, from: l.From, to: l.To,
-		prop: n.Cfg.PropOf(l.Kind),
+		prop: propOf(l.Kind),
 		bpns: n.bandwidthOf(l.Kind),
 	}
 	ls.imp = NewImpairState(n.Cfg.Impair.For(l.ID, l.Kind), n.Cfg.Seed, l.ID)
@@ -215,17 +215,17 @@ func (n *Network) bandwidthOf(k topology.LinkKind) float64 {
 	topo := n.Cfg.Topo
 	switch k {
 	case topology.LinkHostUp, topology.LinkTorHostDown:
-		return n.Cfg.HostGbps * bytesPerNsPerGbps
+		return HostGbps * bytesPerNsPerGbps
 	case topology.LinkLoopback:
 		return 0 // infinite: virtual link inside the chip
 	case topology.LinkTorSpineUp, topology.LinkSpineTorDown:
 		// Full-bisection trunk (§7.1: "no oversubscription"): each ToR's
 		// aggregate uplink capacity equals its host-facing capacity,
 		// split across the pod's spines. Oversub shrinks it.
-		trunk := n.Cfg.FabricGbps * float64(topo.HostsPerRack) / float64(topo.SpinesPerPod)
+		trunk := fabricGbps * float64(topo.HostsPerRack) / float64(topo.SpinesPerPod)
 		return trunk * bytesPerNsPerGbps / n.Cfg.Oversub
 	default: // spine <-> core
-		trunk := n.Cfg.FabricGbps * float64(topo.RacksPerPod*topo.HostsPerRack) / float64(topo.Cores)
+		trunk := fabricGbps * float64(topo.RacksPerPod*topo.HostsPerRack) / float64(topo.Cores)
 		return trunk * bytesPerNsPerGbps / n.Cfg.Oversub
 	}
 }
@@ -255,7 +255,7 @@ func (n *Network) uplink(host int) *linkState {
 // (Dst ignored); data goes toward Dst's host.
 func (n *Network) SendFromHost(host int, pkt *Packet) {
 	pkt.SentAt = n.Eng.Now()
-	n.Eng.After2(n.Cfg.HostDelay, n.transmitFn, n.uplink(host), pkt)
+	n.Eng.After2(hostDelay, n.transmitFn, n.uplink(host), pkt)
 }
 
 // SendFromProc is SendFromHost keyed by source process.
@@ -403,7 +403,7 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 		if rx := n.hostRx[host]; rx != nil {
 			// Ownership transfers to the host layer: core's receive path
 			// releases the packet once it is terminally consumed.
-			n.Eng.After2(n.Cfg.HostDelay, n.deliverFn, rx, pkt)
+			n.Eng.After2(hostDelay, n.deliverFn, rx, pkt)
 		} else {
 			PutPacket(pkt)
 		}
@@ -461,7 +461,7 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 	// packets — is load-bearing: different in-switch latencies would let
 	// a later-stamped packet overtake an earlier one onto the same
 	// egress, breaking barrier monotonicity on the link.
-	fwd := n.Cfg.SwitchFwdDelay
+	fwd := switchFwdDelay
 	if n.Cfg.NonuniformPipeline && l.kind == topology.LinkLoopback {
 		fwd = 0 // chaos-harness self-test: the pre-fix nonuniform pipeline
 	}
@@ -520,11 +520,11 @@ func (n *Network) LinkRegisters(id topology.LinkID) (be, c sim.Time) {
 func (n *Network) beaconProcDelay() sim.Time {
 	switch n.Cfg.Mode {
 	case ModeSwitchCPU:
-		return n.Cfg.CPUBeaconDelay
+		return cpuBeaconDelay
 	case ModeHostDelegate:
-		return n.Cfg.HostDelegateDelay
+		return hostDelegateDelay
 	default:
-		return n.Cfg.SwitchFwdDelay
+		return switchFwdDelay
 	}
 }
 
@@ -668,7 +668,7 @@ func (n *Network) fallbackScan(now sim.Time, cohort []*linkState) {
 // after DeadLinkBeacons silent intervals an input link is removed from
 // aggregation and the controller hook is notified once.
 func (n *Network) startDeadLinkScanner() {
-	if n.Cfg.DeadLinkBeacons <= 0 || n.Cfg.DisableBeacons {
+	if n.Cfg.DisableBeacons {
 		return
 	}
 	tk := sim.NewTicker(n.Eng, n.Cfg.BeaconInterval, 0, func() {
@@ -680,7 +680,7 @@ func (n *Network) startDeadLinkScanner() {
 // scanLinks is one dead-link scan pass (§4.2): after DeadLinkBeacons silent
 // intervals an input link is removed from aggregation and reported once.
 func (n *Network) scanLinks(now sim.Time, links []*linkState) {
-	timeout := sim.Time(n.Cfg.DeadLinkBeacons) * n.Cfg.BeaconInterval
+	timeout := DeadLinkBeacons * n.Cfg.BeaconInterval
 	for _, l := range links {
 		// Host-terminating links are scanned too: §4.2's detection runs
 		// in lib1pipe's polling thread as much as in switches, and a

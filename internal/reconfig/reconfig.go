@@ -40,24 +40,11 @@ import (
 	"onepipe/internal/topology"
 )
 
-// Config tunes the reconfiguration engine.
-type Config struct {
-	// SkewBound is added to the observed fabric maximum barrier when
-	// choosing a join epoch, covering host clocks running ahead of the
-	// registers. Zero selects 2*clock.MaxOffset + 2us.
-	SkewBound sim.Time
-	// SettleDelay separates derouting a draining switch from detaching
-	// its links, letting in-flight packets clear the old paths. Zero
-	// selects two beacon intervals.
-	SettleDelay sim.Time
-}
-
 // Engine drives live reconfiguration of one simulated fabric.
 type Engine struct {
 	Net  *netsim.Network
 	Cl   *core.Cluster
 	Ctrl *controller.Controller // optional; nil skips durable epochs
-	Cfg  Config
 
 	// Log records every epoch this engine decided, in order, including
 	// runs without an attached controller.
@@ -74,14 +61,14 @@ type Engine struct {
 
 // New builds an engine over a deployed cluster. ctrl may be nil (e.g. in
 // microbenchmarks); epochs are then applied without durable replication.
-func New(net *netsim.Network, cl *core.Cluster, ctrl *controller.Controller, cfg Config) *Engine {
-	if cfg.SkewBound == 0 {
-		cfg.SkewBound = 2*net.Cfg.Clock.MaxOffset + 2*sim.Microsecond
-	}
-	if cfg.SettleDelay == 0 {
-		cfg.SettleDelay = 2 * net.Cfg.BeaconInterval
-	}
-	return &Engine{Net: net, Cl: cl, Ctrl: ctrl, Cfg: cfg}
+func New(net *netsim.Network, cl *core.Cluster, ctrl *controller.Controller) *Engine {
+	return &Engine{Net: net, Cl: cl, Ctrl: ctrl}
+}
+
+// SkewBound is added to the observed fabric maximum barrier when choosing a
+// join epoch, covering host clocks running ahead of the registers.
+func (e *Engine) SkewBound() sim.Time {
+	return 2*e.Net.Cfg.Clock.MaxOffset + 2*sim.Microsecond
 }
 
 // propose records the epoch durably (through the controller's Raft store
@@ -136,7 +123,7 @@ func (e *Engine) JoinHost(pod, rack int, done func(h *core.Host, eff sim.Time)) 
 	g.DrainNode(id)
 	e.Net.Grow()
 
-	tj := e.Net.MaxBarrier() + e.Cfg.SkewBound
+	tj := e.Net.MaxBarrier() + e.SkewBound()
 	rec := controller.EpochRecord{Op: controller.EpochJoinHost, Host: hi, TJoin: tj}
 	e.propose(rec, func() {
 		// Activate. The effective floor is computed BEFORE the host's
@@ -251,7 +238,9 @@ func (e *Engine) DrainSwitch(phys int, done func()) error {
 	}
 	rec := controller.EpochRecord{Op: controller.EpochDrainSwitch, Phys: phys}
 	e.propose(rec, func() {
-		e.Net.Eng.After(e.Cfg.SettleDelay, func() {
+		// Two beacon intervals between derouting the switch and detaching
+		// its links let in-flight packets clear the old paths.
+		e.Net.Eng.After(2*e.Net.Cfg.BeaconInterval, func() {
 			// Outputs strictly before inputs: pinning a switch's own
 			// input registers at the sentinel recomputes its aggregate to
 			// the sentinel, and a still-live output link would relay that

@@ -92,7 +92,7 @@ func deploy(t *testing.T, topo topology.ClosConfig) (*netsim.Network, *core.Clus
 	cfg.ControllerManagedCommit = true
 	net := netsim.New(cfg)
 	cl := core.Deploy(net, core.DefaultConfig())
-	ctrl := controller.New(net, cl, controller.DefaultConfig())
+	ctrl := controller.New(net, cl)
 	if ctrl.Raft.WaitLeader(50*sim.Millisecond) == nil {
 		t.Fatal("no controller leader")
 	}
@@ -115,7 +115,7 @@ func TestJoinDrainLive(t *testing.T) {
 	eng.RunFor(1 * sim.Millisecond)
 
 	// Join a new host under pod 0, rack 0.
-	e := New(net, cl, ctrl, Config{})
+	e := New(net, cl, ctrl)
 	var joinEff sim.Time
 	var joined *core.Proc
 	hi, err := e.JoinHost(0, 0, func(host *core.Host, eff sim.Time) {
@@ -250,7 +250,7 @@ func TestDrainSwitchRejectsPartition(t *testing.T) {
 	topo := smallClos()
 	topo.SpinesPerPod = 1
 	net, cl, ctrl := deploy(t, topo)
-	e := New(net, cl, ctrl, Config{})
+	e := New(net, cl, ctrl)
 	phys := net.G.Node(net.G.SpineUps(0)[0]).Phys
 	if err := e.DrainSwitch(phys, nil); err == nil {
 		t.Fatal("draining the only spine of a pod was not rejected")
@@ -276,7 +276,7 @@ func TestJoinedHostDiesResolvedByFailurePath(t *testing.T) {
 	}
 	eng.RunFor(1 * sim.Millisecond)
 
-	e := New(net, cl, ctrl, Config{})
+	e := New(net, cl, ctrl)
 	var eff sim.Time
 	var joinedHost *core.Host
 	hi, err := e.JoinHost(1, 1, func(host *core.Host, ef sim.Time) {

@@ -54,7 +54,7 @@ func NewCephGroup(cl *core.Cluster, primary netsim.ProcID, backups []netsim.Proc
 	}
 	all := append([]netsim.ProcID{primary}, backups...)
 	for _, r := range all {
-		g.disks[r] = NewDisk(cfg.DiskMean, cfg.DiskJitter, rand.New(rand.NewSource(cfg.Seed+int64(r))))
+		g.disks[r] = NewDisk(cfg.DiskMean, cfg.DiskJitter, rand.New(rand.NewSource(seed+int64(r))))
 		r := r
 		cl.Procs[r].OnRaw = func(src netsim.ProcID, data any) { g.onRaw(r, src, data) }
 	}

@@ -71,22 +71,20 @@ type Config struct {
 	// DiskMean/DiskJitter model the replica write path; zero disables the
 	// disk (pure in-memory log replication).
 	DiskMean, DiskJitter sim.Time
-	// RetryTimeout resolves lost replies.
-	RetryTimeout sim.Time
-	Seed         int64
 }
 
+const (
+	// retryTimeout resolves lost replies.
+	retryTimeout = 300 * sim.Microsecond
+	seed         = 1
+)
+
 // DefaultConfig returns an in-memory log replication setup.
-func DefaultConfig() Config {
-	return Config{RetryTimeout: 300 * sim.Microsecond, Seed: 1}
-}
+func DefaultConfig() Config { return Config{} }
 
 // CephConfig returns the §7.3.4 SSD-backed configuration.
 func CephConfig() Config {
-	c := DefaultConfig()
-	c.DiskMean = 45 * sim.Microsecond
-	c.DiskJitter = 18 * sim.Microsecond
-	return c
+	return Config{DiskMean: 45 * sim.Microsecond, DiskJitter: 18 * sim.Microsecond}
 }
 
 // Stats is a run's measurement.
@@ -187,7 +185,7 @@ func NewGroup(cl *core.Cluster, replicas []netsim.ProcID, cfg Config) *Group {
 			expected: make(map[netsim.ProcID]uint64),
 		}
 		if cfg.DiskMean > 0 {
-			rs.disk = NewDisk(cfg.DiskMean, cfg.DiskJitter, rand.New(rand.NewSource(cfg.Seed+int64(r))))
+			rs.disk = NewDisk(cfg.DiskMean, cfg.DiskJitter, rand.New(rand.NewSource(seed+int64(r))))
 		}
 		g.states[r] = rs
 		rs.proc.OnDeliver = rs.onDeliver
@@ -241,12 +239,9 @@ func (cs *clientState) sendEntry(e Entry, size int) {
 }
 
 func (cs *clientState) armTimer(op *appendOp) {
-	if cs.g.Cfg.RetryTimeout <= 0 {
-		return
-	}
 	op.epoch++
 	epoch := op.epoch
-	cs.g.cl.Net.Eng.After(cs.g.Cfg.RetryTimeout, func() {
+	cs.g.cl.Net.Eng.After(retryTimeout, func() {
 		if op.resolved || op.epoch != epoch {
 			return
 		}

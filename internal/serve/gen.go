@@ -21,10 +21,7 @@ func (t *Tier) nextOps(s *session, dst []workload.Op) []workload.Op {
 }
 
 func (t *Tier) key(s *session) uint64 {
-	if t.zipf != nil {
-		return t.zipf.FromU(workload.SplitMixFloat(&s.rng))
-	}
-	return workload.SplitMix64(&s.rng) % t.Cfg.Keys
+	return t.zipf.FromU(workload.SplitMixFloat(&s.rng))
 }
 
 // valueSize draws a small-skewed write size (2–512 B) — the cheap stand-in
@@ -33,20 +30,20 @@ func valueSize(s *session) int {
 	return 2 + int(workload.SplitMix64(&s.rng)%511)
 }
 
-// kvOps emits a get/put/scan request: with probability ScanFrac one scan of
-// ScanLen consecutive keys, otherwise OpsPerReq point ops, each a put with
-// probability WriteFrac.
+// kvOps emits a get/put/scan request: with probability scanFrac one scan of
+// scanLen consecutive keys, otherwise opsPerReq point ops, each a put with
+// probability writeFrac.
 func (t *Tier) kvOps(s *session, dst []workload.Op) []workload.Op {
-	if t.Cfg.ScanFrac > 0 && workload.SplitMixFloat(&s.rng) < t.Cfg.ScanFrac {
+	if workload.SplitMixFloat(&s.rng) < scanFrac {
 		base := t.key(s)
-		ops := room(dst, t.Cfg.ScanLen)
-		for i := 0; i < t.Cfg.ScanLen; i++ {
+		ops := room(dst, scanLen)
+		for i := 0; i < scanLen; i++ {
 			ops = append(ops, workload.Op{Kind: workload.OpRead, Key: (base + uint64(i)) % t.Cfg.Keys})
 		}
 		return ops
 	}
-	ops := room(dst, t.Cfg.OpsPerReq)
-	for len(ops) < t.Cfg.OpsPerReq {
+	ops := room(dst, opsPerReq)
+	for len(ops) < opsPerReq {
 		k := t.key(s)
 		dup := false
 		for _, op := range ops {
@@ -59,7 +56,7 @@ func (t *Tier) kvOps(s *session, dst []workload.Op) []workload.Op {
 			continue
 		}
 		op := workload.Op{Kind: workload.OpRead, Key: k}
-		if workload.SplitMixFloat(&s.rng) < t.Cfg.WriteFrac {
+		if workload.SplitMixFloat(&s.rng) < writeFrac {
 			op.Kind = workload.OpWrite
 			op.Value = valueSize(s)
 		}

@@ -69,30 +69,17 @@ type Config struct {
 	Clients int
 	// Servers is the shard-owner count for KV/Txn: processes [0,Servers)
 	// own keys by key%Servers. When Servers equals the process count every
-	// process is both owner and frontend (the kvstore topology); when
-	// smaller, the remaining processes are pure frontends and elastic
+	// process is both owner and frontend (the layout of internal/kvstore,
+	// the reference TestKVMatchesLegacyKVStore pins this tier against);
+	// when smaller, the remaining processes are pure frontends and elastic
 	// joins add frontend capacity without resharding.
 	Servers int
-	// Replicas is the replication degree for the SMR services; processes
-	// [0,Replicas) are replicas, the rest are frontends.
-	Replicas int
-	// Keys is the keyspace size; ZipfTheta skews key popularity (0 =
-	// uniform).
-	Keys      uint64
-	ZipfTheta float64
-	// OpsPerReq, WriteFrac, ScanFrac, ScanLen shape KV requests: each
-	// request is OpsPerReq point ops (write w.p. WriteFrac), except that
-	// with probability ScanFrac it is instead one scan of ScanLen
-	// consecutive keys.
-	OpsPerReq int
-	WriteFrac float64
-	ScanFrac  float64
-	ScanLen   int
+	// Keys is the keyspace size.
+	Keys uint64
 	// ThinkTime is the mean exponential think time between a response and
-	// the session's next request; StartSpread staggers session first
-	// requests over that span (default ThinkTime).
-	ThinkTime   sim.Time
-	StartSpread sim.Time
+	// the session's next request; session first requests are staggered
+	// over the same span.
+	ThinkTime sim.Time
 	// ServerOpCost models server CPU per KV operation (FIFO station).
 	ServerOpCost sim.Time
 	// BatchWindow, when nonzero, sends every request Batched(w);
@@ -114,17 +101,28 @@ type Config struct {
 	Seed      int64
 }
 
-// DefaultConfig returns the reference serving workload: a million-key
-// Zipf-skewed KV with 2-op requests, 30% writes, a dash of scans.
+// smrReplicas is the replication degree of the SMR services: processes
+// [0,smrReplicas) are replicas, the rest are frontends.
+const smrReplicas = 3
+
+// The generated request shape, the same in every run: Zipf-skewed keys,
+// opsPerReq point ops per request (a write w.p. writeFrac), except that
+// with probability scanFrac the request is instead one scan of scanLen
+// consecutive keys.
+const (
+	zipfTheta = 0.99
+	opsPerReq = 2
+	writeFrac = 0.3
+	scanFrac  = 0.05
+	scanLen   = 8
+)
+
+// DefaultConfig returns the reference serving workload: a million-key KV
+// with the request shape above.
 func DefaultConfig() Config {
 	return Config{
 		Service:      KV,
 		Keys:         1 << 20,
-		ZipfTheta:    0.99,
-		OpsPerReq:    2,
-		WriteFrac:    0.3,
-		ScanFrac:     0.05,
-		ScanLen:      8,
 		ThinkTime:    1 * sim.Millisecond,
 		ServerOpCost: 100 * sim.Nanosecond,
 		Seed:         1,
@@ -244,23 +242,12 @@ type Tier struct {
 // New deploys the tier over an existing cluster. Sessions are created but
 // idle until Start.
 func New(cl *onepipe.Cluster, cfg Config) *Tier {
-	if cfg.StartSpread == 0 {
-		cfg.StartSpread = cfg.ThinkTime
-	}
-	if cfg.ScanLen <= 0 {
-		cfg.ScanLen = 8
-	}
-	if cfg.OpsPerReq <= 0 {
-		cfg.OpsPerReq = 1
-	}
 	n := cl.NumProcesses()
 	t := &Tier{Cfg: cfg, cl: cl, eng: cl.Network().Eng, shards: make(map[int]*shard)}
-	if cfg.ZipfTheta > 0 {
-		// The shared table is draw-free after construction (sessions feed
-		// it their own uniforms via FromU); the throwaway rand.Rand only
-		// satisfies the constructor.
-		t.zipf = workload.NewZipf(rand.New(rand.NewSource(1)), cfg.Keys, cfg.ZipfTheta)
-	}
+	// The shared table is draw-free after construction (sessions feed it
+	// their own uniforms via FromU); the throwaway rand.Rand only satisfies
+	// the constructor.
+	t.zipf = workload.NewZipf(rand.New(rand.NewSource(1)), cfg.Keys, zipfTheta)
 	switch cfg.Service {
 	case KV, Txn:
 		if cfg.Servers <= 0 || cfg.Servers > n {
@@ -280,11 +267,7 @@ func New(cl *onepipe.Cluster, cfg Config) *Tier {
 			}
 		}
 	case SMRFabric, SMRRaft:
-		if cfg.Replicas <= 0 {
-			cfg.Replicas = 3
-			t.Cfg.Replicas = 3
-		}
-		for p := cfg.Replicas; p < n; p++ {
+		for p := smrReplicas; p < n; p++ {
 			t.frontends = append(t.frontends, p)
 		}
 		t.initSMR()
@@ -339,7 +322,7 @@ func (t *Tier) Start() {
 }
 
 func (t *Tier) startRange(lo, hi int, base sim.Time) {
-	spread := t.Cfg.StartSpread
+	spread := t.Cfg.ThinkTime
 	n := hi - lo
 	for i := lo; i < hi; i++ {
 		at := base + sim.Time(int64(i-lo)*int64(spread)/int64(n))

@@ -14,6 +14,7 @@ import (
 
 	"onepipe"
 	"onepipe/internal/kvstore"
+	"onepipe/internal/netsim"
 	"onepipe/internal/race"
 	"onepipe/internal/sim"
 	"onepipe/internal/workload"
@@ -164,29 +165,36 @@ func TestKVMatchesLegacyKVStore(t *testing.T) {
 }
 
 // TestSMRFabricAgreement: with the fabric's delivery order as the log,
-// every replica applies the identical command sequence.
+// every replica applies the identical command sequence — on lossless links,
+// and under 1e-3 link loss with lost replies re-requested.
 func TestSMRFabricAgreement(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Service = SMRFabric
-	cfg.Replicas = 3
-	cfg.Clients = 16
-	cfg.MaxRequests = 5
-	cfg.ThinkTime = 10 * sim.Microsecond
-	tier := New(testCluster(), cfg)
-	if !tier.RunToCompletion(50 * sim.Millisecond) {
-		t.Fatal("smr-fabric sessions did not complete")
-	}
-	counts := tier.SMRApplied()
-	for r := 1; r < len(counts); r++ {
-		if counts[r] != counts[0] {
-			t.Fatalf("replica %d applied %d commands, replica 0 applied %d", r, counts[r], counts[0])
+	for _, loss := range []float64{0, 1e-3} {
+		cfg := smallCfg()
+		cfg.Service = SMRFabric
+		cfg.Clients = 16
+		cfg.MaxRequests = 5
+		cfg.ThinkTime = 10 * sim.Microsecond
+		ccfg := onepipe.Defaults()
+		if loss > 0 {
+			ccfg.Impair = netsim.UniformLoss(loss)
+			cfg.RetryTimeout = 200 * sim.Microsecond
 		}
-		if tier.SMRDigest(r) != tier.SMRDigest(0) {
-			t.Fatalf("replica %d state digest diverged", r)
+		tier := New(onepipe.NewCluster(ccfg), cfg)
+		if !tier.RunToCompletion(50 * sim.Millisecond) {
+			t.Fatalf("loss %g: smr-fabric sessions did not complete", loss)
 		}
-	}
-	if counts[0] != uint64(cfg.Clients*cfg.MaxRequests) {
-		t.Fatalf("applied %d commands, want %d", counts[0], cfg.Clients*cfg.MaxRequests)
+		counts := tier.SMRApplied()
+		for r := 1; r < len(counts); r++ {
+			if counts[r] != counts[0] {
+				t.Fatalf("loss %g: replica %d applied %d commands, replica 0 applied %d", loss, r, counts[r], counts[0])
+			}
+			if tier.SMRDigest(r) != tier.SMRDigest(0) {
+				t.Fatalf("loss %g: replica %d state digest diverged", loss, r)
+			}
+		}
+		if counts[0] != uint64(cfg.Clients*cfg.MaxRequests) {
+			t.Fatalf("loss %g: applied %d commands, want %d", loss, counts[0], cfg.Clients*cfg.MaxRequests)
+		}
 	}
 }
 
@@ -195,7 +203,6 @@ func TestSMRFabricAgreement(t *testing.T) {
 func TestSMRRaftAgreement(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Service = SMRRaft
-	cfg.Replicas = 3
 	cfg.Clients = 16
 	cfg.MaxRequests = 5
 	cfg.ThinkTime = 10 * sim.Microsecond
@@ -291,12 +298,10 @@ func TestParentPins(t *testing.T) {
 			0xf61a5765de01a1d1, 0x31d0d6f2dc28a1a6, 287, 737, 120557},
 		{"smr-fabric", func(c *Config) {
 			c.Service = SMRFabric
-			c.Replicas = 3
 		}, testCluster, -1,
 			0x3c464691861e9ac6, 0x585da39ceaae9f98, 252, 260, 60086},
 		{"smr-raft", func(c *Config) {
 			c.Service = SMRRaft
-			c.Replicas = 3
 		}, testCluster, -1,
 			0x207de236d1b93cc, 0x44aabdb39f0b4bd, 206, 198, 54872},
 	}

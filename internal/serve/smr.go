@@ -31,7 +31,7 @@ type replicaSM struct {
 }
 
 func (t *Tier) initSMR() {
-	r := t.Cfg.Replicas
+	r := smrReplicas
 	st := &smrState{}
 	for p := 0; p < r; p++ {
 		st.replicas = append(st.replicas, p)

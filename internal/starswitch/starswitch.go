@@ -45,19 +45,15 @@ type Core struct {
 	outBE sim.Time    // monotone output clamp
 	outC  sim.Time
 	imp   *netsim.ImpairState // nil when unimpaired
-	// piggyback enables beacon suppression on downlinks whose forwarded
-	// traffic already carried the aggregate (§4.2).
-	piggyback bool
-	stats     Stats
+	stats Stats
 }
 
 // New builds a switch with no ports. imp (nil or zero: none) is applied to
 // every forwarded data-plane packet from an RNG seeded with seed.
-func New(imp *netsim.Impairment, seed int64, piggyback bool) *Core {
+func New(imp *netsim.Impairment, seed int64) *Core {
 	return &Core{
-		index:     make(map[int]int),
-		imp:       netsim.NewImpairState(imp, seed, 0),
-		piggyback: piggyback,
+		index: make(map[int]int),
+		imp:   netsim.NewImpairState(imp, seed, 0),
 	}
 }
 
@@ -207,7 +203,7 @@ func (c *Core) Relay(emit func(port int, be, cc sim.Time)) {
 		if p.drained {
 			continue
 		}
-		if c.piggyback && p.txBE >= be && p.txC >= cc {
+		if p.txBE >= be && p.txC >= cc {
 			c.stats.BeaconsSuppressed++
 			continue
 		}

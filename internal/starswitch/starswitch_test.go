@@ -9,7 +9,7 @@ import (
 
 // newPorts builds an unimpaired, piggybacking switch with ports 0..n-1.
 func newPorts(n int) *Core {
-	c := New(nil, 1, true)
+	c := New(nil, 1)
 	for i := 0; i < n; i++ {
 		c.Admit(i)
 	}
@@ -233,19 +233,6 @@ func TestBeaconSuppression(t *testing.T) {
 	if got := relayed(c); !same(got, []int{0, 2}) {
 		t.Fatalf("relayed to %v, want [0 2]", got)
 	}
-
-	// With piggybacking off every live downlink is beaconed on every tick.
-	np := New(nil, 1, false)
-	np.Admit(0)
-	np.Admit(1)
-	for i := 0; i < 2; i++ {
-		if got := relayed(np); !same(got, []int{0, 1}) {
-			t.Fatalf("piggyback off, tick %d: relayed to %v, want [0 1]", i, got)
-		}
-	}
-	if np.Stats().BeaconsSuppressed != 0 {
-		t.Fatal("suppressed a beacon with piggybacking off")
-	}
 }
 
 // TestSeedDeterminesDrops pins the seed contract the live fabrics expose as
@@ -253,7 +240,7 @@ func TestBeaconSuppression(t *testing.T) {
 // lossy live run can be replayed; different seeds give different ones.
 func TestSeedDeterminesDrops(t *testing.T) {
 	run := func(seed int64) (drops []bool, delays []sim.Time) {
-		c := New(&netsim.Impairment{Loss: 0.3, Jitter: 1000}, seed, true)
+		c := New(&netsim.Impairment{Loss: 0.3, Jitter: 1000}, seed)
 		c.Admit(0)
 		c.Admit(1)
 		for i := 0; i < 64; i++ {

@@ -92,7 +92,7 @@ func (n *node) issue1Pipe(t *txn) {
 		// §2.2.3 extended to snapshots).
 		var msgs []core.Message
 		t.pending = len(t.shards)
-		t.snapshot = make([]uint64, n.b.Cfg.Warehouses)
+		t.snapshot = make([]uint64, warehouses)
 		for _, so := range t.shards {
 			msgs = append(msgs, core.Message{
 				Dst:  n.b.primary(so.Shard),
@@ -363,7 +363,7 @@ func (n *node) onOccUnlock(m occUnlock) {
 func (n *node) issueNonTX(t *txn) {
 	if t.kind == txSnapshot {
 		t.pending = len(t.shards)
-		t.snapshot = make([]uint64, n.b.Cfg.Warehouses)
+		t.snapshot = make([]uint64, warehouses)
 		for _, so := range t.shards {
 			n.proc.SendRaw(n.b.primary(so.Shard), snapReq{t: t, shard: so.Shard, key: so.Ops[0].Key}, 16)
 		}

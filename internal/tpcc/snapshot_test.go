@@ -25,7 +25,7 @@ func comparableVec(a, b []uint64) bool {
 func runSnapshots(t *testing.T, mode Mode) [][]uint64 {
 	t.Helper()
 	b := deploy(t, mode, 2, nil)
-	b.Cfg.SnapshotFrac = 0.3
+	b.SnapshotFrac = 0.3
 	var snaps [][]uint64
 	b.OnSnapshot = func(v []uint64) { snaps = append(snaps, v) }
 	b.Run(300*sim.Microsecond, 2*sim.Millisecond)

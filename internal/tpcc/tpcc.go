@@ -64,40 +64,20 @@ const (
 	keyWarehouseRow = workload.TPCCWarehouseRow // the hot row
 )
 
-// Config parameterizes a run.
-type Config struct {
-	// Warehouses is the shard count (the paper uses 4).
-	Warehouses int
-	// Replicas per shard (the paper uses 3).
-	Replicas int
-	// Outstanding is the closed-loop depth per client.
-	Outstanding int
-	// SnapshotFrac makes that fraction of transactions read-only
-	// snapshots across all warehouses (0 reproduces Fig. 15 exactly).
-	SnapshotFrac float64
-	// ServerOpCost models CPU time per record operation.
-	ServerOpCost sim.Time
-	// RetryTimeout re-issues transactions with lost replies.
-	RetryTimeout sim.Time
-	Seed         int64
-	// Txns, when non-nil, overrides the per-client transaction source
-	// (default: workload.NewTPCCGen sharing the client's RNG, which
-	// reproduces the historical mix draw-for-draw). The rng argument is
-	// the client's own stream — a source may share it or ignore it.
-	Txns func(client int, rng *rand.Rand) workload.ShardTxnSource
-}
-
-// DefaultConfig mirrors the paper: 4 warehouses, 3 replicas.
-func DefaultConfig() Config {
-	return Config{
-		Warehouses:   4,
-		Replicas:     3,
-		Outstanding:  4,
-		ServerOpCost: 300 * sim.Nanosecond,
-		RetryTimeout: 500 * sim.Microsecond,
-		Seed:         1,
-	}
-}
+// The paper's deployment and the cost model, the same in every run.
+const (
+	// warehouses is the shard count and replicas the copies per shard
+	// (the paper uses 4 and 3).
+	warehouses = 4
+	replicas   = 3
+	// outstanding is the closed-loop depth per client.
+	outstanding = 4
+	// serverOpCost models CPU time per record operation.
+	serverOpCost = 300 * sim.Nanosecond
+	// retryTimeout re-issues transactions with lost replies.
+	retryTimeout = 500 * sim.Microsecond
+	seed         = 1
+)
 
 // Stats aggregates a measurement window.
 type Stats struct {
@@ -149,11 +129,14 @@ type txn struct {
 
 // Bench is a deployed TPC-C benchmark.
 type Bench struct {
-	Mode  Mode
-	Cfg   Config
-	Stats Stats
-	cl    *core.Cluster
-	nodes []*node
+	Mode Mode
+	// SnapshotFrac makes that fraction of transactions read-only
+	// snapshots across all warehouses (0 reproduces Fig. 15 exactly); set
+	// it between New and Run.
+	SnapshotFrac float64
+	Stats        Stats
+	cl           *core.Cluster
+	nodes        []*node
 	// replicaSets[w] lists the replica procs of warehouse w (primary
 	// first). Failed replicas are removed at runtime.
 	replicaSets [][]netsim.ProcID
@@ -167,10 +150,9 @@ type node struct {
 	b    *Bench
 	proc *core.Proc
 	rng  *rand.Rand
-	gen  workload.ShardTxnSource
-	// defGen, when the default generator is in use, lets genTxn track
-	// runtime Cfg.SnapshotFrac mutations (benchmarks set it post-New).
-	defGen  *workload.TPCCGen
+	// gen shares rng, so generator draws interleave with retry-backoff
+	// draws.
+	gen     *workload.TPCCGen
 	data    map[uint64]*record
 	cpuBusy sim.Time
 	applied map[*txn]bool
@@ -199,33 +181,26 @@ type lockWait struct {
 }
 
 // New deploys the benchmark over a cluster.
-func New(cl *core.Cluster, mode Mode, cfg Config) *Bench {
-	b := &Bench{Mode: mode, Cfg: cfg, cl: cl}
+func New(cl *core.Cluster, mode Mode) *Bench {
+	b := &Bench{Mode: mode, cl: cl}
 	np := len(cl.Procs)
-	for w := 0; w < cfg.Warehouses; w++ {
-		set := make([]netsim.ProcID, 0, cfg.Replicas)
-		for r := 0; r < cfg.Replicas; r++ {
-			set = append(set, netsim.ProcID((w*cfg.Replicas+r)%np))
+	for w := 0; w < warehouses; w++ {
+		set := make([]netsim.ProcID, 0, replicas)
+		for r := 0; r < replicas; r++ {
+			set = append(set, netsim.ProcID((w*replicas+r)%np))
 		}
 		b.replicaSets = append(b.replicaSets, set)
 	}
 	for i, p := range cl.Procs {
 		n := &node{
 			b: b, proc: p,
-			rng:      rand.New(rand.NewSource(cfg.Seed + int64(i)*104729)),
+			rng:      rand.New(rand.NewSource(seed + int64(i)*104729)),
 			data:     make(map[uint64]*record),
 			applied:  make(map[*txn]bool),
 			waiters:  make(map[uint64][]*lockWait),
 			replWait: make(map[*txn]*replState),
 		}
-		if cfg.Txns != nil {
-			n.gen = cfg.Txns(i, n.rng)
-		} else {
-			// Sharing the node's rng keeps generator draws interleaved
-			// with retry-backoff draws exactly as they always were.
-			n.defGen = workload.NewTPCCGen(n.rng, cfg.Warehouses, cfg.SnapshotFrac)
-			n.gen = n.defGen
-		}
+		n.gen = workload.NewTPCCGen(n.rng, warehouses, 0)
 		b.nodes = append(b.nodes, n)
 		p.OnDeliver = n.onDeliver
 		p.OnRaw = n.onRaw
@@ -251,7 +226,7 @@ func (b *Bench) removeReplica(failed netsim.ProcID) {
 func (b *Bench) Run(warmup, window sim.Time) *Stats {
 	eng := b.cl.Net.Eng
 	for _, n := range b.nodes {
-		for i := 0; i < b.Cfg.Outstanding; i++ {
+		for i := 0; i < outstanding; i++ {
 			n.startTxn()
 		}
 	}
@@ -265,16 +240,14 @@ func (b *Bench) Run(warmup, window sim.Time) *Stats {
 
 func (n *node) key(w, local int) uint64 { return workload.TPCCKey(w, local) }
 
-// genTxn pulls the next transaction from the node's ShardTxnSource
-// (workload.TPCCGen by default — New-Order/Payment split evenly, plus
-// read-only snapshots at SnapshotFrac) and classifies its kind from the op
+// genTxn pulls the next transaction from the node's workload.TPCCGen
+// (New-Order/Payment split evenly, plus read-only snapshots at
+// SnapshotFrac) and classifies its kind from the op
 // shape: all-reads is a snapshot, a write to the hot warehouse row is a
 // Payment, anything else is a New-Order.
 func (n *node) genTxn() *txn {
 	t := &txn{client: n, started: n.b.cl.Net.Eng.Now()}
-	if n.defGen != nil {
-		n.defGen.SetSnapshotFrac(n.b.Cfg.SnapshotFrac)
-	}
+	n.gen.SetSnapshotFrac(n.b.SnapshotFrac)
 	t.shards = n.gen.Next()
 	t.kind = classify(t.shards)
 	return t
@@ -343,20 +316,10 @@ func (n *node) retryLater(t *txn) {
 	})
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (n *node) armRetry(t *txn) {
-	if n.b.Cfg.RetryTimeout <= 0 {
-		return
-	}
 	t.epoch++
 	epoch := t.epoch
-	n.b.cl.Net.Eng.After(n.b.Cfg.RetryTimeout, func() {
+	n.b.cl.Net.Eng.After(retryTimeout, func() {
 		if t.epoch != epoch {
 			return
 		}
@@ -371,7 +334,7 @@ func (n *node) serve(nops int, fn func()) {
 	if n.cpuBusy > start {
 		start = n.cpuBusy
 	}
-	n.cpuBusy = start + sim.Time(nops)*n.b.Cfg.ServerOpCost
+	n.cpuBusy = start + sim.Time(nops)*serverOpCost
 	eng.At(n.cpuBusy, fn)
 }
 

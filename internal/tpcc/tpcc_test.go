@@ -17,7 +17,7 @@ func deploy(t *testing.T, mode Mode, procsPerHost int, mut func(*netsim.Config))
 		mut(&ncfg)
 	}
 	cl := core.Deploy(netsim.New(ncfg), core.DefaultConfig())
-	return New(cl, mode, DefaultConfig())
+	return New(cl, mode)
 }
 
 func TestAllModesCommit(t *testing.T) {
@@ -112,11 +112,11 @@ func TestReplicaFailureRecovery(t *testing.T) {
 	ncfg.ControllerManagedCommit = true
 	net := netsim.New(ncfg)
 	cl := core.Deploy(net, core.DefaultConfig())
-	ctrl := controller.New(net, cl, controller.DefaultConfig())
+	ctrl := controller.New(net, cl)
 	if ctrl.Raft.WaitLeader(50*sim.Millisecond) == nil {
 		t.Fatal("no controller leader")
 	}
-	b := New(cl, Mode1Pipe, DefaultConfig())
+	b := New(cl, Mode1Pipe)
 	eng := net.Eng
 
 	// Warm up, then kill host 1 (procs 2 and 3 — replicas of some shards).

@@ -44,10 +44,9 @@ func newSwitch(cfg Config, epoch time.Time) (*Switch, error) {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	piggyback := cfg.Endpoint == nil || !cfg.Endpoint.DisablePiggyback
 	s := &Switch{
 		cfg: cfg, conn: conn, epoch: epoch,
-		core:      starswitch.New(cfg.Impair, seed, piggyback),
+		core:      starswitch.New(cfg.Impair, seed),
 		addrs:     make(map[int]*net.UDPAddr),
 		stopped:   make(chan struct{}),
 		regNotify: make(chan struct{}, 1),

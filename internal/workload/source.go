@@ -176,9 +176,9 @@ type SyntheticConfig struct {
 	Rate RateFn
 	// ReliableFrac is the probability an intent is sent reliable.
 	ReliableFrac float64
-	// Start/Stop bound the stream; Stop 0 means unbounded.
-	Start, Stop sim.Time
-	Seed        int64
+	// Stop bounds the stream, which starts at time 0; 0 means unbounded.
+	Stop sim.Time
+	Seed int64
 }
 
 // Synthetic is an rng-driven aggregate source: exponential arrivals, skewed
@@ -199,7 +199,7 @@ func NewSynthetic(cfg SyntheticConfig) *Synthetic {
 	if cfg.Size == nil {
 		cfg.Size = FixedSize(64)
 	}
-	s := &Synthetic{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), now: cfg.Start}
+	s := &Synthetic{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	if cfg.ZipfTheta > 0 {
 		s.zipf = NewZipf(s.rng, uint64(cfg.Procs), cfg.ZipfTheta)
 	}

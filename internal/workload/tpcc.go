@@ -8,12 +8,6 @@ type ShardOps struct {
 	Ops   []Op
 }
 
-// ShardTxnSource streams sharded transactions (TPC-C style); TPCCGen is the
-// canonical implementation. The tpcc benchmark accepts any ShardTxnSource.
-type ShardTxnSource interface {
-	Next() []ShardOps
-}
-
 // TPC-C record-key layout inside a warehouse shard (the local half of
 // TPCCKey). The warehouse row is the hot contention point: Payment writes
 // it, New-Order reads it.

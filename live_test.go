@@ -32,12 +32,48 @@ func TestLiveClusterDelivery(t *testing.T) {
 	t.Fatal("live delivery timed out")
 }
 
+// liveKnobs moves each LiveConfig setting away from its default: a faster
+// beacon under seeded injected loss (the scattering then needs the
+// retransmission path), a wider batch window, batching off with two
+// processes per host. Both live substrates must deliver under each.
+var liveKnobs = map[string]LiveConfig{
+	"lossy": {Hosts: 3, ProcsPerHost: 1, BeaconInterval: 500 * time.Microsecond,
+		Impair: &Impairment{Loss: 0.2}, Seed: 7},
+	"wide-window": {Hosts: 3, ProcsPerHost: 1, BatchWindow: 100 * time.Microsecond},
+	"unbatched":   {Hosts: 2, ProcsPerHost: 2, DisableBatching: true},
+}
+
+func TestLiveConfigKnobs(t *testing.T) {
+	for name, cfg := range liveKnobs {
+		t.Run("chan/"+name, func(t *testing.T) {
+			l := NewLiveCluster(cfg)
+			defer l.Close()
+			scatterDelivers(t, l)
+		})
+		t.Run("udp/"+name, func(t *testing.T) {
+			l, err := NewUDPCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			scatterDelivers(t, l)
+		})
+	}
+}
+
 func TestUDPClusterDelivery(t *testing.T) {
 	l, err := NewUDPCluster(LiveConfig{Hosts: 3, ProcsPerHost: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	scatterDelivers(t, l)
+}
+
+// scatterDelivers sends one reliable scattering from process 0 to processes
+// 1 and 2 and waits for both deliveries.
+func scatterDelivers(t *testing.T, l *Live) {
+	t.Helper()
 	var mu sync.Mutex
 	okc := 0
 	for _, p := range []int{1, 2} {
@@ -65,5 +101,5 @@ func TestUDPClusterDelivery(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("UDP scattering delivery timed out")
+	t.Fatal("scattering delivery timed out")
 }

@@ -207,12 +207,6 @@ type Config struct {
 	BatchWindow Timestamp
 	// DisableBatching turns send-side frame coalescing off entirely.
 	DisableBatching bool
-	// Net, when non-nil, overrides the derived network configuration
-	// entirely (expert knob used by the experiment harness).
-	Net *netsim.Config
-	// Endpoint, when non-nil, overrides the lib1pipe endpoint
-	// configuration.
-	Endpoint *core.Config
 }
 
 // Testbed returns the paper's evaluation topology.
@@ -244,23 +238,16 @@ type Cluster struct {
 // configured) starts the replicated controller.
 func NewCluster(cfg Config) *Cluster {
 	ncfg := netsim.DefaultConfig(cfg.Topology, cfg.ProcsPerHost)
-	if cfg.Net != nil {
-		ncfg = *cfg.Net
-	} else {
-		ncfg.Mode = cfg.Mode
-		ncfg.Impair = cfg.Impair
-		if cfg.BeaconInterval > 0 {
-			ncfg.BeaconInterval = cfg.BeaconInterval
-		}
-		if cfg.Seed != 0 {
-			ncfg.Seed = cfg.Seed
-		}
-		ncfg.ControllerManagedCommit = cfg.WithController
+	ncfg.Mode = cfg.Mode
+	ncfg.Impair = cfg.Impair
+	if cfg.BeaconInterval > 0 {
+		ncfg.BeaconInterval = cfg.BeaconInterval
 	}
+	if cfg.Seed != 0 {
+		ncfg.Seed = cfg.Seed
+	}
+	ncfg.ControllerManagedCommit = cfg.WithController
 	ecfg := core.DefaultConfig()
-	if cfg.Endpoint != nil {
-		ecfg = *cfg.Endpoint
-	}
 	if cfg.Unified {
 		ecfg.Mode = core.DeliverUnified
 	}
@@ -277,7 +264,7 @@ func NewCluster(cfg Config) *Cluster {
 	cl := core.Deploy(n, ecfg)
 	c := &Cluster{cfg: cfg, net: n, core: cl}
 	if cfg.WithController {
-		c.ctrl = controller.New(n, cl, controller.DefaultConfig())
+		c.ctrl = controller.New(n, cl)
 		c.ctrl.Raft.WaitLeader(50 * Millisecond)
 	}
 	// Buffer every process's deliveries for Poll until the application
@@ -312,7 +299,7 @@ func (c *Cluster) Process(p int) *Process {
 // are the placement-free shorthands.
 func (c *Cluster) Reconfig() *reconfig.Engine {
 	if c.elastic == nil {
-		c.elastic = reconfig.New(c.net, c.core, c.ctrl, reconfig.Config{})
+		c.elastic = reconfig.New(c.net, c.core, c.ctrl)
 	}
 	return c.elastic
 }

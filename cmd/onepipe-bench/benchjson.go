@@ -20,9 +20,9 @@ import (
 	"onepipe/internal/wire"
 )
 
-// benchResult is one micro-benchmark's figures in BENCH_core.json. A row
-// measured several times (the engine rows) carries the median run, the
-// number of runs and the fastest and slowest ns/op beside it.
+// benchResult is one micro-benchmark's figures in BENCH_core.json. Every row
+// is measured medianRuns times and carries the median run, the number of
+// runs and the fastest and slowest ns/op beside it.
 type benchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	Runs        int     `json:"runs,omitempty"`
@@ -207,6 +207,74 @@ func benchBERound() testing.BenchmarkResult {
 	})
 }
 
+// cableWire joins two hosts on one engine by a fixed-latency cable, so the
+// queue holds nothing but their packets and timers — the wire of core's
+// TestFirstContactAllocs.
+type cableWire struct {
+	eng  *sim.Engine
+	peer *core.Host
+}
+
+func cableDeliver(h, pkt any) { h.(*core.Host).HandlePacket(pkt.(*netsim.Packet)) }
+
+func (w *cableWire) Send(pkt *netsim.Packet) {
+	w.eng.After2(400*sim.Nanosecond, cableDeliver, w.peer, pkt)
+}
+func (w *cableWire) Now() sim.Time               { return w.eng.Now() }
+func (w *cableWire) After(d sim.Time, fn func()) { w.eng.After(d, fn) }
+func (w *cableWire) TimerEngine() *sim.Engine    { return w.eng }
+
+// benchFirstContact is the TestFirstContactAllocs shape: one best-effort
+// message to a process its sender has never talked to, through delivery and
+// the ACK, on two cabled hosts — the per-pair cost of connection state, with
+// four beacon intervals of both hosts included. A host pair serves 4096
+// first contacts; the next pair is built with the timer stopped.
+func benchFirstContact() testing.BenchmarkResult {
+	const peers = 4096
+	cfg := core.DefaultConfig()
+	return testing.Benchmark(func(b *testing.B) {
+		var (
+			eng       *sim.Engine
+			src       *core.Proc
+			msgs      [][]core.Message
+			next      = peers
+			delivered int
+		)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if next == peers {
+				b.StopTimer()
+				eng = sim.NewEngine(1)
+				w0, w1 := &cableWire{eng: eng}, &cableWire{eng: eng}
+				h0, h1 := core.NewHost(0, w0, cfg), core.NewHost(1, w1, cfg)
+				w0.peer, w1.peer = h1, h0
+				h0.Start()
+				h1.Start()
+				src = h0.AddProc(0)
+				h1.AddProc(1)
+				flat := make([]core.Message, peers) // core keeps each send's slice
+				msgs = make([][]core.Message, peers)
+				for j := range flat {
+					p := h1.AddProc(netsim.ProcID(2 + j))
+					p.OnDeliverBatch = func(ds []core.Delivery) { delivered += len(ds) }
+					flat[j] = core.Message{Dst: p.ID, Size: 64}
+					msgs[j] = flat[j : j+1 : j+1]
+				}
+				next = 0
+				b.StartTimer()
+			}
+			if err := src.Send(msgs[next]); err != nil {
+				b.Fatal(err)
+			}
+			next++
+			eng.RunFor(4 * cfg.BeaconInterval)
+		}
+		if delivered != b.N {
+			b.Fatalf("%d of %d delivered", delivered, b.N)
+		}
+	})
+}
+
 func benchWireEncode() testing.BenchmarkResult {
 	pkt := &netsim.Packet{
 		Kind: netsim.KindData, Src: 3, Dst: 9, MsgTS: 123456789,
@@ -349,10 +417,6 @@ func runBenchJSON(outPath string) error {
 		_ = json.Unmarshal(raw, &prev)
 	}
 
-	enc := benchWireEncode()
-	dec := benchWireDecode()
-	sp := benchSendPath()
-
 	rep := benchReport{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
@@ -360,12 +424,13 @@ func runBenchJSON(outPath string) error {
 		Benchmarks: map[string]benchResult{
 			"engine_schedule":     engineRow(1, 1000),
 			"engine_schedule_far": engineRow(5000, 100000),
-			"wire_append_encode":  toResult(enc),
-			"wire_decode_into":    toResult(dec),
-			"send_path":           toResult(sp),
-			"timer_arm_cancel":    toResult(benchTimer(false)),
-			"timer_arm_fire":      toResult(benchTimer(true)),
+			"wire_append_encode":  medianRow(benchWireEncode),
+			"wire_decode_into":    medianRow(benchWireDecode),
+			"send_path":           medianRow(benchSendPath),
+			"timer_arm_cancel":    medianRow(func() testing.BenchmarkResult { return benchTimer(false) }),
+			"timer_arm_fire":      medianRow(func() testing.BenchmarkResult { return benchTimer(true) }),
 			"send_be_round":       medianRow(benchBERound),
+			"first_contact":       medianRow(benchFirstContact),
 		},
 		Baseline:  prev.Baseline,
 		GateFloor: prev.GateFloor,
@@ -394,26 +459,20 @@ func runBenchJSON(outPath string) error {
 	if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
 		return err
 	}
-	for _, name := range []string{"engine_schedule", "engine_schedule_far"} {
-		r := rep.Benchmarks[name]
-		fmt.Printf("%-19s %6.1f ns/op (median of %d, %.1f–%.1f)  %d allocs/op  (%.2fM events/s)\n",
-			name, r.NsPerOp, r.Runs, r.NsPerOpMin, r.NsPerOpMax, r.AllocsPerOp, 1e3/r.NsPerOp)
+	names := make([]string, 0, len(rep.Benchmarks))
+	for name := range rep.Benchmarks {
+		names = append(names, name)
 	}
-	round := rep.Benchmarks["send_be_round"]
-	fmt.Printf("%-19s %6.1f ns/op (median of %d, %.1f–%.1f)  %d allocs/op  %d B/op\n",
-		"send_be_round", round.NsPerOp, round.Runs, round.NsPerOpMin, round.NsPerOpMax, round.AllocsPerOp, round.BytesPerOp)
+	sort.Strings(names)
+	for _, name := range names {
+		r := rep.Benchmarks[name]
+		fmt.Printf("%-19s %8.1f ns/op (median of %d, %.1f–%.1f)  %d allocs/op  %d B/op\n",
+			name, r.NsPerOp, r.Runs, r.NsPerOpMin, r.NsPerOpMax, r.AllocsPerOp, r.BytesPerOp)
+	}
+	fmt.Printf("engine events/s %.2fM\n", rep.EngineEventsPerSec/1e6)
 	if sb := rep.Scale1024; sb != nil {
 		fmt.Printf("scale 1024  %8.2f s wall  (%d events, %.0fus window)\n",
 			sb.WallS, sb.Events, sb.WindowUs)
-	}
-	fmt.Printf("encode      %8.1f ns/op  %d allocs/op\n",
-		rep.Benchmarks["wire_append_encode"].NsPerOp, rep.Benchmarks["wire_append_encode"].AllocsPerOp)
-	fmt.Printf("decode      %8.1f ns/op  %d allocs/op\n",
-		rep.Benchmarks["wire_decode_into"].NsPerOp, rep.Benchmarks["wire_decode_into"].AllocsPerOp)
-	fmt.Printf("send path   %8.1f ns/op  %d allocs/op\n",
-		rep.Benchmarks["send_path"].NsPerOp, rep.Benchmarks["send_path"].AllocsPerOp)
-	for _, name := range []string{"timer_arm_cancel", "timer_arm_fire"} {
-		fmt.Printf("%-16s %8.1f ns/op  %d allocs/op\n", name, rep.Benchmarks[name].NsPerOp, rep.Benchmarks[name].AllocsPerOp)
 	}
 	fmt.Printf("e2e         %8.0f msgs/s  (unbatched %0.f)\n", rep.E2EMsgsPerSec, rep.E2EUnbatchedMsgsPerSec)
 	if rep.SendOccupancy != nil && rep.SendOccupancy.Count > 0 {

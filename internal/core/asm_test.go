@@ -22,7 +22,7 @@ func mkFrag(psn uint32, fragIdx uint16, eom bool, msgTS sim.Time) *netsim.Packet
 }
 
 func TestAsmSingleFragment(t *testing.T) {
-	a := newAsmBuf(false)
+	a := &asmBuf{}
 	last, size, ok := a.add(mkFrag(0, 0, true, 1))
 	if !ok || last == nil || size != 100 {
 		t.Fatalf("single fragment not complete: ok=%v size=%d", ok, size)
@@ -33,7 +33,7 @@ func TestAsmSingleFragment(t *testing.T) {
 }
 
 func TestAsmOutOfOrderFragments(t *testing.T) {
-	a := newAsmBuf(false)
+	a := &asmBuf{}
 	// 3-fragment message arriving 2,0,1.
 	if _, _, ok := a.add(mkFrag(2, 2, true, 5)); ok {
 		t.Fatal("completed with missing fragments")
@@ -51,7 +51,7 @@ func TestAsmOutOfOrderFragments(t *testing.T) {
 }
 
 func TestAsmHoleDoesNotBlockLaterMessages(t *testing.T) {
-	a := newAsmBuf(true)
+	a := &asmBuf{capped: true}
 	// PSN 0 lost forever; messages at PSN 1 and 2 must still complete.
 	if _, _, ok := a.add(mkFrag(1, 0, true, 2)); !ok {
 		t.Fatal("later message blocked by hole")
@@ -62,7 +62,7 @@ func TestAsmHoleDoesNotBlockLaterMessages(t *testing.T) {
 }
 
 func TestAsmSkipConsumesWholeMessage(t *testing.T) {
-	a := newAsmBuf(true)
+	a := &asmBuf{capped: true}
 	a.add(mkFrag(0, 0, false, 1)) // first fragment buffered
 	a.skip(mkFrag(1, 1, false, 1))
 	// Both positions consumed; the late EOM is a dup.
@@ -72,7 +72,7 @@ func TestAsmSkipConsumesWholeMessage(t *testing.T) {
 }
 
 func TestAsmDoneCapForgetsOldHoles(t *testing.T) {
-	a := newAsmBuf(true)
+	a := &asmBuf{capped: true}
 	// Leave a hole at 0, then complete many messages above it.
 	for psn := uint32(1); psn <= asmDoneCap+100; psn++ {
 		if _, _, ok := a.add(mkFrag(psn, 0, true, sim.Time(psn))); !ok {
@@ -96,7 +96,7 @@ func TestAsmDoneCapForgetsOldHoles(t *testing.T) {
 // so the fragment stayed in frags forever (unreachable: isDup reports its
 // PSN consumed) and its pooled packet was never returned.
 func TestAsmCappedPathFreesStrandedFrags(t *testing.T) {
-	a := newAsmBuf(true)
+	a := &asmBuf{capped: true}
 	freed := 0
 	a.free = func(*netsim.Packet) { freed++ }
 	// Buffer the head of an incomplete message at PSN 0 (its EndOfMsg frag
@@ -133,7 +133,7 @@ func TestAsmReassemblyProperty(t *testing.T) {
 			return true
 		}
 		rng := rand.New(rand.NewSource(seed))
-		a := newAsmBuf(false)
+		a := &asmBuf{}
 		type frag struct {
 			pkt  *netsim.Packet
 			msg  int

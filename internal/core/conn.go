@@ -77,6 +77,129 @@ func (q *pktQueue) drop(n int) {
 	}
 }
 
+// unitRing holds one plane's in-flight window units, keyed by their head
+// PSN, in emission order — which is ascending PSN, since a plane's PSNs are
+// assigned at launch and its units leave the send queue in that order. An
+// ACKed or dropped unit leaves a hole (op nil, PSN kept, so the slots stay
+// sorted for the binary search); holes are skipped at the head and squeezed
+// out when the array is full. Like pktQueue the ring rewinds to the base of
+// its array whenever it empties, so a lightly loaded connection keeps one
+// small array.
+type unitRing struct {
+	slots []unitSlot // slots[head] is live whenever the ring is non-empty
+	head  int
+}
+
+type unitSlot struct {
+	psn uint32
+	op  *outPkt
+}
+
+func (r *unitRing) empty() bool { return r.head == len(r.slots) }
+
+// push appends a unit whose PSN is above every PSN in the ring. A full array
+// is compacted in place when at least a quarter of it is holes, and
+// otherwise replaced by one of twice the size holding only the live units,
+// so a push costs amortized O(1).
+func (r *unitRing) push(op *outPkt) {
+	if n := len(r.slots); n > 0 && n == cap(r.slots) {
+		live := 0
+		for _, s := range r.slots[r.head:] {
+			if s.op != nil {
+				live++
+			}
+		}
+		dst := r.slots[:0]
+		if live*4 > n*3 {
+			dst = make([]unitSlot, 0, 2*n)
+		}
+		for _, s := range r.slots[r.head:] {
+			if s.op != nil {
+				dst = append(dst, s)
+			}
+		}
+		clear(r.slots[len(dst):n])
+		r.slots, r.head = dst, 0
+	}
+	r.slots = append(r.slots, unitSlot{psn: op.psn, op: op})
+}
+
+// search returns the index of the first slot at or after head whose PSN is
+// at least psn.
+func (r *unitRing) search(psn uint32) int {
+	lo, hi := r.head, len(r.slots)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.slots[m].psn < psn {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// find returns the slot index of the live unit headed by psn, or -1. ACKs
+// mostly arrive in order, so the head is checked before the search.
+func (r *unitRing) find(psn uint32) int {
+	i := r.head
+	if i == len(r.slots) || r.slots[i].psn != psn {
+		i = r.search(psn)
+	}
+	if i < len(r.slots) && r.slots[i].psn == psn && r.slots[i].op != nil {
+		return i
+	}
+	return -1
+}
+
+// take removes the unit headed by psn and returns it, or nil if there is
+// none.
+func (r *unitRing) take(psn uint32) *outPkt {
+	i := r.find(psn)
+	if i < 0 {
+		return nil
+	}
+	op := r.slots[i].op
+	r.removeAt(i)
+	return op
+}
+
+// removeAt turns the live slot i into a hole.
+func (r *unitRing) removeAt(i int) {
+	r.slots[i].op = nil
+	for r.head < len(r.slots) && r.slots[r.head].op == nil {
+		r.head++
+	}
+	if r.empty() {
+		r.slots, r.head = r.slots[:0], 0
+	}
+}
+
+// walk calls fn, in ascending PSN order, with the slot index of every unit
+// live when the walk starts. fn may remove that unit and may re-enter code
+// that pushes (an application callback sending again): units pushed during
+// the walk are not visited, and when a push compacted or a removal rewound
+// the array under the walk, it re-finds its place by PSN.
+func (r *unitRing) walk(fn func(i int, op *outPkt)) {
+	if r.empty() {
+		return
+	}
+	end := r.slots[len(r.slots)-1].psn
+	for i := r.head; i < len(r.slots); i++ {
+		s := r.slots[i]
+		if s.psn > end {
+			return
+		}
+		if s.op == nil {
+			continue
+		}
+		fn(i, s.op)
+		if i >= len(r.slots) || r.slots[i].psn != s.psn {
+			i = r.search(s.psn+1) - 1
+		}
+	}
+}
+
 // connCursor is the residue of an evicted send-side connection: the next
 // PSN of each plane, retained so a re-established conn continues the same
 // sequence spaces the receiver's consumed-prefix tracking expects.
@@ -95,7 +218,9 @@ type conn struct {
 	// construction or ACK); the idle-eviction sweep compares it against
 	// Config.ConnIdleEvict.
 	lastUse sim.Time
-	unacked [2]map[uint32]*outPkt
+	// unacked holds each plane's in-flight window units in PSN order; the
+	// RTO retransmits, and failure handling walks, in that order.
+	unacked [2]unitRing
 	// stuckPkts parks reliable packets that exhausted MaxRetx: their
 	// window slots are freed and they are never retransmitted by the RTO,
 	// but they stay visible to PendingTo so §5.2 Controller Forwarding can
@@ -105,21 +230,16 @@ type conn struct {
 	// sendQ holds launched-but-untransmitted fragments: a scattering
 	// larger than the window streams out as ACKs free space.
 	sendQ pktQueue
-	// relOrder tracks reliable PSNs in transmission (= ascending PSN)
-	// order, so the RTO retransmits in PSN order without sorting the
-	// unacked map on every firing. Entries acked, dropped or parked out of
-	// unacked[1] go stale in place and are compacted out lazily; relStale
-	// counts them so compaction cost stays amortized O(1) per removal.
-	relOrder []uint32
-	relStale int
 	// inflight + reserved are charged against min(cwnd, recvWindow).
 	inflight int
 	reserved int
-	// DCTCP state (§6.1: "Congestion control follows DCTCP").
+	// DCTCP state (§6.1: "Congestion control follows DCTCP"). The ACK
+	// counters reset every window, so 32 bits hold them and keep the conn
+	// in its 288-byte size class.
 	cwnd      float64
 	alpha     float64
-	ackTotal  int
-	ackECN    int
+	ackTotal  int32
+	ackECN    int32
 	windowEnd [2]uint32
 	rto       timer
 	// doorbell fires Config.BatchWindow after a partial frame started
@@ -143,8 +263,6 @@ func (h *Host) getConn(src, dst netsim.ProcID) *conn {
 			host: h,
 			cwnd: h.Cfg.InitCwnd,
 		}
-		c.unacked[0] = make(map[uint32]*outPkt)
-		c.unacked[1] = make(map[uint32]*outPkt)
 		c.rto.init(h, (*connRTO)(c))
 		c.doorbell.init(h, (*connDoorbell)(c))
 		// Re-establishment after idle eviction: resume the evicted PSN
@@ -180,8 +298,8 @@ func (c *conn) onAck(reliable bool, psn uint32, ecn bool) {
 		c.lastUse = c.host.wire.Now()
 	}
 	k := cls(reliable)
-	op, ok := c.unacked[k][psn]
-	if !ok {
+	op := c.unacked[k].take(psn)
+	if op == nil {
 		// A late or controller-relayed ACK can complete a packet that
 		// exhausted MaxRetx; its window slot was freed when it was parked,
 		// so only scattering completion accounting remains.
@@ -196,13 +314,9 @@ func (c *conn) onAck(reliable bool, psn uint32, ecn bool) {
 		}
 		return // duplicate ACK
 	}
-	delete(c.unacked[k], psn)
-	if k == 1 {
-		c.relRemoved()
-	}
 	c.inflight--
 	c.dctcpAck(k, psn, ecn)
-	if len(c.unacked[1]) == 0 {
+	if c.unacked[1].empty() {
 		c.rto.stop()
 	}
 	// One ACK completes the whole frame: every chained member was carried
@@ -297,15 +411,11 @@ func (c *conn) collectRun() (n int, full bool) {
 }
 
 // emitRun transmits one window unit: a single fragment or a frame chain
-// headed by head (fnext-linked). The head's PSN indexes the unacked map;
-// the whole chain completes on its single ACK.
+// headed by head (fnext-linked). The head's PSN keys the unit in its
+// plane's ring; the whole chain completes on its single ACK.
 func (c *conn) emitRun(head *outPkt) {
 	h := c.host
-	k := cls(head.scat.reliable)
-	c.unacked[k][head.psn] = head
-	if k == 1 {
-		c.relOrder = append(c.relOrder, head.psn)
-	}
+	c.unacked[cls(head.scat.reliable)].push(head)
 	c.inflight++
 	if h.Obs.On() {
 		now := h.wire.Now()
@@ -404,17 +514,11 @@ func (c *conn) onRTO() {
 	if h.stopped {
 		return
 	}
-	// relOrder already lists the unACKed PSNs in ascending order (PSNs are
-	// assigned and transmitted monotonically); the walk compacts stale
-	// entries in place instead of rebuilding and sorting the key set.
-	kept := c.relOrder[:0]
+	// The ring is already in PSN order. OnStuck may send again from inside
+	// the walk; walk tolerates that.
 	rearm := false
 	exhausted := false
-	for _, psn := range c.relOrder {
-		op, ok := c.unacked[1][psn]
-		if !ok {
-			continue // stale: acked, dropped or parked since queued
-		}
+	c.unacked[1].walk(func(i int, op *outPkt) {
 		op.retx++
 		if h.Cfg.MaxRetx > 0 && int(op.retx) > h.Cfg.MaxRetx {
 			// Retransmission budget exhausted: report the stall (once per
@@ -423,35 +527,32 @@ func (c *conn) onRTO() {
 			// unacked would charge its inflight slot forever — wedging the
 			// window — and re-fire OnStuck on every later RTO. A frame
 			// parks as a whole chain and stalls every live member.
-			delete(c.unacked[1], psn)
+			c.unacked[1].removeAt(i)
 			c.inflight--
 			if c.stuckPkts == nil {
 				c.stuckPkts = make(map[uint32]*outPkt)
 			}
-			c.stuckPkts[psn] = op
+			c.stuckPkts[op.psn] = op
 			for m := op; m != nil; m = m.fnext {
 				if !m.scat.aborted {
 					h.reportStuck(c.key.src, c.key.dst, m.scat.ts)
 				}
 			}
 			exhausted = true
-			continue
+			return
 		}
 		pkt := c.buildUnit(op)
 		if pkt == nil {
 			// Every frame member was aborted since the last transmission.
-			delete(c.unacked[1], psn)
+			c.unacked[1].removeAt(i)
 			c.inflight--
 			exhausted = true
-			continue
+			return
 		}
-		kept = append(kept, psn)
 		h.Stats.PktsRetx++
 		h.emit(pkt)
 		rearm = true
-	}
-	c.relOrder = kept
-	c.relStale = 0
+	})
 	if rearm {
 		c.rto.reset(h, h.Cfg.RTO*sim.Time(1+min(4, c.minRetx())))
 	}
@@ -465,11 +566,7 @@ func (c *conn) onRTO() {
 
 func (c *conn) minRetx() int {
 	m := int32(1 << 30)
-	for _, op := range c.unacked[1] {
-		if op.retx < m {
-			m = op.retx
-		}
-	}
+	c.unacked[1].walk(func(_ int, op *outPkt) { m = min(m, op.retx) })
 	if m == 1<<30 {
 		return 0
 	}
@@ -549,46 +646,24 @@ func (c *conn) buildUnit(head *outPkt) *netsim.Packet {
 // scattering that still has a packet queued or in flight on this conn;
 // Host.Stop uses it so a stopped host leaves nothing in the timer queue.
 func (c *conn) stopFailTimers() {
-	for _, op := range c.unacked[0] {
+	c.unacked[0].walk(func(_ int, op *outPkt) {
 		for m := op; m != nil; m = m.fnext {
 			m.scat.failTimer.stop()
 		}
-	}
+	})
 	for _, op := range c.sendQ.live() {
 		op.scat.failTimer.stop()
 	}
 }
 
-// dropInflight abandons an un-ACKed packet (destination failed, scattering
-// aborted, or best-effort timeout), freeing its window slot.
-func (c *conn) dropInflight(k int, psn uint32) {
-	if _, ok := c.unacked[k][psn]; !ok {
-		return
-	}
-	delete(c.unacked[k], psn)
-	if k == 1 {
-		c.relRemoved()
-	}
+// dropInflight abandons the un-ACKed unit in slot i of plane k (destination
+// failed, scattering aborted, NAK, or best-effort timeout), freeing its
+// window slot.
+func (c *conn) dropInflight(k, i int) {
+	c.unacked[k].removeAt(i)
 	c.inflight--
-	if len(c.unacked[1]) == 0 {
+	if c.unacked[1].empty() {
 		c.rto.stop()
-	}
-}
-
-// relRemoved notes that a reliable PSN left unacked[1] outside the RTO walk
-// and compacts relOrder once stale entries dominate it, keeping the slice
-// bounded by the in-flight window between RTO firings.
-func (c *conn) relRemoved() {
-	c.relStale++
-	if c.relStale > 64 && c.relStale*2 > len(c.relOrder) {
-		kept := c.relOrder[:0]
-		for _, psn := range c.relOrder {
-			if _, ok := c.unacked[1][psn]; ok {
-				kept = append(kept, psn)
-			}
-		}
-		c.relOrder = kept
-		c.relStale = 0
 	}
 }
 
@@ -598,12 +673,12 @@ func (c *conn) relRemoved() {
 // chained member's scattering has aborted; until then it stays in flight
 // carrying the surviving members.
 func (c *conn) dropScattering(s *scattering) {
-	for k := 0; k < 2; k++ {
-		for psn, op := range c.unacked[k] {
+	for k := range c.unacked {
+		c.unacked[k].walk(func(i int, op *outPkt) {
 			if chainDead(op, s) {
-				c.dropInflight(k, psn)
+				c.dropInflight(k, i)
 			}
-		}
+		})
 	}
 	// Parked (MaxRetx-exhausted) packets of an aborted scattering will
 	// never be wanted again, not even by Controller Forwarding.

@@ -19,9 +19,9 @@ func (w *discardWire) Now() sim.Time           { return w.now }
 func (w *discardWire) After(sim.Time, func())  {}
 
 // BenchmarkRTORetransmit measures one RTO firing over a window of n unACKed
-// reliable packets. The PSN-ordered relOrder walk replaced rebuilding and
-// sorting the unacked key set on every firing; this pins the cost of the
-// replacement at window sizes bracketing the default send window.
+// reliable packets. The reliable plane's unit ring is kept in PSN order, so a
+// firing walks it as it stands instead of sorting a key set; this pins the
+// cost of the walk at window sizes bracketing the default send window.
 func BenchmarkRTORetransmit(b *testing.B) {
 	for _, n := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("window=%d", n), func(b *testing.B) {
@@ -34,8 +34,7 @@ func BenchmarkRTORetransmit(b *testing.B) {
 				psn := c.nextPSN[1]
 				c.nextPSN[1]++
 				op := &outPkt{psn: psn, scat: s, endOfMsg: true, size: 64}
-				c.unacked[1][psn] = op
-				c.relOrder = append(c.relOrder, psn)
+				c.unacked[1].push(op)
 				c.inflight++
 			}
 			b.ReportAllocs()

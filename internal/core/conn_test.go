@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"onepipe/internal/netsim"
@@ -153,6 +154,58 @@ func TestRTOBackoffBounded(t *testing.T) {
 	}
 	if stuck == 0 {
 		t.Fatal("OnStuck escalation never fired")
+	}
+}
+
+// TestBackpressureRefusesOversizedSend: a reliable message of more fragments
+// than a connection's send queue may hold is refused with a
+// *BackpressureError naming the destination and a retry time one RTO out,
+// counted once, and the refusal leaves nothing behind — no reservation, no
+// queued fragment, no consumed PSN, no waiting or outstanding scattering — so
+// the next send on the connection goes out as if it had never been tried.
+// With that send's partial frame held for company, a second refusal points
+// the retry at the doorbell instead.
+func TestBackpressureRefusesOversizedSend(t *testing.T) {
+	w := &discardWire{now: 5 * sim.Microsecond}
+	h := NewHost(0, w, DefaultConfig())
+	p := h.AddProc(0)
+	mtu := h.Cfg.MTU
+
+	err := p.SendReliable([]Message{{Dst: 1, Size: (sendQueueCap + 1) * mtu}})
+	var bp *BackpressureError
+	if !errors.As(err, &bp) || !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("send of %d fragments: err = %v, want a *BackpressureError", sendQueueCap+1, err)
+	}
+	if bp.Dst != 1 || bp.RetryAt != w.now+h.Cfg.RTO {
+		t.Fatalf("refusal %+v, want Dst 1 and RetryAt %v (one RTO out)", *bp, w.now+h.Cfg.RTO)
+	}
+	if h.Stats.Backpressure != 1 {
+		t.Fatalf("Stats.Backpressure = %d, want 1", h.Stats.Backpressure)
+	}
+	c := h.conns[connKey{0, 1}]
+	if c.reserved != 0 || c.inflight != 0 || c.sendQ.len() != 0 || c.nextPSN != [2]uint32{} ||
+		!c.unacked[0].empty() || !c.unacked[1].empty() || c.holdIdx != 0 ||
+		len(h.waitQ) != 0 || len(h.outstanding) != 0 || h.Stats.MsgsSent != 0 || h.lastTS != 0 {
+		t.Fatalf("the refused send left state behind: conn %+v, %d waiting, %d outstanding, %d sent",
+			*c, len(h.waitQ), len(h.outstanding), h.Stats.MsgsSent)
+	}
+
+	if err := p.SendReliable([]Message{{Dst: 1, Size: 64}}); err != nil {
+		t.Fatalf("send after the refusal: %v", err)
+	}
+	if c.nextPSN[1] != 1 || c.sendQ.len() != 1 || len(h.outstanding) != 1 || h.Stats.MsgsSent != 1 {
+		t.Fatalf("send after the refusal did not launch cleanly: next PSN %d, %d queued, %d outstanding",
+			c.nextPSN[1], c.sendQ.len(), len(h.outstanding))
+	}
+	if c.holdIdx == 0 || !c.doorbell.isArmed() {
+		t.Fatal("the single-message frame is not held for company")
+	}
+	err = p.SendReliable([]Message{{Dst: 1, Size: sendQueueCap * mtu}})
+	if !errors.As(err, &bp) || bp.Dst != 1 || bp.RetryAt != w.now+h.Cfg.BatchWindow {
+		t.Fatalf("send onto a held queue: err = %v, want RetryAt %v (the doorbell)", err, w.now+h.Cfg.BatchWindow)
+	}
+	if h.Stats.Backpressure != 2 || c.sendQ.len() != 1 || c.reserved != 0 {
+		t.Fatalf("second refusal: Backpressure %d, %d queued, %d reserved", h.Stats.Backpressure, c.sendQ.len(), c.reserved)
 	}
 }
 

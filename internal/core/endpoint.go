@@ -149,7 +149,6 @@ type Host struct {
 	failedPeers map[netsim.ProcID]sim.Time // proc -> failure timestamp
 	recallTomb  map[recallKey]bool
 	recalls     map[recallKey]*recallState
-	ackPending  map[ackKey]*ackPend
 	failDone    func()
 	failWait    int
 	// stuckReported deduplicates OnStuck escalations: retransmission
@@ -202,7 +201,6 @@ func NewHost(id int, wire Wire, cfg Config) *Host {
 		failedPeers:   make(map[netsim.ProcID]sim.Time),
 		recallTomb:    make(map[recallKey]bool),
 		recalls:       make(map[recallKey]*recallState),
-		ackPending:    make(map[ackKey]*ackPend),
 		stuckReported: make(map[recallKey]bool),
 		connMemo:      make(map[connKey]connCursor),
 		rconnMemo:     make(map[connKey][2]uint32),
@@ -318,11 +316,11 @@ func (h *Host) evictTick() {
 // or parked packets, an empty send queue, no reserved credits, no held
 // frame, and no credit-blocked scattering pointing at it. A receive-side
 // rconn is evictable only when both planes' assembly buffers are idle (no
-// buffered fragments, no reception holes); an ACK accumulator once it has
-// flushed. Eviction leaves a PSN cursor in
-// the memo maps so getConn/getRconn re-establish the pair mid-epoch with
-// sequence spaces intact. Iteration is over sorted keys: eviction order is
-// part of the deterministic replay contract.
+// buffered fragments, no reception holes) and both ACK accumulators have
+// flushed. Eviction leaves a PSN cursor in the memo maps so
+// getConn/getRconn re-establish the pair mid-epoch with sequence spaces
+// intact. Iteration is over sorted keys: eviction order is part of the
+// deterministic replay contract.
 func (h *Host) evictIdle(deadline sim.Time) {
 	var referenced map[*conn]bool
 	if len(h.waitQ) > 0 {
@@ -339,7 +337,7 @@ func (h *Host) evictIdle(deadline sim.Time) {
 			continue
 		}
 		if c.inflight != 0 || c.reserved != 0 || c.sendQ.len() != 0 ||
-			len(c.unacked[0]) != 0 || len(c.unacked[1]) != 0 || len(c.stuckPkts) != 0 {
+			!c.unacked[0].empty() || !c.unacked[1].empty() || len(c.stuckPkts) != 0 {
 			continue
 		}
 		c.rto.stop()
@@ -350,20 +348,13 @@ func (h *Host) evictIdle(deadline sim.Time) {
 	}
 	for _, k := range sortedConnKeys(h.rconns) {
 		rc := h.rconns[k]
-		if rc.lastUse > deadline || !rc.bufs[0].idle() || !rc.bufs[1].idle() {
+		if rc.lastUse > deadline || !rc.bufs[0].idle() || !rc.bufs[1].idle() ||
+			!rc.acks[0].idle() || !rc.acks[1].idle() {
 			continue
 		}
 		h.rconnMemo[k] = [2]uint32{rc.bufs[0].doneBase, rc.bufs[1].doneBase}
 		delete(h.rconns, k)
 		h.Stats.ConnsEvicted++
-	}
-	// An ACK accumulator with nothing pending holds no state ackPacket
-	// cannot rebuild. Dropping one emits nothing and counts nothing, so
-	// this walk needs no sorted order.
-	for k, p := range h.ackPending {
-		if p.batch == nil && !p.timer.isArmed() {
-			delete(h.ackPending, k)
-		}
 	}
 	h.Stats.ConnsLive = int64(len(h.conns) + len(h.rconns))
 }
@@ -447,8 +438,9 @@ func (h *Host) Stop() {
 	for _, r := range h.recalls {
 		r.timer.stop()
 	}
-	for _, p := range h.ackPending {
-		p.timer.stop()
+	for _, rc := range h.rconns {
+		rc.acks[0].timer.stop()
+		rc.acks[1].timer.stop()
 	}
 }
 

@@ -70,8 +70,9 @@ func runBurstyWorkload(t *testing.T, seed int64, evict sim.Time) ([][]propRec, *
 // resume PSN-continuously on the second burst (a reset PSN would surface as
 // a duplicate drop or a reordering below), and the per-process delivery
 // logs are identical to the eviction-off run — eviction is invisible to the
-// application. The sweep also reclaims the per-sender ACK accumulators,
-// which the eviction-off run keeps for every peer that ever sent.
+// application. The sweep also reclaims the receive-side state, ACK
+// accumulators included, which the eviction-off run keeps for every peer
+// that ever sent.
 func TestConnEvictionTransparent(t *testing.T) {
 	const seed = 77
 	base, baseCl := runBurstyWorkload(t, seed, 0)
@@ -79,14 +80,14 @@ func TestConnEvictionTransparent(t *testing.T) {
 
 	kept := 0
 	for _, h := range baseCl.Hosts {
-		kept += len(h.ackPending)
+		kept += len(h.rconns)
 	}
 	if kept == 0 {
-		t.Fatal("eviction-off run holds no ACK accumulators: nothing for the sweep to reclaim")
+		t.Fatal("eviction-off run holds no receive state: nothing for the sweep to reclaim")
 	}
 	for _, h := range cl.Hosts {
-		if n := len(h.ackPending); n != 0 {
-			t.Fatalf("host %d still holds %d ACK accumulators after the idle sweep", h.ID, n)
+		if n := len(h.rconns); n != 0 {
+			t.Fatalf("host %d still holds %d rconns, with their ACK accumulators, after the idle sweep", h.ID, n)
 		}
 	}
 

@@ -83,8 +83,8 @@ func (h *Host) discardFrom(failed map[netsim.ProcID]sim.Time) {
 		if !dead {
 			continue
 		}
-		for _, buf := range rc.bufs {
-			buf.dropWhere(func(p *netsim.Packet) bool { return p.MsgTS > fts })
+		for k := range rc.bufs {
+			rc.bufs[k].dropWhere(func(p *netsim.Packet) bool { return p.MsgTS > fts })
 		}
 	}
 }
@@ -162,8 +162,8 @@ func (h *Host) recallAffected(failed map[netsim.ProcID]sim.Time) {
 	}
 	h.waitQ = remaining
 	// Un-ACKed packets addressed to failed processes will never be ACKed:
-	// free their window slots so unrelated traffic keeps flowing. Both the
-	// conn map and each unacked map are walked in sorted order: the
+	// free their window slots so unrelated traffic keeps flowing. The conn
+	// map is walked in sorted key order and each ring in its PSN order: the
 	// failMessage calls below surface OnSendFail to the application, so
 	// their order is part of the deterministic replay contract (the recall
 	// -ACK path at the bottom of this file sorts for the same reason).
@@ -172,10 +172,9 @@ func (h *Host) recallAffected(failed map[netsim.ProcID]sim.Time) {
 			continue
 		}
 		c := h.conns[key]
-		for k := 0; k < 2; k++ {
-			for _, psn := range sortedPSNs(c.unacked[k]) {
-				op := c.unacked[k][psn]
-				c.dropInflight(k, psn)
+		for k := range c.unacked {
+			c.unacked[k].walk(func(slot int, op *outPkt) {
+				c.dropInflight(k, slot)
 				// A frame chain carries several scatterings in one slot; each
 				// live best-effort member fails individually.
 				for m := op; m != nil; m = m.fnext {
@@ -189,22 +188,13 @@ func (h *Host) recallAffected(failed map[netsim.ProcID]sim.Time) {
 						}
 					}
 				}
-			}
+			})
 		}
 		// Parked (MaxRetx-exhausted) packets toward the failed process are
 		// equally unACKable; their scatterings were aborted above.
 		c.stuckPkts = nil
 	}
 	h.grantCredits()
-}
-
-func sortedPSNs(m map[uint32]*outPkt) []uint32 {
-	psns := make([]uint32, 0, len(m))
-	for psn := range m {
-		psns = append(psns, psn)
-	}
-	sort.Slice(psns, func(i, j int) bool { return psns[i] < psns[j] })
-	return psns
 }
 
 // abortScattering recalls a reliable scattering: correct receivers are told
@@ -355,11 +345,11 @@ func (h *Host) PendingTo(src, dst netsim.ProcID) []*netsim.Packet {
 		return nil
 	}
 	var out []*netsim.Packet
-	for _, op := range c.unacked[1] {
+	c.unacked[1].walk(func(_ int, op *outPkt) {
 		if pkt := c.buildUnit(op); pkt != nil {
 			out = append(out, pkt)
 		}
-	}
+	})
 	// Packets parked after MaxRetx exhaustion are exactly the ones the
 	// controller is being asked to forward. buildUnit skips aborted chain
 	// members and returns nil for fully aborted chains.

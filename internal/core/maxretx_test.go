@@ -72,8 +72,8 @@ func TestMaxRetxRestoresWindowSlots(t *testing.T) {
 	if got, want := c.available(), c.window(); got != want {
 		t.Errorf("available()=%d, want full window %d", got, want)
 	}
-	if len(c.unacked[1]) != 0 {
-		t.Errorf("%d packets still in unacked[1] after exhaustion", len(c.unacked[1]))
+	if n := c.unacked[1].len(); n != 0 {
+		t.Errorf("%d packets still in unacked[1] after exhaustion", n)
 	}
 	if len(c.stuckPkts) != total {
 		t.Errorf("%d packets parked, want %d", len(c.stuckPkts), total)

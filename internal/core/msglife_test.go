@@ -157,7 +157,7 @@ type slabSnap struct {
 }
 
 // checkSlabs walks everything on h that holds an *outPkt — send queues,
-// unacked maps with their frame chains, parked packets — and requires each to
+// unacked rings with their frame chains, parked packets — and requires each to
 // be an element of its own scattering's pkts, unmoved and with its PSN, since
 // the scattering was first seen.
 func checkSlabs(t *testing.T, h *Host, seen map[*scattering]*slabSnap) {
@@ -205,8 +205,11 @@ func checkSlabs(t *testing.T, h *Host, seen map[*scattering]*slabSnap) {
 			visit("sendQ", op)
 		}
 		for k := range c.unacked {
-			for psn, op := range c.unacked[k] {
-				chain("unacked", psn, op)
+			r := &c.unacked[k]
+			for _, sl := range r.slots[r.head:] {
+				if sl.op != nil {
+					chain("unacked", sl.psn, sl.op)
+				}
 			}
 		}
 		for psn, op := range c.stuckPkts {
@@ -315,7 +318,7 @@ func TestScatteringSlabStable(t *testing.T) {
 	if len(seen) != 7 {
 		t.Fatalf("saw %d scatterings on the wire side, sent 7", len(seen))
 	}
-	if c := hosts[0].conns[connKey{0, 1}]; c.sendQ.len() != 0 || len(c.unacked[0])+len(c.unacked[1]) != 0 {
-		t.Fatalf("stream did not finish: %d queued, %d unacked", c.sendQ.len(), len(c.unacked[0])+len(c.unacked[1]))
+	if c := hosts[0].conns[connKey{0, 1}]; c.sendQ.len() != 0 || c.unacked[0].len()+c.unacked[1].len() != 0 {
+		t.Fatalf("stream did not finish: %d queued, %d unacked", c.sendQ.len(), c.unacked[0].len()+c.unacked[1].len())
 	}
 }

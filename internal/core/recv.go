@@ -222,20 +222,18 @@ func (b *reorderBuf) filter(drop func(*pending) bool) {
 // asmBuf reassembles one class's fragment stream for one (sender, local
 // process) pair. Reassembly is keyed on (PSN - FragIdx), the message's
 // first PSN, so holes left by lost best-effort packets never block later
-// messages.
+// messages. The zero value is an empty buffer at PSN 0: in-order
+// single-fragment traffic only advances doneBase, and the two maps are made
+// the first time a reception hole or a multi-fragment message needs them.
 type asmBuf struct {
 	doneBase uint32 // every PSN below this is consumed or skipped
+	capped   bool   // best-effort: bound the done set by forcing doneBase forward
 	done     map[uint32]bool
 	frags    map[uint32]*netsim.Packet
-	capped   bool // best-effort: bound the done set by forcing doneBase forward
 	// free, when set, releases consumed fragments back to the packet pool.
 	// Production buffers (getRconn) wire it to netsim.PutPacket; unit tests
 	// that drive the buffer with their own reusable packets leave it nil.
 	free func(*netsim.Packet)
-}
-
-func newAsmBuf(capped bool) *asmBuf {
-	return &asmBuf{done: make(map[uint32]bool), frags: make(map[uint32]*netsim.Packet), capped: capped}
 }
 
 // asmDoneCap bounds the done set of a best-effort assembly buffer: beyond
@@ -250,6 +248,13 @@ func (a *asmBuf) isDup(psn uint32) bool {
 func (a *asmBuf) markDone(psn uint32) {
 	if psn < a.doneBase {
 		return
+	}
+	if psn == a.doneBase && len(a.done) == 0 {
+		a.doneBase++ // in order with no hole open: nothing to remember
+		return
+	}
+	if a.done == nil {
+		a.done = make(map[uint32]bool)
 	}
 	a.done[psn] = true
 	for a.done[a.doneBase] {
@@ -295,6 +300,15 @@ func (a *asmBuf) markDoneSpan(psn uint32, span uint16) {
 // add buffers a fragment and returns the carrier packet and total payload
 // size when the fragment completed its message.
 func (a *asmBuf) add(pkt *netsim.Packet) (last *netsim.Packet, size int, complete bool) {
+	if pkt.FragIdx == 0 && pkt.EndOfMsg {
+		// A single-fragment message completes on arrival: the fragment never
+		// needs to be buffered.
+		a.markDone(pkt.PSN)
+		return pkt, pkt.Size - netsim.HeaderBytes, true
+	}
+	if a.frags == nil {
+		a.frags = make(map[uint32]*netsim.Packet)
+	}
 	a.frags[pkt.PSN] = pkt
 	start := pkt.PSN - uint32(pkt.FragIdx)
 	j := start
@@ -365,24 +379,39 @@ func (a *asmBuf) dropWhere(pred func(*netsim.Packet) bool) {
 	}
 }
 
-// rconn is receive-side state per (remote sender process, local process).
+// rconn is receive-side state per (remote sender process, local process):
+// each plane's assembly buffer and ACK accumulator, embedded, so that a new
+// pair costs one object.
 type rconn struct {
-	key connKey
+	key  connKey
+	host *Host
 	// lastUse is the host clock at the last packet received on this pair;
 	// the idle-eviction sweep reclaims receive state past Config.ConnIdleEvict.
 	lastUse sim.Time
-	bufs    [2]*asmBuf
+	bufs    [2]asmBuf
+	acks    [2]ackPend
 }
+
+// rconnAckBE and rconnAckRel are the handlers of an rconn's two ACK-flush
+// timers.
+type (
+	rconnAckBE  rconn
+	rconnAckRel rconn
+)
+
+func (r *rconnAckBE) Fire()  { r.host.flushAcks((*rconn)(r), 0) }
+func (r *rconnAckRel) Fire() { r.host.flushAcks((*rconn)(r), 1) }
 
 func (h *Host) getRconn(src, dst netsim.ProcID) *rconn {
 	k := connKey{src, dst}
 	rc := h.rconns[k]
 	if rc == nil {
-		rc = &rconn{key: k}
-		rc.bufs[0] = newAsmBuf(true)
-		rc.bufs[1] = newAsmBuf(false)
+		rc = &rconn{key: k, host: h}
+		rc.bufs[0].capped = true
 		rc.bufs[0].free = netsim.PutPacket
 		rc.bufs[1].free = netsim.PutPacket
+		rc.acks[0].timer.init(h, (*rconnAckBE)(rc))
+		rc.acks[1].timer.init(h, (*rconnAckRel)(rc))
 		// Re-establishment after eviction: the retained PSN cursors restore
 		// each plane's consumed-prefix position, so a retransmission of an
 		// already-consumed packet is still classified duplicate and fresh
@@ -479,10 +508,10 @@ func (h *Host) handleData(pkt *netsim.Packet) {
 		return
 	}
 	rc := h.getRconn(pkt.Src, pkt.Dst)
-	buf := rc.bufs[cls(pkt.Reliable)]
+	buf := &rc.bufs[cls(pkt.Reliable)]
 	if buf.isDup(pkt.PSN) {
 		h.Stats.DupPkts++
-		h.ackPacket(pkt) // retransmission of a consumed packet: re-ACK
+		h.ackPacket(rc, pkt) // retransmission of a consumed packet: re-ACK
 		netsim.PutPacket(pkt)
 		return
 	}
@@ -506,12 +535,12 @@ func (h *Host) handleData(pkt *netsim.Packet) {
 	}
 	if !relaxed && pkt.Reliable && pkt.MsgTS <= h.deliveredC {
 		h.Stats.DupPkts++
-		h.ackPacket(pkt)
+		h.ackPacket(rc, pkt)
 		buf.skip(pkt)
 		netsim.PutPacket(pkt)
 		return
 	}
-	h.ackPacket(pkt)
+	h.ackPacket(rc, pkt)
 	last, size, complete := buf.add(pkt)
 	if complete {
 		// enqueueMsg copies the payload reference out of the final fragment;
@@ -533,10 +562,10 @@ func (h *Host) handleFrame(pkt *netsim.Packet) {
 		return
 	}
 	rc := h.getRconn(pkt.Src, pkt.Dst)
-	buf := rc.bufs[cls(pkt.Reliable)]
+	buf := &rc.bufs[cls(pkt.Reliable)]
 	if buf.isDup(pkt.PSN) {
 		h.Stats.DupPkts++
-		h.ackPacket(pkt) // retransmission of a consumed frame: re-ACK
+		h.ackPacket(rc, pkt) // retransmission of a consumed frame: re-ACK
 		netsim.PutPacket(pkt)
 		return
 	}
@@ -568,7 +597,7 @@ func (h *Host) handleFrame(pkt *netsim.Packet) {
 		netsim.PutPacket(pkt)
 		return
 	}
-	h.ackPacket(pkt)
+	h.ackPacket(rc, pkt)
 	buf.markDoneSpan(pkt.PSN, f.Span)
 	enq := 0
 	for i := range f.Entries {
@@ -603,27 +632,19 @@ func (h *Host) relaxedKey(key uint32) bool {
 	return h.Cfg.Mode == DeliverConflictAware && key == 0
 }
 
-// ackPend accumulates ACKs toward one sender/class until flushed. batch is
-// held from the first ackPacket of a flush window until flushAcks hands it
-// to the ACK packet; nil in between.
+// ackPend accumulates one plane's ACKs toward an rconn's sender until
+// flushed. batch is held from the first ackPacket of a flush window until
+// flushAcks hands it to the ACK packet; nil in between.
 type ackPend struct {
-	host  *Host
-	key   ackKey
 	batch *netsim.AckBatch
 	timer timer
 }
 
-// ackFlush is the handler of an ackPend's flush timer.
-type ackFlush ackPend
+// idle reports whether nothing is pending: the accumulator holds no state
+// a later ackPacket could not rebuild.
+func (p *ackPend) idle() bool { return p.batch == nil && !p.timer.isArmed() }
 
-func (p *ackFlush) Fire() { p.host.flushAcks(p.key) }
-
-type ackKey struct {
-	local, remote netsim.ProcID
-	reliable      bool
-}
-
-func (h *Host) ackPacket(pkt *netsim.Packet) {
+func (h *Host) ackPacket(rc *rconn, pkt *netsim.Packet) {
 	if !pkt.Reliable && h.Cfg.DisableBEAck {
 		return
 	}
@@ -635,13 +656,8 @@ func (h *Host) ackPacket(pkt *netsim.Packet) {
 		h.emit(ack)
 		return
 	}
-	k := ackKey{local: pkt.Dst, remote: pkt.Src, reliable: pkt.Reliable}
-	p := h.ackPending[k]
-	if p == nil {
-		p = &ackPend{host: h, key: k}
-		p.timer.init(h, (*ackFlush)(p))
-		h.ackPending[k] = p
-	}
+	k := cls(pkt.Reliable)
+	p := &rc.acks[k]
 	if p.batch == nil {
 		p.batch = netsim.GetAckBatch()
 		p.timer.reset(h, h.Cfg.AckFlush)
@@ -649,22 +665,23 @@ func (h *Host) ackPacket(pkt *netsim.Packet) {
 	p.batch.PSNs = append(p.batch.PSNs, pkt.PSN)
 	p.batch.ECN = append(p.batch.ECN, pkt.ECN)
 	if len(p.batch.PSNs) >= ackBatchMax {
-		h.flushAcks(k)
+		h.flushAcks(rc, k)
 	}
 }
 
-// flushAcks emits one coalesced ACK packet carrying every pending PSN.
-func (h *Host) flushAcks(k ackKey) {
-	p := h.ackPending[k]
-	if p == nil || p.batch == nil {
+// flushAcks emits one coalesced ACK packet carrying every PSN pending on
+// plane k of rc.
+func (h *Host) flushAcks(rc *rconn, k int) {
+	p := &rc.acks[k]
+	if p.batch == nil {
 		return
 	}
 	batch := p.batch
 	p.batch = nil
 	p.timer.stop()
 	ack := netsim.GetPacket()
-	ack.Kind, ack.Src, ack.Dst = netsim.KindAck, k.local, k.remote
-	ack.PSN, ack.Reliable = batch.PSNs[0], k.reliable
+	ack.Kind, ack.Src, ack.Dst = netsim.KindAck, rc.key.dst, rc.key.src
+	ack.PSN, ack.Reliable = batch.PSNs[0], k == 1
 	ack.Payload = batch // the packet owns it from here: PutPacket releases it
 	ack.Size = netsim.HeaderBytes + 5*len(batch.PSNs)
 	h.emit(ack)
@@ -932,11 +949,12 @@ func (h *Host) handleNak(pkt *netsim.Packet) {
 	if c == nil {
 		return
 	}
-	op, ok := c.unacked[0][pkt.PSN]
-	if !ok {
+	i := c.unacked[0].find(pkt.PSN)
+	if i < 0 {
 		return
 	}
-	c.dropInflight(0, pkt.PSN)
+	op := c.unacked[0].slots[i].op
+	c.dropInflight(0, i)
 	// A NAKed frame fails every live member: the receiver skipped the
 	// whole PSN span.
 	for m := op; m != nil; m = m.fnext {

@@ -77,8 +77,8 @@ func TestQuiescentPendingAfterAckedSends(t *testing.T) {
 		t.Fatalf("%d of %d delivered", delivered, n)
 	}
 	for k, c := range cl.Hosts[0].conns {
-		if len(c.unacked[0]) != 0 || c.sendQ.len() != 0 {
-			t.Fatalf("conn %v still has %d unACKed, %d queued", k, len(c.unacked[0]), c.sendQ.len())
+		if c.unacked[0].len() != 0 || c.sendQ.len() != 0 {
+			t.Fatalf("conn %v still has %d unACKed, %d queued", k, c.unacked[0].len(), c.sendQ.len())
 		}
 	}
 	if got := eng.Pending(); got != idle {
@@ -204,8 +204,8 @@ func TestSendFailFiresOnceAtDeadline(t *testing.T) {
 	if fails[0].Data != "lost-ack" || fails[0].TS != sentAt || failAt[0] != sentAt+cfg.SendFailTimeout {
 		t.Fatalf("failure %+v reported at %v, want at ts + %v", fails[0], failAt[0], cfg.SendFailTimeout)
 	}
-	if c := hosts[0].conns[connKey{0, 1}]; len(c.unacked[0]) != 0 || c.inflight != 0 {
-		t.Fatalf("timed-out packet still holds its window slot: %d unacked, inflight %d", len(c.unacked[0]), c.inflight)
+	if c := hosts[0].conns[connKey{0, 1}]; c.unacked[0].len() != 0 || c.inflight != 0 {
+		t.Fatalf("timed-out packet still holds its window slot: %d unacked, inflight %d", c.unacked[0].len(), c.inflight)
 	}
 	// Same phase of the beacon interval as the idle sample.
 	if got := eng.Pending(); got != idle {
@@ -244,7 +244,7 @@ func TestStopLeavesNoArmedTimer(t *testing.T) {
 	if !c.rto.isArmed() {
 		t.Fatal("RTO not armed with reliable packets in flight")
 	}
-	if len(hosts[1].ackPending) == 0 {
+	if rc := hosts[1].rconns[connKey{0, 1}]; rc == nil || rc.acks[0].idle() && rc.acks[1].idle() {
 		t.Fatal("receiver is not batching ACKs")
 	}
 	// A recall in progress: its retransmission timer is armed too.
@@ -269,8 +269,8 @@ func TestStopLeavesNoArmedTimer(t *testing.T) {
 }
 
 // TestEvictionLeavesNoArmedTimer: after idle eviction has reclaimed the
-// connections (and the ACK accumulators), the queue holds what it held
-// before there was any traffic.
+// connections (and the ACK accumulators inside them), the queue holds what
+// it held before there was any traffic.
 func TestEvictionLeavesNoArmedTimer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ConnIdleEvict = 30 * sim.Microsecond
@@ -301,9 +301,8 @@ func TestEvictionLeavesNoArmedTimer(t *testing.T) {
 		t.Fatalf("delivered %d of 8", delivered)
 	}
 	for _, h := range hosts {
-		if len(h.conns) != 0 || len(h.rconns) != 0 || len(h.ackPending) != 0 {
-			t.Fatalf("host %d not fully evicted: %d conns, %d rconns, %d ackPending",
-				h.ID, len(h.conns), len(h.rconns), len(h.ackPending))
+		if len(h.conns) != 0 || len(h.rconns) != 0 {
+			t.Fatalf("host %d not fully evicted: %d conns, %d rconns", h.ID, len(h.conns), len(h.rconns))
 		}
 	}
 	if got := eng.Pending(); got != idle {

@@ -25,9 +25,9 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/livenet/ ./internal/udpnet/ ./internal/sim/
+	$(GO) test -race ./internal/core/ ./internal/udpnet/ ./internal/sim/
 	$(GO) test -race ./internal/netsim/ -run 'TestPutPacket|TestPutAckBatch' -count=1
-	$(GO) test -race . -run 'TestSendOptionsConcurrent' -count=10
+	$(GO) test -race . -run 'TestSendOptionsConcurrent|TestSendRacingClose|TestUDPJoinRacingSend' -count=10
 
 # One pass over every figure/table as Go benchmarks.
 bench:

@@ -1,15 +1,13 @@
-// Command onepipe-live runs a complete 1Pipe fabric in real time on either
-// live substrate: over real UDP sockets on loopback (-fabric udp,
-// internal/udpnet: N host endpoints and a software switch speaking the
-// 48-bit wire format) or over in-process channels (-fabric chan,
-// internal/livenet). Both run the same lib1pipe state machines around the
-// same switch core; concurrent scatterers broadcast, then a total-order
-// verification pass checks every receiver — optionally with loss injected at
-// the switch to exercise reliable 1Pipe's retransmission and commit
-// machinery.
+// Command onepipe-live runs a complete 1Pipe fabric in real time over real
+// UDP sockets on loopback (internal/udpnet): N host endpoints and a software
+// switch (internal/starswitch) speaking the 48-bit wire format, running the
+// same lib1pipe state machines as the simulator. Concurrent scatterers
+// broadcast, then a total-order verification pass checks every receiver —
+// optionally with loss injected at the switch to exercise reliable 1Pipe's
+// retransmission and commit machinery.
 //
 //	onepipe-live -hosts 4 -msgs 20 -loss 0.02 -reliable
-//	onepipe-live -fabric chan -trace
+//	onepipe-live -trace
 package main
 
 import (
@@ -21,63 +19,13 @@ import (
 	"time"
 
 	"onepipe/internal/core"
-	"onepipe/internal/livenet"
 	"onepipe/internal/netsim"
 	"onepipe/internal/obs"
 	"onepipe/internal/sim"
-	"onepipe/internal/starswitch"
 	"onepipe/internal/udpnet"
 )
 
-// fabric is what the runner needs from a live substrate.
-type fabric struct {
-	name        string
-	numProcs    int
-	debugAddr   string
-	onDeliver   func(p int, fn func(core.Delivery))
-	send        func(p int, msgs []core.Message, o core.SendOptions) error
-	traces      func() []*obs.Trace
-	switchStats func() starswitch.Stats
-	close       func()
-}
-
-func startUDP(hosts int, imp *netsim.Impairment, trace bool, debug string) (fabric, error) {
-	cfg := udpnet.DefaultConfig(hosts, 1)
-	cfg.Impair, cfg.Trace, cfg.DebugAddr = imp, trace, debug
-	c, err := udpnet.Start(cfg)
-	if err != nil {
-		return fabric{}, err
-	}
-	return fabric{
-		name:        fmt.Sprintf("UDP 1Pipe: %d host sockets + switch on loopback", c.NumProcs()),
-		numProcs:    c.NumProcs(),
-		debugAddr:   c.DebugAddr(),
-		onDeliver:   func(p int, fn func(core.Delivery)) { c.Proc(p).OnDeliver(fn) },
-		send:        func(p int, m []core.Message, o core.SendOptions) error { return c.Proc(p).SendOpts(m, o) },
-		traces:      c.Traces,
-		switchStats: c.Switch.Stats,
-		close:       c.Close,
-	}, nil
-}
-
-func startChan(hosts int, imp *netsim.Impairment, trace bool, debug string) fabric {
-	cfg := livenet.DefaultConfig(hosts, 1)
-	cfg.Impair, cfg.Trace, cfg.DebugAddr = imp, trace, debug
-	n := livenet.New(cfg)
-	return fabric{
-		name:        fmt.Sprintf("in-process 1Pipe: %d hosts + switch on one event loop", n.NumProcs()),
-		numProcs:    n.NumProcs(),
-		debugAddr:   n.DebugAddr(),
-		onDeliver:   func(p int, fn func(core.Delivery)) { n.Do(func() { n.Proc(p).OnDeliver = fn }) },
-		send:        n.SendOpts,
-		traces:      n.Traces,
-		switchStats: n.SwitchStats,
-		close:       n.Stop,
-	}
-}
-
 func main() {
-	kind := flag.String("fabric", "udp", "live substrate: udp (real sockets on loopback) or chan (in-process channels)")
 	hosts := flag.Int("hosts", 4, "number of host endpoints")
 	msgs := flag.Int("msgs", 20, "broadcasts per process")
 	loss := flag.Float64("loss", 0, "loss probability injected at the switch")
@@ -86,27 +34,19 @@ func main() {
 	debug := flag.String("debug", "", "serve /debug/vars, /debug/pprof and /debug/onepipe on this address (implies -trace)")
 	flag.Parse()
 
-	imp := &netsim.Impairment{Loss: *loss}
 	tracing := *trace || *debug != ""
-	var c fabric
-	switch *kind {
-	case "udp":
-		var err error
-		if c, err = startUDP(*hosts, imp, tracing, *debug); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case "chan":
-		c = startChan(*hosts, imp, tracing, *debug)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -fabric %q (want udp or chan)\n", *kind)
-		os.Exit(2)
+	cfg := udpnet.DefaultConfig(*hosts, 1)
+	cfg.Impair, cfg.Trace, cfg.DebugAddr = &netsim.Impairment{Loss: *loss}, tracing, *debug
+	c, err := udpnet.Start(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	defer c.close()
-	n := c.numProcs
-	fmt.Printf("%s, loss=%.1f%%, reliable=%v\n\n", c.name, *loss*100, *reliable)
-	if c.debugAddr != "" {
-		fmt.Printf("debug server on http://%s/debug/onepipe\n\n", c.debugAddr)
+	defer c.Close()
+	n := c.NumProcs()
+	fmt.Printf("UDP 1Pipe: %d host sockets + switch on loopback, loss=%.1f%%, reliable=%v\n\n", n, *loss*100, *reliable)
+	if addr := c.DebugAddr(); addr != "" {
+		fmt.Printf("debug server on http://%s/debug/onepipe\n\n", addr)
 	}
 
 	type rec struct {
@@ -118,7 +58,7 @@ func main() {
 	logs := make([][]rec, n)
 	for i := 0; i < n; i++ {
 		i := i
-		c.onDeliver(i, func(d core.Delivery) {
+		c.Proc(i).OnDeliver(func(d core.Delivery) {
 			mu.Lock()
 			logs[i] = append(logs[i], rec{d.TS, d.Src, string(d.Data.([]byte))})
 			mu.Unlock()
@@ -140,7 +80,7 @@ func main() {
 						})
 					}
 				}
-				c.send(p, batch, core.SendOptions{Reliable: *reliable})
+				c.Proc(p).SendOpts(batch, core.SendOptions{Reliable: *reliable})
 				time.Sleep(3 * time.Millisecond)
 			}
 		}()
@@ -165,13 +105,13 @@ func main() {
 	}
 	want := n * (n - 1) * *msgs
 	fmt.Printf("delivered %d/%d messages; per-receiver total order intact: %v\n", total, want, sorted)
-	st := c.switchStats()
+	st := c.Switch.Stats()
 	fmt.Printf("switch forwarded %d packets, dropped %d, suppressed %d beacons\n",
 		st.Forwarded, st.Dropped, st.BeaconsSuppressed)
 	if tracing {
 		fmt.Println("\nper-stage latency breakdown (us):")
 		fmt.Printf("  %-16s %8s %9s %9s %9s %9s\n", "span", "count", "mean", "p50", "p95", "p99")
-		for _, s := range obs.Summarize(obs.Merge(c.traces()...)) {
+		for _, s := range obs.Summarize(obs.Merge(c.Traces()...)) {
 			fmt.Printf("  %-16s %8d %9.1f %9.1f %9.1f %9.1f\n",
 				s.Span, s.Count, s.MeanU, s.P50U, s.P95U, s.P99U)
 		}

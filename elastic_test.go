@@ -77,10 +77,12 @@ func TestFabricJoinDrainSim(t *testing.T) {
 	}
 }
 
-// TestLiveJoinDrain exercises the same Fabric surface on the in-process
-// real-time fabric.
+// TestLiveJoinDrain exercises the same Fabric surface on the UDP fabric.
 func TestLiveJoinDrain(t *testing.T) {
-	l := NewLiveCluster(LiveConfig{Hosts: 3, ProcsPerHost: 1})
+	l, err := NewUDPCluster(LiveConfig{Hosts: 3, ProcsPerHost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer l.Close()
 
 	var mu sync.Mutex
@@ -114,7 +116,7 @@ func TestLiveJoinDrain(t *testing.T) {
 	if hi != 3 || l.NumProcesses() != 4 {
 		t.Fatalf("Join = host %d, NumProcesses = %d; want 3 and 4", hi, l.NumProcesses())
 	}
-	if err := l.Process(3).Send([]Message{{Dst: 1, Data: "joined", Size: 8}}, Reliable()); err != nil {
+	if err := l.Process(3).Send([]Message{{Dst: 1, Data: []byte("joined"), Size: 8}}, Reliable()); err != nil {
 		t.Fatalf("send from joined host: %v", err)
 	}
 	waitFor(1, "delivery from joined host")
@@ -122,10 +124,10 @@ func TestLiveJoinDrain(t *testing.T) {
 	if err := l.Drain(2); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if err := l.Process(2).Send([]Message{{Dst: 1, Data: "x", Size: 8}}); !errors.Is(err, ErrClosed) {
+	if err := l.Process(2).Send([]Message{{Dst: 1, Data: []byte("x"), Size: 8}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send on drained host: err = %v, want ErrClosed", err)
 	}
-	if err := l.Process(0).Send([]Message{{Dst: 1, Data: "after", Size: 8}}, Reliable()); err != nil {
+	if err := l.Process(0).Send([]Message{{Dst: 1, Data: []byte("after"), Size: 8}}, Reliable()); err != nil {
 		t.Fatalf("send after drain: %v", err)
 	}
 	waitFor(2, "delivery after drain")
@@ -136,5 +138,44 @@ func TestLiveJoinDrain(t *testing.T) {
 		if got[i].TS < got[i-1].TS {
 			t.Fatalf("delivery timestamp regressed: %v after %v", got[i].TS, got[i-1].TS)
 		}
+	}
+}
+
+// TestUDPJoinRacingSend sends from one goroutine while the fabric grows
+// three times: every send resolves its host from the list Join appends to.
+func TestUDPJoinRacingSend(t *testing.T) {
+	l, err := NewUDPCluster(LiveConfig{Hosts: 2, ProcsPerHost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := l.Process(0).Send([]Message{{Dst: 1, Data: []byte("x"), Size: 1}}); err != nil {
+				done <- err
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		if _, err := l.Join(); err != nil {
+			t.Fatalf("Join %d: %v", i, err)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("send racing Join: %v", err)
+	}
+	if n := l.NumProcesses(); n != 5 {
+		t.Fatalf("NumProcesses = %d after three joins, want 5", n)
 	}
 }

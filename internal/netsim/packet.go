@@ -146,7 +146,7 @@ type Packet struct {
 
 	// pooled guards against double-release; see PutPacket. It is flipped
 	// with atomic compare-and-swap so the guard stays sound when the
-	// goroutines of a real-time fabric (udpnet, livenet) release packets
+	// goroutines of the real-time fabric (udpnet) release packets
 	// concurrently. Nothing else may write it: PutPacket resets the other
 	// fields one by one, because a whole-struct copy would store to the flag
 	// while a second, buggy release is comparing it.
@@ -273,15 +273,14 @@ var pktPool = sync.Pool{New: func() any { return new(Packet) }}
 // packets with plain literals keeps working: such packets simply join the
 // pool on their first release.
 //
-// Concurrency: the simulator releases every packet from the goroutine that
-// drives its engine, but the pool is process-wide and the real-time fabrics
-// release into it from others: udpnet from each host's socket reader and
-// from whichever goroutine called Send, livenet from its event loop, to
-// which sender and timer goroutines hand their packets. One goroutine owns
-// a packet at any instant and the handoff (channel, mutex) publishes its
-// fields; sync.Pool is itself concurrency-safe, and the atomic double-free
-// guard below keeps the twice-released diagnostic sound even if two
-// goroutines race on a buggy release.
+// Concurrency: the simulator and the livenet star release every packet from
+// the goroutine that drives their engine, but the pool is process-wide and
+// udpnet releases into it from others: each host's socket reader and
+// whichever goroutine called Send. One goroutine owns a packet at any
+// instant and the host lock publishes its fields on handoff; sync.Pool is
+// itself concurrency-safe, and the atomic double-free guard below keeps the
+// twice-released diagnostic sound even if two goroutines race on a buggy
+// release.
 func GetPacket() *Packet {
 	p := pktPool.Get().(*Packet)
 	atomic.StoreUint32(&p.pooled, 0)

@@ -10,7 +10,7 @@ import (
 )
 
 // ServeDebug starts an HTTP debug server on addr for the real-network
-// substrates (udpnet, livenet): /debug/vars serves the process expvars,
+// substrate (udpnet): /debug/vars serves the process expvars,
 // /debug/pprof the usual profiles, and /debug/onepipe the per-stage
 // latency breakdown of the supplied tracers as JSON. traces is re-invoked
 // on every request, so the view is live.

@@ -60,13 +60,14 @@ func TestUDPSendToUnknownProc(t *testing.T) {
 	// reports a send failure rather than wedging.
 	fails := 0
 	var mu sync.Mutex
-	c.Hosts[0].mu.Lock()
-	c.Hosts[0].procs[netsim.ProcID(0)].OnSendFail = func(core.SendFailure) {
+	hn := c.snapshot()[0]
+	hn.mu.Lock()
+	hn.procs[netsim.ProcID(0)].OnSendFail = func(core.SendFailure) {
 		mu.Lock()
 		fails++
 		mu.Unlock()
 	}
-	c.Hosts[0].mu.Unlock()
+	hn.mu.Unlock()
 	c.Proc(0).SendOpts([]core.Message{{Dst: 99, Data: []byte("x"), Size: 1}}, core.SendOptions{})
 	waitFor(t, 5*time.Second, func() bool {
 		mu.Lock()

@@ -65,10 +65,13 @@ var registerPayload = []byte("1PIPE-REGISTER")
 // Cluster is a running UDP deployment.
 type Cluster struct {
 	Switch *Switch
-	Hosts  []*HostNode
 	cfg    Config
 	epoch  time.Time
 	debug  *http.Server
+
+	// mu guards hosts: Join appends while senders resolve their host.
+	mu    sync.Mutex
+	hosts []*HostNode
 }
 
 // Start binds the switch and every host on loopback and registers them.
@@ -88,7 +91,7 @@ func Start(cfg Config) (*Cluster, error) {
 			c.Close()
 			return nil, err
 		}
-		c.Hosts = append(c.Hosts, hn)
+		c.hosts = append(c.hosts, hn)
 		c.installStuckHook(hn)
 	}
 	// Wait for every host to be registered at the switch: the switch
@@ -131,8 +134,9 @@ func (c *Cluster) DebugAddr() string {
 // Traces returns the per-host lifecycle tracers (nil entries when
 // Config.Trace was off); feed them to obs.Merge for the cluster view.
 func (c *Cluster) Traces() []*obs.Trace {
-	out := make([]*obs.Trace, len(c.Hosts))
-	for i, h := range c.Hosts {
+	hosts := c.snapshot()
+	out := make([]*obs.Trace, len(hosts))
+	for i, h := range hosts {
 		out[i] = h.Trace()
 	}
 	return out
@@ -140,7 +144,7 @@ func (c *Cluster) Traces() []*obs.Trace {
 
 func (c *Cluster) traceMap() map[string]*obs.Trace {
 	out := make(map[string]*obs.Trace)
-	for i, h := range c.Hosts {
+	for i, h := range c.snapshot() {
 		if t := h.Trace(); t != nil {
 			out[fmt.Sprintf("host%d", i)] = t
 		}
@@ -175,9 +179,10 @@ func (c *Cluster) installStuckHook(hn *HostNode) {
 // The switch seeds the new uplink's registers at its current aggregate on
 // registration, and the host's timestamp floor is forced to the shared
 // clock first, so the join can never regress the barrier. Blocks until
-// the switch has registered the host.
+// the switch has registered the host. Sends may run concurrently with a
+// Join; Joins may not run concurrently with each other.
 func (c *Cluster) Join() (int, error) {
-	hi := len(c.Hosts)
+	hi := len(c.snapshot())
 	before := c.Switch.registered()
 	hn, err := newHostNode(hi, c.cfg, c.Switch.Addr(), c.epoch, c.Now())
 	if err != nil {
@@ -197,7 +202,9 @@ func (c *Cluster) Join() (int, error) {
 			return -1, fmt.Errorf("udpnet: joining host %d never registered", hi)
 		}
 	}
-	c.Hosts = append(c.Hosts, hn)
+	c.mu.Lock()
+	c.hosts = append(c.hosts, hn)
+	c.mu.Unlock()
 	c.installStuckHook(hn)
 	return hi, nil
 }
@@ -207,13 +214,14 @@ func (c *Cluster) Join() (int, error) {
 // aggregation and the endpoint closes. Blocks until complete. Peers'
 // stuck sends toward the departed host resolve via send-failure.
 func (c *Cluster) Drain(host int) error {
-	if host < 0 || host >= len(c.Hosts) {
+	hosts := c.snapshot()
+	if host < 0 || host >= len(hosts) {
 		return fmt.Errorf("udpnet: no such host %d", host)
 	}
 	if c.Switch.Drained(host) {
 		return fmt.Errorf("udpnet: host %d already drained", host)
 	}
-	hn := c.Hosts[host]
+	hn := hosts[host]
 	fin := make(chan struct{})
 	hn.mu.Lock()
 	if hn.closed {
@@ -228,14 +236,20 @@ func (c *Cluster) Drain(host int) error {
 	return nil
 }
 
+// snapshot returns the hosts joined so far.
+func (c *Cluster) snapshot() []*HostNode {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hosts
+}
+
 // Proc returns a process handle.
 func (c *Cluster) Proc(p int) *ProcHandle {
-	pph := c.Hosts[0].cfg.ProcsPerHost
-	return &ProcHandle{host: c.Hosts[p/pph], id: netsim.ProcID(p)}
+	return &ProcHandle{host: c.snapshot()[p/c.cfg.ProcsPerHost], id: netsim.ProcID(p)}
 }
 
 // NumProcs returns the total process count.
-func (c *Cluster) NumProcs() int { return len(c.Hosts) * c.Hosts[0].cfg.ProcsPerHost }
+func (c *Cluster) NumProcs() int { return len(c.snapshot()) * c.cfg.ProcsPerHost }
 
 // Now returns the fabric clock: nanoseconds since the shared epoch.
 func (c *Cluster) Now() sim.Time { return sim.Time(time.Since(c.epoch)) }
@@ -246,7 +260,7 @@ func (c *Cluster) Close() {
 		c.debug.Close()
 		c.debug = nil
 	}
-	for _, h := range c.Hosts {
+	for _, h := range c.snapshot() {
 		h.close()
 	}
 	if c.Switch != nil {

@@ -225,7 +225,7 @@ func TestUDPBurstNoFalseSendFail(t *testing.T) {
 	if failed != 0 {
 		t.Fatalf("%d of %d delivered messages reported through OnSendFail", failed, n)
 	}
-	hn := c.Hosts[0]
+	hn := c.snapshot()[0]
 	hn.mu.Lock()
 	defer hn.mu.Unlock()
 	if retx := hn.core.Stats.PktsRetx; retx != 0 {

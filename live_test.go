@@ -6,36 +6,10 @@ import (
 	"time"
 )
 
-func TestLiveClusterDelivery(t *testing.T) {
-	l := NewLiveCluster(LiveConfig{Hosts: 3, ProcsPerHost: 1})
-	defer l.Close()
-	var mu sync.Mutex
-	var got []any
-	l.Process(2).OnDeliver(func(d Delivery) {
-		mu.Lock()
-		got = append(got, d.Data)
-		mu.Unlock()
-	})
-	if err := l.Process(0).Send([]Message{{Dst: 2, Data: "rt", Size: 8}}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n == 1 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("live delivery timed out")
-}
-
 // liveKnobs moves each LiveConfig setting away from its default: a faster
 // beacon under seeded injected loss (the scattering then needs the
 // retransmission path), a wider batch window, batching off with two
-// processes per host. Both live substrates must deliver under each.
+// processes per host. The UDP fabric must deliver under each.
 var liveKnobs = map[string]LiveConfig{
 	"lossy": {Hosts: 3, ProcsPerHost: 1, BeaconInterval: 500 * time.Microsecond,
 		Impair: &Impairment{Loss: 0.2}, Seed: 7},
@@ -45,11 +19,6 @@ var liveKnobs = map[string]LiveConfig{
 
 func TestLiveConfigKnobs(t *testing.T) {
 	for name, cfg := range liveKnobs {
-		t.Run("chan/"+name, func(t *testing.T) {
-			l := NewLiveCluster(cfg)
-			defer l.Close()
-			scatterDelivers(t, l)
-		})
 		t.Run("udp/"+name, func(t *testing.T) {
 			l, err := NewUDPCluster(cfg)
 			if err != nil {

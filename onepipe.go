@@ -32,9 +32,8 @@
 //	p0.Send([]onepipe.Message{{Dst: 1, Data: "hello", Size: 64}})
 //	cluster.Run(200 * onepipe.Microsecond)
 //
-// The same Process API runs unchanged on the real-time fabrics
-// (NewLiveCluster, NewUDPCluster); the Fabric interface abstracts over all
-// three deployments.
+// The same Process API runs unchanged on the real-time fabric
+// (NewUDPCluster); the Fabric interface abstracts over both deployments.
 package onepipe
 
 import (
@@ -385,8 +384,8 @@ func (c *Cluster) KillHost(host int) {
 }
 
 // procBackend is the per-deployment wiring behind a Process handle: the
-// simulator pokes the endpoint directly; the real-time fabrics route
-// through their event loop or host lock.
+// simulator pokes the endpoint directly; the real-time fabric routes
+// through its host lock.
 type procBackend interface {
 	id() ProcID
 	send(msgs []Message, o core.SendOptions) error

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	onepipe "onepipe"
+	"onepipe/internal/barrier"
 	"onepipe/internal/core"
 	"onepipe/internal/experiments"
 	"onepipe/internal/netsim"
@@ -275,6 +277,36 @@ func benchFirstContact() testing.BenchmarkResult {
 	})
 }
 
+// benchNodeBarriers is one barrier arrival plus one aggregate read at a
+// fan-in-16 switch: the ToR up half of the benchmark's sparse-fabric, whose
+// hosts beacon round-robin once per interval from clocks a random offset
+// apart. One arrival in four then raises the input holding the minimum
+// (the workload's own fan-in-16 nodes see 18 %) and costs a rescan.
+func benchNodeBarriers() testing.BenchmarkResult {
+	const fanIn = 16
+	const interval = 5 * sim.Microsecond
+	rng := rand.New(rand.NewSource(1))
+	var off [fanIn]sim.Time
+	for i := range off {
+		off[i] = sim.Time(rng.Intn(int(sim.Microsecond)))
+	}
+	return testing.Benchmark(func(b *testing.B) {
+		var s barrier.Set
+		for i := 0; i < fanIn; i++ {
+			s.Add(0, 0)
+			s.SetMember(i, barrier.BE, true)
+			s.SetMember(i, barrier.C, true)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % fanIn
+			t := sim.Time(i/fanIn+1)*interval + off[j]
+			s.Raise(j, t, t)
+			s.Out()
+		}
+	})
+}
+
 func benchWireEncode() testing.BenchmarkResult {
 	pkt := &netsim.Packet{
 		Kind: netsim.KindData, Src: 3, Dst: 9, MsgTS: 123456789,
@@ -431,6 +463,7 @@ func runBenchJSON(outPath string) error {
 			"timer_arm_fire":      medianRow(func() testing.BenchmarkResult { return benchTimer(true) }),
 			"send_be_round":       medianRow(benchBERound),
 			"first_contact":       medianRow(benchFirstContact),
+			"node_barriers":       medianRow(benchNodeBarriers),
 		},
 		Baseline:  prev.Baseline,
 		GateFloor: prev.GateFloor,

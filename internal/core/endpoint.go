@@ -128,8 +128,13 @@ type Host struct {
 	// reliable traffic under DeliverConflictAware, drained by the commit
 	// barrier alone (outside the cross-class order).
 	beQ, relQ, rlxQ reorderBuf
-	deliveredBE     sim.Time
-	deliveredC      sim.Time
+	// (deliveredBE, deliveredSrc) is the (ts, src) key of the last message
+	// delivered on the best-effort floor — under DeliverUnified and
+	// DeliverConflictAware the last of the one merged order, so both
+	// classes advance it; deliveredC is the commit plane's timestamp.
+	deliveredBE  sim.Time
+	deliveredSrc netsim.ProcID
+	deliveredC   sim.Time
 	// pendFree recycles delivered reorder-buffer entries (getPending /
 	// putPending); it never holds more than the buffers' peak occupancy.
 	pendFree []*pending

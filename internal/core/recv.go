@@ -523,7 +523,7 @@ func (h *Host) handleData(pkt *netsim.Packet) {
 	// never be "too late", and the tagged-only delivered floors say nothing
 	// about it (PSN dedup above already covers retransmissions).
 	relaxed := h.relaxedKey(pkt.ConflictKey)
-	if !relaxed && !pkt.Reliable && pkt.MsgTS < h.deliveredFloorBE() {
+	if !relaxed && !pkt.Reliable && h.lateBE(pkt.MsgTS, pkt.Src) {
 		h.Stats.Naks++
 		nak := netsim.GetPacket()
 		nak.Kind, nak.Src, nak.Dst = netsim.KindNak, pkt.Dst, pkt.Src
@@ -587,7 +587,7 @@ func (h *Host) handleFrame(pkt *netsim.Packet) {
 			}
 		}
 	}
-	if !pkt.Reliable && gate >= 0 && f.Entries[gate].TS < h.deliveredFloorBE() {
+	if !pkt.Reliable && gate >= 0 && h.lateBE(f.Entries[gate].TS, pkt.Src) {
 		h.Stats.Naks++
 		nak := netsim.GetPacket()
 		nak.Kind, nak.Src, nak.Dst = netsim.KindNak, pkt.Dst, pkt.Src
@@ -616,12 +616,20 @@ func (h *Host) handleFrame(pkt *netsim.Packet) {
 	}
 }
 
-func (h *Host) deliveredFloorBE() sim.Time {
-	if (h.Cfg.Mode == DeliverUnified || h.Cfg.Mode == DeliverConflictAware) &&
-		h.deliveredC > h.deliveredBE {
-		return h.deliveredC
+// lateBE reports whether a best-effort message keyed (ts, src) sorts before
+// the last message delivered on the best-effort floor, so that delivering
+// it now would break the (ts, src) order. An equal timestamp is late only
+// from a lower sender: the merged order breaks timestamp ties by sender.
+func (h *Host) lateBE(ts sim.Time, src netsim.ProcID) bool {
+	return ts < h.deliveredBE || ts == h.deliveredBE && src < h.deliveredSrc
+}
+
+// advanceBEFloor records a delivery keyed (ts, src) on the best-effort
+// floor.
+func (h *Host) advanceBEFloor(ts sim.Time, src netsim.ProcID) {
+	if ts > h.deliveredBE || ts == h.deliveredBE && src > h.deliveredSrc {
+		h.deliveredBE, h.deliveredSrc = ts, src
 	}
-	return h.deliveredBE
 }
 
 // relaxedKey reports whether a message with the given conflict key is
@@ -825,16 +833,14 @@ func (h *Host) deliver(p *pending) {
 		if p.ts > h.deliveredC {
 			h.deliveredC = p.ts
 		}
-	} else if p.ts > h.deliveredBE {
-		h.deliveredBE = p.ts
+	} else {
+		h.advanceBEFloor(p.ts, p.src)
 	}
 	if h.Cfg.Mode == DeliverUnified || h.Cfg.Mode == DeliverConflictAware {
 		// One merged order: both floors advance together. Under conflict-
 		// aware delivery only tagged entries reach this path, so the floors
 		// track the tagged order exactly as unified tracks everything.
-		if p.ts > h.deliveredBE {
-			h.deliveredBE = p.ts
-		}
+		h.advanceBEFloor(p.ts, p.src)
 		if p.ts > h.deliveredC {
 			h.deliveredC = p.ts
 		}

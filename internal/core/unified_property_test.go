@@ -247,3 +247,51 @@ func TestUnifiedCrossQueueTieBreakPSN(t *testing.T) {
 		}
 	}
 }
+
+// TestLateBETieOnSender pins the late check on the full (ts, src) key, as a
+// non-FIFO link can present it: once (10, src 5) is delivered, a best-effort
+// message at ts 10 from sender 3 sorts before it, so it is NAK'd and never
+// delivered; one at ts 10 from sender 7 sorts after it and is delivered. On
+// the single-packet and the frame path, in the separate and the merged
+// delivery order.
+func TestLateBETieOnSender(t *testing.T) {
+	for _, mode := range []DeliveryMode{DeliverSeparate, DeliverUnified} {
+		for _, frame := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Mode = mode
+			w := &stubWire{}
+			h := NewHost(0, w, cfg)
+			var got []netsim.ProcID
+			h.AddProc(0).OnDeliver = func(d Delivery) { got = append(got, d.Src) }
+			inject := func(src netsim.ProcID) {
+				pkt := netsim.GetPacket()
+				pkt.Kind, pkt.Src, pkt.Dst, pkt.MsgTS = netsim.KindData, src, 0, 10
+				if frame {
+					f := netsim.GetFrame()
+					f.Entries = append(f.Entries, netsim.FrameEntry{TS: 10, Size: 64})
+					f.Span = 1
+					pkt.Frame, pkt.Payload, pkt.Size = true, f, netsim.HeaderBytes+netsim.FrameEntryBytes+64
+				} else {
+					pkt.EndOfMsg, pkt.Size = true, netsim.HeaderBytes+64
+				}
+				h.HandlePacket(pkt)
+			}
+			inject(5)
+			h.barrierBE, h.barrierC = 11, 11
+			h.drain()
+			inject(3)
+			inject(7)
+			h.drain()
+			var naked []netsim.ProcID
+			for _, p := range w.sent {
+				if p.Kind == netsim.KindNak {
+					naked = append(naked, p.Dst)
+				}
+			}
+			if len(got) != 2 || got[0] != 5 || got[1] != 7 || len(naked) != 1 || naked[0] != 3 || h.Stats.Naks != 1 {
+				t.Errorf("mode %d frame=%v: delivered from %v, NAK'd %v (Naks %d); want [5 7] delivered and only sender 3 NAK'd",
+					mode, frame, got, naked, h.Stats.Naks)
+			}
+		}
+	}
+}

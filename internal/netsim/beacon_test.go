@@ -201,10 +201,10 @@ func newWaveRig(t *testing.T) *waveRig {
 	return r
 }
 
-// setBarriers writes every input register of the node.
+// setBarriers raises every input register of the node.
 func (r *waveRig) setBarriers(be, c sim.Time) {
-	for _, lid := range r.node.in {
-		r.n.links[lid].regBE, r.n.links[lid].regC = be, c
+	for _, lid := range r.n.G.In[r.node.id] {
+		r.node.regs.Raise(r.n.links[lid].slot, be, c)
 	}
 }
 

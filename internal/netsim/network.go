@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"onepipe/internal/barrier"
 	"onepipe/internal/clock"
 	"onepipe/internal/obs"
 	"onepipe/internal/sim"
@@ -65,17 +66,21 @@ type linkState struct {
 	lastBeaconTx  sim.Time
 	pendBE        sim.Time
 	pendC         sim.Time
-	// Receiver-side per-input-link state (the switch registers of §4.1).
-	regBE  sim.Time
-	regC   sim.Time
+	// Receiver side: slot is the link's input in the downstream node's
+	// register set (the switch registers of §4.1), which holds its barrier
+	// registers and its membership in each plane's minimum.
+	slot   int
 	lastRx sim.Time
-	// alive gates the best-effort plane: the decentralized dead-link
-	// scanner clears it (§4.2). aliveC gates the commit plane: when the
-	// commit plane is controller-managed, it stays true until the
-	// controller's Resume step so that Discard/Recall complete before
+	// dead mirrors topology.Graph.LinkDead (the link or either endpoint
+	// marked dead); syncDeadness keeps it current.
+	dead bool
+	// alive is the dead-link scanner's verdict (§4.2): the link counts
+	// toward the best-effort minimum while it is alive and not dead. The
+	// commit plane's membership is the register set's own bit: when the
+	// commit plane is controller-managed it stays set until the
+	// controller's Resume step, so that Discard/Recall complete before
 	// commit barriers advance past the failure timestamp (§5.2).
-	alive  bool
-	aliveC bool
+	alive bool
 	// excludedC marks a link the controller has removed from commit
 	// aggregation for good: packet arrivals must not resurrect it. Needed
 	// for a failed-but-running host (e.g. dead downlink only) that keeps
@@ -91,14 +96,18 @@ type linkState struct {
 }
 
 type nodeState struct {
-	id  topology.NodeID
-	in  []topology.LinkID
-	out []topology.LinkID
-	// outBE/outC are the node's monotonic barrier outputs; clamping them
-	// non-decreasing implements the §4.2 rule that a switch suspends
-	// updates when a (re)added link's barrier lags.
-	outBE sim.Time
-	outC  sim.Time
+	id   topology.NodeID
+	kind topology.Kind
+	out  []topology.LinkID
+	// regs holds one input per link entering the node, in link-ID order.
+	// Its output clamp is the §4.2 rule that a switch suspends updates
+	// when a (re)added link's barrier lags.
+	regs barrier.Set
+	// dead mirrors topology.Graph.NodeDead.
+	dead bool
+	// pending counts the egress links with a beacon on its way, so a
+	// relay finding every one of them claimed costs nothing.
+	pending int
 	// lastRelayBE/C record the barriers most recently relayed in beacons,
 	// so a relay is scheduled only when aggregation actually advanced.
 	lastRelayBE sim.Time
@@ -167,7 +176,7 @@ func New(cfg Config) *Network {
 	n.deliverFn = func(a, b any) { a.(func(*Packet))(b.(*Packet)) }
 	n.waveTriggerFn = func(a, b any) {
 		node, head := a.(*nodeState), b.(*linkState)
-		head.pendBE, head.pendC = n.nodeBarriers(node)
+		head.pendBE, head.pendC = node.regs.Out()
 		n.Eng.After2(n.beaconProcDelay(), n.waveFireFn, node, head)
 	}
 	n.waveFireFn = func(a, b any) {
@@ -182,17 +191,19 @@ func New(cfg Config) *Network {
 	for range g.Hosts {
 		n.Clocks = append(n.Clocks, clock.New(n.Eng, n.Eng.Rand(), cfg.Clock))
 	}
+	n.nodes = make([]*nodeState, len(g.Nodes))
+	for i := range g.Nodes {
+		n.nodes[i] = n.newNodeState(topology.NodeID(i))
+	}
 	n.links = make([]*linkState, len(g.Links))
 	for i, l := range g.Links {
 		ls := n.newLinkState(l)
 		ls.alive = true
-		ls.aliveC = true
+		n.syncBE(ls)
+		n.nodes[ls.to].regs.SetMember(ls.slot, barrier.C, true)
 		n.links[i] = ls
 	}
-	n.nodes = make([]*nodeState, len(g.Nodes))
-	for i := range g.Nodes {
-		n.nodes[i] = &nodeState{id: topology.NodeID(i), in: g.In[i], out: g.Out[i]}
-	}
+	g.SetDeathListener(n.syncDeadness)
 	if !cfg.DisableBeacons {
 		n.startFallbackScan(n.links)
 	}
@@ -200,14 +211,49 @@ func New(cfg Config) *Network {
 	return n
 }
 
+func (n *Network) newNodeState(id topology.NodeID) *nodeState {
+	nd := n.G.Node(id)
+	return &nodeState{id: id, kind: nd.Kind, out: n.G.Out[id], dead: n.G.NodeDead(id)}
+}
+
+// newLinkState builds a link's state and appends its input, in neither
+// plane, to the downstream node's register set. Links are built in ID
+// order, so a node's inputs are in the order of Graph.In.
 func (n *Network) newLinkState(l topology.Link) *linkState {
 	ls := &linkState{
 		id: l.ID, kind: l.Kind, from: l.From, to: l.To,
 		prop: propOf(l.Kind),
 		bpns: n.bandwidthOf(l.Kind),
+		dead: n.G.LinkDead(l.ID),
 	}
+	ls.slot = n.nodes[l.To].regs.Add(0, 0)
 	ls.imp = NewImpairState(n.Cfg.Impair.For(l.ID, l.Kind), n.Cfg.Seed, l.ID)
 	return ls
+}
+
+// syncBE puts a link into its node's best-effort minimum exactly when the
+// scanner holds it alive and the topology does not mark it dead: a link
+// removed by the scanner or dead in the topology stops contributing. The
+// commit plane is not touched — the last register of a dead link keeps
+// gating the commit minimum until the controller's Resume step takes it
+// out, otherwise commit barriers could pass the failure timestamp before
+// Discard/Recall complete (§5.2).
+func (n *Network) syncBE(l *linkState) {
+	n.nodes[l.to].regs.SetMember(l.slot, barrier.BE, l.alive && !l.dead)
+}
+
+// syncDeadness is the topology's death listener: it re-reads every node's
+// and link's death mark into the mirrors the per-packet paths read, and
+// moves each link whose best-effort membership changes into or out of its
+// node's minimum. Kills and revivals are rare; arrivals are not.
+func (n *Network) syncDeadness() {
+	for _, node := range n.nodes {
+		node.dead = n.G.NodeDead(node.id)
+	}
+	for _, l := range n.links {
+		l.dead = n.G.LinkDead(l.id)
+		n.syncBE(l)
+	}
 }
 
 func (n *Network) bandwidthOf(k topology.LinkKind) float64 {
@@ -271,7 +317,7 @@ func (n *Network) SetLossOverride(rate float64) { n.lossOverride = rate }
 
 // transmit places a packet on a link's egress queue.
 func (n *Network) transmit(l *linkState, pkt *Packet) {
-	if n.G.LinkDead(l.id) {
+	if l.dead {
 		n.Stats.DeadDrop++
 		PutPacket(pkt)
 		return
@@ -360,17 +406,20 @@ func (n *Network) transmit(l *linkState, pkt *Packet) {
 
 // receive handles packet arrival at the downstream end of a link.
 func (n *Network) receive(l *linkState, pkt *Packet) {
-	if n.G.NodeDead(l.to) {
+	node := n.nodes[l.to]
+	if node.dead {
 		n.Stats.DeadDrop++
 		PutPacket(pkt)
 		return
 	}
-	now := n.Eng.Now()
 	if !l.drained {
-		l.lastRx = now
-		l.alive = true
+		l.lastRx = n.Eng.Now()
+		if !l.alive {
+			l.alive = true
+			n.syncBE(l)
+		}
 		if !l.excludedC {
-			l.aliveC = true
+			node.regs.SetMember(l.slot, barrier.C, true)
 		}
 		// Update the per-input-link barrier registers (§4.1). With a
 		// programmable chip every packet carries per-link-valid barriers
@@ -387,17 +436,11 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 		// DrainedRegister.
 		if pkt.Kind == KindBeacon || pkt.Kind == KindCommit || n.Cfg.Mode == ModeChip ||
 			l.kind == topology.LinkHostUp {
-			if pkt.BarrierBE > l.regBE {
-				l.regBE = pkt.BarrierBE
-			}
-			if pkt.BarrierC > l.regC {
-				l.regC = pkt.BarrierC
-			}
+			node.regs.Raise(l.slot, pkt.BarrierBE, pkt.BarrierC)
 		}
 	}
 
-	dst := n.G.Node(l.to)
-	if dst.Kind == topology.KindHost {
+	if node.kind == topology.KindHost {
 		n.Stats.Delivered++
 		host := n.G.HostIndex(l.to)
 		if rx := n.hostRx[host]; rx != nil {
@@ -415,8 +458,7 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 	// this fires about once per interval per node and keeps the idle
 	// barrier lag near one beacon interval end to end rather than one
 	// interval per hop.
-	node := n.nodes[l.to]
-	be, c := n.nodeBarriers(node)
+	be, c := node.regs.Out()
 	if !n.Cfg.DisableBeacons && !n.Cfg.DisableEventRelay && (be > node.lastRelayBE || c > node.lastRelayC) {
 		n.scheduleRelays(node)
 	}
@@ -438,22 +480,11 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 	if n.Cfg.Mode == ModeChip {
 		pkt.BarrierBE, pkt.BarrierC = be, c
 	}
-	dstHost := n.G.Host(n.HostOfProc(pkt.Dst))
-	n.hopsBuf = n.G.AppendNextHops(n.hopsBuf[:0], l.to, dstHost)
-	hops := n.hopsBuf
-	if len(hops) == 0 {
+	out := n.nextHop(node, pkt)
+	if out == nil {
 		n.Stats.DeadDrop++
 		PutPacket(pkt)
 		return
-	}
-	var out topology.LinkID
-	if len(hops) == 1 {
-		out = hops[0]
-	} else if n.Cfg.FlowECMP {
-		h := uint32(pkt.Src)*2654435761 + uint32(pkt.Dst)*40503
-		out = hops[h%uint32(len(hops))]
-	} else {
-		out = hops[n.rng.Intn(len(hops))]
 	}
 	// A uniform pipeline latency per logical switch: a physical switch is
 	// two logical halves (Fig. 3), each charging half the physical
@@ -465,52 +496,39 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 	if n.Cfg.NonuniformPipeline && l.kind == topology.LinkLoopback {
 		fwd = 0 // chaos-harness self-test: the pre-fix nonuniform pipeline
 	}
-	n.Eng.After2(fwd, n.transmitFn, n.links[out], pkt)
+	n.Eng.After2(fwd, n.transmitFn, out, pkt)
 }
 
-// nodeBarriers computes the per-plane min over live input links, clamped
-// non-decreasing.
-func (n *Network) nodeBarriers(node *nodeState) (be, c sim.Time) {
-	firstBE, firstC := true, true
-	var minBE, minC sim.Time
-	for _, lid := range node.in {
-		l := n.links[lid]
-		// Best-effort plane: a link removed by the scanner or dead in the
-		// topology stops contributing. Commit plane: the last register of
-		// a dead link keeps gating the min until the controller's Resume
-		// step clears aliveC — otherwise commit barriers could pass the
-		// failure timestamp before Discard/Recall complete (§5.2).
-		if l.alive && !n.G.LinkDead(lid) {
-			if firstBE || l.regBE < minBE {
-				minBE = l.regBE
-				firstBE = false
-			}
-		}
-		if l.aliveC {
-			if firstC || l.regC < minC {
-				minC = l.regC
-				firstC = false
-			}
-		}
+// nextHop picks the egress link toward pkt's destination host by the
+// topology's up-down routing with ECMP, or returns nil when no live link
+// leads there.
+func (n *Network) nextHop(node *nodeState, pkt *Packet) *linkState {
+	dst := n.G.Host(n.HostOfProc(pkt.Dst))
+	n.hopsBuf = n.G.AppendNextHops(n.hopsBuf[:0], node.id, dst)
+	hops := n.hopsBuf
+	switch {
+	case len(hops) == 0:
+		return nil
+	case len(hops) == 1:
+		return n.links[hops[0]]
+	case n.Cfg.FlowECMP:
+		h := uint32(pkt.Src)*2654435761 + uint32(pkt.Dst)*40503
+		return n.links[hops[h%uint32(len(hops))]]
+	default:
+		return n.links[hops[n.rng.Intn(len(hops))]]
 	}
-	if !firstBE && minBE > node.outBE {
-		node.outBE = minBE
-	}
-	if !firstC && minC > node.outC {
-		node.outC = minC
-	}
-	return node.outBE, node.outC
 }
 
 // NodeBarriers exposes a switch's current aggregated barriers (used by the
 // controller to read last-commit state during failure handling).
 func (n *Network) NodeBarriers(id topology.NodeID) (be, c sim.Time) {
-	return n.nodeBarriers(n.nodes[id])
+	return n.nodes[id].regs.Out()
 }
 
 // LinkRegisters exposes an input link's barrier registers.
 func (n *Network) LinkRegisters(id topology.LinkID) (be, c sim.Time) {
-	return n.links[id].regBE, n.links[id].regC
+	l := n.links[id]
+	return n.nodes[l.to].regs.Reg(l.slot)
 }
 
 // beaconProcDelay is the per-hop cost of generating a barrier beacon in the
@@ -544,12 +562,15 @@ func (n *Network) beaconProcDelay() sim.Time {
 // is scheduled for that instant, so they would run back to back in the
 // same order with the same barriers: a wave moves no tie-break.
 func (n *Network) scheduleRelays(node *nodeState) {
+	if node.pending == len(node.out) {
+		return // every egress link already has a beacon on its way
+	}
 	var at [waveLeaders]sim.Time
 	var tail [waveLeaders]*linkState
 	waves := 0
 	for _, lid := range node.out {
 		ls := n.links[lid]
-		trigger, ok := n.claimRelay(ls)
+		trigger, ok := n.claimRelay(node, ls)
 		if !ok {
 			continue
 		}
@@ -575,15 +596,16 @@ func (n *Network) scheduleRelays(node *nodeState) {
 // sparse-fabric benchmark 4 leaves 1.5 % more events than 8, 16 saves 0.2 %.
 const waveLeaders = 8
 
-// claimRelay marks an egress link as having a beacon on its way and returns
-// the instant its barriers are to be captured: now, or the earliest moment
-// the link's rate limit allows. ok is false when the link already has one on
-// its way or carries no beacons at all.
-func (n *Network) claimRelay(ls *linkState) (trigger sim.Time, ok bool) {
-	if ls.beaconPending || ls.drained || n.G.LinkDead(ls.id) {
+// claimRelay marks an egress link of node as having a beacon on its way and
+// returns the instant its barriers are to be captured: now, or the earliest
+// moment the link's rate limit allows. ok is false when the link already has
+// one on its way or carries no beacons at all.
+func (n *Network) claimRelay(node *nodeState, ls *linkState) (trigger sim.Time, ok bool) {
+	if ls.beaconPending || ls.drained || ls.dead {
 		return 0, false
 	}
 	ls.beaconPending = true
+	node.pending++
 	trigger = n.Eng.Now()
 	if earliest := ls.lastBeaconTx + n.Cfg.BeaconInterval - n.beaconProcDelay(); earliest > trigger {
 		trigger = earliest
@@ -596,7 +618,8 @@ func (n *Network) claimRelay(ls *linkState) (trigger sim.Time, ok bool) {
 // traffic needs no beacon (§4.2: beacons are for idle links only).
 func (n *Network) fireBeacon(node *nodeState, ls *linkState, be, c sim.Time) {
 	ls.beaconPending = false
-	if ls.drained || n.G.LinkDead(ls.id) || n.G.NodeDead(node.id) {
+	node.pending--
+	if ls.drained || ls.dead || node.dead {
 		return
 	}
 	now := n.Eng.Now()
@@ -655,11 +678,12 @@ func (n *Network) fallbackScan(now sim.Time, cohort []*linkState) {
 		holdoff = 0
 	}
 	for _, ls := range cohort {
-		if n.G.NodeDead(ls.from) || now-ls.lastBeaconTx < holdoff {
+		node := n.nodes[ls.from]
+		if node.dead || now-ls.lastBeaconTx < holdoff {
 			continue
 		}
-		if trigger, ok := n.claimRelay(ls); ok {
-			n.Eng.At2(trigger, n.waveTriggerFn, n.nodes[ls.from], ls)
+		if trigger, ok := n.claimRelay(node, ls); ok {
+			n.Eng.At2(trigger, n.waveTriggerFn, node, ls)
 		}
 	}
 }
@@ -694,15 +718,18 @@ func (n *Network) scanLinks(now sim.Time, links []*linkState) {
 			continue
 		}
 		if now-l.lastRx > timeout {
+			node := n.nodes[l.to]
 			l.alive = false
+			n.syncBE(l)
 			if !n.Cfg.ControllerManagedCommit {
-				l.aliveC = false
+				node.regs.SetMember(l.slot, barrier.C, false)
 			}
 			// Removing the slowest input usually advances the min:
 			// relay the unblocked barrier immediately (§4.2).
-			n.scheduleRelays(n.nodes[l.to])
+			n.scheduleRelays(node)
 			if n.OnLinkDead != nil {
-				n.OnLinkDead(n.G.Link(l.id), l.regC)
+				_, regC := node.regs.Reg(l.slot)
+				n.OnLinkDead(n.G.Link(l.id), regC)
 			}
 		}
 	}
@@ -726,11 +753,12 @@ func (n *Network) EnableObs(interval sim.Time) *obs.Trace {
 	tk := sim.NewTicker(n.Eng, interval, 0, func() {
 		now := n.Eng.Now()
 		for _, node := range n.nodes {
-			if n.G.Node(node.id).Kind == topology.KindHost || n.G.NodeDead(node.id) || n.G.NodeDrained(node.id) {
+			if node.kind == topology.KindHost || node.dead || n.G.NodeDrained(node.id) {
 				continue
 			}
-			n.Obs.Rec(obs.SpanSwitchLagBE, now-node.outBE)
-			n.Obs.Rec(obs.SpanSwitchLagC, now-node.outC)
+			be, c := node.regs.Last()
+			n.Obs.Rec(obs.SpanSwitchLagBE, now-be)
+			n.Obs.Rec(obs.SpanSwitchLagC, now-c)
 			for _, lid := range node.out {
 				l := n.links[lid]
 				depth := l.busy - now
@@ -751,7 +779,7 @@ func (n *Network) EnableObs(interval sim.Time) *obs.Trace {
 func (n *Network) CommitGatedLinks() []topology.LinkID {
 	var out []topology.LinkID
 	for _, l := range n.links {
-		if !l.alive && l.aliveC {
+		if !l.alive && n.nodes[l.to].regs.Member(l.slot, barrier.C) {
 			out = append(out, l.id)
 		}
 	}
@@ -763,8 +791,9 @@ func (n *Network) CommitGatedLinks() []topology.LinkID {
 // has finished Discard, Recall and its failure callbacks (§5.2).
 func (n *Network) ResumeCommitPlane(id topology.LinkID) {
 	l := n.links[id]
-	l.aliveC = false
-	n.scheduleRelays(n.nodes[l.to])
+	node := n.nodes[l.to]
+	node.regs.SetMember(l.slot, barrier.C, false)
+	n.scheduleRelays(node)
 }
 
 // ExcludeCommitPlane permanently removes a link from commit-plane
@@ -775,9 +804,10 @@ func (n *Network) ResumeCommitPlane(id topology.LinkID) {
 // in the aggregation and cap the cluster-wide barrier (§5.2).
 func (n *Network) ExcludeCommitPlane(id topology.LinkID) {
 	l := n.links[id]
+	node := n.nodes[l.to]
 	l.excludedC = true
-	l.aliveC = false
-	n.scheduleRelays(n.nodes[l.to])
+	node.regs.SetMember(l.slot, barrier.C, false)
+	n.scheduleRelays(node)
 }
 
 // DrainedRegister is the sentinel the registers of a drained link are
@@ -796,7 +826,7 @@ func (n *Network) Grow() []topology.LinkID {
 	g := n.G
 	now := n.Eng.Now()
 	for i := len(n.nodes); i < len(g.Nodes); i++ {
-		n.nodes = append(n.nodes, &nodeState{id: topology.NodeID(i)})
+		n.nodes = append(n.nodes, n.newNodeState(topology.NodeID(i)))
 	}
 	for hi := len(n.Clocks); hi < len(g.Hosts); hi++ {
 		n.Clocks = append(n.Clocks, clock.New(n.Eng, n.Eng.Rand(), n.Cfg.Clock))
@@ -812,7 +842,7 @@ func (n *Network) Grow() []topology.LinkID {
 		added = append(added, ls.id)
 	}
 	for i, node := range n.nodes {
-		node.in, node.out = g.In[i], g.Out[i]
+		node.out = g.Out[i]
 	}
 	if !n.Cfg.DisableBeacons {
 		n.startFallbackScan(n.links[first:])
@@ -828,24 +858,15 @@ func (n *Network) Grow() []topology.LinkID {
 func (n *Network) AdmitLink(id topology.LinkID, seedBE, seedC sim.Time) {
 	l := n.links[id]
 	node := n.nodes[l.to]
-	if node.outBE > seedBE {
-		seedBE = node.outBE
-	}
-	if node.outC > seedC {
-		seedC = node.outC
-	}
-	if seedBE > l.regBE {
-		l.regBE = seedBE
-	}
-	if seedC > l.regC {
-		l.regC = seedC
-	}
+	outBE, outC := node.regs.Last()
+	node.regs.Raise(l.slot, max(seedBE, outBE), max(seedC, outC))
 	l.drained = false
 	l.excludedC = false
 	l.alive = true
-	l.aliveC = true
+	n.syncBE(l)
+	node.regs.SetMember(l.slot, barrier.C, true)
 	l.lastRx = n.Eng.Now()
-	if n.G.Node(l.to).Kind != topology.KindHost {
+	if node.kind != topology.KindHost {
 		n.scheduleRelays(node)
 	}
 }
@@ -857,14 +878,16 @@ func (n *Network) AdmitLink(id topology.LinkID, seedBE, seedC sim.Time) {
 // timestamp, no Recall.
 func (n *Network) DrainLink(id topology.LinkID) {
 	l := n.links[id]
+	node := n.nodes[l.to]
 	l.drained = true
 	l.alive = false
-	l.aliveC = false
+	n.syncBE(l)
+	node.regs.SetMember(l.slot, barrier.C, false)
 	l.excludedC = true
-	l.regBE, l.regC = DrainedRegister, DrainedRegister
-	if n.G.Node(l.to).Kind != topology.KindHost {
+	node.regs.Raise(l.slot, DrainedRegister, DrainedRegister)
+	if node.kind != topology.KindHost {
 		// Removing an input can only advance the min: relay it.
-		n.scheduleRelays(n.nodes[l.to])
+		n.scheduleRelays(node)
 	}
 }
 
@@ -877,26 +900,19 @@ func (n *Network) LinkDrained(id topology.LinkID) bool { return n.links[id].drai
 // switch outputs on both planes, drained links excluded. Join epochs are
 // chosen above it plus a skew bound covering ahead-running host clocks.
 func (n *Network) MaxBarrier() sim.Time {
-	var max sim.Time
+	var m sim.Time
 	for _, l := range n.links {
 		if l.drained {
 			continue
 		}
-		for _, t := range [4]sim.Time{l.regBE, l.regC, l.lastTxBE, l.lastTxC} {
-			if t > max {
-				max = t
-			}
-		}
+		be, c := n.nodes[l.to].regs.Reg(l.slot)
+		m = max(m, be, c, l.lastTxBE, l.lastTxC)
 	}
 	for _, node := range n.nodes {
-		if node.outBE > max {
-			max = node.outBE
-		}
-		if node.outC > max {
-			max = node.outC
-		}
+		be, c := node.regs.Last()
+		m = max(m, be, c)
 	}
-	return max
+	return m
 }
 
 // RunFor, TotalStats and ExecutedEvents forward to Eng and Stats; they are

@@ -9,12 +9,13 @@
 // and passes the current time; the Core never blocks, starts no goroutine,
 // and reads no clock.
 //
-// The simulator's multi-hop aggregation (internal/netsim) is deliberately
-// not built on this: its membership is a function of topology deadness and
-// two-plane controller state that a star has no notion of.
+// The registers, the minimum and the clamp are a barrier.Set, the same
+// register file the simulator's switches (internal/netsim) aggregate with;
+// here a port is a member of both planes from Admit until Drain.
 package starswitch
 
 import (
+	"onepipe/internal/barrier"
 	"onepipe/internal/netsim"
 	"onepipe/internal/sim"
 )
@@ -26,24 +27,23 @@ type Stats struct {
 	Forwarded, Dropped, BeaconsSuppressed uint64
 }
 
-// port is one host's link pair: the uplink's ingress registers and the
-// highest barrier its downlink has already carried.
+// port is one host's link pair: the highest barrier its downlink has
+// already carried and the grey-failure mark. The uplink's ingress registers
+// are the input with the port's slot in Core.regs.
 type port struct {
 	id         int
-	regBE      sim.Time
-	regC       sim.Time
 	txBE       sim.Time
 	txC        sim.Time
-	drained    bool
 	blackholed bool
 }
 
 // Core is the switch state. The zero value is not usable; call New.
 type Core struct {
 	ports []port      // admission order
-	index map[int]int // port id -> slot in ports
-	outBE sim.Time    // monotone output clamp
-	outC  sim.Time
+	index map[int]int // port id -> slot in ports and regs
+	// regs holds the uplink registers; a port is a member of both planes
+	// until it is drained.
+	regs  barrier.Set
 	imp   *netsim.ImpairState // nil when unimpaired
 	stats Stats
 }
@@ -57,11 +57,11 @@ func New(imp *netsim.Impairment, seed int64) *Core {
 	}
 }
 
-func (c *Core) port(id int) *port {
-	if i, ok := c.index[id]; ok {
-		return &c.ports[i]
-	}
-	return nil
+// slot returns port id's slot in ports and regs: admitted, and live unless
+// it has been drained.
+func (c *Core) slot(id int) (i int, admitted, live bool) {
+	i, admitted = c.index[id]
+	return i, admitted, admitted && c.regs.Member(i, barrier.BE)
 }
 
 // Admit attaches port id and reports whether it was new. The uplink's
@@ -73,9 +73,11 @@ func (c *Core) Admit(id int) bool {
 	if _, known := c.index[id]; known {
 		return false
 	}
-	be, cc := c.Aggregate()
-	c.index[id] = len(c.ports)
-	c.ports = append(c.ports, port{id: id, regBE: be, regC: cc})
+	i := c.regs.Add(c.Aggregate())
+	c.regs.SetMember(i, barrier.BE, true)
+	c.regs.SetMember(i, barrier.C, true)
+	c.index[id] = i
+	c.ports = append(c.ports, port{id: id})
 	return true
 }
 
@@ -84,23 +86,24 @@ func (c *Core) Admit(id int) bool {
 // re-admitted. A drain is a decision, not a fault — the parked register
 // must not freeze the barrier.
 func (c *Core) Drain(id int) {
-	if p := c.port(id); p != nil {
-		p.drained = true
+	if i, ok := c.index[id]; ok {
+		c.regs.SetMember(i, barrier.BE, false)
+		c.regs.SetMember(i, barrier.C, false)
 	}
 }
 
 // Drained reports whether port id has been drained.
 func (c *Core) Drained(id int) bool {
-	p := c.port(id)
-	return p != nil && p.drained
+	_, admitted, live := c.slot(id)
+	return admitted && !live
 }
 
 // SetBlackhole installs or clears a grey failure on an admitted port: its
 // beacons still advance its registers (so the barrier keeps moving) but
 // every data-plane packet to or from it is dropped.
 func (c *Core) SetBlackhole(id int, blocked bool) {
-	if p := c.port(id); p != nil {
-		p.blackholed = blocked
+	if i, ok := c.index[id]; ok {
+		c.ports[i].blackholed = blocked
 	}
 }
 
@@ -109,32 +112,7 @@ func (c *Core) Stats() Stats { return c.stats }
 
 // Aggregate returns the relayed barrier pair: the minimum register over
 // admitted, non-drained ports, clamped so the output never regresses.
-func (c *Core) Aggregate() (be, cc sim.Time) {
-	first := true
-	var minBE, minC sim.Time
-	for i := range c.ports {
-		p := &c.ports[i]
-		if p.drained {
-			continue
-		}
-		if first || p.regBE < minBE {
-			minBE = p.regBE
-		}
-		if first || p.regC < minC {
-			minC = p.regC
-		}
-		first = false
-	}
-	if !first {
-		if minBE > c.outBE {
-			c.outBE = minBE
-		}
-		if minC > c.outC {
-			c.outC = minC
-		}
-	}
-	return c.outBE, c.outC
-}
+func (c *Core) Aggregate() (be, cc sim.Time) { return c.regs.Out() }
 
 // Ingress handles a packet arriving on uplink from, bound for port dst, at
 // time now. It advances the uplink's registers from the packet's barrier
@@ -144,28 +122,23 @@ func (c *Core) Aggregate() (be, cc sim.Time) {
 // its memory either way.
 func (c *Core) Ingress(from, dst int, pkt *netsim.Packet, now sim.Time) (forward bool, delay sim.Time) {
 	data := pkt.Kind != netsim.KindBeacon && pkt.Kind != netsim.KindCommit
-	p := c.port(from)
-	if p == nil {
+	i, admitted, live := c.slot(from)
+	if !admitted {
 		c.stats.Dropped++ // outside input: no register may be created for it
 		return false, 0
 	}
-	if p.drained {
+	if !live {
 		if data {
 			c.stats.Dropped++
 		}
 		return false, 0
 	}
-	if pkt.BarrierBE > p.regBE {
-		p.regBE = pkt.BarrierBE
-	}
-	if pkt.BarrierC > p.regC {
-		p.regC = pkt.BarrierC
-	}
+	c.regs.Raise(i, pkt.BarrierBE, pkt.BarrierC)
 	if !data {
 		return false, 0
 	}
-	d := c.port(dst)
-	if p.blackholed || d == nil || d.drained || d.blackholed {
+	di, _, dlive := c.slot(dst)
+	if c.ports[i].blackholed || !dlive || c.ports[di].blackholed {
 		c.stats.Dropped++
 		return false, 0
 	}
@@ -178,7 +151,7 @@ func (c *Core) Ingress(from, dst int, pkt *netsim.Packet, now sim.Time) (forward
 	}
 	be, cc := c.Aggregate()
 	pkt.BarrierBE, pkt.BarrierC = be, cc
-	d.carried(be, cc)
+	c.ports[di].carried(be, cc)
 	c.stats.Forwarded++
 	return true, delay
 }
@@ -199,10 +172,10 @@ func (p *port) carried(be, cc sim.Time) {
 func (c *Core) Relay(emit func(port int, be, cc sim.Time)) {
 	be, cc := c.Aggregate()
 	for i := range c.ports {
-		p := &c.ports[i]
-		if p.drained {
+		if !c.regs.Member(i, barrier.BE) {
 			continue
 		}
+		p := &c.ports[i]
 		if p.txBE >= be && p.txC >= cc {
 			c.stats.BeaconsSuppressed++
 			continue

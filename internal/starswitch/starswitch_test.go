@@ -171,9 +171,10 @@ func TestIngressVerdicts(t *testing.T) {
 		if len(c.ports) != ports || len(c.index) != ports {
 			t.Errorf("%s: ingress grew the port table to %d", tc.name, len(c.ports))
 		}
-		if p := c.port(tc.from); p != nil {
-			if moved := p.regBE == 70 && p.regC == 65; moved != tc.wantFromMoved {
-				t.Errorf("%s: uplink registers (%d,%d), moved=%v want %v", tc.name, p.regBE, p.regC, moved, tc.wantFromMoved)
+		if i, ok := c.index[tc.from]; ok {
+			be, cc := c.regs.Reg(i)
+			if moved := be == 70 && cc == 65; moved != tc.wantFromMoved {
+				t.Errorf("%s: uplink registers (%d,%d), moved=%v want %v", tc.name, be, cc, moved, tc.wantFromMoved)
 			}
 		}
 		if forward {

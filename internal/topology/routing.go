@@ -51,8 +51,16 @@ func (g *Graph) appendNextHops(buf []LinkID, cur, dst NodeID, structural bool) [
 		})
 	case KindSwitchDown:
 		if n.Rack >= 0 {
-			// ToR downlink half: deliver to the host.
-			buf = g.filter(buf, cur, structural, func(l Link) bool { return l.Kind == LinkTorHostDown && l.To == dst })
+			// ToR downlink half: deliver to the host over its single
+			// downlink, if that leaves this ToR.
+			if len(g.In[dst]) == 0 {
+				break
+			}
+			lid := g.In[dst][0]
+			l := g.Links[lid]
+			if l.Kind == LinkTorHostDown && l.From == cur && (structural || (!g.LinkDead(lid) && !g.LinkDrained(lid))) {
+				buf = append(buf, lid)
+			}
 		} else {
 			// Spine downlink half: down to the destination rack's ToR.
 			buf = g.filter(buf, cur, structural, func(l Link) bool {

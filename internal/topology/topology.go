@@ -144,6 +144,9 @@ type Graph struct {
 	// links like dead ones, but the failure machinery (dead-link scanner,
 	// controller §5.2) must never treat them as failed.
 	nodeDrained []bool
+	// onDeath is called after every Kill* / Revive* call that changed a
+	// death mark (SetDeathListener).
+	onDeath func()
 
 	// peerHalf maps an up-half to its down-half and vice versa.
 	peerHalf []NodeID
@@ -460,38 +463,63 @@ func (g *Graph) Link(id LinkID) Link { return g.Links[id] }
 // hosts and cores.
 func (g *Graph) PeerHalf(id NodeID) NodeID { return g.peerHalf[id] }
 
-// KillNode marks a logical node dead. Killing either half of a physical
-// switch via KillPhys is the usual entry point.
-func (g *Graph) KillNode(id NodeID) { g.nodeDead[id] = true }
+// SetDeathListener installs fn, called after every Kill* or Revive* call
+// that changed at least one death mark — once per call. A simulator that
+// mirrors deadness on its hot path re-reads NodeDead and LinkDead there
+// instead of on every packet. A later call replaces the listener.
+func (g *Graph) SetDeathListener(fn func()) { g.onDeath = fn }
 
-// KillPhys marks every logical node of a physical device dead.
-func (g *Graph) KillPhys(phys int) {
-	for i := range g.Nodes {
-		if g.Nodes[i].Phys == phys {
-			g.nodeDead[i] = true
-		}
+// mark sets one death mark and reports whether it changed.
+func mark(marks []bool, i int, dead bool) bool {
+	if marks[i] == dead {
+		return false
+	}
+	marks[i] = dead
+	return true
+}
+
+func (g *Graph) notifyIf(changed bool) {
+	if changed && g.onDeath != nil {
+		g.onDeath()
 	}
 }
 
+// KillNode marks a logical node dead. Killing either half of a physical
+// switch via KillPhys is the usual entry point.
+func (g *Graph) KillNode(id NodeID) { g.notifyIf(mark(g.nodeDead, int(id), true)) }
+
+// KillPhys marks every logical node of a physical device dead.
+func (g *Graph) KillPhys(phys int) {
+	changed := false
+	for i := range g.Nodes {
+		if g.Nodes[i].Phys == phys {
+			changed = mark(g.nodeDead, i, true) || changed
+		}
+	}
+	g.notifyIf(changed)
+}
+
 // KillLink marks a directed link dead.
-func (g *Graph) KillLink(id LinkID) { g.linkDead[id] = true }
+func (g *Graph) KillLink(id LinkID) { g.notifyIf(mark(g.linkDead, int(id), true)) }
 
 // Revive clears all death marks.
 func (g *Graph) Revive() {
+	changed := false
 	for i := range g.nodeDead {
-		g.nodeDead[i] = false
+		changed = mark(g.nodeDead, i, false) || changed
 	}
 	for i := range g.linkDead {
-		g.linkDead[i] = false
+		changed = mark(g.linkDead, i, false) || changed
 	}
+	g.notifyIf(changed)
 }
 
 // ReviveLink clears the death mark of a single link — a repaired cable or a
 // healed partition cut. The endpoints' own liveness is untouched.
-func (g *Graph) ReviveLink(id LinkID) { g.linkDead[id] = false }
+func (g *Graph) ReviveLink(id LinkID) { g.notifyIf(mark(g.linkDead, int(id), false)) }
 
 // ReviveNode clears the death mark of a single logical node.
-func (g *Graph) ReviveNode(id NodeID) { g.nodeDead[id] = false }
+func (g *Graph) ReviveNode(id NodeID) { g.notifyIf(mark(g.nodeDead, int(id), false)) }
 
 // NodeDead reports whether a node is marked dead.
 func (g *Graph) NodeDead(id NodeID) bool { return g.nodeDead[id] }

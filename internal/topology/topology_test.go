@@ -54,6 +54,44 @@ func TestRoutingIsDAG(t *testing.T) {
 	}
 }
 
+// TestTorDownRoutesOverHostDownlink: a ToR's down half routes a host of its
+// own rack over that host's one downlink and nowhere else, and drops the
+// candidate once the downlink is dead or an end drained.
+func TestTorDownRoutesOverHostDownlink(t *testing.T) {
+	g := NewClos(Testbed())
+	for _, h := range g.Hosts {
+		down := g.In[h][0]
+		tor := g.Links[down].From
+		for _, other := range g.torDown {
+			for _, td := range other {
+				hops := g.NextHops(td, h)
+				switch {
+				case td == tor && (len(hops) != 1 || hops[0] != down):
+					t.Fatalf("host %d from its ToR %d: hops %v, want [%d]", h, td, hops, down)
+				case td != tor && len(hops) != 0:
+					t.Fatalf("host %d from foreign ToR %d: hops %v, want none", h, td, hops)
+				}
+			}
+		}
+	}
+	h := g.Host(3)
+	down := g.In[h][0]
+	tor := g.Links[down].From
+	g.KillLink(down)
+	if hops := g.NextHops(tor, h); len(hops) != 0 {
+		t.Fatalf("dead downlink still routed: %v", hops)
+	}
+	g.ReviveLink(down)
+	g.DrainNode(h)
+	if hops := g.NextHops(tor, h); len(hops) != 0 {
+		t.Fatalf("drained host still routed: %v", hops)
+	}
+	g.UndrainNode(h)
+	if hops := g.NextHops(tor, h); len(hops) != 1 || hops[0] != down {
+		t.Fatalf("restored downlink not routed: %v", hops)
+	}
+}
+
 func TestPathTerminatesAtDestination(t *testing.T) {
 	g := NewClos(Testbed())
 	rng := rand.New(rand.NewSource(1))
@@ -277,5 +315,33 @@ func TestAllPairsConnectedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeathListenerCalledOnChange: the graph notifies once per call that
+// changed a mark, and not for a call that changed none.
+func TestDeathListenerCalledOnChange(t *testing.T) {
+	g := NewClos(Testbed())
+	calls := 0
+	g.SetDeathListener(func() { calls++ })
+	steps := []struct {
+		name string
+		do   func()
+		want int
+	}{
+		{"KillLink", func() { g.KillLink(5) }, 1},
+		{"KillLink twice", func() { g.KillLink(5) }, 1},
+		{"KillNode", func() { g.KillNode(g.Host(0)) }, 2},
+		{"KillPhys", func() { g.KillPhys(g.Node(g.torUp[1][0]).Phys) }, 3},
+		{"ReviveNode of a live node", func() { g.ReviveNode(g.Host(1)) }, 3},
+		{"ReviveLink", func() { g.ReviveLink(5) }, 4},
+		{"Revive", func() { g.Revive() }, 5},
+		{"Revive with nothing dead", func() { g.Revive() }, 5},
+	}
+	for _, s := range steps {
+		s.do()
+		if calls != s.want {
+			t.Fatalf("after %s: %d notifications, want %d", s.name, calls, s.want)
+		}
 	}
 }

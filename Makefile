@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzUnitRing -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/barrier/ -fuzz FuzzRegisterSet -fuzztime 30s -fuzzminimizetime 0 -run '^$$'
 	$(GO) test ./internal/sim/ -fuzz FuzzEngineOrder -fuzztime 30s -fuzzminimizetime 0 -run '^$$'
+	$(GO) test ./internal/topology/ -fuzz FuzzRouteTable -fuzztime 30s -fuzzminimizetime 0 -run '^$$'
 
 # Quick chaos sweep (the PR-gating budget; see docs/testing.md).
 chaos:

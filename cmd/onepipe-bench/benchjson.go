@@ -55,12 +55,24 @@ type gateFloor struct {
 	EngineEventsPerSec float64 `json:"engine_events_per_sec"`
 }
 
-// scaleBench is the 1024-host fabric wall-time row (experiments.FabricScaleOnce).
+// scaleBench is the 1024-host fabric wall-time row (experiments.FabricScaleOnce):
+// the median of medianRuns runs with the fastest and slowest beside it.
 type scaleBench struct {
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	WallS      float64 `json:"wall_s"`
+	Runs       int     `json:"runs,omitempty"`
+	WallSMin   float64 `json:"wall_s_min,omitempty"`
+	WallSMax   float64 `json:"wall_s_max,omitempty"`
 	Events     uint64  `json:"events"`
 	WindowUs   float64 `json:"window_us"`
+}
+
+// rateSpread is the spread of an end-to-end rate measured medianRuns times;
+// the median sits in the rate's own field.
+type rateSpread struct {
+	Runs int     `json:"runs"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
 }
 
 // benchReport is the machine-readable performance contract: refreshed by
@@ -73,14 +85,18 @@ type benchReport struct {
 	EngineEventsPerSec float64 `json:"engine_events_per_sec"`
 	// Scale1024 is the wall time of the 1024-host fabric scale workload
 	// (the -fig scale row).
-	Scale1024     *scaleBench `json:"scale_1024,omitempty"`
-	E2EMsgsPerSec float64     `json:"e2e_msgs_per_sec"`
+	Scale1024 *scaleBench `json:"scale_1024,omitempty"`
+	// E2EMsgsPerSec and E2EUnbatchedMsgsPerSec are medians of medianRuns
+	// runs, each with its spread beside it.
+	E2EMsgsPerSec       float64     `json:"e2e_msgs_per_sec"`
+	E2EMsgsPerSecSpread *rateSpread `json:"e2e_msgs_per_sec_spread,omitempty"`
 	// E2EUnbatchedMsgsPerSec is the same workload with frame coalescing
 	// and the delivery fast path off — the pre-batching wire behavior,
 	// kept for the batching speedup comparison.
-	E2EUnbatchedMsgsPerSec float64           `json:"e2e_unbatched_msgs_per_sec,omitempty"`
-	SendOccupancy          *occupancySummary `json:"send_frame_occupancy,omitempty"`
-	RecvOccupancy          *occupancySummary `json:"recv_batch_occupancy,omitempty"`
+	E2EUnbatchedMsgsPerSec       float64           `json:"e2e_unbatched_msgs_per_sec,omitempty"`
+	E2EUnbatchedMsgsPerSecSpread *rateSpread       `json:"e2e_unbatched_msgs_per_sec_spread,omitempty"`
+	SendOccupancy                *occupancySummary `json:"send_frame_occupancy,omitempty"`
+	RecvOccupancy                *occupancySummary `json:"recv_batch_occupancy,omitempty"`
 	// SLO carries the -fig slo percentile rows (batched / unbatched /
 	// conflict-aware under the reference trace + impairment profile) at
 	// quick scale. The slo gate compares fresh p99s against these.
@@ -121,6 +137,16 @@ func medianRow(bench func() testing.BenchmarkResult) benchResult {
 	r := rs[medianRuns/2]
 	r.Runs, r.NsPerOpMin, r.NsPerOpMax = medianRuns, rs[0].NsPerOp, rs[medianRuns-1].NsPerOp
 	return r
+}
+
+// median returns the index of the median of vals and their spread.
+func median(vals []float64) (int, *rateSpread) {
+	idx := make([]int, len(vals))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
+	return idx[len(idx)/2], &rateSpread{Runs: len(vals), Min: vals[idx[0]], Max: vals[idx[len(idx)-1]]}
 }
 
 func engineRow(lo, span int) benchResult {
@@ -307,6 +333,26 @@ func benchNodeBarriers() testing.BenchmarkResult {
 	})
 }
 
+// benchNextHop is one routing lookup at a spine's up half of the 512-host
+// fabric (the benchmark's sparse-fabric), the destination walking every
+// host: a turn-around for the spine's own pod, the core candidates for the
+// other seven.
+func benchNextHop() testing.BenchmarkResult {
+	g := topology.NewClos(topology.ClosConfig{Pods: 8, RacksPerPod: 4, HostsPerRack: 16, SpinesPerPod: 4, Cores: 8})
+	spine := g.SpineUps(0)[0]
+	hosts := g.Hosts
+	return testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		n := 0
+		for i := 0; i < b.N; i++ {
+			n += len(g.NextHops(spine, hosts[i%len(hosts)]))
+		}
+		if n == 0 {
+			b.Fatal("no candidates")
+		}
+	})
+}
+
 func benchWireEncode() testing.BenchmarkResult {
 	pkt := &netsim.Packet{
 		Kind: netsim.KindData, Src: 3, Dst: 9, MsgTS: 123456789,
@@ -464,24 +510,42 @@ func runBenchJSON(outPath string) error {
 			"send_be_round":       medianRow(benchBERound),
 			"first_contact":       medianRow(benchFirstContact),
 			"node_barriers":       medianRow(benchNodeBarriers),
+			"next_hop":            medianRow(benchNextHop),
 		},
 		Baseline:  prev.Baseline,
 		GateFloor: prev.GateFloor,
 	}
 	rep.EngineEventsPerSec = 1e9 / rep.Benchmarks["engine_schedule"].NsPerOp
 	scaleWindow := 400 * sim.Microsecond
-	wall, events, _, _ := experiments.FabricScaleOnce(scaleWindow)
+	walls := make([]float64, medianRuns)
+	var events uint64
+	for i := range walls {
+		walls[i], events, _, _ = experiments.FabricScaleOnce(scaleWindow)
+	}
+	mid, spread := median(walls)
 	rep.Scale1024 = &scaleBench{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		WallS:      wall,
+		WallS:      walls[mid],
+		Runs:       spread.Runs,
+		WallSMin:   spread.Min,
+		WallSMax:   spread.Max,
 		Events:     events,
 		WindowUs:   scaleWindow.Micros(),
 	}
-	e2e, sendOcc, recvOcc := benchE2E(true)
-	rep.E2EMsgsPerSec = e2e
-	so, ro := summarize(sendOcc), summarize(recvOcc)
+	// The batched and unbatched runs alternate; the occupancy histograms
+	// are the median batched run's.
+	batched, unbatched := make([]float64, medianRuns), make([]float64, medianRuns)
+	sendOcc, recvOcc := make([]*stats.Histogram, medianRuns), make([]*stats.Histogram, medianRuns)
+	for i := range batched {
+		batched[i], sendOcc[i], recvOcc[i] = benchE2E(true)
+		unbatched[i], _, _ = benchE2E(false)
+	}
+	mid, rep.E2EMsgsPerSecSpread = median(batched)
+	rep.E2EMsgsPerSec = batched[mid]
+	so, ro := summarize(sendOcc[mid]), summarize(recvOcc[mid])
 	rep.SendOccupancy, rep.RecvOccupancy = &so, &ro
-	rep.E2EUnbatchedMsgsPerSec, _, _ = benchE2E(false)
+	mid, rep.E2EUnbatchedMsgsPerSecSpread = median(unbatched)
+	rep.E2EUnbatchedMsgsPerSec = unbatched[mid]
 	rep.SLO = experiments.RunSLO(experiments.Quick())
 	rep.Serve, rep.ServeNotes = experiments.RunServe(experiments.Quick())
 
@@ -504,10 +568,12 @@ func runBenchJSON(outPath string) error {
 	}
 	fmt.Printf("engine events/s %.2fM\n", rep.EngineEventsPerSec/1e6)
 	if sb := rep.Scale1024; sb != nil {
-		fmt.Printf("scale 1024  %8.2f s wall  (%d events, %.0fus window)\n",
-			sb.WallS, sb.Events, sb.WindowUs)
+		fmt.Printf("scale 1024  %8.2f s wall  (median of %d, %.2f–%.2f; %d events, %.0fus window)\n",
+			sb.WallS, sb.Runs, sb.WallSMin, sb.WallSMax, sb.Events, sb.WindowUs)
 	}
-	fmt.Printf("e2e         %8.0f msgs/s  (unbatched %0.f)\n", rep.E2EMsgsPerSec, rep.E2EUnbatchedMsgsPerSec)
+	b, u := rep.E2EMsgsPerSecSpread, rep.E2EUnbatchedMsgsPerSecSpread
+	fmt.Printf("e2e         %8.0f msgs/s  (median of %d, %.0f–%.0f; unbatched %.0f, %.0f–%.0f)\n",
+		rep.E2EMsgsPerSec, b.Runs, b.Min, b.Max, rep.E2EUnbatchedMsgsPerSec, u.Min, u.Max)
 	if rep.SendOccupancy != nil && rep.SendOccupancy.Count > 0 {
 		fmt.Printf("frame occ   mean %.2f p50 %.0f p99 %.0f max %.0f (%d frames)\n",
 			rep.SendOccupancy.Mean, rep.SendOccupancy.P50, rep.SendOccupancy.P99,

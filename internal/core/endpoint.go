@@ -94,7 +94,7 @@ type Host struct {
 
 	wire Wire
 	// eng is the wire's simulation engine when it has one (engineWire): the
-	// host's timers then live in its timer heap. Nil selects the After
+	// host's timers are then that engine's timers. Nil selects the After
 	// fallback.
 	eng   *sim.Engine
 	procs map[netsim.ProcID]*Proc

@@ -222,7 +222,7 @@ func (c Config) withDefaults() Config {
 
 // engineWire is the optional Wire extension of a wire that runs on a
 // simulation engine. A host on such a wire keeps its timers in that
-// engine's timer heap — armed without allocating, gone from the queue the
+// engine's queues — armed without allocating, gone from the queue the
 // moment they are stopped — instead of over After.
 type engineWire interface {
 	// TimerEngine returns the engine the wire's After schedules on.

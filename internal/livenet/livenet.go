@@ -56,7 +56,7 @@ type Net struct {
 }
 
 // hostWire attaches one host to the star. Every host reads the engine
-// clock, and core keeps its timers in the engine's timer heap.
+// clock, and core's timers are the engine's timers.
 type hostWire struct {
 	n    *Net
 	host int

@@ -131,9 +131,6 @@ type Network struct {
 	// hostRx receives every packet (including beacons) delivered to a host.
 	hostRx []func(*Packet)
 	rng    *rand.Rand
-	// hopsBuf is the ECMP candidate scratch; it never escapes one receive
-	// call.
-	hopsBuf []topology.LinkID
 	// lossOverride, when nonzero, replaces every link's uniform Loss (see
 	// SetLossOverride).
 	lossOverride float64
@@ -500,12 +497,10 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 }
 
 // nextHop picks the egress link toward pkt's destination host by the
-// topology's up-down routing with ECMP, or returns nil when no live link
-// leads there.
+// topology's up-down routing with ECMP (a lookup in its route table), or
+// returns nil when no live link leads there.
 func (n *Network) nextHop(node *nodeState, pkt *Packet) *linkState {
-	dst := n.G.Host(n.HostOfProc(pkt.Dst))
-	n.hopsBuf = n.G.AppendNextHops(n.hopsBuf[:0], node.id, dst)
-	hops := n.hopsBuf
+	hops := n.G.NextHops(node.id, n.G.Host(n.HostOfProc(pkt.Dst)))
 	switch {
 	case len(hops) == 0:
 		return nil

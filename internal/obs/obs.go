@@ -126,14 +126,19 @@ func (t *Trace) Rec(s Span, d sim.Time) {
 	t.mu.Unlock()
 }
 
-// Snapshot copies the current histograms.
+// Snapshot copies the current histograms; later recording does not show in
+// the copy.
 func (t *Trace) Snapshot() [NumSpans]stats.Histogram {
+	var out [NumSpans]stats.Histogram
 	if t == nil {
-		return [NumSpans]stats.Histogram{}
+		return out
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.hists
+	for i := range out {
+		out[i].Merge(&t.hists[i])
+	}
+	return out
 }
 
 // Reset clears all histograms (e.g. after warmup).

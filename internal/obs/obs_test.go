@@ -57,6 +57,25 @@ func TestTraceDisarm(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsACopy: a histogram's buckets are a slice, so Snapshot must
+// copy them rather than the slice header — recording after the snapshot
+// must not move its percentiles.
+func TestSnapshotIsACopy(t *testing.T) {
+	tr, ref := NewTrace(), NewTrace()
+	for _, d := range []sim.Time{1, 1000} {
+		tr.Rec(SpanE2E, d)
+		ref.Rec(SpanE2E, d)
+	}
+	snap := tr.Snapshot()
+	for i := 0; i < 9; i++ {
+		tr.Rec(SpanE2E, 500) // a bucket the snapshot already has
+	}
+	want := ref.Snapshot()
+	if got, w := snap[SpanE2E].Percentile(99), want[SpanE2E].Percentile(99); got != w {
+		t.Fatalf("snapshot moved: p99 %g, want %g", got, w)
+	}
+}
+
 func TestServeDebugOnepipeEndpoint(t *testing.T) {
 	tr := NewTrace()
 	tr.Rec(SpanE2E, 1500)

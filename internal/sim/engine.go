@@ -6,18 +6,19 @@
 // FIFO tie-break on equal timestamps and by the seeded random source, so a
 // simulation run is exactly reproducible from its seed.
 //
-// The engine keeps three queues under that one order. One-shot events due
-// less than wheelSize nanoseconds ahead — nearly all of them — sit in a
-// timing wheel with one FIFO per nanosecond: scheduling and executing one is
-// O(1) with no data-dependent branch. Events due later sit in a monomorphic
-// 4-ary min-heap over the concrete event struct, and armed Timers in a
-// second, indexed 4-ary min-heap (timer.go) so that Stop and Reset take the
-// entry out instead of leaving it to fire as a no-op. No queue allocates per
-// entry once its backing array has grown to the working set, all three draw
-// their (time, seq) keys from the same counter, every key is unique, and
-// the engine always executes the smallest of the three heads — the
-// execution order is that of a single queue holding exactly the live
-// entries.
+// The engine keeps three queues under that one order. Everything due less
+// than wheelSize nanoseconds ahead — one-shot events and armed Timers alike,
+// nearly all entries — sits in a timing wheel with one doubly linked FIFO
+// per nanosecond: scheduling, executing, and a Timer's Stop or Reset are
+// O(1) with no data-dependent branch. One-shot events due later sit in a
+// monomorphic 4-ary min-heap over the concrete event struct, and Timers
+// armed that far ahead in a second, indexed 4-ary min-heap (timer.go), so
+// that Stop and Reset take the entry out instead of leaving it to fire as a
+// no-op. No queue allocates per entry once its backing array has grown to
+// the working set, all three draw their (time, seq) keys from the same
+// counter, every key is unique, and the engine always executes the smallest
+// of the three heads — the execution order is that of a single queue
+// holding exactly the live entries.
 package sim
 
 import (
@@ -75,12 +76,12 @@ const (
 	wheelMask = wheelSize - 1
 )
 
-// wnode is one wheel entry in the slab: the event plus the link to the next
-// entry of its slot's FIFO or of the free list (slab index plus one, 0 =
-// none). 64 bytes, one cache line.
+// wnode is one wheel entry in the slab: the event plus the links to the next
+// and previous entries of its slot's FIFO (slab index plus one, 0 = none);
+// a node on the free list uses next only. 64 bytes, one cache line.
 type wnode struct {
 	event
-	next uint32
+	next, prev uint32
 }
 
 // wslot is one nanosecond's FIFO of slab indices plus one (0 = empty).
@@ -90,29 +91,31 @@ type wslot struct{ head, tail uint32 }
 //
 // The zero value is not usable; construct with NewEngine.
 //
-// Why the wheel cannot move the order: (1) an event enters slot at&wheelMask
+// Why the wheel cannot move the order: (1) an entry enters slot at&wheelMask
 // only while now <= at < now+wheelSize and now never decreases, so two
-// events that share a slot at the same moment have the same at; (2) seq is
-// drawn in scheduling order, so a slot's FIFO is in seq order and its head
-// carries the slot's smallest key; (3) every key is unique, so comparing
-// the three heads on (at, seq) selects exactly the entry a single queue of
-// the live entries would.
+// entries that share a slot at the same moment have the same at; (2) every
+// insertion draws a fresh seq and appends at its slot's tail, and unlinking
+// a stopped or re-armed Timer never reorders the rest, so a slot's FIFO is
+// in seq order and its head carries the slot's smallest key; (3) every key
+// is unique, so comparing the three heads on (at, seq) selects exactly the
+// entry a single queue of the live entries would.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events []event      // far events: 4-ary min-heap ordered by (at, seq)
-	timers []timerEntry // armed Timers: indexed 4-ary min-heap, same key space
+	timers []timerEntry // far Timers: indexed 4-ary min-heap, same key space
 	rng    *rand.Rand
 
-	// The wheel holds every event scheduled less than wheelSize ahead. wbits
-	// has one bit per occupied slot and wsum one bit per non-zero wbits
-	// word; wnodes is the slab, recycled LIFO through the free list wfree.
+	// The wheel holds every event scheduled and every Timer armed less than
+	// wheelSize ahead. wbits has one bit per occupied slot and wsum one bit
+	// per non-zero wbits word; wnodes is the slab, recycled LIFO through the
+	// free list wfree.
 	wheel  [wheelSize]wslot
 	wbits  [wheelSize / 64]uint64
 	wsum   uint64
 	wnodes []wnode
 	wfree  uint32
-	wn     int // events in the wheel
+	wn     int // entries in the wheel
 
 	// Executed counts events and timer firings run so far; useful as a
 	// progress and runaway-loop diagnostic.
@@ -195,30 +198,42 @@ func (e *Engine) nextSeq() uint64 {
 }
 
 // schedule clamps t to the present, assigns the FIFO sequence number and
-// files the event by its distance from now: into its nanosecond's wheel
-// slot when that is below wheelSize, else into the heap. Nothing migrates
-// between the two afterwards.
-func (e *Engine) schedule(t Time, ev event) {
-	now := e.Now()
+// files fn(a, b) by its distance from now: into its nanosecond's wheel slot
+// when that is below wheelSize, else into the heap. Nothing migrates
+// between the two afterwards. On the wheel path the fields are written
+// straight into the slab node: building an event on the stack and copying
+// it in stalls on store forwarding (docs/performance.md "Event queue").
+func (e *Engine) schedule(t Time, fn func(a, b any), a, b any) {
+	now := e.now
 	if t < now {
 		t = now
 	}
-	ev.seq = e.nextSeq()
-	ev.at = t
+	seq := e.nextSeq()
 	if t-now >= wheelSize {
-		e.push(ev)
+		e.push(event{at: t, seq: seq, fn2: fn, a: a, b: b})
 		return
 	}
-	i := e.wfree
-	if i != 0 {
+	e.link(e.newNode(), t, seq, fn, a, b)
+}
+
+// newNode takes a node off the free list, or grows the slab by one.
+func (e *Engine) newNode() uint32 {
+	if i := e.wfree; i != 0 {
 		e.wfree = e.wnodes[i-1].next
-	} else {
-		e.wnodes = append(e.wnodes, wnode{})
-		i = uint32(len(e.wnodes))
+		return i
 	}
-	e.wnodes[i-1] = wnode{event: ev}
-	s := uint(t) & wheelMask
+	e.wnodes = append(e.wnodes, wnode{})
+	return uint32(len(e.wnodes))
+}
+
+// link writes an entry into node i and appends it at the tail of slot
+// at&wheelMask; at must lie in [now, now+wheelSize).
+func (e *Engine) link(i uint32, at Time, seq uint64, fn func(a, b any), a, b any) {
+	n := &e.wnodes[i-1]
+	n.at, n.seq, n.fn2, n.a, n.b = at, seq, fn, a, b
+	s := uint(at) & wheelMask
 	sl := &e.wheel[s]
+	n.next, n.prev = 0, sl.tail
 	if sl.tail == 0 {
 		sl.head = i
 		e.wbits[s>>6] |= 1 << (s & 63)
@@ -228,6 +243,45 @@ func (e *Engine) schedule(t Time, ev event) {
 	}
 	sl.tail = i
 	e.wn++
+}
+
+// unlink takes node i out of its slot's FIFO, wherever it sits in it; the
+// node keeps its payload and is not freed.
+func (e *Engine) unlink(i uint32) {
+	n := &e.wnodes[i-1]
+	s := uint(n.at) & wheelMask
+	sl := &e.wheel[s]
+	if n.prev == 0 {
+		sl.head = n.next
+	} else {
+		e.wnodes[n.prev-1].next = n.next
+	}
+	if n.next == 0 {
+		sl.tail = n.prev
+	} else {
+		e.wnodes[n.next-1].prev = n.prev
+	}
+	if sl.head == 0 {
+		e.clearSlot(s)
+	}
+	e.wn--
+}
+
+// clearSlot drops an emptied slot's occupancy bits.
+func (e *Engine) clearSlot(s uint) {
+	if e.wbits[s>>6] &^= 1 << (s & 63); e.wbits[s>>6] == 0 {
+		e.wsum &^= 1 << (s >> 6)
+	}
+}
+
+// free clears node i's payload, so the slab does not retain closures or
+// boxed arguments, and puts it on the free list. The pointer fields are
+// cleared one by one: assigning a whole zero node copies it from the stack.
+func (e *Engine) free(i uint32) {
+	n := &e.wnodes[i-1]
+	n.fn2, n.a, n.b = nil, nil, nil
+	n.next = e.wfree
+	e.wfree = i
 }
 
 // wheelHead returns the wheel's earliest event; the wheel must not be empty.
@@ -249,32 +303,30 @@ func (e *Engine) wheelHead() *wnode {
 	return &e.wnodes[e.wheel[s].head-1]
 }
 
-// popWheel removes and returns the head of the slot of time at. The node's
-// payload is cleared as it joins the free list, so the slab does not retain
-// closures or boxed arguments.
-func (e *Engine) popWheel(at Time) event {
+// popWheel removes the head of the slot of time at, frees its node and
+// returns its callback and arguments.
+func (e *Engine) popWheel(at Time) (fn func(a, b any), a, b any) {
 	s := uint(at) & wheelMask
 	sl := &e.wheel[s]
 	i := sl.head
 	n := &e.wnodes[i-1]
-	ev := n.event
+	fn, a, b = n.fn2, n.a, n.b
 	if sl.head = n.next; sl.head == 0 {
 		sl.tail = 0
-		if e.wbits[s>>6] &^= 1 << (s & 63); e.wbits[s>>6] == 0 {
-			e.wsum &^= 1 << (s >> 6)
-		}
+		e.clearSlot(s)
+	} else {
+		e.wnodes[sl.head-1].prev = 0
 	}
-	*n = wnode{next: e.wfree}
-	e.wfree = i
+	e.free(i)
 	e.wn--
-	return ev
+	return fn, a, b
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is clamped to the current time (the event runs next, after already-pending
 // events at the current time).
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, event{fn2: runFunc, a: fn})
+	e.schedule(t, runFunc, fn, nil)
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -285,7 +337,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.Now()+d, fn) }
 // state as arguments, which makes scheduling allocation-free when a and b
 // are pointer-shaped (pointers, funcs, channels, maps).
 func (e *Engine) At2(t Time, fn func(a, b any), a, b any) {
-	e.schedule(t, event{fn2: fn, a: a, b: b})
+	e.schedule(t, fn, a, b)
 }
 
 // After2 schedules fn(a, b) to run d nanoseconds from now.
@@ -332,19 +384,21 @@ func (e *Engine) stepUntil(limit Time) bool {
 	if q == qNone || at > limit {
 		return false
 	}
-	var ev event
+	var fn func(a, b any)
+	var a, b any
 	switch q {
-	case qTimer:
+	case qWheel:
+		fn, a, b = e.popWheel(at)
+	case qHeap:
+		ev := e.pop()
+		fn, a, b = ev.fn2, ev.a, ev.b
+	default:
 		e.fireTimer()
 		return true
-	case qWheel:
-		ev = e.popWheel(at)
-	default:
-		ev = e.pop()
 	}
 	e.now = at
 	e.Executed++
-	ev.fn2(ev.a, ev.b)
+	fn(a, b)
 	return true
 }
 
@@ -387,6 +441,11 @@ func (e *Engine) Drain() int {
 		e.timers[i] = timerEntry{}
 	}
 	e.timers = e.timers[:0]
+	for i := range e.wnodes {
+		if t, ok := e.wnodes[i].a.(*wheelTimer); ok {
+			t.idx = 0
+		}
+	}
 	clear(e.wnodes)
 	e.wnodes = e.wnodes[:0]
 	e.wheel, e.wbits = [wheelSize]wslot{}, [wheelSize / 64]uint64{}

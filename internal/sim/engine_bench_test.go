@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"onepipe/internal/race"
@@ -50,19 +51,26 @@ func BenchmarkEngineScheduleFar(b *testing.B) { benchSchedule(b, true, 5000, 100
 // events go each way.
 func BenchmarkEngineScheduleMixed(b *testing.B) { benchSchedule(b, true, 1, 8000) }
 
-// BenchmarkTimerArmCancel measures the timer heap at the depth the
+// BenchmarkTimerArmCancel measures engine timers at the depth the
 // best-effort broadcast keeps send-fail timers armed (32 768). cancel is the
 // ACK path: one armed timer is stopped and armed again at a new random
 // deadline, the population staying constant. fire is the timeout path:
 // the earliest timer fires through the engine and its handler re-arms it,
-// BenchmarkEngineSchedule's churn through the timer heap.
+// BenchmarkEngineSchedule's churn through the timer queues. Deadlines are
+// 1–100 000 ns ahead, so about 96 % of the timers sit in the timer heap;
+// the -near modes keep them 1–1 000 ns ahead, all in the wheel, as the
+// doorbell and ACK-flush timers are.
 func BenchmarkTimerArmCancel(b *testing.B) {
-	for _, mode := range []string{"cancel", "fire"} {
-		fire := mode == "fire"
+	for _, mode := range []string{"cancel", "fire", "cancel-near", "fire-near"} {
+		fire := strings.HasPrefix(mode, "fire")
+		span := 100000
+		if strings.HasSuffix(mode, "near") {
+			span = 1000
+		}
 		b.Run(mode, func(b *testing.B) {
 			e := NewEngine(1)
 			const depth = 32768
-			delay := func() Time { return Time(e.Rand().Intn(100000)) + 1 }
+			delay := func() Time { return Time(e.Rand().Intn(span)) + 1 }
 			tms := make([]*Timer, depth)
 			for i := range tms {
 				i := i

@@ -278,7 +278,7 @@ func TestTickerStopInsideCallback(t *testing.T) {
 
 // TestPendingExcludesStoppedTimers is the Stop()-vs-pending regression: a
 // stopped timer must not count as pending work when RunUntil exits early —
-// Stop takes its entry out of the timer heap.
+// Stop takes its entry out of its queue.
 func TestPendingExcludesStoppedTimers(t *testing.T) {
 	e := NewEngine(1)
 	e.At(200, func() {})

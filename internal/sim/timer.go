@@ -18,18 +18,36 @@ func (f funcHandler) Fire() { f() }
 // It is the building block for retransmission timeouts, beacon intervals,
 // and dead-link detection in the network model.
 //
-// An armed Timer is one entry of its engine's timer heap and nothing else:
-// Stop and Reset remove or re-key that entry, so a cancelled firing costs
-// nothing later and keeps nothing reachable. The zero Timer is disarmed;
-// give it an engine and a handler with Init before the first Reset. Timers
-// are meant to be embedded by value — the struct is 32 bytes, the (at, seq)
-// key lives in the heap entry — and whoever drops a struct with an embedded
-// timer must Stop it first, or the engine keeps the struct alive until it
-// fires.
+// An armed Timer is one queue entry and nothing else: a node of the
+// engine's timing wheel when it is due less than wheelSize ahead, else an
+// entry of the timer heap. Stop and Reset unlink, move or re-key that
+// entry — O(1) in the wheel, O(log n) in the heap — so a cancelled firing
+// costs nothing later and keeps nothing reachable. The zero Timer is
+// disarmed; give it an engine and a handler with Init before the first
+// Reset. Timers are meant to be embedded by value — the struct is 32 bytes,
+// the (at, seq) key lives in the queue entry — and whoever drops a struct
+// with an embedded timer must Stop it first, or the engine keeps the struct
+// alive until it fires.
 type Timer struct {
 	eng *Engine
 	h   Handler
-	idx int32 // position in eng.timers plus one; 0 = disarmed
+	// idx locates the entry: its position in eng.timers plus one when
+	// positive, minus its wheel node's slab index plus one when negative;
+	// 0 = disarmed.
+	idx int32
+}
+
+// wheelTimer is the type a Timer held in the wheel is boxed as in its
+// node's first argument, so Drain can tell its nodes from events'.
+type wheelTimer Timer
+
+// fireWheelTimer is the callback of a Timer's wheel node: the engine has
+// already freed the node, so the timer is disarmed and then fired, and the
+// handler may re-arm it.
+func fireWheelTimer(a, _ any) {
+	t := (*Timer)(a.(*wheelTimer))
+	t.idx = 0
+	t.h.Fire()
 }
 
 // timerEntry is one armed timer in the heap. The key is inline so a sift
@@ -62,27 +80,55 @@ func (t *Timer) Handler() Handler { return t.h }
 // Reset (re)arms the timer to fire d nanoseconds from now, replacing any
 // previously scheduled firing. The firing takes its place in the engine's
 // (time, seq) order exactly as an event scheduled by After(d) at this
-// moment would: same clamp to the present, same sequence counter.
+// moment would: same clamp to the present, same sequence counter, and the
+// same queue choice by distance — the wheel below wheelSize, else the timer
+// heap. A re-armed wheel node moves to the tail of its new slot, which may
+// be its old one.
 func (t *Timer) Reset(d Time) {
 	e := t.eng
-	now := e.Now()
+	now := e.now
 	at := now + d
 	if at < now {
 		at = now
 	}
-	ent := timerEntry{at: at, seq: e.nextSeq(), t: t}
+	seq := e.nextSeq()
+	if at-now < wheelSize {
+		e.armWheel(t, at, seq)
+		return
+	}
+	if t.idx < 0 {
+		e.remove(t)
+	}
 	i := int(t.idx) - 1
 	if i < 0 {
 		e.timers = append(e.timers, timerEntry{})
 		i = len(e.timers) - 1
 	}
-	e.placeTimer(i, ent)
+	e.placeTimer(i, timerEntry{at: at, seq: seq, t: t})
+}
+
+// armWheel files t as a node of the wheel slot of at, keeping the node it
+// already has there. It is Reset's near half, kept out of line so that the
+// heap half stays a short function with a small frame.
+func (e *Engine) armWheel(t *Timer, at Time, seq uint64) {
+	var i uint32
+	if t.idx < 0 {
+		i = uint32(-t.idx)
+		e.unlink(i)
+	} else {
+		if t.idx > 0 {
+			e.remove(t)
+		}
+		i = e.newNode()
+	}
+	e.link(i, at, seq, fireWheelTimer, (*wheelTimer)(t), nil)
+	t.idx = -int32(i)
 }
 
 // Stop disarms the timer. It is safe to call on a disarmed timer.
 func (t *Timer) Stop() {
 	if t.idx != 0 {
-		t.eng.removeTimer(int(t.idx) - 1)
+		t.eng.remove(t)
 	}
 }
 
@@ -92,10 +138,13 @@ func (t *Timer) Armed() bool { return t.idx != 0 }
 // Deadline returns the virtual time at which the timer will fire. Only
 // meaningful while Armed.
 func (t *Timer) Deadline() Time {
-	if t.idx == 0 {
-		return 0
+	switch {
+	case t.idx < 0:
+		return t.eng.wnodes[-t.idx-1].at
+	case t.idx > 0:
+		return t.eng.timers[t.idx-1].at
 	}
-	return t.eng.timers[t.idx-1].at
+	return 0
 }
 
 // placeTimer writes ent into the timer heap starting from the hole at slot
@@ -139,13 +188,20 @@ func (e *Engine) placeTimer(i int, ent timerEntry) {
 	ent.t.idx = int32(i + 1)
 }
 
-// removeTimer takes the entry at slot i out of the heap and disarms its
-// timer. The vacated tail slot is zeroed so the backing array does not keep
-// the timer's owner reachable.
-func (e *Engine) removeTimer(i int) {
+// remove takes an armed timer's entry out of its queue — its wheel node,
+// freed, or its heap slot — and disarms it. A heap's vacated tail slot is
+// zeroed so the backing array does not keep the timer's owner reachable.
+func (e *Engine) remove(t *Timer) {
+	if t.idx < 0 {
+		i := uint32(-t.idx)
+		e.unlink(i)
+		e.free(i)
+		t.idx = 0
+		return
+	}
 	h := e.timers
-	n := len(h) - 1
-	h[i].t.idx = 0
+	i, n := int(t.idx)-1, len(h)-1
+	t.idx = 0
 	last := h[n]
 	h[n] = timerEntry{}
 	e.timers = h[:n]
@@ -154,11 +210,11 @@ func (e *Engine) removeTimer(i int) {
 	}
 }
 
-// fireTimer pops the earliest armed timer and runs its handler. The timer
-// is disarmed first, so the handler may re-arm it.
+// fireTimer pops the earliest timer of the timer heap and runs its handler.
+// The timer is disarmed first, so the handler may re-arm it.
 func (e *Engine) fireTimer() {
 	ent := e.timers[0]
-	e.removeTimer(0)
+	e.remove(ent.t)
 	e.now = ent.at
 	e.Executed++
 	ent.t.h.Fire()

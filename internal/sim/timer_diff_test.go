@@ -269,6 +269,13 @@ func runTimerScript(api simAPI, rng draws, steps int) (log []string, fired, ties
 	}
 	const nTimers = 24
 	timers := make([]timerAPI, nTimers)
+	// due is each timer's deadline as of its last arming, so the script can
+	// move a timer across the wheel's horizon or back into its own slot.
+	due := make([]Time, nTimers)
+	arm := func(i int, d Time) {
+		due[i] = max(api.Now()+d, api.Now())
+		timers[i].Reset(d)
+	}
 	for i := range timers {
 		i := i
 		timers[i] = api.NewTimer(func() {
@@ -277,36 +284,84 @@ func runTimerScript(api simAPI, rng draws, steps int) (log []string, fired, ties
 			// neighbor, the way an RTO handler does.
 			switch rng.Intn(5) {
 			case 0:
-				timers[i].Reset(delay())
+				arm(i, delay())
 			case 1:
-				timers[rng.Intn(nTimers)].Reset(delay())
+				arm(rng.Intn(nTimers), delay())
 			case 2:
 				timers[rng.Intn(nTimers)].Stop()
 			}
 		})
 	}
-	var tickers []stopper
 	oneShots := 0
+	// event schedules a one-shot d ahead whose firing runs then().
+	event := func(d Time, then func()) {
+		id := oneShots
+		oneShots++
+		kind := fromNear
+		if d >= wheelSize {
+			kind = fromFar
+			farAt = append(farAt, api.Now()+d)
+		}
+		api.After(rng.Intn(2) == 0, d, func() {
+			fire(kind, "event", id)
+			then()
+		})
+	}
+	var tickers []stopper
 	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(12); {
 		case op < 2:
-			id := oneShots
-			oneShots++
-			d, kind := delay(), fromNear
-			if d >= wheelSize {
-				kind = fromFar
-				farAt = append(farAt, api.Now()+d)
-			}
-			api.After(rng.Intn(2) == 0, d, func() {
-				fire(kind, "event", id)
+			event(delay(), func() {
 				if rng.Intn(3) == 0 {
-					timers[rng.Intn(nTimers)].Reset(delay())
+					arm(rng.Intn(nTimers), delay())
 				}
 			})
 		case op < 6:
-			timers[rng.Intn(nTimers)].Reset(delay())
+			arm(rng.Intn(nTimers), delay())
 		case op < 8:
 			timers[rng.Intn(nTimers)].Stop()
+		case op == 10:
+			// Re-arm an armed timer across the wheel's horizon, whichever
+			// side it is on, or for its own deadline: the same slot, to its
+			// tail.
+			i := rng.Intn(nTimers)
+			if !timers[i].Armed() {
+				arm(i, delay())
+				break
+			}
+			left := due[i] - api.Now()
+			switch {
+			case rng.Intn(3) == 0:
+				arm(i, left)
+			case left < wheelSize:
+				arm(i, wheelSize+Time(rng.Intn(3*wheelSize)))
+			default:
+				arm(i, Time(rng.Intn(wheelSize)))
+			}
+		case op == 11:
+			// One slot's FIFO several deep: an event, then k timers armed
+			// for the same instant. One of them — the first, a middle one
+			// or the last — is stopped at once, and when the event fires
+			// it stops or re-arms the first timer, which its own popping
+			// has usually just made the slot's head.
+			d := Time(rng.Intn(200))
+			k := 3 + rng.Intn(3)
+			first := rng.Intn(nTimers)
+			ids := make([]int, k)
+			for j := range ids {
+				ids[j] = (first + j) % nTimers
+			}
+			event(d, func() {
+				if rng.Intn(2) == 0 {
+					timers[ids[0]].Stop()
+				} else {
+					arm(ids[0], delay())
+				}
+			})
+			for _, i := range ids {
+				arm(i, d)
+			}
+			timers[ids[[]int{0, k / 2, k - 1}[rng.Intn(3)]]].Stop()
 		case op == 8:
 			if len(tickers) < 6 && rng.Intn(2) == 0 {
 				id := len(tickers)
@@ -402,20 +457,28 @@ func FuzzEngineOrder(f *testing.F) {
 	})
 }
 
-// TestDrainDisarmsTimers: Drain counts armed timers as queued work, leaves
-// them disarmed, and they can be armed again afterwards.
+// TestDrainDisarmsTimers: Drain counts armed timers as queued work, in the
+// wheel and in the timer heap, leaves them disarmed, and they can be armed
+// again afterwards in either queue.
 func TestDrainDisarmsTimers(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
-	tms := make([]*Timer, 5)
+	tms := make([]*Timer, 6)
 	for i := range tms {
 		tms[i] = NewTimer(e, func() { fired++ })
-		tms[i].Reset(Time(100 + i))
+		d := Time(100 + i) // near: a wheel node
+		if i%2 == 1 {
+			d += 2 * wheelSize // far: the timer heap
+		}
+		tms[i].Reset(d)
 	}
 	tk := NewTicker(e, 10, 0, func() { fired++ })
 	e.At(50, func() { fired++ })
-	if got := e.Drain(); got != 7 {
-		t.Fatalf("Drain = %d, want 7 (5 timers, 1 ticker, 1 event)", got)
+	if q := e.queued(); q != [3]int{5, 0, 3} {
+		t.Fatalf("wheel/heap/timers = %v, want 5/0/3 (3 near timers, the ticker, the event; 3 far timers)", q)
+	}
+	if got := e.Drain(); got != 8 {
+		t.Fatalf("Drain = %d, want 8 (6 timers, 1 ticker, 1 event)", got)
 	}
 	if got := e.Pending(); got != 0 {
 		t.Fatalf("Pending after Drain = %d, want 0", got)
@@ -427,19 +490,22 @@ func TestDrainDisarmsTimers(t *testing.T) {
 	}
 	tk.Stop() // stopping a drained ticker is harmless
 	tms[3].Stop()
+	tms[0].Stop()
 	tms[1].Reset(5)
 	tms[4].Reset(2)
-	if got := e.Pending(); got != 2 {
-		t.Fatalf("Pending after re-arming two = %d, want 2", got)
+	tms[2].Reset(3 * wheelSize)
+	if q := e.queued(); q != [3]int{2, 0, 1} {
+		t.Fatalf("after re-arming three: wheel/heap/timers = %v, want 2/0/1", q)
 	}
 	e.Run()
-	if fired != 2 {
-		t.Fatalf("fired %d after Drain and re-arm, want 2", fired)
+	if fired != 3 {
+		t.Fatalf("fired %d after Drain and re-arm, want 3", fired)
 	}
 }
 
-// TestTimerDeadline: the deadline is the heap entry's key, so it follows
-// re-arms and survives other timers moving around it.
+// TestTimerDeadline: the deadline is the queue entry's key, so it follows
+// re-arms, in the wheel, in the timer heap and across the horizon, and
+// survives other timers moving around it.
 func TestTimerDeadline(t *testing.T) {
 	e := NewEngine(1)
 	a, b := NewTimer(e, func() {}), NewTimer(e, func() {})
@@ -451,6 +517,15 @@ func TestTimerDeadline(t *testing.T) {
 	a.Reset(5)
 	if a.Deadline() != 5 || b.Deadline() != 20 {
 		t.Fatalf("after re-arm: deadlines = %v, %v; want 5, 20", a.Deadline(), b.Deadline())
+	}
+	a.Reset(wheelSize)
+	b.Reset(3 * wheelSize)
+	if a.Deadline() != wheelSize || b.Deadline() != 3*wheelSize {
+		t.Fatalf("armed far: deadlines = %v, %v; want %d, %d", a.Deadline(), b.Deadline(), wheelSize, 3*wheelSize)
+	}
+	b.Reset(7)
+	if a.Deadline() != wheelSize || b.Deadline() != 7 {
+		t.Fatalf("b back in the wheel: deadlines = %v, %v; want %d, 7", a.Deadline(), b.Deadline(), wheelSize)
 	}
 }
 

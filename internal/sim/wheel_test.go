@@ -15,8 +15,8 @@ import (
 func (e *Engine) queued() [3]int { return [3]int{e.wn, len(e.events), len(e.timers)} }
 
 // TestEventFootprint pins the sizes the wheel is built around: a wheel node
-// is one cache line, and the engine carries the 32 KiB slot array, the
-// bitmap and little else.
+// is one cache line with both FIFO links, and the engine carries the 32 KiB
+// slot array, the bitmap and little else.
 func TestEventFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 56 {
 		t.Errorf("event is %d bytes, want 56", got)
@@ -53,39 +53,122 @@ func TestWheelHorizon(t *testing.T) {
 	}
 }
 
-// TestSameInstantAcrossQueues: an event scheduled far (heap), a near one
-// (wheel) and a Timer.Reset (timer heap) for the same instant run in the
-// order they were scheduled, wherever the timer's arming falls among them.
+// TestSameInstantAcrossQueues: four heads due at one instant — an event
+// scheduled far (heap), a Timer armed far (timer heap), a near event and a
+// near Timer (both in the wheel) — run in the order they were armed. Far
+// entries are armed while the instant is at least wheelSize away and near
+// ones once it is closer, so the far pair always precedes the near pair;
+// every order within each pair is covered, with each timer armed directly
+// or first armed on the other side of the horizon and moved by Reset.
 func TestSameInstantAcrossQueues(t *testing.T) {
 	const at = 3*wheelSize + 77
-	for timerPos := 0; timerPos < 3; timerPos++ {
+	for c := 0; c < 8; c++ {
+		farTimerFirst, nearTimerFirst, moved := c&1 != 0, c&2 != 0, c&4 != 0
+		label := fmt.Sprintf("far timer first %v, near timer first %v, moved %v", farTimerFirst, nearTimerFirst, moved)
 		e := NewEngine(1)
-		var got []string
-		tm := NewTimer(e, func() { got = append(got, "timer") })
-		var want []string
-		arm := func(pos int) {
-			if pos == timerPos {
-				tm.Reset(at - e.Now())
-				want = append(want, "timer")
-			}
+		var got, want []string
+		farTm := NewTimer(e, func() { got = append(got, "far timer") })
+		nearTm := NewTimer(e, func() { got = append(got, "near timer") })
+		if moved {
+			farTm.Reset(5)              // into the wheel, then out
+			nearTm.Reset(5 * wheelSize) // into the timer heap, then out
 		}
-		arm(0)
-		e.At(at, func() { got = append(got, "far") })
-		want = append(want, "far")
-		arm(1)
+		armFarTimer := func() {
+			farTm.Reset(at - e.Now())
+			want = append(want, "far timer")
+		}
+		armFarEvent := func() {
+			e.At(at, func() { got = append(got, "far event") })
+			want = append(want, "far event")
+		}
+		armNearTimer := func() {
+			nearTm.Reset(at - e.Now())
+			want = append(want, "near timer")
+		}
+		armNearEvent := func() {
+			e.At(at, func() { got = append(got, "near event") })
+			want = append(want, "near event")
+		}
+		if farTimerFirst {
+			armFarTimer()
+			armFarEvent()
+		} else {
+			armFarEvent()
+			armFarTimer()
+		}
 		e.RunUntil(at - 10)
-		e.At(at, func() { got = append(got, "near") })
-		want = append(want, "near")
-		arm(2)
-		if q := e.queued(); q != [3]int{1, 1, 1} {
-			t.Fatalf("timer armed at position %d: wheel/heap/timers = %v, want one each", timerPos, q)
+		if nearTimerFirst {
+			armNearTimer()
+			armNearEvent()
+		} else {
+			armNearEvent()
+			armNearTimer()
+		}
+		if q := e.queued(); q != [3]int{2, 1, 1} {
+			t.Fatalf("%s: wheel/heap/timers = %v, want 2/1/1", label, q)
+		}
+		if farTm.Deadline() != at || nearTm.Deadline() != at {
+			t.Fatalf("%s: deadlines %d, %d, want %d", label, farTm.Deadline(), nearTm.Deadline(), at)
 		}
 		e.Run()
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("timer armed at position %d: ran %v, want %v", timerPos, got, want)
+			t.Fatalf("%s: ran %v, want %v", label, got, want)
 		}
-		if e.Now() != at {
-			t.Fatalf("Now = %d, want %d", e.Now(), at)
+		if e.Now() != at || farTm.Armed() || nearTm.Armed() {
+			t.Fatalf("%s: Now = %d (want %d), armed %v/%v", label, e.Now(), at, farTm.Armed(), nearTm.Armed())
+		}
+	}
+}
+
+// TestWheelTimerUnlink: Stop of the head, a middle node and the tail of
+// one slot's FIFO, a Stop of the head a popped entry left behind, and a
+// Reset to the same slot (which moves the timer to the tail) keep the rest
+// of the slot in arming order and the free list sound.
+func TestWheelTimerUnlink(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		act  func(tms []*Timer)
+		want string
+	}{
+		{"stop head", func(tms []*Timer) { tms[0].Stop() }, "[1 2 3 4]"},
+		{"stop middle", func(tms []*Timer) { tms[2].Stop() }, "[0 1 3 4]"},
+		{"stop tail", func(tms []*Timer) { tms[4].Stop() }, "[0 1 2 3]"},
+		{"stop all", func(tms []*Timer) {
+			for _, i := range []int{2, 0, 4, 1, 3} {
+				tms[i].Stop()
+			}
+		}, "[]"},
+		{"reset same slot", func(tms []*Timer) { tms[1].Reset(tms[1].Deadline() - tms[1].eng.Now()) }, "[0 2 3 4 1]"},
+		{"reset head to tail", func(tms []*Timer) { tms[0].Reset(50) }, "[1 2 3 4 0]"},
+		{"stop head after a pop", func(tms []*Timer) {
+			e := tms[0].eng
+			e.Step() // pops 0; 1 becomes the head
+			tms[1].Stop()
+		}, "[0 2 3 4]"},
+	} {
+		e := NewEngine(1)
+		var got []int
+		tms := make([]*Timer, 5)
+		for i := range tms {
+			i := i
+			tms[i] = NewTimer(e, func() { got = append(got, i) })
+			tms[i].Reset(50)
+		}
+		c.act(tms)
+		e.Run()
+		if g := fmt.Sprint(got); g != c.want {
+			t.Fatalf("%s: fired %s, want %s", c.name, g, c.want)
+		}
+		if e.Pending() != 0 || e.wsum != 0 {
+			t.Fatalf("%s: wheel not empty: pending %d, summary %#x", c.name, e.Pending(), e.wsum)
+		}
+		// Every node is back on the free list exactly once.
+		free := 0
+		for i := e.wfree; i != 0 && free <= len(e.wnodes); i = e.wnodes[i-1].next {
+			free++
+		}
+		if free != len(e.wnodes) {
+			t.Fatalf("%s: %d nodes on the free list, slab has %d", c.name, free, len(e.wnodes))
 		}
 	}
 }

@@ -4,21 +4,26 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Histogram is a bounded-memory streaming histogram with log-linear
 // buckets (HDR-style): non-negative values are grouped by their power-of-
 // two octave, each octave split into histSub linear sub-buckets, so the
 // relative quantization error is at most 1/histSub (~3%) across the full
-// int64 range. Memory is a fixed ~15 KB regardless of how many samples
+// int64 range. The bucket array grows only up to the highest bucket
+// touched — a few hundred bytes for small counts such as batch sizes, about
+// 15 KB for values spanning the int64 range — however many samples
 // are recorded, which is what lets million-message runs keep per-stage
 // latency distributions without holding every observation (contrast with
 // Sample, which stores all points for exact percentiles).
 //
-// The zero value is ready to use. Histogram is not goroutine-safe; callers
-// that share one across goroutines must synchronize (obs.Trace does).
+// The zero value is ready to use. A copy shares the bucket array with its
+// original, so copy through Merge into a zero Histogram instead. Histogram
+// is not goroutine-safe; callers that share one across goroutines must
+// synchronize (obs.Trace does).
 type Histogram struct {
-	counts [histBuckets]uint64
+	counts []uint64 // by bucket, up to the highest bucket touched
 	n      uint64
 	sum    float64
 	min    float64
@@ -70,7 +75,17 @@ func (h *Histogram) Add(x float64) {
 	if x > math.MaxInt64 {
 		u = math.MaxInt64
 	}
-	h.counts[bucketOf(u)]++
+	b := bucketOf(u)
+	h.grow(b + 1)
+	h.counts[b]++
+}
+
+// grow extends counts to at least n buckets, the new ones zero.
+func (h *Histogram) grow(n int) {
+	if old := len(h.counts); n > old {
+		h.counts = slices.Grow(h.counts, n-old)[:n]
+		clear(h.counts[old:])
+	}
 }
 
 // N reports the number of observations.
@@ -138,6 +153,7 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.n += other.n
 	h.sum += other.sum
+	h.grow(len(other.counts))
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}

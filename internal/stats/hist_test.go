@@ -67,6 +67,41 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
+// TestHistogramGrowsToHighestBucket: the bucket array covers the highest
+// bucket touched and no more, and Merge grows to the other histogram's
+// length in either direction without changing any percentile.
+func TestHistogramGrowsToHighestBucket(t *testing.T) {
+	var small, wide, all Histogram
+	for i := 0; i < 64; i++ {
+		small.Add(float64(i))
+		all.Add(float64(i))
+	}
+	if got, want := len(small.counts), bucketOf(63)+1; got != want {
+		t.Fatalf("values below 64: %d buckets, want %d", got, want)
+	}
+	wide.Add(1e12)
+	all.Add(1e12)
+	for _, c := range []struct {
+		name      string
+		into, add Histogram
+	}{{"short into wide", wide, small}, {"wide into short", small, wide}} {
+		var h Histogram
+		h.Merge(&c.into) // a copy that shares no buckets with the original
+		h.Merge(&c.add)
+		if len(h.counts) != len(wide.counts) {
+			t.Fatalf("%s: %d buckets, want %d", c.name, len(h.counts), len(wide.counts))
+		}
+		for _, p := range []float64{1, 50, 98, 99, 100} {
+			if h.Percentile(p) != all.Percentile(p) {
+				t.Fatalf("%s: p%g = %g, want %g", c.name, p, h.Percentile(p), all.Percentile(p))
+			}
+		}
+	}
+	if len(small.counts) != bucketOf(63)+1 {
+		t.Fatal("merging a copy of small grew small")
+	}
+}
+
 func TestHistogramMerge(t *testing.T) {
 	var a, b, all Histogram
 	for i := 1; i <= 1000; i++ {

@@ -1,19 +1,112 @@
 package topology
 
+import "slices"
+
 // NextHops returns the candidate output links at node cur for a packet
 // destined to host dst, implementing shortest up-down routing with ECMP.
-// Dead links and links into dead nodes are filtered out, which models the
-// SDN controller reconfiguring routes around failures (§3.1). The result is
-// empty when the destination is unreachable from cur.
+// Dead links, links into dead nodes and links of drained nodes are filtered
+// out, which models the SDN controller reconfiguring routes around failures
+// (§3.1). The result is empty when the destination is unreachable from cur,
+// or when dst is not a host.
+//
+// The answer comes from the graph's route table (routeTable), built by the
+// routing function on first use after any mutation; the returned slice is
+// the table's and must not be modified.
 func (g *Graph) NextHops(cur, dst NodeID) []LinkID {
-	return g.AppendNextHops(nil, cur, dst)
+	rt := g.routes
+	if rt == nil {
+		rt = g.buildRoutes()
+	}
+	d := &rt.dst[dst]
+	s := d.down
+	if cur != d.tor {
+		s = rt.byRack[int(cur)*rt.stride+int(d.rack)]
+	}
+	return rt.hops[s.off:s.end:s.end]
 }
 
-// AppendNextHops is NextHops appending into buf, so per-packet routing on
-// the simulator's hot path can reuse one scratch slice instead of
-// allocating candidates at every hop.
-func (g *Graph) AppendNextHops(buf []LinkID, cur, dst NodeID) []LinkID {
-	return g.appendNextHops(buf, cur, dst, false)
+// routeTable caches the routing function. Except at a ToR's down half, the
+// up-down route depends on the destination host only through its rack (and
+// the rack's pod), so the table holds one candidate list per (node,
+// destination rack), built for one host of that rack; at the ToR's down half
+// the route is the destination's own downlink, kept per host. Lists are in
+// link order, as the routing function returns them, so an ECMP draw over
+// one picks exactly what it picked from a fresh scan.
+type routeTable struct {
+	// stride is the number of racks plus one: the last column of byRack is
+	// always empty and is where a non-host destination looks.
+	stride int
+	dst    []routeDst // by destination node
+	byRack []hopSpan  // by node*stride + destination rack
+	hops   []LinkID   // every list, back to back
+}
+
+// routeDst is what a lookup needs of its destination: the rack, and the
+// rack's ToR down half with the route from there.
+type routeDst struct {
+	rack int32
+	tor  NodeID // -1 for a non-host
+	down hopSpan
+}
+
+// hopSpan is one list of routeTable.hops.
+type hopSpan struct{ off, end int32 }
+
+// dropRoutes discards the route table; every mutation that can change an
+// answer of the routing function calls it.
+func (g *Graph) dropRoutes() { g.routes = nil }
+
+// buildRoutes fills the route table from the routing function.
+func (g *Graph) buildRoutes() *routeTable {
+	racks := 0
+	for _, pod := range g.torDown {
+		racks += len(pod)
+	}
+	rt := &routeTable{
+		stride: racks + 1,
+		dst:    make([]routeDst, len(g.Nodes)),
+		byRack: make([]hopSpan, len(g.Nodes)*(racks+1)),
+	}
+	for i := range rt.dst {
+		rt.dst[i] = routeDst{rack: int32(racks), tor: -1}
+	}
+	torDown := make([]NodeID, racks) // each rack's ToR down half
+	for _, pod := range g.torDown {
+		for _, td := range pod {
+			torDown[g.Nodes[td].Rack] = td
+		}
+	}
+	rep := make([]NodeID, racks) // a host of each rack
+	var buf []LinkID
+	for _, h := range g.Hosts {
+		d := &rt.dst[h]
+		d.rack = int32(g.Nodes[h].Rack)
+		d.tor = torDown[d.rack]
+		buf = g.appendNextHops(buf[:0], d.tor, h, false)
+		d.down = rt.add(buf, hopSpan{})
+		rep[d.rack] = h
+	}
+	for cur := range g.Nodes {
+		row := rt.byRack[cur*rt.stride : cur*rt.stride+racks]
+		prev := hopSpan{}
+		for r, h := range rep {
+			buf = g.appendNextHops(buf[:0], NodeID(cur), h, false)
+			row[r] = rt.add(buf, prev)
+			prev = row[r]
+		}
+	}
+	g.routes = rt
+	return rt
+}
+
+// add stores hops, sharing prev's storage when the lists are equal.
+func (rt *routeTable) add(hops []LinkID, prev hopSpan) hopSpan {
+	if slices.Equal(hops, rt.hops[prev.off:prev.end]) {
+		return prev
+	}
+	off := int32(len(rt.hops))
+	rt.hops = append(rt.hops, hops...)
+	return hopSpan{off, int32(len(rt.hops))}
 }
 
 // appendNextHops implements the routing function. With structural set,

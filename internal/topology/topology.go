@@ -147,6 +147,9 @@ type Graph struct {
 	// onDeath is called after every Kill* / Revive* call that changed a
 	// death mark (SetDeathListener).
 	onDeath func()
+	// routes caches the routing function for NextHops; nil until the first
+	// lookup after a mutation (dropRoutes).
+	routes *routeTable
 
 	// peerHalf maps an up-half to its down-half and vice versa.
 	peerHalf []NodeID
@@ -159,6 +162,7 @@ type Graph struct {
 // addNode appends a logical node, growing every node-indexed side table in
 // lockstep so the graph stays consistent under runtime growth.
 func (g *Graph) addNode(k Kind, name string, phys, pod, rack int) NodeID {
+	g.dropRoutes()
 	id := NodeID(len(g.Nodes))
 	g.Nodes = append(g.Nodes, Node{ID: id, Kind: k, Name: name, Phys: phys, Pod: pod, Rack: rack})
 	g.Out = append(g.Out, nil)
@@ -177,6 +181,7 @@ func (g *Graph) addNode(k Kind, name string, phys, pod, rack int) NodeID {
 
 // addLink appends a directed link and indexes it in the adjacency lists.
 func (g *Graph) addLink(from, to NodeID, k LinkKind) LinkID {
+	g.dropRoutes()
 	id := LinkID(len(g.Links))
 	g.Links = append(g.Links, Link{ID: id, From: from, To: to, Kind: k})
 	g.Out[from] = append(g.Out[from], id)
@@ -296,7 +301,8 @@ func (g *Graph) AddHost(pod, rack int) (NodeID, []LinkID, error) {
 // AddSpine grows pod p's spine set by one physical switch (two logical
 // halves), wiring it to every ToR in the pod and every core, and returns
 // the halves plus all new links. ECMP routing picks the new paths up
-// immediately, since NextHops scans the adjacency lists.
+// immediately: adding a node or a link drops the route table NextHops
+// reads, and the next lookup rebuilds it from the adjacency lists.
 func (g *Graph) AddSpine(pod int) (up, down NodeID, links []LinkID, err error) {
 	if pod < 0 || pod >= len(g.spineUp) {
 		return -1, -1, nil, fmt.Errorf("topology: AddSpine(%d): no such pod", pod)
@@ -434,12 +440,18 @@ func containsLink(list []LinkID, id LinkID) bool {
 // DrainNode marks a node gracefully departed: its links vanish from
 // routing exactly like dead ones, but NodeDead stays false so the failure
 // pipeline (scanner reports, §5.2 failure declaration) never fires for it.
-func (g *Graph) DrainNode(id NodeID) { g.nodeDrained[id] = true }
+func (g *Graph) DrainNode(id NodeID) {
+	g.nodeDrained[id] = true
+	g.dropRoutes()
+}
 
 // UndrainNode clears a drain mark — used by two-phase activation, where a
 // freshly grown node stays drained (invisible to routing) until its link
 // registers are seeded.
-func (g *Graph) UndrainNode(id NodeID) { g.nodeDrained[id] = false }
+func (g *Graph) UndrainNode(id NodeID) {
+	g.nodeDrained[id] = false
+	g.dropRoutes()
+}
 
 // NodeDrained reports whether a node has been gracefully drained.
 func (g *Graph) NodeDrained(id NodeID) bool { return g.nodeDrained[id] }
@@ -478,8 +490,14 @@ func mark(marks []bool, i int, dead bool) bool {
 	return true
 }
 
+// notifyIf drops the route table and calls the death listener when a death
+// mark changed.
 func (g *Graph) notifyIf(changed bool) {
-	if changed && g.onDeath != nil {
+	if !changed {
+		return
+	}
+	g.dropRoutes()
+	if g.onDeath != nil {
 		g.onDeath()
 	}
 }

@@ -108,10 +108,12 @@ type benchReport struct {
 	Serve []experiments.ServeRow `json:"serve,omitempty"`
 	// ServeNotes records the elastic segment's self-asserted verdict
 	// (RECOVERED/EXCEEDED) from the run that produced Serve.
-	ServeNotes []string               `json:"serve_notes,omitempty"`
-	Benchmarks map[string]benchResult `json:"benchmarks"`
-	Baseline   *benchBaseline         `json:"baseline,omitempty"`
-	GateFloor  *gateFloor             `json:"gate_floor,omitempty"`
+	ServeNotes []string `json:"serve_notes,omitempty"`
+	// IdlePairBytes is the live heap a settled (src, dst) pair keeps.
+	IdlePairBytes *idlePairRow           `json:"idle_pair_bytes,omitempty"`
+	Benchmarks    map[string]benchResult `json:"benchmarks"`
+	Baseline      *benchBaseline         `json:"baseline,omitempty"`
+	GateFloor     *gateFloor             `json:"gate_floor,omitempty"`
 }
 
 func toResult(r testing.BenchmarkResult) benchResult {
@@ -252,6 +254,31 @@ func (w *cableWire) Now() sim.Time               { return w.eng.Now() }
 func (w *cableWire) After(d sim.Time, fn func()) { w.eng.After(d, fn) }
 func (w *cableWire) TimerEngine() *sim.Engine    { return w.eng }
 
+// peerHosts starts two cabled hosts on a fresh engine: process 0 on host 0
+// sends, and host 1 holds the given number of never-contacted processes,
+// each with a one-message send slice of its own (core keeps a send's
+// slice) and a delivery counter.
+func peerHosts(cfg core.Config, peers int, delivered *int) (*sim.Engine, *core.Proc, [][]core.Message) {
+	eng := sim.NewEngine(1)
+	w0, w1 := &cableWire{eng: eng}, &cableWire{eng: eng}
+	h0, h1 := core.NewHost(0, w0, cfg), core.NewHost(1, w1, cfg)
+	w0.peer, w1.peer = h1, h0
+	h0.Start()
+	h1.Start()
+	src := h0.AddProc(0)
+	h1.AddProc(1)
+	onBatch := func(ds []core.Delivery) { *delivered += len(ds) }
+	flat := make([]core.Message, peers)
+	msgs := make([][]core.Message, peers)
+	for j := range flat {
+		p := h1.AddProc(netsim.ProcID(2 + j))
+		p.OnDeliverBatch = onBatch
+		flat[j] = core.Message{Dst: p.ID, Size: 64}
+		msgs[j] = flat[j : j+1 : j+1]
+	}
+	return eng, src, msgs
+}
+
 // benchFirstContact is the TestFirstContactAllocs shape: one best-effort
 // message to a process its sender has never talked to, through delivery and
 // the ACK, on two cabled hosts — the per-pair cost of connection state, with
@@ -272,22 +299,7 @@ func benchFirstContact() testing.BenchmarkResult {
 		for i := 0; i < b.N; i++ {
 			if next == peers {
 				b.StopTimer()
-				eng = sim.NewEngine(1)
-				w0, w1 := &cableWire{eng: eng}, &cableWire{eng: eng}
-				h0, h1 := core.NewHost(0, w0, cfg), core.NewHost(1, w1, cfg)
-				w0.peer, w1.peer = h1, h0
-				h0.Start()
-				h1.Start()
-				src = h0.AddProc(0)
-				h1.AddProc(1)
-				flat := make([]core.Message, peers) // core keeps each send's slice
-				msgs = make([][]core.Message, peers)
-				for j := range flat {
-					p := h1.AddProc(netsim.ProcID(2 + j))
-					p.OnDeliverBatch = func(ds []core.Delivery) { delivered += len(ds) }
-					flat[j] = core.Message{Dst: p.ID, Size: 64}
-					msgs[j] = flat[j : j+1 : j+1]
-				}
+				eng, src, msgs = peerHosts(cfg, peers, &delivered)
 				next = 0
 				b.StartTimer()
 			}
@@ -301,6 +313,52 @@ func benchFirstContact() testing.BenchmarkResult {
 			b.Fatalf("%d of %d delivered", delivered, b.N)
 		}
 	})
+}
+
+// idlePairRow is what a settled pair keeps on the heap: the
+// TestIdlePairHeapFootprint measurement on the public API.
+type idlePairRow struct {
+	Pairs        int     `json:"pairs"`
+	BytesPerPair float64 `json:"bytes_per_pair"`
+}
+
+// benchIdlePair runs first contacts on two cabled hosts, each settling
+// before the next, and reads the live heap after two collections (the
+// packet pools' victim caches) before and after: the difference per pair is
+// its conn, its rconn and their share of the two hosts' pair tables. The
+// count is deterministic, so it is measured once.
+func benchIdlePair() idlePairRow {
+	const warm, pairs = 16, 4096
+	cfg := core.DefaultConfig()
+	delivered := 0
+	eng, src, msgs := peerHosts(cfg, warm+pairs, &delivered)
+	contact := func(i int) {
+		if err := src.Send(msgs[i]); err != nil {
+			panic(err)
+		}
+		eng.RunFor(4 * cfg.BeaconInterval)
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < warm; i++ {
+		contact(i)
+	}
+	before := live()
+	for i := warm; i < warm+pairs; i++ {
+		contact(i)
+	}
+	after := live()
+	runtime.KeepAlive(eng)
+	runtime.KeepAlive(msgs)
+	if delivered != warm+pairs {
+		panic(fmt.Sprintf("idle pair: %d of %d delivered", delivered, warm+pairs))
+	}
+	return idlePairRow{Pairs: pairs, BytesPerPair: float64(after-before) / pairs}
 }
 
 // benchNodeBarriers is one barrier arrival plus one aggregate read at a
@@ -516,6 +574,8 @@ func runBenchJSON(outPath string) error {
 		GateFloor: prev.GateFloor,
 	}
 	rep.EngineEventsPerSec = 1e9 / rep.Benchmarks["engine_schedule"].NsPerOp
+	idle := benchIdlePair()
+	rep.IdlePairBytes = &idle
 	scaleWindow := 400 * sim.Microsecond
 	walls := make([]float64, medianRuns)
 	var events uint64
@@ -567,6 +627,7 @@ func runBenchJSON(outPath string) error {
 			name, r.NsPerOp, r.Runs, r.NsPerOpMin, r.NsPerOpMax, r.AllocsPerOp, r.BytesPerOp)
 	}
 	fmt.Printf("engine events/s %.2fM\n", rep.EngineEventsPerSec/1e6)
+	fmt.Printf("idle pair   %8.1f heap bytes per settled pair (%d pairs)\n", idle.BytesPerPair, idle.Pairs)
 	if sb := rep.Scale1024; sb != nil {
 		fmt.Printf("scale 1024  %8.2f s wall  (median of %d, %.2f–%.2f; %d events, %.0fus window)\n",
 			sb.WallS, sb.Runs, sb.WallSMin, sb.WallSMax, sb.Events, sb.WindowUs)

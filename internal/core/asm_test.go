@@ -21,6 +21,16 @@ func mkFrag(psn uint32, fragIdx uint16, eom bool, msgTS sim.Time) *netsim.Packet
 	}
 }
 
+// countReleases swaps releaseFrag for a counter until the test ends, for
+// tests that drive a buffer with packets they keep using.
+func countReleases(t testing.TB) *int {
+	n := new(int)
+	prev := releaseFrag
+	releaseFrag = func(*netsim.Packet) { *n++ }
+	t.Cleanup(func() { releaseFrag = prev })
+	return n
+}
+
 func TestAsmSingleFragment(t *testing.T) {
 	a := &asmBuf{}
 	last, size, ok := a.add(mkFrag(0, 0, true, 1))
@@ -97,8 +107,7 @@ func TestAsmDoneCapForgetsOldHoles(t *testing.T) {
 // PSN consumed) and its pooled packet was never returned.
 func TestAsmCappedPathFreesStrandedFrags(t *testing.T) {
 	a := &asmBuf{capped: true}
-	freed := 0
-	a.free = func(*netsim.Packet) { freed++ }
+	freed := countReleases(t)
 	// Buffer the head of an incomplete message at PSN 0 (its EndOfMsg frag
 	// is lost), leaving a reception hole that parks doneBase at 0.
 	if _, _, ok := a.add(mkFrag(0, 0, false, 1)); ok {
@@ -106,7 +115,7 @@ func TestAsmCappedPathFreesStrandedFrags(t *testing.T) {
 	}
 	// Complete single-frag messages above it until the cap forces doneBase
 	// across the hole. Each completion frees nothing itself (the final
-	// fragment is returned to the caller), so every a.free call below is a
+	// fragment is returned to the caller), so every release below is a
 	// force-advance drop.
 	for psn := uint32(1); psn <= asmDoneCap+100; psn++ {
 		if _, _, ok := a.add(mkFrag(psn, 0, true, sim.Time(psn))); !ok {
@@ -116,8 +125,8 @@ func TestAsmCappedPathFreesStrandedFrags(t *testing.T) {
 	if len(a.frags) != 0 {
 		t.Fatalf("%d stranded fragment(s) survived the forced doneBase advance (pool leak)", len(a.frags))
 	}
-	if freed != 1 {
-		t.Fatalf("stranded fragment freed %d times, want exactly 1 (pool balance)", freed)
+	if *freed != 1 {
+		t.Fatalf("stranded fragment freed %d times, want exactly 1 (pool balance)", *freed)
 	}
 	if a.doneBase <= 0 || !a.isDup(0) {
 		t.Fatalf("doneBase %d did not pass the dropped slot", a.doneBase)

@@ -152,8 +152,8 @@ func FuzzAsmBufReorder(f *testing.F) {
 		floodBase := universe + 16 // leave a hole between the universe and the flood
 		flood := &netsim.Packet{FragIdx: 0, EndOfMsg: true, Size: netsim.HeaderBytes + 1}
 
-		freed := 0
-		a := &asmBuf{capped: !reliable, free: func(*netsim.Packet) { freed++ }}
+		freed := countReleases(t)
+		a := &asmBuf{capped: !reliable}
 		ref := newMapAsmBuf(!reliable)
 		completed := make([]bool, msgCount)
 		skipped := make([]bool, msgCount)
@@ -226,8 +226,8 @@ func FuzzAsmBufReorder(f *testing.F) {
 				t.Fatalf("doneBase moved backward: %d -> %d", prevBase, a.doneBase)
 			}
 			prevBase = a.doneBase
-			if a.doneBase != ref.doneBase || freed != ref.freed {
-				t.Fatalf("step %d: doneBase %d, freed %d; reference %d, %d", step, a.doneBase, freed, ref.doneBase, ref.freed)
+			if a.doneBase != ref.doneBase || *freed != ref.freed {
+				t.Fatalf("step %d: doneBase %d, freed %d; reference %d, %d", step, a.doneBase, *freed, ref.doneBase, ref.freed)
 			}
 			for p := uint32(0); p < universe+2; p++ {
 				if a.isDup(p) != ref.isDup(p) {

@@ -208,16 +208,37 @@ type connCursor struct {
 }
 
 // conn is the send-side state for one (source process, destination process)
-// pair: PSN spaces, in-flight accounting, DCTCP congestion control and the
-// retransmission timer of reliable 1Pipe.
+// pair. What it keeps for life is small: PSN spaces, window accounting and
+// DCTCP congestion control (§6.1). Queues, in-flight rings and timers are a
+// pair's transient part (connWork), attached only while it has work.
 type conn struct {
-	key     connKey
-	host    *Host
-	nextPSN [2]uint32
+	key       connKey
+	host      *Host
+	nextPSN   [2]uint32
+	windowEnd [2]uint32
 	// lastUse is the host clock at the last send-side activity (scattering
 	// construction or ACK); the idle-eviction sweep compares it against
 	// Config.ConnIdleEvict.
 	lastUse sim.Time
+	// inflight + reserved are charged against min(cwnd, recvWindow).
+	inflight int
+	reserved int
+	// DCTCP state (§6.1: "Congestion control follows DCTCP"). The ACK
+	// counters reset every window, so 32 bits hold them.
+	cwnd     float64
+	alpha    float64
+	ackTotal int32
+	ackECN   int32
+	// work is the transient part, nil while the pair is idle.
+	work *connWork
+}
+
+// connWork is the part of a conn that only a pair with work uses. It comes
+// off the host's free list when the pair first queues a fragment (attach)
+// and goes back the moment nothing is in flight, queued, parked or held and
+// both timers are disarmed (settle); its ring and queue arrays travel with
+// it, so the next pair to take it allocates nothing.
+type connWork struct {
 	// unacked holds each plane's in-flight window units in PSN order; the
 	// RTO retransmits, and failure handling walks, in that order.
 	unacked [2]unitRing
@@ -230,18 +251,7 @@ type conn struct {
 	// sendQ holds launched-but-untransmitted fragments: a scattering
 	// larger than the window streams out as ACKs free space.
 	sendQ pktQueue
-	// inflight + reserved are charged against min(cwnd, recvWindow).
-	inflight int
-	reserved int
-	// DCTCP state (§6.1: "Congestion control follows DCTCP"). The ACK
-	// counters reset every window, so 32 bits hold them and keep the conn
-	// in its 288-byte size class.
-	cwnd      float64
-	alpha     float64
-	ackTotal  int32
-	ackECN    int32
-	windowEnd [2]uint32
-	rto       timer
+	rto   timer
 	// doorbell fires Config.BatchWindow after a partial frame started
 	// waiting for more same-destination messages; holdIdx is non-zero
 	// while the queue head is deliberately delayed (the conn's position in
@@ -252,6 +262,53 @@ type conn struct {
 	doorbell timer
 	holdIdx  int32
 	flushAll bool
+	// pins counts walks in progress that call out to the application
+	// (OnStuck, OnSendFail). A settle re-entered from one of them must not
+	// hand the rings being walked to another pair.
+	pins uint8
+}
+
+// idle reports whether the part holds nothing a later send could not
+// rebuild: the test evictIdle applies to a whole conn, plus both timers.
+func (w *connWork) idle() bool {
+	return w.unacked[0].empty() && w.unacked[1].empty() && w.sendQ.len() == 0 &&
+		len(w.stuckPkts) == 0 && w.holdIdx == 0 && w.pins == 0 &&
+		!w.rto.isArmed() && !w.doorbell.isArmed()
+}
+
+// attach returns c's transient part, taking one off the host's free list
+// (or making one) if c has none. The timers are bound to c here: a part
+// carries no handler while it is free.
+func (c *conn) attach() *connWork {
+	if c.work != nil {
+		return c.work
+	}
+	h := c.host
+	var w *connWork
+	if n := len(h.connFree); n > 0 {
+		w = h.connFree[n-1]
+		h.connFree[n-1] = nil
+		h.connFree = h.connFree[:n-1]
+	} else {
+		w = new(connWork)
+	}
+	w.rto.init(h, (*connRTO)(c))
+	w.doorbell.init(h, (*connDoorbell)(c))
+	c.work = w
+	return w
+}
+
+// settle returns c's transient part to the host's free list if it is idle.
+// Everything in it is already empty; the arrays keep their capacity.
+func (c *conn) settle() {
+	w := c.work
+	if w == nil || !w.idle() {
+		return
+	}
+	w.rto.release()
+	w.doorbell.release()
+	c.work = nil
+	c.host.connFree = append(c.host.connFree, w)
 }
 
 func (h *Host) getConn(src, dst netsim.ProcID) *conn {
@@ -263,8 +320,6 @@ func (h *Host) getConn(src, dst netsim.ProcID) *conn {
 			host: h,
 			cwnd: h.Cfg.InitCwnd,
 		}
-		c.rto.init(h, (*connRTO)(c))
-		c.doorbell.init(h, (*connDoorbell)(c))
 		// Re-establishment after idle eviction: resume the evicted PSN
 		// spaces so the receiver's duplicate detection stays coherent.
 		if cur, ok := h.connMemo[k]; ok {
@@ -297,27 +352,32 @@ func (c *conn) onAck(reliable bool, psn uint32, ecn bool) {
 	if c.host.Cfg.ConnIdleEvict > 0 {
 		c.lastUse = c.host.wire.Now()
 	}
+	w := c.work
+	if w == nil {
+		return // duplicate ACK: nothing of the pair is in flight
+	}
 	k := cls(reliable)
-	op := c.unacked[k].take(psn)
+	op := w.unacked[k].take(psn)
 	if op == nil {
 		// A late or controller-relayed ACK can complete a packet that
 		// exhausted MaxRetx; its window slot was freed when it was parked,
 		// so only scattering completion accounting remains.
 		if reliable {
-			if op, stuck := c.stuckPkts[psn]; stuck {
-				delete(c.stuckPkts, psn)
+			if op, stuck := w.stuckPkts[psn]; stuck {
+				delete(w.stuckPkts, psn)
 				for m := op; m != nil; m = m.fnext {
 					c.host.onPacketAcked(m)
 				}
 				c.host.grantCredits()
+				c.settle()
 			}
 		}
 		return // duplicate ACK
 	}
 	c.inflight--
 	c.dctcpAck(k, psn, ecn)
-	if c.unacked[1].empty() {
-		c.rto.stop()
+	if w.unacked[1].empty() {
+		w.rto.stop()
 	}
 	// One ACK completes the whole frame: every chained member was carried
 	// (or spanned) by the acknowledged packet.
@@ -326,6 +386,7 @@ func (c *conn) onAck(reliable bool, psn uint32, ecn bool) {
 	}
 	c.pump()
 	c.host.grantCredits()
+	c.settle()
 }
 
 // pump transmits queued fragments while window space is available,
@@ -343,18 +404,22 @@ const maxFrameEntries = 512
 // doorbell timer armed, waiting up to the batch window for more
 // same-destination traffic to coalesce with.
 func (c *conn) emitQueued(force bool) {
-	if c.flushAll {
+	w := c.work
+	if w == nil {
+		return // nothing queued or held
+	}
+	if w.flushAll {
 		force = true
 	}
 	held := false
-	for c.inflight < c.window() && c.sendQ.len() > 0 {
-		op := c.sendQ.live()[0]
+	for c.inflight < c.window() && w.sendQ.len() > 0 {
+		op := w.sendQ.live()[0]
 		if op.scat.aborted {
-			c.sendQ.drop(1)
+			w.sendQ.drop(1)
 			continue
 		}
 		if !op.scat.batch {
-			c.sendQ.drop(1)
+			w.sendQ.drop(1)
 			c.emitRun(op)
 			continue
 		}
@@ -363,15 +428,15 @@ func (c *conn) emitQueued(force bool) {
 			held = true
 			break
 		}
-		run := c.sendQ.live()[:n]
+		run := w.sendQ.live()[:n]
 		for i := 0; i < n-1; i++ {
 			run[i].fnext = run[i+1]
 		}
-		c.sendQ.drop(n)
+		w.sendQ.drop(n)
 		c.emitRun(op)
 	}
-	if c.sendQ.len() == 0 {
-		c.flushAll = false
+	if w.sendQ.len() == 0 {
+		w.flushAll = false
 	}
 	c.updateHold(held)
 }
@@ -381,7 +446,7 @@ func (c *conn) emitQueued(force bool) {
 // is full — by bytes, by entry count, or because a non-coalescible
 // fragment follows it (waiting longer could not grow it).
 func (c *conn) collectRun() (n int, full bool) {
-	q := c.sendQ.live()
+	q := c.work.sendQ.live()
 	head := q[0]
 	k := cls(head.scat.reliable)
 	budget := c.host.Cfg.MTU
@@ -415,7 +480,8 @@ func (c *conn) collectRun() (n int, full bool) {
 // plane's ring; the whole chain completes on its single ACK.
 func (c *conn) emitRun(head *outPkt) {
 	h := c.host
-	c.unacked[cls(head.scat.reliable)].push(head)
+	w := c.work
+	w.unacked[cls(head.scat.reliable)].push(head)
 	c.inflight++
 	if h.Obs.On() {
 		now := h.wire.Now()
@@ -439,8 +505,8 @@ func (c *conn) emitRun(head *outPkt) {
 		}
 	}
 	h.emit(c.buildUnit(head))
-	if head.scat.reliable && !c.rto.isArmed() {
-		c.rto.reset(h, h.Cfg.RTO)
+	if head.scat.reliable && !w.rto.isArmed() {
+		w.rto.reset(h, h.Cfg.RTO)
 	}
 }
 
@@ -460,22 +526,24 @@ func (c *conn) onDoorbell() {
 	if c.host.stopped {
 		return
 	}
-	c.flushAll = true
+	c.work.flushAll = true
 	c.emitQueued(true)
+	c.settle()
 }
 
 // updateHold reconciles the doorbell timer and the host's held-timestamp
 // floor with whether the queue head is (still) deliberately delayed.
 func (c *conn) updateHold(held bool) {
 	h := c.host
+	w := c.work
 	if held {
-		head := c.sendQ.live()[0]
-		if c.holdIdx == 0 {
-			c.doorbell.reset(h, head.scat.batchWin)
+		head := w.sendQ.live()[0]
+		if w.holdIdx == 0 {
+			w.doorbell.reset(h, head.scat.batchWin)
 		}
 		h.holdSet(c, head.scat.ts)
-	} else if c.holdIdx != 0 {
-		c.doorbell.stop()
+	} else if w.holdIdx != 0 {
+		w.doorbell.stop()
 		h.holdClear(c)
 	}
 }
@@ -515,10 +583,12 @@ func (c *conn) onRTO() {
 		return
 	}
 	// The ring is already in PSN order. OnStuck may send again from inside
-	// the walk; walk tolerates that.
+	// the walk; walk tolerates that, and the pin keeps the part attached.
+	w := c.work
 	rearm := false
 	exhausted := false
-	c.unacked[1].walk(func(i int, op *outPkt) {
+	w.pins++
+	w.unacked[1].walk(func(i int, op *outPkt) {
 		op.retx++
 		if h.Cfg.MaxRetx > 0 && int(op.retx) > h.Cfg.MaxRetx {
 			// Retransmission budget exhausted: report the stall (once per
@@ -527,12 +597,12 @@ func (c *conn) onRTO() {
 			// unacked would charge its inflight slot forever — wedging the
 			// window — and re-fire OnStuck on every later RTO. A frame
 			// parks as a whole chain and stalls every live member.
-			c.unacked[1].removeAt(i)
+			w.unacked[1].removeAt(i)
 			c.inflight--
-			if c.stuckPkts == nil {
-				c.stuckPkts = make(map[uint32]*outPkt)
+			if w.stuckPkts == nil {
+				w.stuckPkts = make(map[uint32]*outPkt)
 			}
-			c.stuckPkts[op.psn] = op
+			w.stuckPkts[op.psn] = op
 			for m := op; m != nil; m = m.fnext {
 				if !m.scat.aborted {
 					h.reportStuck(c.key.src, c.key.dst, m.scat.ts)
@@ -544,7 +614,7 @@ func (c *conn) onRTO() {
 		pkt := c.buildUnit(op)
 		if pkt == nil {
 			// Every frame member was aborted since the last transmission.
-			c.unacked[1].removeAt(i)
+			w.unacked[1].removeAt(i)
 			c.inflight--
 			exhausted = true
 			return
@@ -553,8 +623,9 @@ func (c *conn) onRTO() {
 		h.emit(pkt)
 		rearm = true
 	})
+	w.pins--
 	if rearm {
-		c.rto.reset(h, h.Cfg.RTO*sim.Time(1+min(4, c.minRetx())))
+		w.rto.reset(h, h.Cfg.RTO*sim.Time(1+min(4, c.minRetx())))
 	}
 	if exhausted {
 		// The freed slots can admit queued fragments and credit-blocked
@@ -562,11 +633,12 @@ func (c *conn) onRTO() {
 		c.pump()
 		h.grantCredits()
 	}
+	c.settle()
 }
 
 func (c *conn) minRetx() int {
 	m := int32(1 << 30)
-	c.unacked[1].walk(func(_ int, op *outPkt) { m = min(m, op.retx) })
+	c.work.unacked[1].walk(func(_ int, op *outPkt) { m = min(m, op.retx) })
 	if m == 1<<30 {
 		return 0
 	}
@@ -646,12 +718,16 @@ func (c *conn) buildUnit(head *outPkt) *netsim.Packet {
 // scattering that still has a packet queued or in flight on this conn;
 // Host.Stop uses it so a stopped host leaves nothing in the timer queue.
 func (c *conn) stopFailTimers() {
-	c.unacked[0].walk(func(_ int, op *outPkt) {
+	w := c.work
+	if w == nil {
+		return
+	}
+	w.unacked[0].walk(func(_ int, op *outPkt) {
 		for m := op; m != nil; m = m.fnext {
 			m.scat.failTimer.stop()
 		}
 	})
-	for _, op := range c.sendQ.live() {
+	for _, op := range w.sendQ.live() {
 		op.scat.failTimer.stop()
 	}
 }
@@ -660,10 +736,11 @@ func (c *conn) stopFailTimers() {
 // failed, scattering aborted, NAK, or best-effort timeout), freeing its
 // window slot.
 func (c *conn) dropInflight(k, i int) {
-	c.unacked[k].removeAt(i)
+	w := c.work
+	w.unacked[k].removeAt(i)
 	c.inflight--
-	if c.unacked[1].empty() {
-		c.rto.stop()
+	if w.unacked[1].empty() {
+		w.rto.stop()
 	}
 }
 
@@ -673,8 +750,12 @@ func (c *conn) dropInflight(k, i int) {
 // chained member's scattering has aborted; until then it stays in flight
 // carrying the surviving members.
 func (c *conn) dropScattering(s *scattering) {
-	for k := range c.unacked {
-		c.unacked[k].walk(func(i int, op *outPkt) {
+	w := c.work
+	if w == nil {
+		return
+	}
+	for k := range w.unacked {
+		w.unacked[k].walk(func(i int, op *outPkt) {
 			if chainDead(op, s) {
 				c.dropInflight(k, i)
 			}
@@ -682,12 +763,13 @@ func (c *conn) dropScattering(s *scattering) {
 	}
 	// Parked (MaxRetx-exhausted) packets of an aborted scattering will
 	// never be wanted again, not even by Controller Forwarding.
-	for psn, op := range c.stuckPkts {
+	for psn, op := range w.stuckPkts {
 		if chainDead(op, s) {
-			delete(c.stuckPkts, psn)
+			delete(w.stuckPkts, psn)
 		}
 	}
 	c.pump()
+	c.settle()
 }
 
 // chainDead reports whether the unit headed by op involves s and no
@@ -928,7 +1010,7 @@ func (h *Host) launch(s *scattering) {
 			if track {
 				// Queue; the pump transmits within the window, streaming
 				// oversized scatterings as ACKs return.
-				c.sendQ.push(op)
+				c.attach().sendQ.push(op)
 			} else {
 				s.unackedPkts-- // fire-and-forget
 				h.emit(c.buildPacket(op, psn))

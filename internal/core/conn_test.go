@@ -183,8 +183,7 @@ func TestBackpressureRefusesOversizedSend(t *testing.T) {
 		t.Fatalf("Stats.Backpressure = %d, want 1", h.Stats.Backpressure)
 	}
 	c := h.conns[connKey{0, 1}]
-	if c.reserved != 0 || c.inflight != 0 || c.sendQ.len() != 0 || c.nextPSN != [2]uint32{} ||
-		!c.unacked[0].empty() || !c.unacked[1].empty() || c.holdIdx != 0 ||
+	if c.reserved != 0 || c.inflight != 0 || c.work != nil || c.nextPSN != [2]uint32{} ||
 		len(h.waitQ) != 0 || len(h.outstanding) != 0 || h.Stats.MsgsSent != 0 || h.lastTS != 0 {
 		t.Fatalf("the refused send left state behind: conn %+v, %d waiting, %d outstanding, %d sent",
 			*c, len(h.waitQ), len(h.outstanding), h.Stats.MsgsSent)
@@ -193,19 +192,19 @@ func TestBackpressureRefusesOversizedSend(t *testing.T) {
 	if err := p.SendReliable([]Message{{Dst: 1, Size: 64}}); err != nil {
 		t.Fatalf("send after the refusal: %v", err)
 	}
-	if c.nextPSN[1] != 1 || c.sendQ.len() != 1 || len(h.outstanding) != 1 || h.Stats.MsgsSent != 1 {
+	if c.nextPSN[1] != 1 || c.view().sendQ.len() != 1 || len(h.outstanding) != 1 || h.Stats.MsgsSent != 1 {
 		t.Fatalf("send after the refusal did not launch cleanly: next PSN %d, %d queued, %d outstanding",
-			c.nextPSN[1], c.sendQ.len(), len(h.outstanding))
+			c.nextPSN[1], c.view().sendQ.len(), len(h.outstanding))
 	}
-	if c.holdIdx == 0 || !c.doorbell.isArmed() {
+	if w := c.view(); w.holdIdx == 0 || !w.doorbell.isArmed() {
 		t.Fatal("the single-message frame is not held for company")
 	}
 	err = p.SendReliable([]Message{{Dst: 1, Size: sendQueueCap * mtu}})
 	if !errors.As(err, &bp) || bp.Dst != 1 || bp.RetryAt != w.now+h.Cfg.BatchWindow {
 		t.Fatalf("send onto a held queue: err = %v, want RetryAt %v (the doorbell)", err, w.now+h.Cfg.BatchWindow)
 	}
-	if h.Stats.Backpressure != 2 || c.sendQ.len() != 1 || c.reserved != 0 {
-		t.Fatalf("second refusal: Backpressure %d, %d queued, %d reserved", h.Stats.Backpressure, c.sendQ.len(), c.reserved)
+	if h.Stats.Backpressure != 2 || c.view().sendQ.len() != 1 || c.reserved != 0 {
+		t.Fatalf("second refusal: Backpressure %d, %d queued, %d reserved", h.Stats.Backpressure, c.view().sendQ.len(), c.reserved)
 	}
 }
 

@@ -106,7 +106,7 @@ type Host struct {
 	conns map[connKey]*conn
 	waitQ []*scattering // credit-blocked, FIFO (held credits, §6.1)
 	// held lists the connections with a doorbell-held partial frame and
-	// the held head's timestamp (conn.holdIdx is the position plus one);
+	// the held head's timestamp (connWork.holdIdx is the position plus one);
 	// heldFloor caches the minimum so tsFloor can clamp the advertised
 	// barrier below every held (already timestamped but not yet emitted)
 	// message in O(1).
@@ -138,6 +138,10 @@ type Host struct {
 	// pendFree recycles delivered reorder-buffer entries (getPending /
 	// putPending); it never holds more than the buffers' peak occupancy.
 	pendFree []*pending
+	// connFree and rconnFree are LIFO free lists of pairs' transient parts
+	// (attach / settle): they hold at most as many as were ever busy at once.
+	connFree  []*connWork
+	rconnFree []*rconnWork
 	// Lazy connection lifecycle: evicted peers leave a tiny PSN cursor
 	// behind (send-side next PSNs, receive-side consumed-prefix bases) so
 	// the pair re-establishes mid-epoch without a handshake; evictTimer
@@ -241,11 +245,12 @@ type heldConn struct {
 // the floor (or tied with it): only then is the list walked.
 func (h *Host) holdSet(c *conn, ts sim.Time) {
 	var old sim.Time
-	if c.holdIdx == 0 {
+	w := c.work
+	if w.holdIdx == 0 {
 		h.held = append(h.held, heldConn{c, ts})
-		c.holdIdx = int32(len(h.held))
+		w.holdIdx = int32(len(h.held))
 	} else {
-		e := &h.held[c.holdIdx-1]
+		e := &h.held[w.holdIdx-1]
 		if old = e.ts; old == ts {
 			return
 		}
@@ -260,16 +265,17 @@ func (h *Host) holdSet(c *conn, ts sim.Time) {
 
 // holdClear removes c from the held set; the last entry takes its place.
 func (h *Host) holdClear(c *conn) {
-	if c.holdIdx == 0 {
+	w := c.work
+	if w.holdIdx == 0 {
 		return
 	}
-	i, last := int(c.holdIdx)-1, len(h.held)-1
+	i, last := int(w.holdIdx)-1, len(h.held)-1
 	old := h.held[i].ts
 	h.held[i] = h.held[last]
-	h.held[i].c.holdIdx = int32(i + 1)
+	h.held[i].c.work.holdIdx = int32(i + 1)
 	h.held[last] = heldConn{}
 	h.held = h.held[:last]
-	c.holdIdx = 0
+	w.holdIdx = 0
 	if old == h.heldFloor {
 		h.recomputeHeldFloor()
 	}
@@ -317,15 +323,15 @@ func (h *Host) evictTick() {
 }
 
 // evictIdle reclaims per-peer state last used at or before deadline. A
-// send-side conn is evictable only when nothing references it: no in-flight
-// or parked packets, an empty send queue, no reserved credits, no held
-// frame, and no credit-blocked scattering pointing at it. A receive-side
-// rconn is evictable only when both planes' assembly buffers are idle (no
-// buffered fragments, no reception holes) and both ACK accumulators have
-// flushed. Eviction leaves a PSN cursor in the memo maps so
-// getConn/getRconn re-establish the pair mid-epoch with sequence spaces
-// intact. Iteration is over sorted keys: eviction order is part of the
-// deterministic replay contract.
+// send-side conn is evictable only when nothing references it: its
+// transient part settled (no in-flight or parked packets, an empty send
+// queue, no held frame), no reserved credits, and no credit-blocked
+// scattering pointing at it. A receive-side rconn is evictable only when its
+// transient part settled: both planes' assembly buffers idle (no buffered
+// fragments, no reception holes) and both ACK accumulators flushed. Eviction
+// leaves a PSN cursor in the memo maps so getConn/getRconn re-establish the
+// pair mid-epoch with sequence spaces intact. Iteration is over sorted keys:
+// eviction order is part of the deterministic replay contract.
 func (h *Host) evictIdle(deadline sim.Time) {
 	var referenced map[*conn]bool
 	if len(h.waitQ) > 0 {
@@ -338,26 +344,27 @@ func (h *Host) evictIdle(deadline sim.Time) {
 	}
 	for _, k := range sortedConnKeys(h.conns) {
 		c := h.conns[k]
-		if c.lastUse > deadline || referenced[c] || c.holdIdx != 0 {
+		if c.lastUse > deadline || referenced[c] || c.reserved != 0 {
 			continue
 		}
-		if c.inflight != 0 || c.reserved != 0 || c.sendQ.len() != 0 ||
-			!c.unacked[0].empty() || !c.unacked[1].empty() || len(c.stuckPkts) != 0 {
+		c.settle()
+		if c.work != nil {
 			continue
 		}
-		c.rto.stop()
-		c.doorbell.stop()
 		h.connMemo[k] = connCursor{nextPSN: c.nextPSN}
 		delete(h.conns, k)
 		h.Stats.ConnsEvicted++
 	}
 	for _, k := range sortedConnKeys(h.rconns) {
 		rc := h.rconns[k]
-		if rc.lastUse > deadline || !rc.bufs[0].idle() || !rc.bufs[1].idle() ||
-			!rc.acks[0].idle() || !rc.acks[1].idle() {
+		if rc.lastUse > deadline {
 			continue
 		}
-		h.rconnMemo[k] = [2]uint32{rc.bufs[0].doneBase, rc.bufs[1].doneBase}
+		rc.settle()
+		if rc.work != nil {
+			continue
+		}
+		h.rconnMemo[k] = rc.doneBase
 		delete(h.rconns, k)
 		h.Stats.ConnsEvicted++
 	}
@@ -435,17 +442,23 @@ func (h *Host) Stop() {
 	h.stopped = true
 	h.beaconTimer.stop()
 	h.evictTimer.stop()
+	// Only attached parts can hold an armed timer: settle takes disarmed
+	// ones alone.
 	for _, c := range h.conns {
-		c.rto.stop()
-		c.doorbell.stop()
-		c.stopFailTimers()
+		if w := c.work; w != nil {
+			w.rto.stop()
+			w.doorbell.stop()
+			c.stopFailTimers()
+		}
 	}
 	for _, r := range h.recalls {
 		r.timer.stop()
 	}
 	for _, rc := range h.rconns {
-		rc.acks[0].timer.stop()
-		rc.acks[1].timer.stop()
+		if w := rc.work; w != nil {
+			w.acks[0].timer.stop()
+			w.acks[1].timer.stop()
+		}
 	}
 }
 
@@ -660,10 +673,14 @@ func (h *Host) send(p *Proc, msgs []Message, o SendOptions) error {
 	// state behind.
 	for i := range s.credits {
 		cr := &s.credits[i]
-		if cr.conn.sendQ.len()+cr.needed > sendQueueCap {
+		w, queued := cr.conn.work, 0
+		if w != nil {
+			queued = w.sendQ.len()
+		}
+		if queued+cr.needed > sendQueueCap {
 			h.Stats.Backpressure++
 			retry := h.wire.Now() + h.Cfg.RTO
-			if cr.conn.holdIdx != 0 && cr.conn.doorbell.isArmed() {
+			if w != nil && w.holdIdx != 0 && w.doorbell.isArmed() {
 				retry = h.wire.Now() + h.Cfg.BatchWindow
 			}
 			return &BackpressureError{Dst: cr.conn.key.dst, RetryAt: retry}

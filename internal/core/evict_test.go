@@ -70,9 +70,8 @@ func runBurstyWorkload(t *testing.T, seed int64, evict sim.Time) ([][]propRec, *
 // resume PSN-continuously on the second burst (a reset PSN would surface as
 // a duplicate drop or a reordering below), and the per-process delivery
 // logs are identical to the eviction-off run — eviction is invisible to the
-// application. The sweep also reclaims the receive-side state, ACK
-// accumulators included, which the eviction-off run keeps for every peer
-// that ever sent.
+// application. The sweep also reclaims the receive-side state, which the
+// eviction-off run keeps for every peer that ever sent.
 func TestConnEvictionTransparent(t *testing.T) {
 	const seed = 77
 	base, baseCl := runBurstyWorkload(t, seed, 0)
@@ -87,7 +86,7 @@ func TestConnEvictionTransparent(t *testing.T) {
 	}
 	for _, h := range cl.Hosts {
 		if n := len(h.rconns); n != 0 {
-			t.Fatalf("host %d still holds %d rconns, with their ACK accumulators, after the idle sweep", h.ID, n)
+			t.Fatalf("host %d still holds %d rconns after the idle sweep", h.ID, n)
 		}
 	}
 

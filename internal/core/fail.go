@@ -80,12 +80,13 @@ func (h *Host) discardFrom(failed map[netsim.ProcID]sim.Time) {
 	// no further fragments will arrive.
 	for key, rc := range h.rconns {
 		fts, dead := failed[key.src]
-		if !dead {
+		if !dead || rc.work == nil {
 			continue
 		}
-		for k := range rc.bufs {
-			rc.bufs[k].dropWhere(func(p *netsim.Packet) bool { return p.MsgTS > fts })
+		for k := range rc.work.bufs {
+			rc.work.bufs[k].dropWhere(func(p *netsim.Packet) bool { return p.MsgTS > fts })
 		}
+		rc.settle()
 	}
 }
 
@@ -172,8 +173,13 @@ func (h *Host) recallAffected(failed map[netsim.ProcID]sim.Time) {
 			continue
 		}
 		c := h.conns[key]
-		for k := range c.unacked {
-			c.unacked[k].walk(func(slot int, op *outPkt) {
+		w := c.work
+		if w == nil {
+			continue
+		}
+		w.pins++ // OnSendFail runs inside the walk
+		for k := range w.unacked {
+			w.unacked[k].walk(func(slot int, op *outPkt) {
 				c.dropInflight(k, slot)
 				// A frame chain carries several scatterings in one slot; each
 				// live best-effort member fails individually.
@@ -190,9 +196,11 @@ func (h *Host) recallAffected(failed map[netsim.ProcID]sim.Time) {
 				}
 			})
 		}
+		w.pins--
 		// Parked (MaxRetx-exhausted) packets toward the failed process are
 		// equally unACKable; their scatterings were aborted above.
-		c.stuckPkts = nil
+		w.stuckPkts = nil
+		c.settle()
 	}
 	h.grantCredits()
 }
@@ -328,10 +336,11 @@ func (h *Host) removeBuffered(src netsim.ProcID, ts sim.Time) {
 	h.Stats.ReorderHotBytes = h.beQ.hotBytes + h.relQ.hotBytes + h.rlxQ.hotBytes
 	// Buffered fragments of the recalled message are consumed unseen.
 	for key, rc := range h.rconns {
-		if key.src != src {
+		if key.src != src || rc.work == nil {
 			continue
 		}
-		rc.bufs[1].dropWhere(func(p *netsim.Packet) bool { return p.MsgTS == ts })
+		rc.work.bufs[1].dropWhere(func(p *netsim.Packet) bool { return p.MsgTS == ts })
+		rc.settle()
 	}
 }
 
@@ -341,11 +350,12 @@ func (h *Host) removeBuffered(src netsim.ProcID, ts sim.Time) {
 // reachable.
 func (h *Host) PendingTo(src, dst netsim.ProcID) []*netsim.Packet {
 	c := h.conns[connKey{src: src, dst: dst}]
-	if c == nil {
+	if c == nil || c.work == nil {
 		return nil
 	}
+	w := c.work
 	var out []*netsim.Packet
-	c.unacked[1].walk(func(_ int, op *outPkt) {
+	w.unacked[1].walk(func(_ int, op *outPkt) {
 		if pkt := c.buildUnit(op); pkt != nil {
 			out = append(out, pkt)
 		}
@@ -353,12 +363,12 @@ func (h *Host) PendingTo(src, dst netsim.ProcID) []*netsim.Packet {
 	// Packets parked after MaxRetx exhaustion are exactly the ones the
 	// controller is being asked to forward. buildUnit skips aborted chain
 	// members and returns nil for fully aborted chains.
-	for _, op := range c.stuckPkts {
+	for _, op := range w.stuckPkts {
 		if pkt := c.buildUnit(op); pkt != nil {
 			out = append(out, pkt)
 		}
 	}
-	for _, op := range c.sendQ.live() {
+	for _, op := range w.sendQ.live() {
 		if op.scat.reliable && !op.scat.aborted {
 			out = append(out, c.buildPacket(op, op.psn))
 		}

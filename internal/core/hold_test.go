@@ -18,6 +18,9 @@ func TestHeldFloorMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := &Host{}
 		conns := make([]conn, 32)
+		for i := range conns {
+			conns[i].work = new(connWork) // holds are kept on attached parts
+		}
 		model := make(map[*conn]sim.Time)
 		for step := 0; step < 4000; step++ {
 			c := &conns[rng.Intn(len(conns))]
@@ -48,16 +51,16 @@ func TestHeldFloorMatchesBruteForce(t *testing.T) {
 				t.Fatalf("seed %d step %d: heldFloor %d, brute force %d (%d held)", seed, step, h.heldFloor, want, len(model))
 			}
 			for i := range conns {
-				if c := &conns[i]; model[c] == 0 && c.holdIdx != 0 {
-					t.Fatalf("seed %d step %d: released conn %d keeps index %d", seed, step, i, c.holdIdx)
+				if c := &conns[i]; model[c] == 0 && c.work.holdIdx != 0 {
+					t.Fatalf("seed %d step %d: released conn %d keeps index %d", seed, step, i, c.work.holdIdx)
 				}
 			}
 			if len(h.held) != len(model) {
 				t.Fatalf("seed %d step %d: %d conns held, model has %d", seed, step, len(h.held), len(model))
 			}
 			for i, e := range h.held {
-				if int(e.c.holdIdx) != i+1 || e.ts != model[e.c] {
-					t.Fatalf("seed %d step %d: entry %d has index %d and holds %d, model %d", seed, step, i, e.c.holdIdx, e.ts, model[e.c])
+				if int(e.c.work.holdIdx) != i+1 || e.ts != model[e.c] {
+					t.Fatalf("seed %d step %d: entry %d has index %d and holds %d, model %d", seed, step, i, e.c.work.holdIdx, e.ts, model[e.c])
 				}
 			}
 		}

@@ -72,11 +72,11 @@ func TestMaxRetxRestoresWindowSlots(t *testing.T) {
 	if got, want := c.available(), c.window(); got != want {
 		t.Errorf("available()=%d, want full window %d", got, want)
 	}
-	if n := c.unacked[1].len(); n != 0 {
+	if n := c.view().unacked[1].len(); n != 0 {
 		t.Errorf("%d packets still in unacked[1] after exhaustion", n)
 	}
-	if len(c.stuckPkts) != total {
-		t.Errorf("%d packets parked, want %d", len(c.stuckPkts), total)
+	if n := len(c.view().stuckPkts); n != total {
+		t.Errorf("%d packets parked, want %d", n, total)
 	}
 	// Fresh traffic on other connections is unaffected; the same connection
 	// accepts and launches new scatterings into the restored window.
@@ -104,7 +104,7 @@ func TestMaxRetxStuckPacketCompletedByLateAck(t *testing.T) {
 
 	h := cl.Hosts[0]
 	c := h.conns[connKey{src: 0, dst: 1}]
-	if c == nil || len(c.stuckPkts) != 1 {
+	if c == nil || len(c.view().stuckPkts) != 1 {
 		t.Fatalf("expected exactly one parked packet, conn=%v", c)
 	}
 	if len(h.outstanding) != 1 {
@@ -115,13 +115,13 @@ func TestMaxRetxStuckPacketCompletedByLateAck(t *testing.T) {
 		t.Fatalf("PendingTo sees %d packets, want 1", len(pkts))
 	}
 	var psn uint32
-	for p := range c.stuckPkts {
+	for p := range c.view().stuckPkts {
 		psn = p
 	}
 	// Deliver the (controller-relayed) ACK.
 	h.HandlePacket(&netsim.Packet{Kind: netsim.KindAck, Src: 1, Dst: 0, Reliable: true, PSN: psn})
 	cl.Run(sim.Millisecond)
-	if len(c.stuckPkts) != 0 {
+	if len(c.view().stuckPkts) != 0 {
 		t.Error("parked packet not cleared by late ACK")
 	}
 	if len(h.outstanding) != 0 {
@@ -181,5 +181,50 @@ func TestRecallMaxRetxCleansUp(t *testing.T) {
 	}
 	if h.Stats.StuckReports == 0 {
 		t.Error("recall exhaustion never escalated via OnStuck")
+	}
+}
+
+// TestSynchronousStuckResolve: an OnStuck hook that resolves the stall on
+// the spot and sends elsewhere runs inside the RTO's walk of the stalled
+// conn's ring. Resolving drops the scattering's last units, which leaves the
+// conn idle mid-walk; its transient part must stay attached until the walk
+// is over, or the new send takes it over and the walk retransmits the other
+// pair's units under this pair's addresses.
+func TestSynchronousStuckResolve(t *testing.T) {
+	cl := twoHostCluster(3, 2)
+	h := cl.Hosts[0]
+	failed, resolved := 0, 0
+	cl.Procs[0].OnSendFail = func(SendFailure) { failed++ }
+	delivered := 0
+	cl.Procs[2].OnDeliver = func(d Delivery) {
+		if d.Src != 0 || d.Data != "elsewhere" {
+			t.Errorf("proc 2 delivered %+v", d)
+		}
+		delivered++
+	}
+	h.OnStuck = func(src, dst netsim.ProcID, ts sim.Time) {
+		if resolved > 0 {
+			return
+		}
+		resolved++
+		h.ResolveUnreachable(dst, ts)
+		if err := cl.Procs[0].SendReliable([]Message{{Dst: 2, Data: "elsewhere", Size: 1500}}); err != nil {
+			t.Error(err)
+		}
+	}
+	cl.Net.Eng.At(50*sim.Microsecond, func() {
+		cl.Net.G.KillNode(cl.Net.G.Host(1))
+		// Two fragments: the walk parks the first, and the hook's resolve
+		// drops the second.
+		if err := cl.Procs[0].SendReliable([]Message{{Dst: 1, Size: 1500}}); err != nil {
+			t.Error(err)
+		}
+	})
+	cl.Run(10 * sim.Millisecond)
+	if resolved != 1 || failed != 1 || delivered != 1 {
+		t.Fatalf("%d resolves, %d send failures, %d deliveries at proc 2; want 1, 1, 1", resolved, failed, delivered)
+	}
+	if c := h.conns[connKey{0, 1}]; c.work != nil || c.inflight != 0 {
+		t.Fatalf("the stalled pair did not settle: attached %v, inflight %d", c.work != nil, c.inflight)
 	}
 }

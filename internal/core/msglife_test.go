@@ -201,18 +201,19 @@ func checkSlabs(t *testing.T, h *Host, seen map[*scattering]*slabSnap) {
 		}
 	}
 	for _, c := range h.conns {
-		for _, op := range c.sendQ.live() {
+		w := c.view()
+		for _, op := range w.sendQ.live() {
 			visit("sendQ", op)
 		}
-		for k := range c.unacked {
-			r := &c.unacked[k]
+		for k := range w.unacked {
+			r := &w.unacked[k]
 			for _, sl := range r.slots[r.head:] {
 				if sl.op != nil {
 					chain("unacked", sl.psn, sl.op)
 				}
 			}
 		}
-		for psn, op := range c.stuckPkts {
+		for psn, op := range w.stuckPkts {
 			chain("stuckPkts", psn, op)
 		}
 	}
@@ -286,7 +287,7 @@ func TestScatteringSlabStable(t *testing.T) {
 		checkSlabs(t, hosts[0], seen)
 		if !aborted && wide.launched && wide.unackedPkts <= wide.totalPkts-20 {
 			queued := 0
-			for _, op := range hosts[0].conns[connKey{0, 1}].sendQ.live() {
+			for _, op := range hosts[0].conns[connKey{0, 1}].view().sendQ.live() {
 				if op.scat == wide {
 					queued++
 				}
@@ -318,7 +319,7 @@ func TestScatteringSlabStable(t *testing.T) {
 	if len(seen) != 7 {
 		t.Fatalf("saw %d scatterings on the wire side, sent 7", len(seen))
 	}
-	if c := hosts[0].conns[connKey{0, 1}]; c.sendQ.len() != 0 || c.unacked[0].len()+c.unacked[1].len() != 0 {
-		t.Fatalf("stream did not finish: %d queued, %d unacked", c.sendQ.len(), c.unacked[0].len()+c.unacked[1].len())
+	if w := hosts[0].conns[connKey{0, 1}].view(); w.sendQ.len() != 0 || w.unacked[0].len()+w.unacked[1].len() != 0 {
+		t.Fatalf("stream did not finish: %d queued, %d unacked", w.sendQ.len(), w.unacked[0].len()+w.unacked[1].len())
 	}
 }

@@ -230,16 +230,17 @@ type asmBuf struct {
 	capped   bool   // best-effort: bound the done set by forcing doneBase forward
 	done     map[uint32]bool
 	frags    map[uint32]*netsim.Packet
-	// free, when set, releases consumed fragments back to the packet pool.
-	// Production buffers (getRconn) wire it to netsim.PutPacket; unit tests
-	// that drive the buffer with their own reusable packets leave it nil.
-	free func(*netsim.Packet)
 }
 
 // asmDoneCap bounds the done set of a best-effort assembly buffer: beyond
 // it, permanently-lost PSN holes are forgotten (their late arrivals are
 // treated as duplicates — acceptable for at-most-once traffic).
 const asmDoneCap = 4096
+
+// releaseFrag returns a fragment an assembly buffer consumed to the packet
+// pool. Unit tests that drive a buffer with their own reusable packets swap
+// it for a counter.
+var releaseFrag = netsim.PutPacket
 
 func (a *asmBuf) isDup(psn uint32) bool {
 	return psn < a.doneBase || a.done[psn] || a.frags[psn] != nil
@@ -269,9 +270,7 @@ func (a *asmBuf) markDone(psn uint32) {
 			// never returned to the pool. Drop and free it as the base passes.
 			if f := a.frags[a.doneBase]; f != nil {
 				delete(a.frags, a.doneBase)
-				if a.free != nil {
-					a.free(f)
-				}
+				releaseFrag(f)
 			}
 			delete(a.done, a.doneBase)
 			a.doneBase++
@@ -331,8 +330,8 @@ func (a *asmBuf) add(pkt *netsim.Packet) (last *netsim.Packet, size int, complet
 		// Consumed non-final fragments are terminal here; the final fragment
 		// is returned to the caller, which releases it after the payload
 		// reference has been copied out.
-		if a.free != nil && f != last {
-			a.free(f)
+		if f != last {
+			releaseFrag(f)
 		}
 	}
 	return last, size, true
@@ -357,9 +356,7 @@ func (a *asmBuf) skip(pkt *netsim.Packet) {
 		}
 		delete(a.frags, j)
 		a.markDone(j)
-		if a.free != nil {
-			a.free(f)
-		}
+		releaseFrag(f)
 		if f.EndOfMsg {
 			break
 		}
@@ -372,24 +369,70 @@ func (a *asmBuf) dropWhere(pred func(*netsim.Packet) bool) {
 		if pred(f) {
 			delete(a.frags, psn)
 			a.markDone(psn)
-			if a.free != nil {
-				a.free(f)
-			}
+			releaseFrag(f)
 		}
 	}
 }
 
-// rconn is receive-side state per (remote sender process, local process):
-// each plane's assembly buffer and ACK accumulator, embedded, so that a new
-// pair costs one object.
+// rconn is receive-side state per (remote sender process, local process).
+// An idle pair is its two consumed-prefix cursors; the assembly buffers and
+// ACK accumulators are its transient part (rconnWork), attached while a
+// packet is handled and until its ACKs have flushed.
 type rconn struct {
 	key  connKey
 	host *Host
 	// lastUse is the host clock at the last packet received on this pair;
 	// the idle-eviction sweep reclaims receive state past Config.ConnIdleEvict.
 	lastUse sim.Time
-	bufs    [2]asmBuf
-	acks    [2]ackPend
+	// doneBase holds each plane's asmBuf.doneBase while work is nil; an
+	// attached part's buffers carry the cursors meanwhile.
+	doneBase [2]uint32
+	work     *rconnWork
+}
+
+// rconnWork is the transient part of an rconn: each plane's assembly buffer
+// and ACK accumulator. Like connWork it lives on a per-host free list
+// between pairs, its maps travelling with it.
+type rconnWork struct {
+	bufs [2]asmBuf
+	acks [2]ackPend
+}
+
+// attach gives rc a transient part, from the host's free list when it has
+// one, loaded with rc's cursors and with its flush timers bound to rc.
+func (rc *rconn) attach() *rconnWork {
+	if rc.work != nil {
+		return rc.work
+	}
+	h := rc.host
+	var w *rconnWork
+	if n := len(h.rconnFree); n > 0 {
+		w = h.rconnFree[n-1]
+		h.rconnFree[n-1] = nil
+		h.rconnFree = h.rconnFree[:n-1]
+	} else {
+		w = new(rconnWork)
+		w.bufs[0].capped = true
+	}
+	w.bufs[0].doneBase, w.bufs[1].doneBase = rc.doneBase[0], rc.doneBase[1]
+	w.acks[0].timer.init(h, (*rconnAckBE)(rc))
+	w.acks[1].timer.init(h, (*rconnAckRel)(rc))
+	rc.work = w
+	return w
+}
+
+// settle stores rc's cursors back and returns its transient part to the
+// host's free list once both buffers and both accumulators are idle.
+func (rc *rconn) settle() {
+	w := rc.work
+	if w == nil || !w.bufs[0].idle() || !w.bufs[1].idle() || !w.acks[0].idle() || !w.acks[1].idle() {
+		return
+	}
+	rc.doneBase = [2]uint32{w.bufs[0].doneBase, w.bufs[1].doneBase}
+	w.acks[0].timer.release()
+	w.acks[1].timer.release()
+	rc.work = nil
+	rc.host.rconnFree = append(rc.host.rconnFree, w)
 }
 
 // rconnAckBE and rconnAckRel are the handlers of an rconn's two ACK-flush
@@ -399,26 +442,22 @@ type (
 	rconnAckRel rconn
 )
 
-func (r *rconnAckBE) Fire()  { r.host.flushAcks((*rconn)(r), 0) }
-func (r *rconnAckRel) Fire() { r.host.flushAcks((*rconn)(r), 1) }
+func (r *rconnAckBE) Fire()  { r.host.ackTimeout((*rconn)(r), 0) }
+func (r *rconnAckRel) Fire() { r.host.ackTimeout((*rconn)(r), 1) }
 
+// getRconn returns the receive state of (src, dst) with its transient part
+// attached; the caller settles it when done with the packet.
 func (h *Host) getRconn(src, dst netsim.ProcID) *rconn {
 	k := connKey{src, dst}
 	rc := h.rconns[k]
 	if rc == nil {
 		rc = &rconn{key: k, host: h}
-		rc.bufs[0].capped = true
-		rc.bufs[0].free = netsim.PutPacket
-		rc.bufs[1].free = netsim.PutPacket
-		rc.acks[0].timer.init(h, (*rconnAckBE)(rc))
-		rc.acks[1].timer.init(h, (*rconnAckRel)(rc))
 		// Re-establishment after eviction: the retained PSN cursors restore
 		// each plane's consumed-prefix position, so a retransmission of an
 		// already-consumed packet is still classified duplicate and fresh
 		// PSNs resume exactly where the evicted state left off.
 		if cur, ok := h.rconnMemo[k]; ok {
-			rc.bufs[0].doneBase = cur[0]
-			rc.bufs[1].doneBase = cur[1]
+			rc.doneBase = cur
 			delete(h.rconnMemo, k)
 		}
 		h.rconns[k] = rc
@@ -427,6 +466,7 @@ func (h *Host) getRconn(src, dst netsim.ProcID) *rconn {
 	if h.Cfg.ConnIdleEvict > 0 {
 		rc.lastUse = h.wire.Now()
 	}
+	rc.attach()
 	return rc
 }
 
@@ -508,7 +548,8 @@ func (h *Host) handleData(pkt *netsim.Packet) {
 		return
 	}
 	rc := h.getRconn(pkt.Src, pkt.Dst)
-	buf := &rc.bufs[cls(pkt.Reliable)]
+	defer rc.settle()
+	buf := &rc.work.bufs[cls(pkt.Reliable)]
 	if buf.isDup(pkt.PSN) {
 		h.Stats.DupPkts++
 		h.ackPacket(rc, pkt) // retransmission of a consumed packet: re-ACK
@@ -562,7 +603,8 @@ func (h *Host) handleFrame(pkt *netsim.Packet) {
 		return
 	}
 	rc := h.getRconn(pkt.Src, pkt.Dst)
-	buf := &rc.bufs[cls(pkt.Reliable)]
+	defer rc.settle()
+	buf := &rc.work.bufs[cls(pkt.Reliable)]
 	if buf.isDup(pkt.PSN) {
 		h.Stats.DupPkts++
 		h.ackPacket(rc, pkt) // retransmission of a consumed frame: re-ACK
@@ -665,7 +707,7 @@ func (h *Host) ackPacket(rc *rconn, pkt *netsim.Packet) {
 		return
 	}
 	k := cls(pkt.Reliable)
-	p := &rc.acks[k]
+	p := &rc.work.acks[k]
 	if p.batch == nil {
 		p.batch = netsim.GetAckBatch()
 		p.timer.reset(h, h.Cfg.AckFlush)
@@ -680,7 +722,7 @@ func (h *Host) ackPacket(rc *rconn, pkt *netsim.Packet) {
 // flushAcks emits one coalesced ACK packet carrying every PSN pending on
 // plane k of rc.
 func (h *Host) flushAcks(rc *rconn, k int) {
-	p := &rc.acks[k]
+	p := &rc.work.acks[k]
 	if p.batch == nil {
 		return
 	}
@@ -693,6 +735,13 @@ func (h *Host) flushAcks(rc *rconn, k int) {
 	ack.Payload = batch // the packet owns it from here: PutPacket releases it
 	ack.Size = netsim.HeaderBytes + 5*len(batch.PSNs)
 	h.emit(ack)
+}
+
+// ackTimeout is the flush timer of plane k of rc firing: the ACKs go out,
+// and a pair with nothing else pending settles.
+func (h *Host) ackTimeout(rc *rconn, k int) {
+	h.flushAcks(rc, k)
+	rc.settle()
 }
 
 func (h *Host) enqueueMsg(pkt *netsim.Packet, size int) {
@@ -952,14 +1001,15 @@ func (h *Host) flushDeliveries() {
 // application immediately instead of waiting for the send-fail timeout.
 func (h *Host) handleNak(pkt *netsim.Packet) {
 	c := h.conns[connKey{src: pkt.Dst, dst: pkt.Src}]
-	if c == nil {
+	if c == nil || c.work == nil {
 		return
 	}
-	i := c.unacked[0].find(pkt.PSN)
+	ring := &c.work.unacked[0]
+	i := ring.find(pkt.PSN)
 	if i < 0 {
 		return
 	}
-	op := c.unacked[0].slots[i].op
+	op := ring.slots[i].op
 	c.dropInflight(0, i)
 	// A NAKed frame fails every live member: the receiver skipped the
 	// whole PSN span.
@@ -970,4 +1020,5 @@ func (h *Host) handleNak(pkt *netsim.Packet) {
 		h.failMessage(m.scat, int(m.msgIdx))
 	}
 	h.grantCredits()
+	c.settle()
 }

@@ -77,8 +77,8 @@ func TestQuiescentPendingAfterAckedSends(t *testing.T) {
 		t.Fatalf("%d of %d delivered", delivered, n)
 	}
 	for k, c := range cl.Hosts[0].conns {
-		if c.unacked[0].len() != 0 || c.sendQ.len() != 0 {
-			t.Fatalf("conn %v still has %d unACKed, %d queued", k, c.unacked[0].len(), c.sendQ.len())
+		if w := c.view(); w.unacked[0].len() != 0 || w.sendQ.len() != 0 {
+			t.Fatalf("conn %v still has %d unACKed, %d queued", k, w.unacked[0].len(), w.sendQ.len())
 		}
 	}
 	if got := eng.Pending(); got != idle {
@@ -204,8 +204,8 @@ func TestSendFailFiresOnceAtDeadline(t *testing.T) {
 	if fails[0].Data != "lost-ack" || fails[0].TS != sentAt || failAt[0] != sentAt+cfg.SendFailTimeout {
 		t.Fatalf("failure %+v reported at %v, want at ts + %v", fails[0], failAt[0], cfg.SendFailTimeout)
 	}
-	if c := hosts[0].conns[connKey{0, 1}]; c.unacked[0].len() != 0 || c.inflight != 0 {
-		t.Fatalf("timed-out packet still holds its window slot: %d unacked, inflight %d", c.unacked[0].len(), c.inflight)
+	if c := hosts[0].conns[connKey{0, 1}]; c.view().unacked[0].len() != 0 || c.inflight != 0 {
+		t.Fatalf("timed-out packet still holds its window slot: %d unacked, inflight %d", c.view().unacked[0].len(), c.inflight)
 	}
 	// Same phase of the beacon interval as the idle sample.
 	if got := eng.Pending(); got != idle {
@@ -237,14 +237,14 @@ func TestStopLeavesNoArmedTimer(t *testing.T) {
 	// Doorbell armed now; a little later the data is out (RTO, send-fail
 	// armed) and host 1 is batching ACKs (ACK-flush armed).
 	c := hosts[0].conns[connKey{0, 1}]
-	if !c.doorbell.isArmed() {
+	if !c.view().doorbell.isArmed() {
 		t.Fatal("doorbell not armed after a partial frame was queued")
 	}
 	eng.RunUntil(eng.Now() + cfg.BatchWindow + cableDelay + 100)
-	if !c.rto.isArmed() {
+	if !c.view().rto.isArmed() {
 		t.Fatal("RTO not armed with reliable packets in flight")
 	}
-	if rc := hosts[1].rconns[connKey{0, 1}]; rc == nil || rc.acks[0].idle() && rc.acks[1].idle() {
+	if rc := hosts[1].rconns[connKey{0, 1}]; rc == nil || rc.view().acks[0].idle() && rc.view().acks[1].idle() {
 		t.Fatal("receiver is not batching ACKs")
 	}
 	// A recall in progress: its retransmission timer is armed too.
@@ -269,8 +269,8 @@ func TestStopLeavesNoArmedTimer(t *testing.T) {
 }
 
 // TestEvictionLeavesNoArmedTimer: after idle eviction has reclaimed the
-// connections (and the ACK accumulators inside them), the queue holds what
-// it held before there was any traffic.
+// connections (their ACK accumulators settled long before), the queue holds
+// what it held before there was any traffic.
 func TestEvictionLeavesNoArmedTimer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ConnIdleEvict = 30 * sim.Microsecond

@@ -237,8 +237,8 @@ type engineWire interface {
 // where a stopped or superseded firing still runs as a no-op.
 //
 // Whoever drops a struct with an embedded timer must stop it first: an
-// armed timer is reachable from the queue. The struct is 48 bytes and must
-// stay there — sparse fabrics hold two per connection and one per ACK peer.
+// armed timer is reachable from the queue. The struct is 48 bytes: each
+// side of a busy pair holds two (connWork, rconnWork).
 type timer struct {
 	// st holds the handler on either path and is the queue entry on the
 	// engine path.
@@ -250,6 +250,12 @@ type timer struct {
 
 // init binds the timer to h's timer queue and to the handler it fires.
 func (t *timer) init(h *Host, hd sim.Handler) { t.st.Init(h.eng, hd) }
+
+// release unbinds a disarmed timer from its handler, so that a pooled part
+// holding it keeps no pair reachable. The epoch is kept: an After closure
+// armed for the previous owner may still run, and only a later epoch
+// tells it the arming it belongs to is gone.
+func (t *timer) release() { t.st.Init(nil, nil) }
 
 func (t *timer) reset(h *Host, d sim.Time) {
 	if h.eng != nil {

@@ -94,35 +94,6 @@ func TestScenarioHotBufferBound(t *testing.T) {
 	}
 }
 
-// TestScenarioEvictionUnderFailure runs the lazy-connection lifecycle
-// against the §5.2 machinery: idle eviction armed with a short period, a
-// loss burst and a host crash mid-workload. Evictions must actually happen,
-// re-established connections must resume PSN-continuously (any replayed or
-// misnumbered packet would trip at-most-once or local-order), and the
-// delivery log must be byte-identical to the eviction-off run — eviction
-// reclaims memory, it never changes what the application sees.
-func TestScenarioEvictionUnderFailure(t *testing.T) {
-	faults := []Fault{
-		{At: 1200 * sim.Microsecond, Kind: FaultLossBurst, Dur: 600 * sim.Microsecond, Rate: 0.1},
-		{At: 2000 * sim.Microsecond, Kind: FaultHostCrash, Host: 2},
-	}
-	base := craftedPlan(19, faults...)
-	evict := craftedPlan(19, faults...)
-	evict.ConnIdleEvict = 80 * sim.Microsecond
-
-	rBase := Run(base)
-	rEv := runSeed(t, evict)
-	if vios := Check(rEv); len(vios) > 0 {
-		failSeed(t, evict, vios)
-	}
-	if rEv.Stats.ConnsEvicted == 0 {
-		t.Fatal("no connection was ever evicted — the lifecycle never engaged; shorten ConnIdleEvict")
-	}
-	if rBase.Digest() != rEv.Digest() {
-		t.Fatalf("eviction changed the delivery log: %s != %s", rEv.Digest()[:16], rBase.Digest()[:16])
-	}
-}
-
 // TestScenarioHotBoundCheckerSensitivity is invariant 14's negative control:
 // a run whose reported peak hot occupancy exceeds the plan's cap must trip
 // hot-buffer-bound. Guards against the checker silently checking nothing.

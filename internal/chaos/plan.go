@@ -153,13 +153,11 @@ type Plan struct {
 	// harness widens it to harvest multi-message frames.
 	BatchWindow sim.Time
 
-	// ReorderHotCap and ConnIdleEvict arm the bounded-memory machinery on
-	// every endpoint: the hot reorder-heap cap (entries per plane; spill to
-	// the cold store beyond it) and the idle connection-eviction period.
-	// Like BatchWindow these are crafted-scenario knobs seed derivation
-	// never sets, so existing golden digests are unaffected.
+	// ReorderHotCap arms the bounded reorder memory on every endpoint: the
+	// hot reorder-heap cap (entries per plane; spill to the cold store
+	// beyond it). Like BatchWindow it is a crafted-scenario knob seed
+	// derivation never sets, so existing golden digests are unaffected.
 	ReorderHotCap int
-	ConnIdleEvict sim.Time
 
 	// NonuniformPipeline arms the DESIGN deviation #8 regression knob in
 	// netsim — used only by the harness's own detection self-test.
@@ -404,7 +402,6 @@ func (p *Plan) CoreConfig() core.Config {
 		cfg.BatchWindow = p.BatchWindow
 	}
 	cfg.ReorderHotCap = p.ReorderHotCap
-	cfg.ConnIdleEvict = p.ConnIdleEvict
 	return cfg
 }
 

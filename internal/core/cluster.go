@@ -118,7 +118,6 @@ func (cl *Cluster) TotalStats() HostStats {
 		t.ReorderSpills += h.Stats.ReorderSpills
 		t.RelaxedDeliveries += h.Stats.RelaxedDeliveries
 		t.ConnsLive += h.Stats.ConnsLive
-		t.ConnsEvicted += h.Stats.ConnsEvicted
 		if h.Stats.MaxBufferBytes > t.MaxBufferBytes {
 			t.MaxBufferBytes = h.Stats.MaxBufferBytes
 		}

@@ -200,13 +200,6 @@ func (r *unitRing) walk(fn func(i int, op *outPkt)) {
 	}
 }
 
-// connCursor is the residue of an evicted send-side connection: the next
-// PSN of each plane, retained so a re-established conn continues the same
-// sequence spaces the receiver's consumed-prefix tracking expects.
-type connCursor struct {
-	nextPSN [2]uint32
-}
-
 // conn is the send-side state for one (source process, destination process)
 // pair. What it keeps for life is small: PSN spaces, window accounting and
 // DCTCP congestion control (§6.1). Queues, in-flight rings and timers are a
@@ -216,10 +209,6 @@ type conn struct {
 	host      *Host
 	nextPSN   [2]uint32
 	windowEnd [2]uint32
-	// lastUse is the host clock at the last send-side activity (scattering
-	// construction or ACK); the idle-eviction sweep compares it against
-	// Config.ConnIdleEvict.
-	lastUse sim.Time
 	// inflight + reserved are charged against min(cwnd, recvWindow).
 	inflight int
 	reserved int
@@ -269,7 +258,8 @@ type connWork struct {
 }
 
 // idle reports whether the part holds nothing a later send could not
-// rebuild: the test evictIdle applies to a whole conn, plus both timers.
+// rebuild: nothing in flight, queued, parked, held or pinned, and both
+// timers disarmed.
 func (w *connWork) idle() bool {
 	return w.unacked[0].empty() && w.unacked[1].empty() && w.sendQ.len() == 0 &&
 		len(w.stuckPkts) == 0 && w.holdIdx == 0 && w.pins == 0 &&
@@ -320,18 +310,8 @@ func (h *Host) getConn(src, dst netsim.ProcID) *conn {
 			host: h,
 			cwnd: h.Cfg.InitCwnd,
 		}
-		// Re-establishment after idle eviction: resume the evicted PSN
-		// spaces so the receiver's duplicate detection stays coherent.
-		if cur, ok := h.connMemo[k]; ok {
-			c.nextPSN = cur.nextPSN
-			c.windowEnd = cur.nextPSN
-			delete(h.connMemo, k)
-		}
 		h.conns[k] = c
 		h.Stats.ConnsLive = int64(len(h.conns) + len(h.rconns))
-	}
-	if h.Cfg.ConnIdleEvict > 0 {
-		c.lastUse = h.wire.Now()
 	}
 	return c
 }
@@ -349,9 +329,6 @@ func (c *conn) available() int {
 
 // onAck processes one end-to-end ACK.
 func (c *conn) onAck(reliable bool, psn uint32, ecn bool) {
-	if c.host.Cfg.ConnIdleEvict > 0 {
-		c.lastUse = c.host.wire.Now()
-	}
 	w := c.work
 	if w == nil {
 		return // duplicate ACK: nothing of the pair is in flight

@@ -72,12 +72,11 @@ type HostStats struct {
 	// RelaxedDeliveries counts deliveries that bypassed the cross-class
 	// total order: untagged messages under DeliverConflictAware.
 	RelaxedDeliveries uint64
-	// Hybrid reorder buffering and lazy connection lifecycle gauges.
+	// Hybrid reorder buffering and per-pair state gauges.
 	ReorderSpills   uint64 // entries that overflowed a hot heap into the cold store
 	ReorderHotBytes int64  // current hot-heap occupancy across both planes, bytes
 	ReorderHotMax   int64  // peak hot-heap occupancy of either plane, entries
-	ConnsLive       int64  // current conn + rconn state objects
-	ConnsEvicted    uint64 // idle conn/rconn evictions performed
+	ConnsLive       int64  // conn + rconn pairs met so far; a pair is kept for life
 }
 
 // Host is the lib1pipe runtime for one machine (§6.1). All processes on
@@ -142,13 +141,6 @@ type Host struct {
 	// (attach / settle): they hold at most as many as were ever busy at once.
 	connFree  []*connWork
 	rconnFree []*rconnWork
-	// Lazy connection lifecycle: evicted peers leave a tiny PSN cursor
-	// behind (send-side next PSNs, receive-side consumed-prefix bases) so
-	// the pair re-establishes mid-epoch without a handshake; evictTimer
-	// drives the periodic idle sweep when Config.ConnIdleEvict is set.
-	connMemo   map[connKey]connCursor
-	rconnMemo  map[connKey][2]uint32
-	evictTimer timer
 	// batchQ accumulates a contiguous run of below-barrier deliveries for
 	// one process during drain; flushed through OnDeliverBatch. The slice
 	// is reused across batches — receivers must not retain it.
@@ -211,8 +203,6 @@ func NewHost(id int, wire Wire, cfg Config) *Host {
 		recallTomb:    make(map[recallKey]bool),
 		recalls:       make(map[recallKey]*recallState),
 		stuckReported: make(map[recallKey]bool),
-		connMemo:      make(map[connKey]connCursor),
-		rconnMemo:     make(map[connKey][2]uint32),
 		sendOcc:       new(stats.Histogram),
 		recvOcc:       new(stats.Histogram),
 	}
@@ -290,8 +280,7 @@ func (h *Host) recomputeHeldFloor() {
 	}
 }
 
-// Start arms the host's uplink beacon generator (§4.2) and, when idle
-// eviction is configured, the periodic connection sweep.
+// Start arms the host's uplink beacon generator (§4.2).
 func (h *Host) Start() {
 	if h.started {
 		return
@@ -299,81 +288,16 @@ func (h *Host) Start() {
 	h.started = true
 	h.beaconTimer.init(h, (*hostBeacon)(h))
 	h.beaconTimer.reset(h, h.Cfg.BeaconInterval)
-	if h.Cfg.ConnIdleEvict > 0 {
-		h.evictTimer.init(h, (*hostEvict)(h))
-		h.evictTimer.reset(h, h.Cfg.ConnIdleEvict)
-	}
 }
 
-// hostBeacon and hostEvict are the handlers of the host's periodic timers.
-type (
-	hostBeacon Host
-	hostEvict  Host
-)
+// hostBeacon is the handler of the host's periodic beacon timer.
+type hostBeacon Host
 
 func (h *hostBeacon) Fire() { (*Host)(h).beaconTick() }
-func (h *hostEvict) Fire()  { (*Host)(h).evictTick() }
-
-func (h *Host) evictTick() {
-	if h.stopped {
-		return
-	}
-	h.evictIdle(h.wire.Now() - h.Cfg.ConnIdleEvict)
-	h.evictTimer.reset(h, h.Cfg.ConnIdleEvict)
-}
-
-// evictIdle reclaims per-peer state last used at or before deadline. A
-// send-side conn is evictable only when nothing references it: its
-// transient part settled (no in-flight or parked packets, an empty send
-// queue, no held frame), no reserved credits, and no credit-blocked
-// scattering pointing at it. A receive-side rconn is evictable only when its
-// transient part settled: both planes' assembly buffers idle (no buffered
-// fragments, no reception holes) and both ACK accumulators flushed. Eviction
-// leaves a PSN cursor in the memo maps so getConn/getRconn re-establish the
-// pair mid-epoch with sequence spaces intact. Iteration is over sorted keys:
-// eviction order is part of the deterministic replay contract.
-func (h *Host) evictIdle(deadline sim.Time) {
-	var referenced map[*conn]bool
-	if len(h.waitQ) > 0 {
-		referenced = make(map[*conn]bool)
-		for _, s := range h.waitQ {
-			for i := range s.credits {
-				referenced[s.credits[i].conn] = true
-			}
-		}
-	}
-	for _, k := range sortedConnKeys(h.conns) {
-		c := h.conns[k]
-		if c.lastUse > deadline || referenced[c] || c.reserved != 0 {
-			continue
-		}
-		c.settle()
-		if c.work != nil {
-			continue
-		}
-		h.connMemo[k] = connCursor{nextPSN: c.nextPSN}
-		delete(h.conns, k)
-		h.Stats.ConnsEvicted++
-	}
-	for _, k := range sortedConnKeys(h.rconns) {
-		rc := h.rconns[k]
-		if rc.lastUse > deadline {
-			continue
-		}
-		rc.settle()
-		if rc.work != nil {
-			continue
-		}
-		h.rconnMemo[k] = rc.doneBase
-		delete(h.rconns, k)
-		h.Stats.ConnsEvicted++
-	}
-	h.Stats.ConnsLive = int64(len(h.conns) + len(h.rconns))
-}
 
 // sortedConnKeys returns m's keys in (src, dst) order — the deterministic
 // iteration order every map walk with observable side effects must use.
-func sortedConnKeys[V any](m map[connKey]V) []connKey {
+func sortedConnKeys(m map[connKey]*conn) []connKey {
 	keys := make([]connKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -441,7 +365,6 @@ func (h *Host) Draining() bool { return h.draining }
 func (h *Host) Stop() {
 	h.stopped = true
 	h.beaconTimer.stop()
-	h.evictTimer.stop()
 	// Only attached parts can hold an armed timer: settle takes disarmed
 	// ones alone.
 	for _, c := range h.conns {

@@ -190,25 +190,25 @@ func contains(s []uint32, v uint32) bool {
 
 // TestConnFootprint: sparse-fabric's untraced 10 s window (seed 1) ends with
 // 84 275 conns and 84 247 rconns, nearly all idle, and an idle conn is what
-// this struct is: the transient part is pooled. 96 bytes is a malloc size
-// class; one more word moves the conn to the 112-byte class, and a 16-byte
-// step over 84 k conns is ≈ 1.3 MiB there (the 288-byte conn it replaced
-// was one 32-byte step, ≈ 2.6 MiB, from the next class). That is why the
-// held set is an indexed slice on the host and not a list threaded through
-// the conns.
+// this struct is: the transient part is pooled. 80 bytes is a malloc size
+// class; one more word moves the conn to the 96-byte class, and a 16-byte
+// step over 84 k conns is ≈ 1.3 MiB there. That is why the held set is an
+// indexed slice on the host and not a list threaded through the conns, and
+// why a conn keeps no clock.
 func TestConnFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(conn{}); got > 96 {
-		t.Fatalf("conn is %d bytes, want at most 96", got)
+	if got := unsafe.Sizeof(conn{}); got > 80 {
+		t.Fatalf("conn is %d bytes, want at most 80", got)
 	}
 }
 
 // TestRconnFootprint: the receive side of an idle pair is its key, its
-// clock and its two consumed-prefix cursors, in the 48-byte size class;
-// the assembly buffers and ACK accumulators are pooled. sparse-fabric ends
-// its window with 84 247 of them (208 bytes each when they embedded both).
+// host, its two consumed-prefix cursors and the work pointer, exactly the
+// 32-byte size class; one more word moves it to the 48-byte class. The
+// assembly buffers and ACK accumulators are pooled. sparse-fabric ends its
+// window with 84 247 of them (208 bytes each when they embedded both).
 func TestRconnFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(rconn{}); got > 48 {
-		t.Fatalf("rconn is %d bytes, want at most 48", got)
+	if got := unsafe.Sizeof(rconn{}); got > 32 {
+		t.Fatalf("rconn is %d bytes, want at most 32", got)
 	}
 }
 

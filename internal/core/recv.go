@@ -280,7 +280,7 @@ func (a *asmBuf) markDone(psn uint32) {
 
 // idle reports whether the buffer holds no transient state — no buffered
 // fragments and no reception holes — so its position is fully captured by
-// doneBase alone and the buffer is safe to evict.
+// doneBase alone and the buffer can go back to the free list.
 func (a *asmBuf) idle() bool { return len(a.frags) == 0 && len(a.done) == 0 }
 
 // markDoneSpan consumes span consecutive PSNs starting at psn — a frame's
@@ -381,9 +381,6 @@ func (a *asmBuf) dropWhere(pred func(*netsim.Packet) bool) {
 type rconn struct {
 	key  connKey
 	host *Host
-	// lastUse is the host clock at the last packet received on this pair;
-	// the idle-eviction sweep reclaims receive state past Config.ConnIdleEvict.
-	lastUse sim.Time
 	// doneBase holds each plane's asmBuf.doneBase while work is nil; an
 	// attached part's buffers carry the cursors meanwhile.
 	doneBase [2]uint32
@@ -452,19 +449,8 @@ func (h *Host) getRconn(src, dst netsim.ProcID) *rconn {
 	rc := h.rconns[k]
 	if rc == nil {
 		rc = &rconn{key: k, host: h}
-		// Re-establishment after eviction: the retained PSN cursors restore
-		// each plane's consumed-prefix position, so a retransmission of an
-		// already-consumed packet is still classified duplicate and fresh
-		// PSNs resume exactly where the evicted state left off.
-		if cur, ok := h.rconnMemo[k]; ok {
-			rc.doneBase = cur
-			delete(h.rconnMemo, k)
-		}
 		h.rconns[k] = rc
 		h.Stats.ConnsLive = int64(len(h.conns) + len(h.rconns))
-	}
-	if h.Cfg.ConnIdleEvict > 0 {
-		rc.lastUse = h.wire.Now()
 	}
 	rc.attach()
 	return rc

@@ -214,11 +214,10 @@ func TestSendFailFiresOnceAtDeadline(t *testing.T) {
 }
 
 // TestStopLeavesNoArmedTimer arms every kind of timer a host owns — beacon,
-// eviction sweep, RTO, doorbell, send-fail, ACK flush, recall — and stops
-// both hosts: once the packets in flight have landed, the queue is empty.
+// RTO, doorbell, send-fail, ACK flush, recall — and stops both hosts: once
+// the packets in flight have landed, the queue is empty.
 func TestStopLeavesNoArmedTimer(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ConnIdleEvict = 50 * sim.Microsecond
 	eng, hosts, procs, wires := cablePair(cfg)
 	// Host 1 hears everything but its ACKs are lost, so host 0's RTO and
 	// send-fail timers stay armed.
@@ -268,20 +267,18 @@ func TestStopLeavesNoArmedTimer(t *testing.T) {
 	}
 }
 
-// TestEvictionLeavesNoArmedTimer: after idle eviction has reclaimed the
-// connections (their ACK accumulators settled long before), the queue holds
-// what it held before there was any traffic.
-func TestEvictionLeavesNoArmedTimer(t *testing.T) {
+// TestSettleLeavesNoArmedTimer: once traffic has gone quiet, every pair has
+// settled (its transient part back on a free list) and the queue holds what
+// it held before there was any traffic.
+func TestSettleLeavesNoArmedTimer(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ConnIdleEvict = 30 * sim.Microsecond
 	eng, hosts, procs, _ := cablePair(cfg)
 	delivered := 0
 	for _, p := range procs {
 		p.OnDeliver = func(Delivery) { delivered++ }
 	}
-	// Sample at a common multiple of the beacon and eviction periods.
-	const period = 30 * sim.Microsecond
-	eng.RunUntil(2*period + 1000)
+	// Sample both times at the same phase of the beacon interval.
+	eng.RunUntil(20*cfg.BeaconInterval + 1000)
 	idle := eng.Pending()
 	for i := 0; i < 8; i++ {
 		src, dst := i%2, 1-i%2
@@ -296,16 +293,26 @@ func TestEvictionLeavesNoArmedTimer(t *testing.T) {
 		}
 		eng.RunFor(2 * sim.Microsecond)
 	}
-	eng.RunUntil(6*period + 1000)
+	eng.RunUntil(60*cfg.BeaconInterval + 1000)
 	if delivered != 8 {
 		t.Fatalf("delivered %d of 8", delivered)
 	}
 	for _, h := range hosts {
-		if len(h.conns) != 0 || len(h.rconns) != 0 {
-			t.Fatalf("host %d not fully evicted: %d conns, %d rconns", h.ID, len(h.conns), len(h.rconns))
+		if len(h.conns) == 0 || len(h.rconns) == 0 {
+			t.Fatalf("host %d holds %d conns and %d rconns, want both sides of its pair", h.ID, len(h.conns), len(h.rconns))
+		}
+		for k, c := range h.conns {
+			if c.work != nil {
+				t.Fatalf("host %d: conn %v did not settle", h.ID, k)
+			}
+		}
+		for k, rc := range h.rconns {
+			if rc.work != nil {
+				t.Fatalf("host %d: rconn %v did not settle", h.ID, k)
+			}
 		}
 	}
 	if got := eng.Pending(); got != idle {
-		t.Fatalf("Pending = %d after eviction, want the pre-traffic %d", got, idle)
+		t.Fatalf("Pending = %d after the traffic settled, want the pre-traffic %d", got, idle)
 	}
 }

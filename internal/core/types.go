@@ -136,13 +136,6 @@ type Config struct {
 	// stays O(cap) while delivery order is unchanged (hybrid buffering;
 	// Almeida's bounded hot buffer + ordered spill). 0 = unbounded.
 	ReorderHotCap int
-	// ConnIdleEvict enables lazy connection lifecycle: per-peer send and
-	// receive state idle for at least this long — and holding no in-flight,
-	// queued, parked or partially reassembled data — is reclaimed, leaving
-	// only a small PSN cursor behind so the connection re-establishes
-	// safely mid-epoch on next use. 0 disables eviction (eager state for
-	// the whole fabric, the historical behavior).
-	ConnIdleEvict sim.Time
 }
 
 // Deployment parameters no figure or test varies.

@@ -159,7 +159,7 @@ func engineRow(lo, span int) benchResult {
 // every executed one re-scheduling itself lo..lo+span-1 ns ahead. With
 // delays of 1–1000 ns (all through the timing wheel) 1e9/ns_per_op is the
 // engine events/sec figure; 5 000–105 000 ns is BenchmarkEngineScheduleFar,
-// all through the far-event heap.
+// all filed at the coarse level and cascaded.
 func benchEngine(lo, span int) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
 		e := sim.NewEngine(1)
@@ -243,6 +243,7 @@ func benchBERound() testing.BenchmarkResult {
 type cableWire struct {
 	eng  *sim.Engine
 	peer *core.Host
+	pool *netsim.Pool
 }
 
 func cableDeliver(h, pkt any) { h.(*core.Host).HandlePacket(pkt.(*netsim.Packet)) }
@@ -253,6 +254,7 @@ func (w *cableWire) Send(pkt *netsim.Packet) {
 func (w *cableWire) Now() sim.Time               { return w.eng.Now() }
 func (w *cableWire) After(d sim.Time, fn func()) { w.eng.After(d, fn) }
 func (w *cableWire) TimerEngine() *sim.Engine    { return w.eng }
+func (w *cableWire) PacketPool() *netsim.Pool    { return w.pool }
 
 // peerHosts starts two cabled hosts on a fresh engine: process 0 on host 0
 // sends, and host 1 holds the given number of never-contacted processes,
@@ -260,7 +262,8 @@ func (w *cableWire) TimerEngine() *sim.Engine    { return w.eng }
 // slice) and a delivery counter.
 func peerHosts(cfg core.Config, peers int, delivered *int) (*sim.Engine, *core.Proc, [][]core.Message) {
 	eng := sim.NewEngine(1)
-	w0, w1 := &cableWire{eng: eng}, &cableWire{eng: eng}
+	pool := new(netsim.Pool)
+	w0, w1 := &cableWire{eng: eng, pool: pool}, &cableWire{eng: eng, pool: pool}
 	h0, h1 := core.NewHost(0, w0, cfg), core.NewHost(1, w1, cfg)
 	w0.peer, w1.peer = h1, h0
 	h0.Start()
@@ -452,9 +455,10 @@ func benchSendPath() testing.BenchmarkResult {
 	cfg.Clock.MaxDriftPPM = 0
 	cfg.DisableBeacons = true
 	n := netsim.New(cfg)
-	n.AttachHost(7, netsim.PutPacket)
+	pool := n.PacketPool()
+	n.AttachHost(7, pool.Put)
 	send := func() {
-		pkt := netsim.GetPacket()
+		pkt := pool.Get()
 		pkt.Kind, pkt.Src, pkt.Dst = netsim.KindData, 0, 7
 		pkt.Size = 1024 + netsim.HeaderBytes
 		pkt.MsgTS = n.Eng.Now()

@@ -76,7 +76,7 @@ func TestECNEchoSurvivesBatching(t *testing.T) {
 		})
 	}
 	cl.Run(2 * sim.Millisecond)
-	c := cl.Hosts[0].conns[connKey{src: 0, dst: 1}]
+	c := cl.Hosts[0].findConn(0, 1)
 	if c == nil || c.alpha == 0 {
 		t.Fatal("DCTCP never saw ECN marks through batched ACKs")
 	}

@@ -18,6 +18,7 @@ func (w simWire) Send(pkt *netsim.Packet)     { w.n.SendFromHost(w.host, pkt) }
 func (w simWire) Now() sim.Time               { return w.n.Clocks[w.host].Now() }
 func (w simWire) After(d sim.Time, fn func()) { w.n.Eng.After(d, fn) }
 func (w simWire) TimerEngine() *sim.Engine    { return w.n.Eng }
+func (w simWire) PacketPool() *netsim.Pool    { return w.n.PacketPool() }
 
 // Cluster is a fully deployed 1Pipe fabric on the network simulator: one
 // lib1pipe Host per simulated machine and one Proc per process.

@@ -22,8 +22,8 @@ func cls(reliable bool) int {
 
 // outPkt is an in-flight packet awaiting its end-to-end ACK. It lives in
 // its scattering's pkts slab (40 bytes: the slab is sized by totalPkts and
-// one is embedded in every scattering), so sendQ, unacked, stuckPkts and
-// fnext chains all point into that slab.
+// one is embedded in every scattering), so sendQ, unacked, parked and fnext
+// chains all point into that slab.
 type outPkt struct {
 	psn      uint32
 	msgIdx   int32 // index into the scattering's message list
@@ -96,6 +96,19 @@ type unitSlot struct {
 }
 
 func (r *unitRing) empty() bool { return r.head == len(r.slots) }
+
+// insert adds a unit whose PSN the ring does not hold yet, in PSN order:
+// a push when it is above every PSN in the ring, else a shift into place.
+func (r *unitRing) insert(op *outPkt) {
+	if r.empty() || op.psn > r.slots[len(r.slots)-1].psn {
+		r.push(op)
+		return
+	}
+	i := r.search(op.psn)
+	r.slots = append(r.slots, unitSlot{})
+	copy(r.slots[i+1:], r.slots[i:])
+	r.slots[i] = unitSlot{psn: op.psn, op: op}
+}
 
 // push appends a unit whose PSN is above every PSN in the ring. A full array
 // is compacted in place when at least a quarter of it is holes, and
@@ -231,12 +244,12 @@ type connWork struct {
 	// unacked holds each plane's in-flight window units in PSN order; the
 	// RTO retransmits, and failure handling walks, in that order.
 	unacked [2]unitRing
-	// stuckPkts parks reliable packets that exhausted MaxRetx: their
-	// window slots are freed and they are never retransmitted by the RTO,
-	// but they stay visible to PendingTo so §5.2 Controller Forwarding can
-	// still relay them, and a late (or controller-relayed) ACK completes
+	// parked holds reliable units that exhausted MaxRetx, in PSN order:
+	// their window slots are freed and they are never retransmitted by the
+	// RTO, but they stay visible to PendingTo so §5.2 Controller Forwarding
+	// can still relay them, and a late (or controller-relayed) ACK completes
 	// them via onAck.
-	stuckPkts map[uint32]*outPkt
+	parked unitRing
 	// sendQ holds launched-but-untransmitted fragments: a scattering
 	// larger than the window streams out as ACKs free space.
 	sendQ pktQueue
@@ -262,7 +275,7 @@ type connWork struct {
 // timers disarmed.
 func (w *connWork) idle() bool {
 	return w.unacked[0].empty() && w.unacked[1].empty() && w.sendQ.len() == 0 &&
-		len(w.stuckPkts) == 0 && w.holdIdx == 0 && w.pins == 0 &&
+		w.parked.empty() && w.holdIdx == 0 && w.pins == 0 &&
 		!w.rto.isArmed() && !w.doorbell.isArmed()
 }
 
@@ -301,19 +314,27 @@ func (c *conn) settle() {
 	c.host.connFree = append(c.host.connFree, w)
 }
 
-func (h *Host) getConn(src, dst netsim.ProcID) *conn {
-	k := connKey{src, dst}
-	c := h.conns[k]
+// conn returns the send side of the pair toward dst, meeting it first if
+// need be.
+func (p *Proc) conn(dst netsim.ProcID) *conn {
+	p.conns = grow(p.conns, int(dst))
+	c := p.conns[dst]
 	if c == nil {
-		c = &conn{
-			key:  k,
-			host: h,
-			cwnd: h.Cfg.InitCwnd,
-		}
-		h.conns[k] = c
-		h.Stats.ConnsLive = int64(len(h.conns) + len(h.rconns))
+		h := p.host
+		c = &conn{key: connKey{p.ID, dst}, host: h, cwnd: h.Cfg.InitCwnd}
+		p.conns[dst] = c
+		h.Stats.ConnsLive++
 	}
 	return c
+}
+
+// findConn returns the send side of the pair (src, dst) if src is local and
+// has met dst, else nil.
+func (h *Host) findConn(src, dst netsim.ProcID) *conn {
+	if p := h.proc(src); p != nil && uint(dst) < uint(len(p.conns)) {
+		return p.conns[dst]
+	}
+	return nil
 }
 
 // window is the send window: min(receive window, congestion window).
@@ -340,8 +361,7 @@ func (c *conn) onAck(reliable bool, psn uint32, ecn bool) {
 		// exhausted MaxRetx; its window slot was freed when it was parked,
 		// so only scattering completion accounting remains.
 		if reliable {
-			if op, stuck := w.stuckPkts[psn]; stuck {
-				delete(w.stuckPkts, psn)
+			if op := w.parked.take(psn); op != nil {
 				for m := op; m != nil; m = m.fnext {
 					c.host.onPacketAcked(m)
 				}
@@ -576,10 +596,7 @@ func (c *conn) onRTO() {
 			// parks as a whole chain and stalls every live member.
 			w.unacked[1].removeAt(i)
 			c.inflight--
-			if w.stuckPkts == nil {
-				w.stuckPkts = make(map[uint32]*outPkt)
-			}
-			w.stuckPkts[op.psn] = op
+			w.parked.insert(op)
 			for m := op; m != nil; m = m.fnext {
 				if !m.scat.aborted {
 					h.reportStuck(c.key.src, c.key.dst, m.scat.ts)
@@ -628,7 +645,7 @@ func (c *conn) minRetx() int {
 func (c *conn) buildPacket(op *outPkt, psn uint32) *netsim.Packet {
 	s := op.scat
 	m := &s.msgs[op.msgIdx]
-	pkt := netsim.GetPacket()
+	pkt := c.host.pool.Get()
 	pkt.Kind = netsim.KindData
 	pkt.Src = c.key.src
 	pkt.Dst = c.key.dst
@@ -654,7 +671,8 @@ func (c *conn) buildUnit(head *outPkt) *netsim.Packet {
 	if head.fnext == nil {
 		return c.buildPacket(head, head.psn)
 	}
-	f := netsim.GetFrame()
+	pool := c.host.pool
+	f := pool.GetFrame()
 	last := head
 	size := 0
 	for m := head; m != nil; m = m.fnext {
@@ -671,12 +689,13 @@ func (c *conn) buildUnit(head *outPkt) *netsim.Packet {
 		})
 		size += int(m.size) + netsim.FrameEntryBytes
 	}
+	pkt := pool.Get()
+	pkt.Payload = f
 	if len(f.Entries) == 0 {
-		netsim.PutFrame(f)
+		pool.Put(pkt)
 		return nil
 	}
 	f.Span = uint16(last.psn - head.psn + 1)
-	pkt := netsim.GetPacket()
 	pkt.Kind = netsim.KindData
 	pkt.Src = c.key.src
 	pkt.Dst = c.key.dst
@@ -686,7 +705,6 @@ func (c *conn) buildUnit(head *outPkt) *netsim.Packet {
 	pkt.PSN = head.psn
 	pkt.EndOfMsg = true
 	pkt.Frame = true
-	pkt.Payload = f
 	pkt.Size = size + netsim.HeaderBytes
 	return pkt
 }
@@ -740,11 +758,11 @@ func (c *conn) dropScattering(s *scattering) {
 	}
 	// Parked (MaxRetx-exhausted) packets of an aborted scattering will
 	// never be wanted again, not even by Controller Forwarding.
-	for psn, op := range w.stuckPkts {
+	w.parked.walk(func(i int, op *outPkt) {
 		if chainDead(op, s) {
-			delete(w.stuckPkts, psn)
+			w.parked.removeAt(i)
 		}
-	}
+	})
 	c.pump()
 	c.settle()
 }
@@ -793,7 +811,7 @@ type scattering struct {
 	// order (ordered for deterministic partial-credit acquisition).
 	credits []credit
 	// pkts is the slab launch carves this scattering's outPkts from, with
-	// capacity totalPkts. It is never re-grown: sendQ, unacked, stuckPkts and
+	// capacity totalPkts. It is never re-grown: sendQ, unacked, parked and
 	// fnext chains hold pointers into it.
 	pkts []outPkt
 	// ACK tracking.
@@ -847,7 +865,7 @@ func newScattering(p *Proc, msgs []Message, reliable bool, mtu int) *scattering 
 		frags := (size + mtu - 1) / mtu
 		s.fragsPerMsg[i] = frags
 		s.totalPkts += frags
-		c := p.host.getConn(p.ID, msgs[i].Dst)
+		c := p.conn(msgs[i].Dst)
 		// Destinations per scattering are few: a scan beats a map.
 		j := 0
 		for j < len(s.credits) && s.credits[j].conn != c {
@@ -962,7 +980,7 @@ func (h *Host) launch(s *scattering) {
 	}
 	for i := range s.msgs {
 		m := &s.msgs[i]
-		c := h.getConn(s.owner.ID, m.Dst)
+		c := s.owner.conn(m.Dst)
 		size := m.Size
 		if size <= 0 {
 			size = 64
@@ -1052,7 +1070,7 @@ func (h *Host) reapOutstanding() {
 
 func (h *Host) sendCommit() {
 	h.Stats.Commits++
-	pkt := netsim.GetPacket()
+	pkt := h.pool.Get()
 	pkt.Kind, pkt.Src, pkt.Size = netsim.KindCommit, h.reprProc, netsim.BeaconBytes
 	h.emit(pkt)
 }

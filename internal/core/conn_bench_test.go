@@ -28,7 +28,7 @@ func BenchmarkRTORetransmit(b *testing.B) {
 			w := &discardWire{now: 1}
 			h := NewHost(0, w, DefaultConfig())
 			h.Cfg.MaxRetx = 0 // never park: keep the window stable across firings
-			c := h.getConn(0, 1)
+			c := h.AddProc(0).conn(1)
 			s := &scattering{reliable: true, ts: 1, msgs: []Message{{Dst: 1, Size: 64}}}
 			for i := 0; i < n; i++ {
 				psn := c.nextPSN[1]

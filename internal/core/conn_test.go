@@ -24,7 +24,7 @@ func TestDCTCPReducesWindowUnderECN(t *testing.T) {
 		})
 	}
 	cl.Run(3 * sim.Millisecond)
-	c := cl.Hosts[0].conns[connKey{src: 0, dst: 3}]
+	c := cl.Hosts[0].findConn(0, 3)
 	if c == nil {
 		t.Fatal("no connection state")
 	}
@@ -56,7 +56,7 @@ func TestWindowNeverOverCommitted(t *testing.T) {
 		}
 	})
 	check := sim.NewTicker(eng, sim.Microsecond, 0, func() {
-		c := cl.Hosts[0].conns[connKey{src: 0, dst: 1}]
+		c := cl.Hosts[0].findConn(0, 1)
 		if c == nil {
 			return
 		}
@@ -182,7 +182,7 @@ func TestBackpressureRefusesOversizedSend(t *testing.T) {
 	if h.Stats.Backpressure != 1 {
 		t.Fatalf("Stats.Backpressure = %d, want 1", h.Stats.Backpressure)
 	}
-	c := h.conns[connKey{0, 1}]
+	c := h.findConn(0, 1)
 	if c.reserved != 0 || c.inflight != 0 || c.work != nil || c.nextPSN != [2]uint32{} ||
 		len(h.waitQ) != 0 || len(h.outstanding) != 0 || h.Stats.MsgsSent != 0 || h.lastTS != 0 {
 		t.Fatalf("the refused send left state behind: conn %+v, %d waiting, %d outstanding, %d sent",

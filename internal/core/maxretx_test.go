@@ -48,7 +48,7 @@ func TestMaxRetxRestoresWindowSlots(t *testing.T) {
 	cl.Run(100 * sim.Millisecond)
 
 	h := cl.Hosts[0]
-	c := h.conns[connKey{src: 0, dst: 1}]
+	c := h.findConn(0, 1)
 	if c == nil {
 		t.Fatal("no connection state")
 	}
@@ -75,7 +75,7 @@ func TestMaxRetxRestoresWindowSlots(t *testing.T) {
 	if n := c.view().unacked[1].len(); n != 0 {
 		t.Errorf("%d packets still in unacked[1] after exhaustion", n)
 	}
-	if n := len(c.view().stuckPkts); n != total {
+	if n := c.view().parked.len(); n != total {
 		t.Errorf("%d packets parked, want %d", n, total)
 	}
 	// Fresh traffic on other connections is unaffected; the same connection
@@ -103,8 +103,8 @@ func TestMaxRetxStuckPacketCompletedByLateAck(t *testing.T) {
 	cl.Run(50 * sim.Millisecond)
 
 	h := cl.Hosts[0]
-	c := h.conns[connKey{src: 0, dst: 1}]
-	if c == nil || len(c.view().stuckPkts) != 1 {
+	c := h.findConn(0, 1)
+	if c == nil || c.view().parked.len() != 1 {
 		t.Fatalf("expected exactly one parked packet, conn=%v", c)
 	}
 	if len(h.outstanding) != 1 {
@@ -114,14 +114,12 @@ func TestMaxRetxStuckPacketCompletedByLateAck(t *testing.T) {
 	if pkts := h.PendingTo(0, 1); len(pkts) != 1 {
 		t.Fatalf("PendingTo sees %d packets, want 1", len(pkts))
 	}
-	var psn uint32
-	for p := range c.view().stuckPkts {
-		psn = p
-	}
+	parked := &c.view().parked
+	psn := parked.slots[parked.head].psn
 	// Deliver the (controller-relayed) ACK.
 	h.HandlePacket(&netsim.Packet{Kind: netsim.KindAck, Src: 1, Dst: 0, Reliable: true, PSN: psn})
 	cl.Run(sim.Millisecond)
-	if len(c.view().stuckPkts) != 0 {
+	if c.view().parked.len() != 0 {
 		t.Error("parked packet not cleared by late ACK")
 	}
 	if len(h.outstanding) != 0 {
@@ -224,7 +222,38 @@ func TestSynchronousStuckResolve(t *testing.T) {
 	if resolved != 1 || failed != 1 || delivered != 1 {
 		t.Fatalf("%d resolves, %d send failures, %d deliveries at proc 2; want 1, 1, 1", resolved, failed, delivered)
 	}
-	if c := h.conns[connKey{0, 1}]; c.work != nil || c.inflight != 0 {
+	if c := h.findConn(0, 1); c.work != nil || c.inflight != 0 {
 		t.Fatalf("the stalled pair did not settle: attached %v, inflight %d", c.work != nil, c.inflight)
+	}
+}
+
+// TestPendingToPSNOrder: Controller Forwarding relays what PendingTo
+// returns one event per packet in that order, so packets parked toward one
+// destination must come back in ascending PSN order — the order they were
+// sent in — and not in the order of whatever container parked them.
+func TestPendingToPSNOrder(t *testing.T) {
+	cl := twoHostCluster(2, 2)
+	cl.Hosts[0].OnStuck = func(netsim.ProcID, netsim.ProcID, sim.Time) {}
+	const total = 8
+	cl.Net.Eng.At(50*sim.Microsecond, func() {
+		cl.Net.G.KillNode(cl.Net.G.Host(1))
+		for i := 0; i < total; i++ {
+			if err := cl.Procs[0].SendReliable([]Message{{Dst: 1, Size: 64}}); err != nil {
+				t.Errorf("send %d: %v", i, err)
+			}
+		}
+	})
+	cl.Run(100 * sim.Millisecond)
+	if n := cl.Hosts[0].findConn(0, 1).view().parked.len(); n != total {
+		t.Fatalf("%d packets parked, want %d", n, total)
+	}
+	pkts := cl.Hosts[0].PendingTo(0, 1)
+	if len(pkts) != total {
+		t.Fatalf("PendingTo returned %d packets, want %d", len(pkts), total)
+	}
+	for i, pkt := range pkts {
+		if pkt.PSN != uint32(i) {
+			t.Fatalf("PendingTo packet %d has PSN %d, want %d (ascending)", i, pkt.PSN, i)
+		}
 	}
 }

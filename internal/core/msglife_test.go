@@ -200,21 +200,17 @@ func checkSlabs(t *testing.T, h *Host, seen map[*scattering]*slabSnap) {
 			}
 		}
 	}
-	for _, c := range h.conns {
+	for _, c := range h.connList() {
 		w := c.view()
 		for _, op := range w.sendQ.live() {
 			visit("sendQ", op)
 		}
-		for k := range w.unacked {
-			r := &w.unacked[k]
+		for _, r := range []*unitRing{&w.unacked[0], &w.unacked[1], &w.parked} {
 			for _, sl := range r.slots[r.head:] {
 				if sl.op != nil {
-					chain("unacked", sl.psn, sl.op)
+					chain("unacked or parked", sl.psn, sl.op)
 				}
 			}
-		}
-		for psn, op := range w.stuckPkts {
-			chain("stuckPkts", psn, op)
 		}
 	}
 	for s, snap := range seen {
@@ -287,7 +283,7 @@ func TestScatteringSlabStable(t *testing.T) {
 		checkSlabs(t, hosts[0], seen)
 		if !aborted && wide.launched && wide.unackedPkts <= wide.totalPkts-20 {
 			queued := 0
-			for _, op := range hosts[0].conns[connKey{0, 1}].view().sendQ.live() {
+			for _, op := range hosts[0].findConn(0, 1).view().sendQ.live() {
 				if op.scat == wide {
 					queued++
 				}
@@ -319,7 +315,7 @@ func TestScatteringSlabStable(t *testing.T) {
 	if len(seen) != 7 {
 		t.Fatalf("saw %d scatterings on the wire side, sent 7", len(seen))
 	}
-	if w := hosts[0].conns[connKey{0, 1}].view(); w.sendQ.len() != 0 || w.unacked[0].len()+w.unacked[1].len() != 0 {
+	if w := hosts[0].findConn(0, 1).view(); w.sendQ.len() != 0 || w.unacked[0].len()+w.unacked[1].len() != 0 {
 		t.Fatalf("stream did not finish: %d queued, %d unacked", w.sendQ.len(), w.unacked[0].len()+w.unacked[1].len())
 	}
 }

@@ -76,13 +76,67 @@ func TestQuiescentPendingAfterAckedSends(t *testing.T) {
 	if delivered != n {
 		t.Fatalf("%d of %d delivered", delivered, n)
 	}
-	for k, c := range cl.Hosts[0].conns {
+	for _, c := range cl.Hosts[0].connList() {
+		k := c.key
 		if w := c.view(); w.unacked[0].len() != 0 || w.sendQ.len() != 0 {
 			t.Fatalf("conn %v still has %d unACKed, %d queued", k, w.unacked[0].len(), w.sendQ.len())
 		}
 	}
 	if got := eng.Pending(); got != idle {
 		t.Fatalf("Pending = %d after %d ACKed sends, want the idle %d", got, n, idle)
+	}
+}
+
+// TestBestEffortRoundUsesFabricPool: on a fabric with its own packet
+// lists, a warm best-effort send → deliver → ACK round takes every packet it
+// sends — data, ACK, beacons — from those lists and returns every one to
+// them: none comes from, or goes to, the package-level pool.
+func TestBestEffortRoundUsesFabricPool(t *testing.T) {
+	cfg := DefaultConfig()
+	eng, _, procs, wires := cablePair(cfg)
+	pool := wires[0].pool
+	delivered := 0
+	procs[1].OnDeliverBatch = func(ds []Delivery) { delivered += len(ds) }
+	round := func() {
+		if err := procs[0].Send([]Message{{Dst: 1, Size: 64}}); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunFor(4 * cfg.BeaconInterval)
+	}
+	for i := 0; i < 64; i++ { // warm: the lists grow to the working set
+		round()
+	}
+	eng.RunFor(cfg.BeaconInterval / 3) // the last beacons land
+	owned := map[*netsim.Packet]bool{}
+	var held []*netsim.Packet
+	for pool.Free() > 0 {
+		p := pool.Get()
+		owned[p] = true
+		held = append(held, p)
+	}
+	for _, p := range held {
+		pool.Put(p)
+	}
+	kinds := map[netsim.Kind]int{}
+	for _, w := range wires {
+		w.drop = func(pkt *netsim.Packet) bool {
+			kinds[pkt.Kind]++
+			if !owned[pkt] {
+				t.Errorf("a %s packet did not come from the fabric's list", pkt.Kind)
+			}
+			return false
+		}
+	}
+	const rounds = 16
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	eng.RunFor(cfg.BeaconInterval / 3)
+	if delivered != 64+rounds || kinds[netsim.KindData] != rounds || kinds[netsim.KindAck] == 0 || kinds[netsim.KindBeacon] == 0 {
+		t.Fatalf("%d delivered, packets sent by kind %v: want %d and data, ACKs and beacons", delivered, kinds, 64+rounds)
+	}
+	if pool.Free() != len(owned) {
+		t.Fatalf("the list holds %d packets after the rounds, %d before", pool.Free(), len(owned))
 	}
 }
 
@@ -136,6 +190,7 @@ func TestBestEffortRoundAllocs(t *testing.T) {
 type cableWire struct {
 	eng  *sim.Engine
 	peer *Host
+	pool *netsim.Pool // the pair's, shared
 	drop func(*netsim.Packet) bool
 }
 
@@ -145,7 +200,7 @@ func cableDeliver(h, pkt any) { h.(*Host).HandlePacket(pkt.(*netsim.Packet)) }
 
 func (w *cableWire) Send(pkt *netsim.Packet) {
 	if w.drop != nil && w.drop(pkt) {
-		netsim.PutPacket(pkt)
+		w.pool.Put(pkt)
 		return
 	}
 	w.eng.After2(cableDelay, cableDeliver, w.peer, pkt)
@@ -153,12 +208,14 @@ func (w *cableWire) Send(pkt *netsim.Packet) {
 func (w *cableWire) Now() sim.Time               { return w.eng.Now() }
 func (w *cableWire) After(d sim.Time, fn func()) { w.eng.After(d, fn) }
 func (w *cableWire) TimerEngine() *sim.Engine    { return w.eng }
+func (w *cableWire) PacketPool() *netsim.Pool    { return w.pool }
 
 // cablePair starts hosts 0 and 1 (process IDs 0 and 1) on a fresh engine.
 func cablePair(cfg Config) (eng *sim.Engine, hosts [2]*Host, procs [2]*Proc, wires [2]*cableWire) {
 	eng = sim.NewEngine(1)
+	pool := new(netsim.Pool)
 	for i := range hosts {
-		wires[i] = &cableWire{eng: eng}
+		wires[i] = &cableWire{eng: eng, pool: pool}
 		hosts[i] = NewHost(i, wires[i], cfg)
 	}
 	wires[0].peer, wires[1].peer = hosts[1], hosts[0]
@@ -204,7 +261,7 @@ func TestSendFailFiresOnceAtDeadline(t *testing.T) {
 	if fails[0].Data != "lost-ack" || fails[0].TS != sentAt || failAt[0] != sentAt+cfg.SendFailTimeout {
 		t.Fatalf("failure %+v reported at %v, want at ts + %v", fails[0], failAt[0], cfg.SendFailTimeout)
 	}
-	if c := hosts[0].conns[connKey{0, 1}]; c.view().unacked[0].len() != 0 || c.inflight != 0 {
+	if c := hosts[0].findConn(0, 1); c.view().unacked[0].len() != 0 || c.inflight != 0 {
 		t.Fatalf("timed-out packet still holds its window slot: %d unacked, inflight %d", c.view().unacked[0].len(), c.inflight)
 	}
 	// Same phase of the beacon interval as the idle sample.
@@ -235,7 +292,7 @@ func TestStopLeavesNoArmedTimer(t *testing.T) {
 	}
 	// Doorbell armed now; a little later the data is out (RTO, send-fail
 	// armed) and host 1 is batching ACKs (ACK-flush armed).
-	c := hosts[0].conns[connKey{0, 1}]
+	c := hosts[0].findConn(0, 1)
 	if !c.view().doorbell.isArmed() {
 		t.Fatal("doorbell not armed after a partial frame was queued")
 	}
@@ -243,7 +300,7 @@ func TestStopLeavesNoArmedTimer(t *testing.T) {
 	if !c.view().rto.isArmed() {
 		t.Fatal("RTO not armed with reliable packets in flight")
 	}
-	if rc := hosts[1].rconns[connKey{0, 1}]; rc == nil || rc.view().acks[0].idle() && rc.view().acks[1].idle() {
+	if rc := hosts[1].rconnAt(0, 1); rc == nil || rc.view().acks[0].idle() && rc.view().acks[1].idle() {
 		t.Fatal("receiver is not batching ACKs")
 	}
 	// A recall in progress: its retransmission timer is armed too.
@@ -298,15 +355,17 @@ func TestSettleLeavesNoArmedTimer(t *testing.T) {
 		t.Fatalf("delivered %d of 8", delivered)
 	}
 	for _, h := range hosts {
-		if len(h.conns) == 0 || len(h.rconns) == 0 {
-			t.Fatalf("host %d holds %d conns and %d rconns, want both sides of its pair", h.ID, len(h.conns), len(h.rconns))
+		if len(h.connList()) == 0 || len(h.rconnList()) == 0 {
+			t.Fatalf("host %d holds %d conns and %d rconns, want both sides of its pair", h.ID, len(h.connList()), len(h.rconnList()))
 		}
-		for k, c := range h.conns {
+		for _, c := range h.connList() {
+			k := c.key
 			if c.work != nil {
 				t.Fatalf("host %d: conn %v did not settle", h.ID, k)
 			}
 		}
-		for k, rc := range h.rconns {
+		for _, rc := range h.rconnList() {
+			k := rc.key
 			if rc.work != nil {
 				t.Fatalf("host %d: rconn %v did not settle", h.ID, k)
 			}

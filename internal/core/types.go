@@ -215,11 +215,16 @@ func (c Config) withDefaults() Config {
 
 // engineWire is the optional Wire extension of a wire that runs on a
 // simulation engine. A host on such a wire keeps its timers in that
-// engine's queues — armed without allocating, gone from the queue the
-// moment they are stopped — instead of over After.
+// engine's queue — armed without allocating, gone from the queue the
+// moment they are stopped — instead of over After, and takes and releases
+// packets through the fabric's own free lists instead of the package-level
+// concurrent pool.
 type engineWire interface {
 	// TimerEngine returns the engine the wire's After schedules on.
 	TimerEngine() *sim.Engine
+	// PacketPool returns the fabric's packet free lists, driven by the same
+	// goroutine as the engine; nil selects the package-level pool.
+	PacketPool() *netsim.Pool
 }
 
 // timer is core's one re-armable timer, embedded by value in the struct

@@ -53,13 +53,14 @@ func FabricScaleOnce(window sim.Time) (wallS float64, events, delivered uint64, 
 	n := netsim.New(cfg)
 
 	hosts := len(n.G.Hosts)
+	pool := n.PacketPool()
 	var latSum sim.Time
 	rx := func(pkt *netsim.Packet) {
 		if pkt.Kind == netsim.KindData {
 			delivered++
 			latSum += n.Eng.Now() - pkt.SentAt
 		}
-		netsim.PutPacket(pkt)
+		pool.Put(pkt)
 	}
 	for hi := 0; hi < hosts; hi++ {
 		n.AttachHost(hi, rx)
@@ -72,7 +73,7 @@ func FabricScaleOnce(window sim.Time) (wallS float64, events, delivered uint64, 
 		var send func()
 		send = func() {
 			dst := (hi + 1 + (k*131)%(hosts-1)) % hosts
-			pkt := netsim.GetPacket()
+			pkt := pool.Get()
 			pkt.Kind = netsim.KindData
 			pkt.Src = netsim.ProcID(hi)
 			pkt.Dst = netsim.ProcID(dst)

@@ -53,10 +53,13 @@ type Net struct {
 	procs []*core.Proc
 	// down[h] is when the last packet sent down host h's link arrives.
 	down []sim.Time
+	// pool holds the star's free packets: the switch and the hosts take
+	// and release them on the engine's goroutine.
+	pool netsim.Pool
 }
 
 // hostWire attaches one host to the star. Every host reads the engine
-// clock, and core's timers are the engine's timers.
+// clock, core's timers are the engine's timers and its packets the star's.
 type hostWire struct {
 	n    *Net
 	host int
@@ -65,6 +68,7 @@ type hostWire struct {
 func (w hostWire) Now() sim.Time               { return w.n.eng.Now() }
 func (w hostWire) After(d sim.Time, fn func()) { w.n.eng.After(d, fn) }
 func (w hostWire) TimerEngine() *sim.Engine    { return w.n.eng }
+func (w hostWire) PacketPool() *netsim.Pool    { return &w.n.pool }
 
 // Send puts pkt on the host's uplink; it reaches the switch one link delay
 // later.
@@ -141,7 +145,7 @@ func (n *Net) switchReceive(fromHost int, pkt *netsim.Packet) {
 	dst := int(pkt.Dst)
 	forward, extra := n.sw.Ingress(fromHost, dst, pkt, n.eng.Now())
 	if !forward {
-		netsim.PutPacket(pkt) // consumed by the registers, or dropped
+		n.pool.Put(pkt) // consumed by the registers, or dropped
 		return
 	}
 	n.downlink(dst, pkt, extra)
@@ -165,7 +169,7 @@ func arrive(a, b any) { a.(*core.Host).HandlePacket(b.(*netsim.Packet)) }
 // not already carried it (beacon piggybacking, §4.2).
 func (n *Net) relayBeacons() {
 	n.sw.Relay(func(h int, be, c sim.Time) {
-		pkt := netsim.GetPacket()
+		pkt := n.pool.Get()
 		pkt.Kind, pkt.BarrierBE, pkt.BarrierC, pkt.Size = netsim.KindBeacon, be, c, netsim.BeaconBytes
 		n.downlink(h, pkt, 0)
 	})

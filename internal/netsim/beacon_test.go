@@ -30,7 +30,7 @@ func idleFabric(topo topology.ClosConfig, mut func(*Config)) (n *Network, silenc
 		if stopped || silent[h] {
 			return
 		}
-		pkt := GetPacket()
+		pkt := n.pool.Get()
 		pkt.Kind, pkt.Src, pkt.Size = KindBeacon, ProcID(h), BeaconBytes
 		pkt.BarrierBE, pkt.BarrierC = n.Eng.Now(), n.Eng.Now()
 		n.SendFromHost(h, pkt)
@@ -187,7 +187,7 @@ func newWaveRig(t *testing.T) *waveRig {
 		r.out = append(r.out, n.links[lid])
 		n.AttachHost(h, func(p *Packet) {
 			r.got = append(r.got, waveRx{h, n.Eng.Now(), p.BarrierBE, p.BarrierC})
-			PutPacket(p)
+			n.pool.Put(p)
 		})
 	}
 	if len(r.out) != waveRigHosts {

@@ -130,7 +130,9 @@ type Network struct {
 	nodes []*nodeState
 	// hostRx receives every packet (including beacons) delivered to a host.
 	hostRx []func(*Packet)
-	rng    *rand.Rand
+	// pool holds the fabric's free packets; see PacketPool.
+	pool Pool
+	rng  *rand.Rand
 	// lossOverride, when nonzero, replaces every link's uniform Loss (see
 	// SetLossOverride).
 	lossOverride float64
@@ -293,6 +295,12 @@ func (n *Network) uplink(host int) *linkState {
 	return n.links[out[0]]
 }
 
+// PacketPool returns the fabric's packet free lists. The network takes its
+// beacons from them and releases into them every packet it drops or
+// consumes; hosts attached through core take and release theirs there too.
+// They belong to the goroutine that drives Eng.
+func (n *Network) PacketPool() *Pool { return &n.pool }
+
 // SendFromHost injects a packet from a host into the network, charging host
 // processing delay then the uplink. Beacon and commit packets go to the ToR
 // (Dst ignored); data goes toward Dst's host.
@@ -316,7 +324,7 @@ func (n *Network) SetLossOverride(rate float64) { n.lossOverride = rate }
 func (n *Network) transmit(l *linkState, pkt *Packet) {
 	if l.dead {
 		n.Stats.DeadDrop++
-		PutPacket(pkt)
+		n.pool.Put(pkt)
 		return
 	}
 	now := n.Eng.Now()
@@ -327,7 +335,7 @@ func (n *Network) transmit(l *linkState, pkt *Packet) {
 	qdelay := start - now
 	if n.Cfg.QueueLimit > 0 && qdelay > n.Cfg.QueueLimit {
 		n.Stats.QueueDrop++
-		PutPacket(pkt)
+		n.pool.Put(pkt)
 		return
 	}
 	pkt.QueueWait += qdelay
@@ -361,14 +369,14 @@ func (n *Network) transmit(l *linkState, pkt *Packet) {
 	}
 	if loss > 0 && n.rng.Float64() < loss {
 		n.Stats.CorruptDrop++
-		PutPacket(pkt) // corrupted in flight; bandwidth already consumed
+		n.pool.Put(pkt) // corrupted in flight; bandwidth already consumed
 		return
 	}
 	// Stateful loss models (Gilbert-Elliott bursts, duty-cycle windows)
 	// draw from the per-link RNG — and draw nothing when unconfigured.
 	if l.imp != nil && l.imp.dropBurst(now) {
 		n.Stats.CorruptDrop++
-		PutPacket(pkt)
+		n.pool.Put(pkt)
 		return
 	}
 	arrive := l.busy + l.prop
@@ -406,7 +414,7 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 	node := n.nodes[l.to]
 	if node.dead {
 		n.Stats.DeadDrop++
-		PutPacket(pkt)
+		n.pool.Put(pkt)
 		return
 	}
 	if !l.drained {
@@ -445,7 +453,7 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 			// releases the packet once it is terminally consumed.
 			n.Eng.After2(hostDelay, n.deliverFn, rx, pkt)
 		} else {
-			PutPacket(pkt)
+			n.pool.Put(pkt)
 		}
 		return
 	}
@@ -465,7 +473,7 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 		// Hop-by-hop: consumed here; the barrier they carried now lives in
 		// the input-link registers and will propagate via this switch's
 		// own egress stamping and beacons.
-		PutPacket(pkt)
+		n.pool.Put(pkt)
 		return
 	}
 
@@ -480,7 +488,7 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 	out := n.nextHop(node, pkt)
 	if out == nil {
 		n.Stats.DeadDrop++
-		PutPacket(pkt)
+		n.pool.Put(pkt)
 		return
 	}
 	// A uniform pipeline latency per logical switch: a physical switch is
@@ -628,7 +636,7 @@ func (n *Network) fireBeacon(node *nodeState, ls *linkState, be, c sim.Time) {
 		return // traffic on this link already carried these barriers
 	}
 	ls.lastBeaconTx = now
-	pkt := GetPacket()
+	pkt := n.pool.Get()
 	pkt.Kind, pkt.BarrierBE, pkt.BarrierC, pkt.Size = KindBeacon, be, c, BeaconBytes
 	n.transmit(ls, pkt)
 }

@@ -144,12 +144,11 @@ type Packet struct {
 	// it is not part of the wire format and never crosses a real NIC.
 	QueueWait sim.Time
 
-	// pooled guards against double-release; see PutPacket. It is flipped
-	// with atomic compare-and-swap so the guard stays sound when the
-	// goroutines of the real-time fabric (udpnet) release packets
-	// concurrently. Nothing else may write it: PutPacket resets the other
-	// fields one by one, because a whole-struct copy would store to the flag
-	// while a second, buggy release is comparing it.
+	// pooled guards against double-release; see PutPacket. The
+	// package-level list flips it with atomic compare-and-swap so the guard
+	// stays sound when the goroutines of the real-time fabric (udpnet)
+	// release packets concurrently; a fabric's Pool, used by one goroutine,
+	// reads and writes it plainly. Nothing else may write it.
 	pooled uint32
 }
 
@@ -217,6 +216,12 @@ func GetFrame() *Frame {
 // PutFrame resets f (keeping entry capacity) and returns it to the free
 // list. Double release panics, mirroring PutPacket.
 func PutFrame(f *Frame) {
+	f.release()
+	framePool.Put(f)
+}
+
+// release resets a live frame, keeping entry capacity, and marks it free.
+func (f *Frame) release() {
 	if f.pooled {
 		panic("netsim: PutFrame called twice on the same frame")
 	}
@@ -226,7 +231,6 @@ func PutFrame(f *Frame) {
 	f.Entries = f.Entries[:0]
 	f.Span = 0
 	f.pooled = true
-	framePool.Put(f)
 }
 
 // AckBatch is the payload of a coalesced ACK packet: the acknowledged PSNs
@@ -252,49 +256,54 @@ func GetAckBatch() *AckBatch {
 // PutAckBatch empties b (keeping slice capacity) and returns it to the free
 // list. Double release panics, mirroring PutPacket.
 func PutAckBatch(b *AckBatch) {
+	b.release()
+	ackBatchPool.Put(b)
+}
+
+// release empties a live batch, keeping slice capacity, and marks it free.
+func (b *AckBatch) release() {
 	if b.pooled {
 		panic("netsim: PutAckBatch called twice on the same batch")
 	}
 	b.PSNs, b.ECN = b.PSNs[:0], b.ECN[:0]
 	b.pooled = true
-	ackBatchPool.Put(b)
 }
 
-// pktPool recycles Packet structs across the send and receive hot paths.
-// See docs/performance.md for the ownership rules.
+// pktPool recycles Packet structs for the real-time fabric and for code
+// outside any simulated fabric. See docs/performance.md for the ownership
+// rules.
 var pktPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// GetPacket returns a zeroed Packet from the free list.
+// GetPacket returns a zeroed Packet from the package-level free list.
 //
 // Ownership: a packet handed to a Wire.Send / Network.SendFromHost takes
 // the network as owner; the terminal consumer — the switch for beacons and
 // commits, the drop site for lost packets, core's receive path for
-// host-delivered packets — releases it with PutPacket. Code that constructs
-// packets with plain literals keeps working: such packets simply join the
-// pool on their first release.
+// host-delivered packets — releases it. Code that constructs packets with
+// plain literals keeps working: such packets simply join a free list on
+// their first release.
 //
-// Concurrency: the simulator and the livenet star release every packet from
-// the goroutine that drives their engine, but the pool is process-wide and
-// udpnet releases into it from others: each host's socket reader and
-// whichever goroutine called Send. One goroutine owns a packet at any
-// instant and the host lock publishes its fields on handoff; sync.Pool is
-// itself concurrency-safe, and the atomic double-free guard below keeps the
-// twice-released diagnostic sound even if two goroutines race on a buggy
-// release.
+// Concurrency: this list is process-wide, and udpnet releases into it from
+// several goroutines: each host's socket reader and whichever goroutine
+// called Send. One goroutine owns a packet at any instant and the host lock
+// publishes its fields on handoff; sync.Pool is itself concurrency-safe,
+// and the atomic double-free guard below keeps the twice-released
+// diagnostic sound even if two goroutines race on a buggy release. A
+// simulated fabric keeps its own Pool instead.
 func GetPacket() *Packet {
 	p := pktPool.Get().(*Packet)
 	atomic.StoreUint32(&p.pooled, 0)
 	return p
 }
 
-// PutPacket resets p and returns it to the free list. Releasing the same
-// packet twice is an ownership bug that would silently alias two in-flight
-// packets; it panics instead — the pooled flag is claimed with a CAS so
-// concurrent double release from two goroutines panics on one of them
-// rather than corrupting the pool.
+// PutPacket resets p and returns it to the package-level free list.
+// Releasing the same packet twice is an ownership bug that would silently
+// alias two in-flight packets; it panics instead — the pooled flag is
+// claimed with a CAS so concurrent double release from two goroutines
+// panics on one of them rather than corrupting the list.
 func PutPacket(p *Packet) {
 	if !atomic.CompareAndSwapUint32(&p.pooled, 0, 1) {
-		panic("netsim: PutPacket called twice on the same packet")
+		panic(putTwice)
 	}
 	switch pl := p.Payload.(type) {
 	case *Frame:
@@ -302,12 +311,102 @@ func PutPacket(p *Packet) {
 	case *AckBatch:
 		PutAckBatch(pl)
 	}
+	p.reset()
+	pktPool.Put(p)
+}
+
+const putTwice = "netsim: PutPacket called twice on the same packet"
+
+// reset zeroes every field but the guard word, one by one: a whole-struct
+// copy would store to the flag while a second, buggy release is comparing
+// it.
+func (p *Packet) reset() {
 	p.Kind, p.Src, p.Dst = 0, 0, 0
 	p.MsgTS, p.BarrierBE, p.BarrierC = 0, 0, 0
 	p.Reliable, p.ConflictKey, p.PSN, p.FragIdx, p.EndOfMsg = false, 0, 0, 0, false
 	p.Size, p.ECN, p.Payload, p.Frame = 0, false, nil, false
 	p.SentAt, p.QueueWait = 0, 0
-	pktPool.Put(p)
+}
+
+// Pool is a simulated fabric's free lists of packets, frames and ACK
+// batches, owned by the goroutine that drives the fabric's engine: taking
+// and releasing is a slice pop or push, with no lock and no atomic
+// operation. It accepts any packet not already free — its own, one from
+// GetPacket, a literal — with PutPacket's double-release guard, and a frame
+// or batch released with its packet joins the same Pool. The lists hold at
+// most the peak number of packets in flight at once. A nil *Pool is the
+// package-level list, so code shared with the real-time fabric calls one
+// set of methods.
+type Pool struct {
+	pkts    []*Packet
+	frames  []*Frame
+	batches []*AckBatch
+}
+
+// take pops the most recently freed element of l, or makes one.
+func take[T any](l *[]*T) *T {
+	n := len(*l) - 1
+	if n < 0 {
+		return new(T)
+	}
+	x := (*l)[n]
+	*l = (*l)[:n]
+	return x
+}
+
+// Get returns a zeroed packet.
+func (fp *Pool) Get() *Packet {
+	if fp == nil {
+		return GetPacket()
+	}
+	p := take(&fp.pkts)
+	p.pooled = 0
+	return p
+}
+
+// Put resets p, with the frame or ACK batch it carries, and takes it back.
+func (fp *Pool) Put(p *Packet) {
+	if fp == nil {
+		PutPacket(p)
+		return
+	}
+	if p.pooled != 0 {
+		panic(putTwice)
+	}
+	p.pooled = 1
+	switch pl := p.Payload.(type) {
+	case *Frame:
+		pl.release()
+		fp.frames = append(fp.frames, pl)
+	case *AckBatch:
+		pl.release()
+		fp.batches = append(fp.batches, pl)
+	}
+	p.reset()
+	fp.pkts = append(fp.pkts, p)
+}
+
+// Free reports how many packets the list holds.
+func (fp *Pool) Free() int { return len(fp.pkts) }
+
+// GetFrame returns an empty frame.
+func (fp *Pool) GetFrame() *Frame {
+	if fp == nil {
+		return GetFrame()
+	}
+	f := take(&fp.frames)
+	f.pooled = false
+	return f
+}
+
+// GetAckBatch returns an empty ACK batch.
+func (fp *Pool) GetAckBatch() *AckBatch {
+	if fp == nil {
+		return GetAckBatch()
+	}
+	b := take(&fp.batches)
+	b.pooled = false
+	return b
 }
 
 // Mode selects the in-network processing incarnation (§6.2).

@@ -174,3 +174,90 @@ func TestPutPacketReleasesAckBatchOnce(t *testing.T) {
 		t.Fatal("releasing the batch after its packet did not panic")
 	}
 }
+
+// poolPutPanics is putPanics for a fabric's Pool.
+func poolPutPanics(fp *Pool, p *Packet) (panicked bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != putTwiceMsg {
+				panic(r)
+			}
+			panicked = true
+		}
+	}()
+	fp.Put(p)
+	return false
+}
+
+// TestPoolDoubleReleasePanics: the fabric's list keeps the double-release
+// guard — for its own packets, for a package-level GetPacket packet and for
+// a literal, each of which it accepts once — and hands its packets out
+// again zeroed and releasable.
+func TestPoolDoubleReleasePanics(t *testing.T) {
+	var fp Pool
+	own := fp.Get()
+	own.Kind, own.PSN = KindData, 9
+	for name, p := range map[string]*Packet{"own": own, "GetPacket": GetPacket(), "literal": {Kind: KindBeacon}} {
+		if poolPutPanics(&fp, p) {
+			t.Fatalf("%s: first release panicked", name)
+		}
+		if !poolPutPanics(&fp, p) {
+			t.Fatalf("%s: second release did not panic", name)
+		}
+	}
+	if fp.Free() != 3 {
+		t.Fatalf("list holds %d packets, want the 3 released", fp.Free())
+	}
+	q := fp.Get()
+	if *q != (Packet{}) {
+		t.Fatalf("Get returned %v, want a zeroed packet", q)
+	}
+	if poolPutPanics(&fp, q) || !poolPutPanics(&fp, q) {
+		t.Fatal("after Get: want first release legal, second a panic")
+	}
+}
+
+// TestPoolPayloadFollowsPacket: a frame or ACK batch released with its
+// packet goes back to the packet's owner — this list, not the package-level
+// one — emptied, and comes out again on the next take.
+func TestPoolPayloadFollowsPacket(t *testing.T) {
+	var fp Pool
+	f := fp.GetFrame()
+	f.Entries = append(f.Entries, FrameEntry{TS: 5, Data: []byte("x")})
+	b := &AckBatch{PSNs: []uint32{1}, ECN: []bool{true}} // not from any list
+	for _, pl := range []any{f, b} {
+		p := fp.Get()
+		p.Payload = pl
+		fp.Put(p)
+	}
+	if len(fp.frames) != 1 || fp.frames[0] != f || len(f.Entries) != 0 || cap(f.Entries) == 0 {
+		t.Fatalf("frame not back on the fabric's list emptied: %d frames, %d entries", len(fp.frames), len(f.Entries))
+	}
+	if len(fp.batches) != 1 || fp.batches[0] != b || len(b.PSNs) != 0 {
+		t.Fatalf("batch not back on the fabric's list emptied: %d batches", len(fp.batches))
+	}
+	if fp.GetFrame() != f || fp.GetAckBatch() != b {
+		t.Fatal("the next takes did not reuse the released frame and batch")
+	}
+	if putBatchPanics(b) {
+		t.Fatal("a batch taken again is live: its release must be legal")
+	}
+}
+
+// TestPoolNilIsPackageLevel: a nil *Pool is the package-level list, so code
+// shared with the real-time fabric calls one set of methods.
+func TestPoolNilIsPackageLevel(t *testing.T) {
+	var fp *Pool
+	p := fp.Get()
+	p.Payload = fp.GetAckBatch()
+	if poolPutPanics(fp, p) || !poolPutPanics(fp, p) {
+		t.Fatal("nil pool: want first release legal, second a panic")
+	}
+	q := fp.Get()
+	f := fp.GetFrame()
+	q.Payload = f
+	fp.Put(q)
+	if !f.pooled {
+		t.Fatal("nil pool: the frame was not released with its packet")
+	}
+}

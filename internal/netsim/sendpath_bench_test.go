@@ -20,13 +20,13 @@ func sendPathNet() (*Network, *int) {
 	delivered := new(int)
 	n.AttachHost(7, func(p *Packet) {
 		*delivered++
-		PutPacket(p)
+		n.pool.Put(p)
 	})
 	return n, delivered
 }
 
 func sendOne(n *Network) {
-	pkt := GetPacket()
+	pkt := n.pool.Get()
 	pkt.Kind, pkt.Src, pkt.Dst = KindData, 0, 7
 	pkt.Size = 1024 + HeaderBytes
 	pkt.MsgTS = n.Eng.Now()
@@ -36,7 +36,7 @@ func sendOne(n *Network) {
 
 // BenchmarkSendPath measures one best-effort packet traversing the full
 // simulated path (host 0 -> ToR -> spine/core -> ToR -> host 7), all hops
-// included, pool-recycled end to end.
+// included, recycled through the fabric's list end to end.
 func BenchmarkSendPath(b *testing.B) {
 	n, delivered := sendPathNet()
 	sendOne(n) // warm the route and the event heap

@@ -6,19 +6,18 @@
 // FIFO tie-break on equal timestamps and by the seeded random source, so a
 // simulation run is exactly reproducible from its seed.
 //
-// The engine keeps three queues under that one order. Everything due less
-// than wheelSize nanoseconds ahead — one-shot events and armed Timers alike,
-// nearly all entries — sits in a timing wheel with one doubly linked FIFO
-// per nanosecond: scheduling, executing, and a Timer's Stop or Reset are
-// O(1) with no data-dependent branch. One-shot events due later sit in a
-// monomorphic 4-ary min-heap over the concrete event struct, and Timers
-// armed that far ahead in a second, indexed 4-ary min-heap (timer.go), so
-// that Stop and Reset take the entry out instead of leaving it to fire as a
-// no-op. No queue allocates per entry once its backing array has grown to
-// the working set, all three draw their (time, seq) keys from the same
-// counter, every key is unique, and the engine always executes the smallest
-// of the three heads — the execution order is that of a single queue
-// holding exactly the live entries.
+// The engine keeps one queue: a two-level timing wheel (Varghese & Lauck,
+// "Hashed and hierarchical timing wheels", SOSP 1987) over a slab of entries.
+// Time is cut into aligned blocks of wheelSize nanoseconds. The fine level
+// holds the current block and the next one with one FIFO per nanosecond; the
+// coarse level holds every later block with one FIFO per block number mod
+// wheelSize, so a slot covers about 16.8 ms of blocks per turn and an entry
+// due turns ahead waits in its slot for its turn. When time enters a block,
+// the coarse entries of the block after it cascade into the fine level.
+// One-shot events and armed Timers alike are entries, so scheduling,
+// executing, and a Timer's Stop or Reset are O(1), nothing allocates per
+// entry once the slab has grown to the working set, and the engine always
+// executes the head of the earliest fine FIFO.
 package sim
 
 import (
@@ -52,70 +51,105 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros converts a virtual duration to floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// event is one queue entry. Its two arguments travel inline, so hot callers
-// (netsim's per-packet transmit/receive hops) schedule without allocating a
-// capturing closure — pointer-shaped arguments box into `any` for free. A
-// plain func() is scheduled as runFunc with the func as its argument.
-type event struct {
-	at   Time
-	seq  uint64 // tie-break: FIFO among events with equal time
-	fn2  func(a, b any)
-	a, b any
-}
-
 func runFunc(a, _ any) { a.(func())() }
 
-// wheelBits sizes the timing wheel: 4 096 one-nanosecond slots, the smallest
-// power of two that keeps >= 98.6 % of the events out of the heap on all
-// four benchmark workloads (docs/performance.md "Event queue": due >= 4 096
-// ns ahead are 0 / 0.018 % / 0 / 1.41 % of the events scheduled by bcast-be /
-// scatter-rel-loss / sparse-fabric / serve-kv).
+// wheelBits sizes both wheel levels: 4 096 slots each, so a block is 4 096
+// ns. All but 0 / 0.018 % / 0 / 1.41 % of the events bcast-be /
+// scatter-rel-loss / sparse-fabric / serve-kv schedule are due less than a
+// block ahead (docs/performance.md "Event queue"), which always lands them
+// in the fine level directly.
 const (
 	wheelBits = 12
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
 )
 
-// wnode is one wheel entry in the slab: the event plus the links to the next
-// and previous entries of its slot's FIFO (slab index plus one, 0 = none);
-// a node on the free list uses next only. 64 bytes, one cache line.
+// wnode is one queue entry in the slab: its due time, its callback with the
+// two arguments travelling inline — hot callers (netsim's per-packet hops)
+// schedule without allocating a capturing closure, and pointer-shaped
+// arguments box into `any` for free — and the links to the next and previous
+// entries of its FIFO (slab index plus one, 0 = none); a node on the free
+// list uses next only. A plain func() is scheduled as runFunc with the func
+// as its argument. The pad makes a node one cache line.
 type wnode struct {
-	event
+	at         Time
+	fn2        func(a, b any)
+	a, b       any
 	next, prev uint32
+	_          uint64
 }
 
-// wslot is one nanosecond's FIFO of slab indices plus one (0 = empty).
+// wslot is one FIFO of slab indices plus one (0 = empty).
 type wslot struct{ head, tail uint32 }
+
+// level is one wheel level: a FIFO per slot, one occupancy bit per slot and
+// one summary bit per non-zero bitmap word.
+type level struct {
+	slots [wheelSize]wslot
+	bits  [wheelSize / 64]uint64
+	sum   uint64
+}
+
+func (l *level) mark(s uint) {
+	l.bits[s>>6] |= 1 << (s & 63)
+	l.sum |= 1 << (s >> 6)
+}
+
+func (l *level) clear(s uint) {
+	if l.bits[s>>6] &^= 1 << (s & 63); l.bits[s>>6] == 0 {
+		l.sum &^= 1 << (s >> 6)
+	}
+}
+
+// first returns the first occupied slot in a circular scan from s: the rest
+// of s's bitmap word, then later words, then the wrap-around. The level
+// must not be empty.
+func (l *level) first(s uint) uint {
+	w := s >> 6
+	if m := l.bits[w] >> (s & 63); m != 0 {
+		return s + uint(bits.TrailingZeros64(m))
+	}
+	m := l.sum &^ (1<<(w+1) - 1)
+	if m == 0 {
+		m = l.sum
+	}
+	w = uint(bits.TrailingZeros64(m))
+	return w<<6 + uint(bits.TrailingZeros64(l.bits[w]))
+}
 
 // Engine is a discrete-event simulation loop.
 //
 // The zero value is not usable; construct with NewEngine.
 //
-// Why the wheel cannot move the order: (1) an entry enters slot at&wheelMask
-// only while now <= at < now+wheelSize and now never decreases, so two
-// entries that share a slot at the same moment have the same at; (2) every
-// insertion draws a fresh seq and appends at its slot's tail, and unlinking
-// a stopped or re-armed Timer never reorders the rest, so a slot's FIFO is
-// in seq order and its head carries the slot's smallest key; (3) every key
-// is unique, so comparing the three heads on (at, seq) selects exactly the
-// entry a single queue of the live entries would.
+// Why the wheel cannot move the order. Where an entry lives is a function of
+// its block b = at>>wheelBits and of now's block cb alone (slot): fine[b&1]
+// slot at&wheelMask while b <= cb+1, else coarse slot b&wheelMask. (1) Two
+// entries in one fine FIFO therefore have the same at. (2) Every FIFO is in
+// scheduling order: an insertion appends at the tail, and unlinking a
+// stopped or re-armed Timer reorders nothing. A block's entries reach the
+// fine level in scheduling order too: they all sit in one coarse FIFO, and
+// cascade moves them, in FIFO order, into a fine level that had been closed
+// to the block until then — so everything scheduled while the block was far
+// precedes everything scheduled once it is near, and no merge by seq is
+// needed. (3) Time advances only to an entry's at or to a block start no
+// entry precedes, so the earliest fine FIFO's head is the entry a single
+// queue of the live entries would run next.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events []event      // far events: 4-ary min-heap ordered by (at, seq)
-	timers []timerEntry // far Timers: indexed 4-ary min-heap, same key space
-	rng    *rand.Rand
+	now Time
+	cb  Time // now's block, now>>wheelBits
+	rng *rand.Rand
 
-	// The wheel holds every event scheduled and every Timer armed less than
-	// wheelSize ahead. wbits has one bit per occupied slot and wsum one bit
-	// per non-zero wbits word; wnodes is the slab, recycled LIFO through the
-	// free list wfree.
-	wheel  [wheelSize]wslot
-	wbits  [wheelSize / 64]uint64
-	wsum   uint64
+	fine [2]level // blocks cb and cb+1, by block parity
+	// coarse holds blocks cb+2 on, by block mod wheelSize. Only tests and
+	// experiment phases scheduled up front (chaos plans, -fig timelines)
+	// arm more than one turn ahead (docs/performance.md "Event queue").
+	coarse level
+
+	// wnodes is the slab, recycled LIFO through the free list wfree; wn
+	// counts the live entries.
 	wnodes []wnode
 	wfree  uint32
-	wn     int // entries in the wheel
+	wn     int
 
 	// Executed counts events and timer firings run so far; useful as a
 	// progress and runaway-loop diagnostic.
@@ -136,86 +170,6 @@ func (e *Engine) Now() Time { return e.now }
 // reproducible.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// push inserts ev, sifting up through 4-ary parents. The held element is
-// written once at its final slot instead of swapping pairwise.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	h := e.events
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if h[p].at < ev.at || (h[p].at == ev.at && h[p].seq < ev.seq) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = ev
-}
-
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the backing array does not retain closures or boxed arguments.
-func (e *Engine) pop() event {
-	h := e.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{}
-	h = h[:n]
-	e.events = h
-	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if h[j].at < h[m].at || (h[j].at == h[m].at && h[j].seq < h[m].seq) {
-					m = j
-				}
-			}
-			if last.at < h[m].at || (last.at == h[m].at && last.seq < h[m].seq) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	return top
-}
-
-// nextSeq draws the next FIFO sequence number.
-func (e *Engine) nextSeq() uint64 {
-	e.seq++
-	return e.seq
-}
-
-// schedule clamps t to the present, assigns the FIFO sequence number and
-// files fn(a, b) by its distance from now: into its nanosecond's wheel slot
-// when that is below wheelSize, else into the heap. Nothing migrates
-// between the two afterwards. On the wheel path the fields are written
-// straight into the slab node: building an event on the stack and copying
-// it in stalls on store forwarding (docs/performance.md "Event queue").
-func (e *Engine) schedule(t Time, fn func(a, b any), a, b any) {
-	now := e.now
-	if t < now {
-		t = now
-	}
-	seq := e.nextSeq()
-	if t-now >= wheelSize {
-		e.push(event{at: t, seq: seq, fn2: fn, a: a, b: b})
-		return
-	}
-	e.link(e.newNode(), t, seq, fn, a, b)
-}
-
 // newNode takes a node off the free list, or grows the slab by one.
 func (e *Engine) newNode() uint32 {
 	if i := e.wfree; i != 0 {
@@ -224,54 +178,6 @@ func (e *Engine) newNode() uint32 {
 	}
 	e.wnodes = append(e.wnodes, wnode{})
 	return uint32(len(e.wnodes))
-}
-
-// link writes an entry into node i and appends it at the tail of slot
-// at&wheelMask; at must lie in [now, now+wheelSize).
-func (e *Engine) link(i uint32, at Time, seq uint64, fn func(a, b any), a, b any) {
-	n := &e.wnodes[i-1]
-	n.at, n.seq, n.fn2, n.a, n.b = at, seq, fn, a, b
-	s := uint(at) & wheelMask
-	sl := &e.wheel[s]
-	n.next, n.prev = 0, sl.tail
-	if sl.tail == 0 {
-		sl.head = i
-		e.wbits[s>>6] |= 1 << (s & 63)
-		e.wsum |= 1 << (s >> 6)
-	} else {
-		e.wnodes[sl.tail-1].next = i
-	}
-	sl.tail = i
-	e.wn++
-}
-
-// unlink takes node i out of its slot's FIFO, wherever it sits in it; the
-// node keeps its payload and is not freed.
-func (e *Engine) unlink(i uint32) {
-	n := &e.wnodes[i-1]
-	s := uint(n.at) & wheelMask
-	sl := &e.wheel[s]
-	if n.prev == 0 {
-		sl.head = n.next
-	} else {
-		e.wnodes[n.prev-1].next = n.next
-	}
-	if n.next == 0 {
-		sl.tail = n.prev
-	} else {
-		e.wnodes[n.next-1].prev = n.prev
-	}
-	if sl.head == 0 {
-		e.clearSlot(s)
-	}
-	e.wn--
-}
-
-// clearSlot drops an emptied slot's occupancy bits.
-func (e *Engine) clearSlot(s uint) {
-	if e.wbits[s>>6] &^= 1 << (s & 63); e.wbits[s>>6] == 0 {
-		e.wsum &^= 1 << (s >> 6)
-	}
 }
 
 // free clears node i's payload, so the slab does not retain closures or
@@ -284,42 +190,72 @@ func (e *Engine) free(i uint32) {
 	e.wfree = i
 }
 
-// wheelHead returns the wheel's earliest event; the wheel must not be empty.
-// Every event in it is due in [now, now+wheelSize), so that is the head of
-// the first occupied slot in a circular scan from now's own: the rest of
-// the current bitmap word, then later words, then the wrap-around.
-func (e *Engine) wheelHead() *wnode {
-	s := uint(e.Now()) & wheelMask
-	w := s >> 6
-	if m := e.wbits[w] >> (s & 63); m != 0 {
-		s += uint(bits.TrailingZeros64(m))
+// append links node i at the tail of sl and reports whether sl was empty.
+func (e *Engine) append(sl *wslot, i uint32) bool {
+	n := &e.wnodes[i-1]
+	n.next, n.prev = 0, sl.tail
+	empty := sl.tail == 0
+	if empty {
+		sl.head = i
 	} else {
-		if m = e.wsum &^ (1<<(w+1) - 1); m == 0 {
-			m = e.wsum
-		}
-		w = uint(bits.TrailingZeros64(m))
-		s = w<<6 + uint(bits.TrailingZeros64(e.wbits[w]))
+		e.wnodes[sl.tail-1].next = i
 	}
-	return &e.wnodes[e.wheel[s].head-1]
+	sl.tail = i
+	return empty
 }
 
-// popWheel removes the head of the slot of time at, frees its node and
-// returns its callback and arguments.
-func (e *Engine) popWheel(at Time) (fn func(a, b any), a, b any) {
-	s := uint(at) & wheelMask
-	sl := &e.wheel[s]
-	i := sl.head
+// cut unlinks node i from sl, wherever it sits, and reports whether sl is
+// now empty; the node keeps its payload and is not freed.
+func (e *Engine) cut(sl *wslot, i uint32) bool {
 	n := &e.wnodes[i-1]
-	fn, a, b = n.fn2, n.a, n.b
-	if sl.head = n.next; sl.head == 0 {
-		sl.tail = 0
-		e.clearSlot(s)
+	if n.prev == 0 {
+		sl.head = n.next
 	} else {
-		e.wnodes[sl.head-1].prev = 0
+		e.wnodes[n.prev-1].next = n.next
 	}
-	e.free(i)
-	e.wn--
-	return fn, a, b
+	if n.next == 0 {
+		sl.tail = n.prev
+	} else {
+		e.wnodes[n.next-1].prev = n.prev
+	}
+	return sl.head == 0
+}
+
+// slot returns the level and slot of an entry due at, not before now.
+func (e *Engine) slot(at Time) (*level, uint) {
+	if b := at >> wheelBits; b > e.cb+1 {
+		return &e.coarse, uint(b) & wheelMask
+	}
+	return &e.fine[at>>wheelBits&1], uint(at) & wheelMask
+}
+
+// place files node i, whose at is set, at the tail of its slot.
+func (e *Engine) place(i uint32) {
+	if l, s := e.slot(e.wnodes[i-1].at); e.append(&l.slots[s], i) {
+		l.mark(s)
+	}
+}
+
+// unlink takes node i out of the FIFO place filed it in.
+func (e *Engine) unlink(i uint32) {
+	if l, s := e.slot(e.wnodes[i-1].at); e.cut(&l.slots[s], i) {
+		l.clear(s)
+	}
+}
+
+// schedule clamps t to the present and files fn(a, b) at t. The fields are
+// written straight into the slab node: building an entry on the stack and
+// copying it in stalls on store forwarding (docs/performance.md "Event
+// queue").
+func (e *Engine) schedule(t Time, fn func(a, b any), a, b any) {
+	if t < e.now {
+		t = e.now
+	}
+	i := e.newNode()
+	n := &e.wnodes[i-1]
+	n.at, n.fn2, n.a, n.b = t, fn, a, b
+	e.place(i)
+	e.wn++
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -349,57 +285,81 @@ func (e *Engine) After2(d Time, fn func(a, b any), a, b any) {
 // time. It reports whether one was executed.
 func (e *Engine) Step() bool { return e.stepUntil(math.MaxInt64) }
 
-// The queue an entry is taken from, as returned by next.
-const (
-	qNone = iota
-	qWheel
-	qHeap
-	qTimer
-)
-
-// next returns which queue holds the earliest entry — the smallest (at, seq)
-// of the wheel's, the heap's and the timer heap's heads — and its key.
-func (e *Engine) next() (q int, at Time, seq uint64) {
-	if e.wn > 0 {
-		n := e.wheelHead()
-		q, at, seq = qWheel, n.at, n.seq
-	}
-	if len(e.events) > 0 {
-		if h := &e.events[0]; q == qNone || h.at < at || (h.at == at && h.seq < seq) {
-			q, at, seq = qHeap, h.at, h.seq
+// stepUntil executes the earliest queued entry provided its timestamp is at
+// most limit, and reports whether it did. When the current block has
+// nothing left it first moves time to the start of the next block that
+// holds an entry, if that is within limit.
+func (e *Engine) stepUntil(limit Time) bool {
+	for {
+		l := &e.fine[e.cb&1]
+		if l.sum != 0 {
+			s := l.first(uint(e.now) & wheelMask)
+			sl := &l.slots[s]
+			i := sl.head
+			n := &e.wnodes[i-1]
+			at := n.at
+			if at > limit {
+				return false
+			}
+			fn, a, b := n.fn2, n.a, n.b
+			if e.cut(sl, i) {
+				l.clear(s)
+			}
+			e.free(i)
+			e.wn--
+			e.now = at
+			e.Executed++
+			fn(a, b)
+			return true
 		}
-	}
-	if len(e.timers) > 0 {
-		if h := &e.timers[0]; q == qNone || h.at < at || (h.at == at && h.seq < seq) {
-			q, at, seq = qTimer, h.at, h.seq
+		nb, ok := e.nextBlock()
+		if !ok || nb<<wheelBits > limit {
+			return false
 		}
+		e.now = nb << wheelBits
+		e.enter(nb)
 	}
-	return q, at, seq
 }
 
-// stepUntil executes the earliest queued entry provided its timestamp is at
-// most limit, and reports whether it did.
-func (e *Engine) stepUntil(limit Time) bool {
-	q, at, _ := e.next()
-	if q == qNone || at > limit {
-		return false
+// nextBlock returns a lower bound on the block of the earliest entry not
+// in fine[cb&1]: cb+1 if the other fine level holds any, else the block
+// the first occupied coarse slot stands for in the turn from cb+2. An
+// entry turns ahead makes that a block with nothing due, which entering
+// costs one step per turn.
+func (e *Engine) nextBlock() (Time, bool) {
+	switch {
+	case e.fine[(e.cb+1)&1].sum != 0:
+		return e.cb + 1, true
+	case e.coarse.sum != 0:
+		from := e.cb + 2
+		return from + Time((e.coarse.first(uint(from)&wheelMask)-uint(from))&wheelMask), true
 	}
-	var fn func(a, b any)
-	var a, b any
-	switch q {
-	case qWheel:
-		fn, a, b = e.popWheel(at)
-	case qHeap:
-		ev := e.pop()
-		fn, a, b = ev.fn2, ev.a, ev.b
-	default:
-		e.fireTimer()
-		return true
+	return 0, false
+}
+
+// enter makes nb, a later block than cb that no queued entry precedes, the
+// current block, and cascades the coarse entries of nb and nb+1 — those
+// not fine already — into the fine level, in FIFO order; entries of later
+// turns stay.
+func (e *Engine) enter(nb Time) {
+	old := e.cb
+	e.cb = nb
+	for b := max(nb, old+2); b <= nb+1; b++ {
+		s := uint(b) & wheelMask
+		sl := &e.coarse.slots[s]
+		for i := sl.head; i != 0; {
+			n := &e.wnodes[i-1]
+			next := n.next
+			if n.at>>wheelBits == b {
+				e.cut(sl, i)
+				e.place(i)
+			}
+			i = next
+		}
+		if sl.head == 0 {
+			e.coarse.clear(s)
+		}
 	}
-	e.now = at
-	e.Executed++
-	fn(a, b)
-	return true
 }
 
 // Run executes events until the queue is empty.
@@ -416,6 +376,9 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	if e.now < deadline {
 		e.now = deadline
+		if nb := deadline >> wheelBits; nb > e.cb {
+			e.enter(nb)
+		}
 	}
 }
 
@@ -424,23 +387,14 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.Now() + d) }
 
 // Pending reports the number of queued events plus armed timers. A stopped
 // or re-armed Timer leaves nothing behind, so the count is exact.
-func (e *Engine) Pending() int { return e.wn + len(e.events) + len(e.timers) }
+func (e *Engine) Pending() int { return e.wn }
 
 // Drain discards every queued event, disarms every armed timer and returns
 // how many entries that was. Use it at shutdown to account for work the
-// simulation never executed; after Drain the queues are empty, Pending
+// simulation never executed; after Drain the queue is empty, Pending
 // reports zero, and the disarmed timers can be armed again.
 func (e *Engine) Drain() int {
-	n := e.Pending()
-	for i := range e.events {
-		e.events[i] = event{}
-	}
-	e.events = e.events[:0]
-	for i := range e.timers {
-		e.timers[i].t.idx = 0
-		e.timers[i] = timerEntry{}
-	}
-	e.timers = e.timers[:0]
+	n := e.wn
 	for i := range e.wnodes {
 		if t, ok := e.wnodes[i].a.(*wheelTimer); ok {
 			t.idx = 0
@@ -448,14 +402,20 @@ func (e *Engine) Drain() int {
 	}
 	clear(e.wnodes)
 	e.wnodes = e.wnodes[:0]
-	e.wheel, e.wbits = [wheelSize]wslot{}, [wheelSize / 64]uint64{}
-	e.wsum, e.wfree, e.wn = 0, 0, 0
+	e.fine, e.coarse = [2]level{}, level{}
+	e.wfree, e.wn = 0, 0
 	return n
 }
 
 // NextEventTime returns the timestamp of the earliest queued event or timer
-// firing and whether one exists.
+// firing and whether one exists. It scans the slab: a diagnostic, not a
+// step of a simulation loop.
 func (e *Engine) NextEventTime() (Time, bool) {
-	q, at, _ := e.next()
-	return at, q != qNone
+	at := Time(math.MaxInt64)
+	for i := range e.wnodes {
+		if n := &e.wnodes[i]; n.fn2 != nil {
+			at = min(at, n.at)
+		}
+	}
+	return at, e.wn > 0
 }

@@ -43,12 +43,12 @@ func BenchmarkEngineSchedule(b *testing.B) { benchSchedule(b, false, 1, 1000) }
 // per-packet hops use.
 func BenchmarkEngineSchedule2(b *testing.B) { benchSchedule(b, true, 1, 1000) }
 
-// BenchmarkEngineScheduleFar keeps every delay beyond the wheel, so the
-// far-event heap's push and pop stay measured.
+// BenchmarkEngineScheduleFar keeps every delay past the next block, so
+// every event is filed at the coarse level and cascaded.
 func BenchmarkEngineScheduleFar(b *testing.B) { benchSchedule(b, true, 5000, 100000) }
 
-// BenchmarkEngineScheduleMixed straddles the wheel's edge: about half the
-// events go each way.
+// BenchmarkEngineScheduleMixed straddles the fine level's edge: about half
+// the events are filed at each level.
 func BenchmarkEngineScheduleMixed(b *testing.B) { benchSchedule(b, true, 1, 8000) }
 
 // BenchmarkTimerArmCancel measures engine timers at the depth the
@@ -57,9 +57,9 @@ func BenchmarkEngineScheduleMixed(b *testing.B) { benchSchedule(b, true, 1, 8000
 // deadline, the population staying constant. fire is the timeout path:
 // the earliest timer fires through the engine and its handler re-arms it,
 // BenchmarkEngineSchedule's churn through the timer queues. Deadlines are
-// 1–100 000 ns ahead, so about 96 % of the timers sit in the timer heap;
-// the -near modes keep them 1–1 000 ns ahead, all in the wheel, as the
-// doorbell and ACK-flush timers are.
+// 1–100 000 ns ahead, so about 96 % of the timers sit at the coarse level,
+// as send-fail timers and RTOs do; the -near modes keep them 1–1 000 ns
+// ahead, all at the fine level, as the doorbell and ACK-flush timers are.
 func BenchmarkTimerArmCancel(b *testing.B) {
 	for _, mode := range []string{"cancel", "fire", "cancel-near", "fire-near"} {
 		fire := strings.HasPrefix(mode, "fire")
@@ -93,11 +93,10 @@ func BenchmarkTimerArmCancel(b *testing.B) {
 }
 
 // TestEngineScheduleAllocs pins the zero-allocation property of the event
-// queue: once the wheel's slab and the heap's backing array have grown to
-// the working set, At/After/At2 plus Step allocate nothing, whichever queue
-// the event goes through. A regression here (interface boxing, closure
-// capture, slab or heap re-growth) multiplies across every simulated packet
-// hop.
+// queue: once the wheel's slab has grown to the working set, At/After/At2
+// plus Step allocate nothing, whichever level the event is filed at. A
+// regression here (interface boxing, closure capture, slab re-growth)
+// multiplies across every simulated packet hop.
 func TestEngineScheduleAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
@@ -106,7 +105,7 @@ func TestEngineScheduleAllocs(t *testing.T) {
 	fn := func() {}
 	var x, y int
 	fn2 := func(a, b any) {}
-	// Grow both queues well past the steady-state depth first, then run at
+	// Grow both levels well past the steady-state depth first, then run at
 	// a quarter of it.
 	for _, n := range []int{4096, 1024} {
 		e.Run()

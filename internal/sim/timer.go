@@ -19,47 +19,30 @@ func (f funcHandler) Fire() { f() }
 // and dead-link detection in the network model.
 //
 // An armed Timer is one queue entry and nothing else: a node of the
-// engine's timing wheel when it is due less than wheelSize ahead, else an
-// entry of the timer heap. Stop and Reset unlink, move or re-key that
-// entry — O(1) in the wheel, O(log n) in the heap — so a cancelled firing
-// costs nothing later and keeps nothing reachable. The zero Timer is
-// disarmed; give it an engine and a handler with Init before the first
-// Reset. Timers are meant to be embedded by value — the struct is 32 bytes,
-// the (at, seq) key lives in the queue entry — and whoever drops a struct
-// with an embedded timer must Stop it first, or the engine keeps the struct
-// alive until it fires.
+// engine's timing wheel, at whichever level its deadline puts it. Stop and
+// Reset unlink or move that node in O(1), so a cancelled firing costs
+// nothing later and keeps nothing reachable. The zero Timer is disarmed;
+// give it an engine and a handler with Init before the first Reset. Timers
+// are meant to be embedded by value — the struct is 32 bytes, the deadline
+// lives in the node — and whoever drops a struct with an embedded timer must
+// Stop it first, or the engine keeps the struct alive until it fires.
 type Timer struct {
 	eng *Engine
 	h   Handler
-	// idx locates the entry: its position in eng.timers plus one when
-	// positive, minus its wheel node's slab index plus one when negative;
-	// 0 = disarmed.
-	idx int32
+	idx uint32 // the node's slab index plus one; 0 = disarmed
 }
 
-// wheelTimer is the type a Timer held in the wheel is boxed as in its
-// node's first argument, so Drain can tell its nodes from events'.
+// wheelTimer is the type a Timer is boxed as in its node's first argument,
+// so Drain can tell its nodes from events'.
 type wheelTimer Timer
 
-// fireWheelTimer is the callback of a Timer's wheel node: the engine has
-// already freed the node, so the timer is disarmed and then fired, and the
-// handler may re-arm it.
+// fireWheelTimer is the callback of a Timer's node: the engine has already
+// freed the node, so the timer is disarmed and then fired, and the handler
+// may re-arm it.
 func fireWheelTimer(a, _ any) {
 	t := (*Timer)(a.(*wheelTimer))
 	t.idx = 0
 	t.h.Fire()
-}
-
-// timerEntry is one armed timer in the heap. The key is inline so a sift
-// compares entries without dereferencing two Timers.
-type timerEntry struct {
-	at  Time
-	seq uint64
-	t   *Timer
-}
-
-func (a *timerEntry) less(b *timerEntry) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // NewTimer creates a timer that invokes fn when it fires. The timer starts
@@ -80,55 +63,37 @@ func (t *Timer) Handler() Handler { return t.h }
 // Reset (re)arms the timer to fire d nanoseconds from now, replacing any
 // previously scheduled firing. The firing takes its place in the engine's
 // (time, seq) order exactly as an event scheduled by After(d) at this
-// moment would: same clamp to the present, same sequence counter, and the
-// same queue choice by distance — the wheel below wheelSize, else the timer
-// heap. A re-armed wheel node moves to the tail of its new slot, which may
-// be its old one.
+// moment would: same clamp to the present, same filing by deadline. A
+// re-armed timer keeps its node, which moves to the tail of its new FIFO —
+// possibly its old one.
 func (t *Timer) Reset(d Time) {
 	e := t.eng
-	now := e.now
-	at := now + d
-	if at < now {
-		at = now
+	at := e.now + d
+	if at < e.now {
+		at = e.now
 	}
-	seq := e.nextSeq()
-	if at-now < wheelSize {
-		e.armWheel(t, at, seq)
-		return
-	}
-	if t.idx < 0 {
-		e.remove(t)
-	}
-	i := int(t.idx) - 1
-	if i < 0 {
-		e.timers = append(e.timers, timerEntry{})
-		i = len(e.timers) - 1
-	}
-	e.placeTimer(i, timerEntry{at: at, seq: seq, t: t})
-}
-
-// armWheel files t as a node of the wheel slot of at, keeping the node it
-// already has there. It is Reset's near half, kept out of line so that the
-// heap half stays a short function with a small frame.
-func (e *Engine) armWheel(t *Timer, at Time, seq uint64) {
-	var i uint32
-	if t.idx < 0 {
-		i = uint32(-t.idx)
+	i := t.idx
+	if i != 0 {
 		e.unlink(i)
 	} else {
-		if t.idx > 0 {
-			e.remove(t)
-		}
 		i = e.newNode()
+		t.idx = i
+		n := &e.wnodes[i-1]
+		n.fn2, n.a = fireWheelTimer, (*wheelTimer)(t)
+		e.wn++
 	}
-	e.link(i, at, seq, fireWheelTimer, (*wheelTimer)(t), nil)
-	t.idx = -int32(i)
+	e.wnodes[i-1].at = at
+	e.place(i)
 }
 
 // Stop disarms the timer. It is safe to call on a disarmed timer.
 func (t *Timer) Stop() {
-	if t.idx != 0 {
-		t.eng.remove(t)
+	if i := t.idx; i != 0 {
+		e := t.eng
+		e.unlink(i)
+		e.free(i)
+		e.wn--
+		t.idx = 0
 	}
 }
 
@@ -138,86 +103,10 @@ func (t *Timer) Armed() bool { return t.idx != 0 }
 // Deadline returns the virtual time at which the timer will fire. Only
 // meaningful while Armed.
 func (t *Timer) Deadline() Time {
-	switch {
-	case t.idx < 0:
-		return t.eng.wnodes[-t.idx-1].at
-	case t.idx > 0:
-		return t.eng.timers[t.idx-1].at
+	if t.idx == 0 {
+		return 0
 	}
-	return 0
-}
-
-// placeTimer writes ent into the timer heap starting from the hole at slot
-// i, sifting it up or down to where its key belongs and keeping every moved
-// timer's index current. The held entry is written once, at its final slot.
-func (e *Engine) placeTimer(i int, ent timerEntry) {
-	h := e.timers
-	for i > 0 {
-		p := (i - 1) >> 2
-		if h[p].less(&ent) {
-			break
-		}
-		h[i] = h[p]
-		h[i].t.idx = int32(i + 1)
-		i = p
-	}
-	n := len(h)
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].less(&h[m]) {
-				m = j
-			}
-		}
-		if ent.less(&h[m]) {
-			break
-		}
-		h[i] = h[m]
-		h[i].t.idx = int32(i + 1)
-		i = m
-	}
-	h[i] = ent
-	ent.t.idx = int32(i + 1)
-}
-
-// remove takes an armed timer's entry out of its queue — its wheel node,
-// freed, or its heap slot — and disarms it. A heap's vacated tail slot is
-// zeroed so the backing array does not keep the timer's owner reachable.
-func (e *Engine) remove(t *Timer) {
-	if t.idx < 0 {
-		i := uint32(-t.idx)
-		e.unlink(i)
-		e.free(i)
-		t.idx = 0
-		return
-	}
-	h := e.timers
-	i, n := int(t.idx)-1, len(h)-1
-	t.idx = 0
-	last := h[n]
-	h[n] = timerEntry{}
-	e.timers = h[:n]
-	if i < n {
-		e.placeTimer(i, last)
-	}
-}
-
-// fireTimer pops the earliest timer of the timer heap and runs its handler.
-// The timer is disarmed first, so the handler may re-arm it.
-func (e *Engine) fireTimer() {
-	ent := e.timers[0]
-	e.remove(ent.t)
-	e.now = ent.at
-	e.Executed++
-	ent.t.h.Fire()
+	return t.eng.wnodes[t.idx-1].at
 }
 
 // Ticker invokes fn every interval until stopped. Used for periodic beacon

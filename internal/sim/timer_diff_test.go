@@ -13,13 +13,15 @@ import (
 // Reset/Stop, Ticker start/stop and RunUntil against the engine and against
 // a reference model, and requires the identical sequence of live firings
 // and the identical live count after every step. Its delays straddle the
-// wheel's edge and aim at the deadlines of far events scheduled earlier, so
-// the engine's three queues — wheel, far-event heap, timer heap — keep
-// meeting at equal timestamps.
+// block edge, land on block starts, reach more than a turn of the coarse
+// level ahead and aim at the deadlines of far events scheduled earlier, so
+// entries filed at the fine level and entries cascaded from the coarse
+// level, this turn's or a later one's, keep meeting at equal timestamps.
 //
-// The reference model is the timer implementation the engine had before the
-// timer heap: one queue, and a Timer that bumps an epoch and abandons its
-// old event as a tombstone. The queue is a plain sorted (at, seq) list.
+// The reference model is the timer implementation the engine had before
+// timers were queue entries: one queue, and a Timer that bumps an epoch and
+// abandons its old event as a tombstone. The queue is a plain sorted (at,
+// seq) list.
 
 type simAPI interface {
 	Now() Time
@@ -215,8 +217,8 @@ func (d *recDraws) Intn(n int) int {
 	return v
 }
 
-// The queue a firing came from, by how it was scheduled: a one-shot event
-// less than wheelSize ahead, one at least that far, or a timer.
+// How a firing was scheduled: a one-shot event less than wheelSize ahead,
+// one at least that far (filed at the coarse level or past it), or a timer.
 const (
 	fromNear = 1 << iota
 	fromFar
@@ -229,15 +231,27 @@ const (
 // handlers make while firing, is drawn from rng: two implementations that
 // fire in the same order draw the same script. ties counts the instants at
 // which a near event, a far event and a timer all fired.
+//
+// One block is wheelSize ns and a turn of the coarse level wheelSize
+// blocks; the script uses the engine's constants for both.
 func runTimerScript(api simAPI, rng draws, steps int) (log []string, fired, ties int) {
 	// Delays cluster on a few values so many deadlines are equal, and include
-	// zero and negative ones (clamped to now), the wheel's edge, whole wheel
-	// turns plus a little (the slot of a live near event), 1 ms, and the
-	// instant of a far event scheduled a while ago — by now usually less
-	// than a wheel away, so near events and timers meet it there.
+	// zero and negative ones (clamped to now), a block's length, whole
+	// blocks plus a little (the slot of a live near event), 1 ms, block
+	// starts, deadlines a turn ahead, and the instant of a far
+	// event scheduled a while ago — by now usually less than a block away,
+	// so near events and timers meet it there.
 	var farAt []Time // deadlines of the far one-shot events, oldest first
 	delay := func() Time {
 		switch rng.Intn(8) {
+		case 7:
+			now := api.Now()
+			switch rng.Intn(4) {
+			case 0: // the start of one of the next few blocks
+				return (now>>wheelBits+Time(1+rng.Intn(4)))<<wheelBits - now
+			case 1: // a turn of the coarse level ahead
+				return wheelSize*wheelSize + Time(rng.Intn(3))*wheelSize + Time(rng.Intn(5))
+			}
 		case 0:
 			return Time(rng.Intn(7)) - 3
 		case 1, 2:
@@ -378,8 +392,13 @@ func runTimerScript(api simAPI, rng draws, steps int) (log []string, fired, ties
 			}
 		default:
 			d := Time(rng.Intn(60))
-			if rng.Intn(16) == 0 { // a jump longer than the wheel
+			switch rng.Intn(32) {
+			case 0, 1: // a jump longer than a block
 				d += Time(1+rng.Intn(2)) * wheelSize
+			case 2: // over several coarse blocks
+				d += Time(3+rng.Intn(40)) * wheelSize
+			case 3: // a turn ahead
+				d += wheelSize * wheelSize
 			}
 			api.RunUntil(api.Now() + d)
 		}
@@ -394,7 +413,7 @@ func runTimerScript(api simAPI, rng draws, steps int) (log []string, fired, ties
 	for _, tk := range tickers {
 		tk.Stop()
 	}
-	api.RunUntil(api.Now() + 2*Millisecond)
+	api.RunUntil(api.Now() + wheelSize*wheelSize + 2*Millisecond)
 	log = append(log, fmt.Sprintf("end: now %d pending %d", api.Now(), api.Pending()))
 	return log, fired, ties
 }
@@ -426,7 +445,7 @@ func diffScript(t *testing.T, label string, mk func() draws, steps int) (modelFi
 func TestTimerHeapMatchesTombstoneModel(t *testing.T) {
 	steps := 4000
 	if race.Enabled {
-		steps = 1500
+		steps = 2500
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		label := fmt.Sprintf("seed %d", seed)
@@ -435,7 +454,7 @@ func TestTimerHeapMatchesTombstoneModel(t *testing.T) {
 			t.Fatalf("%s: script too idle (%d model events)", label, firings)
 		}
 		if ties == 0 {
-			t.Fatalf("%s: wheel, heap and timer heap never met at one instant", label)
+			t.Fatalf("%s: near events, far events and timers never met at one instant", label)
 		}
 	}
 }
@@ -457,25 +476,25 @@ func FuzzEngineOrder(f *testing.F) {
 	})
 }
 
-// TestDrainDisarmsTimers: Drain counts armed timers as queued work, in the
-// wheel and in the timer heap, leaves them disarmed, and they can be armed
-// again afterwards in either queue.
+// TestDrainDisarmsTimers: Drain counts armed timers as queued work, at the
+// fine and the coarse level, leaves them disarmed, and they can be armed
+// again afterwards at either level.
 func TestDrainDisarmsTimers(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
 	tms := make([]*Timer, 6)
 	for i := range tms {
 		tms[i] = NewTimer(e, func() { fired++ })
-		d := Time(100 + i) // near: a wheel node
+		d := Time(100 + i) // near: the fine level
 		if i%2 == 1 {
-			d += 2 * wheelSize // far: the timer heap
+			d += 2 * wheelSize // far: the coarse level
 		}
 		tms[i].Reset(d)
 	}
 	tk := NewTicker(e, 10, 0, func() { fired++ })
 	e.At(50, func() { fired++ })
-	if q := e.queued(); q != [3]int{5, 0, 3} {
-		t.Fatalf("wheel/heap/timers = %v, want 5/0/3 (3 near timers, the ticker, the event; 3 far timers)", q)
+	if q := e.queued(); q != [3]int{5, 3, 0} {
+		t.Fatalf("fine/coarse/later turn = %v, want 5/3/0 (3 near timers, the ticker, the event; 3 far timers)", q)
 	}
 	if got := e.Drain(); got != 8 {
 		t.Fatalf("Drain = %d, want 8 (6 timers, 1 ticker, 1 event)", got)
@@ -494,8 +513,8 @@ func TestDrainDisarmsTimers(t *testing.T) {
 	tms[1].Reset(5)
 	tms[4].Reset(2)
 	tms[2].Reset(3 * wheelSize)
-	if q := e.queued(); q != [3]int{2, 0, 1} {
-		t.Fatalf("after re-arming three: wheel/heap/timers = %v, want 2/0/1", q)
+	if q := e.queued(); q != [3]int{2, 1, 0} {
+		t.Fatalf("after re-arming three: fine/coarse/later turn = %v, want 2/1/0", q)
 	}
 	e.Run()
 	if fired != 3 {
@@ -504,7 +523,7 @@ func TestDrainDisarmsTimers(t *testing.T) {
 }
 
 // TestTimerDeadline: the deadline is the queue entry's key, so it follows
-// re-arms, in the wheel, in the timer heap and across the horizon, and
+// re-arms, at the fine level, at the coarse level and across the block edge, and
 // survives other timers moving around it.
 func TestTimerDeadline(t *testing.T) {
 	e := NewEngine(1)
@@ -529,8 +548,8 @@ func TestTimerDeadline(t *testing.T) {
 	}
 }
 
-// TestTimerAllocs pins the point of the timer heap: once the heap's backing
-// array has grown, arming, cancelling, firing and ticking allocate nothing.
+// TestTimerAllocs pins the point of timers as queue entries: once the slab
+// has grown, arming, cancelling, firing and ticking allocate nothing.
 // The tombstone timer allocated a closure per arm.
 func TestTimerAllocs(t *testing.T) {
 	if race.Enabled {

@@ -6,117 +6,179 @@ import (
 	"unsafe"
 )
 
-// White-box tests of the timing wheel in front of the far-event heap: which
-// queue an entry lands in, and that taking the smallest of the three heads
-// keeps the (time, seq) order where the queues meet.
+// White-box tests of the two-level timing wheel: which level an entry
+// lands in, and that cascading a coarse block — entries of later turns
+// staying behind — keeps the (time, seq) order where entries filed at
+// different levels meet.
 
-// queued reports how many entries sit in the wheel, the heap and the timer
-// heap.
-func (e *Engine) queued() [3]int { return [3]int{e.wn, len(e.events), len(e.timers)} }
+// count walks a FIFO.
+func (e *Engine) count(sl wslot) int {
+	n := 0
+	for i := sl.head; i != 0; i = e.wnodes[i-1].next {
+		n++
+	}
+	return n
+}
+
+// queued reports how many entries sit in the fine level, in the coarse
+// level for this turn of it (blocks up to cb+wheelSize+1), and in the
+// coarse level for a later turn.
+func (e *Engine) queued() [3]int {
+	var q [3]int
+	for s := range e.coarse.slots {
+		q[0] += e.count(e.fine[0].slots[s]) + e.count(e.fine[1].slots[s])
+		for i := e.coarse.slots[s].head; i != 0; i = e.wnodes[i-1].next {
+			if e.wnodes[i-1].at>>wheelBits > e.cb+wheelSize+1 {
+				q[2]++
+			} else {
+				q[1]++
+			}
+		}
+	}
+	return q
+}
+
+// wheelEmpty reports whether every level's occupancy summary is clear.
+func (e *Engine) wheelEmpty() bool {
+	return e.fine[0].sum == 0 && e.fine[1].sum == 0 && e.coarse.sum == 0
+}
 
 // TestEventFootprint pins the sizes the wheel is built around: a wheel node
-// is one cache line with both FIFO links, and the engine carries the 32 KiB
-// slot array, the bitmap and little else.
+// is one cache line with both FIFO links, and the engine carries the three
+// 32 KiB slot arrays — two fine blocks and the coarse level — their bitmaps
+// and little else.
 func TestEventFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 56 {
-		t.Errorf("event is %d bytes, want 56", got)
-	}
 	if got := unsafe.Sizeof(wnode{}); got != 64 {
 		t.Errorf("wnode is %d bytes, want 64", got)
 	}
-	if got := unsafe.Sizeof(Engine{}); got > 40<<10 {
-		t.Errorf("Engine is %d bytes, want at most 40 KiB", got)
+	if got := unsafe.Sizeof(Engine{}); got > 100<<10 {
+		t.Errorf("Engine is %d bytes, want at most 100 KiB", got)
 	}
 }
 
-// TestWheelHorizon: an event goes to the wheel exactly when it is due less
-// than wheelSize ahead of now, wherever now is.
+// TestWheelHorizon: an entry goes to the fine level exactly when its block
+// is now's or the next, else to the coarse level — for this turn up to
+// wheelSize+1 blocks ahead, for a later one beyond — wherever now is.
 func TestWheelHorizon(t *testing.T) {
 	for _, start := range []Time{0, 1, wheelSize - 1, wheelSize, 5*wheelSize + 4090} {
 		e := NewEngine(1)
 		e.RunUntil(start)
-		for _, c := range []struct {
-			d    Time
-			want [3]int
-		}{
-			{0, [3]int{1, 0, 0}},
-			{wheelSize - 1, [3]int{2, 0, 0}},
-			{wheelSize, [3]int{2, 1, 0}},
-			{wheelSize + 1, [3]int{2, 2, 0}},
-			{-7, [3]int{3, 2, 0}}, // clamped to now
-		} {
-			e.After(c.d, func() {})
-			if got := e.queued(); got != c.want {
-				t.Fatalf("start %d, after After(%d): wheel/heap/timers = %v, want %v", start, c.d, got, c.want)
+		var want [3]int
+		horizon := (start>>wheelBits + wheelSize + 2) << wheelBits // first instant of the next turn
+		for _, d := range []Time{0, wheelSize - 1, wheelSize, wheelSize + 1, 2*wheelSize - start&wheelMask - 1,
+			2*wheelSize - start&wheelMask, -7, horizon - start - 1, horizon - start, 1 << 40} {
+			at := max(start+d, start)
+			switch b := at >> wheelBits; {
+			case b <= start>>wheelBits+1:
+				want[0]++
+			case at < horizon:
+				want[1]++
+			default:
+				want[2]++
+			}
+			e.After(d, func() {})
+			if got := e.queued(); got != want {
+				t.Fatalf("start %d, after After(%d): fine/coarse/later turn = %v, want %v", start, d, got, want)
+			}
+		}
+		if want[0] < 4 || want[1] < 2 || want[2] < 2 {
+			t.Fatalf("start %d: the cases reach the levels only %v times", start, want)
+		}
+	}
+}
+
+// TestSameInstantAcrossQueues: six entries due at one instant — an event
+// and a Timer armed while the instant is more than a turn of the coarse
+// level ahead, a pair armed while it is 20 blocks ahead (coarse level) and
+// a pair armed 10 ns before it (fine level) — run in the order they were
+// armed, after a jump that brings the first pair into this turn and one
+// that cascades four into the fine level. The instant is a block's first, a
+// middle and its last nanosecond; every order within each pair is covered,
+// and each timer is armed directly or first armed at another level and
+// moved there by Reset.
+func TestSameInstantAcrossQueues(t *testing.T) {
+	const far = (wheelSize + 5) * wheelSize // a later turn, seen from 0
+	for _, at := range []Time{far, far + 77, far + wheelMask} {
+		for c := 0; c < 16; c++ {
+			label := fmt.Sprintf("at %d, case %04b", at, c)
+			e := NewEngine(1)
+			var got, want []string
+			tms := map[string]*Timer{}
+			arm := func(name string, timerFirst, moved bool, ahead Time) {
+				tm := NewTimer(e, func() { got = append(got, name+" timer") })
+				tms[name] = tm
+				if moved {
+					tm.Reset(ahead - 3*wheelSize) // another level, then here
+				}
+				ev := func() { e.At(at, func() { got = append(got, name+" event") }) }
+				if timerFirst {
+					tm.Reset(at - e.Now())
+					ev()
+					want = append(want, name+" timer", name+" event")
+				} else {
+					ev()
+					tm.Reset(at - e.Now())
+					want = append(want, name+" event", name+" timer")
+				}
+			}
+			arm("later turn", c&1 != 0, c&8 != 0, at)
+			if q := e.queued(); q != [3]int{0, 0, 2} {
+				t.Fatalf("%s: fine/coarse/later turn = %v, want 0/0/2", label, q)
+			}
+			e.RunUntil(at - 20*wheelSize)
+			arm("coarse", c&2 != 0, c&8 != 0, 20*wheelSize)
+			if q := e.queued(); q != [3]int{0, 4, 0} {
+				t.Fatalf("%s: fine/coarse/later turn = %v, want 0/4/0", label, q)
+			}
+			e.RunUntil(at - 10)
+			arm("fine", c&4 != 0, c&8 != 0, 10)
+			if q := e.queued(); q != [3]int{6, 0, 0} {
+				t.Fatalf("%s: fine/coarse/later turn = %v, want 6/0/0", label, q)
+			}
+			for name, tm := range tms {
+				if tm.Deadline() != at {
+					t.Fatalf("%s: %s timer deadline %d, want %d", label, name, tm.Deadline(), at)
+				}
+			}
+			e.Run()
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: ran %v, want %v", label, got, want)
+			}
+			if e.Now() != at || e.Pending() != 0 {
+				t.Fatalf("%s: Now = %d (want %d), pending %d", label, e.Now(), at, e.Pending())
 			}
 		}
 	}
 }
 
-// TestSameInstantAcrossQueues: four heads due at one instant — an event
-// scheduled far (heap), a Timer armed far (timer heap), a near event and a
-// near Timer (both in the wheel) — run in the order they were armed. Far
-// entries are armed while the instant is at least wheelSize away and near
-// ones once it is closer, so the far pair always precedes the near pair;
-// every order within each pair is covered, with each timer armed directly
-// or first armed on the other side of the horizon and moved by Reset.
-func TestSameInstantAcrossQueues(t *testing.T) {
-	const at = 3*wheelSize + 77
-	for c := 0; c < 8; c++ {
-		farTimerFirst, nearTimerFirst, moved := c&1 != 0, c&2 != 0, c&4 != 0
-		label := fmt.Sprintf("far timer first %v, near timer first %v, moved %v", farTimerFirst, nearTimerFirst, moved)
-		e := NewEngine(1)
-		var got, want []string
-		farTm := NewTimer(e, func() { got = append(got, "far timer") })
-		nearTm := NewTimer(e, func() { got = append(got, "near timer") })
-		if moved {
-			farTm.Reset(5)              // into the wheel, then out
-			nearTm.Reset(5 * wheelSize) // into the timer heap, then out
-		}
-		armFarTimer := func() {
-			farTm.Reset(at - e.Now())
-			want = append(want, "far timer")
-		}
-		armFarEvent := func() {
-			e.At(at, func() { got = append(got, "far event") })
-			want = append(want, "far event")
-		}
-		armNearTimer := func() {
-			nearTm.Reset(at - e.Now())
-			want = append(want, "near timer")
-		}
-		armNearEvent := func() {
-			e.At(at, func() { got = append(got, "near event") })
-			want = append(want, "near event")
-		}
-		if farTimerFirst {
-			armFarTimer()
-			armFarEvent()
-		} else {
-			armFarEvent()
-			armFarTimer()
-		}
-		e.RunUntil(at - 10)
-		if nearTimerFirst {
-			armNearTimer()
-			armNearEvent()
-		} else {
-			armNearEvent()
-			armNearTimer()
-		}
-		if q := e.queued(); q != [3]int{2, 1, 1} {
-			t.Fatalf("%s: wheel/heap/timers = %v, want 2/1/1", label, q)
-		}
-		if farTm.Deadline() != at || nearTm.Deadline() != at {
-			t.Fatalf("%s: deadlines %d, %d, want %d", label, farTm.Deadline(), nearTm.Deadline(), at)
-		}
-		e.Run()
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: ran %v, want %v", label, got, want)
-		}
-		if e.Now() != at || farTm.Armed() || nearTm.Armed() {
-			t.Fatalf("%s: Now = %d (want %d), armed %v/%v", label, e.Now(), at, farTm.Armed(), nearTm.Armed())
-		}
+// TestCoarseTimerStopReset: a coarse-level timer stopped, re-armed within
+// the coarse level, moved to the fine level and back, and re-armed a turn
+// ahead and back, keeps the other entries of its block in order and fires
+// once at its last deadline.
+func TestCoarseTimerStopReset(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	const at = 9*wheelSize + 100
+	mk := func(name string) *Timer {
+		return NewTimer(e, func() { got = append(got, fmt.Sprintf("%s@%d", name, int64(e.Now()))) })
+	}
+	a, b, c := mk("a"), mk("b"), mk("c")
+	a.Reset(at)
+	b.Reset(at)
+	c.Reset(at)
+	a.Stop()                           // head of a coarse FIFO
+	c.Reset(at + 5)                    // same coarse FIFO, new tail
+	b.Reset(50)                        // to the fine level
+	b.Reset(at)                        // and back, behind c
+	a.Reset(wheelSize * wheelSize * 2) // a later turn
+	a.Reset(at)                        // and back, last
+	if q := e.queued(); q != [3]int{0, 3, 0} {
+		t.Fatalf("fine/coarse/later turn = %v, want 0/3/0", q)
+	}
+	e.Run()
+	want := fmt.Sprintf("[b@%d a@%d c@%d]", at, at, at+5)
+	if fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %s", got, want)
 	}
 }
 
@@ -159,8 +221,8 @@ func TestWheelTimerUnlink(t *testing.T) {
 		if g := fmt.Sprint(got); g != c.want {
 			t.Fatalf("%s: fired %s, want %s", c.name, g, c.want)
 		}
-		if e.Pending() != 0 || e.wsum != 0 {
-			t.Fatalf("%s: wheel not empty: pending %d, summary %#x", c.name, e.Pending(), e.wsum)
+		if e.Pending() != 0 || !e.wheelEmpty() {
+			t.Fatalf("%s: wheel not empty: pending %d", c.name, e.Pending())
 		}
 		// Every node is back on the free list exactly once.
 		free := 0
@@ -174,8 +236,8 @@ func TestWheelTimerUnlink(t *testing.T) {
 }
 
 // TestWheelWrapAround: with now in the bitmap's last word, the scan must
-// take the rest of that word first, then wrap to the low words, and reach
-// the bits of the last word that lie below now's last of all.
+// take the rest of that word first, then the next block's fine level, from
+// its low words up to the bits that lie below now's slot.
 func TestWheelWrapAround(t *testing.T) {
 	e := NewEngine(1)
 	const start = 7*wheelSize + 4090 // slot 4090: word 63, bit 58
@@ -194,14 +256,14 @@ func TestWheelWrapAround(t *testing.T) {
 	if want := []Time{0, 3, 10, 100, wheelSize - 1}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("ran at offsets %v, want %v", got, want)
 	}
-	if e.wsum != 0 || e.wn != 0 {
-		t.Fatalf("wheel not empty after the run: summary %#x, count %d", e.wsum, e.wn)
+	if !e.wheelEmpty() || e.wn != 0 {
+		t.Fatalf("wheel not empty after the run: count %d", e.wn)
 	}
 }
 
 // TestWheelRescheduleIntoOwnSlot: an event executing from slot s schedules
 // for the same instant (slot s again, behind what is already queued there)
-// and for a whole turn later (slot s too, but through the heap).
+// and for a whole block later (slot s of the other fine level).
 func TestWheelRescheduleIntoOwnSlot(t *testing.T) {
 	e := NewEngine(1)
 	var got []string
@@ -235,8 +297,8 @@ func TestWheelDrainAndReuse(t *testing.T) {
 	if got := e.Drain(); got != 301 {
 		t.Fatalf("Drain = %d, want 301", got)
 	}
-	if e.Pending() != 0 || e.wn != 0 || e.wsum != 0 || e.wfree != 0 || len(e.wnodes) != 0 ||
-		e.wheel != [wheelSize]wslot{} || e.wbits != [wheelSize / 64]uint64{} {
+	if e.Pending() != 0 || e.wn != 0 || !e.wheelEmpty() || e.wfree != 0 || len(e.wnodes) != 0 ||
+		e.fine != [2]level{} || e.coarse != (level{}) {
 		t.Fatal("Drain left wheel state behind")
 	}
 	var got []Time

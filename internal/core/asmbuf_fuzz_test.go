@@ -175,7 +175,7 @@ func FuzzAsmBufReorder(f *testing.F) {
 					if a.isDup(flood.PSN) {
 						continue
 					}
-					_, s1, c1 := a.add(flood)
+					_, s1, c1 := a.add(nil, flood)
 					_, s2, c2 := ref.add(flood)
 					if !c1 || !c2 || s1 != s2 {
 						t.Fatalf("step %d: flood psn %d: complete %v/%v size %d/%d", step, flood.PSN, c1, c2, s1, s2)
@@ -187,14 +187,14 @@ func FuzzAsmBufReorder(f *testing.F) {
 				if !completed[fr.msg] {
 					skipped[fr.msg] = true
 				}
-				a.skip(fr.pkt)
+				a.skip(nil, fr.pkt)
 				ref.skip(fr.pkt)
 			case !a.isDup(fr.pkt.PSN):
 				if ref.isDup(fr.pkt.PSN) {
 					t.Fatalf("step %d: psn %d is new here, a duplicate in the reference", step, fr.pkt.PSN)
 				}
 				accepted[fr.msg]++
-				last, size, complete := a.add(fr.pkt)
+				last, size, complete := a.add(nil, fr.pkt)
 				rlast, rsize, rcomplete := ref.add(fr.pkt)
 				if complete != rcomplete || last != rlast || size != rsize {
 					t.Fatalf("step %d: add(psn %d) = (%v, %d, %v), reference (%v, %d, %v)",

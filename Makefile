@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test ./internal/barrier/ -fuzz FuzzRegisterSet -fuzztime 30s -fuzzminimizetime 0 -run '^$$'
 	$(GO) test ./internal/sim/ -fuzz FuzzEngineOrder -fuzztime 30s -fuzzminimizetime 0 -run '^$$'
 	$(GO) test ./internal/topology/ -fuzz FuzzRouteTable -fuzztime 30s -fuzzminimizetime 0 -run '^$$'
+	$(GO) test ./internal/oracle/ -fuzz FuzzAgreement -fuzztime 30s -run '^$$'
 
 # Quick chaos sweep (the PR-gating budget; see docs/testing.md).
 chaos:

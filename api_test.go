@@ -1,6 +1,10 @@
 package onepipe
 
-import "testing"
+import (
+	"testing"
+
+	"onepipe/internal/oracle"
+)
 
 func TestPollQueueBuffersBeforeCallback(t *testing.T) {
 	cl := NewCluster(Defaults())
@@ -53,30 +57,31 @@ func TestUnifiedConfig(t *testing.T) {
 	cfg.Unified = true
 	cl := NewCluster(cfg)
 	cl.Run(50 * Microsecond)
-	// Interleave classes; the unified poll stream must be ts-sorted.
+	// Interleave classes; the unified poll stream must keep one total order.
+	log := oracle.Log{Mode: oracle.Unified, Deliveries: make([][]oracle.Delivery, 6)}
 	for i := 0; i < 10; i++ {
-		if i%2 == 0 {
-			cl.Process(0).Send([]Message{{Dst: 5, Data: i, Size: 16}})
-		} else {
-			cl.Process(1).Send([]Message{{Dst: 5, Data: i, Size: 16}}, Reliable())
+		src := ProcID(i % 2)
+		s := oracle.Send{ID: oracle.ID{Src: src, Seq: int32(i)}, Src: src, Dsts: []ProcID{5}, Reliable: i%2 == 1}
+		var opts []SendOption
+		if s.Reliable {
+			opts = append(opts, Reliable())
 		}
+		s.Refused = cl.Process(int(src)).Send([]Message{{Dst: 5, Data: s.ID, Size: 16}}, opts...) != nil
+		log.Sends = append(log.Sends, s)
 		cl.Run(5 * Microsecond)
 	}
 	cl.Run(1 * Millisecond)
-	var last Timestamp = -1
-	n := 0
 	for {
 		d, ok := cl.Process(5).Poll()
 		if !ok {
 			break
 		}
-		if d.TS < last {
-			t.Fatal("unified stream out of order")
-		}
-		last = d.TS
-		n++
+		log.Deliveries[5] = append(log.Deliveries[5], oracleDelivery(d))
 	}
-	if n != 10 {
+	for _, v := range oracle.Check(&log) {
+		t.Error(v)
+	}
+	if n := log.TotalDeliveries(); n != 10 {
 		t.Fatalf("delivered %d of 10", n)
 	}
 }

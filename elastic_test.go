@@ -5,13 +5,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"onepipe/internal/oracle"
 )
 
 // TestFabricJoinDrainSim exercises the Fabric-level elastic membership API
 // on the simulated cluster: a host joined mid-run sends into the same total
 // order, a drained host refuses sends without tripping failure handling,
-// and delivery timestamps at an incumbent never regress across either
-// epoch change.
+// and an incumbent's deliveries keep the delivery contract across both
+// epoch changes.
 func TestFabricJoinDrainSim(t *testing.T) {
 	cfg := Defaults()
 	cfg.WithController = true
@@ -19,19 +21,21 @@ func TestFabricJoinDrainSim(t *testing.T) {
 	defer c.Close()
 
 	np := c.NumProcesses()
-	var got []Delivery
-	c.Process(1).OnDeliver(func(d Delivery) { got = append(got, d) })
+	log := oracle.Log{Deliveries: make([][]oracle.Delivery, 2)}
+	c.Process(1).OnDeliver(func(d Delivery) { log.Deliveries[1] = append(log.Deliveries[1], oracleDelivery(d)) })
 	send := func(p int) {
 		t.Helper()
-		if err := c.Process(p).Send([]Message{{Dst: 1, Data: p, Size: 64}}, Reliable()); err != nil {
+		s := oracle.Send{ID: oracle.ID{Src: ProcID(p), Seq: int32(len(log.Sends))}, Src: ProcID(p), Dsts: []ProcID{1}, Reliable: true}
+		if err := c.Process(p).Send([]Message{{Dst: 1, Data: s.ID, Size: 64}}, Reliable()); err != nil {
 			t.Fatalf("send from %d: %v", p, err)
 		}
+		log.Sends = append(log.Sends, s)
 	}
 
 	send(0)
 	c.Run(2 * Millisecond)
-	if len(got) != 1 {
-		t.Fatalf("warm-up delivery missing: got %d", len(got))
+	if n := log.TotalDeliveries(); n != 1 {
+		t.Fatalf("warm-up delivery missing: got %d", n)
 	}
 
 	hi, err := c.Join()
@@ -46,7 +50,7 @@ func TestFabricJoinDrainSim(t *testing.T) {
 	send(0)
 	c.Run(2 * Millisecond)
 	var fromJoined int
-	for _, d := range got {
+	for _, d := range log.Deliveries[1] {
 		if int(d.Src) == joined {
 			fromJoined++
 		}
@@ -67,12 +71,10 @@ func TestFabricJoinDrainSim(t *testing.T) {
 	send(0)
 	c.Run(2 * Millisecond)
 
-	for i := 1; i < len(got); i++ {
-		if got[i].TS < got[i-1].TS {
-			t.Fatalf("delivery timestamp regressed across reconfiguration: %v after %v", got[i].TS, got[i-1].TS)
-		}
+	for _, v := range oracle.Check(&log) {
+		t.Error(v)
 	}
-	if n := len(got); n < 4 {
+	if n := log.TotalDeliveries(); n < 4 {
 		t.Fatalf("deliveries after drain missing: got %d", n)
 	}
 }
@@ -85,17 +87,18 @@ func TestLiveJoinDrain(t *testing.T) {
 	}
 	defer l.Close()
 
+	// Each sender sends at most once, so the sender names the scattering.
 	var mu sync.Mutex
-	var got []Delivery
+	log := oracle.Log{Deliveries: make([][]oracle.Delivery, 2)}
 	l.Process(1).OnDeliver(func(d Delivery) {
 		mu.Lock()
-		got = append(got, d)
+		log.Deliveries[1] = append(log.Deliveries[1], oracle.Delivery{TS: d.TS, Src: d.Src, ID: oracle.ID{Src: d.Src}, Reliable: true})
 		mu.Unlock()
 	})
 	count := func() int {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(got)
+		return log.TotalDeliveries()
 	}
 	waitFor := func(n int, what string) {
 		t.Helper()
@@ -134,10 +137,10 @@ func TestLiveJoinDrain(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	for i := 1; i < len(got); i++ {
-		if got[i].TS < got[i-1].TS {
-			t.Fatalf("delivery timestamp regressed: %v after %v", got[i].TS, got[i-1].TS)
-		}
+	log.Sends = []oracle.Send{{ID: oracle.ID{Src: 3}, Src: 3, Dsts: []ProcID{1}, Reliable: true},
+		{ID: oracle.ID{Src: 0}, Src: 0, Dsts: []ProcID{1}, Reliable: true}}
+	for _, v := range oracle.Check(&log) {
+		t.Error(v)
 	}
 }
 

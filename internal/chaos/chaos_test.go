@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 )
 
@@ -19,7 +20,7 @@ var (
 // failSeed handles one failing seed: minimize the fault schedule, render the
 // replayable report, persist it if CHAOS_ARTIFACT_DIR is set (the nightly CI
 // job uploads that directory), and fail the test.
-func failSeed(t *testing.T, p Plan, vios []Violation) {
+func failSeed(t *testing.T, p Plan, vios []oracle.Violation) {
 	t.Helper()
 	min, minVios, runs := Minimize(p)
 	rep := Report(p, vios, min, minVios)

@@ -2,19 +2,13 @@ package chaos
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
-	"onepipe/internal/core"
 	"onepipe/internal/netsim"
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 )
-
-// Violation is one failed invariant, named after the checker that found it.
-type Violation struct {
-	Invariant string
-	Detail    string
-}
-
-func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 
 // Partition exemption guards: a scattering submitted inside
 // [Start-partGuardBefore, End+partGuardAfter) of any partition window is
@@ -27,179 +21,56 @@ const (
 	partGuardAfter  = 5 * sim.Millisecond / 2
 )
 
-// Check validates every invariant against a run's logs and returns all
-// violations found (empty = the run upheld the paper's guarantees).
-//
-// Invariant catalog (see docs/testing.md for the paper citations):
-//  1. local-order     — each receiver's log is strictly sorted by (ts, src);
-//     per plane under DeliverSeparate, across both planes
-//     under DeliverUnified (§2.1, DESIGN deviation #4).
-//  2. pairwise-order  — any two receivers deliver their common messages in
-//     the same relative order (§2.1 total order).
-//  3. causality       — a message timestamped T is delivered only once the
-//     receiver's clock passed T (§2.1, §3).
-//  4. at-most-once    — no receiver delivers the same scattering member
-//     twice (§4.1 dedup + §5.1 commit dedup).
-//  5. atomicity       — a reliable scattering from a correct sender is
-//     delivered at all of its correct destinations or at
-//     none, and in the latter case the sender got a
-//     send-failure callback (§5.1/§5.2 restricted
-//     failure atomicity).
-//  6. barrier-gate    — every delivery was covered by the barrier the
-//     receiver had announced at that instant (§4.1).
-//  7. discard-floor   — no reliable message from a failed process is
-//     delivered beyond its failure timestamp (§5.2
-//     Discard).
-//  8. wire-barrier    — on every host downlink, no data packet's message
-//     timestamp falls below a barrier the link already
-//     carried (the §4.1 per-link barrier promise; chip
-//     mode only). Catches in-switch stamp/wire-order
-//     inversions directly.
-//  9. epoch-barrier   — no receiver's announced barrier pair ever
-//     regresses across its delivery log; membership
-//     epochs (join/drain/switch add) must leave the
-//     aggregated minimum monotone.
-//  10. join-epoch      — every message a mid-run joined process sent
-//     carries a timestamp at or above its effective join
-//     epoch, at every receiver (the activation's
-//     register-seeding promise).
-//  11. join-suffix     — a joined receiver's log agrees with every
-//     incumbent on the relative order of their common
-//     scatterings: the joiner delivers a suffix of the
-//     same total order, never an interleaving of its own.
-//  12. drain-silence   — a gracefully drained process delivers nothing
-//     after its drain completed.
-//  13. drain-no-failure — a graceful drain is a decision, not a failure: no
-//     controller failure record may name a drained
-//     process unless the fault schedule also crashed it.
-//  14. hot-buffer-bound — when the plan caps the hot reorder heap
-//     (ReorderHotCap > 0), no host's peak hot occupancy
-//     may exceed the cap: overflow must spill to the
-//     cold store, never grow the heap (bounded receiver
-//     memory).
-//  15. conflict-pair-order — under DeliverConflictAware, any two deliveries
-//     carrying the same nonzero conflict key appear in
-//     (ts, src) order at every receiver, and every pair
-//     of receivers agrees on the relative order of their
-//     common same-key scatterings (the Generic Multicast
-//     contract: declared-conflicting messages keep the
-//     total order even though untagged traffic is
-//     relaxed). The implementation orders ALL tagged
-//     messages mutually — a coarser relation — so this
-//     checks the declared relation it subsumes.
-func Check(r *Result) []Violation {
-	var out []Violation
-	add := func(inv, format string, args ...any) {
-		if len(out) < 64 { // cap: one broken invariant can fire thousands of times
-			out = append(out, Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...)})
-		}
-	}
-
-	sendAt := make(map[MsgID]sim.Time, len(r.Sends))
-	sendRec := make(map[MsgID]*SendRec, len(r.Sends))
-	for i := range r.Sends {
-		s := &r.Sends[i]
-		if s.Refused {
-			continue
-		}
-		if _, ok := sendRec[s.ID]; !ok {
-			sendRec[s.ID] = s
-			sendAt[s.ID] = s.At
-		}
-	}
-	exempt := func(id MsgID) bool {
-		if r.Forwarded[id] {
-			// Controller Forwarding relayed (part of) this scattering: the
-			// §5.2 caveat applies regardless of which fault severed the path.
-			return true
-		}
-		if len(r.Partitions) == 0 {
-			return false
-		}
-		at, ok := sendAt[id]
-		if !ok {
-			return true // unknown provenance: don't guess
-		}
+// exempt computes the oracle's exempt set: every scattering the controller
+// forwarded (the §5.2 caveat holds whichever fault severed the path), and
+// every one submitted inside a partition window.
+func exempt(r *Result) map[oracle.ID]bool {
+	ex := maps.Clone(r.Forwarded)
+	for _, s := range r.Sends {
 		for _, w := range r.Partitions {
-			if at >= w.Start-partGuardBefore && at < w.End+partGuardAfter {
-				return true
+			if !s.Refused && s.At >= w.Start-partGuardBefore && s.At < w.End+partGuardAfter {
+				ex[s.ID] = true
 			}
 		}
-		return false
 	}
-
-	checkLocalOrder(r, add)
-	checkPairwiseOrder(r, exempt, add)
-	checkCausalityAndGate(r, add)
-	checkAtMostOnce(r, add)
-	checkAtomicity(r, sendRec, exempt, add)
-	checkDiscardFloor(r, add)
-	checkWire(r, exempt, add)
-	checkEpochBarriers(r, add)
-	checkJoinEpoch(r, add)
-	checkJoinSuffix(r, exempt, add)
-	checkDrains(r, add)
-	checkHotBufferBound(r, add)
-	checkConflictPairs(r, exempt, add)
-	return out
+	return ex
 }
 
-// checkConflictPairs enforces invariant 15: per receiver, the subsequence
-// of deliveries sharing one nonzero conflict key is sorted by the global
-// (ts, src) key, and any two receivers order their common same-key
-// scatterings identically. Forwarded and partition-window scatterings are
-// exempt from the cross-receiver half, exactly as in pairwise-order (§5.2
-// Controller Forwarding is only locally ordered).
-func checkConflictPairs(r *Result, exempt func(MsgID) bool, add func(string, string, ...any)) {
-	if r.Plan.Mode != core.DeliverConflictAware {
-		return
-	}
-	subseq := func(log []DeliveryRec) map[uint32][]DeliveryRec {
-		m := make(map[uint32][]DeliveryRec)
-		for _, d := range log {
-			if d.Conflict != 0 {
-				m[d.Conflict] = append(m[d.Conflict], d)
-			}
-		}
-		return m
-	}
-	keyed := make([]map[uint32][]DeliveryRec, len(r.Deliveries))
-	for pi, log := range r.Deliveries {
-		keyed[pi] = subseq(log)
-		for key, sub := range keyed[pi] {
-			for i := 1; i < len(sub); i++ {
-				if keyLess(sub[i], sub[i-1]) {
-					add("conflict-pair-order",
-						"receiver %d: conflicting (key=%d) %v/src=%d (id=%v) delivered after %v/src=%d",
-						pi, key, sub[i].TS, sub[i].Src, sub[i].ID, sub[i-1].TS, sub[i-1].Src)
-				}
-			}
+// Check validates every invariant against a run's logs and returns all
+// violations found (empty = the run upheld the paper's guarantees), at most
+// oracle.MaxViolations of them, in the same order on every replay. The
+// oracle checks invariants 1-6 and 15; the rest need what only a chaos run
+// records (docs/testing.md has the catalog and the paper's sections):
+//
+//  7. discard-floor: no reliable message from a failed process is delivered
+//     beyond its failure timestamp.
+//  8. wire-barrier: no data packet reaches a host below a barrier its
+//     downlink already carried (chip mode only).
+//  9. epoch-barrier: no receiver's announced barriers regress.
+//  10. join-epoch: a joined process's messages carry timestamps at or above
+//     its join epoch.
+//  11. join-suffix: a joined receiver agrees with every incumbent on their
+//     common scatterings.
+//  12. drain-silence: a drained process delivers nothing after its drain.
+//  13. drain-no-failure: no failure record names a drained process the
+//     schedule did not also crash.
+//  14. hot-buffer-bound: with ReorderHotCap set, no host's hot reorder heap
+//     outgrows the cap.
+func Check(r *Result) []oracle.Violation {
+	out := oracle.Check(&r.Log)
+	add := func(inv, format string, args ...any) {
+		if len(out) < oracle.MaxViolations {
+			out = append(out, oracle.Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...)})
 		}
 	}
-	for a := 0; a < len(keyed); a++ {
-		for key, sa := range keyed[a] {
-			idx := make(map[MsgID]int, len(sa))
-			for i, d := range sa {
-				idx[d.ID] = i
-			}
-			for b := a + 1; b < len(keyed); b++ {
-				last, lastID := -1, MsgID{}
-				for _, d := range keyed[b][key] {
-					i, common := idx[d.ID]
-					if !common || exempt(d.ID) {
-						continue
-					}
-					if i < last {
-						add("conflict-pair-order",
-							"receivers %d and %d disagree on key=%d: %v before %v at one, after at the other",
-							a, b, key, d.ID, lastID)
-						break
-					}
-					last, lastID = i, d.ID
-				}
-			}
-		}
-	}
+	checkDiscardFloor(r, add)
+	checkWire(r, add)
+	checkEpochBarriers(r, add)
+	checkJoinEpoch(r, add)
+	checkJoinSuffix(r, add)
+	checkDrains(r, add)
+	checkHotBufferBound(r, add)
+	return out
 }
 
 // checkHotBufferBound asserts the bounded-memory contract of hybrid reorder
@@ -266,34 +137,17 @@ func checkJoinEpoch(r *Result, add func(string, string, ...any)) {
 // appear in the same relative order. This is pairwise-order focused on the
 // joiners — the property the paper's epoch argument owes a host that was
 // not there when the order started.
-func checkJoinSuffix(r *Result, exempt func(MsgID) bool, add func(string, string, ...any)) {
+func checkJoinSuffix(r *Result, add func(string, string, ...any)) {
 	for _, ji := range r.Joined {
 		for _, pid := range ji.Procs {
-			for _, sj := range classStreams(r.Plan.Mode, r.Deliveries[pid]) {
-				idx := make(map[MsgID]int, len(sj))
-				for i, d := range sj {
-					idx[d.ID] = i
+			for other := range r.Deliveries {
+				if other == int(pid) {
+					continue
 				}
-				for other := range r.Deliveries {
-					if netsim.ProcID(other) == pid {
-						continue
-					}
-					for _, so := range classStreams(r.Plan.Mode, r.Deliveries[other]) {
-						last, lastID := -1, MsgID{}
-						for _, d := range so {
-							i, common := idx[d.ID]
-							if !common || exempt(d.ID) {
-								continue
-							}
-							if i < last {
-								add("join-suffix",
-									"joined proc %d and incumbent %d disagree: %v before %v at one, after at the other",
-									pid, other, d.ID, lastID)
-								break
-							}
-							last, lastID = i, d.ID
-						}
-					}
+				if x, y, found := r.Disagreement(int(pid), other); found {
+					add("join-suffix",
+						"joined proc %d and incumbent %d disagree: %v before %v at one, after at the other",
+						pid, other, x, y)
 				}
 			}
 		}
@@ -308,8 +162,13 @@ func checkDrains(r *Result, add func(string, string, ...any)) {
 	if len(r.DrainedLogLen) == 0 {
 		return
 	}
-	for pid, frozen := range r.DrainedLogLen {
-		if got := len(r.Deliveries[pid]); got != frozen {
+	drained := make([]netsim.ProcID, 0, len(r.DrainedLogLen))
+	for pid := range r.DrainedLogLen {
+		drained = append(drained, pid)
+	}
+	slices.Sort(drained)
+	for _, pid := range drained {
+		if got, frozen := len(r.Deliveries[pid]), r.DrainedLogLen[pid]; got != frozen {
 			add("drain-silence",
 				"drained proc %d delivered %d messages after its drain completed at %v",
 				pid, got-frozen, r.DrainedAt[pid])
@@ -323,11 +182,10 @@ func checkDrains(r *Result, add func(string, string, ...any)) {
 	}
 	pph := r.Plan.ProcsPerHost
 	for _, rec := range r.Failures {
-		for p := range rec.Procs {
-			if _, drained := r.DrainedLogLen[p]; drained && !crashedHost[int(p)/pph] {
+		for _, p := range drained {
+			if fts, named := rec.Procs[p]; named && !crashedHost[int(p)/pph] {
 				add("drain-no-failure",
-					"controller failure record names gracefully drained proc %d (fts=%v)",
-					p, rec.Procs[p])
+					"controller failure record names gracefully drained proc %d (fts=%v)", p, fts)
 			}
 		}
 	}
@@ -340,12 +198,12 @@ func checkDrains(r *Result, add func(string, string, ...any)) {
 // straggler retransmission below the commit barrier their sender already
 // released, and controller-forwarded traffic bypasses the fabric's
 // stamping entirely (§5.2).
-func checkWire(r *Result, exempt func(MsgID) bool, add func(string, string, ...any)) {
+func checkWire(r *Result, add func(string, string, ...any)) {
 	for _, s := range r.WireSuspects {
-		if int(s.Src) < len(r.CorrectProc) && !r.CorrectProc[s.Src] {
+		if int(s.Src) < len(r.Correct) && !r.Correct[s.Src] {
 			continue
 		}
-		if exempt(s.ID) || len(r.SendFails[s.ID]) > 0 {
+		if r.Exempt[s.ID] || len(r.SendFails[s.ID]) > 0 {
 			continue
 		}
 		plane := "best-effort"
@@ -354,209 +212,6 @@ func checkWire(r *Result, exempt func(MsgID) bool, add func(string, string, ...a
 		}
 		add("wire-barrier", "host %d @%v: %s data ts=%v from proc %d arrived after the link carried barrier %v (id=%v)",
 			s.Host, s.At, plane, s.TS, s.Src, s.Barrier, s.ID)
-	}
-}
-
-// key is the global total-order key: timestamps first, sender ID as the
-// tie-break (§2.1). Within one receiver log the pair is unique per
-// scattering, since a sender never reuses a timestamp.
-func keyLess(a, b DeliveryRec) bool {
-	if a.TS != b.TS {
-		return a.TS < b.TS
-	}
-	return a.Src < b.Src
-}
-
-func keyEq(a, b DeliveryRec) bool { return a.TS == b.TS && a.Src == b.Src }
-
-// classStreams splits a log the way the delivery mode defines order: one
-// merged stream under DeliverUnified; under DeliverConflictAware one merged
-// stream of the tagged (nonzero-key) deliveries — untagged messages opted
-// out of the cross-class order and carry no ordering obligation; one stream
-// per plane otherwise.
-func classStreams(mode core.DeliveryMode, log []DeliveryRec) [][]DeliveryRec {
-	switch mode {
-	case core.DeliverUnified:
-		return [][]DeliveryRec{log}
-	case core.DeliverConflictAware:
-		var tagged []DeliveryRec
-		for _, d := range log {
-			if d.Conflict != 0 {
-				tagged = append(tagged, d)
-			}
-		}
-		return [][]DeliveryRec{tagged}
-	}
-	var be, rel []DeliveryRec
-	for _, d := range log {
-		if d.Reliable {
-			rel = append(rel, d)
-		} else {
-			be = append(be, d)
-		}
-	}
-	return [][]DeliveryRec{be, rel}
-}
-
-func checkLocalOrder(r *Result, add func(string, string, ...any)) {
-	for pi, log := range r.Deliveries {
-		for si, stream := range classStreams(r.Plan.Mode, log) {
-			for i := 1; i < len(stream); i++ {
-				a, b := stream[i-1], stream[i]
-				if keyLess(b, a) || (keyEq(a, b) && a.ID != b.ID) {
-					add("local-order",
-						"receiver %d stream %d: %v/src=%d (id=%v) delivered after %v/src=%d",
-						pi, si, b.TS, b.Src, b.ID, a.TS, a.Src)
-				}
-			}
-		}
-	}
-}
-
-func checkPairwiseOrder(r *Result, exempt func(MsgID) bool, add func(string, string, ...any)) {
-	n := len(r.Deliveries)
-	for a := 0; a < n; a++ {
-		for _, sa := range classStreams(r.Plan.Mode, r.Deliveries[a]) {
-			idx := make(map[MsgID]int, len(sa))
-			for i, d := range sa {
-				idx[d.ID] = i
-			}
-			for b := a + 1; b < n; b++ {
-				for _, sb := range classStreams(r.Plan.Mode, r.Deliveries[b]) {
-					last, lastID := -1, MsgID{}
-					for _, d := range sb {
-						i, common := idx[d.ID]
-						if !common || exempt(d.ID) {
-							continue
-						}
-						if i < last {
-							add("pairwise-order",
-								"receivers %d and %d disagree: %v before %v at one, after at the other",
-								a, b, d.ID, lastID)
-							break
-						}
-						last, lastID = i, d.ID
-					}
-				}
-			}
-		}
-	}
-}
-
-func checkCausalityAndGate(r *Result, add func(string, string, ...any)) {
-	unified := r.Plan.Mode == core.DeliverUnified
-	ca := r.Plan.Mode == core.DeliverConflictAware
-	for pi, log := range r.Deliveries {
-		for _, d := range log {
-			if ca && d.Conflict == 0 && !d.Reliable {
-				// Untagged best-effort under DeliverConflictAware delivers
-				// immediately on reassembly — before the barrier covers it,
-				// and (under clock skew) possibly before the receiver's clock
-				// passes its timestamp. That is the declared relaxation.
-				continue
-			}
-			if d.ClockAt < d.TS {
-				add("causality", "receiver %d delivered ts=%v with local clock %v (id=%v)",
-					pi, d.TS, d.ClockAt, d.ID)
-			}
-			switch {
-			case ca && d.Conflict == 0:
-				// Untagged reliable: gated by the commit barrier alone (the
-				// §5.2 recall window), outside the cross-class order.
-				if d.TS > d.BarC {
-					add("barrier-gate", "receiver %d: relaxed reliable delivery ts=%v above commit barrier %v (id=%v)",
-						pi, d.TS, d.BarC, d.ID)
-				}
-			case unified || ca:
-				if d.TS > d.BarBE-1 || d.TS > d.BarC {
-					add("barrier-gate", "receiver %d: unified delivery ts=%v above barriers (be=%v c=%v, id=%v)",
-						pi, d.TS, d.BarBE, d.BarC, d.ID)
-				}
-			case d.Reliable:
-				if d.TS > d.BarC {
-					add("barrier-gate", "receiver %d: reliable delivery ts=%v above commit barrier %v (id=%v)",
-						pi, d.TS, d.BarC, d.ID)
-				}
-			default:
-				if d.TS >= d.BarBE {
-					add("barrier-gate", "receiver %d: best-effort delivery ts=%v at/above barrier %v (id=%v)",
-						pi, d.TS, d.BarBE, d.ID)
-				}
-			}
-		}
-	}
-}
-
-func checkAtMostOnce(r *Result, add func(string, string, ...any)) {
-	for pi, log := range r.Deliveries {
-		seen := make(map[MsgID]bool, len(log))
-		for _, d := range log {
-			if seen[d.ID] {
-				add("at-most-once", "receiver %d delivered %v twice", pi, d.ID)
-			}
-			seen[d.ID] = true
-		}
-	}
-}
-
-func checkAtomicity(r *Result, sends map[MsgID]*SendRec, exempt func(MsgID) bool, add func(string, string, ...any)) {
-	delivered := make(map[MsgID]map[netsim.ProcID]bool)
-	for pi, log := range r.Deliveries {
-		for _, d := range log {
-			set := delivered[d.ID]
-			if set == nil {
-				set = make(map[netsim.ProcID]bool)
-				delivered[d.ID] = set
-			}
-			set[netsim.ProcID(pi)] = true
-		}
-	}
-	for id, s := range sends {
-		if !s.Reliable || !r.CorrectProc[s.Src] || exempt(id) {
-			continue
-		}
-		// A destination severed from the sender in the end-of-run fabric is
-		// Controller Forwarding territory: delivery may still be pending on
-		// the management network when the run ends, and the scattering's
-		// atomicity is restricted exactly as during a partition (§5.2).
-		severed := false
-		for _, dst := range s.Dsts {
-			if !r.PathOK[s.Src][dst] {
-				severed = true
-			}
-		}
-		if severed {
-			continue
-		}
-		var correct, got []netsim.ProcID
-		for _, dst := range s.Dsts {
-			if !r.CorrectProc[dst] {
-				continue // §5.2 caveat: a failed receiver may miss the scattering
-			}
-			correct = append(correct, dst)
-			if delivered[id][dst] {
-				got = append(got, dst)
-			}
-		}
-		if len(correct) == 0 {
-			continue
-		}
-		failedSet := r.SendFails[id]
-		switch {
-		case len(got) == 0:
-			if len(failedSet) == 0 {
-				add("atomicity", "reliable %v (src=%d, dsts=%v) neither delivered nor failure-reported",
-					id, s.Src, s.Dsts)
-			}
-		case len(got) < len(correct):
-			add("atomicity", "reliable %v partially delivered: %v of correct set %v", id, got, correct)
-		default:
-			for _, dst := range correct {
-				if failedSet[dst] {
-					add("atomicity", "reliable %v delivered at %d yet failure-reported for it", id, dst)
-				}
-			}
-		}
 	}
 }
 
@@ -573,7 +228,7 @@ func checkDiscardFloor(r *Result, add func(string, string, ...any)) {
 		return
 	}
 	for pi, log := range r.Deliveries {
-		if !r.CorrectProc[netsim.ProcID(pi)] {
+		if !r.Correct[pi] {
 			continue // §5.2 Discard binds correct processes only; a failed
 			// host may keep delivering co-located traffic to itself
 		}

@@ -3,6 +3,8 @@ package chaos
 import (
 	"fmt"
 	"strings"
+
+	"onepipe/internal/oracle"
 )
 
 // Minimize greedily shrinks a failing plan's fault schedule: each fault is
@@ -13,7 +15,7 @@ import (
 // faults at all — a config-level bug, e.g. a broken switch pipeline —
 // minimizes to an empty schedule. Returns the minimized plan, the
 // violations it still produces, and the number of verification runs spent.
-func Minimize(p Plan) (Plan, []Violation, int) {
+func Minimize(p Plan) (Plan, []oracle.Violation, int) {
 	runs := 0
 	vios := Check(Run(p))
 	runs++
@@ -40,7 +42,7 @@ func Minimize(p Plan) (Plan, []Violation, int) {
 
 // Report renders a replayable failure report: the seed, the violations, the
 // minimized fault schedule, and the exact command that reproduces the run.
-func Report(p Plan, vios []Violation, min Plan, minVios []Violation) string {
+func Report(p Plan, vios []oracle.Violation, min Plan, minVios []oracle.Violation) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos: seed %d violated %d invariant(s)\n", p.Seed, len(vios))
 	fmt.Fprintf(&b, "  plan: %s\n", p.String())

@@ -3,10 +3,10 @@
 // derives a random Clos topology, a mixed best-effort/reliable workload,
 // and a timed fault schedule (loss bursts, link/switch/host failures,
 // partitions with controller forwarding, clock skew, beacon loss), all
-// executed on internal/netsim + internal/core + internal/controller. A
-// checker layer then validates the paper's delivery invariants from the
-// global delivery logs; see checker.go for the catalog and docs/testing.md
-// for the workflow (seed replay, schedule minimization, CI).
+// executed on internal/netsim + internal/core + internal/controller. The
+// delivery-contract oracle (internal/oracle) and checker.go then validate
+// the paper's invariants from the global logs; see docs/testing.md for the
+// catalog and the workflow (seed replay, schedule minimization, CI).
 package chaos
 
 import (

@@ -9,53 +9,11 @@ import (
 	"onepipe/internal/controller"
 	"onepipe/internal/core"
 	"onepipe/internal/netsim"
+	"onepipe/internal/oracle"
 	"onepipe/internal/reconfig"
 	"onepipe/internal/sim"
 	"onepipe/internal/topology"
 )
-
-// MsgID identifies one scattering across the whole run: the sending process
-// plus a per-process sequence number. It rides in every message payload so
-// the checkers can correlate send records with delivery logs.
-type MsgID struct {
-	Src netsim.ProcID
-	Seq int32
-}
-
-// DeliveryRec is one entry of a receiver's delivery log, annotated with the
-// receiver-local state the checkers need: its clock and its announced
-// barriers at the instant of delivery.
-type DeliveryRec struct {
-	TS       sim.Time
-	Src      netsim.ProcID
-	ID       MsgID
-	Reliable bool
-	ClockAt  sim.Time
-	BarBE    sim.Time
-	BarC     sim.Time
-	// Conflict is the delivered message's conflict key (annotation for the
-	// conflict-pair checker; deliberately NOT hashed by Digest, so tagging
-	// an existing plan cannot move its golden digest through this field).
-	Conflict uint32
-}
-
-// SendRec is one submitted scattering.
-type SendRec struct {
-	ID       MsgID
-	Src      netsim.ProcID
-	Dsts     []netsim.ProcID
-	Reliable bool
-	// At is the sender's clock at submission — used to place the
-	// scattering relative to partition windows.
-	At sim.Time
-	// Refused is set when the send API returned an error (destination
-	// already known failed, host stopped); refused sends carry no
-	// delivery obligation.
-	Refused bool
-	// Conflict is the conflict key the scattering was tagged with (0 when
-	// untagged or when the plan's ConflictRate is zero).
-	Conflict uint32
-}
 
 // Window is a half-open fault interval [Start, End).
 type Window struct {
@@ -71,21 +29,19 @@ type Window struct {
 type WireSuspect struct {
 	Host     int
 	Src      netsim.ProcID
-	ID       MsgID
+	ID       oracle.ID
 	TS       sim.Time
 	Barrier  sim.Time
 	Reliable bool
 	At       sim.Time
 }
 
-// Result is everything a run produced, ready for the checker layer.
+// Result is everything a run produced, ready for the checker layer: the
+// oracle's log (sends, delivery logs, send failures, the correct set, the
+// end-of-run paths and the exempt scatterings) plus what only chaos checks.
 type Result struct {
-	Plan       Plan
-	Deliveries [][]DeliveryRec // indexed by receiver process
-	Sends      []SendRec
-	// SendFails collects the scattering members reported through
-	// OnSendFail, as a set keyed by scattering and destination.
-	SendFails map[MsgID]map[netsim.ProcID]bool
+	oracle.Log
+	Plan Plan
 	// Callbacks is the ordered log of application-visible failure
 	// callbacks (OnProcFail, OnSendFail) across all processes. An
 	// application may act on these, so their invocation order is part of
@@ -97,19 +53,11 @@ type Result struct {
 	ProcFailSeen map[netsim.ProcID]map[netsim.ProcID]sim.Time
 	// Failures is the controller's replicated failure log.
 	Failures []controller.FailureRecord
-	// CorrectProc marks processes on hosts that neither crashed nor ended
-	// the run disconnected from the fabric.
-	CorrectProc []bool
 	// Partitions lists the partition fault windows of the schedule.
 	Partitions []Window
 	// Forwarded marks scatterings the controller relayed (§5.2 Controller
 	// Forwarding) — deliveries of these are only locally ordered.
-	Forwarded map[MsgID]bool
-	// PathOK[a][b] reports whether, in the end-of-run topology, a live
-	// fabric path from proc a's host to proc b's host exists. A severed
-	// pair means traffic between them ran (or is still pending) on the
-	// controller's management network, under the partition caveat.
-	PathOK [][]bool
+	Forwarded map[oracle.ID]bool
 	// WireSuspects are candidate per-link barrier-promise breaches seen on
 	// host downlinks (chip mode only); see WireSuspect.
 	WireSuspects []WireSuspect
@@ -143,7 +91,7 @@ type CallbackRec struct {
 	Observer netsim.ProcID
 	Proc     netsim.ProcID
 	TS       sim.Time
-	ID       MsgID
+	ID       oracle.ID
 }
 
 // JoinInfo describes one mid-run host join.
@@ -178,17 +126,21 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 	// digest is unchanged.
 	finalProcs := nprocs + len(p.Joins)*pph
 	res := &Result{
+		Log: oracle.Log{
+			Mode:       oracle.Mode(p.Mode),
+			Annotated:  true,
+			Deliveries: make([][]oracle.Delivery, finalProcs),
+			SendFails:  make(map[oracle.ID]map[netsim.ProcID]bool),
+			Correct:    make([]bool, finalProcs),
+		},
 		Plan:          p,
-		Deliveries:    make([][]DeliveryRec, finalProcs),
-		SendFails:     make(map[MsgID]map[netsim.ProcID]bool),
 		ProcFailSeen:  make(map[netsim.ProcID]map[netsim.ProcID]sim.Time),
-		CorrectProc:   make([]bool, finalProcs),
-		Forwarded:     make(map[MsgID]bool),
+		Forwarded:     make(map[oracle.ID]bool),
 		DrainedLogLen: make(map[netsim.ProcID]int),
 		DrainedAt:     make(map[netsim.ProcID]sim.Time),
 	}
 	ctrl.OnForward = func(pkt *netsim.Packet) {
-		if id, ok := pkt.Payload.(MsgID); ok {
+		if id, ok := pkt.Payload.(oracle.ID); ok {
 			res.Forwarded[id] = true
 		}
 	}
@@ -216,7 +168,7 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 						bar = maxC[hi]
 					}
 					if pkt.MsgTS < bar {
-						id, _ := pkt.Payload.(MsgID)
+						id, _ := pkt.Payload.(oracle.ID)
 						res.WireSuspects = append(res.WireSuspects, WireSuspect{
 							Host: hi, Src: pkt.Src, ID: id, TS: pkt.MsgTS,
 							Barrier: bar, Reliable: pkt.Reliable, At: eng.Now(),
@@ -244,14 +196,14 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 		host := cl.Hosts[net.HostOfProc(proc.ID)]
 		proc.OnDeliver = func(d core.Delivery) {
 			be, c := host.Barriers()
-			res.Deliveries[i] = append(res.Deliveries[i], DeliveryRec{
-				TS: d.TS, Src: d.Src, ID: d.Data.(MsgID), Reliable: d.Reliable,
+			res.Deliveries[i] = append(res.Deliveries[i], oracle.Delivery{
+				TS: d.TS, Src: d.Src, ID: d.Data.(oracle.ID), Reliable: d.Reliable,
 				ClockAt: proc.Timestamp(), BarBE: be, BarC: c,
 				Conflict: d.Conflict,
 			})
 		}
 		proc.OnSendFail = func(sf core.SendFailure) {
-			id, ok := sf.Data.(MsgID)
+			id, ok := sf.Data.(oracle.ID)
 			if !ok {
 				return
 			}
@@ -303,7 +255,7 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 		}
 		var msgs []core.Message
 		seen := map[netsim.ProcID]bool{proc.ID: true}
-		id := MsgID{Src: proc.ID, Seq: seqs[pi]}
+		id := oracle.ID{Src: proc.ID, Seq: seqs[pi]}
 		for len(msgs) < fan {
 			dst := netsim.ProcID(wrng.Intn(curProcs))
 			if seen[dst] {
@@ -320,7 +272,7 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 		if p.ConflictRate > 0 && wrng.Float64() < p.ConflictRate {
 			ckey = 1 + uint32(wrng.Intn(4))
 		}
-		rec := SendRec{ID: id, Src: proc.ID, Reliable: reliable, At: proc.Timestamp(), Conflict: ckey}
+		rec := oracle.Send{ID: id, Src: proc.ID, Reliable: reliable, At: proc.Timestamp(), Conflict: ckey}
 		for _, m := range msgs {
 			rec.Dsts = append(rec.Dsts, m.Dst)
 		}
@@ -440,9 +392,10 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 	// which checkDrains enforces separately.
 	for pi := 0; pi < net.NumProcs(); pi++ {
 		hi := net.HostOfProc(netsim.ProcID(pi))
-		res.CorrectProc[pi] = !crashed[hi] && !departed[hi] && hostConnected(net.G, net.G.Host(hi))
+		res.Correct[pi] = !crashed[hi] && !departed[hi] && hostConnected(net.G, net.G.Host(hi))
 	}
 	res.PathOK = procReachability(net)
+	res.Exempt = exempt(res)
 	res.Failures = ctrl.Failures
 	res.Epochs = ctrl.Epochs
 	res.ForwardedMsgs = ctrl.ForwardedMsgs
@@ -514,7 +467,9 @@ func partitionLinks(g *topology.Graph, pod int) []topology.LinkID {
 
 // Digest hashes the complete delivery logs — order, annotations and all.
 // Two runs of the same plan must produce the same digest; TestChaos treats
-// any difference as a determinism (replayability) bug in the stack.
+// any difference as a determinism (replayability) bug in the stack. Conflict
+// keys are deliberately not hashed, so tagging an existing plan cannot move
+// its golden digest through that field.
 func (r *Result) Digest() string {
 	h := sha256.New()
 	var buf [8]byte
@@ -567,13 +522,4 @@ func (r *Result) FullDigest() string {
 		w(int64(c.ID.Seq))
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// TotalDeliveries counts delivered messages across all receivers.
-func (r *Result) TotalDeliveries() int {
-	n := 0
-	for _, log := range r.Deliveries {
-		n += len(log)
-	}
-	return n
 }

@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"reflect"
 	"testing"
 
 	"onepipe/internal/core"
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 	"onepipe/internal/topology"
 )
@@ -189,9 +191,9 @@ func TestScenarioConflictAwareDegeneracy(t *testing.T) {
 	}
 }
 
-// TestScenarioConflictCheckerSensitivity is invariant 15's negative control:
-// corrupting a conflict-aware run's log — two same-key deliveries swapped at
-// one receiver — must trip conflict-pair-order.
+// TestScenarioConflictCheckerSensitivity is invariant 15's negative control
+// on a real run: corrupting a conflict-aware run's log — two same-key
+// deliveries swapped at one receiver — must trip conflict-pair-order.
 func TestScenarioConflictCheckerSensitivity(t *testing.T) {
 	p := craftedPlan(19)
 	p.Mode = core.DeliverConflictAware
@@ -200,35 +202,20 @@ func TestScenarioConflictCheckerSensitivity(t *testing.T) {
 	if vios := Check(r); len(vios) > 0 {
 		t.Fatalf("clean run already fails: %v", vios)
 	}
-	swapped := false
-outer:
-	for _, log := range r.Deliveries {
-		byKey := map[uint32][]int{}
-		for i, d := range log {
-			if d.Conflict == 0 {
-				continue
-			}
-			byKey[d.Conflict] = append(byKey[d.Conflict], i)
-			if idx := byKey[d.Conflict]; len(idx) >= 2 {
-				a, b := idx[len(idx)-2], idx[len(idx)-1]
-				log[a], log[b] = log[b], log[a]
-				swapped = true
-				break outer
-			}
+	log, first := r.Deliveries[0], map[uint32]int{}
+	for i, d := range log {
+		if j, seen := first[d.Conflict]; seen && d.Conflict != 0 {
+			log[i], log[j] = log[j], log[i]
+			break
 		}
+		first[d.Conflict] = i
 	}
-	if !swapped {
-		t.Fatal("no same-key pair to corrupt — scenario exercises nothing")
-	}
-	hit := false
 	for _, v := range Check(r) {
 		if v.Invariant == "conflict-pair-order" {
-			hit = true
+			return
 		}
 	}
-	if !hit {
-		t.Fatal("swapped same-key pair did not trip conflict-pair-order — checker is blind")
-	}
+	t.Fatal("swapped same-key pair did not trip conflict-pair-order — checker is blind")
 }
 
 // TestScenarioCheckerSensitivity is the checkers' own negative control: a
@@ -263,6 +250,30 @@ func TestScenarioCheckerSensitivity(t *testing.T) {
 	for inv, hit := range want {
 		if !hit {
 			t.Errorf("corrupted log did not trip %s — checker is blind", inv)
+		}
+	}
+}
+
+// TestCheckReplayable requires the same report from every check of one
+// log, as a replayable report must be, even past the violation cap: with
+// receiver 0's reliable deliveries removed, many scatterings break
+// atomicity at once and the cap keeps only some of them.
+func TestCheckReplayable(t *testing.T) {
+	r := Run(craftedPlan(5))
+	kept := r.Deliveries[0][:0]
+	for _, d := range r.Deliveries[0] {
+		if !d.Reliable {
+			kept = append(kept, d)
+		}
+	}
+	r.Deliveries[0] = kept
+	first := Check(r)
+	if len(first) < oracle.MaxViolations {
+		t.Fatalf("%d violations, want the cap of %d", len(first), oracle.MaxViolations)
+	}
+	for i := 0; i < 5; i++ {
+		if again := Check(r); !reflect.DeepEqual(again, first) {
+			t.Fatalf("check %d gave a different report:\n%v\nthen\n%v", i+2, first, again)
 		}
 	}
 }

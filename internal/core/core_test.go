@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"onepipe/internal/netsim"
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 	"onepipe/internal/topology"
 )
@@ -18,82 +19,81 @@ func smallNet(t *testing.T, procsPerHost int, mut func(*netsim.Config)) *Cluster
 	return Deploy(netsim.New(cfg), DefaultConfig())
 }
 
-type rec struct {
-	ts  sim.Time
-	src netsim.ProcID
-	d   any
-}
-
-// collect installs a recorder on every proc and returns the per-proc logs.
-func collect(cl *Cluster) []*[]rec {
-	logs := make([]*[]rec, len(cl.Procs))
-	for i, p := range cl.Procs {
-		log := &[]rec{}
-		logs[i] = log
-		p.OnDeliver = func(d Delivery) {
-			*log = append(*log, rec{d.TS, d.Src, d.Data})
-		}
-	}
-	return logs
-}
-
 func TestBestEffortUnicastDelivery(t *testing.T) {
 	cl := smallNet(t, 1, nil)
-	logs := collect(cl)
+	log := record(cl)
 	cl.Run(50 * sim.Microsecond)
-	if err := cl.Proc(0).Send([]Message{{Dst: 5, Data: "hi", Size: 64}}); err != nil {
+	if err := sendLogged(cl, log, 0, []Message{{Dst: 5, Size: 64}}, SendOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	cl.Run(200 * sim.Microsecond)
-	if len(*logs[5]) != 1 || (*logs[5])[0].d != "hi" {
-		t.Fatalf("proc 5 log = %v", *logs[5])
+	if l := log.Deliveries[5]; len(l) != 1 || l[0].ID != log.Sends[0].ID {
+		t.Fatalf("proc 5 log = %v", l)
 	}
 }
 
 func TestScatteringSharesTimestamp(t *testing.T) {
 	cl := smallNet(t, 1, nil)
-	logs := collect(cl)
+	log := record(cl)
 	cl.Run(50 * sim.Microsecond)
 	var msgs []Message
 	for dst := 1; dst < 8; dst++ {
-		msgs = append(msgs, Message{Dst: netsim.ProcID(dst), Data: dst, Size: 64})
+		msgs = append(msgs, Message{Dst: netsim.ProcID(dst), Size: 64})
 	}
-	if err := cl.Proc(0).Send(msgs); err != nil {
+	if err := sendLogged(cl, log, 0, msgs, SendOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	cl.Run(200 * sim.Microsecond)
-	var ts sim.Time
 	for dst := 1; dst < 8; dst++ {
-		l := *logs[dst]
-		if len(l) != 1 {
-			t.Fatalf("proc %d got %d msgs", dst, len(l))
-		}
-		if ts == 0 {
-			ts = l[0].ts
-		} else if l[0].ts != ts {
-			t.Fatalf("scattering timestamps differ: %v vs %v", l[0].ts, ts)
+		if l := log.Deliveries[dst]; len(l) != 1 || l[0].TS != log.Deliveries[1][0].TS {
+			t.Fatalf("proc %d got %v; proc 1 got %v", dst, l, log.Deliveries[1])
 		}
 	}
 }
 
-// checkTotalOrder verifies each log is strictly sorted by (ts, src) — the
-// global total order — and that no message is duplicated.
-func checkTotalOrder(t *testing.T, logs []*[]rec) {
-	t.Helper()
-	for i, lp := range logs {
-		l := *lp
-		for j := 1; j < len(l); j++ {
-			a, b := l[j-1], l[j]
-			if b.ts < a.ts || (b.ts == a.ts && b.src < a.src) {
-				t.Fatalf("proc %d: order violation at %d: (%v,%d) then (%v,%d)", i, j, a.ts, a.src, b.ts, b.src)
-			}
+// record installs a recorder on every proc that fills an oracle log, each
+// delivery annotated with its receiver's clock and barriers; sends to be
+// checked go through sendLogged.
+func record(cl *Cluster) *oracle.Log {
+	l := &oracle.Log{Mode: oracle.Mode(cl.cfg.Mode), Annotated: true, Deliveries: make([][]oracle.Delivery, len(cl.Procs))}
+	for i, p := range cl.Procs {
+		i, p := i, p
+		p.OnDeliver = func(d Delivery) {
+			be, c := p.host.Barriers()
+			l.Deliveries[i] = append(l.Deliveries[i], oracle.Delivery{TS: d.TS, Src: d.Src, ID: d.Data.(oracle.ID),
+				Reliable: d.Reliable, Conflict: d.Conflict, ClockAt: p.Timestamp(), BarBE: be, BarC: c})
 		}
+	}
+	return l
+}
+
+// sendLogged submits msgs from proc src, each carrying the scattering's
+// oracle ID as its data, and records the send in l.
+func sendLogged(cl *Cluster, l *oracle.Log, src int, msgs []Message, o SendOptions) error {
+	p := cl.Proc(src)
+	s := oracle.Send{ID: oracle.ID{Src: p.ID, Seq: int32(len(l.Sends))}, Src: p.ID,
+		Reliable: o.Reliable, Conflict: o.ConflictKey, At: p.Timestamp()}
+	for i := range msgs {
+		msgs[i].Data = s.ID
+		s.Dsts = append(s.Dsts, msgs[i].Dst)
+	}
+	err := p.SendOpts(msgs, o)
+	s.Refused = err != nil
+	l.Sends = append(l.Sends, s)
+	return err
+}
+
+// checkLog fails t on every violation of the delivery contract in l.
+func checkLog(t *testing.T, l *oracle.Log) {
+	t.Helper()
+	for _, v := range oracle.Check(l) {
+		t.Error(v)
 	}
 }
 
 func TestTotalOrderManySenders(t *testing.T) {
 	cl := smallNet(t, 2, nil)
-	logs := collect(cl)
+	log := record(cl)
 	np := len(cl.Procs)
 	eng := cl.Net.Eng
 	rng := eng.Rand()
@@ -105,18 +105,14 @@ func TestTotalOrderManySenders(t *testing.T) {
 				return
 			}
 			dst := netsim.ProcID(rng.Intn(np))
-			if cl.Proc(p).Send([]Message{{Dst: dst, Data: sent, Size: 64}}) == nil {
+			if sendLogged(cl, log, p, []Message{{Dst: dst, Size: 64}}, SendOptions{}) == nil {
 				sent++
 			}
 		})
 	}
 	cl.Run(800 * sim.Microsecond)
-	checkTotalOrder(t, logs)
-	total := 0
-	for _, lp := range logs {
-		total += len(*lp)
-	}
-	if total == 0 || total < sent*9/10 {
+	checkLog(t, log)
+	if total := log.TotalDeliveries(); total == 0 || total < sent*9/10 {
 		t.Fatalf("delivered %d of %d", total, sent)
 	}
 }
@@ -149,7 +145,7 @@ func TestCausality(t *testing.T) {
 
 func TestReliableDeliveryUnderLoss(t *testing.T) {
 	cl := smallNet(t, 1, func(c *netsim.Config) { c.Impair = netsim.UniformLoss(0.02); c.Seed = 42 })
-	logs := collect(cl)
+	log := record(cl)
 	cl.Run(50 * sim.Microsecond)
 	const rounds = 60
 	eng := cl.Net.Eng
@@ -159,20 +155,16 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 		eng.At(sim.Time(50+r*5)*sim.Microsecond, func() {
 			src := r % len(cl.Procs)
 			dst := netsim.ProcID((r + 1) % len(cl.Procs))
-			if cl.Proc(src).SendReliable([]Message{{Dst: dst, Data: r, Size: 64}}) == nil {
+			if sendLogged(cl, log, src, []Message{{Dst: dst, Size: 64}}, SendOptions{Reliable: true}) == nil {
 				sent++
 			}
 		})
 	}
 	cl.Run(5 * sim.Millisecond)
-	got := 0
-	for _, lp := range logs {
-		got += len(*lp)
-	}
-	if got != sent {
+	if got := log.TotalDeliveries(); got != sent {
 		t.Fatalf("reliable delivered %d of %d under loss", got, sent)
 	}
-	checkTotalOrder(t, logs)
+	checkLog(t, log)
 	if cl.TotalStats().PktsRetx == 0 {
 		t.Fatal("expected retransmissions under 2% loss")
 	}
@@ -406,7 +398,7 @@ func TestUnifiedModeCrossClassOrder(t *testing.T) {
 	ccfg := DefaultConfig()
 	ccfg.Mode = DeliverUnified
 	cl := Deploy(netsim.New(cfg), ccfg)
-	logs := collect(cl)
+	log := record(cl)
 	eng := cl.Net.Eng
 	rng := eng.Rand()
 	for p := 0; p < len(cl.Procs); p++ {
@@ -416,23 +408,14 @@ func TestUnifiedModeCrossClassOrder(t *testing.T) {
 				return
 			}
 			dst := netsim.ProcID(rng.Intn(len(cl.Procs)))
-			m := []Message{{Dst: dst, Data: p, Size: 64}}
-			if rng.Intn(2) == 0 {
-				cl.Proc(p).Send(m)
-			} else {
-				cl.Proc(p).SendReliable(m)
-			}
+			sendLogged(cl, log, p, []Message{{Dst: dst, Size: 64}}, SendOptions{Reliable: rng.Intn(2) != 0})
 		})
 	}
 	cl.Run(2 * sim.Millisecond)
 	// In unified mode the single log per proc must be (ts,src)-sorted
 	// across both classes.
-	checkTotalOrder(t, logs)
-	total := 0
-	for _, lp := range logs {
-		total += len(*lp)
-	}
-	if total == 0 {
+	checkLog(t, log)
+	if log.TotalDeliveries() == 0 {
 		t.Fatal("nothing delivered")
 	}
 }
@@ -540,52 +523,22 @@ func TestInvariantsAcrossSeeds(t *testing.T) {
 					c.Impair = netsim.UniformLoss(0.01)
 				})
 				// DeliverSeparate gives each class its own total order;
-				// record the two streams separately.
-				np := len(cl.Procs)
-				beLogs := make([]*[]rec, np)
-				relLogs := make([]*[]rec, np)
-				reliableSeen := make(map[int]int)
-				for i, p := range cl.Procs {
-					be, rel := &[]rec{}, &[]rec{}
-					beLogs[i], relLogs[i] = be, rel
-					p.OnDeliver = func(d Delivery) {
-						if d.Reliable {
-							*rel = append(*rel, rec{d.TS, d.Src, d.Data})
-							reliableSeen[d.Data.(int)]++
-						} else {
-							*be = append(*be, rec{d.TS, d.Src, d.Data})
-						}
-					}
-				}
+				// every reliable message is delivered exactly once.
+				log := record(cl)
 				eng := cl.Net.Eng
 				rng := eng.Rand()
-				id := 0
-				sentReliable := make(map[int]bool)
 				for p := 0; p < len(cl.Procs); p++ {
 					p := p
 					sim.NewTicker(eng, 3*sim.Microsecond, 0, func() {
 						if eng.Now() > 200*sim.Microsecond {
 							return
 						}
-						id++
 						dst := netsim.ProcID(rng.Intn(len(cl.Procs)))
-						if rng.Intn(2) == 0 {
-							if cl.Proc(p).SendReliable([]Message{{Dst: dst, Data: id, Size: 200}}) == nil {
-								sentReliable[id] = true
-							}
-						} else {
-							cl.Proc(p).Send([]Message{{Dst: dst, Data: id, Size: 200}})
-						}
+						sendLogged(cl, log, p, []Message{{Dst: dst, Size: 200}}, SendOptions{Reliable: rng.Intn(2) == 0})
 					})
 				}
 				cl.Run(10 * sim.Millisecond)
-				checkTotalOrder(t, beLogs)
-				checkTotalOrder(t, relLogs)
-				for id := range sentReliable {
-					if reliableSeen[id] != 1 {
-						t.Fatalf("reliable msg %d delivered %d times", id, reliableSeen[id])
-					}
-				}
+				checkLog(t, log)
 			})
 		}
 	}

@@ -45,22 +45,17 @@ func TestSendToSelfProcOnSameHost(t *testing.T) {
 	// Two procs on one host: a scattering to a sibling traverses the ToR
 	// loopback and still obeys total order.
 	cl := smallNet(t, 2, nil)
-	var order []sim.Time
-	cl.Procs[1].OnDeliver = func(d Delivery) { order = append(order, d.TS) }
+	log := record(cl)
 	cl.Run(50 * sim.Microsecond)
 	for i := 0; i < 10; i++ {
-		cl.Proc(0).Send([]Message{{Dst: 1, Size: 16}}) // same host
+		sendLogged(cl, log, 0, []Message{{Dst: 1, Size: 16}}, SendOptions{}) // same host
 		cl.Run(3 * sim.Microsecond)
 	}
 	cl.Run(500 * sim.Microsecond)
-	if len(order) != 10 {
-		t.Fatalf("delivered %d of 10 same-host messages", len(order))
+	if n := len(log.Deliveries[1]); n != 10 {
+		t.Fatalf("delivered %d of 10 same-host messages", n)
 	}
-	for i := 1; i < len(order); i++ {
-		if order[i] <= order[i-1] {
-			t.Fatal("same-host deliveries out of order")
-		}
-	}
+	checkLog(t, log)
 }
 
 func TestSendFailureForUnattachedDestination(t *testing.T) {

@@ -5,33 +5,25 @@ import (
 	"testing"
 
 	"onepipe/internal/netsim"
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 	"onepipe/internal/topology"
 )
 
-// propRec is one delivery with its plane, for the cross-class order checks.
-type propRec struct {
-	ts       sim.Time
-	src      netsim.ProcID
-	id       int64
-	reliable bool
-	conflict uint32
-}
-
 // runMixedWorkload deploys a small cluster in the given delivery mode, runs a
 // seed-derived mix of best-effort and reliable scatterings, and returns the
-// per-process delivery logs. Message IDs are globally unique so logs can be
-// correlated across receivers.
-func runMixedWorkload(t *testing.T, mode DeliveryMode, seed int64) [][]propRec {
+// oracle log of every send and delivery.
+func runMixedWorkload(t *testing.T, mode DeliveryMode, seed int64) *oracle.Log {
 	return runKeyedWorkload(t, mode, seed, nil)
 }
 
 // runKeyedWorkload is runMixedWorkload with a conflict-key assignment: keyFor
-// maps each scattering's message ID to its ConflictKey. It is a pure function
-// of the ID — no RNG draw — so two runs of the same seed in different modes
-// (or with different assignments) consume identical randomness and submit
-// identical traffic; only delivery differs. nil means untagged plain sends.
-func runKeyedWorkload(t *testing.T, mode DeliveryMode, seed int64, keyFor func(id int64) uint32) [][]propRec {
+// maps each scattering's sequence number to its ConflictKey. It is a pure
+// function of the number — no RNG draw — so two runs of the same seed in
+// different modes (or with different assignments) consume identical
+// randomness and submit identical traffic; only delivery differs. nil means
+// untagged sends.
+func runKeyedWorkload(t *testing.T, mode DeliveryMode, seed int64, keyFor func(seq int32) uint32) *oracle.Log {
 	t.Helper()
 	cfg := netsim.DefaultConfig(topology.ClosConfig{Pods: 1, RacksPerPod: 2, HostsPerRack: 2, SpinesPerPod: 2, Cores: 1}, 2)
 	cfg.Seed = seed
@@ -40,17 +32,10 @@ func runKeyedWorkload(t *testing.T, mode DeliveryMode, seed int64, keyFor func(i
 	ccfg.Mode = mode
 	cl := Deploy(netsim.New(cfg), ccfg)
 	np := len(cl.Procs)
-	logs := make([][]propRec, np)
-	for i, p := range cl.Procs {
-		i := i
-		p.OnDeliver = func(d Delivery) {
-			logs[i] = append(logs[i], propRec{ts: d.TS, src: d.Src, id: d.Data.(int64), reliable: d.Reliable, conflict: d.Conflict})
-		}
-	}
+	log := record(cl)
 
 	rng := rand.New(rand.NewSource(seed))
 	eng := cl.Net.Eng
-	var nextID int64
 	var loop func(pi int)
 	loop = func(pi int) {
 		if eng.Now() > 400*sim.Microsecond {
@@ -59,24 +44,19 @@ func runKeyedWorkload(t *testing.T, mode DeliveryMode, seed int64, keyFor func(i
 		var msgs []Message
 		fan := 1 + rng.Intn(3)
 		seen := map[netsim.ProcID]bool{netsim.ProcID(pi): true}
-		id := nextID
-		nextID++
 		for len(msgs) < fan {
 			dst := netsim.ProcID(rng.Intn(np))
 			if seen[dst] {
 				continue
 			}
 			seen[dst] = true
-			msgs = append(msgs, Message{Dst: dst, Data: id, Size: 64})
+			msgs = append(msgs, Message{Dst: dst, Size: 64})
 		}
-		reliable := rng.Intn(2) == 0
+		o := SendOptions{Reliable: rng.Intn(2) == 0}
 		if keyFor != nil {
-			_ = cl.Proc(pi).SendOpts(msgs, SendOptions{Reliable: reliable, ConflictKey: keyFor(id)})
-		} else if reliable {
-			_ = cl.Proc(pi).SendReliable(msgs)
-		} else {
-			_ = cl.Proc(pi).Send(msgs)
+			o.ConflictKey = keyFor(int32(len(log.Sends)))
 		}
+		_ = sendLogged(cl, log, pi, msgs, o)
 		eng.After(sim.Time(1+rng.Intn(4))*sim.Microsecond, func() { loop(pi) })
 	}
 	for pi := 0; pi < np; pi++ {
@@ -84,70 +64,61 @@ func runKeyedWorkload(t *testing.T, mode DeliveryMode, seed int64, keyFor func(i
 		eng.After(sim.Time(rng.Intn(3000))*sim.Nanosecond, func() { loop(pi) })
 	}
 	cl.Run(900 * sim.Microsecond)
-	return logs
+	return log
 }
 
-func sortedByKey(l []propRec) (int, bool) {
-	for j := 1; j < len(l); j++ {
-		a, b := l[j-1], l[j]
-		if b.ts < a.ts || (b.ts == a.ts && b.src < a.src) {
-			return j, false
+// mergedInversions counts the (ts, src) inversions in the receivers' merged
+// logs, both planes and tagged or not: what the oracle would report were the
+// log owed a single total order.
+func mergedInversions(l *oracle.Log) int {
+	merged := *l
+	merged.Mode, merged.Annotated = oracle.Unified, false
+	n := 0
+	for _, v := range oracle.Check(&merged) {
+		if v.Invariant == "local-order" {
+			n++
 		}
 	}
-	return 0, true
+	return n
+}
+
+// TestOracleModeNumbering pins the oracle's mode values to core's, which
+// record converts by number.
+func TestOracleModeNumbering(t *testing.T) {
+	if oracle.Mode(DeliverSeparate) != oracle.Separate || oracle.Mode(DeliverUnified) != oracle.Unified ||
+		oracle.Mode(DeliverConflictAware) != oracle.ConflictAware {
+		t.Fatal("oracle.Mode and core.DeliveryMode number the modes differently")
+	}
 }
 
 // TestUnifiedCrossClassTotalOrder is the property test for DeliverUnified:
 // across many seeds, every receiver's merged delivery log — best-effort and
-// reliable interleaved — is strictly sorted by (ts, src), and any two
-// receivers agree on the relative order of their common scatterings. This is
-// the cross-class single total order of DESIGN deviation #4; DeliverSeparate
-// promises it per plane only (see TestSeparatePerPlaneOrderOnly).
+// reliable interleaved — satisfies the oracle's single total order: strictly
+// sorted by (ts, src), and any two receivers agree on the relative order of
+// their common scatterings. This is the cross-class single total order of
+// DESIGN deviation #4; DeliverSeparate promises it per plane only (see
+// TestSeparatePerPlaneOrderOnly).
 func TestUnifiedCrossClassTotalOrder(t *testing.T) {
 	seeds := int64(12)
 	if testing.Short() {
 		seeds = 4
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
-		logs := runMixedWorkload(t, DeliverUnified, seed)
-		total, crossClassPairs := 0, 0
-		for pi, l := range logs {
-			total += len(l)
-			if j, ok := sortedByKey(l); !ok {
-				t.Fatalf("seed %d proc %d: merged log out of order at %d: %v then %v",
-					seed, pi, j, l[j-1], l[j])
-			}
+		log := runMixedWorkload(t, DeliverUnified, seed)
+		checkLog(t, log)
+		crossClassPairs := 0
+		for _, l := range log.Deliveries {
 			for j := 1; j < len(l); j++ {
-				if l[j-1].reliable != l[j].reliable {
+				if l[j-1].Reliable != l[j].Reliable {
 					crossClassPairs++
 				}
 			}
 		}
-		if total == 0 {
+		if log.TotalDeliveries() == 0 {
 			t.Fatalf("seed %d: no deliveries — workload wired wrong", seed)
 		}
 		if crossClassPairs == 0 {
 			t.Fatalf("seed %d: no cross-class adjacency anywhere — test exercises nothing", seed)
-		}
-		// Pairwise agreement on common scatterings, across the merged logs.
-		for a := 0; a < len(logs); a++ {
-			idx := make(map[int64]int, len(logs[a]))
-			for i, d := range logs[a] {
-				idx[d.id] = i
-			}
-			for b := a + 1; b < len(logs); b++ {
-				last := -1
-				for _, d := range logs[b] {
-					i, common := idx[d.id]
-					if !common {
-						continue
-					}
-					if i < last {
-						t.Fatalf("seed %d: receivers %d and %d disagree on common scattering order", seed, a, b)
-					}
-					last = i
-				}
-			}
 		}
 	}
 }
@@ -155,7 +126,7 @@ func TestUnifiedCrossClassTotalOrder(t *testing.T) {
 // TestSeparatePerPlaneOrderOnly pins DeliverSeparate's weaker contract: each
 // plane's subsequence is totally ordered, while the merged cross-class log
 // need not be (the planes advance on independent barriers). The test asserts
-// the per-plane property on every seed and requires that at least one seed
+// the per-plane contract on every seed and requires that at least one seed
 // exhibits a cross-class inversion — otherwise the distinction between the
 // modes has silently disappeared and DeliverUnified is no longer buying
 // anything.
@@ -164,30 +135,13 @@ func TestSeparatePerPlaneOrderOnly(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
-	mergedInversions := 0
+	inversions := 0
 	for seed := int64(1); seed <= seeds; seed++ {
-		logs := runMixedWorkload(t, DeliverSeparate, seed)
-		for pi, l := range logs {
-			var be, rel []propRec
-			for _, d := range l {
-				if d.reliable {
-					rel = append(rel, d)
-				} else {
-					be = append(be, d)
-				}
-			}
-			if j, ok := sortedByKey(be); !ok {
-				t.Fatalf("seed %d proc %d: best-effort plane out of order at %d", seed, pi, j)
-			}
-			if j, ok := sortedByKey(rel); !ok {
-				t.Fatalf("seed %d proc %d: reliable plane out of order at %d", seed, pi, j)
-			}
-			if _, ok := sortedByKey(l); !ok {
-				mergedInversions++
-			}
-		}
+		log := runMixedWorkload(t, DeliverSeparate, seed)
+		checkLog(t, log)
+		inversions += mergedInversions(log)
 	}
-	if mergedInversions == 0 {
+	if inversions == 0 {
 		t.Fatalf("no cross-class inversion in %d DeliverSeparate seeds — the mode distinction tests nothing", seeds)
 	}
 }

@@ -48,7 +48,7 @@ func ChaosSweep(sc Scale) *Table {
 		}
 	}
 	if bad == 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("all %d seeds upheld the full invariant catalog (see internal/chaos/checker.go)", seeds))
+		t.Notes = append(t.Notes, fmt.Sprintf("all %d seeds upheld the full invariant catalog (see internal/oracle and internal/chaos/checker.go)", seeds))
 	}
 	return t
 }

@@ -7,6 +7,7 @@ import (
 
 	"onepipe/internal/core"
 	"onepipe/internal/netsim"
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 )
 
@@ -45,47 +46,31 @@ const (
 	leaver     = 3
 )
 
-// tag names one scattering: its sender and round.
-type tag struct{ src, round int }
-
-// member is one message of a scattering: its receiver and scattering.
-type member struct {
-	dst int
-	tag tag
-}
-
-// entry is one delivery in a receiver's log.
-type entry struct {
-	ts       sim.Time
-	src      netsim.ProcID
-	reliable bool
-	tag      tag
-}
-
-// starRun is what one run leaves: every receiver's delivery log, and every
-// member of every accepted scattering with whether it was reliable.
+// starRun is what one run leaves: the oracle log of every accepted
+// scattering and every delivery.
 type starRun struct {
-	logs    [][]entry
-	sent    map[member]bool
+	log     oracle.Log
 	dropped uint64
 	drained bool
+}
+
+// record installs a recorder on process p of n that appends to l.
+func record(n *Net, p int, l *oracle.Log) {
+	n.Proc(p).OnDeliver = func(d core.Delivery) {
+		l.Deliveries[p] = append(l.Deliveries[p], oracle.Delivery{TS: d.TS, Src: d.Src, ID: d.Data.(oracle.ID), Reliable: d.Reliable})
+	}
 }
 
 func (c starCase) run(t *testing.T) starRun {
 	t.Helper()
 	n := New(Config{Hosts: starHosts, Seed: c.seed, Impair: c.impair})
-	r := starRun{logs: make([][]entry, starHosts+1), sent: make(map[member]bool)}
-	listen := func(p int) {
-		n.Proc(p).OnDeliver = func(d core.Delivery) {
-			r.logs[p] = append(r.logs[p], entry{d.TS, d.Src, d.Reliable, d.Data.(tag)})
-		}
-	}
+	r := starRun{log: oracle.Log{Deliveries: make([][]oracle.Delivery, starHosts+1)}}
 	for p := 0; p < starHosts; p++ {
-		listen(p)
+		record(n, p, &r.log)
 	}
 	for k := 0; k < rounds; k++ {
 		if c.elastic && k == joinRound {
-			listen(n.Join())
+			record(n, n.Join(), &r.log)
 		}
 		if c.elastic && k == drainRound {
 			if err := n.Drain(leaver); err != nil {
@@ -94,10 +79,12 @@ func (c starCase) run(t *testing.T) starRun {
 		}
 		reliable := k%2 == 1
 		for p := 0; p < n.NumProcs(); p++ {
+			s := oracle.Send{ID: oracle.ID{Src: netsim.ProcID(p), Seq: int32(k)}, Src: netsim.ProcID(p), Reliable: reliable}
 			var msgs []core.Message
 			for q := 0; q < n.NumProcs(); q++ {
 				if q != p && !(c.elastic && q == leaver) {
-					msgs = append(msgs, core.Message{Dst: netsim.ProcID(q), Data: tag{p, k}, Size: 64})
+					msgs = append(msgs, core.Message{Dst: netsim.ProcID(q), Data: s.ID, Size: 64})
+					s.Dsts = append(s.Dsts, netsim.ProcID(q))
 				}
 			}
 			err := n.Proc(p).SendOpts(msgs, core.SendOptions{Reliable: reliable})
@@ -107,9 +94,7 @@ func (c starCase) run(t *testing.T) starRun {
 			if err != nil {
 				t.Fatalf("round %d: send from %d: %v", k, p, err)
 			}
-			for _, m := range msgs {
-				r.sent[member{int(m.Dst), tag{p, k}}] = reliable
-			}
+			r.log.Sends = append(r.log.Sends, s)
 		}
 		n.RunFor(roundGap)
 	}
@@ -120,11 +105,11 @@ func (c starCase) run(t *testing.T) starRun {
 }
 
 // TestStar runs every case twice on the deterministic star and checks that
-// the same seed gives the identical delivery log, that every receiver
-// delivers each class (best-effort, reliable) in (ts, src) order, and that
-// every member of a reliable scattering — and, on a lossless star, of a
-// best-effort one — is delivered exactly once, with nothing delivered twice
-// or unsent.
+// the same seed gives the identical delivery log and that the log upholds
+// the delivery contract (internal/oracle): each class (best-effort,
+// reliable) in (ts, src) order at every receiver and agreed across them,
+// nothing delivered twice or unsent, every reliable scattering delivered
+// everywhere. On a lossless star every best-effort member is delivered too.
 func TestStar(t *testing.T) {
 	for _, c := range starCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -132,37 +117,21 @@ func TestStar(t *testing.T) {
 			if again := c.run(t); !reflect.DeepEqual(r, again) {
 				t.Fatal("the same seed gave a different run")
 			}
-			count := make(map[member]int)
-			for p, log := range r.logs {
-				var last [2]*entry // per class
-				for j := range log {
-					e := &log[j]
-					cls := 0
-					if e.reliable {
-						cls = 1
-					}
-					if prev := last[cls]; prev != nil && (e.ts < prev.ts || e.ts == prev.ts && e.src < prev.src) {
-						t.Fatalf("proc %d delivered %+v after %+v", p, *e, *prev)
-					}
-					last[cls] = e
-					count[member{p, e.tag}]++
-				}
+			for _, v := range oracle.Check(&r.log) {
+				t.Error(v)
 			}
-			for m, got := range count {
-				if _, ok := r.sent[m]; !ok || got > 1 {
-					t.Fatalf("%+v delivered %d times; sent: %v", m, got, ok)
-				}
+			members := 0
+			for _, s := range r.log.Sends {
+				members += len(s.Dsts)
 			}
-			for m, reliable := range r.sent {
-				if (reliable || c.impair == nil) && count[m] != 1 {
-					t.Fatalf("%+v (reliable %v) delivered %d times, want once", m, reliable, count[m])
-				}
+			if got := r.log.TotalDeliveries(); c.impair == nil && got != members {
+				t.Fatalf("lossless star delivered %d of %d members", got, members)
 			}
 			if c.impair != nil && r.dropped == 0 {
 				t.Fatal("the impairment never dropped a packet")
 			}
-			if c.elastic && (!r.drained || len(r.logs[starHosts]) == 0) {
-				t.Fatalf("host %d drained: %v; joined host delivered %d", leaver, r.drained, len(r.logs[starHosts]))
+			if c.elastic && (!r.drained || len(r.log.Deliveries[starHosts]) == 0) {
+				t.Fatalf("host %d drained: %v; joined host delivered %d", leaver, r.drained, len(r.log.Deliveries[starHosts]))
 			}
 		})
 	}
@@ -185,38 +154,38 @@ func TestLiveDelivery(t *testing.T) {
 
 // TestLiveTotalOrder has every host scatter to every other host, 20 times
 // each with the senders interleaved, and checks that every receiver
-// delivers all of it in timestamp order.
+// delivers all of it, upholding the delivery contract.
 func TestLiveTotalOrder(t *testing.T) {
 	const hosts, sends = 4, 20
 	n := New(Config{Hosts: hosts, Seed: 1})
-	logs := make([][]sim.Time, hosts)
+	log := oracle.Log{Deliveries: make([][]oracle.Delivery, hosts)}
 	for i := 0; i < hosts; i++ {
-		i := i
-		n.Proc(i).OnDeliver = func(d core.Delivery) { logs[i] = append(logs[i], d.TS) }
+		record(n, i, &log)
 	}
 	for k := 0; k < sends; k++ {
 		for p := 0; p < hosts; p++ {
+			s := oracle.Send{ID: oracle.ID{Src: netsim.ProcID(p), Seq: int32(k)}, Src: netsim.ProcID(p)}
 			var msgs []core.Message
 			for q := 0; q < hosts; q++ {
 				if q != p {
-					msgs = append(msgs, core.Message{Dst: netsim.ProcID(q), Size: 64})
+					msgs = append(msgs, core.Message{Dst: netsim.ProcID(q), Data: s.ID, Size: 64})
+					s.Dsts = append(s.Dsts, netsim.ProcID(q))
 				}
 			}
 			if err := n.Proc(p).SendOpts(msgs, core.SendOptions{}); err != nil {
 				t.Fatal(err)
 			}
+			log.Sends = append(log.Sends, s)
 			n.RunFor(sim.Microsecond)
 		}
 	}
 	n.RunFor(settle)
-	for i, log := range logs {
-		if len(log) != (hosts-1)*sends {
-			t.Fatalf("proc %d delivered %d of %d", i, len(log), (hosts-1)*sends)
-		}
-		for j := 1; j < len(log); j++ {
-			if log[j] < log[j-1] {
-				t.Fatalf("proc %d delivered out of order at %d", i, j)
-			}
+	for _, v := range oracle.Check(&log) {
+		t.Error(v)
+	}
+	for i, l := range log.Deliveries {
+		if len(l) != (hosts-1)*sends {
+			t.Fatalf("proc %d delivered %d of %d", i, len(l), (hosts-1)*sends)
 		}
 	}
 }

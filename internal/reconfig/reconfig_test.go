@@ -1,11 +1,13 @@
 package reconfig
 
 import (
+	"slices"
 	"testing"
 
 	"onepipe/internal/controller"
 	"onepipe/internal/core"
 	"onepipe/internal/netsim"
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 	"onepipe/internal/topology"
 )
@@ -14,35 +16,23 @@ func smallClos() topology.ClosConfig {
 	return topology.ClosConfig{Pods: 2, RacksPerPod: 2, HostsPerRack: 2, SpinesPerPod: 2, Cores: 2}
 }
 
-type msgID struct {
-	src netsim.ProcID
-	seq int
-}
-
 // harness runs continuous scatterings among a mutable set of live procs
-// while recording every delivery and send failure, and asserting the
-// per-receiver (TS, Src) total order never regresses.
+// while recording every send, delivery and send failure into an oracle log;
+// check holds it to the delivery contract.
 type harness struct {
-	t    *testing.T
-	cl   *core.Cluster
-	eng  *sim.Engine
-	seqs map[netsim.ProcID]int
+	t   *testing.T
+	cl  *core.Cluster
+	eng *sim.Engine
+	log oracle.Log
 
 	active []netsim.ProcID // scattering targets
 
-	deliveries map[netsim.ProcID][]core.Delivery
-	failures   map[netsim.ProcID]int // keyed by destination proc
-	lastTS     map[netsim.ProcID]core.Delivery
+	failures map[netsim.ProcID]int // keyed by destination proc
 }
 
 func newHarness(t *testing.T, cl *core.Cluster) *harness {
-	h := &harness{
-		t: t, cl: cl, eng: cl.Net.Eng,
-		seqs:       make(map[netsim.ProcID]int),
-		deliveries: make(map[netsim.ProcID][]core.Delivery),
-		failures:   make(map[netsim.ProcID]int),
-		lastTS:     make(map[netsim.ProcID]core.Delivery),
-	}
+	h := &harness{t: t, cl: cl, eng: cl.Net.Eng, failures: make(map[netsim.ProcID]int)}
+	h.log.SendFails = make(map[oracle.ID]map[netsim.ProcID]bool)
 	for _, p := range cl.Procs {
 		h.watch(p)
 		h.active = append(h.active, p.ID)
@@ -52,17 +42,31 @@ func newHarness(t *testing.T, cl *core.Cluster) *harness {
 
 func (h *harness) watch(p *core.Proc) {
 	pid := p.ID
+	h.log.Deliveries = append(h.log.Deliveries, nil) // procs are watched in ID order
 	p.OnDeliver = func(d core.Delivery) {
-		if last, ok := h.lastTS[pid]; ok {
-			if d.TS < last.TS || (d.TS == last.TS && d.Src < last.Src) {
-				h.t.Errorf("proc %d: delivery order regressed: (%d,%d) after (%d,%d)",
-					pid, d.TS, d.Src, last.TS, last.Src)
-			}
-		}
-		h.lastTS[pid] = d
-		h.deliveries[pid] = append(h.deliveries[pid], d)
+		h.log.Deliveries[pid] = append(h.log.Deliveries[pid],
+			oracle.Delivery{TS: d.TS, Src: d.Src, ID: d.Data.(oracle.ID), Reliable: d.Reliable})
 	}
-	p.OnSendFail = func(f core.SendFailure) { h.failures[f.Dst]++ }
+	p.OnSendFail = func(f core.SendFailure) {
+		h.failures[f.Dst]++
+		id := f.Data.(oracle.ID)
+		if h.log.SendFails[id] == nil {
+			h.log.SendFails[id] = make(map[netsim.ProcID]bool)
+		}
+		h.log.SendFails[id][f.Dst] = true
+	}
+}
+
+// check holds the log to the delivery contract, the procs of the given
+// departed hosts owing no deliveries.
+func (h *harness) check(departed ...int) {
+	h.log.Correct = make([]bool, len(h.log.Deliveries))
+	for pi := range h.log.Correct {
+		h.log.Correct[pi] = !slices.Contains(departed, h.cl.Net.HostOfProc(netsim.ProcID(pi)))
+	}
+	for _, v := range oracle.Check(&h.log) {
+		h.t.Error(v)
+	}
 }
 
 // startSender arms a periodic reliable scattering from p to two random
@@ -78,12 +82,13 @@ func (h *harness) startSender(p *core.Proc, period, until sim.Time) {
 		if d1 == p.ID || d2 == p.ID || d1 == d2 {
 			return
 		}
-		h.seqs[p.ID]++
-		id := msgID{src: p.ID, seq: h.seqs[p.ID]}
-		_ = p.SendReliable([]core.Message{
-			{Dst: d1, Data: id, Size: 64},
-			{Dst: d2, Data: id, Size: 64},
-		})
+		s := oracle.Send{ID: oracle.ID{Src: p.ID, Seq: int32(len(h.log.Sends))}, Src: p.ID,
+			Dsts: []netsim.ProcID{d1, d2}, Reliable: true}
+		s.Refused = p.SendReliable([]core.Message{
+			{Dst: d1, Data: s.ID, Size: 64},
+			{Dst: d2, Data: s.ID, Size: 64},
+		}) != nil
+		h.log.Sends = append(h.log.Sends, s)
 	})
 }
 
@@ -150,7 +155,7 @@ func TestJoinDrainLive(t *testing.T) {
 	if !cl.Hosts[2].Draining() {
 		t.Fatal("host 2 not marked draining")
 	}
-	preDrainDeliveries := len(h.deliveries[2])
+	preDrainDeliveries := len(h.log.Deliveries[2])
 
 	// Drain pod 0's second spine, then grow pod 1's spine set.
 	spinePhys := net.G.Node(net.G.SpineUps(0)[1]).Phys
@@ -162,11 +167,11 @@ func TestJoinDrainLive(t *testing.T) {
 	if err := e.AddSwitch(1, func(phys int) { switchAdded = true }); err != nil {
 		t.Fatalf("AddSwitch: %v", err)
 	}
-	markDeliveries := 0
-	for _, ds := range h.deliveries {
-		markDeliveries += len(ds)
-	}
-	eng.RunFor(until - eng.Now() + 5*sim.Millisecond)
+	markDeliveries := h.log.TotalDeliveries()
+	// Scatterings toward the drained host resolve only when their send
+	// failure times out, and until then they hold back every reliable
+	// delivery (about 6 ms here): settle long enough for a complete log.
+	eng.RunFor(until - eng.Now() + 10*sim.Millisecond)
 
 	if !switchDrained || !switchAdded {
 		t.Fatalf("switch reconfig incomplete: drained=%v added=%v", switchDrained, switchAdded)
@@ -181,9 +186,13 @@ func TestJoinDrainLive(t *testing.T) {
 		t.Fatalf("controller replicated %d epochs, want 4", len(ctrl.Epochs))
 	}
 
-	// The joiner delivers only a suffix of the total order: nothing at or
-	// below the effective join epoch.
-	jd := h.deliveries[joinedID]
+	// The delivery contract holds across every reconfiguration — the joiner
+	// agreeing with the incumbents on the messages both saw, so it delivers
+	// a suffix of the same total order — with the drained host owing
+	// nothing.
+	h.check(2)
+	// The joiner's suffix starts above the effective join epoch.
+	jd := h.log.Deliveries[joinedID]
 	if len(jd) == 0 {
 		t.Fatal("joined host delivered nothing")
 	}
@@ -194,8 +203,8 @@ func TestJoinDrainLive(t *testing.T) {
 	}
 	// The joiner's own messages reach incumbents, all above the epoch.
 	fromJoiner := 0
-	for pid, ds := range h.deliveries {
-		if pid == joinedID {
+	for pid, ds := range h.log.Deliveries {
+		if netsim.ProcID(pid) == joinedID {
 			continue
 		}
 		for _, d := range ds {
@@ -210,36 +219,17 @@ func TestJoinDrainLive(t *testing.T) {
 	if fromJoiner == 0 {
 		t.Fatal("no message from the joined host was delivered")
 	}
-	// Suffix consistency: on the messages both saw, the joiner's order is
-	// exactly an incumbent's order.
-	common := make(map[msgID]int) // joiner's position
-	for i, d := range jd {
-		common[d.Data.(msgID)] = i
-	}
-	prev := -1
-	for _, d := range h.deliveries[0] {
-		if pos, ok := common[d.Data.(msgID)]; ok {
-			if pos <= prev {
-				t.Fatalf("joiner order diverges from incumbent at %v", d.Data)
-			}
-			prev = pos
-		}
-	}
 
 	// The departed host stopped delivering at drain completion, and
 	// sends toward it fail instead of hanging.
-	if got := len(h.deliveries[2]); got != preDrainDeliveries {
+	if got := len(h.log.Deliveries[2]); got != preDrainDeliveries {
 		t.Errorf("drained host delivered %d messages after drain completed", got-preDrainDeliveries)
 	}
 	if h.failures[2] == 0 {
 		t.Error("no send-failure reported for sends toward the drained host")
 	}
 	// The fabric kept delivering after every reconfiguration.
-	post := 0
-	for _, ds := range h.deliveries {
-		post += len(ds)
-	}
-	if post <= markDeliveries {
+	if h.log.TotalDeliveries() <= markDeliveries {
 		t.Fatal("no deliveries after switch reconfiguration")
 	}
 }
@@ -316,4 +306,5 @@ func TestJoinedHostDiesResolvedByFailurePath(t *testing.T) {
 	if !found {
 		t.Fatal("no failure record covers the joined host's proc")
 	}
+	h.check(hi)
 }

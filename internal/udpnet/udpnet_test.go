@@ -7,6 +7,7 @@ import (
 
 	"onepipe/internal/core"
 	"onepipe/internal/netsim"
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 )
 
@@ -56,13 +57,16 @@ func TestUDPTotalOrderAcrossSockets(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// The payload names the scattering (sender, round) for the oracle.
 	var mu sync.Mutex
-	logs := make([][]sim.Time, 4)
+	log := oracle.Log{Deliveries: make([][]oracle.Delivery, 4)}
 	for i := 0; i < 4; i++ {
 		i := i
 		c.Proc(i).OnDeliver(func(d core.Delivery) {
+			id := d.Data.([]byte)
 			mu.Lock()
-			logs[i] = append(logs[i], d.TS)
+			log.Deliveries[i] = append(log.Deliveries[i], oracle.Delivery{TS: d.TS, Src: d.Src, Reliable: d.Reliable,
+				ID: oracle.ID{Src: netsim.ProcID(id[0]), Seq: int32(id[1])}})
 			mu.Unlock()
 		})
 	}
@@ -73,13 +77,18 @@ func TestUDPTotalOrderAcrossSockets(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 15; k++ {
+				s := oracle.Send{ID: oracle.ID{Src: netsim.ProcID(p), Seq: int32(k)}, Src: netsim.ProcID(p)}
 				var msgs []core.Message
 				for q := 0; q < 4; q++ {
 					if q != p {
 						msgs = append(msgs, core.Message{Dst: netsim.ProcID(q), Data: []byte{byte(p), byte(k)}, Size: 2})
+						s.Dsts = append(s.Dsts, netsim.ProcID(q))
 					}
 				}
-				c.Proc(p).SendOpts(msgs, core.SendOptions{})
+				s.Refused = c.Proc(p).SendOpts(msgs, core.SendOptions{}) != nil
+				mu.Lock()
+				log.Sends = append(log.Sends, s)
+				mu.Unlock()
 				time.Sleep(2 * time.Millisecond)
 			}
 		}()
@@ -88,16 +97,10 @@ func TestUDPTotalOrderAcrossSockets(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	mu.Lock()
 	defer mu.Unlock()
-	total := 0
-	for i, log := range logs {
-		total += len(log)
-		for j := 1; j < len(log); j++ {
-			if log[j] < log[j-1] {
-				t.Fatalf("proc %d delivered out of timestamp order over UDP", i)
-			}
-		}
+	for _, v := range oracle.Check(&log) {
+		t.Error(v)
 	}
-	if total < 100 {
+	if total := log.TotalDeliveries(); total < 100 {
 		t.Fatalf("only %d deliveries", total)
 	}
 }

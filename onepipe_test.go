@@ -1,10 +1,10 @@
 package onepipe
 
 import (
-	"sort"
 	"testing"
 
 	"onepipe/internal/netsim"
+	"onepipe/internal/oracle"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -49,32 +49,34 @@ func TestScatteringAtomicTimestampViaAPI(t *testing.T) {
 func TestTotalOrderAcrossReceiversViaAPI(t *testing.T) {
 	cl := NewCluster(Defaults())
 	n := cl.NumProcesses()
-	logs := make([][]Timestamp, n)
+	log := oracle.Log{Deliveries: make([][]oracle.Delivery, n)}
 	for i := 0; i < n; i++ {
-		i := i
-		cl.Process(i).OnDeliver(func(d Delivery) { logs[i] = append(logs[i], d.TS) })
+		cl.Process(i).OnDeliver(func(d Delivery) { log.Deliveries[i] = append(log.Deliveries[i], oracleDelivery(d)) })
 	}
 	cl.Run(50 * Microsecond)
 	// Everyone scatters to everyone a few times.
 	for round := 0; round < 10; round++ {
 		for p := 0; p < n; p++ {
+			s := oracle.Send{ID: oracle.ID{Src: ProcID(p), Seq: int32(round)}, Src: ProcID(p)}
 			var msgs []Message
 			for q := 0; q < n; q++ {
 				if q != p {
-					msgs = append(msgs, Message{Dst: ProcID(q), Size: 64})
+					msgs = append(msgs, Message{Dst: ProcID(q), Data: s.ID, Size: 64})
+					s.Dsts = append(s.Dsts, ProcID(q))
 				}
 			}
-			cl.Process(p).Send(msgs)
+			s.Refused = cl.Process(p).Send(msgs) != nil
+			log.Sends = append(log.Sends, s)
 		}
 		cl.Run(30 * Microsecond)
 	}
 	cl.Run(500 * Microsecond)
-	for i, log := range logs {
-		if len(log) == 0 {
+	for _, v := range oracle.Check(&log) {
+		t.Error(v)
+	}
+	for i, l := range log.Deliveries {
+		if len(l) == 0 {
 			t.Fatalf("proc %d delivered nothing", i)
-		}
-		if !sort.SliceIsSorted(log, func(a, b int) bool { return log[a] < log[b] }) {
-			t.Fatalf("proc %d delivered out of timestamp order", i)
 		}
 	}
 }
@@ -138,4 +140,10 @@ func TestLossConfigViaAPI(t *testing.T) {
 	if delivered+failed < 200 {
 		t.Fatalf("accounting hole: %d+%d < 200", delivered, failed)
 	}
+}
+
+// oracleDelivery converts a delivery whose data is its scattering's oracle
+// ID into the oracle's log entry.
+func oracleDelivery(d Delivery) oracle.Delivery {
+	return oracle.Delivery{TS: d.TS, Src: d.Src, ID: d.Data.(oracle.ID), Reliable: d.Reliable, Conflict: d.Conflict}
 }

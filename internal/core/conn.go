@@ -362,9 +362,7 @@ func (c *conn) onAck(reliable bool, psn uint32, ecn bool) {
 		// so only scattering completion accounting remains.
 		if reliable {
 			if op := w.parked.take(psn); op != nil {
-				for m := op; m != nil; m = m.fnext {
-					c.host.onPacketAcked(m)
-				}
+				c.host.ackChain(op)
 				c.host.grantCredits()
 				c.settle()
 			}
@@ -376,11 +374,7 @@ func (c *conn) onAck(reliable bool, psn uint32, ecn bool) {
 	if w.unacked[1].empty() {
 		w.rto.stop()
 	}
-	// One ACK completes the whole frame: every chained member was carried
-	// (or spanned) by the acknowledged packet.
-	for m := op; m != nil; m = m.fnext {
-		c.host.onPacketAcked(m)
-	}
+	c.host.ackChain(op)
 	c.pump()
 	c.host.grantCredits()
 	c.settle()
@@ -786,8 +780,11 @@ func chainDead(op *outPkt, s *scattering) bool {
 type scattering struct {
 	owner    *Proc
 	reliable bool
-	msgs     []Message
-	ts       sim.Time
+	// free marks a scattering released to its fabric's free list; any use
+	// before it is taken again panics (as netsim's pooled flag does).
+	free bool
+	msgs []Message
+	ts   sim.Time
 	// conflict is the sender-declared conflict key; every packet and frame
 	// entry of the scattering carries it (DeliverConflictAware).
 	conflict uint32
@@ -811,13 +808,13 @@ type scattering struct {
 	// order (ordered for deterministic partial-credit acquisition).
 	credits []credit
 	// pkts is the slab launch carves this scattering's outPkts from, with
-	// capacity totalPkts. It is never re-grown: sendQ, unacked, parked and
-	// fnext chains hold pointers into it.
+	// capacity of at least totalPkts. It is never re-grown: sendQ, unacked,
+	// parked and fnext chains hold pointers into it.
 	pkts []outPkt
 	// ACK tracking.
 	unackedPkts int
 	// failTimer drives best-effort loss detection. It leaves the queue at
-	// the last ACK, so a completed scattering is garbage from then on.
+	// the last ACK, where the scattering is released (releaseScattering).
 	failTimer timer
 	// ackedMsg[i] counts ACKed packets of msgs[i] (for per-message
 	// send-failure reporting).
@@ -826,9 +823,10 @@ type scattering struct {
 	recallsPending int
 
 	// Embedded storage for the common shape — one message, one destination,
-	// one packet — so that such a scattering is a single allocation:
-	// fragsPerMsg, ackedMsg, credits and pkts slice into these when they fit
-	// and into separate slabs when they do not.
+	// one packet — so that such a scattering is a single object: fragsPerMsg,
+	// ackedMsg, credits and pkts slice into these when they fit and into
+	// separate slabs when they do not. A wide scattering keeps its slabs on
+	// the free list, in those four slices' capacity.
 	fragsArr  [scatInline]int
 	ackedArr  [scatInline]int
 	creditArr [scatInline]credit
@@ -848,23 +846,45 @@ type credit struct {
 	reserved int
 }
 
+// fragsOf is the packet count of a message of size bytes (0: 64).
+func fragsOf(size, mtu int) int {
+	if size <= 0 {
+		size = 64
+	}
+	return (size + mtu - 1) / mtu
+}
+
 func newScattering(p *Proc, msgs []Message, reliable bool, mtu int) *scattering {
-	s := &scattering{owner: p, reliable: reliable, msgs: msgs}
-	if n := len(msgs); n <= scatInline {
-		s.fragsPerMsg, s.ackedMsg, s.credits = s.fragsArr[:n], s.ackedArr[:n], s.creditArr[:0]
-	} else {
-		ints := make([]int, 2*n)
-		s.fragsPerMsg, s.ackedMsg = ints[:n:n], ints[n:]
+	n, total := len(msgs), 0
+	for i := range msgs {
+		total += fragsOf(msgs[i].Size, mtu)
+	}
+	s := p.host.scats.get(scatClass(total))
+	ints, credits, pkts := s.fragsPerMsg, s.credits, s.pkts
+	*s = scattering{owner: p, reliable: reliable, msgs: msgs, totalPkts: total,
+		unackedPkts: total, pkts: pkts[:0]}
+	ints = ints[:cap(ints)]
+	switch {
+	case 2*n <= len(ints): // a recycled slab
+		clear(ints[n : 2*n])
+		s.fragsPerMsg, s.ackedMsg = ints[:n], ints[n:2*n]
+	case n <= scatInline:
+		s.fragsPerMsg, s.ackedMsg = s.fragsArr[:n], s.ackedArr[:n]
+	default:
+		ints = make([]int, 2*n)
+		s.fragsPerMsg, s.ackedMsg = ints[:n], ints[n:]
+	}
+	switch {
+	case cap(credits) >= n:
+		s.credits = credits[:0]
+	case n <= scatInline:
+		s.credits = s.creditArr[:0]
+	default:
 		s.credits = make([]credit, 0, n)
 	}
 	for i := range msgs {
-		size := msgs[i].Size
-		if size <= 0 {
-			size = 64
-		}
-		frags := (size + mtu - 1) / mtu
+		frags := fragsOf(msgs[i].Size, mtu)
 		s.fragsPerMsg[i] = frags
-		s.totalPkts += frags
 		c := p.conn(msgs[i].Dst)
 		// Destinations per scattering are few: a scan beats a map.
 		j := 0
@@ -876,7 +896,6 @@ func newScattering(p *Proc, msgs []Message, reliable bool, mtu int) *scattering 
 		}
 		s.credits[j].needed += frags
 	}
-	s.unackedPkts = s.totalPkts
 	return s
 }
 
@@ -959,6 +978,9 @@ func (h *Host) releaseReservations(s *scattering) {
 // scattering leaves the send buffer, so the host clock remains a valid
 // barrier floor).
 func (h *Host) launch(s *scattering) {
+	if s.free {
+		panic(useFreed)
+	}
 	s.ts = h.nextTS()
 	s.launched = true
 	if s.submitAt > 0 {
@@ -975,7 +997,7 @@ func (h *Host) launch(s *scattering) {
 	mtu := h.Cfg.MTU
 	if s.totalPkts <= scatInline {
 		s.pkts = s.pktArr[:0]
-	} else {
+	} else if cap(s.pkts) < s.totalPkts {
 		s.pkts = make([]outPkt, 0, s.totalPkts)
 	}
 	for i := range s.msgs {
@@ -1016,15 +1038,34 @@ func (h *Host) launch(s *scattering) {
 	for i := range s.credits {
 		s.credits[i].conn.pump() // ordered: deterministic emission
 	}
-	if !s.reliable && !h.Cfg.DisableBEAck {
+	switch {
+	case s.reliable:
+	case h.Cfg.DisableBEAck:
+		h.scats.drop(s) // fire-and-forget: nothing completes it
+	default:
 		s.failTimer.init(h, (*scatFail)(s))
 		s.failTimer.reset(h, h.Cfg.SendFailTimeout)
+	}
+}
+
+// ackChain completes every member of one window unit: a frame is ACKed as
+// a whole, since every chained member was carried (or spanned) by the
+// acknowledged packet. A member's scattering may be released at its own
+// ACK, which clears its packets, so the next link is read first.
+func (h *Host) ackChain(op *outPkt) {
+	for m := op; m != nil; {
+		next := m.fnext
+		h.onPacketAcked(m)
+		m = next
 	}
 }
 
 // onPacketAcked updates scattering completion state after an ACK.
 func (h *Host) onPacketAcked(op *outPkt) {
 	s := op.scat
+	if s.free {
+		panic(useFreed)
+	}
 	s.unackedPkts--
 	s.ackedMsg[op.msgIdx]++
 	if s.unackedPkts > 0 || s.done || s.aborted {
@@ -1038,6 +1079,7 @@ func (h *Host) onPacketAcked(op *outPkt) {
 		h.reapOutstanding()
 	} else {
 		s.failTimer.stop()
+		h.releaseScattering(s)
 	}
 }
 
@@ -1054,6 +1096,14 @@ func (h *Host) reapOutstanding() {
 	}
 	if n == 0 {
 		return
+	}
+	// Committed: nothing else holds a scattering that completed without an
+	// abort. An aborted one may still be named by a recall or a frame chain
+	// and is left to the collector.
+	for _, s := range h.outstanding[:n] {
+		if !s.aborted {
+			h.releaseScattering(s)
+		}
 	}
 	// Slide the rest down instead of re-slicing past the head: the list keeps
 	// its capacity (a host that commits as fast as it sends would otherwise
@@ -1084,10 +1134,13 @@ func (s *scatFail) Fire() { s.owner.host.beSendTimeout((*scattering)(s)) }
 // with un-ACKed packets is reported failed (§2.1: detection without
 // retransmission).
 func (h *Host) beSendTimeout(s *scattering) {
+	if s.free {
+		panic(useFreed)
+	}
 	if h.stopped || s.done || s.aborted {
 		return
 	}
-	s.aborted = true
+	h.abandon(s)
 	for i := range s.msgs {
 		if s.ackedMsg[i] < s.fragsPerMsg[i] {
 			h.failMessage(s, i)

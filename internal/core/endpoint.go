@@ -110,6 +110,9 @@ type Host struct {
 	// pool is the fabric's packet free list on an engineWire, nil (the
 	// package-level concurrent pool) otherwise.
 	pool *netsim.Pool
+	// scats is the fabric's scattering free lists, kept in pool; nil (no
+	// recycling) off an engineWire.
+	scats *scatPool
 	// procs holds the local processes by their offset from procBase, the
 	// lowest local ID: a host's processes are one block of IDs.
 	procs    []*Proc
@@ -220,6 +223,7 @@ func NewHost(id int, wire Wire, cfg Config) *Host {
 	}
 	if ew, ok := wire.(engineWire); ok {
 		h.eng, h.pool = ew.TimerEngine(), ew.PacketPool()
+		h.scats = scatPoolOf(h.pool)
 	}
 	h.beQ.cap = h.Cfg.ReorderHotCap
 	h.relQ.cap = h.Cfg.ReorderHotCap
@@ -658,6 +662,7 @@ func (h *Host) send(p *Proc, msgs []Message, o SendOptions) error {
 			if w != nil && w.holdIdx != 0 && w.doorbell.isArmed() {
 				retry = h.wire.Now() + h.Cfg.BatchWindow
 			}
+			h.scats.drop(s)
 			return &BackpressureError{Dst: cr.conn.key.dst, RetryAt: retry}
 		}
 	}

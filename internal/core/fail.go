@@ -123,7 +123,7 @@ func (h *Host) recallAffected(failed map[netsim.ProcID]sim.Time) {
 			remaining = append(remaining, s)
 			continue
 		}
-		s.aborted = true
+		h.abandon(s)
 		h.releaseReservations(s)
 		for i := range s.msgs {
 			h.failMessage(s, i)
@@ -148,7 +148,7 @@ func (h *Host) recallAffected(failed map[netsim.ProcID]sim.Time) {
 				// live best-effort member fails individually.
 				for m := op; m != nil; m = m.fnext {
 					if !m.scat.reliable && !m.scat.aborted {
-						m.scat.aborted = true
+						h.abandon(m.scat)
 						m.scat.failTimer.stop()
 						for i := range m.scat.msgs {
 							if m.scat.ackedMsg[i] < m.scat.fragsPerMsg[i] {
@@ -180,7 +180,7 @@ func (h *Host) abortScattering(s *scattering) {
 // receiver has already recorded its tombstone durably, so sending it a
 // recall could only stall for another MaxRetx round.
 func (h *Host) abortScatteringExcept(s *scattering, noRecall netsim.ProcID) {
-	s.aborted = true
+	h.abandon(s)
 	h.Stats.Recalled++
 	for i := range s.msgs {
 		dst := s.msgs[i].Dst

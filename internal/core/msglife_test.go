@@ -25,12 +25,13 @@ func TestScatteringFootprint(t *testing.T) {
 
 // TestReliableScatteringAllocs pins the allocations of one reliable
 // 4-destination × 4 KiB scattering — 16 packets at the default MTU — through
-// send, reassembly, delivery, ACK and commit on a warm fabric: the scattering,
-// one slab for its two per-message int slices, its credit list and one slab
-// of 16 outPkts, all on the send side. The receive side allocates nothing.
-// The round used to be 43 objects: 22 for the scattering with a slice per
-// bookkeeping array and an object per packet, the outstanding list re-grown
-// from nothing, and the receivers' reorder entries and ACK batches.
+// send, reassembly, delivery, ACK and commit on a warm fabric: none. The
+// scattering, with its int, credit and 16-outPkt slabs, comes off the
+// fabric's wide free list, where the previous round's went back at commit;
+// the receive side allocates nothing. The round used to be 43 objects: 22
+// for the scattering with a slice per bookkeeping array and an object per
+// packet, the outstanding list re-grown from nothing, and the receivers'
+// reorder entries and ACK batches; then 4, the scattering and its slabs.
 func TestReliableScatteringAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
@@ -59,7 +60,7 @@ func TestReliableScatteringAllocs(t *testing.T) {
 	for i := 0; i < 32; i++ { // warm: connections, pools, heaps, reassembly maps
 		round()
 	}
-	const want = 4
+	const want = 0
 	if avg := testing.AllocsPerRun(runs, round); avg != want {
 		t.Errorf("reliable 4 × 4 KiB round: %v allocs, want %d", avg, want)
 	}
@@ -156,17 +157,30 @@ type slabSnap struct {
 	psns []uint32
 }
 
+// launchKey names one launch of a scattering. A released scattering is
+// taken again by a later send, so one pointer names several over a run;
+// the timestamp is new at every launch.
+type launchKey struct {
+	s  *scattering
+	ts sim.Time
+}
+
 // checkSlabs walks everything on h that holds an *outPkt — send queues,
 // unacked rings with their frame chains, parked packets — and requires each to
 // be an element of its own scattering's pkts, unmoved and with its PSN, since
-// the scattering was first seen.
-func checkSlabs(t *testing.T, h *Host, seen map[*scattering]*slabSnap) {
+// the scattering was first seen, and no scattering that holds one to have
+// been released.
+func checkSlabs(t *testing.T, h *Host, seen map[launchKey]*slabSnap) {
 	t.Helper()
 	visit := func(where string, op *outPkt) {
 		s := op.scat
-		snap := seen[s]
+		if s.free {
+			t.Fatalf("%s: outPkt psn=%d belongs to a released scattering", where, op.psn)
+		}
+		key := launchKey{s, s.ts}
+		snap := seen[key]
 		if snap == nil {
-			if len(s.pkts) != s.totalPkts || cap(s.pkts) != max(s.totalPkts, scatInline) {
+			if len(s.pkts) != s.totalPkts || cap(s.pkts) < max(s.totalPkts, scatInline) {
 				t.Fatalf("%s: launched scattering has %d/%d packets carved, want %d", where, len(s.pkts), cap(s.pkts), s.totalPkts)
 			}
 			if inline := &s.pkts[0] == &s.pktArr[0]; inline != (s.totalPkts <= scatInline) {
@@ -177,7 +191,7 @@ func checkSlabs(t *testing.T, h *Host, seen map[*scattering]*slabSnap) {
 				snap.ptrs = append(snap.ptrs, &s.pkts[i])
 				snap.psns = append(snap.psns, s.pkts[i].psn)
 			}
-			seen[s] = snap
+			seen[key] = snap
 		}
 		for i, p := range snap.ptrs {
 			if p == op {
@@ -213,7 +227,11 @@ func checkSlabs(t *testing.T, h *Host, seen map[*scattering]*slabSnap) {
 			}
 		}
 	}
-	for s, snap := range seen {
+	for key, snap := range seen {
+		s := key.s
+		if s.free || s.ts != key.ts {
+			continue // released: nothing held a packet of it (visit)
+		}
 		for i := range snap.ptrs {
 			if &s.pkts[i] != snap.ptrs[i] || s.pkts[i].psn != snap.psns[i] || s.pkts[i].scat != s {
 				t.Fatalf("scattering ts=%v: packet %d moved or was overwritten", s.ts, i)
@@ -276,7 +294,7 @@ func TestScatteringSlabStable(t *testing.T) {
 	if wide == nil {
 		t.Fatal("the 64-message scattering is neither outstanding nor waiting")
 	}
-	seen := make(map[*scattering]*slabSnap)
+	seen := make(map[launchKey]*slabSnap)
 	aborted := false
 	for step := 0; step < 20000 && (!aborted || len(delivered)+64 < id); step++ {
 		eng.RunFor(100 * sim.Nanosecond)
@@ -314,6 +332,11 @@ func TestScatteringSlabStable(t *testing.T) {
 	}
 	if len(seen) != 7 {
 		t.Fatalf("saw %d scatterings on the wire side, sent 7", len(seen))
+	}
+	// Six went back to the free lists and the aborted one to the collector:
+	// none is still counted live.
+	if live := hosts[0].scats.live; live != [2]int{} {
+		t.Fatalf("%v scatterings still counted live", live)
 	}
 	if w := hosts[0].findConn(0, 1).view(); w.sendQ.len() != 0 || w.unacked[0].len()+w.unacked[1].len() != 0 {
 		t.Fatalf("stream did not finish: %d queued, %d unacked", w.sendQ.len(), w.unacked[0].len()+w.unacked[1].len())

@@ -168,11 +168,12 @@ func TestBestEffortRoundAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ { // warm: connection, pools, heaps, ACK state
 		round()
 	}
-	// The scattering; nothing else. Its per-message slices, credit and outPkt
-	// are embedded in it, the receiver's reorder entry comes off the host's
-	// free list, the ACK batch and every packet from their pools. No timer,
-	// no closure.
-	const want = 1
+	// Nothing. The scattering comes off the fabric's free list, where the
+	// previous round's went back at its ACK, with its per-message slices,
+	// credit and outPkt embedded in it; the receiver's reorder entry comes off
+	// the host's free list, the ACK batch and every packet from their pools.
+	// No timer, no closure.
+	const want = 0
 	if avg := testing.AllocsPerRun(runs, round); avg != want {
 		t.Errorf("best-effort round: %v allocs, want %d", avg, want)
 	}
@@ -263,6 +264,10 @@ func TestSendFailFiresOnceAtDeadline(t *testing.T) {
 	}
 	if c := hosts[0].findConn(0, 1); c.view().unacked[0].len() != 0 || c.inflight != 0 {
 		t.Fatalf("timed-out packet still holds its window slot: %d unacked, inflight %d", c.view().unacked[0].len(), c.inflight)
+	}
+	// The timed-out scattering is the collector's, not counted live.
+	if live := hosts[0].scats.live; live != [2]int{} {
+		t.Fatalf("%v scatterings still counted live after the timeout", live)
 	}
 	// Same phase of the beacon interval as the idle sample.
 	if got := eng.Pending(); got != idle {

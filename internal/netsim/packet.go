@@ -341,6 +341,20 @@ type Pool struct {
 	pkts    []*Packet
 	frames  []*Frame
 	batches []*AckBatch
+	// ext holds the free lists of a layer above netsim on this fabric (see
+	// Ext).
+	ext any
+}
+
+// Ext returns the slot in which a layer above netsim keeps its own free
+// lists for this fabric — core keeps its scatterings there — so that they
+// belong to the fabric and its goroutine, not to the package. It is nil
+// until that layer first fills it; a nil *Pool has no slot.
+func (fp *Pool) Ext() *any {
+	if fp == nil {
+		return nil
+	}
+	return &fp.ext
 }
 
 // take pops the most recently freed element of l, or makes one.

@@ -364,10 +364,10 @@ func pairCfg() Config {
 }
 
 // TestServeRequestAllocs pins what a request costs the heap end to end on a
-// warm tier: the request object, the four objects core takes for a 2-way
-// scattering (the scattering and the three slabs of one wider than its
-// inline room), and one scattering per reply — nothing for the parts, the
-// messages, the replies, the station and think events or the send options.
+// warm tier: the request object — nothing for the parts, the messages, the
+// replies, the station and think events or the send options, and nothing
+// in core: the 2-way request scattering with its slabs and the two reply
+// scatterings come off the fabric's free lists.
 func TestServeRequestAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
@@ -388,9 +388,9 @@ func TestServeRequestAllocs(t *testing.T) {
 	}
 	got := float64(after.Mallocs-before.Mallocs) / float64(done)
 	t.Logf("%d requests, %.3f allocs each", done, got)
-	// 1 request + 4 (the 2-way scattering) + 2 × 1 (the replies); the
-	// runtime's own background objects add 0.01–0.02 on top.
-	const want = 7
+	// The request; the runtime's own background objects add 0.01–0.02 on
+	// top.
+	const want = 1
 	if got < want || got > want+0.05 {
 		t.Errorf("%.3f allocs per request, want %d", got, want)
 	}

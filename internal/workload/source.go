@@ -18,7 +18,10 @@ type SendOpts struct {
 
 // Intent is one timestamped send: at time At, process Src scatters Size
 // bytes to Dsts. Key carries application addressing (e.g. a KV key) for
-// workloads that need it; drivers that don't can ignore it.
+// workloads that need it; drivers that don't can ignore it. Dsts is
+// read-only: the generators carve it from storage shared with other
+// intents, which they never rewrite, so it stays valid for as long as the
+// intent is kept.
 type Intent struct {
 	At   sim.Time
 	Src  int
@@ -39,6 +42,34 @@ type Source interface {
 	Next() (Intent, bool)
 }
 
+// dstChunk is how many destinations a generator's dstArena makes room for
+// at a time: at fanout 4 one allocation serves 256 intents.
+const dstChunk = 1024
+
+// dstArena is a generator's own storage for the Dsts of the intents it
+// emits. It carves each from a chunk it never writes again, with its
+// capacity capped so an append by the holder copies, and starts a new
+// chunk when one runs out; an old chunk lives as long as an intent that
+// was carved from it.
+type dstArena []int
+
+// carve returns n zeroed destinations to fill.
+func (a *dstArena) carve(n int) []int {
+	if len(*a) < n {
+		*a = make([]int, max(dstChunk, n))
+	}
+	d := (*a)[:n:n]
+	*a = (*a)[n:]
+	return d
+}
+
+// one returns a single-destination Dsts.
+func (a *dstArena) one(dst int) []int {
+	d := a.carve(1)
+	d[0] = dst
+	return d
+}
+
 // --- Round-robin broadcast (the Fig. 8 pattern) ---
 
 // RoundRobin emits the paper's §7.2 all-to-all pattern: every process sends
@@ -53,6 +84,7 @@ type RoundRobin struct {
 	round int64
 	pi    int
 	next  []int // per-process round-robin destination cursor
+	dsts  dstArena
 }
 
 // NewRoundRobin builds the broadcast source. gap is the per-process send
@@ -84,7 +116,7 @@ func (r *RoundRobin) Next() (Intent, bool) {
 	// The first tick of a phase-staggered ticker fires at phase+gap (a
 	// ticker never fires at its arming instant), so round 0 lands there.
 	at := phase + sim.Time(round+1)*r.gap
-	return Intent{At: at, Src: pi, Dsts: []int{dst}, Size: r.size,
+	return Intent{At: at, Src: pi, Dsts: r.dsts.one(dst), Size: r.size,
 		Opts: SendOpts{Reliable: r.rel}}, true
 }
 
@@ -188,7 +220,8 @@ type Synthetic struct {
 	rng  *rand.Rand
 	zipf *Zipf
 	now  sim.Time
-	dsts []int
+	dsts []int // scratch for the draw
+	out  dstArena
 }
 
 // NewSynthetic builds the source; all randomness derives from cfg.Seed.
@@ -243,8 +276,9 @@ func (s *Synthetic) Next() (Intent, bool) {
 		}
 		s.dsts = append(s.dsts, d)
 	}
-	it := Intent{At: s.now, Src: src, Dsts: append([]int(nil), s.dsts...),
-		Size: s.cfg.Size(s.rng)}
+	dsts := s.out.carve(len(s.dsts))
+	copy(dsts, s.dsts)
+	it := Intent{At: s.now, Src: src, Dsts: dsts, Size: s.cfg.Size(s.rng)}
 	if s.cfg.ReliableFrac > 0 && s.rng.Float64() < s.cfg.ReliableFrac {
 		it.Opts.Reliable = true
 	}
@@ -264,6 +298,7 @@ type Incast struct {
 	Start, Stop          sim.Time
 	burst                int64
 	i                    int
+	dsts                 dstArena
 }
 
 // NewIncast builds the burst source.
@@ -288,7 +323,7 @@ func (in *Incast) Next() (Intent, bool) {
 		in.i = 0
 		in.burst++
 	}
-	return Intent{At: at, Src: src, Dsts: []int{in.Victim}, Size: in.Size}, true
+	return Intent{At: at, Src: src, Dsts: in.dsts.one(in.Victim), Size: in.Size}, true
 }
 
 // --- Merge ---

@@ -2,9 +2,12 @@ package workload
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"onepipe/internal/race"
 	"onepipe/internal/sim"
 )
 
@@ -232,5 +235,78 @@ func TestTraceOptionsRoundTrip(t *testing.T) {
 	if got.At != in.At || got.Src != in.Src || got.Key != in.Key || got.Opts != in.Opts ||
 		len(got.Dsts) != 3 || got.Dsts[2] != 9 {
 		t.Fatalf("round trip mangled intent: %+v vs %+v", got, in)
+	}
+}
+
+// generators are the sources that draw their own destinations, each at the
+// fanouts it supports.
+func generators() map[string]func() Source {
+	syn := func(fanout int) func() Source {
+		return func() Source {
+			return NewSynthetic(SyntheticConfig{Procs: 64, MeanGap: 100, Fanout: fanout,
+				ZipfTheta: 0.99, ReliableFrac: 0.3, Seed: 3})
+		}
+	}
+	return map[string]func() Source{
+		"RoundRobin":         func() Source { return NewRoundRobin(64, 200, 64, false) },
+		"Incast":             func() Source { return NewIncast(64, 5, 8, 1000, 64, 0, 0) },
+		"Synthetic/fanout=1": syn(1),
+		"Synthetic/fanout=4": syn(4),
+	}
+}
+
+// TestSourceNextAllocs: a generator carves each intent's Dsts from a chunk
+// of its own instead of allocating a slice per intent, so drawing an intent
+// costs at most one allocation per hundred, at fanout 1 and at fanout 4.
+func TestSourceNextAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const n = 100000
+	for name, mk := range generators() {
+		src := mk()
+		drain(src, 1000) // warm: the first chunk, the Zipf tables
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, ok := src.Next(); !ok {
+				t.Fatalf("%s: stream ended after %d intents", name, i)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := float64(after.Mallocs-before.Mallocs) / n; got > 0.01 {
+			t.Errorf("%s: %.4f allocs per intent, want at most 0.01", name, got)
+		}
+	}
+}
+
+// TestSourceDstsStayValid: Dsts is shared storage, so every generator must
+// leave an emitted intent's destinations alone for good. 10 000 intents are
+// kept with a copy of their Dsts taken when each was drawn, and re-checked
+// after the stream has moved on; an append to one must not reach the next.
+func TestSourceDstsStayValid(t *testing.T) {
+	const n = 10000
+	for name, mk := range generators() {
+		src := mk()
+		kept := drain(src, n)
+		if len(kept) != n {
+			t.Fatalf("%s: %d of %d intents", name, len(kept), n)
+		}
+		want := make([][]int, n)
+		for i, it := range kept {
+			want[i] = slices.Clone(it.Dsts)
+			if cap(it.Dsts) != len(it.Dsts) {
+				t.Fatalf("%s: intent %d's Dsts has room to append into its neighbour", name, i)
+			}
+		}
+		drain(src, 3*n) // several more chunks
+		for i := range kept {
+			_ = append(kept[i].Dsts, -1)
+		}
+		for i, it := range kept {
+			if !slices.Equal(it.Dsts, want[i]) {
+				t.Fatalf("%s: intent %d's Dsts became %v, was %v", name, i, it.Dsts, want[i])
+			}
+		}
 	}
 }

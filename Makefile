@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzParseAckBatch -fuzztime 15s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzAsmBufReorder -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/core/ -fuzz FuzzUnitRing -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/core/ -fuzz FuzzPairTable -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/barrier/ -fuzz FuzzRegisterSet -fuzztime 30s -fuzzminimizetime 0 -run '^$$'
 	$(GO) test ./internal/sim/ -fuzz FuzzEngineOrder -fuzztime 30s -fuzzminimizetime 0 -run '^$$'
 	$(GO) test ./internal/topology/ -fuzz FuzzRouteTable -fuzztime 30s -fuzzminimizetime 0 -run '^$$'

@@ -214,17 +214,18 @@ func (r *unitRing) walk(fn func(i int, op *outPkt)) {
 }
 
 // conn is the send-side state for one (source process, destination process)
-// pair. What it keeps for life is small: PSN spaces, window accounting and
-// DCTCP congestion control (§6.1). Queues, in-flight rings and timers are a
-// pair's transient part (connWork), attached only while it has work.
+// pair, held by value in its host's slab. What it keeps for life is small:
+// PSN spaces, window accounting and DCTCP congestion control (§6.1). Queues,
+// in-flight rings, timers and the host pointer they need are a pair's
+// transient part (connWork), attached only while it has work.
 type conn struct {
 	key       connKey
-	host      *Host
 	nextPSN   [2]uint32
 	windowEnd [2]uint32
-	// inflight + reserved are charged against min(cwnd, recvWindow).
-	inflight int
-	reserved int
+	// inflight + reserved are charged against min(cwnd, recvWindow), so
+	// recvWindow bounds each.
+	inflight int32
+	reserved int32
 	// DCTCP state (§6.1: "Congestion control follows DCTCP"). The ACK
 	// counters reset every window, so 32 bits hold them.
 	cwnd     float64
@@ -241,6 +242,9 @@ type conn struct {
 // both timers are disarmed (settle); its ring and queue arrays travel with
 // it, so the next pair to take it allocates nothing.
 type connWork struct {
+	// host owns the free list the part belongs to; the pair's handlers and
+	// pump reach the host through it.
+	host *Host
 	// unacked holds each plane's in-flight window units in PSN order; the
 	// RTO retransmits, and failure handling walks, in that order.
 	unacked [2]unitRing
@@ -279,21 +283,20 @@ func (w *connWork) idle() bool {
 		!w.rto.isArmed() && !w.doorbell.isArmed()
 }
 
-// attach returns c's transient part, taking one off the host's free list
-// (or making one) if c has none. The timers are bound to c here: a part
-// carries no handler while it is free.
-func (c *conn) attach() *connWork {
+// attach returns c's transient part, taking one off h's free list (or
+// making one) if c has none. The timers are bound to c here: a part carries
+// no handler while it is free.
+func (c *conn) attach(h *Host) *connWork {
 	if c.work != nil {
 		return c.work
 	}
-	h := c.host
 	var w *connWork
 	if n := len(h.connFree); n > 0 {
 		w = h.connFree[n-1]
 		h.connFree[n-1] = nil
 		h.connFree = h.connFree[:n-1]
 	} else {
-		w = new(connWork)
+		w = &connWork{host: h}
 	}
 	w.rto.init(h, (*connRTO)(c))
 	w.doorbell.init(h, (*connDoorbell)(c))
@@ -311,20 +314,21 @@ func (c *conn) settle() {
 	w.rto.release()
 	w.doorbell.release()
 	c.work = nil
-	c.host.connFree = append(c.host.connFree, w)
+	w.host.connFree = append(w.host.connFree, w)
 }
 
 // conn returns the send side of the pair toward dst, meeting it first if
 // need be.
 func (p *Proc) conn(dst netsim.ProcID) *conn {
 	p.conns = grow(p.conns, int(dst))
-	c := p.conns[dst]
-	if c == nil {
-		h := p.host
-		c = &conn{key: connKey{p.ID, dst}, host: h, cwnd: h.Cfg.InitCwnd}
-		p.conns[dst] = c
-		h.Stats.ConnsLive++
+	h := p.host
+	if i := p.conns[dst]; i != 0 {
+		return h.conns.at(i)
 	}
+	i, c := h.conns.add()
+	*c = conn{key: connKey{p.ID, dst}, cwnd: h.Cfg.InitCwnd}
+	p.conns[dst] = i
+	h.Stats.ConnsLive++
 	return c
 }
 
@@ -332,7 +336,9 @@ func (p *Proc) conn(dst netsim.ProcID) *conn {
 // has met dst, else nil.
 func (h *Host) findConn(src, dst netsim.ProcID) *conn {
 	if p := h.proc(src); p != nil && uint(dst) < uint(len(p.conns)) {
-		return p.conns[dst]
+		if i := p.conns[dst]; i != 0 {
+			return h.conns.at(i)
+		}
 	}
 	return nil
 }
@@ -341,7 +347,7 @@ func (h *Host) findConn(src, dst netsim.ProcID) *conn {
 func (c *conn) window() int { return min(int(c.cwnd), recvWindow) }
 
 func (c *conn) available() int {
-	a := c.window() - c.inflight - c.reserved
+	a := c.window() - int(c.inflight) - int(c.reserved)
 	if a < 0 {
 		return 0
 	}
@@ -362,21 +368,22 @@ func (c *conn) onAck(reliable bool, psn uint32, ecn bool) {
 		// so only scattering completion accounting remains.
 		if reliable {
 			if op := w.parked.take(psn); op != nil {
-				c.host.ackChain(op)
-				c.host.grantCredits()
+				w.host.ackChain(op)
+				w.host.grantCredits()
 				c.settle()
 			}
 		}
 		return // duplicate ACK
 	}
+	h := w.host
 	c.inflight--
-	c.dctcpAck(k, psn, ecn)
+	c.dctcpAck(k, psn, ecn, h.Cfg.MaxCwnd)
 	if w.unacked[1].empty() {
 		w.rto.stop()
 	}
-	c.host.ackChain(op)
+	h.ackChain(op)
 	c.pump()
-	c.host.grantCredits()
+	h.grantCredits()
 	c.settle()
 }
 
@@ -403,7 +410,7 @@ func (c *conn) emitQueued(force bool) {
 		force = true
 	}
 	held := false
-	for c.inflight < c.window() && w.sendQ.len() > 0 {
+	for int(c.inflight) < c.window() && w.sendQ.len() > 0 {
 		op := w.sendQ.live()[0]
 		if op.scat.aborted {
 			w.sendQ.drop(1)
@@ -440,7 +447,7 @@ func (c *conn) collectRun() (n int, full bool) {
 	q := c.work.sendQ.live()
 	head := q[0]
 	k := cls(head.scat.reliable)
-	budget := c.host.Cfg.MTU
+	budget := c.work.host.Cfg.MTU
 	bytes := int(head.size) + netsim.FrameEntryBytes
 	n = 1
 	for n < len(q) {
@@ -470,8 +477,8 @@ func (c *conn) collectRun() (n int, full bool) {
 // headed by head (fnext-linked). The head's PSN keys the unit in its
 // plane's ring; the whole chain completes on its single ACK.
 func (c *conn) emitRun(head *outPkt) {
-	h := c.host
 	w := c.work
+	h := w.host
 	w.unacked[cls(head.scat.reliable)].push(head)
 	c.inflight++
 	if h.Obs.On() {
@@ -495,13 +502,15 @@ func (c *conn) emitRun(head *outPkt) {
 			h.Stats.FrameMsgs += uint64(live)
 		}
 	}
-	h.emit(c.buildUnit(head))
+	h.emit(c.buildUnit(h.pool, head))
 	if head.scat.reliable && !w.rto.isArmed() {
 		w.rto.reset(h, h.Cfg.RTO)
 	}
 }
 
-// connRTO and connDoorbell are the handlers of a conn's two timers.
+// connRTO and connDoorbell are the handlers of a conn's two timers. They
+// fire only while the conn's part is attached: settle takes disarmed parts
+// alone.
 type (
 	connRTO      conn
 	connDoorbell conn
@@ -514,7 +523,7 @@ func (c *connDoorbell) Fire() { (*conn)(c).onDoorbell() }
 // flushAll stays sticky until the queue drains so fragments blocked on
 // window space go out as soon as slots free, instead of re-waiting.
 func (c *conn) onDoorbell() {
-	if c.host.stopped {
+	if c.work.host.stopped {
 		return
 	}
 	c.work.flushAll = true
@@ -525,8 +534,8 @@ func (c *conn) onDoorbell() {
 // updateHold reconciles the doorbell timer and the host's held-timestamp
 // floor with whether the queue head is (still) deliberately delayed.
 func (c *conn) updateHold(held bool) {
-	h := c.host
 	w := c.work
+	h := w.host
 	if held {
 		head := w.sendQ.live()[0]
 		if w.holdIdx == 0 {
@@ -541,8 +550,8 @@ func (c *conn) updateHold(held bool) {
 
 // dctcpAck runs the DCTCP window update: additive increase per ACK, and a
 // multiplicative decrease by alpha/2 once per window where alpha is the
-// EWMA of the ECN-marked fraction.
-func (c *conn) dctcpAck(k int, psn uint32, ecn bool) {
+// EWMA of the ECN-marked fraction; the window grows up to maxCwnd.
+func (c *conn) dctcpAck(k int, psn uint32, ecn bool, maxCwnd float64) {
 	c.ackTotal++
 	if ecn {
 		c.ackECN++
@@ -560,7 +569,7 @@ func (c *conn) dctcpAck(k int, psn uint32, ecn bool) {
 		c.windowEnd[0] = c.nextPSN[0]
 		c.windowEnd[1] = c.nextPSN[1]
 	}
-	if c.cwnd < c.host.Cfg.MaxCwnd {
+	if c.cwnd < maxCwnd {
 		c.cwnd += 1 / c.cwnd
 	}
 }
@@ -569,13 +578,13 @@ func (c *conn) dctcpAck(k int, psn uint32, ecn bool) {
 // recovery) in PSN order. Best-effort packets are never retransmitted;
 // they expire via the send-failure timeout instead.
 func (c *conn) onRTO() {
-	h := c.host
+	w := c.work
+	h := w.host
 	if h.stopped {
 		return
 	}
 	// The ring is already in PSN order. OnStuck may send again from inside
 	// the walk; walk tolerates that, and the pin keeps the part attached.
-	w := c.work
 	rearm := false
 	exhausted := false
 	w.pins++
@@ -599,7 +608,7 @@ func (c *conn) onRTO() {
 			exhausted = true
 			return
 		}
-		pkt := c.buildUnit(op)
+		pkt := c.buildUnit(h.pool, op)
 		if pkt == nil {
 			// Every frame member was aborted since the last transmission.
 			w.unacked[1].removeAt(i)
@@ -633,13 +642,13 @@ func (c *conn) minRetx() int {
 	return int(m)
 }
 
-// buildPacket materializes the wire packet for an in-flight entry; used for
-// both first transmission and retransmission (barrier fields are stamped at
-// emit time).
-func (c *conn) buildPacket(op *outPkt, psn uint32) *netsim.Packet {
+// buildPacket materializes the wire packet for an in-flight entry from the
+// host's packet pool; used for both first transmission and retransmission
+// (barrier fields are stamped at emit time).
+func (c *conn) buildPacket(pool *netsim.Pool, op *outPkt, psn uint32) *netsim.Packet {
 	s := op.scat
 	m := &s.msgs[op.msgIdx]
-	pkt := c.host.pool.Get()
+	pkt := pool.Get()
 	pkt.Kind = netsim.KindData
 	pkt.Src = c.key.src
 	pkt.Dst = c.key.dst
@@ -661,11 +670,10 @@ func (c *conn) buildPacket(op *outPkt, psn uint32) *netsim.Packet {
 // transmission builds a fresh frame so aborted members drop out of the
 // payload while their PSNs stay covered by the span. Returns nil when no
 // live member remains.
-func (c *conn) buildUnit(head *outPkt) *netsim.Packet {
+func (c *conn) buildUnit(pool *netsim.Pool, head *outPkt) *netsim.Packet {
 	if head.fnext == nil {
-		return c.buildPacket(head, head.psn)
+		return c.buildPacket(pool, head, head.psn)
 	}
-	pool := c.host.pool
 	f := pool.GetFrame()
 	last := head
 	size := 0
@@ -938,7 +946,7 @@ func (h *Host) tryAcquire(s *scattering) {
 			take = missing
 		}
 		if take > 0 {
-			cr.conn.reserved += take
+			cr.conn.reserved += int32(take)
 			cr.reserved += take
 		}
 	}
@@ -968,7 +976,7 @@ func (h *Host) grantCredits() {
 
 func (h *Host) releaseReservations(s *scattering) {
 	for i := range s.credits {
-		s.credits[i].conn.reserved -= s.credits[i].reserved
+		s.credits[i].conn.reserved -= int32(s.credits[i].reserved)
 		s.credits[i].reserved = 0
 	}
 }
@@ -1027,10 +1035,10 @@ func (h *Host) launch(s *scattering) {
 			if track {
 				// Queue; the pump transmits within the window, streaming
 				// oversized scatterings as ACKs return.
-				c.attach().sendQ.push(op)
+				c.attach(h).sendQ.push(op)
 			} else {
 				s.unackedPkts-- // fire-and-forget
-				h.emit(c.buildPacket(op, psn))
+				h.emit(c.buildPacket(h.pool, op, psn))
 			}
 		}
 		h.Stats.MsgsSent++

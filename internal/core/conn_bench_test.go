@@ -34,7 +34,7 @@ func BenchmarkRTORetransmit(b *testing.B) {
 				psn := c.nextPSN[1]
 				c.nextPSN[1]++
 				op := &outPkt{psn: psn, scat: s, endOfMsg: true, size: 64}
-				c.attach().unacked[1].push(op)
+				c.attach(h).unacked[1].push(op)
 				c.inflight++
 			}
 			b.ReportAllocs()

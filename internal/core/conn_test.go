@@ -60,7 +60,7 @@ func TestWindowNeverOverCommitted(t *testing.T) {
 		if c == nil {
 			return
 		}
-		if c.inflight+c.reserved > c.window()+1 {
+		if int(c.inflight+c.reserved) > c.window()+1 {
 			t.Errorf("window overcommitted: inflight=%d reserved=%d window=%d",
 				c.inflight, c.reserved, c.window())
 		}

@@ -27,7 +27,7 @@ var ErrBadDst = errors.New("onepipe: destination out of range")
 // MaxProcs bounds process IDs to [0, MaxProcs): a process keeps its pairs
 // in tables indexed by peer ID, so a packet from outside the bound is
 // dropped and a send to outside it refused. One malformed packet can grow
-// a table to at most 8 B × MaxProcs (512 KiB).
+// a table to at most 4 B × MaxProcs (256 KiB).
 const MaxProcs = 1 << 16
 
 // validProc reports whether id is in [0, MaxProcs).
@@ -155,6 +155,11 @@ type Host struct {
 	// pendFree recycles delivered reorder-buffer entries (getPending /
 	// putPending); it never holds more than the buffers' peak occupancy.
 	pendFree []*pending
+	// conns and rconns hold the send and receive sides of every pair the
+	// local processes have met, by value; the processes' tables address
+	// them by position.
+	conns  slab[conn]
+	rconns slab[rconn]
 	// connFree and rconnFree are LIFO free lists of pairs' transient parts
 	// (attach / settle): they hold at most as many as were ever busy at once.
 	connFree  []*connWork
@@ -490,10 +495,11 @@ type Proc struct {
 	// OnRaw receives unordered raw RPCs sent with SendRaw.
 	OnRaw func(src netsim.ProcID, data any)
 
-	// conns holds the send side of each pair by destination ID, rconns the
-	// receive side by source ID; nil until the pair is first met.
-	conns  []*conn
-	rconns []*rconn
+	// conns holds the host slab position of the send side of each pair by
+	// destination ID, rconns that of the receive side by source ID; 0 until
+	// the pair is first met.
+	conns  []uint32
+	rconns []uint32
 }
 
 // SendRaw transmits an unordered, unacknowledged message outside the 1Pipe
@@ -545,29 +551,30 @@ func (h *Host) eachPair(fc func(*conn), fr func(*rconn)) {
 		if p == nil {
 			continue
 		}
-		for _, c := range p.conns {
-			if c != nil && fc != nil {
-				fc(c)
+		for _, i := range p.conns {
+			if i != 0 && fc != nil {
+				fc(h.conns.at(i))
 			}
 		}
-		for _, rc := range p.rconns {
-			if rc != nil && fr != nil {
-				fr(rc)
+		for _, i := range p.rconns {
+			if i != 0 && fr != nil {
+				fr(h.rconns.at(i))
 			}
 		}
 	}
 }
 
-// grow extends s with nils, if it is shorter, so that s[i] exists; a new
-// array has a quarter more room, not double, as IDs are met in any order.
-func grow[T any](s []*T, i int) []*T {
+// grow extends s with zero values, if it is shorter, so that s[i] exists; a
+// new array has a quarter more room, not double, as IDs are met in any
+// order.
+func grow[E any](s []E, i int) []E {
 	switch {
 	case i < len(s):
 		return s
 	case i < cap(s):
 		return s[:i+1]
 	}
-	t := make([]*T, i+1, max(i+1, cap(s)+cap(s)/4))
+	t := make([]E, i+1, max(i+1, cap(s)+cap(s)/4))
 	copy(t, s)
 	return t
 }

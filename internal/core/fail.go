@@ -299,10 +299,10 @@ func (h *Host) removeBuffered(src netsim.ProcID, ts sim.Time) {
 	h.Stats.ReorderHotBytes = h.beQ.hotBytes + h.relQ.hotBytes + h.rlxQ.hotBytes
 	// Buffered fragments of the recalled message are consumed unseen.
 	for _, p := range h.procs {
-		if p == nil || uint(src) >= uint(len(p.rconns)) {
+		if p == nil {
 			continue
 		}
-		if rc := p.rconns[src]; rc != nil && rc.work != nil {
+		if rc := h.findRconn(src, p.ID); rc != nil && rc.work != nil {
 			rc.work.bufs[1].dropWhere(h.pool, func(p *netsim.Packet) bool { return p.MsgTS == ts })
 			rc.settle()
 		}
@@ -325,14 +325,14 @@ func (h *Host) PendingTo(src, dst netsim.ProcID) []*netsim.Packet {
 	// members and returns nil for fully aborted chains.
 	for _, ring := range []*unitRing{&w.unacked[1], &w.parked} {
 		ring.walk(func(_ int, op *outPkt) {
-			if pkt := c.buildUnit(op); pkt != nil {
+			if pkt := c.buildUnit(h.pool, op); pkt != nil {
 				out = append(out, pkt)
 			}
 		})
 	}
 	for _, op := range w.sendQ.live() {
 		if op.scat.reliable && !op.scat.aborted {
-			out = append(out, c.buildPacket(op, op.psn))
+			out = append(out, c.buildPacket(h.pool, op, op.psn))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PSN < out[j].PSN })

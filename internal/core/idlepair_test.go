@@ -287,7 +287,7 @@ func TestPooledPartCarriesNoStaleFiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.HandlePacket(dataPkt(5, 0, 0))
-	ca, ra := h.findConn(0, 1), h.rconnAt(5, 0)
+	ca, ra := h.findConn(0, 1), h.findRconn(5, 0)
 	sendPart, recvPart := ca.work, ra.work
 	if sendPart == nil || recvPart == nil || !sendPart.rto.isArmed() || !recvPart.acks[0].timer.isArmed() {
 		t.Fatal("pair A did not arm its RTO and ACK flush")
@@ -310,7 +310,7 @@ func TestPooledPartCarriesNoStaleFiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.HandlePacket(dataPkt(6, 0, 0))
-	cb, rb := h.findConn(0, 2), h.rconnAt(6, 0)
+	cb, rb := h.findConn(0, 2), h.findRconn(6, 0)
 	if cb.work != sendPart || rb.work != recvPart {
 		t.Fatal("pair B did not reuse pair A's parts")
 	}
@@ -412,12 +412,13 @@ func TestFreeListLeavesNothingArmed(t *testing.T) {
 // first contacts on two cabled hosts, each one best-effort message to a
 // never-seen process through delivery and the ACK, with the heap read after
 // two collections before and after. The difference per pair is the conn,
-// the rconn and their slots in the processes' pair tables (130 B: 80 + 32
-// for the structs, about 18 for the slots, an 8-byte table of its own for
-// each receiving process and the sender's table grown by doubling; 184 B
-// when the tables were maps, 592 B when every pair kept its queues, rings,
-// timers and accumulators); the parts are back on the free lists, which
-// hold one of each.
+// the rconn and their slots in the processes' pair tables (106 B: 64 + 24
+// for the slab entries, about 18 for the slots, a 4-byte table of its own
+// in an 8-byte size class for each receiving process and the sender's table
+// grown by a quarter; 130 B with a heap object per conn and rconn and
+// 8-byte table slots, 184 B when the tables were maps, 592 B when every
+// pair kept its queues, rings, timers and accumulators); the parts are back
+// on the free lists, which hold one of each.
 func TestIdlePairHeapFootprint(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
@@ -474,7 +475,7 @@ func TestIdlePairHeapFootprint(t *testing.T) {
 	if len(hosts[0].connFree) != 1 || len(hosts[1].rconnFree) != 1 {
 		t.Fatalf("free lists hold %d and %d parts, want one each", len(hosts[0].connFree), len(hosts[1].rconnFree))
 	}
-	if per > 140 {
-		t.Fatalf("%.1f heap bytes per settled pair, want at most 140", per)
+	if per > 115 {
+		t.Fatalf("%.1f heap bytes per settled pair, want at most 115", per)
 	}
 }

@@ -25,15 +25,6 @@ func (h *Host) rconnList() []*rconn {
 	return out
 }
 
-// rconnAt returns the receive side of the pair (src, dst), or nil if h has
-// not met it.
-func (h *Host) rconnAt(src, dst netsim.ProcID) *rconn {
-	if p := h.proc(dst); p != nil && uint(src) < uint(len(p.rconns)) {
-		return p.rconns[src]
-	}
-	return nil
-}
-
 // view returns c's transient part, or an empty one when c has settled, so
 // that a test reads a pair's queues without caring which.
 func (c *conn) view() *connWork {
@@ -215,38 +206,41 @@ func contains(s []uint32, v uint32) bool {
 
 // TestConnFootprint: sparse-fabric's untraced 10 s window (seed 1) ends with
 // 84 275 conns and 84 247 rconns, nearly all idle, and an idle conn is what
-// this struct is: the transient part is pooled. 80 bytes is a malloc size
-// class; one more word moves the conn to the 96-byte class, and a 16-byte
-// step over 84 k conns is ≈ 1.3 MiB there. That is why the held set is an
+// this struct is: the transient part is pooled, and it carries the host
+// pointer the pair's handlers need. Conns sit in their host's slab by value,
+// so every word counts in full: one more is 8 bytes over 84 k conns, and
+// the 64-byte chunk entry is what the window counters narrowed to int32 and
+// the host pointer moved out bought. That is also why the held set is an
 // indexed slice on the host and not a list threaded through the conns, and
 // why a conn keeps no clock.
 func TestConnFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(conn{}); got > 80 {
-		t.Fatalf("conn is %d bytes, want at most 80", got)
+	if got := unsafe.Sizeof(conn{}); got > 64 {
+		t.Fatalf("conn is %d bytes, want at most 64", got)
 	}
 }
 
-// TestRconnFootprint: the receive side of an idle pair is its key, its
-// host, its two consumed-prefix cursors and the work pointer, exactly the
-// 32-byte size class; one more word moves it to the 48-byte class. The
-// assembly buffers and ACK accumulators are pooled. sparse-fabric ends its
-// window with 84 247 of them (208 bytes each when they embedded both).
+// TestRconnFootprint: the receive side of an idle pair is its key, its two
+// consumed-prefix cursors and the work pointer, 24 bytes in its host's slab.
+// The assembly buffers, the ACK accumulators and the host pointer their
+// flush handlers need are pooled. sparse-fabric ends its window with 84 247
+// of them (208 bytes each when they embedded both, 32 with a host pointer).
 func TestRconnFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(rconn{}); got > 32 {
-		t.Fatalf("rconn is %d bytes, want at most 32", got)
+	if got := unsafe.Sizeof(rconn{}); got > 24 {
+		t.Fatalf("rconn is %d bytes, want at most 24", got)
 	}
 }
 
 // TestFirstContactAllocs pins what it costs to talk to a peer for the first
 // time: one best-effort message to a never-seen process, through delivery and
-// the ACK, on two hosts joined by a cable. Three objects: the conn, the
-// receiver's rconn and — because every contact here is a receiving
-// process's first — that process's one-slot receive table; both transient
-// parts, with the send queue and ring arrays in them, come off the free
-// lists the previous contact settled into, and the scattering off the
-// fabric's. With six per-PSN maps and their side objects it was 16, with
-// the parts embedded 5, with a fresh scattering per send 4; a pair's cost
-// should not depend on how many peers a host has already met.
+// the ACK, on two hosts joined by a cable. One object: because every contact
+// here is a receiving process's first, that process's one-slot receive
+// table. The conn and the rconn are slab entries, a chunk of sixteen per
+// sixteen pairs; both transient parts, with the send queue and ring arrays
+// in them, come off the free lists the previous contact settled into, and
+// the scattering off the fabric's. With six per-PSN maps and their side
+// objects it was 16, with the parts embedded 5, with a fresh scattering per
+// send 4, with a heap object per conn and rconn 3; a pair's cost should not
+// depend on how many peers a host has already met.
 func TestFirstContactAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instrumentation allocates")
@@ -273,12 +267,13 @@ func TestFirstContactAllocs(t *testing.T) {
 	for i := 0; i < warm; i++ { // pools, event queue, free lists
 		round()
 	}
-	// The sender's table grows as peers are met: a handful of arrays over
-	// the whole run, well under one object per round.
+	// The sender's table and the two slabs' chunk lists grow as peers are
+	// met: a handful of arrays over the whole run, well under one object per
+	// round.
 	avg := testing.AllocsPerRun(runs, round)
 	t.Logf("%v allocs per first contact", avg)
-	if avg > 3 {
-		t.Errorf("first contact: %v allocs, want at most 3", avg)
+	if avg > 1 {
+		t.Errorf("first contact: %v allocs, want at most 1", avg)
 	}
 	if delivered != next {
 		t.Fatalf("%d of %d delivered", delivered, next)

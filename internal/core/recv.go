@@ -374,13 +374,13 @@ func (a *asmBuf) dropWhere(fp *netsim.Pool, pred func(*netsim.Packet) bool) {
 	}
 }
 
-// rconn is receive-side state per (remote sender process, local process).
-// An idle pair is its two consumed-prefix cursors; the assembly buffers and
-// ACK accumulators are its transient part (rconnWork), attached while a
+// rconn is receive-side state per (remote sender process, local process),
+// held by value in its host's slab. An idle pair is its two consumed-prefix
+// cursors; the assembly buffers, ACK accumulators and the host pointer the
+// flush handlers need are its transient part (rconnWork), attached while a
 // packet is handled and until its ACKs have flushed.
 type rconn struct {
-	key  connKey
-	host *Host
+	key connKey
 	// doneBase holds each plane's asmBuf.doneBase while work is nil; an
 	// attached part's buffers carry the cursors meanwhile.
 	doneBase [2]uint32
@@ -391,24 +391,25 @@ type rconn struct {
 // and ACK accumulator. Like connWork it lives on a per-host free list
 // between pairs, its maps travelling with it.
 type rconnWork struct {
+	// host owns the free list the part belongs to.
+	host *Host
 	bufs [2]asmBuf
 	acks [2]ackPend
 }
 
-// attach gives rc a transient part, from the host's free list when it has
-// one, loaded with rc's cursors and with its flush timers bound to rc.
-func (rc *rconn) attach() *rconnWork {
+// attach gives rc a transient part, from h's free list when it has one,
+// loaded with rc's cursors and with its flush timers bound to rc.
+func (rc *rconn) attach(h *Host) *rconnWork {
 	if rc.work != nil {
 		return rc.work
 	}
-	h := rc.host
 	var w *rconnWork
 	if n := len(h.rconnFree); n > 0 {
 		w = h.rconnFree[n-1]
 		h.rconnFree[n-1] = nil
 		h.rconnFree = h.rconnFree[:n-1]
 	} else {
-		w = new(rconnWork)
+		w = &rconnWork{host: h}
 		w.bufs[0].capped = true
 	}
 	w.bufs[0].doneBase, w.bufs[1].doneBase = rc.doneBase[0], rc.doneBase[1]
@@ -429,18 +430,19 @@ func (rc *rconn) settle() {
 	w.acks[0].timer.release()
 	w.acks[1].timer.release()
 	rc.work = nil
-	rc.host.rconnFree = append(rc.host.rconnFree, w)
+	w.host.rconnFree = append(w.host.rconnFree, w)
 }
 
 // rconnAckBE and rconnAckRel are the handlers of an rconn's two ACK-flush
-// timers.
+// timers. They fire only while the part is attached: settle takes disarmed
+// parts alone.
 type (
 	rconnAckBE  rconn
 	rconnAckRel rconn
 )
 
-func (r *rconnAckBE) Fire()  { r.host.ackTimeout((*rconn)(r), 0) }
-func (r *rconnAckRel) Fire() { r.host.ackTimeout((*rconn)(r), 1) }
+func (r *rconnAckBE) Fire()  { r.work.host.ackTimeout((*rconn)(r), 0) }
+func (r *rconnAckRel) Fire() { r.work.host.ackTimeout((*rconn)(r), 1) }
 
 // getRconn returns the receive state of (src, dst) with its transient part
 // attached, meeting the pair first if need be; the caller settles it when
@@ -451,14 +453,28 @@ func (h *Host) getRconn(src, dst netsim.ProcID) *rconn {
 		return nil
 	}
 	p.rconns = grow(p.rconns, int(src))
-	rc := p.rconns[src]
-	if rc == nil {
-		rc = &rconn{key: connKey{src, dst}, host: h}
-		p.rconns[src] = rc
+	var rc *rconn
+	if i := p.rconns[src]; i != 0 {
+		rc = h.rconns.at(i)
+	} else {
+		i, rc = h.rconns.add()
+		rc.key = connKey{src, dst}
+		p.rconns[src] = i
 		h.Stats.ConnsLive++
 	}
-	rc.attach()
+	rc.attach(h)
 	return rc
+}
+
+// findRconn returns the receive side of the pair (src, dst) if dst is local
+// and has met src, else nil.
+func (h *Host) findRconn(src, dst netsim.ProcID) *rconn {
+	if p := h.proc(dst); p != nil && uint(src) < uint(len(p.rconns)) {
+		if i := p.rconns[src]; i != 0 {
+			return h.rconns.at(i)
+		}
+	}
+	return nil
 }
 
 // HandlePacket is the host's network receive entry point; the substrate

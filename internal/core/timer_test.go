@@ -305,7 +305,7 @@ func TestStopLeavesNoArmedTimer(t *testing.T) {
 	if !c.view().rto.isArmed() {
 		t.Fatal("RTO not armed with reliable packets in flight")
 	}
-	if rc := hosts[1].rconnAt(0, 1); rc == nil || rc.view().acks[0].idle() && rc.view().acks[1].idle() {
+	if rc := hosts[1].findRconn(0, 1); rc == nil || rc.view().acks[0].idle() && rc.view().acks[1].idle() {
 		t.Fatal("receiver is not batching ACKs")
 	}
 	// A recall in progress: its retransmission timer is armed too.

@@ -31,14 +31,10 @@ func TestScenarioTwoSimultaneousFailures(t *testing.T) {
 	if vios := Check(r); len(vios) > 0 {
 		failSeed(t, p, vios)
 	}
-	dead := map[int]bool{}
-	for _, rec := range r.Failures {
-		for pid := range rec.Procs {
-			dead[int(pid)] = true
-		}
-	}
-	if !dead[1] || !dead[4] {
-		t.Fatalf("failure records %v did not declare both crashed hosts' procs", r.Failures)
+	_, dead1 := r.Failed[1]
+	_, dead4 := r.Failed[4]
+	if !dead1 || !dead4 {
+		t.Fatalf("failure records %v did not declare both crashed hosts' procs", r.Failed)
 	}
 	if r.Stats.Recalled == 0 {
 		t.Fatal("no scattering was recalled — the abort path never ran")

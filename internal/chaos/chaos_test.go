@@ -90,9 +90,7 @@ func TestChaosReplay(t *testing.T) {
 	r := runSeed(t, p)
 	t.Logf("deliveries=%d sends=%d forwarded=%d recalled=%d stuck=%d",
 		r.TotalDeliveries(), len(r.Sends), r.ForwardedMsgs, r.Stats.Recalled, r.Stats.StuckReports)
-	for _, rec := range r.Failures {
-		t.Logf("controller failure record: procs=%v", rec.Procs)
-	}
+	t.Logf("failed procs (fts): %v", r.Failed)
 	if vios := Check(r); len(vios) > 0 {
 		failSeed(t, p, vios)
 	}

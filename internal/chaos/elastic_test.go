@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"onepipe/internal/core"
-	"onepipe/internal/netsim"
 	"onepipe/internal/sim"
 	"onepipe/internal/topology"
 )
@@ -60,18 +59,14 @@ func TestChaosElastic(t *testing.T) {
 		t.Fatalf("joins activated: %d, want 2 (%+v)", len(r.Joined), r.Joined)
 	}
 	fromJoined := 0
-	joinedProcs := make(map[netsim.ProcID]bool)
-	for _, ji := range r.Joined {
-		for _, pid := range ji.Procs {
-			joinedProcs[pid] = true
-			if len(r.Deliveries[pid]) == 0 {
-				t.Errorf("joined proc %d (host %d) delivered nothing", pid, ji.Host)
-			}
+	for pid := range r.Joined {
+		if len(r.Deliveries[pid]) == 0 {
+			t.Errorf("joined proc %d delivered nothing", pid)
 		}
 	}
 	for _, log := range r.Deliveries {
 		for _, d := range log {
-			if joinedProcs[d.Src] {
+			if _, joined := r.Joined[d.Src]; joined {
 				fromJoined++
 			}
 		}
@@ -80,8 +75,8 @@ func TestChaosElastic(t *testing.T) {
 		t.Fatal("no incumbent delivered anything sent by a joined host")
 	}
 
-	if len(r.DrainedLogLen) != 1 {
-		t.Fatalf("drained procs recorded: %d, want 1", len(r.DrainedLogLen))
+	if len(r.Drained) != 1 {
+		t.Fatalf("drained procs recorded: %d, want 1", len(r.Drained))
 	}
 	if len(r.DrainedSwitches) != 1 {
 		t.Fatalf("drained switches recorded: %v, want one entry", r.DrainedSwitches)
@@ -89,15 +84,7 @@ func TestChaosElastic(t *testing.T) {
 	if len(r.Epochs) != 4 {
 		t.Fatalf("controller epoch log has %d records, want 4: %+v", len(r.Epochs), r.Epochs)
 	}
-	crashRecorded := false
-	for _, rec := range r.Failures {
-		for pid := range rec.Procs {
-			if pid == 1 {
-				crashRecorded = true
-			}
-		}
-	}
-	if !crashRecorded {
-		t.Fatalf("injected crash of host 1 missing from failure records %+v", r.Failures)
+	if _, crashed := r.Failed[1]; !crashed {
+		t.Fatalf("injected crash of host 1 missing from failure records %+v", r.Failed)
 	}
 }

@@ -88,9 +88,9 @@ func TestGoldenWireDigest(t *testing.T) {
 		if got != g.digest || n != g.pkts {
 			t.Errorf("%s: wire digest %s over %d packets, want %s over %d", g.name, got, n, g.digest, g.pkts)
 		}
-		if len(g.plan.Joins) > 0 && (len(r.Joined) != len(g.plan.Joins) || len(r.DrainedLogLen) != 1 || len(r.DrainedSwitches) != 1) {
-			t.Errorf("%s: %d joins, %d drained procs, %d drained switches completed; the plan schedules %d, 1 and 1",
-				g.name, len(r.Joined), len(r.DrainedLogLen), len(r.DrainedSwitches), len(g.plan.Joins))
+		if len(g.plan.Joins) > 0 && (len(r.Joined) != len(g.plan.Joins) || len(r.Drained) != 1 || len(r.DrainedSwitches) != 1) {
+			t.Errorf("%s: %d joined procs, %d drained procs, %d drained switches completed; the plan schedules %d, 1 and 1",
+				g.name, len(r.Joined), len(r.Drained), len(r.DrainedSwitches), len(g.plan.Joins))
 		}
 	}
 }

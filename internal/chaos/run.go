@@ -20,25 +20,10 @@ type Window struct {
 	Start, End sim.Time
 }
 
-// WireSuspect is a §4.1 barrier-promise breach observed on a host downlink:
-// a data packet whose message timestamp lies below a barrier the link had
-// already carried. The checker classifies suspects post-run — in-flight
-// traffic of failed, aborted or controller-forwarded scatterings crosses a
-// barrier jump legitimately; anything else means a switch let a
-// later-stamped packet overtake an earlier one (DESIGN deviation #8).
-type WireSuspect struct {
-	Host     int
-	Src      netsim.ProcID
-	ID       oracle.ID
-	TS       sim.Time
-	Barrier  sim.Time
-	Reliable bool
-	At       sim.Time
-}
-
 // Result is everything a run produced, ready for the checker layer: the
 // oracle's log (sends, delivery logs, send failures, the correct set, the
-// end-of-run paths and the exempt scatterings) plus what only chaos checks.
+// end-of-run paths, the exempt and forwarded scatterings, failures, wire
+// suspects, joins and drains) plus the plan and what the run reports.
 type Result struct {
 	oracle.Log
 	Plan Plan
@@ -48,30 +33,8 @@ type Result struct {
 	// the replay contract; FullDigest hashes this log so nondeterministic
 	// map iteration in the callback paths shows up as digest drift.
 	Callbacks []CallbackRec
-	// ProcFailSeen records, per observer process, the failure
-	// notifications (Callback step) it received.
-	ProcFailSeen map[netsim.ProcID]map[netsim.ProcID]sim.Time
-	// Failures is the controller's replicated failure log.
-	Failures []controller.FailureRecord
 	// Partitions lists the partition fault windows of the schedule.
 	Partitions []Window
-	// Forwarded marks scatterings the controller relayed (§5.2 Controller
-	// Forwarding) — deliveries of these are only locally ordered.
-	Forwarded map[oracle.ID]bool
-	// WireSuspects are candidate per-link barrier-promise breaches seen on
-	// host downlinks (chip mode only); see WireSuspect.
-	WireSuspects []WireSuspect
-
-	// Joined records every host activated through a scheduled JoinEvent,
-	// with its processes and the effective join epoch (every timestamp
-	// those processes ever emit exceeds it).
-	Joined []JoinInfo
-	// DrainedLogLen snapshots each gracefully departed process's delivery
-	// log length at the instant its drain completed; the drain-silence
-	// checker requires the final log to be exactly that long.
-	DrainedLogLen map[netsim.ProcID]int
-	// DrainedAt is each drained process's departure time.
-	DrainedAt map[netsim.ProcID]sim.Time
 	// DrainedSwitches lists physical switches that completed a graceful
 	// drain.
 	DrainedSwitches []int
@@ -92,16 +55,6 @@ type CallbackRec struct {
 	Proc     netsim.ProcID
 	TS       sim.Time
 	ID       oracle.ID
-}
-
-// JoinInfo describes one mid-run host join.
-type JoinInfo struct {
-	Host  int
-	Procs []netsim.ProcID
-	// TJoin is the effective join epoch the activation settled on.
-	TJoin sim.Time
-	// At is the activation time (epoch committed, host live).
-	At sim.Time
 }
 
 // Run executes a plan to completion and returns the recorded logs. A given
@@ -132,12 +85,11 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 			Deliveries: make([][]oracle.Delivery, finalProcs),
 			SendFails:  make(map[oracle.ID]map[netsim.ProcID]bool),
 			Correct:    make([]bool, finalProcs),
+			Forwarded:  make(map[oracle.ID]bool),
+			Joined:     make(map[netsim.ProcID]sim.Time),
+			Drained:    make(map[netsim.ProcID]oracle.Drain),
 		},
-		Plan:          p,
-		ProcFailSeen:  make(map[netsim.ProcID]map[netsim.ProcID]sim.Time),
-		Forwarded:     make(map[oracle.ID]bool),
-		DrainedLogLen: make(map[netsim.ProcID]int),
-		DrainedAt:     make(map[netsim.ProcID]sim.Time),
+		Plan: p,
 	}
 	ctrl.OnForward = func(pkt *netsim.Packet) {
 		if id, ok := pkt.Payload.(oracle.ID); ok {
@@ -145,16 +97,12 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 		}
 	}
 
-	// Wire-level §4.1 probe on every host downlink: barriers carried by a
-	// link promise that no later message timestamp falls below them. A
-	// stamp-order/wire-order inversion inside a switch shows up here long
-	// before it happens to line up into an end-to-end misdelivery — this is
-	// the chaos-harness port of netsim's TestBarrierInvariantSweep check.
-	// Only chip mode rewrites data barriers in flight, so only chip mode
-	// makes the per-packet registers meaningful.
+	// Wire-level §4.1 probe on every host downlink (chip mode only, see
+	// oracle.WireProbe): a stamp-order/wire-order inversion inside a switch
+	// shows up here long before it happens to line up into an end-to-end
+	// misdelivery.
 	chip := net.Cfg.Mode == netsim.ModeChip
-	maxBE := make([]sim.Time, len(cl.Hosts)+len(p.Joins))
-	maxC := make([]sim.Time, len(cl.Hosts)+len(p.Joins))
+	probe := oracle.NewWireProbe(&res.Log)
 	attachProbe := func(hi int) {
 		rx := cl.Hosts[hi].HandlePacket
 		net.AttachHost(hi, func(pkt *netsim.Packet) {
@@ -162,25 +110,7 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 				tap(hi, eng.Now(), pkt)
 			}
 			if chip {
-				if pkt.Kind == netsim.KindData && len(res.WireSuspects) < 256 {
-					bar := maxBE[hi]
-					if pkt.Reliable {
-						bar = maxC[hi]
-					}
-					if pkt.MsgTS < bar {
-						id, _ := pkt.Payload.(oracle.ID)
-						res.WireSuspects = append(res.WireSuspects, WireSuspect{
-							Host: hi, Src: pkt.Src, ID: id, TS: pkt.MsgTS,
-							Barrier: bar, Reliable: pkt.Reliable, At: eng.Now(),
-						})
-					}
-				}
-				if pkt.BarrierBE > maxBE[hi] {
-					maxBE[hi] = pkt.BarrierBE
-				}
-				if pkt.BarrierC > maxC[hi] {
-					maxC[hi] = pkt.BarrierC
-				}
+				probe.Observe(hi, eng.Now(), pkt)
 			}
 			rx(pkt)
 		})
@@ -221,14 +151,6 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 			res.Callbacks = append(res.Callbacks, CallbackRec{
 				Kind: 0, Observer: proc.ID, Proc: fp, TS: ts,
 			})
-			m := res.ProcFailSeen[proc.ID]
-			if m == nil {
-				m = make(map[netsim.ProcID]sim.Time)
-				res.ProcFailSeen[proc.ID] = m
-			}
-			if old, ok := m[fp]; !ok || ts < old {
-				m[fp] = ts
-			}
 		}
 	}
 	for i := 0; i < nprocs; i++ {
@@ -300,6 +222,12 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 	// recorders and a workload loop of its own at activation; a drained
 	// host's log length is frozen for the drain-silence checker.
 	departed := make(map[int]bool)
+	crashed := make(map[int]bool) // hosts the schedule fail-stops
+	for _, f := range p.Faults {
+		if f.Kind == FaultHostCrash {
+			crashed[f.Host] = true
+		}
+	}
 	if len(p.Joins) > 0 || len(p.Drains) > 0 {
 		reconf := reconfig.New(net, cl, ctrl)
 		for _, j := range p.Joins {
@@ -310,15 +238,11 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 				_, _ = reconf.JoinHost(j.Pod, j.Rack, func(_ *core.Host, eff sim.Time) {
 					hi := len(cl.Hosts) - 1 // AddHost appended just before this callback
 					attachProbe(hi)
-					info := JoinInfo{Host: hi, TJoin: eff, At: eng.Now()}
-					for pi := hi * pph; pi < (hi+1)*pph; pi++ {
-						info.Procs = append(info.Procs, netsim.ProcID(pi))
-						installRecorders(pi)
-					}
 					curProcs = len(cl.Procs)
-					res.Joined = append(res.Joined, info)
-					for _, pid := range info.Procs {
-						pi := int(pid)
+					for pi := hi * pph; pi < (hi+1)*pph; pi++ {
+						pi := pi
+						res.Joined[netsim.ProcID(pi)] = eff
+						installRecorders(pi)
 						eng.After(sim.Time(wrng.Int63n(int64(p.Workload.Interval)))+sim.Microsecond, func() { loop(pi) })
 					}
 				})
@@ -338,9 +262,8 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 				_ = reconf.DrainHost(d.Host, func() {
 					departed[d.Host] = true
 					for pi := d.Host * pph; pi < (d.Host+1)*pph; pi++ {
-						pid := netsim.ProcID(pi)
-						res.DrainedLogLen[pid] = len(res.Deliveries[pi])
-						res.DrainedAt[pid] = eng.Now()
+						res.Drained[netsim.ProcID(pi)] = oracle.Drain{
+							LogLen: len(res.Deliveries[pi]), At: eng.Now(), Crashed: crashed[d.Host]}
 					}
 				})
 			})
@@ -350,7 +273,6 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 	// Fault executor: every fault is armed at an absolute engine time.
 	// A loss burst overrides every link's uniform loss for its window;
 	// clearing the override hands the rate back to the plan's profile.
-	crashed := make(map[int]bool)
 	for _, f := range p.Faults {
 		f := f
 		switch f.Kind {
@@ -360,7 +282,6 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 		case FaultLinkDown:
 			eng.At(f.At, func() { net.G.KillLink(f.Link) })
 		case FaultHostCrash:
-			crashed[f.Host] = true
 			eng.At(f.At, func() {
 				net.G.KillNode(net.G.Host(f.Host))
 				cl.Hosts[f.Host].Stop()
@@ -389,14 +310,16 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 	// are not correct in the delivery-obligation sense — like a crashed
 	// host, in-flight scatterings toward them resolve via send-failure —
 	// but unlike a crash this must happen without any failure record,
-	// which checkDrains enforces separately.
+	// which drain-no-failure enforces separately.
 	for pi := 0; pi < net.NumProcs(); pi++ {
 		hi := net.HostOfProc(netsim.ProcID(pi))
 		res.Correct[pi] = !crashed[hi] && !departed[hi] && hostConnected(net.G, net.G.Host(hi))
 	}
 	res.PathOK = procReachability(net)
 	res.Exempt = exempt(res)
-	res.Failures = ctrl.Failures
+	for _, rec := range ctrl.Failures {
+		res.Fail(rec.Procs)
+	}
 	res.Epochs = ctrl.Epochs
 	res.ForwardedMsgs = ctrl.ForwardedMsgs
 	res.Stats = cl.TotalStats()

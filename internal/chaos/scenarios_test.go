@@ -46,19 +46,8 @@ func TestScenarioHostCrashRecall(t *testing.T) {
 	if vios := Check(r); len(vios) > 0 {
 		failSeed(t, p, vios)
 	}
-	if len(r.Failures) == 0 {
-		t.Fatal("host crash produced no controller failure record")
-	}
-	crashed := false
-	for _, rec := range r.Failures {
-		for pid := range rec.Procs {
-			if int(pid) == 2 {
-				crashed = true
-			}
-		}
-	}
-	if !crashed {
-		t.Fatalf("failure records %v never declared the crashed host's proc", r.Failures)
+	if _, crashed := r.Failed[2]; !crashed {
+		t.Fatalf("failure records %v never declared the crashed host's proc", r.Failed)
 	}
 	if r.Stats.Recalled == 0 {
 		t.Fatal("no scattering was recalled — the abort path never ran")

@@ -5,16 +5,18 @@ import (
 
 	"onepipe/internal/core"
 	"onepipe/internal/netsim"
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 	"onepipe/internal/topology"
 )
 
 // TestAtomicityUnderContinuousTraffic is the whole-stack crucible: many
 // processes continuously issue reliable scatterings to random receiver
-// pairs while a host is killed mid-stream. Afterwards, every scattering
-// must satisfy restricted failure atomicity: its two correct receivers
-// either BOTH delivered it or NEITHER did, and each sender observed a
-// consistent outcome (both-delivered or failure-reported).
+// pairs while a host is killed mid-stream. Afterwards the oracle holds the
+// log to the delivery contract: every scattering from a correct sender
+// reaches both of its correct receivers or neither (and then the sender is
+// told), and no correct receiver delivers anything from the failed process
+// above its failure timestamp.
 func TestAtomicityUnderContinuousTraffic(t *testing.T) {
 	cfg := netsim.DefaultConfig(topology.Testbed(), 1)
 	cfg.ControllerManagedCommit = true
@@ -28,34 +30,23 @@ func TestAtomicityUnderContinuousTraffic(t *testing.T) {
 	eng := net.Eng
 	n := len(cl.Procs)
 
-	type scatterID struct {
-		src netsim.ProcID
-		seq int
-	}
-	delivered := make(map[scatterID]map[netsim.ProcID]bool)
-	failedAt := make(map[scatterID]int) // send-failure callbacks seen
-	type payload struct {
-		id scatterID
-	}
+	log := oracle.Log{Deliveries: make([][]oracle.Delivery, n), SendFails: make(map[oracle.ID]map[netsim.ProcID]bool)}
 	for _, p := range cl.Procs {
 		p := p
 		p.OnDeliver = func(d core.Delivery) {
-			pl := d.Data.(payload)
-			m := delivered[pl.id]
-			if m == nil {
-				m = make(map[netsim.ProcID]bool)
-				delivered[pl.id] = m
-			}
-			m[p.ID] = true
+			log.Deliveries[p.ID] = append(log.Deliveries[p.ID],
+				oracle.Delivery{TS: d.TS, Src: d.Src, ID: d.Data.(oracle.ID), Reliable: d.Reliable})
 		}
 		p.OnSendFail = func(f core.SendFailure) {
-			failedAt[f.Data.(payload).id]++
+			id := f.Data.(oracle.ID)
+			if log.SendFails[id] == nil {
+				log.SendFails[id] = make(map[netsim.ProcID]bool)
+			}
+			log.SendFails[id][f.Dst] = true
 		}
 	}
 
 	// Continuous reliable scatterings to two random receivers each.
-	seqs := make([]int, n)
-	targets := make(map[scatterID][2]netsim.ProcID)
 	rng := eng.Rand()
 	for pi := 0; pi < n; pi++ {
 		pi := pi
@@ -68,15 +59,13 @@ func TestAtomicityUnderContinuousTraffic(t *testing.T) {
 			if int(d1) == pi || int(d2) == pi || d1 == d2 {
 				return
 			}
-			seqs[pi]++
-			id := scatterID{src: netsim.ProcID(pi), seq: seqs[pi]}
-			err := cl.Procs[pi].SendReliable([]core.Message{
-				{Dst: d1, Data: payload{id}, Size: 64},
-				{Dst: d2, Data: payload{id}, Size: 64},
-			})
-			if err == nil {
-				targets[id] = [2]netsim.ProcID{d1, d2}
-			}
+			s := oracle.Send{ID: oracle.ID{Src: netsim.ProcID(pi), Seq: int32(len(log.Sends))},
+				Src: netsim.ProcID(pi), Dsts: []netsim.ProcID{d1, d2}, Reliable: true}
+			s.Refused = cl.Procs[pi].SendReliable([]core.Message{
+				{Dst: d1, Data: s.ID, Size: 64},
+				{Dst: d2, Data: s.ID, Size: 64},
+			}) != nil
+			log.Sends = append(log.Sends, s)
 		})
 	}
 
@@ -88,52 +77,22 @@ func TestAtomicityUnderContinuousTraffic(t *testing.T) {
 	})
 	eng.RunFor(30 * sim.Millisecond)
 
-	checked, partial := 0, 0
-	for id, dsts := range targets {
-		if id.src == 5 {
-			continue // the failed sender's own outcomes are unknowable
-		}
-		m := delivered[id]
-		for _, dst := range dsts {
-			if dst == 5 {
-				// The interesting case: one receiver is the failed proc.
-				// The OTHER receiver must deliver only if the scattering
-				// committed before the failure; either way no "partial at
-				// correct receivers" arises with a single correct member,
-				// but the sender must have a definite outcome:
-				other := dsts[0]
-				if other == 5 {
-					other = dsts[1]
-				}
-				otherGot := m[other]
-				sawFail := failedAt[id] > 0
-				if !otherGot && !sawFail {
-					t.Errorf("scattering %v: neither delivered at %d nor failure-reported", id, other)
-				}
-				checked++
-				goto next
-			}
-		}
-		// Both receivers correct: all-or-nothing.
-		if len(m) == 1 {
-			partial++
-			t.Errorf("scattering %v delivered at only one of %v", id, dsts)
-		}
-		if len(m) == 0 && failedAt[id] == 0 {
-			t.Errorf("scattering %v vanished without a failure report", id)
-		}
-		checked++
-	next:
-	}
-	if checked < 100 {
-		t.Fatalf("only %d scatterings checked", checked)
-	}
-	if partial > 0 {
-		t.Fatalf("%d partial deliveries — restricted atomicity violated", partial)
-	}
 	if len(ctrl.Failures) == 0 {
 		t.Fatal("controller never recorded the failure")
 	}
-	t.Logf("checked %d scatterings across kill of host 5; failures recorded: %d",
-		checked, len(ctrl.Failures))
+	for _, rec := range ctrl.Failures {
+		log.Fail(rec.Procs)
+	}
+	log.Correct = make([]bool, n)
+	for pi := range log.Correct {
+		log.Correct[pi] = net.HostOfProc(netsim.ProcID(pi)) != 5
+	}
+	for _, v := range oracle.Check(&log) {
+		t.Error(v)
+	}
+	if len(log.Sends) < 100 {
+		t.Fatalf("only %d scatterings sent", len(log.Sends))
+	}
+	t.Logf("checked %d scatterings, %d deliveries across kill of host 5; failed procs: %v",
+		len(log.Sends), log.TotalDeliveries(), log.Failed)
 }

@@ -119,9 +119,10 @@ func (n *Net) Join() int {
 }
 
 // Drain starts a graceful leave: the host refuses sends at once, and once
-// its send window has flushed — as the engine runs — it leaves aggregation
-// and stops. Peers' stuck sends toward it then resolve via send-failure.
-func (n *Net) Drain(host int) error {
+// its send window has flushed — as the engine runs — it leaves aggregation,
+// stops and calls done (if non-nil). Peers' stuck sends toward it then
+// resolve via send-failure.
+func (n *Net) Drain(host int, done func()) error {
 	if host < 0 || host >= len(n.hosts) {
 		return fmt.Errorf("livenet: no such host %d", host)
 	}
@@ -132,12 +133,12 @@ func (n *Net) Drain(host int) error {
 	h.Drain(func() {
 		n.sw.Drain(host)
 		h.Stop()
+		if done != nil {
+			done()
+		}
 	})
 	return nil
 }
-
-// Drained reports whether a host's drain has completed.
-func (n *Net) Drained(host int) bool { return n.sw.Drained(host) }
 
 // switchReceive hands a packet arriving on a host uplink to the switch and,
 // if it says so, forwards the restamped packet down the destination link.

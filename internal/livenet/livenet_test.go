@@ -47,11 +47,11 @@ const (
 )
 
 // starRun is what one run leaves: the oracle log of every accepted
-// scattering and every delivery.
+// scattering, every delivery and, in the elastic case, the join and the
+// drain.
 type starRun struct {
 	log     oracle.Log
 	dropped uint64
-	drained bool
 }
 
 // record installs a recorder on process p of n that appends to l.
@@ -70,10 +70,17 @@ func (c starCase) run(t *testing.T) starRun {
 	}
 	for k := 0; k < rounds; k++ {
 		if c.elastic && k == joinRound {
-			record(n, n.Join(), &r.log)
+			// Join floors the joiner's timestamps at the shared clock.
+			epoch := n.eng.Now()
+			p := n.Join()
+			record(n, p, &r.log)
+			r.log.Joined = map[netsim.ProcID]sim.Time{netsim.ProcID(p): epoch}
 		}
 		if c.elastic && k == drainRound {
-			if err := n.Drain(leaver); err != nil {
+			err := n.Drain(leaver, func() {
+				r.log.Drained = map[netsim.ProcID]oracle.Drain{leaver: {LogLen: len(r.log.Deliveries[leaver]), At: n.eng.Now()}}
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -100,7 +107,6 @@ func (c starCase) run(t *testing.T) starRun {
 	}
 	n.RunFor(settle)
 	r.dropped = n.SwitchStats().Dropped
-	r.drained = n.Drained(leaver)
 	return r
 }
 
@@ -109,7 +115,8 @@ func (c starCase) run(t *testing.T) starRun {
 // the delivery contract (internal/oracle): each class (best-effort,
 // reliable) in (ts, src) order at every receiver and agreed across them,
 // nothing delivered twice or unsent, every reliable scattering delivered
-// everywhere. On a lossless star every best-effort member is delivered too.
+// everywhere, the joiner above its epoch and the leaver silent after its
+// drain. On a lossless star every best-effort member is delivered too.
 func TestStar(t *testing.T) {
 	for _, c := range starCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -130,8 +137,8 @@ func TestStar(t *testing.T) {
 			if c.impair != nil && r.dropped == 0 {
 				t.Fatal("the impairment never dropped a packet")
 			}
-			if c.elastic && (!r.drained || len(r.log.Deliveries[starHosts]) == 0) {
-				t.Fatalf("host %d drained: %v; joined host delivered %d", leaver, r.drained, len(r.log.Deliveries[starHosts]))
+			if c.elastic && (len(r.log.Drained) == 0 || len(r.log.Deliveries[starHosts]) == 0) {
+				t.Fatalf("host %d drained: %v; joined host delivered %d", leaver, r.log.Drained, len(r.log.Deliveries[starHosts]))
 			}
 		})
 	}

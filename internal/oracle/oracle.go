@@ -1,9 +1,9 @@
 // Package oracle checks a delivery log against 1Pipe's delivery contract,
 // whatever substrate produced it: the chaos harness on netsim, core's
-// property tests, the livenet star, udpnet's sockets and the public API
-// record into a Log and call Check. The invariants, numbered as in the
-// catalog of docs/testing.md (which cites the paper; the chaos harness
-// checks 7-14):
+// property tests, the reconfiguration and controller harnesses, the livenet
+// star, udpnet's sockets and the public API record into a Log and call
+// Check. The invariants, numbered as in the catalog of docs/testing.md
+// (which cites the paper; the chaos harness adds 14, the hot-buffer bound):
 //
 //  1. local-order: each receiver delivers each ordered stream strictly by
 //     (ts, src). The Mode says which streams are ordered.
@@ -17,14 +17,28 @@
 //     correct destinations, or none and the sender is told.
 //  6. barrier-gate: every delivery was covered by the barrier the receiver
 //     had announced at that instant.
+//  7. discard-floor: no correct receiver delivers a reliable message from a
+//     failed process above its failure timestamp.
+//  8. wire-barrier: no data packet reaches a host below a barrier its
+//     downlink already carried (recorded by a WireProbe).
+//  9. epoch-barrier: no receiver's announced barriers regress.
+//  10. join-epoch: everything a joined process sends or delivers lies above
+//     its join epoch, and it fails no earlier than that epoch.
+//  11. join-suffix: a joined receiver agrees with every other on their
+//     common scatterings.
+//  12. drain-silence: a drained process delivers nothing after its drain.
+//  13. drain-no-failure: no failure record names a drained process whose
+//     host did not also crash.
 //  15. conflict-pair-order: under ConflictAware, scatterings sharing a
 //     conflict key keep (ts, src) order at every receiver and across
 //     receivers (the Generic Multicast contract). The implementation orders
 //     all tagged messages mutually, a coarser relation that 1 and 2 check,
 //     so this checks the declared relation it subsumes.
 //
-// Causality and barrier-gate need each delivery's clock and barriers, so
-// they run on an Annotated log only.
+// Causality, barrier-gate and epoch-barrier need each delivery's clock and
+// barriers, so they run on an Annotated log only. 7-13 bind what the caller
+// recorded of the run's faults and membership: Failed, Forwarded, Wire,
+// Joined and Drained.
 package oracle
 
 import (
@@ -110,8 +124,21 @@ type Log struct {
 	// Exempt marks the scatterings whose cross-receiver order and
 	// atomicity are not owed: forwarded by the controller, or sent inside a
 	// partition window (§5.2). The caller computes it; every check of a
-	// single receiver's log still binds them.
+	// single receiver's log still binds them, and so does the discard floor.
 	Exempt map[ID]bool
+	// Forwarded marks the scatterings the controller relayed (§5.2
+	// Controller Forwarding); the discard floor does not bind them.
+	Forwarded map[ID]bool
+	// Failed maps each failed process to its failure timestamp, the
+	// earliest any failure record gave it (see Fail).
+	Failed map[netsim.ProcID]sim.Time
+	// Wire lists the barrier-promise suspects a WireProbe saw.
+	Wire []WireSuspect
+	// Joined maps each process that joined mid-run to its effective join
+	// epoch.
+	Joined map[netsim.ProcID]sim.Time
+	// Drained records each process that departed gracefully.
+	Drained map[netsim.ProcID]Drain
 }
 
 // TotalDeliveries counts delivered messages across all receivers.
@@ -146,7 +173,7 @@ func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 // times.
 const MaxViolations = 64
 
-// Check validates invariants 1-6 and 15 and returns the violations found,
+// Check validates invariants 1-13 and 15 and returns the violations found,
 // at most MaxViolations of them (none: the log upholds the contract). The
 // walk is in receiver, submission and key order, so the same log always
 // gives the same report.
@@ -170,6 +197,13 @@ func Check(l *Log) []Violation {
 	if l.Mode == ConflictAware {
 		c.order("conflict-pair-order", "conflict-pair-order", c.byKey())
 	}
+	c.discardFloor()
+	c.wire()
+	if l.Annotated {
+		c.epochBarrier()
+	}
+	c.joins()
+	c.drains()
 	return c.out
 }
 

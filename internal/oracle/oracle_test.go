@@ -31,11 +31,24 @@ func cleanLog(mode Mode) *Log {
 // Check to name the broken invariant, or, where the corruption is one the
 // contract allows, not to.
 func TestNegativeControls(t *testing.T) {
-	a := ID{0, 0}
+	a, c := ID{0, 0}, ID{0, 1}
 	swap := func(log []Delivery) { log[0], log[1] = log[1], log[0] }
 	// Receiver 2 delivers a at ts 30 after c: sorted there, but receiver 1
 	// delivers a first.
 	disagree := func(l *Log) { l.Deliveries[2][0].TS = 30; swap(l.Deliveries[2]) }
+	// Proc 0 fails at 15, below c's ts 20, yet receivers 1 and 2 deliver c.
+	failBelowC := func(l *Log) { l.Correct = []bool{false, true, true}; l.Fail(map[netsim.ProcID]sim.Time{0: 15}) }
+	// Receiver 2 drains after its last delivery; a failure record names it.
+	drain2 := func(l *Log, crashed bool) {
+		l.Drained = map[netsim.ProcID]Drain{2: {LogLen: 2, At: 30, Crashed: crashed}}
+		l.Fail(map[netsim.ProcID]sim.Time{2: 40})
+	}
+	// Host 1's downlink carries barrier 12, then b's data packet at ts 10.
+	wireBelow := func(l *Log) {
+		w := NewWireProbe(l)
+		w.Observe(1, 11, &netsim.Packet{Kind: netsim.KindBeacon, BarrierBE: 12})
+		w.Observe(1, 12, &netsim.Packet{Kind: netsim.KindData, Src: 2, MsgTS: 10, Payload: ID{2, 0}})
+	}
 	for _, tc := range []struct {
 		name    string
 		mode    Mode
@@ -60,6 +73,18 @@ func TestNegativeControls(t *testing.T) {
 		{"above the barrier, tagged", ConflictAware, func(l *Log) { l.Deliveries[2][0].BarC = 9 }, "barrier-gate", true},
 		{"above the barrier, not annotated", Separate, func(l *Log) { l.Deliveries[2][0].BarC = 9; l.Annotated = false }, "barrier-gate", false},
 		{"same-key inversion", ConflictAware, func(l *Log) { swap(l.Deliveries[2]) }, "conflict-pair-order", true},
+		{"above the failure timestamp", Separate, failBelowC, "discard-floor", true},
+		{"forwarded above the failure timestamp", Separate, func(l *Log) { failBelowC(l); l.Forwarded = map[ID]bool{c: true} }, "discard-floor", false},
+		{"exempt above the failure timestamp", Separate, func(l *Log) { failBelowC(l); l.Exempt = map[ID]bool{c: true} }, "discard-floor", true},
+		{"data below a carried barrier", Separate, wireBelow, "wire-barrier", true},
+		{"data below a carried barrier, sender failed", Separate, func(l *Log) { wireBelow(l); l.Correct = []bool{true, true, false} }, "wire-barrier", false},
+		{"announced barrier regresses", Separate, func(l *Log) { l.Deliveries[1][0].BarC = 100 }, "epoch-barrier", true},
+		{"delivery at the join epoch", Separate, func(l *Log) { l.Joined = map[netsim.ProcID]sim.Time{2: 10} }, "join-epoch", true},
+		{"failed below the join epoch", Separate, func(l *Log) { l.Joined = map[netsim.ProcID]sim.Time{1: 5}; l.Fail(map[netsim.ProcID]sim.Time{1: 4}) }, "join-epoch", true},
+		{"joined receiver disagrees", Separate, func(l *Log) { disagree(l); l.Joined = map[netsim.ProcID]sim.Time{2: 0} }, "join-suffix", true},
+		{"delivery after the drain", Separate, func(l *Log) { l.Drained = map[netsim.ProcID]Drain{2: {LogLen: 1}} }, "drain-silence", true},
+		{"drained proc named failed", Separate, func(l *Log) { drain2(l, false) }, "drain-no-failure", true},
+		{"drained proc crashed too", Separate, func(l *Log) { drain2(l, true) }, "drain-no-failure", false},
 	} {
 		l := cleanLog(tc.mode)
 		tc.corrupt(l)

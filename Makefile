@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check bench-module race bench bench-json bench-gate slo slo-gate serve serve-gate results full-results fuzz examples vet chaos chaos-nightly elastic conflict scale
+.PHONY: all build test fmt-check bench-module race bench bench-json bench-gate slo slo-gate serve serve-gate results full-results fuzz examples vet chaos chaos-nightly chaos-sweep elastic conflict scale
 
 all: vet test
 
@@ -99,6 +99,12 @@ chaos:
 chaos-nightly:
 	CHAOS_ARTIFACT_DIR=$${CHAOS_ARTIFACT_DIR:-chaos-artifacts} \
 	$(GO) test ./internal/chaos/ -race -run 'TestChaos' -seeds 300 -timeout 120m -v
+
+# The wide sweep: seeds 1-300, 5000-5299 and 10000-11999 once each, without
+# -race or minimization, one line per failing seed with its first violation
+# (ROADMAP item 1's exit check; not a CI gate).
+chaos-sweep:
+	$(GO) test ./internal/chaos/ -run 'TestChaosSweep$$' -sweep 1-300,5000-5299,10000-11999 -timeout 60m
 
 # Live-reconfiguration timeline: rolling host join + spine drain under
 # load (docs/reconfiguration.md). The notes carry pass/fail verdicts.

@@ -62,6 +62,6 @@ func CaptureWirePackets(seed int64, perKind int) [][]byte {
 			counts[pkt.Kind]++
 		}
 		out = append(out, wire.Encode(pkt, nil))
-	})
+	}, nil)
 	return out
 }

@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"onepipe/internal/oracle"
@@ -15,6 +19,7 @@ var (
 	seedCount = flag.Int("seeds", 8, "number of random seeds TestChaos sweeps")
 	seedBase  = flag.Int64("seed-base", 1, "first seed of the sweep")
 	replay    = flag.Int64("chaos.seed", -1, "seed for TestChaosReplay (from a failure report)")
+	sweep     = flag.String("sweep", "", "seed ranges TestChaosSweep runs once each, e.g. 1-300,5000-5299")
 )
 
 // failSeed handles one failing seed: minimize the fault schedule, render the
@@ -130,4 +135,66 @@ func TestChaosCatchesBrokenPipeline(t *testing.T) {
 		return
 	}
 	t.Fatalf("nonuniform-pipeline regression went undetected across %d seeds — harness has lost its teeth", budget)
+}
+
+// sweepSeeds parses -sweep: comma-separated seeds or inclusive lo-hi ranges.
+func sweepSeeds(t *testing.T, spec string) []int64 {
+	t.Helper()
+	var seeds []int64
+	for _, part := range strings.Split(spec, ",") {
+		lo, hi, isRange := strings.Cut(part, "-")
+		a, err := strconv.ParseInt(lo, 10, 64)
+		b := a
+		if err == nil && isRange {
+			b, err = strconv.ParseInt(hi, 10, 64)
+		}
+		if err != nil || b < a {
+			t.Fatalf("bad -sweep range %q", part)
+		}
+		for s := a; s <= b; s++ {
+			seeds = append(seeds, s)
+		}
+	}
+	return seeds
+}
+
+// TestChaosSweep is the wide sweep: every seed in -sweep runs once, without
+// the replay check or minimization, and each failing seed is reported on one
+// line with its first violation (make chaos-sweep; replay a seed with
+// TestChaosReplay for the minimized report).
+func TestChaosSweep(t *testing.T) {
+	if *sweep == "" {
+		t.Skip("no -sweep given; make chaos-sweep runs the wide seed window")
+	}
+	seeds := sweepSeeds(t, *sweep)
+	first := make([]string, len(seeds))
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				r := Run(NewPlan(seeds[i]))
+				if r.TotalDeliveries() == 0 {
+					first[i] = "no deliveries at all"
+				} else if vios := Check(r); len(vios) > 0 {
+					first[i] = vios[0].String()
+				}
+			}
+		}()
+	}
+	for i := range seeds {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	failed := 0
+	for i, v := range first {
+		if v != "" {
+			failed++
+			t.Errorf("seed %d: %s", seeds[i], v)
+		}
+	}
+	t.Logf("%d of %d seeds failed", failed, len(seeds))
 }

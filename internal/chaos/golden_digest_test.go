@@ -55,7 +55,7 @@ func wireDigest(p Plan) (string, int, *Result) {
 			binary.LittleEndian.PutUint64(buf[:], uint64(v))
 			h.Write(buf[:])
 		}
-	})
+	}, nil)
 	return hex.EncodeToString(h.Sum(nil)), n, r
 }
 

@@ -245,7 +245,7 @@ func derivedFaults(rng *rand.Rand, p Plan) []Fault {
 	countDown := func() int {
 		n := 0
 		for hi := 0; hi < hosts; hi++ {
-			if !hostConnected(scratch, scratch.Host(hi)) {
+			if !scratch.HostConnected(scratch.Host(hi)) {
 				n++
 			}
 		}
@@ -302,7 +302,7 @@ func derivedFaults(rng *rand.Rand, p Plan) []Fault {
 				continue
 			}
 			// Cutting a pod from the cores must leave it merely partitioned,
-			// not disconnected: hostConnected only checks host uplinks, so
+			// not disconnected: HostConnected only checks host links, so
 			// this never trips the budget.
 			faults = append(faults, Fault{
 				At: at, Kind: FaultPartition,
@@ -330,44 +330,6 @@ func markPhysOff(g *topology.Graph, marked []topology.NodeID) {
 	for _, id := range marked {
 		g.ReviveNode(id)
 	}
-}
-
-// hostConnected mirrors the controller's liveness rule: a host is connected
-// iff it is alive and has a live uplink AND a live downlink into the fabric
-// (a host that cannot receive will never deliver again and is failed in the
-// §5.2 sense).
-func hostConnected(g *topology.Graph, host topology.NodeID) bool {
-	if g.NodeDead(host) {
-		return false
-	}
-	up := false
-	for _, lid := range g.Out[host] {
-		if !g.LinkDead(lid) && !g.NodeDead(g.Link(lid).To) {
-			up = true
-			break
-		}
-	}
-	if !up {
-		return false
-	}
-	for _, lid := range g.In[host] {
-		if !g.LinkDead(lid) && !g.NodeDead(g.Link(lid).From) {
-			return true
-		}
-	}
-	return false
-}
-
-// HasPartition reports whether the schedule contains a partition window —
-// the paper's caveat case in which ordering across the cut is only local
-// and forwarded scatterings are exempt from strict atomicity (§5.2).
-func (p *Plan) HasPartition() bool {
-	for _, f := range p.Faults {
-		if f.Kind == FaultPartition {
-			return true
-		}
-	}
-	return false
 }
 
 // NetConfig materializes the netsim configuration for this plan.

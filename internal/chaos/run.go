@@ -60,12 +60,14 @@ type CallbackRec struct {
 // Run executes a plan to completion and returns the recorded logs. A given
 // plan always produces byte-identical delivery logs (see Digest); TestChaos
 // asserts this on every seed.
-func Run(p Plan) *Result { return runWith(p, nil) }
+func Run(p Plan) *Result { return runWith(p, nil, nil) }
 
 // runWith is Run plus an optional packet tap observing every packet
 // delivered to any host, with the host index and arrival time (used to
-// harvest wire-format fuzz seeds and by the wire-level golden digest).
-func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result {
+// harvest wire-format fuzz seeds and by the wire-level golden digest), and
+// an optional end hook that inspects the fabric after the run, before it
+// stops (used to read switch registers).
+func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet), end func(*netsim.Network)) *Result {
 	net := netsim.New(p.NetConfig())
 	cl := core.Deploy(net, p.CoreConfig())
 	ctrl := controller.New(net, cl)
@@ -313,7 +315,7 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 	// which drain-no-failure enforces separately.
 	for pi := 0; pi < net.NumProcs(); pi++ {
 		hi := net.HostOfProc(netsim.ProcID(pi))
-		res.Correct[pi] = !crashed[hi] && !departed[hi] && hostConnected(net.G, net.G.Host(hi))
+		res.Correct[pi] = !crashed[hi] && !departed[hi] && net.G.HostConnected(net.G.Host(hi))
 	}
 	res.PathOK = procReachability(net)
 	res.Exempt = exempt(res)
@@ -324,6 +326,9 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet)) *Result 
 	res.ForwardedMsgs = ctrl.ForwardedMsgs
 	res.Stats = cl.TotalStats()
 	res.NetStats = net.TotalStats()
+	if end != nil {
+		end(net)
+	}
 	net.Stop()
 	return res
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"onepipe/internal/core"
+	"onepipe/internal/netsim"
 	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 	"onepipe/internal/topology"
@@ -32,6 +33,38 @@ func craftedPlan(seed int64, faults ...Fault) Plan {
 			MsgBytes:     128,
 		},
 		Faults: faults,
+	}
+}
+
+// TestFailureTimestampIsUplinkRegister pins the Determine step's one rule:
+// a failed host's fts is the commit register of its uplink. The seeds are
+// the swept ones on which a report-based estimate used to set fts above
+// anything the host had announced; each declared fts must be at most the
+// uplink register at run end (registers only rise), and the seeds must pass
+// the full check.
+func TestFailureTimestampIsUplinkRegister(t *testing.T) {
+	for _, seed := range []int64{10315, 11734, 11902} {
+		uplinkC := make(map[netsim.ProcID]sim.Time)
+		r := runWith(NewPlan(seed), nil, func(net *netsim.Network) {
+			for pi := 0; pi < net.NumProcs(); pi++ {
+				p := netsim.ProcID(pi)
+				for _, lid := range net.G.Out[net.G.Host(net.HostOfProc(p))] {
+					_, c := net.LinkRegisters(lid)
+					uplinkC[p] = max(uplinkC[p], c)
+				}
+			}
+		})
+		if len(r.Failed) == 0 {
+			t.Fatalf("seed %d: no process failed; the seed no longer exercises Determine", seed)
+		}
+		for p, fts := range r.Failed {
+			if fts > uplinkC[p] {
+				t.Errorf("seed %d: proc %d fts=%v above its uplink commit register %v", seed, p, fts, uplinkC[p])
+			}
+		}
+		if vios := Check(r); len(vios) > 0 {
+			t.Errorf("seed %d: %v", seed, vios)
+		}
 	}
 }
 

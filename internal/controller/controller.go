@@ -108,14 +108,15 @@ type Controller struct {
 	Recalls  []RecallRecord
 	Epochs   []EpochRecord
 
-	// In-flight detection state.
-	reports    []report
+	// In-flight detection state: whether dead-link reports await a
+	// Determine step, and when the earliest of them was raised.
+	reported   bool
+	reportedAt sim.Time
 	windowOpen bool
 	busy       bool
-	// declared remembers every process already covered by a FailureRecord:
-	// a failure timestamp is decided exactly once. A later round must not
-	// re-declare the proc with a timestamp derived from unrelated reports.
-	declared map[netsim.ProcID]bool
+	// declared marks every host already covered by a FailureRecord: a
+	// failure timestamp is decided exactly once.
+	declared map[int]bool
 
 	// RecoveryTime samples barrier-stall durations (detect -> resume) for
 	// the Fig. 10 experiment.
@@ -131,22 +132,16 @@ type Controller struct {
 	OnRecovered func(rec FailureRecord)
 }
 
-type report struct {
-	link       topology.Link
-	lastCommit sim.Time
-	at         sim.Time
-}
-
 // New deploys the controller over a cluster: it hooks the network's
 // dead-link reports, the hosts' stuck-message escalation, and builds the
 // Raft store on the same engine.
 func New(net *netsim.Network, cl *core.Cluster) *Controller {
-	c := &Controller{net: net, cl: cl, declared: make(map[netsim.ProcID]bool)}
+	c := &Controller{net: net, cl: cl, declared: make(map[int]bool)}
 	c.Raft = buildRaft(net, c)
-	net.OnLinkDead = func(l topology.Link, lastCommit sim.Time) {
+	net.OnLinkDead = func(topology.Link) {
 		// Switch -> controller report over the management network.
 		at := net.Eng.Now()
-		net.Eng.After(mgmtDelay, func() { c.onReport(report{link: l, lastCommit: lastCommit, at: at}) })
+		net.Eng.After(mgmtDelay, func() { c.onReport(at) })
 	}
 	for _, h := range cl.Hosts {
 		h := h
@@ -174,10 +169,13 @@ func buildRaft(net *netsim.Network, c *Controller) *raft.Cluster {
 	})
 }
 
-// onReport accumulates dead-link reports and opens an aggregation window
-// so one physical failure is handled as one event (Detect step).
-func (c *Controller) onReport(r report) {
-	c.reports = append(c.reports, r)
+// onReport records a dead-link report raised at time at and opens an
+// aggregation window so one physical failure is handled as one event
+// (Detect step).
+func (c *Controller) onReport(at sim.Time) {
+	if !c.reported {
+		c.reported, c.reportedAt = true, at
+	}
 	if c.windowOpen {
 		return
 	}
@@ -187,8 +185,8 @@ func (c *Controller) onReport(r report) {
 
 // determine computes the failed process set and failure timestamps
 // (Determine step): a process is failed iff its host is disconnected from
-// the routing graph; the failure timestamp is the maximum last-commit
-// barrier reported by the failed component's neighbors.
+// the routing graph, and its failure timestamp is the largest commit
+// register on its host's out-links, read as the controller blocks them.
 func (c *Controller) determine() {
 	c.windowOpen = false
 	if c.busy {
@@ -198,62 +196,30 @@ func (c *Controller) determine() {
 		c.windowOpen = true
 		return
 	}
-	reports := c.reports
-	c.reports = nil
-	if len(reports) == 0 {
+	if !c.reported {
 		return
 	}
-	detectedAt := reports[0].at
+	c.reported = false
 	g := c.net.G
-
-	// Failure timestamp per physical component: max over its neighbors'
-	// reports (Appendix: gathered from a cut separating the failed node
-	// from all receivers).
-	maxCommitFrom := make(map[topology.NodeID]sim.Time)
-	for _, r := range reports {
-		if r.lastCommit > maxCommitFrom[r.link.From] {
-			maxCommitFrom[r.link.From] = r.lastCommit
-		}
-		if r.at < detectedAt {
-			detectedAt = r.at
-		}
-	}
+	pph := c.net.Cfg.ProcsPerHost
 
 	failed := make(map[netsim.ProcID]sim.Time)
 	for hi := 0; hi < len(g.Hosts); hi++ {
 		host := g.Host(hi)
-		if g.NodeDrained(host) {
-			// A drained (or not-yet-activated joining) host is out of the
-			// fabric by decision, not by failure: no failure timestamp, no
-			// Recall, no declaration.
+		// A drained (or not-yet-activated joining) host is out of the
+		// fabric by decision, not by failure: no failure timestamp, no
+		// Recall, no declaration.
+		if c.declared[hi] || g.NodeDrained(host) || g.HostConnected(host) {
 			continue
 		}
-		if c.hostConnected(host) {
-			continue
-		}
-		if c.hostDeclared(hi) {
-			continue // already handled by an earlier round
-		}
-		// Failure timestamp: the latest commit any neighbor saw from this
-		// host — or, when the host died with its ToR, the ToR's reported
-		// aggregate.
+		// Disable the host's surviving ports (§5.2: the controller blocks
+		// the failed process at the switch) and take fts from its uplink
+		// commit registers at the instant of the block: commit gating
+		// guarantees nothing above them was — or can be — delivered before
+		// Discard installs. A half-connected host (dead receive path, live
+		// uplink) keeps announcing commits until this block, so only the
+		// registers read at the block bound what was delivered.
 		fts := sim.Time(0)
-		if v, ok := maxCommitFrom[host]; ok {
-			fts = v
-		} else {
-			for _, r := range reports {
-				if r.lastCommit > fts {
-					fts = r.lastCommit
-				}
-			}
-		}
-		// A half-connected host (dead receive path, live uplink) kept
-		// announcing commits after the reported register froze, and correct
-		// receivers kept delivering above it. Disable its surviving ports
-		// (§5.2: the controller blocks the failed process at the switch)
-		// and take fts from the uplink register at the instant of the
-		// block: commit gating guarantees nothing above it was — or can
-		// be — delivered before Discard installs.
 		for _, lid := range g.Out[host] {
 			if _, uc := c.net.LinkRegisters(lid); uc > fts {
 				fts = uc
@@ -262,17 +228,13 @@ func (c *Controller) determine() {
 				g.KillLink(lid)
 			}
 		}
-		for p := 0; p < c.net.NumProcs(); p++ {
-			if c.net.HostOfProc(netsim.ProcID(p)) == hi {
-				failed[netsim.ProcID(p)] = fts
-			}
+		c.declared[hi] = true
+		for p := hi * pph; p < (hi+1)*pph; p++ {
+			failed[netsim.ProcID(p)] = fts
 		}
 	}
 
-	rec := FailureRecord{Procs: failed, DetectedAt: detectedAt}
-	for p := range failed {
-		c.declared[p] = true
-	}
+	rec := FailureRecord{Procs: failed, DetectedAt: c.reportedAt}
 	// Snapshot the commit-gated link set NOW: the Resume step at the end of
 	// this round must unblock only the links this round's failure gated. A
 	// component that dies while this round is in flight gates its own links,
@@ -285,44 +247,10 @@ func (c *Controller) determine() {
 	c.replicate(rec, func() { c.broadcast(rec, gated) })
 }
 
-// hostDeclared reports whether every process of a host is already covered
-// by a previous FailureRecord.
-func (c *Controller) hostDeclared(hi int) bool {
-	for p := 0; p < c.net.NumProcs(); p++ {
-		if c.net.HostOfProc(netsim.ProcID(p)) == hi && !c.declared[netsim.ProcID(p)] {
-			return false
-		}
-	}
-	return true
-}
-
-// hostConnected reports whether a host still has a live path into the
-// fabric in BOTH directions (single-homed hosts fail with their uplink,
-// their downlink, or their ToR). A host that can send but not receive is
-// disconnected in the §5.2 sense: its commit barrier can never advance, so
-// it will never deliver again and its peers' scatterings toward it must be
-// recalled.
+// hostConnected is the §5.2 liveness rule (topology.Graph.HostConnected)
+// with drains on top: a drained host is out of the fabric by decision.
 func (c *Controller) hostConnected(host topology.NodeID) bool {
-	g := c.net.G
-	if g.NodeDead(host) || g.NodeDrained(host) {
-		return false
-	}
-	up := false
-	for _, lid := range g.Out[host] {
-		if !g.LinkDead(lid) && !g.NodeDead(g.Link(lid).To) {
-			up = true
-			break
-		}
-	}
-	if !up {
-		return false
-	}
-	for _, lid := range g.In[host] {
-		if !g.LinkDead(lid) && !g.NodeDead(g.Link(lid).From) {
-			return true
-		}
-	}
-	return false
+	return !c.net.G.NodeDrained(host) && c.net.G.HostConnected(host)
 }
 
 const retryDelay = 1 * sim.Millisecond

@@ -25,11 +25,11 @@ func (h *Host) ApplyFailure(failed map[netsim.ProcID]sim.Time, done func()) {
 	h.discardFrom(failed)
 
 	// Recall: abort in-flight scatterings with a failed destination. A
-	// previous round's recalls may still be pending (sharded controllers
-	// broadcast concurrently, §6.1): completions compose rather than
-	// clobber, and failWait keeps counting the union — overwriting it
-	// would drop the earlier round's completion and wedge that shard's
-	// broadcast forever.
+	// previous round's recalls may still be pending (the controller writes
+	// off a host that stops answering, and RecoverHost replays every record
+	// at once): completions compose rather than clobber, and failWait keeps
+	// counting the union — overwriting it would drop the earlier round's
+	// completion.
 	if prev := h.failDone; prev != nil {
 		h.failDone = func() { prev(); done() }
 	} else {
@@ -339,23 +339,11 @@ func (h *Host) PendingTo(src, dst netsim.ProcID) []*netsim.Packet {
 	return out
 }
 
-// ResolveRecall completes a recall whose receiver is unreachable: the
-// controller has durably recorded the undeliverable recall (so a recovered
-// receiver will discard consistently) and releases the sender (§5.2
-// Controller Forwarding).
-func (h *Host) ResolveRecall(dst netsim.ProcID, ts sim.Time) {
-	rk := recallKey{dst: dst, ts: ts}
-	rs, ok := h.recalls[rk]
-	if !ok {
-		return
-	}
-	h.finishRecall(rk, rs)
-}
-
 // ResolveUnreachable releases the sender of a scattering stuck toward an
-// unreachable — typically drained — destination after the controller has
-// durably recorded the recall tombstone. If the stall had already
-// escalated to an active recall this is ResolveRecall; otherwise the
+// unreachable — failed or drained — destination after the controller has
+// durably recorded the recall tombstone (§5.2 Controller Forwarding). If
+// the stall had already escalated to an active recall, that recall
+// finishes, so a recovered receiver discards consistently; otherwise the
 // still-outstanding scattering is aborted here: every other receiver is
 // recalled normally, no recall is sent to dst itself, and the sender
 // observes the ordinary send-failure callbacks. Without this, a data

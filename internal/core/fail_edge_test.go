@@ -24,7 +24,7 @@ func smallNetWith(t *testing.T, mut func(*Config)) *Cluster {
 // itself gives up: destination dead, recall ACKs never return, resendRecall
 // exhausts MaxRetx, reports OnStuck, and finishRecall releases the
 // scattering and the ApplyFailure completion. A RecallAck or a controller
-// ResolveRecall arriving AFTER that release must be a strict no-op — the
+// ResolveUnreachable arriving AFTER that release must be a strict no-op — the
 // recall state is gone, and the completion callback must not fire twice.
 func TestLateRecallAckAfterMaxRetx(t *testing.T) {
 	cl := smallNetWith(t, func(c *Config) { c.MaxRetx = 4 })
@@ -74,11 +74,11 @@ func TestLateRecallAckAfterMaxRetx(t *testing.T) {
 	// The receiver's RecallAck finally limps in, long after finishRecall.
 	h0.HandlePacket(&netsim.Packet{Kind: netsim.KindRecallAck, Src: 3, Dst: 0, MsgTS: scatTS})
 	// And the controller resolves the same recall redundantly.
-	h0.ResolveRecall(3, scatTS)
+	h0.ResolveUnreachable(3, scatTS)
 	cl.Run(50 * sim.Microsecond)
 
 	if dones != 1 {
-		t.Fatalf("late RecallAck/ResolveRecall re-fired completion: dones=%d", dones)
+		t.Fatalf("late RecallAck/ResolveUnreachable re-fired completion: dones=%d", dones)
 	}
 	if h0.failWait != 0 {
 		t.Fatalf("failWait=%d after late ack, want 0 (underflow corrupts the next failure round)", h0.failWait)

@@ -120,7 +120,7 @@ func TestSilentHostReportsWholeFabric(t *testing.T) {
 		link topology.LinkID
 	}
 	var reports []report
-	n.OnLinkDead = func(l topology.Link, _ sim.Time) {
+	n.OnLinkDead = func(l topology.Link) {
 		reports = append(reports, report{n.Eng.Now(), l.ID})
 	}
 	n.RunFor(50 * n.Cfg.BeaconInterval)

@@ -135,7 +135,7 @@ func TestDrainedLinkNotReportedDead(t *testing.T) {
 	cfg.ControllerManagedCommit = true
 	n := testNet(t, cfg)
 	reports := map[topology.LinkID]int{}
-	n.OnLinkDead = func(l topology.Link, _ sim.Time) { reports[l.ID]++ }
+	n.OnLinkDead = func(l topology.Link) { reports[l.ID]++ }
 	var barrier sim.Time
 	regressions := 0
 	n.AttachHost(7, func(p *Packet) {
@@ -207,7 +207,7 @@ func TestGrowAndAdmitHost(t *testing.T) {
 		}
 	})
 	reports := 0
-	n.OnLinkDead = func(topology.Link, sim.Time) { reports++ }
+	n.OnLinkDead = func(topology.Link) { reports++ }
 	n.Eng.RunUntil(300 * sim.Microsecond)
 
 	id, links, err := n.G.AddHost(0, 0)

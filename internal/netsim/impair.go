@@ -119,12 +119,6 @@ func Uniform(imp Impairment) *Profile {
 	return &Profile{Default: &imp}
 }
 
-// WAN returns an RTT-class impairment for cross-site links: a constant
-// one-way delay of rtt/2.
-func WAN(rtt sim.Time) *Impairment {
-	return &Impairment{ExtraDelay: rtt / 2}
-}
-
 // impairSalt derives the per-link RNG seed from the fabric seed.
 func impairSalt(seed int64, id topology.LinkID) int64 {
 	return seed ^ int64((uint64(id)+1)*0xd1342543de82ef95)

@@ -139,7 +139,7 @@ type Network struct {
 
 	// OnLinkDead, if set, is invoked when a switch's dead-link scanner
 	// removes an input link — the controller's failure Detect signal.
-	OnLinkDead func(l topology.Link, lastCommit sim.Time)
+	OnLinkDead func(l topology.Link)
 
 	// Obs, when armed by EnableObs, receives per-switch barrier-lag and
 	// egress-queue-depth gauge samples.
@@ -522,13 +522,14 @@ func (n *Network) nextHop(node *nodeState, pkt *Packet) *linkState {
 	}
 }
 
-// NodeBarriers exposes a switch's current aggregated barriers (used by the
-// controller to read last-commit state during failure handling).
+// NodeBarriers exposes a switch's current aggregated barriers (live
+// reconfiguration seeds a joining host's link registers from them).
 func (n *Network) NodeBarriers(id topology.NodeID) (be, c sim.Time) {
 	return n.nodes[id].regs.Out()
 }
 
-// LinkRegisters exposes an input link's barrier registers.
+// LinkRegisters exposes an input link's barrier registers. The controller
+// reads a failed host's uplink commit register as its failure timestamp.
 func (n *Network) LinkRegisters(id topology.LinkID) (be, c sim.Time) {
 	l := n.links[id]
 	return n.nodes[l.to].regs.Reg(l.slot)
@@ -731,8 +732,7 @@ func (n *Network) scanLinks(now sim.Time, links []*linkState) {
 			// relay the unblocked barrier immediately (§4.2).
 			n.scheduleRelays(node)
 			if n.OnLinkDead != nil {
-				_, regC := node.regs.Reg(l.slot)
-				n.OnLinkDead(n.G.Link(l.id), regC)
+				n.OnLinkDead(n.G.Link(l.id))
 			}
 		}
 	}

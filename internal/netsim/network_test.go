@@ -232,7 +232,7 @@ func TestDeadLinkDetectedAndBarrierResumes(t *testing.T) {
 	cfg := smallCfg()
 	n := testNet(t, cfg)
 	var deadLinks []topology.Link
-	n.OnLinkDead = func(l topology.Link, lastC sim.Time) { deadLinks = append(deadLinks, l) }
+	n.OnLinkDead = func(l topology.Link) { deadLinks = append(deadLinks, l) }
 	var barrier sim.Time
 	n.AttachHost(1, func(p *Packet) {
 		if p.BarrierBE > barrier {

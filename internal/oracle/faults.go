@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"slices"
 
 	"onepipe/internal/netsim"
@@ -114,10 +115,19 @@ func (c *checker) discardFloor() {
 			continue
 		}
 		for _, d := range log {
-			if t, failed := c.Failed[d.Src]; failed && d.Reliable && !c.Forwarded[d.ID] && d.TS > t {
-				c.add("discard-floor", "receiver %d delivered reliable ts=%v from failed proc %d (fts=%v)",
-					pi, d.TS, d.Src, t)
+			t, failed := c.Failed[d.Src]
+			if !failed || !d.Reliable || c.Forwarded[d.ID] || d.TS <= t {
+				continue
 			}
+			// On an annotated log, the receiver's commit barrier at
+			// delivery says which side broke: a barrier above fts covered
+			// a timestamp the failed sender never committed.
+			barrier := ""
+			if c.Annotated {
+				barrier = fmt.Sprintf(" under commit barrier %v", d.BarC)
+			}
+			c.add("discard-floor", "receiver %d delivered reliable ts=%v from failed proc %d (fts=%v)%s",
+				pi, d.TS, d.Src, t, barrier)
 		}
 	}
 }

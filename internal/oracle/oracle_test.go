@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"strings"
 	"testing"
 
 	"onepipe/internal/netsim"
@@ -95,6 +96,32 @@ func TestNegativeControls(t *testing.T) {
 		}
 		if tripped != tc.trips || tc.inv == "" && len(vios) > 0 {
 			t.Errorf("%s: %s tripped %v, want %v; report %v", tc.name, tc.inv, tripped, tc.trips, vios)
+		}
+	}
+}
+
+// TestDiscardFloorShowsBarrier: on an annotated log a discard-floor
+// violation names the receiver's commit barrier at delivery, the evidence
+// that tells a too-low fts from a barrier that ran ahead of the sender.
+func TestDiscardFloorShowsBarrier(t *testing.T) {
+	for _, annotated := range []bool{true, false} {
+		l := cleanLog(Separate)
+		l.Annotated = annotated
+		l.Correct = []bool{false, true, true}
+		l.Fail(map[netsim.ProcID]sim.Time{0: 15})
+		var details []string
+		for _, v := range Check(l) {
+			if v.Invariant == "discard-floor" {
+				details = append(details, v.Detail)
+			}
+		}
+		if len(details) == 0 {
+			t.Fatalf("annotated=%v: no discard-floor violation", annotated)
+		}
+		for _, d := range details {
+			if has := strings.HasSuffix(d, "under commit barrier 0.025us"); has != annotated {
+				t.Errorf("annotated=%v: detail %q", annotated, d)
+			}
 		}
 	}
 }

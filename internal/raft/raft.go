@@ -129,8 +129,6 @@ type Node struct {
 
 	// apply is invoked in log order for every committed entry.
 	apply func(index int, cmd any)
-	// onLeader, if set, fires when this node becomes leader.
-	onLeader func()
 
 	electionEpoch  uint64
 	heartbeatEpoch uint64
@@ -149,9 +147,6 @@ func NewNode(id int, peers []int, tr Transport, sched Scheduler, rng *rand.Rand,
 	n.resetElectionTimer()
 	return n
 }
-
-// SetOnLeader registers a leadership callback.
-func (n *Node) SetOnLeader(fn func()) { n.onLeader = fn }
 
 // Role returns the node's current role.
 func (n *Node) Role() Role { return n.role }
@@ -243,9 +238,6 @@ func (n *Node) becomeLeader() {
 	}
 	n.matchIndex[n.ID] = n.lastLogIndex()
 	n.heartbeat()
-	if n.onLeader != nil {
-		n.onLeader()
-	}
 }
 
 func (n *Node) heartbeat() {

@@ -260,19 +260,24 @@ func (g *Graph) Reachable(src, dst NodeID) bool {
 	return false
 }
 
-// DownstreamNeighbors returns, for a (possibly dead) logical node, the IDs
-// of live nodes one hop downstream of it. These are the nodes whose barrier
-// registers hold the failed node's last commit timestamp; the controller
-// takes the maximum over them to determine the failure timestamp (§5.2).
-func (g *Graph) DownstreamNeighbors(id NodeID) []NodeID {
-	var out []NodeID
-	for _, lid := range g.Out[id] {
-		to := g.Links[lid].To
-		if !g.nodeDead[to] {
-			out = append(out, to)
+// HostConnected is the §5.2 liveness rule for a single-homed host: it is
+// alive and has a live uplink AND a live downlink into the fabric. A host
+// that can send but not receive is disconnected: its commit barrier can
+// never advance, so it will never deliver again and its peers'
+// scatterings toward it must be recalled. Drains are the caller's to add.
+func (g *Graph) HostConnected(host NodeID) bool {
+	return !g.nodeDead[host] && g.anyLive(g.Out[host]) && g.anyLive(g.In[host])
+}
+
+// anyLive reports whether any of the links is alive (LinkDead covers both
+// endpoints).
+func (g *Graph) anyLive(links []LinkID) bool {
+	for _, lid := range links {
+		if !g.LinkDead(lid) {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // IsDAG verifies the routing graph is acyclic (a structural invariant all

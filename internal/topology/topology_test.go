@@ -92,6 +92,38 @@ func TestTorDownRoutesOverHostDownlink(t *testing.T) {
 	}
 }
 
+// TestHostConnected: a host is connected while it, its uplink and its
+// downlink live. Losing either direction, or the ToR half at its end,
+// disconnects it; a drain does not (callers add drains themselves).
+func TestHostConnected(t *testing.T) {
+	g := NewClos(Testbed())
+	h := g.Host(3)
+	up, down := g.Out[h][0], g.In[h][0]
+	for _, tc := range []struct {
+		name         string
+		kill, revive func()
+	}{
+		{"uplink", func() { g.KillLink(up) }, func() { g.ReviveLink(up) }},
+		{"downlink", func() { g.KillLink(down) }, func() { g.ReviveLink(down) }},
+		{"ToR up half", func() { g.KillNode(g.Links[up].To) }, func() { g.ReviveNode(g.Links[up].To) }},
+		{"ToR down half", func() { g.KillNode(g.Links[down].From) }, func() { g.ReviveNode(g.Links[down].From) }},
+		{"host", func() { g.KillNode(h) }, func() { g.ReviveNode(h) }},
+	} {
+		if !g.HostConnected(h) {
+			t.Fatalf("before %s: healthy host reported disconnected", tc.name)
+		}
+		tc.kill()
+		if g.HostConnected(h) {
+			t.Errorf("dead %s: host still reported connected", tc.name)
+		}
+		tc.revive()
+	}
+	g.DrainNode(h)
+	if !g.HostConnected(h) {
+		t.Error("drained host reported disconnected")
+	}
+}
+
 func TestPathTerminatesAtDestination(t *testing.T) {
 	g := NewClos(Testbed())
 	rng := rand.New(rand.NewSource(1))

@@ -166,21 +166,6 @@ func Diurnal(period sim.Time, lo, hi float64) RateFn {
 	}
 }
 
-// Ramp returns a linear rate ramp from lo at start to hi at end (clamped
-// outside the interval).
-func Ramp(start, end sim.Time, lo, hi float64) RateFn {
-	return func(t sim.Time) float64 {
-		switch {
-		case t <= start:
-			return lo
-		case t >= end:
-			return hi
-		default:
-			return lo + (hi-lo)*float64(t-start)/float64(end-start)
-		}
-	}
-}
-
 // SizeDist draws message sizes. ETCSize is the heavy-tailed adapter over the
 // package's existing ETC value-size distribution.
 type SizeDist func(rng *rand.Rand) int

@@ -54,7 +54,7 @@ func TestCallbackSupersedesQueue(t *testing.T) {
 
 func TestUnifiedConfig(t *testing.T) {
 	cfg := Defaults()
-	cfg.Unified = true
+	cfg.Delivery = DeliverUnified
 	cl := NewCluster(cfg)
 	cl.Run(50 * Microsecond)
 	// Interleave classes; the unified poll stream must keep one total order.

@@ -3,6 +3,7 @@ package chaos
 import (
 	"testing"
 
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 )
 
@@ -28,7 +29,7 @@ func twoFailurePlan() Plan {
 func TestScenarioTwoSimultaneousFailures(t *testing.T) {
 	p := twoFailurePlan()
 	r := runSeed(t, p)
-	if vios := Check(r); len(vios) > 0 {
+	if vios := oracle.Check(&r.Log); len(vios) > 0 {
 		failSeed(t, p, vios)
 	}
 	_, dead1 := r.Failed[1]
@@ -58,56 +59,5 @@ func TestGoldenTwoFailureFullDigest(t *testing.T) {
 	r := Run(twoFailurePlan())
 	if got := r.FullDigest(); got != want {
 		t.Errorf("two-failure schedule: full digest %s, want %s", got, want)
-	}
-}
-
-// TestScenarioHotBufferBound arms the hybrid reorder buffer under loss: with
-// ReorderHotCap set low enough that overflow actually spills, the delivery
-// log must be byte-identical to the unbounded run (spilling is a memory
-// placement decision, never an ordering one), the peak hot occupancy must
-// respect the cap (invariant 14), and the full catalog must hold.
-func TestScenarioHotBufferBound(t *testing.T) {
-	burst := Fault{At: 1200 * sim.Microsecond, Kind: FaultLossBurst, Dur: 800 * sim.Microsecond, Rate: 0.12}
-	base := craftedPlan(17, burst)
-	capped := craftedPlan(17, burst)
-	capped.ReorderHotCap = 4
-
-	rBase := Run(base)
-	rCap := runSeed(t, capped)
-	if vios := Check(rCap); len(vios) > 0 {
-		failSeed(t, capped, vios)
-	}
-	if rCap.Stats.ReorderSpills == 0 {
-		t.Fatalf("cap=4 produced no spills (hot max %d) — the cold store never engaged; lower the cap",
-			rCap.Stats.ReorderHotMax)
-	}
-	if rCap.Stats.ReorderHotMax > 4 {
-		t.Fatalf("peak hot occupancy %d exceeds cap 4", rCap.Stats.ReorderHotMax)
-	}
-	if rBase.Digest() != rCap.Digest() {
-		t.Fatalf("capped delivery log diverged from unbounded: %s != %s (spilling changed ordering)",
-			rCap.Digest()[:16], rBase.Digest()[:16])
-	}
-}
-
-// TestScenarioHotBoundCheckerSensitivity is invariant 14's negative control:
-// a run whose reported peak hot occupancy exceeds the plan's cap must trip
-// hot-buffer-bound. Guards against the checker silently checking nothing.
-func TestScenarioHotBoundCheckerSensitivity(t *testing.T) {
-	p := craftedPlan(23)
-	p.ReorderHotCap = 8
-	r := Run(p)
-	if vios := Check(r); len(vios) > 0 {
-		t.Fatalf("clean run already fails: %v", vios)
-	}
-	r.Stats.ReorderHotMax = 9
-	hit := false
-	for _, v := range Check(r) {
-		if v.Invariant == "hot-buffer-bound" {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Error("over-cap hot occupancy did not trip hot-buffer-bound — checker is blind")
 	}
 }

@@ -74,7 +74,7 @@ func TestChaos(t *testing.T) {
 			if r.TotalDeliveries() == 0 {
 				t.Fatalf("seed %d: no deliveries at all (plan: %s) — harness wired wrong", s, p.String())
 			}
-			if vios := Check(r); len(vios) > 0 {
+			if vios := oracle.Check(&r.Log); len(vios) > 0 {
 				failSeed(t, p, vios)
 			}
 		})
@@ -96,7 +96,7 @@ func TestChaosReplay(t *testing.T) {
 	t.Logf("deliveries=%d sends=%d forwarded=%d recalled=%d stuck=%d",
 		r.TotalDeliveries(), len(r.Sends), r.ForwardedMsgs, r.Stats.Recalled, r.Stats.StuckReports)
 	t.Logf("failed procs (fts): %v", r.Failed)
-	if vios := Check(r); len(vios) > 0 {
+	if vios := oracle.Check(&r.Log); len(vios) > 0 {
 		failSeed(t, p, vios)
 	}
 }
@@ -123,7 +123,7 @@ func TestChaosCatchesBrokenPipeline(t *testing.T) {
 		// jittered regime rather than waiting for the seed stream to draw it.
 		p.Jitter = 2 * sim.Microsecond
 		r := Run(p)
-		vios := Check(r)
+		vios := oracle.Check(&r.Log)
 		if len(vios) == 0 {
 			continue
 		}
@@ -160,8 +160,8 @@ func sweepSeeds(t *testing.T, spec string) []int64 {
 
 // TestChaosSweep is the wide sweep: every seed in -sweep runs once, without
 // the replay check or minimization, and each failing seed is reported on one
-// line with its first violation (make chaos-sweep; replay a seed with
-// TestChaosReplay for the minimized report).
+// line with its first violation and a count per invariant (make chaos-sweep;
+// replay a seed with TestChaosReplay for the minimized report).
 func TestChaosSweep(t *testing.T) {
 	if *sweep == "" {
 		t.Skip("no -sweep given; make chaos-sweep runs the wide seed window")
@@ -178,8 +178,8 @@ func TestChaosSweep(t *testing.T) {
 				r := Run(NewPlan(seeds[i]))
 				if r.TotalDeliveries() == 0 {
 					first[i] = "no deliveries at all"
-				} else if vios := Check(r); len(vios) > 0 {
-					first[i] = vios[0].String()
+				} else if vios := oracle.Check(&r.Log); len(vios) > 0 {
+					first[i] = sweepLine(vios)
 				}
 			}
 		}()
@@ -197,4 +197,36 @@ func TestChaosSweep(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d seeds failed", failed, len(seeds))
+}
+
+// sweepLine renders a failing seed for the wide sweep: its first violation,
+// then how often each invariant fired, in order of first appearance, e.g.
+// "[discard-floor×3 atomicity×1]". The counts are those of the report,
+// which oracle.Check caps at oracle.MaxViolations.
+func sweepLine(vios []oracle.Violation) string {
+	var names []string
+	count := map[string]int{}
+	for _, v := range vios {
+		if count[v.Invariant] == 0 {
+			names = append(names, v.Invariant)
+		}
+		count[v.Invariant]++
+	}
+	tally := make([]string, len(names))
+	for i, n := range names {
+		tally[i] = fmt.Sprintf("%s×%d", n, count[n])
+	}
+	return fmt.Sprintf("%s [%s]", vios[0], strings.Join(tally, " "))
+}
+
+func TestSweepLine(t *testing.T) {
+	vios := []oracle.Violation{
+		{Invariant: "discard-floor", Detail: "first"},
+		{Invariant: "atomicity", Detail: "second"},
+		{Invariant: "discard-floor", Detail: "third"},
+	}
+	const want = "discard-floor: first [discard-floor×2 atomicity×1]"
+	if got := sweepLine(vios); got != want {
+		t.Fatalf("sweepLine = %q, want %q", got, want)
+	}
 }

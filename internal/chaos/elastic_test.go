@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"onepipe/internal/core"
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 	"onepipe/internal/topology"
 )
@@ -51,7 +52,7 @@ func elasticPlan(seed int64) Plan {
 func TestChaosElastic(t *testing.T) {
 	p := elasticPlan(23)
 	r := runSeed(t, p)
-	if vios := Check(r); len(vios) > 0 {
+	if vios := oracle.Check(&r.Log); len(vios) > 0 {
 		failSeed(t, p, vios)
 	}
 

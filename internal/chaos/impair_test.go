@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"onepipe/internal/netsim"
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 	"onepipe/internal/topology"
 )
@@ -50,7 +51,7 @@ func TestScenarioBurstLossProfileUnderCrash(t *testing.T) {
 		},
 	}
 	r := runSeed(t, p)
-	if vios := Check(r); len(vios) > 0 {
+	if vios := oracle.Check(&r.Log); len(vios) > 0 {
 		for _, v := range vios {
 			t.Errorf("invariant violated: %v", v)
 		}

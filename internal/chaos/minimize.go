@@ -17,7 +17,7 @@ import (
 // violations it still produces, and the number of verification runs spent.
 func Minimize(p Plan) (Plan, []oracle.Violation, int) {
 	runs := 0
-	vios := Check(Run(p))
+	vios := oracle.Check(&Run(p).Log)
 	runs++
 	if len(vios) == 0 {
 		return p, nil, runs
@@ -28,7 +28,7 @@ func Minimize(p Plan) (Plan, []oracle.Violation, int) {
 		cand.Faults = make([]Fault, 0, len(faults)-1)
 		cand.Faults = append(cand.Faults, faults[:i]...)
 		cand.Faults = append(cand.Faults, faults[i+1:]...)
-		cv := Check(Run(cand))
+		cv := oracle.Check(&Run(cand).Log)
 		runs++
 		if len(cv) > 0 {
 			faults, vios = cand.Faults, cv

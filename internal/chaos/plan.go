@@ -4,8 +4,8 @@
 // and a timed fault schedule (loss bursts, link/switch/host failures,
 // partitions with controller forwarding, clock skew, beacon loss), all
 // executed on internal/netsim + internal/core + internal/controller. The
-// delivery-contract oracle (internal/oracle) and checker.go then validate
-// the paper's invariants from the global logs; see docs/testing.md for the
+// delivery-contract oracle (internal/oracle) then validates the paper's
+// invariants from the global logs; see docs/testing.md for the
 // catalog and the workflow (seed replay, schedule minimization, CI).
 package chaos
 
@@ -152,12 +152,6 @@ type Plan struct {
 	// sets it, so existing golden digests are unaffected; the wire-capture
 	// harness widens it to harvest multi-message frames.
 	BatchWindow sim.Time
-
-	// ReorderHotCap arms the bounded reorder memory on every endpoint: the
-	// hot reorder-heap cap (entries per plane; spill to the cold store
-	// beyond it). Like BatchWindow it is a crafted-scenario knob seed
-	// derivation never sets, so existing golden digests are unaffected.
-	ReorderHotCap int
 
 	// NonuniformPipeline arms the DESIGN deviation #8 regression knob in
 	// netsim — used only by the harness's own detection self-test.
@@ -363,7 +357,6 @@ func (p *Plan) CoreConfig() core.Config {
 	if p.BatchWindow != 0 {
 		cfg.BatchWindow = p.BatchWindow
 	}
-	cfg.ReorderHotCap = p.ReorderHotCap
 	return cfg
 }
 

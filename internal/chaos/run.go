@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"maps"
 	"math/rand"
 
 	"onepipe/internal/controller"
@@ -450,4 +451,31 @@ func (r *Result) FullDigest() string {
 		w(int64(c.ID.Seq))
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Partition exemption guards: a scattering submitted inside
+// [Start-partGuardBefore, End+partGuardAfter) of any partition window is
+// exempt from the cross-receiver and atomicity checks — during a partition
+// the paper only promises local order for forwarded traffic (§5.2
+// Controller Forwarding caveat). Everything else (at-most-once, causality,
+// barrier gating, per-receiver sortedness, the discard floor) is enforced
+// unconditionally.
+const (
+	partGuardBefore = 1 * sim.Millisecond
+	partGuardAfter  = 5 * sim.Millisecond / 2
+)
+
+// exempt computes the oracle's exempt set: every scattering the controller
+// forwarded (the §5.2 caveat holds whichever fault severed the path), and
+// every one submitted inside a partition window.
+func exempt(r *Result) map[oracle.ID]bool {
+	ex := maps.Clone(r.Forwarded)
+	for _, s := range r.Sends {
+		for _, w := range r.Partitions {
+			if !s.Refused && s.At >= w.Start-partGuardBefore && s.At < w.End+partGuardAfter {
+				ex[s.ID] = true
+			}
+		}
+	}
+	return ex
 }

@@ -62,7 +62,7 @@ func TestFailureTimestampIsUplinkRegister(t *testing.T) {
 				t.Errorf("seed %d: proc %d fts=%v above its uplink commit register %v", seed, p, fts, uplinkC[p])
 			}
 		}
-		if vios := Check(r); len(vios) > 0 {
+		if vios := oracle.Check(&r.Log); len(vios) > 0 {
 			t.Errorf("seed %d: %v", seed, vios)
 		}
 	}
@@ -76,7 +76,7 @@ func TestFailureTimestampIsUplinkRegister(t *testing.T) {
 func TestScenarioHostCrashRecall(t *testing.T) {
 	p := craftedPlan(7, Fault{At: 1500 * sim.Microsecond, Kind: FaultHostCrash, Host: 2})
 	r := runSeed(t, p)
-	if vios := Check(r); len(vios) > 0 {
+	if vios := oracle.Check(&r.Log); len(vios) > 0 {
 		failSeed(t, p, vios)
 	}
 	if _, crashed := r.Failed[2]; !crashed {
@@ -104,7 +104,7 @@ func TestScenarioRecallExhaustion(t *testing.T) {
 		Fault{At: 1500 * sim.Microsecond, Kind: FaultHostCrash, Host: 3},
 	)
 	r := runSeed(t, p)
-	if vios := Check(r); len(vios) > 0 {
+	if vios := oracle.Check(&r.Log); len(vios) > 0 {
 		failSeed(t, p, vios)
 	}
 	if r.Stats.Recalled == 0 {
@@ -131,7 +131,7 @@ func TestScenarioPartitionForwarding(t *testing.T) {
 		Pod: 0, Dur: 1500 * sim.Microsecond,
 	})
 	r := runSeed(t, p)
-	if vios := Check(r); len(vios) > 0 {
+	if vios := oracle.Check(&r.Log); len(vios) > 0 {
 		failSeed(t, p, vios)
 	}
 	if r.Stats.StuckReports == 0 {
@@ -163,7 +163,7 @@ func TestScenarioConflictAwareCrashRecall(t *testing.T) {
 	p.ConflictRate = 0.5
 	p.Drains = []DrainEvent{{At: 2400 * sim.Microsecond, Host: 4}}
 	r := runSeed(t, p)
-	if vios := Check(r); len(vios) > 0 {
+	if vios := oracle.Check(&r.Log); len(vios) > 0 {
 		failSeed(t, p, vios)
 	}
 	if r.Stats.RelaxedDeliveries == 0 {
@@ -201,7 +201,7 @@ func TestScenarioConflictAwareDegeneracy(t *testing.T) {
 	}
 	ca := Run(mk(core.DeliverConflictAware))
 	uni := Run(mk(core.DeliverUnified))
-	if vios := Check(ca); len(vios) > 0 {
+	if vios := oracle.Check(&ca.Log); len(vios) > 0 {
 		failSeed(t, mk(core.DeliverConflictAware), vios)
 	}
 	if ca.Digest() != uni.Digest() {
@@ -221,7 +221,7 @@ func TestScenarioConflictCheckerSensitivity(t *testing.T) {
 	p.Mode = core.DeliverConflictAware
 	p.ConflictRate = 0.7
 	r := Run(p)
-	if vios := Check(r); len(vios) > 0 {
+	if vios := oracle.Check(&r.Log); len(vios) > 0 {
 		t.Fatalf("clean run already fails: %v", vios)
 	}
 	log, first := r.Deliveries[0], map[uint32]int{}
@@ -232,7 +232,7 @@ func TestScenarioConflictCheckerSensitivity(t *testing.T) {
 		}
 		first[d.Conflict] = i
 	}
-	for _, v := range Check(r) {
+	for _, v := range oracle.Check(&r.Log) {
 		if v.Invariant == "conflict-pair-order" {
 			return
 		}
@@ -247,7 +247,7 @@ func TestScenarioConflictCheckerSensitivity(t *testing.T) {
 func TestScenarioCheckerSensitivity(t *testing.T) {
 	p := craftedPlan(5)
 	r := Run(p)
-	if vios := Check(r); len(vios) > 0 {
+	if vios := oracle.Check(&r.Log); len(vios) > 0 {
 		t.Fatalf("clean run already fails: %v", vios)
 	}
 	var victim int
@@ -264,7 +264,7 @@ func TestScenarioCheckerSensitivity(t *testing.T) {
 	log[len(log)-1].BarC = 0        //
 	log[len(log)-1].ClockAt = 0     // causality
 	want := map[string]bool{"local-order": false, "at-most-once": false, "barrier-gate": false, "causality": false}
-	for _, v := range Check(r) {
+	for _, v := range oracle.Check(&r.Log) {
 		if _, ok := want[v.Invariant]; ok {
 			want[v.Invariant] = true
 		}
@@ -289,12 +289,12 @@ func TestCheckReplayable(t *testing.T) {
 		}
 	}
 	r.Deliveries[0] = kept
-	first := Check(r)
+	first := oracle.Check(&r.Log)
 	if len(first) < oracle.MaxViolations {
 		t.Fatalf("%d violations, want the cap of %d", len(first), oracle.MaxViolations)
 	}
 	for i := 0; i < 5; i++ {
-		if again := Check(r); !reflect.DeepEqual(again, first) {
+		if again := oracle.Check(&r.Log); !reflect.DeepEqual(again, first) {
 			t.Fatalf("check %d gave a different report:\n%v\nthen\n%v", i+2, first, again)
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,9 +9,6 @@ import (
 	"onepipe/internal/netsim"
 	"onepipe/internal/sim"
 )
-
-func pushPending(h *deliveryHeap, p *pending) { heap.Push(h, p) }
-func popPending(h *deliveryHeap) *pending     { return heap.Pop(h).(*pending) }
 
 func mkFrag(psn uint32, fragIdx uint16, eom bool, msgTS sim.Time) *netsim.Packet {
 	return &netsim.Packet{
@@ -200,7 +196,7 @@ func TestDeliveryHeapOrderProperty(t *testing.T) {
 				psn: r,
 			}
 			want = append(want, p)
-			pushPending(&h, p)
+			h.push(p)
 		}
 		sort.Slice(want, func(i, j int) bool {
 			a, b := want[i], want[j]
@@ -213,7 +209,7 @@ func TestDeliveryHeapOrderProperty(t *testing.T) {
 			return a.psn < b.psn
 		})
 		for _, w := range want {
-			got := popPending(&h)
+			got := h.pop()
 			if got.ts != w.ts || got.src != w.src || got.psn != w.psn {
 				return false
 			}
@@ -228,20 +224,13 @@ func TestDeliveryHeapOrderProperty(t *testing.T) {
 func TestHeapReinitAfterFilter(t *testing.T) {
 	var h deliveryHeap
 	for i := 20; i > 0; i-- {
-		pushPending(&h, &pending{ts: sim.Time(i), src: 0, psn: uint32(i)})
+		h.push(&pending{ts: sim.Time(i), src: 0, psn: uint32(i)})
 	}
-	// Filter out even timestamps in place (the discard path).
-	kept := h[:0]
-	for _, p := range h {
-		if p.ts%2 == 1 {
-			kept = append(kept, p)
-		}
-	}
-	h = kept
-	heap.Init(&h)
+	// Filter out even timestamps (the discard path).
+	h.filter(func(p *pending) bool { return p.ts%2 == 0 })
 	last := sim.Time(0)
 	for h.Len() > 0 {
-		p := popPending(&h)
+		p := h.pop()
 		if p.ts < last {
 			t.Fatal("heap order broken after reinit")
 		}

@@ -116,14 +116,10 @@ func (cl *Cluster) TotalStats() HostStats {
 		t.FrameMsgs += h.Stats.FrameMsgs
 		t.Backpressure += h.Stats.Backpressure
 		t.DeliverBatches += h.Stats.DeliverBatches
-		t.ReorderSpills += h.Stats.ReorderSpills
 		t.RelaxedDeliveries += h.Stats.RelaxedDeliveries
 		t.ConnsLive += h.Stats.ConnsLive
 		if h.Stats.MaxBufferBytes > t.MaxBufferBytes {
 			t.MaxBufferBytes = h.Stats.MaxBufferBytes
-		}
-		if h.Stats.ReorderHotBytes > t.ReorderHotBytes {
-			t.ReorderHotBytes = h.Stats.ReorderHotBytes
 		}
 		if h.Stats.ReorderHotMax > t.ReorderHotMax {
 			t.ReorderHotMax = h.Stats.ReorderHotMax

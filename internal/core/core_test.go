@@ -505,6 +505,10 @@ func TestBufferStatsTracked(t *testing.T) {
 	if s.MaxBufferBytes == 0 {
 		t.Fatal("reorder buffer max occupancy not tracked")
 	}
+	// The source of the benchmark's core.reorder_hot_max metric.
+	if s.ReorderHotMax < 1 {
+		t.Fatalf("peak per-plane buffer depth %d, want >= 1", s.ReorderHotMax)
+	}
 	if s.BufferedBytes != 0 || s.BufferedMsgs != 0 {
 		t.Fatalf("buffer not drained: %d bytes, %d msgs", s.BufferedBytes, s.BufferedMsgs)
 	}

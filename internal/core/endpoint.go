@@ -83,11 +83,9 @@ type HostStats struct {
 	// RelaxedDeliveries counts deliveries that bypassed the cross-class
 	// total order: untagged messages under DeliverConflictAware.
 	RelaxedDeliveries uint64
-	// Hybrid reorder buffering and per-pair state gauges.
-	ReorderSpills   uint64 // entries that overflowed a hot heap into the cold store
-	ReorderHotBytes int64  // current hot-heap occupancy across both planes, bytes
-	ReorderHotMax   int64  // peak hot-heap occupancy of either plane, entries
-	ConnsLive       int64  // conn + rconn pairs met so far; a pair is kept for life
+	// Reorder-buffer and per-pair state gauges.
+	ReorderHotMax int64 // peak entries in any one plane's buffer
+	ConnsLive     int64 // conn + rconn pairs met so far; a pair is kept for life
 }
 
 // Host is the lib1pipe runtime for one machine (§6.1). All processes on
@@ -144,7 +142,7 @@ type Host struct {
 	// beQ/relQ order the two reliability planes; rlxQ holds untagged
 	// reliable traffic under DeliverConflictAware, drained by the commit
 	// barrier alone (outside the cross-class order).
-	beQ, relQ, rlxQ reorderBuf
+	beQ, relQ, rlxQ deliveryHeap
 	// (deliveredBE, deliveredSrc) is the (ts, src) key of the last message
 	// delivered on the best-effort floor — under DeliverUnified and
 	// DeliverConflictAware the last of the one merged order, so both
@@ -230,9 +228,6 @@ func NewHost(id int, wire Wire, cfg Config) *Host {
 		h.eng, h.pool = ew.TimerEngine(), ew.PacketPool()
 		h.scats = scatPoolOf(h.pool)
 	}
-	h.beQ.cap = h.Cfg.ReorderHotCap
-	h.relQ.cap = h.Cfg.ReorderHotCap
-	h.rlxQ.cap = h.Cfg.ReorderHotCap
 	return h
 }
 

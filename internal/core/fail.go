@@ -69,7 +69,6 @@ func (h *Host) discardFrom(failed map[netsim.ProcID]sim.Time) {
 	h.beQ.filter(drop)
 	h.relQ.filter(drop)
 	h.rlxQ.filter(drop)
-	h.Stats.ReorderHotBytes = h.beQ.hotBytes + h.relQ.hotBytes + h.rlxQ.hotBytes
 	// Partial reassembly state from failed processes is dropped wholesale:
 	// no further fragments will arrive.
 	h.eachPair(nil, func(rc *rconn) {
@@ -296,7 +295,6 @@ func (h *Host) removeBuffered(src netsim.ProcID, ts sim.Time) {
 	// Untagged reliable members of a recalled scattering sit in rlxQ under
 	// DeliverConflictAware; the recall covers them too (§5.2 atomicity).
 	h.rlxQ.filter(drop)
-	h.Stats.ReorderHotBytes = h.beQ.hotBytes + h.relQ.hotBytes + h.rlxQ.hotBytes
 	// Buffered fragments of the recalled message are consumed unseen.
 	for _, p := range h.procs {
 		if p == nil {

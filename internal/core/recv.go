@@ -27,8 +27,9 @@ type pending struct {
 	enqAt sim.Time
 }
 
-// deliveryHeap orders messages by (timestamp, sender, PSN) — the total
-// order of §2.1 with ties broken by sender ID.
+// deliveryHeap is one plane's reorder buffer: it orders messages by
+// (timestamp, sender, PSN) — the total order of §2.1 with ties broken by
+// sender ID.
 type deliveryHeap []*pending
 
 func (h deliveryHeap) Len() int           { return len(h) }
@@ -42,7 +43,28 @@ func (h *deliveryHeap) Pop() any {
 	*h = old[:n-1]
 	return p
 }
+
+// top returns the smallest buffered entry; callers check Len first.
 func (h deliveryHeap) top() *pending { return h[0] }
+
+// push buffers an entry.
+func (h *deliveryHeap) push(p *pending) { heap.Push(h, p) }
+
+// pop removes and returns the smallest buffered entry.
+func (h *deliveryHeap) pop() *pending { return heap.Pop(h).(*pending) }
+
+// filter drops buffered entries matching drop (failure discard and recall
+// tombstoning).
+func (h *deliveryHeap) filter(drop func(*pending) bool) {
+	kept := (*h)[:0]
+	for _, p := range *h {
+		if !drop(p) {
+			kept = append(kept, p)
+		}
+	}
+	*h = kept
+	heap.Init(h)
+}
 
 // pendingLess is the (ts, src, psn) total-order key of §2.1 on two entries.
 func pendingLess(a, b *pending) bool {
@@ -53,170 +75,6 @@ func pendingLess(a, b *pending) bool {
 		return a.src < b.src
 	}
 	return a.psn < b.psn
-}
-
-// coldRun is one sorted run of spilled entries, consumed from the head.
-type coldRun struct {
-	ents []*pending
-	head int
-}
-
-// coldStore is the ordered spill half of hybrid reorder buffering: entries
-// that overflow the hot heap are appended to sorted runs — O(1) while keys
-// ascend, which is the common case since timestamps roughly increase — and
-// the global minimum is found by scanning the run heads. Compared to the
-// hot heap the cold store is flat slices with no per-entry heap movement,
-// the stand-in for the paper-adjacent spill tier (Almeida's hybrid
-// buffering): hot occupancy stays bounded by Config.ReorderHotCap while
-// total buffering, and therefore delivery order, is unchanged.
-type coldStore struct {
-	runs []coldRun
-	size int
-}
-
-func (c *coldStore) push(p *pending) {
-	if n := len(c.runs); n > 0 {
-		run := &c.runs[n-1]
-		if !pendingLess(p, run.ents[len(run.ents)-1]) {
-			run.ents = append(run.ents, p)
-			c.size++
-			return
-		}
-	}
-	c.runs = append(c.runs, coldRun{ents: []*pending{p}})
-	c.size++
-}
-
-// peekMin returns the smallest spilled entry, or nil when empty. Ties are
-// impossible — (ts, src, psn) is unique per buffered message — so scanning
-// run heads in index order is deterministic.
-func (c *coldStore) peekMin() *pending {
-	var best *pending
-	for i := range c.runs {
-		r := &c.runs[i]
-		if e := r.ents[r.head]; best == nil || pendingLess(e, best) {
-			best = e
-		}
-	}
-	return best
-}
-
-func (c *coldStore) popMin() *pending {
-	bi := -1
-	var best *pending
-	for i := range c.runs {
-		r := &c.runs[i]
-		if e := r.ents[r.head]; best == nil || pendingLess(e, best) {
-			best, bi = e, i
-		}
-	}
-	r := &c.runs[bi]
-	r.ents[r.head] = nil
-	r.head++
-	c.size--
-	if r.head == len(r.ents) {
-		c.runs = append(c.runs[:bi], c.runs[bi+1:]...)
-	}
-	return best
-}
-
-// filter drops entries matching drop, preserving run order (a subsequence
-// of a sorted run is sorted).
-func (c *coldStore) filter(drop func(*pending) bool) {
-	kept := c.runs[:0]
-	c.size = 0
-	for i := range c.runs {
-		r := &c.runs[i]
-		out := r.ents[:0]
-		for _, e := range r.ents[r.head:] {
-			if !drop(e) {
-				out = append(out, e)
-			}
-		}
-		if len(out) > 0 {
-			kept = append(kept, coldRun{ents: out})
-			c.size += len(out)
-		}
-	}
-	c.runs = kept
-}
-
-// reorderBuf is one plane's reorder buffer: a hot delivery heap bounded by
-// cap entries plus the ordered cold spill. The externally visible order —
-// top/pop always yield the global (ts, src, psn) minimum — is identical to
-// a single unbounded heap; only the residence of entries differs.
-type reorderBuf struct {
-	hot      deliveryHeap
-	cold     coldStore
-	cap      int // 0 = unbounded hot heap (no spill ever)
-	hotBytes int64
-}
-
-// push buffers an entry, spilling when the hot heap is at cap. Reports
-// whether the entry went cold (for the ReorderSpills counter).
-func (b *reorderBuf) push(p *pending) bool {
-	if b.cap > 0 && len(b.hot) >= b.cap {
-		b.cold.push(p)
-		return true
-	}
-	heap.Push(&b.hot, p)
-	b.hotBytes += int64(p.size)
-	return false
-}
-
-func (b *reorderBuf) Len() int { return len(b.hot) + b.cold.size }
-
-// top returns the globally smallest buffered entry.
-func (b *reorderBuf) top() *pending {
-	var h *pending
-	if len(b.hot) > 0 {
-		h = b.hot.top()
-	}
-	c := b.cold.peekMin()
-	if h == nil {
-		return c
-	}
-	if c != nil && pendingLess(c, h) {
-		return c
-	}
-	return h
-}
-
-// pop removes and returns the global minimum, then refills the hot heap
-// from the cold store while capacity allows — the "refill as the barriers
-// advance" half of hybrid buffering (pops happen only when a barrier
-// advance uncovered the entry).
-func (b *reorderBuf) pop() *pending {
-	var p *pending
-	c := b.cold.peekMin()
-	if len(b.hot) == 0 || (c != nil && pendingLess(c, b.hot.top())) {
-		p = b.cold.popMin()
-	} else {
-		p = heap.Pop(&b.hot).(*pending)
-		b.hotBytes -= int64(p.size)
-	}
-	for b.cold.size > 0 && (b.cap == 0 || len(b.hot) < b.cap) {
-		e := b.cold.popMin()
-		heap.Push(&b.hot, e)
-		b.hotBytes += int64(e.size)
-	}
-	return p
-}
-
-// filter drops buffered entries matching drop from both tiers (failure
-// discard and recall tombstoning).
-func (b *reorderBuf) filter(drop func(*pending) bool) {
-	kept := b.hot[:0]
-	for _, p := range b.hot {
-		if drop(p) {
-			b.hotBytes -= int64(p.size)
-			continue
-		}
-		kept = append(kept, p)
-	}
-	b.hot = kept
-	heap.Init(&b.hot)
-	b.cold.filter(drop)
 }
 
 // asmBuf reassembles one class's fragment stream for one (sender, local
@@ -790,7 +648,7 @@ func (h *Host) enqueuePending(ts sim.Time, src, dst netsim.ProcID, psn uint32,
 		h.Obs.Rec(obs.SpanNetTransit, p.enqAt-p.ts)
 		h.Obs.Rec(obs.SpanSwitchQueue, queueWait)
 	}
-	var q *reorderBuf
+	var q *deliveryHeap
 	switch {
 	case h.relaxedKey(conflict) && !reliable:
 		// Untagged best-effort under DeliverConflictAware: locally stable
@@ -809,11 +667,8 @@ func (h *Host) enqueuePending(ts sim.Time, src, dst netsim.ProcID, psn uint32,
 	default:
 		q = &h.beQ
 	}
-	if q.push(p) {
-		h.Stats.ReorderSpills++
-	}
-	h.Stats.ReorderHotBytes = h.beQ.hotBytes + h.relQ.hotBytes + h.rlxQ.hotBytes
-	if hot := int64(len(q.hot)); hot > h.Stats.ReorderHotMax {
+	q.push(p)
+	if hot := int64(q.Len()); hot > h.Stats.ReorderHotMax {
 		h.Stats.ReorderHotMax = hot
 	}
 	h.Stats.BufferedMsgs++
@@ -831,7 +686,6 @@ func (h *Host) enqueuePending(ts sim.Time, src, dst netsim.ProcID, psn uint32,
 // a delivery batch flushed through OnDeliverBatch at the end of the drain.
 func (h *Host) drain() {
 	h.drainQueues()
-	h.Stats.ReorderHotBytes = h.beQ.hotBytes + h.relQ.hotBytes + h.rlxQ.hotBytes
 	h.flushDeliveries()
 }
 
@@ -867,7 +721,7 @@ func (h *Host) drainMerged() {
 		eff = h.barrierC
 	}
 	for {
-		var q *reorderBuf
+		var q *deliveryHeap
 		switch {
 		case h.beQ.Len() == 0 && h.relQ.Len() == 0:
 			return

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"onepipe/internal/netsim"
@@ -9,7 +11,7 @@ import (
 )
 
 // mkPending builds a pending with a unique (ts, src, psn) key drawn from a
-// small key space so heap ties on ts and (ts, src) are common.
+// small key space so ties on ts and on (ts, src) are common.
 func mkPending(rng *rand.Rand, psn uint32) *pending {
 	return &pending{
 		ts:   sim.Time(rng.Intn(64)),
@@ -19,135 +21,107 @@ func mkPending(rng *rand.Rand, psn uint32) *pending {
 	}
 }
 
-// TestReorderBufEquivalence is the hybrid-buffering correctness property:
-// for any interleaving of pushes and pops, a reorderBuf at any cap
-// (unbounded 0, degenerate 1, and up) pops the exact same sequence as the
-// seed's raw deliveryHeap — spilling to the cold store is a memory placement
-// decision, never an ordering one. The hot heap must also respect the cap
-// at every step (invariant 14 at the unit level).
+// TestReorderBufEquivalence is the reorder buffer's correctness property:
+// for random interleavings of push, pop and filter, a plane's deliveryHeap
+// holds and pops exactly what a sorted slice on the (ts, src, psn) key does
+// (its comparison is written out here, not pendingLess).
+// Trial 0 first buffers 1 200 entries, deeper than the 64-process incast
+// drives one plane.
 func TestReorderBufEquivalence(t *testing.T) {
-	caps := []int{0, 1, 2, 8, 64}
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		// One shared op script: true = push, false = pop (if non-empty).
-		n := 50 + rng.Intn(200)
-		ops := make([]bool, n)
-		for i := range ops {
-			ops[i] = rng.Intn(3) != 0 // pushes outnumber pops; drain at the end
+		var (
+			b   deliveryHeap
+			ref []*pending
+			psn uint32
+		)
+		push := func() {
+			p := mkPending(rng, psn)
+			psn++
+			b.push(p)
+			i, _ := slices.BinarySearchFunc(ref, p, func(a, p *pending) int {
+				return cmp.Or(cmp.Compare(a.ts, p.ts), cmp.Compare(a.src, p.src), cmp.Compare(a.psn, p.psn))
+			})
+			ref = slices.Insert(ref, i, p)
 		}
-		// Materialize one pending per push, shared by every cap run so the
-		// comparison is on identical inputs.
-		var inputs []*pending
-		for i, push := range ops {
-			if push {
-				inputs = append(inputs, mkPending(rng, uint32(i)))
-			}
-		}
-
-		// Reference: the seed's raw deliveryHeap run through the same script.
-		var ref []*pending
-		{
-			var h deliveryHeap
-			next := 0
-			for _, push := range ops {
-				if push {
-					pushPending(&h, inputs[next])
-					next++
-				} else if h.Len() > 0 {
-					ref = append(ref, popPending(&h))
-				}
-			}
-			for h.Len() > 0 {
-				ref = append(ref, popPending(&h))
+		if trial == 0 {
+			for range 1200 {
+				push()
 			}
 		}
-		for _, hotCap := range caps {
-			b := &reorderBuf{}
-			b.cap = hotCap
-			var got []*pending
-			next := 0
-			for _, push := range ops {
-				if push {
-					b.push(inputs[next])
-					next++
-				} else if b.Len() > 0 {
-					got = append(got, b.pop())
+		for step := 0; step < 400 || len(ref) > 0; step++ {
+			r := rng.Intn(20)
+			switch {
+			case step < 400 && r < 12:
+				push()
+			case step < 400 && r == 19:
+				// The failure-discard shape: one sender's entries above a
+				// timestamp go.
+				victim, fts := netsim.ProcID(rng.Intn(8)), sim.Time(rng.Intn(64))
+				drop := func(p *pending) bool { return p.src == victim && p.ts > fts }
+				b.filter(drop)
+				ref = slices.DeleteFunc(ref, drop)
+			case len(ref) > 0:
+				if got := b.top(); got != ref[0] {
+					t.Fatalf("trial %d step %d: top (%d,%d,%d), want (%d,%d,%d)", trial, step,
+						got.ts, got.src, got.psn, ref[0].ts, ref[0].src, ref[0].psn)
 				}
-				if hotCap > 0 && len(b.hot) > hotCap {
-					t.Fatalf("trial %d cap %d: hot heap grew to %d", trial, hotCap, len(b.hot))
+				if got := b.pop(); got != ref[0] {
+					t.Fatalf("trial %d step %d: pop (%d,%d,%d), want (%d,%d,%d)", trial, step,
+						got.ts, got.src, got.psn, ref[0].ts, ref[0].src, ref[0].psn)
 				}
-				if top := b.top(); b.Len() > 0 && top == nil {
-					t.Fatalf("trial %d cap %d: non-empty buffer has no top", trial, hotCap)
-				}
+				ref = ref[1:]
 			}
-			for b.Len() > 0 {
-				got = append(got, b.pop())
-			}
-			if len(got) != len(inputs) {
-				t.Fatalf("trial %d cap %d: popped %d of %d", trial, hotCap, len(got), len(inputs))
-			}
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("trial %d cap %d: pop %d = (%d,%d,%d), unbounded popped (%d,%d,%d)",
-						trial, hotCap, i, got[i].ts, got[i].src, got[i].psn,
-						ref[i].ts, ref[i].src, ref[i].psn)
-				}
+			if b.Len() != len(ref) {
+				t.Fatalf("trial %d step %d: %d buffered, want %d", trial, step, b.Len(), len(ref))
 			}
 		}
 	}
 }
 
-// TestReorderBufFilterEquivalence extends the property across filter (the
-// failure-discard path): after dropping an arbitrary predicate from both a
-// capped and an unbounded buffer, the survivors must drain identically.
+// TestReorderBufFilterEquivalence checks filter (the failure-discard path)
+// on its own: after dropping one sender's entries from a full deliveryHeap,
+// the survivors drain in the order of a sorted slice with the same entries
+// deleted.
 func TestReorderBufFilterEquivalence(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		var inputs []*pending
+		var (
+			b   deliveryHeap
+			ref []*pending
+		)
 		for i := 0; i < 120; i++ {
-			inputs = append(inputs, mkPending(rng, uint32(i)))
+			p := mkPending(rng, uint32(i))
+			b.push(p)
+			ref = append(ref, p)
 		}
+		slices.SortFunc(ref, func(a, p *pending) int {
+			return cmp.Or(cmp.Compare(a.ts, p.ts), cmp.Compare(a.src, p.src), cmp.Compare(a.psn, p.psn))
+		})
 		victim := netsim.ProcID(rng.Intn(8))
 		drop := func(p *pending) bool { return p.src == victim }
-
-		drain := func(hotCap int) []*pending {
-			b := &reorderBuf{}
-			b.cap = hotCap
-			for _, p := range inputs {
-				b.push(p)
-			}
-			b.filter(drop)
-			var got []*pending
-			for b.Len() > 0 {
-				got = append(got, b.pop())
-			}
-			return got
+		b.filter(drop)
+		ref = slices.DeleteFunc(ref, drop)
+		if b.Len() != len(ref) {
+			t.Fatalf("trial %d: %d survivors, want %d", trial, b.Len(), len(ref))
 		}
-		ref := drain(0)
-		for _, hotCap := range []int{1, 3, 16} {
-			got := drain(hotCap)
-			if len(got) != len(ref) {
-				t.Fatalf("trial %d cap %d: %d survivors, want %d", trial, hotCap, len(got), len(ref))
-			}
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("trial %d cap %d: survivor %d differs", trial, hotCap, i)
-				}
+		for i := range ref {
+			if got := b.pop(); got != ref[i] {
+				t.Fatalf("trial %d: survivor %d = (%d,%d,%d), want (%d,%d,%d)", trial, i,
+					got.ts, got.src, got.psn, ref[i].ts, ref[i].src, ref[i].psn)
 			}
 		}
 	}
 }
 
-// TestReorderBufHotPathAllocs pins the hot path at zero allocations: below
-// the cap, push and pop touch only the pre-grown heap slice — the cold
-// store must not be engaged, and nothing may escape.
+// TestReorderBufHotPathAllocs pins steady-state push and pop at zero
+// allocations: both touch only the pre-grown heap slice.
 func TestReorderBufHotPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc counting is meaningless under -short race harnesses")
 	}
 	const n = 64
-	b := &reorderBuf{}
-	b.cap = 256 // well above n: the spill path must never run
+	var b deliveryHeap
 	ps := make([]*pending, n)
 	for i := range ps {
 		ps[i] = &pending{ts: sim.Time((i * 7) % 31), src: netsim.ProcID(i % 5), psn: uint32(i), size: 100}
@@ -161,15 +135,13 @@ func TestReorderBufHotPathAllocs(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(100, func() {
 		for _, p := range ps {
-			if spilled := b.push(p); spilled {
-				t.Fatal("push below cap spilled to cold store")
-			}
+			b.push(p)
 		}
 		for b.Len() > 0 {
 			b.pop()
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("hot push/pop path allocates %.1f per cycle, want 0", avg)
+		t.Fatalf("push/pop path allocates %.1f per cycle, want 0", avg)
 	}
 }

@@ -130,12 +130,6 @@ type Config struct {
 	// wire behavior).
 	BatchWindow     sim.Time
 	DisableBatching bool
-	// ReorderHotCap bounds each delivery heap (per reliability plane) to
-	// this many hot entries. Overflow spills to the per-host ordered cold
-	// store and is refilled as the barriers advance, so hot reorder memory
-	// stays O(cap) while delivery order is unchanged (hybrid buffering;
-	// Almeida's bounded hot buffer + ordered spill). 0 = unbounded.
-	ReorderHotCap int
 }
 
 // Deployment parameters no figure or test varies.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"onepipe/internal/chaos"
+	"onepipe/internal/oracle"
 )
 
 // ChaosSweep runs the randomized chaos harness (internal/chaos) as a bench
@@ -23,7 +24,7 @@ func ChaosSweep(sc Scale) *Table {
 	for s := int64(1); s <= int64(seeds); s++ {
 		p := chaos.NewPlan(s)
 		r := chaos.Run(p)
-		vios := chaos.Check(r)
+		vios := oracle.Check(&r.Log)
 		bad += len(vios)
 		mode := "separate"
 		if p.Mode == 1 {
@@ -48,7 +49,7 @@ func ChaosSweep(sc Scale) *Table {
 		}
 	}
 	if bad == 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("all %d seeds upheld the full invariant catalog (see internal/oracle and internal/chaos/checker.go)", seeds))
+		t.Notes = append(t.Notes, fmt.Sprintf("all %d seeds upheld the full invariant catalog (see internal/oracle)", seeds))
 	}
 	return t
 }

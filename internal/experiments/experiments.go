@@ -119,7 +119,6 @@ func Registry() []Runner {
 		{"abl-ecmp", "Ablation: packet spraying vs flow ECMP", AblECMP},
 		{"abl-beacon", "Ablation: beacon interval latency/overhead trade-off", AblBeacon},
 		{"elastic", "Live reconfiguration: rolling join + spine drain under load", Elastic},
-		{"mem", "Bounded receiver reorder memory vs. fabric size (incast)", MemBound},
 		{"proj", "Projected loss penalty at 32K hosts (§7.2 analysis)", Projection},
 		{"stages", "Per-stage latency decomposition (Fig. 9/10 breakdown)", Stages},
 		{"chaos", "Randomized fault sweep with invariant checking (harness)", ChaosSweep},

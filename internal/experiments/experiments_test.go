@@ -13,7 +13,7 @@ func tiny() Scale {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"8a", "8b", "9a", "9b", "10", "11", "12a", "12b", "13a", "13b", "14a", "14b", "14c", "15a", "15b", "16", "ceph", "ooo", "haz", "abl-barrier", "abl-relay", "abl-ecmp", "abl-beacon", "elastic", "mem", "proj", "stages", "chaos", "scale", "conflict", "slo", "serve"}
+	want := []string{"8a", "8b", "9a", "9b", "10", "11", "12a", "12b", "13a", "13b", "14a", "14b", "14c", "15a", "15b", "16", "ceph", "ooo", "haz", "abl-barrier", "abl-relay", "abl-ecmp", "abl-beacon", "elastic", "proj", "stages", "chaos", "scale", "conflict", "slo", "serve"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))

@@ -3,7 +3,7 @@
 // property tests, the reconfiguration and controller harnesses, the livenet
 // star, udpnet's sockets and the public API record into a Log and call
 // Check. The invariants, numbered as in the catalog of docs/testing.md
-// (which cites the paper; the chaos harness adds 14, the hot-buffer bound):
+// (which cites the paper; number 14 is retired):
 //
 //  1. local-order: each receiver delivers each ordered stream strictly by
 //     (ts, src). The Mode says which streams are ordered.

@@ -266,7 +266,7 @@ func TestFrontendCrashUnderLoad(t *testing.T) {
 func TestParentPins(t *testing.T) {
 	conflictAware := func() *onepipe.Cluster {
 		c := onepipe.Defaults()
-		c.ConflictAware = true
+		c.Delivery = onepipe.DeliverConflictAware
 		return onepipe.NewCluster(c)
 	}
 	rows := []struct {

@@ -84,6 +84,16 @@ const (
 	ModeHostDelegate = netsim.ModeHostDelegate
 )
 
+// DeliveryMode selects how a receiver orders the two service classes.
+type DeliveryMode = core.DeliveryMode
+
+// Delivery modes (see internal/core.DeliveryMode).
+const (
+	DeliverSeparate      = core.DeliverSeparate
+	DeliverUnified       = core.DeliverUnified
+	DeliverConflictAware = core.DeliverConflictAware
+)
+
 // Impairment describes composable link degradations — uniform loss,
 // jitter, Gilbert-Elliott burst loss, duty-cycle outages, reordering, RTT
 // classes. See netsim.Impairment for the determinism contract.
@@ -161,7 +171,7 @@ func Unbatched() SendOption {
 }
 
 // Conflicts declares the scattering's conflict class for conflict-aware
-// fabrics (Config.ConflictAware): scatterings tagged with any nonzero key
+// fabrics (Config.Delivery = DeliverConflictAware): scatterings tagged with any nonzero key
 // stay in the cross-class total order, while untagged scatterings deliver as
 // soon as they are locally stable — best-effort in 0.5 RTT, reliable at the
 // commit barrier — outside that order (Generic Multicast's conflict
@@ -193,14 +203,12 @@ type Config struct {
 	// gates the commit plane on its Resume step. Required for reliable
 	// 1Pipe's restricted failure atomicity under crashes.
 	WithController bool
-	// Unified delivers both service classes in a single cross-class total
-	// order (see internal/core.DeliverUnified).
-	Unified bool
-	// ConflictAware relaxes the unified order per declared conflicts: only
-	// scatterings sent with the Conflicts option keep the full barrier
-	// wait; untagged ones deliver when locally stable (see
-	// internal/core.DeliverConflictAware). Takes precedence over Unified.
-	ConflictAware bool
+	// Delivery selects the delivery mode (default DeliverSeparate, the
+	// paper's two independent orders). DeliverUnified delivers both
+	// service classes in one cross-class total order; DeliverConflictAware
+	// keeps only scatterings sent with the Conflicts option in that order
+	// and delivers untagged ones when locally stable.
+	Delivery DeliveryMode
 	// BatchWindow overrides how long a partial multi-message wire frame
 	// waits for more same-destination traffic (default 1 us simulated).
 	BatchWindow Timestamp
@@ -247,12 +255,7 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	ncfg.ControllerManagedCommit = cfg.WithController
 	ecfg := core.DefaultConfig()
-	if cfg.Unified {
-		ecfg.Mode = core.DeliverUnified
-	}
-	if cfg.ConflictAware {
-		ecfg.Mode = core.DeliverConflictAware
-	}
+	ecfg.Mode = cfg.Delivery
 	if cfg.BatchWindow > 0 {
 		ecfg.BatchWindow = cfg.BatchWindow
 	}

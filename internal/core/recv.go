@@ -336,7 +336,7 @@ func (h *Host) findRconn(src, dst netsim.ProcID) *rconn {
 }
 
 // HandlePacket is the host's network receive entry point; the substrate
-// adapter (netsim, livenet or udpnet) calls it for every packet delivered
+// adapter (netsim or udpnet) calls it for every packet delivered
 // to the host, beacons included.
 //
 // HandlePacket takes ownership of pkt and releases it to the host's packet

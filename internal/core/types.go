@@ -9,8 +9,8 @@
 //
 // The package is substrate-independent: all I/O goes through the Wire
 // interface, so the same state machines run on the deterministic network
-// simulator (internal/netsim) and both star fabrics (internal/livenet on a
-// virtual clock, internal/udpnet over UDP sockets).
+// simulator (internal/netsim) and the star fabric (internal/udpnet, over UDP
+// sockets or in memory on a virtual clock).
 package core
 
 import (

@@ -158,7 +158,7 @@ func (s *ImpairState) rng() *rand.Rand {
 
 // dropBurst applies the stateful loss models (Gilbert-Elliott, duty-cycle)
 // only — the uniform Loss field is drawn elsewhere (from the network's
-// RNG inside netsim, or by Drop below on live fabrics). Draws nothing when
+// RNG inside netsim, or by Drop below at the star switch). Draws nothing when
 // neither model is configured.
 func (s *ImpairState) dropBurst(now sim.Time) bool {
 	if ge := s.Imp.GE; ge != nil {
@@ -211,8 +211,9 @@ func (s *ImpairState) reorderExtra() sim.Time {
 }
 
 // Drop decides whether to drop a packet, applying the full impairment
-// (uniform Loss plus the burst models) from the per-link RNG. Used by live
-// fabrics; netsim draws the uniform component from the network's RNG instead.
+// (uniform Loss plus the burst models) from the per-link RNG. Used by the
+// star switch (internal/starswitch); netsim draws the uniform component from
+// the network's RNG instead.
 func (s *ImpairState) Drop(now sim.Time) bool {
 	if s.Imp.Loss > 0 && s.rng().Float64() < s.Imp.Loss {
 		return true
@@ -220,12 +221,13 @@ func (s *ImpairState) Drop(now sim.Time) bool {
 	return s.dropBurst(now)
 }
 
-// Delay returns the extra one-way delay for a packet on a live fabric:
-// constant ExtraDelay, plain uniform [0, Jitter) jitter, and — with
-// probability ReorderRate — the reorder hold-back. Live links deliver
-// through independent timers, so any jitter can already reorder; the
+// Delay returns the extra one-way delay for a packet through the star
+// switch (internal/starswitch): constant ExtraDelay, plain uniform
+// [0, Jitter) jitter, and — with probability ReorderRate — the reorder
+// hold-back. The star's adapter (internal/udpnet) holds each delayed
+// datagram on its own timer, so any jitter can already reorder; the
 // distinction the simulator preserves (FIFO-clamped jitter vs escaping
-// reorder) collapses here into one extra delay.
+// reorder) collapses there into one extra delay.
 func (s *ImpairState) Delay(now sim.Time) sim.Time {
 	extra := s.Imp.ExtraDelay
 	if j := s.Imp.Jitter; j > 0 {

@@ -1,9 +1,9 @@
 // Package oracle checks a delivery log against 1Pipe's delivery contract,
 // whatever substrate produced it: the chaos harness on netsim, core's
-// property tests, the reconfiguration and controller harnesses, the livenet
-// star, udpnet's sockets and the public API record into a Log and call
-// Check. The invariants, numbered as in the catalog of docs/testing.md
-// (which cites the paper; number 14 is retired):
+// property tests, the reconfiguration and controller harnesses, the udpnet
+// star (over sockets and in memory) and the public API record into a Log
+// and call Check. The invariants, numbered as in the catalog of
+// docs/testing.md (which cites the paper; number 14 is retired):
 //
 //  1. local-order: each receiver delivers each ordered stream strictly by
 //     (ts, src). The Mode says which streams are ordered.

@@ -1,9 +1,9 @@
 // Package starswitch is the one-rack switch of §4.1–4.2 as a substrate-free
 // state machine: a barrier register pair per host uplink, the monotone
 // minimum over them (eq. 4.1), restamp-on-forward, injected impairment, and
-// information-based downlink beacon suppression. Both star fabrics
-// (internal/livenet on engine events, internal/udpnet over sockets) drive
-// this one Core and only move packets and time around it.
+// information-based downlink beacon suppression. The star fabric
+// (internal/udpnet, over UDP sockets or its in-memory twin on a sim.Engine)
+// drives this Core and only moves datagrams and time around it.
 //
 // Contract: the caller serialises every call (one goroutine, or one lock)
 // and passes the current time; the Core never blocks, starts no goroutine,

@@ -2,7 +2,6 @@ package udpnet
 
 import (
 	"math"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -31,24 +30,18 @@ func TestUDPBadSrcDatagram(t *testing.T) {
 		got = append(got, string(d.Data.([]byte)))
 		mu.Unlock()
 	})
-	out, err := net.DialUDP("udp4", nil, hn.conn.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
+	out := stranger(t, c.tr)
 	for _, src := range []netsim.ProcID{-1, core.MaxProcs, math.MaxInt32} {
 		for _, kind := range []netsim.Kind{netsim.KindData, netsim.KindRecall} {
 			pkt := &netsim.Packet{Kind: kind, Src: src, Dst: 1, MsgTS: 1,
 				EndOfMsg: true, Size: netsim.HeaderBytes + 3}
-			if _, err := out.Write(wire.Encode(pkt, []byte("bad"))); err != nil {
-				t.Fatal(err)
-			}
+			out.send(wire.Encode(pkt, []byte("bad")), hn.ep.addr())
 		}
 	}
 	if err := c.Proc(0).SendOpts([]core.Message{{Dst: 1, Data: []byte("ok"), Size: 2}}, core.SendOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool {
+	waitFor(t, c, 5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got) > 0

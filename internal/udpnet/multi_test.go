@@ -38,7 +38,7 @@ func TestUDPMultipleProcsPerHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool {
+	waitFor(t, c, 5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got) == 3
@@ -69,7 +69,7 @@ func TestUDPSendToUnknownProc(t *testing.T) {
 	}
 	hn.mu.Unlock()
 	c.Proc(0).SendOpts([]core.Message{{Dst: 99, Data: []byte("x"), Size: 1}}, core.SendOptions{})
-	waitFor(t, 5*time.Second, func() bool {
+	waitFor(t, c, 5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return fails == 1

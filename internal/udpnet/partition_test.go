@@ -51,7 +51,7 @@ func TestUDPPartitionHealsAndDelivers(t *testing.T) {
 	}
 
 	c.Switch.SetBlackhole(2, false)
-	waitFor(t, 10*time.Second, func() bool {
+	waitFor(t, c, 10*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return delivered[1] == 1 && delivered[2] == 1

@@ -2,7 +2,7 @@ package udpnet
 
 import (
 	"bytes"
-	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -12,53 +12,49 @@ import (
 	"onepipe/internal/wire"
 )
 
-// Switch is the software switch of the UDP fabric: one UDP socket in front
-// of the shared switch core (internal/starswitch), which keeps a barrier
-// register pair per registered host uplink, stamps forwarded packets with
-// the aggregated minimum (eq. 4.1), decides beacon relays, and optionally
-// injects loss. This type owns only the socket, the address table and the
+// Switch is the software switch of the fabric: one endpoint in front of the
+// shared switch core (internal/starswitch), which keeps a barrier register
+// pair per registered host uplink, stamps forwarded packets with the
+// aggregated minimum (eq. 4.1), decides beacon relays, and optionally
+// injects loss. This type owns only the endpoint, the address table and the
 // lock that serialises the core.
 type Switch struct {
-	cfg   Config
-	conn  *net.UDPConn
-	epoch time.Time
+	cfg Config
+	tr  transport
 
-	mu      sync.Mutex
-	core    *starswitch.Core     // port id = host id
-	addrs   map[int]*net.UDPAddr // host id -> address
-	closed  bool
-	stopped chan struct{}
-	wg      sync.WaitGroup
-	encBuf  []byte // reusable forward-path encode buffer; guarded by mu
-	// regNotify is signalled (non-blocking, capacity 1) whenever a NEW host
-	// registers, so Start can wait on registration instead of polling.
-	regNotify chan struct{}
+	mu    sync.Mutex
+	ep    endpoint
+	core  *starswitch.Core       // port id = host id
+	addrs map[int]netip.AddrPort // host id -> address, pinned at its first hello
+	// forged counts datagrams claiming an admitted host from another
+	// address; Stats reports them as dropped.
+	forged uint64
+	closed bool
+	pkt    netsim.Packet // decode target; handle forwards or drops it synchronously
+	encBuf []byte        // reusable forward-path encode buffer
 }
 
-func newSwitch(cfg Config, epoch time.Time) (*Switch, error) {
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return nil, err
-	}
+func newSwitch(cfg Config, tr transport) (*Switch, error) {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	s := &Switch{
-		cfg: cfg, conn: conn, epoch: epoch,
-		core:      starswitch.New(cfg.Impair, seed),
-		addrs:     make(map[int]*net.UDPAddr),
-		stopped:   make(chan struct{}),
-		regNotify: make(chan struct{}, 1),
+	s := &Switch{cfg: cfg, tr: tr, core: starswitch.New(cfg.Impair, seed),
+		addrs: make(map[int]netip.AddrPort)}
+	// A datagram's handle waits for the lock until the endpoint is set.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ep, err := tr.listen(s.handle)
+	if err != nil {
+		return nil, err
 	}
-	s.wg.Add(2)
-	go s.readLoop()
-	go s.beaconLoop()
+	s.ep = ep
+	tr.after(sim.Time(cfg.BeaconInterval), s.relay)
 	return s, nil
 }
 
-// Addr returns the switch's UDP address.
-func (s *Switch) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
+// Addr returns the switch's address.
+func (s *Switch) Addr() netip.AddrPort { return s.ep.addr() }
 
 // SetBlackhole installs or clears a grey failure on one host: the switch
 // keeps consuming its beacons (control plane intact, so the global barrier
@@ -89,10 +85,14 @@ func (s *Switch) Drained(host int) bool {
 }
 
 // Stats returns the switch's data-plane and beacon-suppression counters.
+// Dropped includes every datagram that claimed a registered host from an
+// address other than the one it registered from.
 func (s *Switch) Stats() starswitch.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.core.Stats()
+	st := s.core.Stats()
+	st.Dropped += s.forged
+	return st
 }
 
 func (s *Switch) registered() int {
@@ -101,53 +101,36 @@ func (s *Switch) registered() int {
 	return len(s.addrs)
 }
 
-func (s *Switch) readLoop() {
-	defer s.wg.Done()
-	buf := make([]byte, 64*1024)
-	// One packet struct serves every datagram: handle() forwards or drops
-	// synchronously and never retains it.
-	var pkt netsim.Packet
-	for {
-		n, from, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		payload, derr := wire.DecodeInto(&pkt, buf[:n], sim.Time(time.Since(s.epoch)))
-		if derr != nil {
-			continue
-		}
-		s.handle(&pkt, payload, from)
-	}
-}
-
-func (s *Switch) handle(pkt *netsim.Packet, payload []byte, from *net.UDPAddr) {
+func (s *Switch) handle(from netip.AddrPort, b []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
+	pkt := &s.pkt
+	payload, err := wire.DecodeInto(pkt, b, s.tr.now())
+	if err != nil {
+		return
+	}
 	srcHost := int(pkt.Src) / s.cfg.ProcsPerHost
+	// A host's address is pinned at its first hello: a datagram claiming
+	// the host from anywhere else, a hello included, is forged.
+	if pinned, ok := s.addrs[srcHost]; ok && pinned != from {
+		s.forged++
+		return
+	}
 
 	// Registration heartbeat: admit the uplink (the core seeds a new port's
 	// registers at the current aggregate; departed hosts do not rejoin under
-	// the same id) and learn or refresh its address.
+	// the same id) and learn its address.
 	if pkt.Kind == netsim.KindCtrl && bytes.Equal(payload, registerPayload) {
-		fresh := s.core.Admit(srcHost)
-		if s.core.Drained(srcHost) {
-			return
-		}
+		s.core.Admit(srcHost)
 		s.addrs[srcHost] = from
-		if fresh {
-			select {
-			case s.regNotify <- struct{}{}:
-			default:
-			}
-		}
 		return
 	}
 
 	dstHost := int(pkt.Dst) / s.cfg.ProcsPerHost
-	forward, extra := s.core.Ingress(srcHost, dstHost, pkt, sim.Time(time.Since(s.epoch)))
+	forward, extra := s.core.Ingress(srcHost, dstHost, pkt, s.tr.now())
 	if !forward {
 		return
 	}
@@ -157,48 +140,36 @@ func (s *Switch) handle(pkt *netsim.Packet, payload []byte, from *net.UDPAddr) {
 	dst := s.addrs[dstHost]
 	s.encBuf = wire.AppendEncode(s.encBuf[:0], pkt, payload)
 	if extra > 0 {
-		// The encode buffer is reused on the next handle(); a delayed send
-		// needs its own copy of the datagram.
-		held := append([]byte(nil), s.encBuf...)
-		time.AfterFunc(time.Duration(extra), func() { s.conn.WriteToUDP(held, dst) })
+		// Each held datagram waits on its own timer, so a later one may
+		// overtake it; it needs its own copy of the bytes.
+		held, ep := append([]byte(nil), s.encBuf...), s.ep
+		s.tr.after(extra, func() { ep.send(held, dst) })
 		return
 	}
-	s.conn.WriteToUDP(s.encBuf, dst)
+	s.ep.send(s.encBuf, dst)
 }
 
-func (s *Switch) beaconLoop() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.BeaconInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
-			var b []byte // one encoding serves every downlink of this tick
-			s.core.Relay(func(h int, be, c sim.Time) {
-				if b == nil {
-					b = wire.Encode(&netsim.Packet{Kind: netsim.KindBeacon, BarrierBE: be, BarrierC: c}, nil)
-				}
-				s.conn.WriteToUDP(b, s.addrs[h])
-			})
-			s.mu.Unlock()
-		case <-s.stopped:
-			return
-		}
+// relay is the beacon tick: push the aggregate down every downlink that has
+// not carried it yet, then re-arm.
+func (s *Switch) relay() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
 	}
+	var b []byte // one encoding serves every downlink of this tick
+	s.core.Relay(func(h int, be, c sim.Time) {
+		if b == nil {
+			b = wire.Encode(&netsim.Packet{Kind: netsim.KindBeacon, BarrierBE: be, BarrierC: c}, nil)
+		}
+		s.ep.send(b, s.addrs[h])
+	})
+	s.tr.after(sim.Time(s.cfg.BeaconInterval), s.relay)
 }
 
 func (s *Switch) close() {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.stopped)
-	}
+	s.closed = true
 	s.mu.Unlock()
-	s.conn.Close()
-	s.wg.Wait()
+	s.ep.close()
 }

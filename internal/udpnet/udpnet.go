@@ -11,13 +11,19 @@
 // switch share only the wire format and a clock epoch — so splitting the
 // endpoints across OS processes (disciplined by the system clock) is a
 // mechanical extension; the in-process launcher keeps the tests hermetic.
+//
+// Hosts and switch reach sockets, clock and timers only through a small
+// datagram transport (transport.go). Start runs over UDP; the package's
+// tests also run the same code over an in-memory twin on a sim.Engine
+// (memnet.go), where a run is deterministic and replays from its seed.
 package udpnet
 
 import (
 	"fmt"
-	"net"
 	"net/http"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"onepipe/internal/core"
@@ -43,8 +49,8 @@ type Config struct {
 	Impair *netsim.Impairment
 	// Endpoint overrides lib1pipe configuration.
 	Endpoint *core.Config
-	// RegisterTimeout bounds Start's wait for all hosts to register at the
-	// switch; zero means 5s.
+	// RegisterTimeout bounds how long Start and Join wait for each host to
+	// register at the switch; zero means 5s.
 	RegisterTimeout time.Duration
 	// Trace installs a lifecycle tracer (internal/obs) on every host.
 	Trace bool
@@ -66,7 +72,7 @@ var registerPayload = []byte("1PIPE-REGISTER")
 type Cluster struct {
 	Switch *Switch
 	cfg    Config
-	epoch  time.Time
+	tr     transport
 	debug  *http.Server
 
 	// mu guards hosts: Join appends while senders resolve their host.
@@ -75,40 +81,25 @@ type Cluster struct {
 }
 
 // Start binds the switch and every host on loopback and registers them.
-func Start(cfg Config) (*Cluster, error) {
+func Start(cfg Config) (*Cluster, error) { return start(cfg, newUDPTransport()) }
+
+// start launches the fabric over tr, joining the hosts one at a time.
+func start(cfg Config, tr transport) (*Cluster, error) {
 	if cfg.ProcsPerHost <= 0 {
 		cfg.ProcsPerHost = 1
 	}
-	epoch := time.Now()
-	sw, err := newSwitch(cfg, epoch)
+	if cfg.RegisterTimeout <= 0 {
+		cfg.RegisterTimeout = 5 * time.Second
+	}
+	sw, err := newSwitch(cfg, tr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{Switch: sw, cfg: cfg, epoch: epoch}
+	c := &Cluster{Switch: sw, cfg: cfg, tr: tr}
 	for h := 0; h < cfg.Hosts; h++ {
-		hn, err := newHostNode(h, cfg, sw.Addr(), epoch, 0)
-		if err != nil {
+		if _, err := c.Join(); err != nil {
 			c.Close()
 			return nil, err
-		}
-		c.hosts = append(c.hosts, hn)
-		c.installStuckHook(hn)
-	}
-	// Wait for every host to be registered at the switch: the switch
-	// signals regNotify on each new registration, so no polling.
-	timeout := cfg.RegisterTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for sw.registered() < cfg.Hosts {
-		select {
-		case <-sw.regNotify:
-		case <-deadline.C:
-			n := sw.registered()
-			c.Close()
-			return nil, fmt.Errorf("udpnet: only %d/%d hosts registered", n, cfg.Hosts)
 		}
 	}
 	if cfg.DebugAddr != "" {
@@ -152,60 +143,27 @@ func (c *Cluster) traceMap() map[string]*obs.Trace {
 	return out
 }
 
-// installStuckHook wires the degenerate-controller escalation: a
-// scattering stuck toward a drained (departed) host resolves as a
-// send-failure at its sender instead of parking the commit floor.
-func (c *Cluster) installStuckHook(hn *HostNode) {
-	pph := c.cfg.ProcsPerHost
-	hn.mu.Lock()
-	hn.core.OnStuck = func(src, dst netsim.ProcID, ts sim.Time) {
-		dh := int(dst) / pph
-		// Hand off: OnStuck fires inside the endpoint with its lock held.
-		time.AfterFunc(0, func() {
-			if !c.Switch.Drained(dh) {
-				return
-			}
-			hn.mu.Lock()
-			if !hn.closed {
-				hn.core.ResolveUnreachable(dst, ts)
-			}
-			hn.mu.Unlock()
-		})
-	}
-	hn.mu.Unlock()
-}
-
 // Join attaches a new host to the running fabric and returns its index.
 // The switch seeds the new uplink's registers at its current aggregate on
 // registration, and the host's timestamp floor is forced to the shared
 // clock first, so the join can never regress the barrier. Blocks until
-// the switch has registered the host. Sends may run concurrently with a
-// Join; Joins may not run concurrently with each other.
+// the switch has registered the host, or fails after RegisterTimeout.
+// Sends may run concurrently with a Join; Joins may not run concurrently
+// with each other.
 func (c *Cluster) Join() (int, error) {
 	hi := len(c.snapshot())
 	before := c.Switch.registered()
-	hn, err := newHostNode(hi, c.cfg, c.Switch.Addr(), c.epoch, c.Now())
+	hn, err := newHostNode(hi, c.cfg, c.tr, c.Switch, c.Now())
 	if err != nil {
 		return -1, err
 	}
-	timeout := c.cfg.RegisterTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for c.Switch.registered() <= before {
-		select {
-		case <-c.Switch.regNotify:
-		case <-deadline.C:
-			hn.close()
-			return -1, fmt.Errorf("udpnet: joining host %d never registered", hi)
-		}
+	if !c.tr.wait(c.cfg.RegisterTimeout, func() bool { return c.Switch.registered() > before }) {
+		hn.close()
+		return -1, fmt.Errorf("udpnet: host %d never registered", hi)
 	}
 	c.mu.Lock()
 	c.hosts = append(c.hosts, hn)
 	c.mu.Unlock()
-	c.installStuckHook(hn)
 	return hi, nil
 }
 
@@ -222,15 +180,15 @@ func (c *Cluster) Drain(host int) error {
 		return fmt.Errorf("udpnet: host %d already drained", host)
 	}
 	hn := hosts[host]
-	fin := make(chan struct{})
+	var flushed atomic.Bool
 	hn.mu.Lock()
 	if hn.closed {
 		hn.mu.Unlock()
 		return fmt.Errorf("udpnet: host %d closed: %w", host, core.ErrClosed)
 	}
-	hn.core.Drain(func() { close(fin) })
+	hn.core.Drain(func() { flushed.Store(true) })
 	hn.mu.Unlock()
-	<-fin
+	c.tr.wait(0, flushed.Load)
 	c.Switch.SetDrained(host)
 	hn.close()
 	return nil
@@ -252,7 +210,7 @@ func (c *Cluster) Proc(p int) *ProcHandle {
 func (c *Cluster) NumProcs() int { return len(c.snapshot()) * c.cfg.ProcsPerHost }
 
 // Now returns the fabric clock: nanoseconds since the shared epoch.
-func (c *Cluster) Now() sim.Time { return sim.Time(time.Since(c.epoch)) }
+func (c *Cluster) Now() sim.Time { return c.tr.now() }
 
 // Close shuts the fabric down.
 func (c *Cluster) Close() {
@@ -310,30 +268,28 @@ func (p *ProcHandle) SendOpts(msgs []core.Message, o core.SendOptions) error {
 	return p.host.send(p.id, msgs, o)
 }
 
-// HostNode is one UDP host endpoint.
+// HostNode is one host endpoint.
 type HostNode struct {
-	cfg    Config
 	id     int
-	conn   *net.UDPConn
-	swAddr *net.UDPAddr
-	epoch  time.Time
+	tr     transport
+	swAddr netip.AddrPort
 
 	mu     sync.Mutex
+	ep     endpoint
 	core   *core.Host
 	procs  map[netsim.ProcID]*core.Proc
 	closed bool
-	wg     sync.WaitGroup
 }
 
-// udpWire adapts the socket to core.Wire. Now() is nanoseconds since the
-// shared epoch.
-type udpWire struct{ h *HostNode }
+// hostWire adapts the host's endpoint to core.Wire on the transport's clock
+// and timers.
+type hostWire struct{ h *HostNode }
 
-func (w udpWire) Now() sim.Time { return sim.Time(time.Since(w.h.epoch)) }
+func (w hostWire) Now() sim.Time { return w.h.tr.now() }
 
-func (w udpWire) After(d sim.Time, fn func()) {
+func (w hostWire) After(d sim.Time, fn func()) {
 	h := w.h
-	time.AfterFunc(time.Duration(d), func() {
+	h.tr.after(d, func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		if !h.closed {
@@ -351,30 +307,34 @@ var sendBufPool = sync.Pool{
 	},
 }
 
-func (w udpWire) Send(pkt *netsim.Packet) {
+func (w hostWire) Send(pkt *netsim.Packet) {
 	var payload []byte
 	if b, ok := pkt.Payload.([]byte); ok && pkt.EndOfMsg {
 		payload = b
 	}
 	bp := sendBufPool.Get().(*[]byte)
 	buf := wire.AppendEncode((*bp)[:0], pkt, payload)
-	// Fire-and-forget datagram to the switch; UDP send errors surface as
-	// loss, which the protocol already tolerates.
-	w.h.conn.WriteToUDP(buf, w.h.swAddr)
+	// Fire-and-forget datagram to the switch.
+	w.h.ep.send(buf, w.h.swAddr)
 	*bp = buf[:0]
 	sendBufPool.Put(bp)
 	netsim.PutPacket(pkt) // the wire owns the packet once sent
 }
 
-// newHostNode binds one host endpoint; a nonzero floor forces its
-// timestamping state above it before the first emission (live join).
-func newHostNode(id int, cfg Config, swAddr *net.UDPAddr, epoch time.Time, floor sim.Time) (*HostNode, error) {
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+// newHostNode binds one host endpoint and announces it to the switch; a
+// nonzero floor forces its timestamping state above it before the first
+// emission (live join).
+func newHostNode(id int, cfg Config, tr transport, sw *Switch, floor sim.Time) (*HostNode, error) {
+	h := &HostNode{id: id, tr: tr, swAddr: sw.Addr(),
+		procs: make(map[netsim.ProcID]*core.Proc)}
+	// A datagram's receive waits for the lock until the host is set up.
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	ep, err := tr.listen(h.receive)
 	if err != nil {
 		return nil, err
 	}
-	h := &HostNode{cfg: cfg, id: id, conn: conn, swAddr: swAddr, epoch: epoch,
-		procs: make(map[netsim.ProcID]*core.Proc)}
+	h.ep = ep
 	ecfg := core.DefaultConfig()
 	if cfg.Endpoint != nil {
 		ecfg = *cfg.Endpoint
@@ -383,8 +343,22 @@ func newHostNode(id int, cfg Config, swAddr *net.UDPAddr, epoch time.Time, floor
 	ecfg.UseDataBarriers = true
 	ecfg.RTO = sim.Time(20 * cfg.BeaconInterval)
 	ecfg.SendFailTimeout = sim.Time(100 * cfg.BeaconInterval)
-	h.mu.Lock()
-	h.core = core.NewHost(id, udpWire{h: h}, ecfg)
+	h.core = core.NewHost(id, hostWire{h: h}, ecfg)
+	// The degenerate controller: a scattering stuck toward a drained
+	// (departed) host resolves as a send-failure at its sender instead of
+	// parking the commit floor. OnStuck fires with the lock held: hand off.
+	h.core.OnStuck = func(_, dst netsim.ProcID, ts sim.Time) {
+		tr.after(0, func() {
+			if !sw.Drained(int(dst) / cfg.ProcsPerHost) {
+				return
+			}
+			h.mu.Lock()
+			if !h.closed {
+				h.core.ResolveUnreachable(dst, ts)
+			}
+			h.mu.Unlock()
+		})
+	}
 	if floor > 0 {
 		h.core.SetFloor(floor)
 	}
@@ -396,44 +370,30 @@ func newHostNode(id int, cfg Config, swAddr *net.UDPAddr, epoch time.Time, floor
 		h.procs[pid] = h.core.AddProc(pid)
 	}
 	h.core.Start()
-	h.mu.Unlock()
-	// Announce ourselves to the switch.
 	hello := wire.Encode(&netsim.Packet{Kind: netsim.KindCtrl,
 		Src: netsim.ProcID(id * cfg.ProcsPerHost)}, registerPayload)
-	conn.WriteToUDP(hello, swAddr)
-	h.wg.Add(1)
-	go h.readLoop()
+	ep.send(hello, h.swAddr)
 	return h, nil
 }
 
-func (h *HostNode) readLoop() {
-	defer h.wg.Done()
-	buf := make([]byte, 64*1024)
-	for {
-		n, _, err := h.conn.ReadFromUDP(buf)
-		if err != nil {
-			return // socket closed
-		}
-		pkt := netsim.GetPacket()
-		payload, derr := wire.DecodeInto(pkt, buf[:n], sim.Time(time.Since(h.epoch)))
-		if derr != nil {
-			netsim.PutPacket(pkt)
-			continue
-		}
-		if len(payload) > 0 {
-			if perr := h.attachPayload(pkt, payload); perr != nil {
-				netsim.PutPacket(pkt)
-				continue
-			}
-		}
-		h.mu.Lock()
-		if !h.closed {
-			h.core.HandlePacket(pkt) // consumes pkt
-		} else {
-			netsim.PutPacket(pkt)
-		}
-		h.mu.Unlock()
+// receive hands one datagram to the endpoint.
+func (h *HostNode) receive(_ netip.AddrPort, b []byte) {
+	pkt := netsim.GetPacket()
+	payload, err := wire.DecodeInto(pkt, b, h.tr.now())
+	if err == nil && len(payload) > 0 {
+		err = h.attachPayload(pkt, payload)
 	}
+	if err != nil {
+		netsim.PutPacket(pkt)
+		return
+	}
+	h.mu.Lock()
+	if !h.closed {
+		h.core.HandlePacket(pkt) // consumes pkt
+	} else {
+		netsim.PutPacket(pkt)
+	}
+	h.mu.Unlock()
 }
 
 // attachPayload turns the payload bytes of a decoded packet into the value
@@ -448,13 +408,13 @@ func (h *HostNode) attachPayload(pkt *netsim.Packet, payload []byte) error {
 		pkt.Payload = b
 		return nil
 	}
-	// The payload aliases the read buffer; copy before the next read.
+	// The payload aliases the datagram; copy before the next one.
 	cp := append([]byte(nil), payload...)
 	if !pkt.Frame {
 		pkt.Payload = cp
 		return nil
 	}
-	f, err := wire.ParseFramePayload(cp, sim.Time(time.Since(h.epoch)))
+	f, err := wire.ParseFramePayload(cp, h.tr.now())
 	if err != nil {
 		return err
 	}
@@ -489,6 +449,5 @@ func (h *HostNode) close() {
 		h.core.Stop()
 	}
 	h.mu.Unlock()
-	h.conn.Close()
-	h.wg.Wait()
+	h.ep.close()
 }

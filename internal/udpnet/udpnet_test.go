@@ -11,16 +11,12 @@ import (
 	"onepipe/internal/sim"
 )
 
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
+// waitFor blocks on c's transport until cond holds, failing after timeout.
+func waitFor(t *testing.T, c *Cluster, timeout time.Duration, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !c.tr.wait(timeout, cond) {
+		t.Fatal("condition not reached in time")
 	}
-	t.Fatal("condition not reached in time")
 }
 
 func TestUDPDelivery(t *testing.T) {
@@ -39,7 +35,7 @@ func TestUDPDelivery(t *testing.T) {
 	if err := c.Proc(0).SendOpts([]core.Message{{Dst: 1, Data: []byte("over-udp"), Size: 8}}, core.SendOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool {
+	waitFor(t, c, 5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got) == 1
@@ -135,7 +131,7 @@ func TestUDPReliableUnderInjectedLoss(t *testing.T) {
 		}
 		time.Sleep(3 * time.Millisecond)
 	}
-	waitFor(t, 20*time.Second, func() bool {
+	waitFor(t, c, 20*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		if len(delivered) != rounds {
@@ -173,7 +169,7 @@ func TestUDPScatteringSharedTimestamp(t *testing.T) {
 		{Dst: 1, Data: []byte("a"), Size: 1},
 		{Dst: 2, Data: []byte("b"), Size: 1},
 	}, core.SendOptions{Reliable: true})
-	waitFor(t, 5*time.Second, func() bool {
+	waitFor(t, c, 5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(ts) == 2
@@ -215,7 +211,7 @@ func TestUDPBurstNoFalseSendFail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 10*time.Second, func() bool {
+	waitFor(t, c, 10*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return delivered == n

@@ -32,7 +32,6 @@ var optionTypes = []struct {
 	{"internal/netsim", "netsim", []string{"Config", "Mode"}},
 	{"internal/serve", "serve", []string{"Config"}},
 	{"internal/raft", "raft", []string{"Config"}},
-	{"internal/livenet", "livenet", []string{"Config"}},
 	{"internal/udpnet", "udpnet", []string{"Config"}},
 	{"internal/clock", "clock", []string{"Config"}},
 	{"internal/chaos", "chaos", []string{"Plan"}},

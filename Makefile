@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check bench-module race bench bench-json bench-gate slo slo-gate serve serve-gate results full-results fuzz examples vet chaos chaos-nightly chaos-sweep elastic conflict scale
+.PHONY: all build test fmt-check loc bench-module race bench bench-json bench-gate slo slo-gate serve serve-gate results full-results fuzz examples vet chaos chaos-nightly chaos-sweep elastic conflict scale
 
 all: vet test
 
@@ -17,6 +17,14 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# The simplicity ledger: Go lines outside the benchmark module and its build
+# directory, non-test and in all.
+LOC_FILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*'
+
+loc:
+	@printf 'non-test %s\n' "$$($(LOC_FILES) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@printf 'all      %s\n' "$$($(LOC_FILES) -print0 | xargs -0 cat | wc -l)"
 
 # The benchmark is a nested module (benchmark/go.mod), so the root ./...
 # patterns above never compile it: vet and smoke-test it on its own so an

@@ -12,8 +12,9 @@ import (
 // collectDeliveries runs a fixed multi-round workload — bursty scatterings
 // that coalesce into frames when batching is on, a mix of best-effort and
 // reliable traffic, and payloads big enough to split runs across frames —
-// and returns every process's delivery log as (ts, src, payload) strings.
-func collectDeliveries(t *testing.T, mut func(*onepipe.Config)) [][]string {
+// with extra appended to every send's options, and returns every process's
+// delivery log as (ts, src, payload) strings and the cluster.
+func collectDeliveries(t *testing.T, mut func(*onepipe.Config), extra ...onepipe.SendOption) ([][]string, *onepipe.Cluster) {
 	t.Helper()
 	cfg := onepipe.Defaults()
 	cfg.Seed = 7
@@ -46,8 +47,10 @@ func collectDeliveries(t *testing.T, mut func(*onepipe.Config)) [][]string {
 						Size: 64 + 128*burst,
 					})
 				}
-				var opts []onepipe.SendOption
-				if (sender+burst)%2 == 1 {
+				opts := slices.Clone(extra)
+				// A sender's bursts in one round share a service class:
+				// a fragment of the other class would end the frame.
+				if (sender/2+round)%2 == 1 {
 					opts = append(opts, onepipe.Reliable())
 				}
 				if err := cl.Process(sender).Send(msgs, opts...); err != nil {
@@ -58,22 +61,30 @@ func collectDeliveries(t *testing.T, mut func(*onepipe.Config)) [][]string {
 		cl.Run(30 * onepipe.Microsecond)
 	}
 	cl.Run(2 * onepipe.Millisecond)
-	return logs
+	return logs, cl
 }
 
 // TestBatchingPreservesDeliverySequence is the equivalence property behind
 // the adaptive-batching tentpole: frame coalescing is a wire-level
 // optimization, so a batched run and an unbatched run of the same seeded
 // workload must deliver identical (timestamp, sender, payload) sequences at
-// every process. Timestamps are assigned at launch, before the doorbell
-// queue, which is what makes this hold exactly. A ten times wider batch
+// every process. The unbatched run sends every scattering with the
+// Unbatched option, so it emits no multi-message frame. Timestamps are
+// assigned at launch, before the doorbell queue, which is what makes this
+// hold exactly. A ten times wider batch
 // window moves when frames leave, so the two service classes may interleave
 // differently at a receiver, but never what is delivered or its timestamp:
 // the sorted logs are identical.
 func TestBatchingPreservesDeliverySequence(t *testing.T) {
-	batched := collectDeliveries(t, nil)
-	plain := collectDeliveries(t, func(c *onepipe.Config) { c.DisableBatching = true })
-	wide := collectDeliveries(t, func(c *onepipe.Config) { c.BatchWindow = 10 * onepipe.Microsecond })
+	batched, batchedCl := collectDeliveries(t, nil)
+	plain, plainCl := collectDeliveries(t, nil, onepipe.Unbatched())
+	wide, _ := collectDeliveries(t, func(c *onepipe.Config) { c.BatchWindow = 10 * onepipe.Microsecond })
+	if n := batchedCl.Core().TotalStats().FramesSent; n == 0 {
+		t.Fatal("batched run sent no multi-message frame; property vacuous")
+	}
+	if n := plainCl.Core().TotalStats().FramesSent; n != 0 {
+		t.Fatalf("unbatched run sent %d multi-message frames, want 0", n)
+	}
 	total := 0
 	for p := range batched {
 		if !slices.Equal(batched[p], plain[p]) {
@@ -97,8 +108,8 @@ func TestBatchingPreservesDeliverySequence(t *testing.T) {
 // the same batched delivery sequences.
 func TestBatchedRunIsDeterministic(t *testing.T) {
 	lossy := func(c *onepipe.Config) { c.Impair = netsim.UniformLoss(0.01) }
-	a := collectDeliveries(t, lossy)
-	b := collectDeliveries(t, lossy)
+	a, _ := collectDeliveries(t, lossy)
+	b, _ := collectDeliveries(t, lossy)
 	for p := range a {
 		if len(a[p]) != len(b[p]) {
 			t.Fatalf("process %d: %d vs %d deliveries across identical runs", p, len(a[p]), len(b[p]))

@@ -504,8 +504,9 @@ func summarize(h *stats.Histogram) occupancySummary {
 // benchE2E measures end-to-end ordered deliveries per wall-clock second on
 // the public API: 32 processes each scattering 50 best-effort messages on
 // the paper's testbed topology. batched selects the adaptive-batching
-// defaults plus the OnDeliverBatch fast path; unbatched restores the
-// one-packet-per-message wire behavior through the per-delivery callback.
+// defaults plus the OnDeliverBatch fast path; unbatched sends each message
+// with the Unbatched option (one packet per message) and counts through the
+// per-delivery callback.
 // The returned histograms aggregate send-frame and delivery-batch occupancy
 // across all runs (nil when unbatched).
 func benchE2E(batched bool) (float64, *stats.Histogram, *stats.Histogram) {
@@ -516,10 +517,9 @@ func benchE2E(batched bool) (float64, *stats.Histogram, *stats.Histogram) {
 	runs := 0
 	for time.Since(start) < 2*time.Second {
 		cl := onepipe.NewCluster(onepipe.Config{
-			Topology:        onepipe.Testbed(),
-			ProcsPerHost:    1,
-			Seed:            int64(runs + 1),
-			DisableBatching: !batched,
+			Topology:     onepipe.Testbed(),
+			ProcsPerHost: 1,
+			Seed:         int64(runs + 1),
 		})
 		for p := 0; p < procs; p++ {
 			if batched {
@@ -528,10 +528,14 @@ func benchE2E(batched bool) (float64, *stats.Histogram, *stats.Histogram) {
 				cl.Process(p).OnDeliver(func(onepipe.Delivery) { delivered++ })
 			}
 		}
+		var opts []onepipe.SendOption
+		if !batched {
+			opts = append(opts, onepipe.Unbatched())
+		}
 		for p := 0; p < procs; p++ {
 			for k := 0; k < msgsEach; k++ {
 				dst := onepipe.ProcID((p + k + 1) % procs)
-				cl.Process(p).Send([]onepipe.Message{{Dst: dst, Size: 64}})
+				cl.Process(p).Send([]onepipe.Message{{Dst: dst, Size: 64}}, opts...)
 			}
 		}
 		cl.Run(500 * onepipe.Microsecond)

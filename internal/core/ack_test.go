@@ -12,16 +12,15 @@ func TestAckBatchingReducesAckPackets(t *testing.T) {
 		cl := smallNet(t, 1, nil)
 		for i := range cl.Hosts {
 			cl.Hosts[i].Cfg.AckFlush = flush
-			// Frame coalescing would collapse the 200 sends into a handful
-			// of multi-message frames (one ACK each), hiding the ACK-side
-			// batching this test isolates.
-			cl.Hosts[i].Cfg.DisableBatching = true
 		}
 		cl.Procs[1].OnDeliver = func(Delivery) {}
 		eng := cl.Net.Eng
 		eng.At(50*sim.Microsecond, func() {
 			for i := 0; i < 200; i++ {
-				cl.Proc(0).SendReliable([]Message{{Dst: 1, Size: 64}})
+				// Frame coalescing would collapse the 200 sends into a
+				// handful of multi-message frames (one ACK each), hiding
+				// the ACK-side batching this test isolates.
+				cl.Proc(0).SendOpts([]Message{{Dst: 1, Size: 64}}, SendOptions{Reliable: true, NoBatch: true})
 			}
 		})
 		cl.Run(5 * sim.Millisecond)

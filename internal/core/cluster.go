@@ -38,11 +38,10 @@ type Cluster struct {
 // barriers only with the programmable chip) and beacon interval.
 func Deploy(n *netsim.Network, cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
-	cfg.UseDataBarriers = n.Cfg.Mode == netsim.ModeChip
 	cfg.BeaconInterval = n.Cfg.BeaconInterval
 	cl := &Cluster{Net: n, cfg: cfg}
 	for hi := 0; hi < len(n.G.Hosts); hi++ {
-		h := NewHost(hi, simWire{n: n, host: hi}, cfg)
+		h := cl.newHost(hi)
 		n.AttachHost(hi, h.HandlePacket)
 		h.Start()
 		cl.Hosts = append(cl.Hosts, h)
@@ -67,7 +66,7 @@ func (cl *Cluster) Proc(p int) *Proc { return cl.Procs[p] }
 func (cl *Cluster) AddHost(hi int, floor sim.Time) *Host {
 	n := cl.Net
 	n.Clocks[hi].AdvanceTo(floor)
-	h := NewHost(hi, simWire{n: n, host: hi}, cl.cfg)
+	h := cl.newHost(hi)
 	h.SetFloor(floor)
 	n.AttachHost(hi, h.HandlePacket)
 	h.Start()
@@ -76,6 +75,14 @@ func (cl *Cluster) AddHost(hi int, floor sim.Time) *Host {
 	for p := hi * pph; p < (hi+1)*pph; p++ {
 		cl.Procs = append(cl.Procs, h.AddProc(netsim.ProcID(p)))
 	}
+	return h
+}
+
+// newHost builds host hi's runtime on the simulated network; its data
+// packets carry valid barriers only with the programmable chip.
+func (cl *Cluster) newHost(hi int) *Host {
+	h := NewHost(hi, simWire{n: cl.Net, host: hi}, cl.cfg)
+	h.dataBarriers = cl.Net.Cfg.Mode == netsim.ModeChip
 	return h
 }
 

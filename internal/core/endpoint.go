@@ -101,6 +101,11 @@ type Host struct {
 	Obs *obs.Trace
 
 	wire Wire
+	// dataBarriers: with a programmable chip every received packet carries
+	// valid barriers; with switch-CPU or host-delegate processing only
+	// beacons do (§6.2.2). NewHost sets it; Deploy and AddHost derive it
+	// from the simulated fabric's mode.
+	dataBarriers bool
 	// eng is the wire's simulation engine when it has one (engineWire): the
 	// host's timers are then that engine's timers. Nil selects the After
 	// fallback.
@@ -217,6 +222,7 @@ func NewHost(id int, wire Wire, cfg Config) *Host {
 		Cfg:           cfg.withDefaults(),
 		ID:            id,
 		wire:          wire,
+		dataBarriers:  true,
 		failedPeers:   make(map[netsim.ProcID]sim.Time),
 		recallTomb:    make(map[recallKey]bool),
 		recalls:       make(map[recallKey]*recallState),
@@ -679,7 +685,7 @@ func (h *Host) send(p *Proc, msgs []Message, o SendOptions) error {
 
 // batchWindow resolves the effective doorbell window for one send.
 func (h *Host) batchWindow(o SendOptions) sim.Time {
-	if h.Cfg.DisableBatching || o.NoBatch {
+	if o.NoBatch {
 		return 0
 	}
 	if o.BatchWindow > 0 {

@@ -16,10 +16,14 @@ func twoHostCluster(hosts int, maxRetx int) *Cluster {
 	ccfg.InitCwnd = 4
 	ccfg.MaxCwnd = 4
 	ccfg.MaxRetx = maxRetx
-	// These tests assert per-packet window-slot accounting; frame
-	// coalescing would merge the probe scatterings into one slot.
-	ccfg.DisableBatching = true
 	return Deploy(netsim.New(cfg), ccfg)
+}
+
+// sendUnbatched issues a reliable scattering exempt from frame coalescing:
+// these tests assert per-packet window-slot accounting, and coalescing
+// would merge the probe scatterings into one slot.
+func sendUnbatched(p *Proc, msgs []Message) error {
+	return p.SendOpts(msgs, SendOptions{Reliable: true, NoBatch: true})
 }
 
 func TestMaxRetxRestoresWindowSlots(t *testing.T) {
@@ -40,7 +44,7 @@ func TestMaxRetxRestoresWindowSlots(t *testing.T) {
 	cl.Net.Eng.At(50*sim.Microsecond, func() {
 		cl.Net.G.KillNode(cl.Net.G.Host(1))
 		for i := 0; i < total; i++ {
-			if err := cl.Procs[0].SendReliable([]Message{{Dst: 1, Size: 64}}); err != nil {
+			if err := sendUnbatched(cl.Procs[0], []Message{{Dst: 1, Size: 64}}); err != nil {
 				t.Errorf("send %d: %v", i, err)
 			}
 		}
@@ -81,7 +85,7 @@ func TestMaxRetxRestoresWindowSlots(t *testing.T) {
 	// Fresh traffic on other connections is unaffected; the same connection
 	// accepts and launches new scatterings into the restored window.
 	sentBefore := h.Stats.MsgsSent
-	if err := cl.Procs[0].SendReliable([]Message{{Dst: 1, Size: 64}}); err != nil {
+	if err := sendUnbatched(cl.Procs[0], []Message{{Dst: 1, Size: 64}}); err != nil {
 		t.Fatalf("post-exhaustion send: %v", err)
 	}
 	cl.Run(sim.Millisecond)
@@ -98,7 +102,7 @@ func TestMaxRetxStuckPacketCompletedByLateAck(t *testing.T) {
 	cl.Hosts[0].OnStuck = func(netsim.ProcID, netsim.ProcID, sim.Time) {}
 	cl.Net.Eng.At(50*sim.Microsecond, func() {
 		cl.Net.G.KillNode(cl.Net.G.Host(1))
-		cl.Procs[0].SendReliable([]Message{{Dst: 1, Size: 64}})
+		sendUnbatched(cl.Procs[0], []Message{{Dst: 1, Size: 64}})
 	})
 	cl.Run(50 * sim.Millisecond)
 
@@ -152,7 +156,7 @@ func TestRecallMaxRetxCleansUp(t *testing.T) {
 		// it during the abort can never be acknowledged.
 		cl.Net.G.KillNode(cl.Net.G.Host(1))
 		cl.Net.G.KillNode(cl.Net.G.Host(2))
-		cl.Procs[0].SendReliable([]Message{{Dst: 1, Size: 64}, {Dst: 2, Size: 64}})
+		sendUnbatched(cl.Procs[0], []Message{{Dst: 1, Size: 64}, {Dst: 2, Size: 64}})
 	})
 	eng.At(100*sim.Microsecond, func() {
 		cl.Hosts[0].ApplyFailure(map[netsim.ProcID]sim.Time{2: eng.Now()}, func() { doneFired = true })
@@ -206,7 +210,7 @@ func TestSynchronousStuckResolve(t *testing.T) {
 		}
 		resolved++
 		h.ResolveUnreachable(dst, ts)
-		if err := cl.Procs[0].SendReliable([]Message{{Dst: 2, Data: "elsewhere", Size: 1500}}); err != nil {
+		if err := sendUnbatched(cl.Procs[0], []Message{{Dst: 2, Data: "elsewhere", Size: 1500}}); err != nil {
 			t.Error(err)
 		}
 	}
@@ -214,7 +218,7 @@ func TestSynchronousStuckResolve(t *testing.T) {
 		cl.Net.G.KillNode(cl.Net.G.Host(1))
 		// Two fragments: the walk parks the first, and the hook's resolve
 		// drops the second.
-		if err := cl.Procs[0].SendReliable([]Message{{Dst: 1, Size: 1500}}); err != nil {
+		if err := sendUnbatched(cl.Procs[0], []Message{{Dst: 1, Size: 1500}}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -238,7 +242,7 @@ func TestPendingToPSNOrder(t *testing.T) {
 	cl.Net.Eng.At(50*sim.Microsecond, func() {
 		cl.Net.G.KillNode(cl.Net.G.Host(1))
 		for i := 0; i < total; i++ {
-			if err := cl.Procs[0].SendReliable([]Message{{Dst: 1, Size: 64}}); err != nil {
+			if err := sendUnbatched(cl.Procs[0], []Message{{Dst: 1, Size: 64}}); err != nil {
 				t.Errorf("send %d: %v", i, err)
 			}
 		}

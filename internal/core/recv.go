@@ -353,13 +353,13 @@ func (h *Host) HandlePacket(pkt *netsim.Packet) {
 	case netsim.KindBeacon:
 		h.updateBarriers(pkt.BarrierBE, pkt.BarrierC)
 	case netsim.KindData:
-		if h.Cfg.UseDataBarriers {
+		if h.dataBarriers {
 			h.updateBarriers(pkt.BarrierBE, pkt.BarrierC)
 		}
 		h.handleData(pkt) // takes ownership: pkt may be buffered
 		return
 	case netsim.KindAck:
-		if h.Cfg.UseDataBarriers {
+		if h.dataBarriers {
 			h.updateBarriers(pkt.BarrierBE, pkt.BarrierC)
 		}
 		if c := h.findConn(pkt.Dst, pkt.Src); c != nil {

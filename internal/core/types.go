@@ -104,10 +104,6 @@ type Config struct {
 	SendFailTimeout sim.Time
 	// BeaconInterval is the host uplink beacon period (§4.2).
 	BeaconInterval sim.Time
-	// UseDataBarriers: with a programmable chip every received packet
-	// carries valid barriers; with switch-CPU or host-delegate processing
-	// only beacons do (§6.2.2).
-	UseDataBarriers bool
 	// Mode selects the delivery interleaving (see DeliveryMode).
 	Mode DeliveryMode
 	// DisableBEAck turns off best-effort ACK generation (halves packet
@@ -125,11 +121,9 @@ type Config struct {
 	DeliveryHoldback sim.Time
 	// BatchWindow is how long a partial multi-message frame waits for more
 	// same-destination traffic before the doorbell flushes it (§6.1 send
-	// batching); a frame's payload budget is the MTU. DisableBatching turns
-	// coalescing off entirely (one packet per fragment, the pre-batching
-	// wire behavior).
-	BatchWindow     sim.Time
-	DisableBatching bool
+	// batching); a frame's payload budget is the MTU. A send with
+	// SendOptions.NoBatch is not coalesced at all.
+	BatchWindow sim.Time
 }
 
 // Deployment parameters no figure or test varies.
@@ -157,7 +151,6 @@ func DefaultConfig() Config {
 		MaxRetx:         64,
 		SendFailTimeout: 100 * sim.Microsecond,
 		BeaconInterval:  3 * sim.Microsecond,
-		UseDataBarriers: true,
 		Mode:            DeliverSeparate,
 		AckFlush:        1 * sim.Microsecond,
 		BatchWindow:     1 * sim.Microsecond,

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 
 	"onepipe/internal/core"
 	"onepipe/internal/netsim"
@@ -70,26 +70,42 @@ func sloProfile() *netsim.Profile {
 }
 
 // RunSLO races batched / unbatched / conflict-aware endpoint configs under
-// one recorded trace and one impairment profile, reporting delivery-latency
-// percentiles from streaming histograms. The trace is recorded once (via
-// the text format, proving the record→parse→replay pipeline on every run)
-// and replayed verbatim for each config, so the configs see byte-identical
-// offered load.
+// one trace and one impairment profile, reporting delivery-latency
+// percentiles from streaming histograms. The reference source is drained
+// into a slice once and replayed verbatim for each config, so the configs
+// see identical offered load; the unbatched config sends every intent
+// with the per-send Unbatched option.
 func RunSLO(sc Scale) []SLORow {
 	n := sloProcs(sc)
 	until := sc.Warmup + sc.Window
-	trace := recordTrace(sloSource(n, until))
+	var trace []workload.Intent
+	for src := sloSource(n, until); ; {
+		it, ok := src.Next()
+		if !ok {
+			break
+		}
+		trace = append(trace, it)
+	}
 	configs := []struct {
-		name string
-		mut  func(*core.Config)
+		name      string
+		mode      core.DeliveryMode
+		unbatched bool
 	}{
-		{"batched", nil},
-		{"unbatched", func(c *core.Config) { c.DisableBatching = true }},
-		{"conflict-aware", func(c *core.Config) { c.Mode = core.DeliverConflictAware }},
+		{"batched", core.DeliverSeparate, false},
+		{"unbatched", core.DeliverSeparate, true},
+		{"conflict-aware", core.DeliverConflictAware, false},
 	}
 	rows := make([]SLORow, 0, len(configs))
 	for _, cc := range configs {
-		cl := deploy(n, func(nc *netsim.Config) { nc.Impair = sloProfile() }, cc.mut)
+		cl := deploy(n, func(nc *netsim.Config) { nc.Impair = sloProfile() },
+			func(c *core.Config) { c.Mode = cc.mode })
+		its := trace
+		if cc.unbatched {
+			its = slices.Clone(trace)
+			for i := range its {
+				its[i].Opts.Unbatched = true
+			}
+		}
 		eng := cl.Net.Eng
 		var hist stats.Histogram
 		measuring := false
@@ -105,7 +121,7 @@ func RunSLO(sc Scale) []SLORow {
 				}
 			}
 		}
-		driveSource(cl, workload.NewReplay(trace), 0)
+		driveSource(cl, workload.NewReplay(its), 0)
 		eng.RunFor(sc.Warmup)
 		measuring = true
 		eng.RunFor(sc.Window + quiesceSLO)
@@ -126,27 +142,6 @@ func RunSLO(sc Scale) []SLORow {
 // counts are a determinism check, not a race with the window edge.
 const quiesceSLO = 200 * sim.Microsecond
 
-// recordTrace drains a source through the trace recorder and re-parses the
-// dump — the same bytes an on-disk trace file would hold.
-func recordTrace(src workload.Source) []workload.Intent {
-	var buf bytes.Buffer
-	tw := workload.NewTraceWriter(&buf)
-	rec := workload.Record(src, tw)
-	for {
-		if _, ok := rec.Next(); !ok {
-			break
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		panic(err)
-	}
-	its, err := workload.ParseTrace(&buf)
-	if err != nil {
-		panic(err) // the recorder wrote it; a parse failure is a format bug
-	}
-	return its
-}
-
 // SLO regenerates the -fig slo table.
 func SLO(sc Scale) *Table {
 	t := &Table{
@@ -158,7 +153,7 @@ func SLO(sc Scale) *Table {
 		t.AddRow(r.Config, fmt.Sprintf("%d", r.Delivered), f2(r.P50), f2(r.P99), f2(r.P999))
 	}
 	t.Notes = append(t.Notes,
-		"workload: Zipf-skewed dsts (theta .99), ETC heavy-tailed sizes, diurnal ramp, 6-way incasts; recorded to the text trace format and replayed per config",
+		"workload: Zipf-skewed dsts (theta .99), ETC heavy-tailed sizes, diurnal ramp, 6-way incasts; drained once and replayed per config",
 		"impairments: 150ns jitter fabric-wide, Gilbert-Elliott burst loss (0.2%, mean burst 6) on access links, +1us RTT class on the core tier; no reordering (the barrier algebra assumes per-link FIFO)")
 	return t
 }

@@ -26,17 +26,28 @@ func TestSwitchRegistrationSignalsChannel(t *testing.T) {
 	hello := func(src netsim.ProcID) {
 		out.send(wire.Encode(&netsim.Packet{Kind: netsim.KindCtrl, Src: src}, registerPayload), sw.Addr())
 	}
+	register := func(host int) {
+		sw.expect(host)
+		hello(netsim.ProcID(host))
+		if !tr.wait(2*time.Second, func() bool { return sw.pinned(host) }) {
+			t.Fatalf("registration of host %d never signalled", host)
+		}
+	}
 	// A registration, its repeat, then a second host's hello behind them
 	// on the same socket: once that one is in, the repeat was handled.
+	register(0)
 	hello(0)
-	hello(0)
-	hello(1)
-	if !tr.wait(2*time.Second, func() bool { return sw.registered() == 2 }) {
-		t.Fatal("registration never signalled")
-	}
+	register(1)
 	if d := sw.Stats().Dropped; d != 0 {
 		t.Fatalf("same-socket re-registration dropped (Dropped=%d)", d)
 	}
+}
+
+// registered counts the hosts whose address the switch has pinned.
+func (s *Switch) registered() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.addrs)
 }
 
 // stranger opens an endpoint that no host registered from.
@@ -137,7 +148,8 @@ func TestSwitchDropsForgedSource(t *testing.T) {
 // TestSwitchIgnoresUnregisteredSource: a datagram whose Src host never
 // registered is outside input — the switch must not forward it and must not
 // create barrier state for the id it claims, however many ids one sender
-// invents.
+// invents. A hello for a host nobody is joining is outside input too: it
+// must not admit a port, which would sit at the aggregate forever.
 func TestSwitchIgnoresUnregisteredSource(t *testing.T) {
 	var raws [][]byte
 	for i := 0; i < 32; i++ {
@@ -147,6 +159,9 @@ func TestSwitchIgnoresUnregisteredSource(t *testing.T) {
 			Kind: netsim.KindData, Src: netsim.ProcID(1000 + i), Dst: 1,
 			PSN: 1, MsgTS: 1, BarrierBE: 1 << 40, BarrierC: 1 << 40, EndOfMsg: true,
 		}, []byte("forged")))
+	}
+	for _, src := range []netsim.ProcID{7, -1} {
+		raws = append(raws, wire.Encode(&netsim.Packet{Kind: netsim.KindCtrl, Src: src}, registerPayload))
 	}
 	forge(t, raws...)
 }

@@ -26,8 +26,12 @@ type Switch struct {
 	ep    endpoint
 	core  *starswitch.Core       // port id = host id
 	addrs map[int]netip.AddrPort // host id -> address, pinned at its first hello
+	// joining is the host id Join is admitting, or -1: only its hello may
+	// pin an address.
+	joining int
 	// forged counts datagrams claiming an admitted host from another
-	// address; Stats reports them as dropped.
+	// address and hellos for a host nobody is joining; Stats reports them
+	// as dropped.
 	forged uint64
 	closed bool
 	pkt    netsim.Packet // decode target; handle forwards or drops it synchronously
@@ -40,7 +44,7 @@ func newSwitch(cfg Config, tr transport) (*Switch, error) {
 		seed = time.Now().UnixNano()
 	}
 	s := &Switch{cfg: cfg, tr: tr, core: starswitch.New(cfg.Impair, seed),
-		addrs: make(map[int]netip.AddrPort)}
+		addrs: make(map[int]netip.AddrPort), joining: -1}
 	// A datagram's handle waits for the lock until the endpoint is set.
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -86,7 +90,8 @@ func (s *Switch) Drained(host int) bool {
 
 // Stats returns the switch's data-plane and beacon-suppression counters.
 // Dropped includes every datagram that claimed a registered host from an
-// address other than the one it registered from.
+// address other than the one it registered from, and every hello for a
+// host nobody is joining.
 func (s *Switch) Stats() starswitch.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -95,10 +100,19 @@ func (s *Switch) Stats() starswitch.Stats {
 	return st
 }
 
-func (s *Switch) registered() int {
+// expect lets the next hello for host pin its address (-1: none).
+func (s *Switch) expect(host int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.addrs)
+	s.joining = host
+}
+
+// pinned reports whether host has registered its address.
+func (s *Switch) pinned(host int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.addrs[host]
+	return ok
 }
 
 func (s *Switch) handle(from netip.AddrPort, b []byte) {
@@ -120,10 +134,19 @@ func (s *Switch) handle(from netip.AddrPort, b []byte) {
 		return
 	}
 
-	// Registration heartbeat: admit the uplink (the core seeds a new port's
+	// Registration hello: admit the uplink (the core seeds a new port's
 	// registers at the current aggregate; departed hosts do not rejoin under
-	// the same id) and learn its address.
+	// the same id) and pin its address. Only the host Join is admitting may
+	// register: a stranger's hello would seed a port nothing ever raises
+	// and freeze both planes.
 	if pkt.Kind == netsim.KindCtrl && bytes.Equal(payload, registerPayload) {
+		if _, ok := s.addrs[srcHost]; !ok {
+			if srcHost < 0 || srcHost != s.joining {
+				s.forged++
+				return
+			}
+			s.joining = -1
+		}
 		s.core.Admit(srcHost)
 		s.addrs[srcHost] = from
 		return

@@ -146,18 +146,20 @@ func (c *Cluster) traceMap() map[string]*obs.Trace {
 // Join attaches a new host to the running fabric and returns its index.
 // The switch seeds the new uplink's registers at its current aggregate on
 // registration, and the host's timestamp floor is forced to the shared
-// clock first, so the join can never regress the barrier. Blocks until
-// the switch has registered the host, or fails after RegisterTimeout.
-// Sends may run concurrently with a Join; Joins may not run concurrently
-// with each other.
+// clock first, so the join can never regress the barrier. The switch
+// accepts a hello for this host id only, and Join blocks until that id is
+// pinned, or fails after RegisterTimeout. Sends may run concurrently with
+// a Join; Joins may not run concurrently with each other.
 func (c *Cluster) Join() (int, error) {
 	hi := len(c.snapshot())
-	before := c.Switch.registered()
+	c.Switch.expect(hi)
 	hn, err := newHostNode(hi, c.cfg, c.tr, c.Switch, c.Now())
 	if err != nil {
+		c.Switch.expect(-1)
 		return -1, err
 	}
-	if !c.tr.wait(c.cfg.RegisterTimeout, func() bool { return c.Switch.registered() > before }) {
+	if !c.tr.wait(c.cfg.RegisterTimeout, func() bool { return c.Switch.pinned(hi) }) {
+		c.Switch.expect(-1)
 		hn.close()
 		return -1, fmt.Errorf("udpnet: host %d never registered", hi)
 	}
@@ -340,7 +342,6 @@ func newHostNode(id int, cfg Config, tr transport, sw *Switch, floor sim.Time) (
 		ecfg = *cfg.Endpoint
 	}
 	ecfg.BeaconInterval = sim.Time(cfg.BeaconInterval)
-	ecfg.UseDataBarriers = true
 	ecfg.RTO = sim.Time(20 * cfg.BeaconInterval)
 	ecfg.SendFailTimeout = sim.Time(100 * cfg.BeaconInterval)
 	h.core = core.NewHost(id, hostWire{h: h}, ecfg)

@@ -17,17 +17,14 @@ type SendOpts struct {
 }
 
 // Intent is one timestamped send: at time At, process Src scatters Size
-// bytes to Dsts. Key carries application addressing (e.g. a KV key) for
-// workloads that need it; drivers that don't can ignore it. Dsts is
-// read-only: the generators carve it from storage shared with other
-// intents, which they never rewrite, so it stays valid for as long as the
-// intent is kept.
+// bytes to Dsts. Dsts is read-only: the generators carve it from storage
+// shared with other intents, which they never rewrite, so it stays valid
+// for as long as the intent is kept.
 type Intent struct {
 	At   sim.Time
 	Src  int
 	Dsts []int
 	Size int
-	Key  uint64
 	Opts SendOpts
 }
 
@@ -36,10 +33,32 @@ type Intent struct {
 // exhausted (unbounded sources never are; drivers stop pulling when the
 // experiment window closes). Determinism contract: a Source derives every
 // draw from the RNG(s) it was constructed with — two sources built with
-// equal parameters and equal seeds emit identical streams, and a recorded
-// trace (see Record/Replay) replays any source exactly.
+// equal parameters and equal seeds emit identical streams, and a bounded
+// stream drained into a slice replays exactly through NewReplay.
 type Source interface {
 	Next() (Intent, bool)
+}
+
+// --- Replay ---
+
+// Replay is a Source over a fixed slice of intents.
+type Replay struct {
+	its []Intent
+	i   int
+}
+
+// NewReplay builds a source replaying its verbatim; its must be in
+// nondecreasing At order and is not copied.
+func NewReplay(its []Intent) *Replay { return &Replay{its: its} }
+
+// Next replays the next intent.
+func (r *Replay) Next() (Intent, bool) {
+	if r.i >= len(r.its) {
+		return Intent{}, false
+	}
+	it := r.its[r.i]
+	r.i++
+	return it, true
 }
 
 // dstChunk is how many destinations a generator's dstArena makes room for
@@ -125,7 +144,7 @@ func (r *RoundRobin) Next() (Intent, bool) {
 // FixedStream emits one fixed scattering every Gap, first at Phase+Gap —
 // exactly the schedule of a phase-staggered background-load ticker (a
 // ticker never fires at its arming instant), but as a Source so it can be
-// merged, limited, recorded, and replayed. Entirely rng-free.
+// merged, limited and replayed. Entirely rng-free.
 type FixedStream struct {
 	src   int
 	dsts  []int

@@ -1,10 +1,8 @@
 package workload
 
 import (
-	"bytes"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"onepipe/internal/race"
@@ -155,10 +153,10 @@ func TestMergeOrders(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTrip is the record→replay determinism test: a composite
-// source recorded to the text format and replayed must yield the identical
-// intent stream, field for field.
-func TestTraceRoundTrip(t *testing.T) {
+// TestReplayReproducesSource: a composite source drained into a slice and
+// replayed yields the stream a fresh source with the same seed emits,
+// intent for intent.
+func TestReplayReproducesSource(t *testing.T) {
 	mk := func() Source {
 		return Merge(
 			NewSynthetic(SyntheticConfig{
@@ -169,72 +167,16 @@ func TestTraceRoundTrip(t *testing.T) {
 			NewIncast(12, 3, 6, 40*sim.Microsecond, 256, 0, 200*sim.Microsecond),
 		)
 	}
-	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
-	orig := drain(Record(mk(), tw), 1<<30)
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
+	replayed := drain(NewReplay(drain(mk(), 1<<30)), 1<<30)
+	fresh := drain(mk(), 1<<30)
+	if len(replayed) != len(fresh) || len(fresh) == 0 {
+		t.Fatalf("replayed %d intents, fresh source emitted %d", len(replayed), len(fresh))
 	}
-	if tw.Count() != len(orig) {
-		t.Fatalf("recorded %d, drained %d", tw.Count(), len(orig))
-	}
-	rp, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := drain(rp, 1<<30)
-	if len(replayed) != len(orig) {
-		t.Fatalf("replayed %d intents, want %d", len(replayed), len(orig))
-	}
-	for i := range orig {
-		a, b := orig[i], replayed[i]
-		if a.At != b.At || a.Src != b.Src || a.Size != b.Size || a.Key != b.Key || a.Opts != b.Opts {
-			t.Fatalf("intent %d differs after round trip: %+v vs %+v", i, a, b)
+	for i, a := range fresh {
+		b := replayed[i]
+		if a.At != b.At || a.Src != b.Src || !slices.Equal(a.Dsts, b.Dsts) || a.Size != b.Size || a.Opts != b.Opts {
+			t.Fatalf("intent %d: replayed %+v, fresh %+v", i, b, a)
 		}
-		if len(a.Dsts) != len(b.Dsts) {
-			t.Fatalf("intent %d: dst count differs", i)
-		}
-		for j := range a.Dsts {
-			if a.Dsts[j] != b.Dsts[j] {
-				t.Fatalf("intent %d: dst %d differs", i, j)
-			}
-		}
-	}
-}
-
-// TestTraceParseErrors: malformed traces are rejected with line context.
-func TestTraceParseErrors(t *testing.T) {
-	cases := []string{
-		"1000 0 1 64",                              // missing header
-		TraceHeader + "\nxx 0 1 64",                // bad time
-		TraceHeader + "\n1000 0 1 64 frob",         // unknown option
-		TraceHeader + "\n2000 0 1 64\n1000 0 1 64", // time goes backwards
-	}
-	for i, c := range cases {
-		if _, err := ParseTrace(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: parse accepted malformed trace", i)
-		}
-	}
-}
-
-// TestTraceOptionsRoundTrip covers every optional field in one line.
-func TestTraceOptionsRoundTrip(t *testing.T) {
-	in := Intent{At: 12345, Src: 2, Dsts: []int{4, 7, 9}, Size: 4096, Key: 99,
-		Opts: SendOpts{Reliable: true, ConflictKey: 17, Unbatched: true}}
-	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
-	if err := tw.Write(in); err != nil {
-		t.Fatal(err)
-	}
-	tw.Flush()
-	its, err := ParseTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := its[0]
-	if got.At != in.At || got.Src != in.Src || got.Key != in.Key || got.Opts != in.Opts ||
-		len(got.Dsts) != 3 || got.Dsts[2] != 9 {
-		t.Fatalf("round trip mangled intent: %+v vs %+v", got, in)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package workload generates traffic. The Source interface (source.go) is
 // the unified abstraction: a deterministic, seedable stream of timestamped
 // send intents, with round-robin broadcast, skewed/heavy-tailed synthetic,
-// incast-burst and trace-replay implementations plus a recorder dumping any
-// run back to the text trace format (trace.go, docs/workloads.md). The
+// incast-burst and slice-replay implementations (docs/workloads.md). The
 // key and value-size generators below (uniform keys, YCSB-style Zipfian
 // keys with hot spots, Facebook ETC value sizes, §7.3.1) feed both the
 // transaction sources (TxnSource) and the Source implementations as

@@ -36,23 +36,19 @@ type LiveConfig struct {
 	// clock.
 	Seed int64
 	// BatchWindow overrides the send-side frame-coalescing window
-	// (default 1 us).
+	// (default 1 us). A send with the Unbatched option is not coalesced
+	// at all.
 	BatchWindow time.Duration
-	// DisableBatching turns send-side frame coalescing off entirely.
-	DisableBatching bool
 }
 
-// endpointOverride translates the LiveConfig batching knobs into a
-// lib1pipe endpoint override, or nil when the defaults stand.
+// endpointOverride translates LiveConfig.BatchWindow into a lib1pipe
+// endpoint override, or nil when the default stands.
 func (cfg LiveConfig) endpointOverride() *core.Config {
-	if cfg.BatchWindow <= 0 && !cfg.DisableBatching {
+	if cfg.BatchWindow <= 0 {
 		return nil
 	}
 	e := core.DefaultConfig()
-	if cfg.BatchWindow > 0 {
-		e.BatchWindow = Timestamp(cfg.BatchWindow)
-	}
-	e.DisableBatching = cfg.DisableBatching
+	e.BatchWindow = Timestamp(cfg.BatchWindow)
 	return &e
 }
 

@@ -8,24 +8,28 @@ import (
 
 // liveKnobs moves each LiveConfig setting away from its default: a faster
 // beacon under seeded injected loss (the scattering then needs the
-// retransmission path), a wider batch window, batching off with two
-// processes per host. The UDP fabric must deliver under each.
-var liveKnobs = map[string]LiveConfig{
-	"lossy": {Hosts: 3, ProcsPerHost: 1, BeaconInterval: 500 * time.Microsecond,
-		Impair: &Impairment{Loss: 0.2}, Seed: 7},
-	"wide-window": {Hosts: 3, ProcsPerHost: 1, BatchWindow: 100 * time.Microsecond},
-	"unbatched":   {Hosts: 2, ProcsPerHost: 2, DisableBatching: true},
+// retransmission path), a wider batch window, and two processes per host
+// with the scattering sent unbatched. The UDP fabric must deliver under
+// each.
+var liveKnobs = map[string]struct {
+	cfg  LiveConfig
+	opts []SendOption
+}{
+	"lossy": {cfg: LiveConfig{Hosts: 3, ProcsPerHost: 1, BeaconInterval: 500 * time.Microsecond,
+		Impair: &Impairment{Loss: 0.2}, Seed: 7}},
+	"wide-window": {cfg: LiveConfig{Hosts: 3, ProcsPerHost: 1, BatchWindow: 100 * time.Microsecond}},
+	"unbatched":   {cfg: LiveConfig{Hosts: 2, ProcsPerHost: 2}, opts: []SendOption{Unbatched()}},
 }
 
 func TestLiveConfigKnobs(t *testing.T) {
-	for name, cfg := range liveKnobs {
+	for name, k := range liveKnobs {
 		t.Run("udp/"+name, func(t *testing.T) {
-			l, err := NewUDPCluster(cfg)
+			l, err := NewUDPCluster(k.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			scatterDelivers(t, l)
+			scatterDelivers(t, l, k.opts...)
 		})
 	}
 }
@@ -39,9 +43,9 @@ func TestUDPClusterDelivery(t *testing.T) {
 	scatterDelivers(t, l)
 }
 
-// scatterDelivers sends one reliable scattering from process 0 to processes
-// 1 and 2 and waits for both deliveries.
-func scatterDelivers(t *testing.T, l *Live) {
+// scatterDelivers sends one reliable scattering, with opts, from process 0
+// to processes 1 and 2 and waits for both deliveries.
+func scatterDelivers(t *testing.T, l *Live, opts ...SendOption) {
 	t.Helper()
 	var mu sync.Mutex
 	okc := 0
@@ -57,7 +61,7 @@ func scatterDelivers(t *testing.T, l *Live) {
 	if err := l.Process(0).Send([]Message{
 		{Dst: 1, Data: []byte("udp"), Size: 3},
 		{Dst: 2, Data: []byte("udp"), Size: 3},
-	}, Reliable()); err != nil {
+	}, append(opts, Reliable())...); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -211,9 +211,8 @@ type Config struct {
 	Delivery DeliveryMode
 	// BatchWindow overrides how long a partial multi-message wire frame
 	// waits for more same-destination traffic (default 1 us simulated).
+	// A send with the Unbatched option is not coalesced at all.
 	BatchWindow Timestamp
-	// DisableBatching turns send-side frame coalescing off entirely.
-	DisableBatching bool
 }
 
 // Testbed returns the paper's evaluation topology.
@@ -258,9 +257,6 @@ func NewCluster(cfg Config) *Cluster {
 	ecfg.Mode = cfg.Delivery
 	if cfg.BatchWindow > 0 {
 		ecfg.BatchWindow = cfg.BatchWindow
-	}
-	if cfg.DisableBatching {
-		ecfg.DisableBatching = true
 	}
 	n := netsim.New(ncfg)
 	cl := core.Deploy(n, ecfg)

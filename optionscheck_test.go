@@ -131,7 +131,8 @@ func identifiers(t *testing.T, dir string) map[string]bool {
 // name on a line resolves — a figure id through experiments.Find, a Test*
 // to a test function in the tree, benchmark/ and cmd/<name> to a directory
 // whose sources mention the field. A new option therefore arrives with the
-// figure or test that needs it, or fails here.
+// figure or test that needs it, or fails here. With -v it logs the count of
+// settable values, the figure the simplicity ledger tracks.
 func TestOptionsInventory(t *testing.T) {
 	ids := make(map[string]bool)
 	for _, r := range experiments.Registry() {
@@ -221,4 +222,5 @@ func TestOptionsInventory(t *testing.T) {
 			t.Errorf("%s has no line in %s: name the figure or test that needs it, or make it a constant", m, optionsBaselinePath)
 		}
 	}
+	t.Logf("settable values: %d", len(surface))
 }

@@ -41,9 +41,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .
 
-# Refresh the committed performance-tracking report (engine scheduling,
-# wire codec, simulated send path, e2e message rate). The hand-set
-# baseline and gate_floor blocks are carried over untouched.
+# Refresh the committed performance-tracking report: the packages' own
+# Go benchmarks its rows name (engine scheduling, timers, wire codec,
+# simulated send path, per-pair state), fabric scale and e2e message rate.
+# The hand-set baseline and gate_floor blocks are copied untouched from the
+# committed BENCH_core.json.
 bench-json:
 	$(GO) run ./cmd/onepipe-bench -bench-json -bench-out BENCH_core.json
 
@@ -58,11 +60,11 @@ bench-gate:
 slo:
 	$(GO) run ./cmd/onepipe-bench -fig slo
 
-# CI's tail-latency smoke: re-run the quick SLO race and fail on delivery
-# drift (the race is deterministic) or a >25% p99 regression against the
-# committed BENCH_core.json.
+# CI's tail-latency smoke: re-run the quick SLO race and fail unless its
+# table (delivered counts, p50, p99, p999) equals its results_quick.txt
+# section (TestResultsQuick).
 slo-gate:
-	$(GO) run ./cmd/onepipe-bench -slo-gate BENCH_core.json
+	$(GO) test ./cmd/onepipe-bench -run '^TestResultsQuick$$/^slo$$' -count=1 -v
 
 # The serving tier: closed-loop clients driving KV / txn / SMR services
 # on the Fabric API, plus the elastic Join/Drain timeline
@@ -70,12 +72,11 @@ slo-gate:
 serve:
 	$(GO) run ./cmd/onepipe-bench -fig serve
 
-# CI's serving smoke: re-run the quick serve figure and fail on
-# delivered-count drift (the tier is deterministic), a >25% p99
-# regression against the committed BENCH_core.json, or a failed elastic
-# recovery.
+# CI's serving smoke: re-run the quick serve figure and fail unless its
+# table (delivered counts, p50, p99, p999 and the elastic RECOVERED note)
+# equals its results_quick.txt section (TestResultsQuick).
 serve-gate:
-	$(GO) run ./cmd/onepipe-bench -serve-gate BENCH_core.json
+	$(GO) test ./cmd/onepipe-bench -run '^TestResultsQuick$$/^serve$$' -count=1 -v
 
 # Regenerate every figure/table at quick scale into results_quick.txt.
 results:

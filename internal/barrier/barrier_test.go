@@ -1,6 +1,7 @@
 package barrier
 
 import (
+	"math/rand"
 	"testing"
 
 	"onepipe/internal/sim"
@@ -199,5 +200,33 @@ func TestRaiseRescansOnlyOnArgmin(t *testing.T) {
 	}
 	if be, c := s.Out(); be != 400 || c != 400 || s.top[BE] != 1 {
 		t.Fatalf("Out (%d, %d) held by input %d, want (400, 400) by input 0", be, c, s.top[BE]-1)
+	}
+}
+
+// BenchmarkNodeBarriers is one barrier arrival plus one aggregate read at a
+// fan-in-16 switch: the ToR up half of the benchmark's sparse-fabric, whose
+// hosts beacon round-robin once per interval from clocks a random offset
+// apart. One arrival in four then raises the input holding the minimum
+// (the workload's own fan-in-16 nodes see 18 %) and costs a rescan.
+func BenchmarkNodeBarriers(b *testing.B) {
+	const fanIn = 16
+	const interval = 5 * sim.Microsecond
+	rng := rand.New(rand.NewSource(1))
+	var off [fanIn]sim.Time
+	for i := range off {
+		off[i] = sim.Time(rng.Intn(int(sim.Microsecond)))
+	}
+	var s Set
+	for i := 0; i < fanIn; i++ {
+		s.Add(0, 0)
+		s.SetMember(i, BE, true)
+		s.SetMember(i, C, true)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		j := i % fanIn
+		t := sim.Time(i/fanIn+1)*interval + off[j]
+		s.Raise(j, t, t)
+		s.Out()
 	}
 }

@@ -408,60 +408,77 @@ func TestFreeListLeavesNothingArmed(t *testing.T) {
 	}
 }
 
-// TestIdlePairHeapFootprint measures what a settled pair keeps on the heap:
-// first contacts on two cabled hosts, each one best-effort message to a
-// never-seen process through delivery and the ACK, with the heap read after
-// two collections before and after. The difference per pair is the conn,
-// the rconn and their slots in the processes' pair tables (106 B: 64 + 24
-// for the slab entries, about 18 for the slots, a 4-byte table of its own
-// in an 8-byte size class for each receiving process and the sender's table
-// grown by a quarter; 130 B with a heap object per conn and rconn and
-// 8-byte table slots, 184 B when the tables were maps, 592 B when every
-// pair kept its queues, rings, timers and accumulators); the parts are back
-// on the free lists, which hold one of each.
-func TestIdlePairHeapFootprint(t *testing.T) {
-	if race.Enabled {
-		t.Skip("race detector instrumentation allocates")
-	}
-	const warm, pairs = 16, 4096
-	cfg := DefaultConfig()
+// contactPair is cablePair with n never-contacted processes on host 1 (IDs
+// 2 up), each with a one-message send slice of its own (core keeps a send's
+// slice), and one delivery counter for them all.
+func contactPair(cfg Config, n int) (eng *sim.Engine, hosts [2]*Host, src *Proc, msgs [][]Message, delivered *int) {
 	eng, hosts, procs, _ := cablePair(cfg)
-	delivered := 0
-	onBatch := func(ds []Delivery) { delivered += len(ds) }
-	msgs := make([][]Message, warm+pairs)
+	delivered = new(int)
+	onBatch := func(ds []Delivery) { *delivered += len(ds) }
+	msgs = make([][]Message, n)
 	for i := range msgs {
 		p := hosts[1].AddProc(netsim.ProcID(2 + i))
 		p.OnDeliverBatch = onBatch
 		msgs[i] = []Message{{Dst: p.ID, Size: 64}}
 	}
+	return eng, hosts, procs[0], msgs, delivered
+}
+
+// idleWarm first contacts warm the pools, event queue and free lists before
+// idlePairs more are measured.
+const idleWarm, idlePairs = 16, 4096
+
+// idlePairHeap runs first contacts on a contactPair, each one best-effort
+// message to a never-seen process through delivery and the ACK, settling
+// before the next, and reads the live heap after two collections (the
+// packet pools' victim caches) before and after the last idlePairs of them.
+// It returns the difference per pair and the two hosts.
+func idlePairHeap(tb testing.TB, cfg Config) (float64, [2]*Host) {
+	eng, hosts, src, msgs, delivered := contactPair(cfg, idleWarm+idlePairs)
 	contact := func(i int) {
-		if err := procs[0].Send(msgs[i]); err != nil {
-			t.Fatal(err)
+		if err := src.Send(msgs[i]); err != nil {
+			tb.Fatal(err)
 		}
 		eng.RunFor(4 * cfg.BeaconInterval)
 	}
 	heap := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
-		runtime.GC() // the packet pools' victim caches
+		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	for i := 0; i < warm; i++ {
+	for i := 0; i < idleWarm; i++ {
 		contact(i)
 	}
 	before := heap()
-	for i := warm; i < warm+pairs; i++ {
+	for i := idleWarm; i < idleWarm+idlePairs; i++ {
 		contact(i)
 	}
 	after := heap()
 	runtime.KeepAlive(hosts)
 	runtime.KeepAlive(msgs)
-	per := float64(after-before) / pairs
-	t.Logf("%.1f heap bytes per settled pair (conn %d B, rconn %d B)", per, unsafe.Sizeof(conn{}), unsafe.Sizeof(rconn{}))
-	if delivered != warm+pairs {
-		t.Fatalf("%d of %d delivered", delivered, warm+pairs)
+	if *delivered != idleWarm+idlePairs {
+		tb.Fatalf("%d of %d delivered", *delivered, idleWarm+idlePairs)
 	}
+	return float64(after-before) / idlePairs, hosts
+}
+
+// TestIdlePairHeapFootprint measures what a settled pair keeps on the heap
+// (idlePairHeap). The difference per pair is the conn, the rconn and their
+// slots in the processes' pair tables (106 B: 64 + 24 for the slab entries,
+// about 18 for the slots, a 4-byte table of its own in an 8-byte size class
+// for each receiving process and the sender's table grown by a quarter;
+// 130 B with a heap object per conn and rconn and 8-byte table slots, 184 B
+// when the tables were maps, 592 B when every pair kept its queues, rings,
+// timers and accumulators); the parts are back on the free lists, which
+// hold one of each.
+func TestIdlePairHeapFootprint(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	per, hosts := idlePairHeap(t, DefaultConfig())
+	t.Logf("%.1f heap bytes per settled pair (conn %d B, rconn %d B)", per, unsafe.Sizeof(conn{}), unsafe.Sizeof(rconn{}))
 	for _, c := range hosts[0].connList() {
 		if c.work != nil {
 			t.Fatal("a pair did not settle")

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"onepipe/internal/netsim"
 	"onepipe/internal/race"
 )
 
@@ -246,19 +245,12 @@ func TestFirstContactAllocs(t *testing.T) {
 		t.Skip("race detector instrumentation allocates")
 	}
 	cfg := DefaultConfig()
-	eng, hosts, procs, _ := cablePair(cfg)
 	const warm, runs = 16, 100
-	delivered := 0
-	var msgs [][]Message // core keeps the slice: one per send
-	for i := 0; i < warm+runs+1; i++ {
-		p := hosts[1].AddProc(netsim.ProcID(2 + i))
-		p.OnDeliverBatch = func(ds []Delivery) { delivered += len(ds) }
-		msgs = append(msgs, []Message{{Dst: p.ID, Size: 64}})
-	}
-	procs[0].OnSendFail = func(f SendFailure) { t.Errorf("send failed: %+v", f) }
+	eng, hosts, src, msgs, delivered := contactPair(cfg, warm+runs+1)
+	src.OnSendFail = func(f SendFailure) { t.Errorf("send failed: %+v", f) }
 	next := 0
 	round := func() {
-		if err := procs[0].Send(msgs[next]); err != nil {
+		if err := src.Send(msgs[next]); err != nil {
 			t.Fatal(err)
 		}
 		next++
@@ -275,8 +267,8 @@ func TestFirstContactAllocs(t *testing.T) {
 	if avg > 1 {
 		t.Errorf("first contact: %v allocs, want at most 1", avg)
 	}
-	if delivered != next {
-		t.Fatalf("%d of %d delivered", delivered, next)
+	if *delivered != next {
+		t.Fatalf("%d of %d delivered", *delivered, next)
 	}
 	if n := len(hosts[0].connList()); n != next {
 		t.Fatalf("%d conns for %d peers", n, next)

@@ -23,7 +23,7 @@ func TestTimerFootprint(t *testing.T) {
 
 // simPair deploys the smallest simulated fabric: two hosts under one
 // rack switch, one process each.
-func simPair(t *testing.T) *Cluster {
+func simPair(t testing.TB) *Cluster {
 	t.Helper()
 	return simRack(2, DefaultConfig())
 }

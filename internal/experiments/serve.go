@@ -12,13 +12,13 @@ import (
 // tpcc-style mix, an SMR mode, or one elastic-timeline bucket. Latencies
 // are microseconds, client-observed.
 type ServeRow struct {
-	Segment   string  `json:"segment"`
-	Clients   int     `json:"clients"`
-	Delivered int     `json:"delivered"`
-	ReqPerSec float64 `json:"req_per_s"`
-	P50       float64 `json:"p50_us"`
-	P99       float64 `json:"p99_us"`
-	P999      float64 `json:"p999_us"`
+	Segment   string
+	Clients   int
+	Delivered int
+	ReqPerSec float64
+	P50       float64
+	P99       float64
+	P999      float64
 }
 
 // serveProcs sizes the serving fabric from the scale's process budget.

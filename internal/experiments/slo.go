@@ -15,11 +15,11 @@ import (
 // SLORow is one raced config's percentile outcome under the reference
 // trace + impairment profile. Latencies are microseconds.
 type SLORow struct {
-	Config    string  `json:"config"`
-	Delivered int     `json:"delivered"`
-	P50       float64 `json:"p50_us"`
-	P99       float64 `json:"p99_us"`
-	P999      float64 `json:"p999_us"`
+	Config    string
+	Delivered int
+	P50       float64
+	P99       float64
+	P999      float64
 }
 
 // sloProcs picks the fabric size for the SLO race.

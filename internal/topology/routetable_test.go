@@ -165,3 +165,21 @@ func FuzzRouteTable(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkNextHop is one routing lookup at a spine's up half of the
+// 512-host fabric (the benchmark's sparse-fabric), the destination walking
+// every host: a turn-around for the spine's own pod, the core candidates for
+// the other seven.
+func BenchmarkNextHop(b *testing.B) {
+	g := NewClos(ClosConfig{Pods: 8, RacksPerPod: 4, HostsPerRack: 16, SpinesPerPod: 4, Cores: 8})
+	spine := g.SpineUps(0)[0]
+	hosts := g.Hosts
+	b.ReportAllocs()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += len(g.NextHops(spine, hosts[i%len(hosts)]))
+	}
+	if n == 0 {
+		b.Fatal("no candidates")
+	}
+}

@@ -35,7 +35,7 @@ bench-module:
 race:
 	$(GO) test -race ./internal/core/ ./internal/udpnet/ ./internal/sim/
 	$(GO) test -race ./internal/netsim/ -run 'TestPutPacket|TestPutAckBatch|TestPool' -count=1
-	$(GO) test -race . -run 'TestSendOptionsConcurrent|TestSendRacingClose|TestUDPJoinRacingSend|TestLiveJoinDrain' -count=10
+	$(GO) test -race . -run 'TestSendOptionsConcurrent|TestSendRacingClose|TestUDPJoinRacingSend|TestUDPSendReusesSlice|TestLiveJoinDrain' -count=10
 
 # One pass over every figure/table as Go benchmarks.
 bench:

@@ -98,17 +98,11 @@ type benchReport struct {
 	// Scale1024 is the wall time of the 1024-host fabric scale workload
 	// (the -fig scale row).
 	Scale1024 *scaleBench `json:"scale_1024,omitempty"`
-	// E2EMsgsPerSec and E2EUnbatchedMsgsPerSec are medians of medianRuns
-	// runs, each with its spread beside it.
-	E2EMsgsPerSec       float64     `json:"e2e_msgs_per_sec"`
-	E2EMsgsPerSecSpread *rateSpread `json:"e2e_msgs_per_sec_spread,omitempty"`
-	// E2EUnbatchedMsgsPerSec is the same workload with frame coalescing
-	// and the delivery fast path off — the pre-batching wire behavior,
-	// kept for the batching speedup comparison.
-	E2EUnbatchedMsgsPerSec       float64           `json:"e2e_unbatched_msgs_per_sec,omitempty"`
-	E2EUnbatchedMsgsPerSecSpread *rateSpread       `json:"e2e_unbatched_msgs_per_sec_spread,omitempty"`
-	SendOccupancy                *occupancySummary `json:"send_frame_occupancy,omitempty"`
-	RecvOccupancy                *occupancySummary `json:"recv_batch_occupancy,omitempty"`
+	// E2EMsgsPerSec is the median of medianRuns runs, its spread beside it.
+	E2EMsgsPerSec       float64           `json:"e2e_msgs_per_sec"`
+	E2EMsgsPerSecSpread *rateSpread       `json:"e2e_msgs_per_sec_spread,omitempty"`
+	SendOccupancy       *occupancySummary `json:"send_frame_occupancy,omitempty"`
+	RecvOccupancy       *occupancySummary `json:"recv_batch_occupancy,omitempty"`
 	// IdlePairBytes is the live heap a settled (src, dst) pair keeps.
 	IdlePairBytes *idlePairRow           `json:"idle_pair_bytes,omitempty"`
 	Benchmarks    map[string]benchResult `json:"benchmarks"`
@@ -251,16 +245,16 @@ func summarize(h *stats.Histogram) occupancySummary {
 
 // benchE2E measures end-to-end ordered deliveries per wall-clock second on
 // the public API: 32 processes each scattering 50 best-effort messages on
-// the paper's testbed topology. batched selects the adaptive-batching
-// defaults plus the OnDeliverBatch fast path; unbatched sends each message
-// with the Unbatched option (one packet per message) and counts through the
-// per-delivery callback.
-// The returned histograms aggregate send-frame and delivery-batch occupancy
-// across all runs (nil when unbatched).
-func benchE2E(batched bool) (float64, *stats.Histogram, *stats.Histogram) {
+// the paper's testbed topology, with the default batching and the
+// OnDeliverBatch fast path. The returned histograms aggregate send-frame
+// and delivery-batch occupancy across all runs. There is no unbatched twin:
+// frames here hold 1.56 messages on average, too few for coalescing to show
+// in the rate; `-fig slo`'s unbatched row measures batching.
+func benchE2E() (float64, *stats.Histogram, *stats.Histogram) {
 	const procs, msgsEach = 32, 50
 	delivered := 0
 	sendOcc, recvOcc := &stats.Histogram{}, &stats.Histogram{}
+	msg := make([]onepipe.Message, 1) // Send copies it
 	start := time.Now()
 	runs := 0
 	for time.Since(start) < 2*time.Second {
@@ -270,35 +264,21 @@ func benchE2E(batched bool) (float64, *stats.Histogram, *stats.Histogram) {
 			Seed:         int64(runs + 1),
 		})
 		for p := 0; p < procs; p++ {
-			if batched {
-				cl.Process(p).OnDeliverBatch(func(ds []onepipe.Delivery) { delivered += len(ds) })
-			} else {
-				cl.Process(p).OnDeliver(func(onepipe.Delivery) { delivered++ })
-			}
-		}
-		var opts []onepipe.SendOption
-		if !batched {
-			opts = append(opts, onepipe.Unbatched())
+			cl.Process(p).OnDeliverBatch(func(ds []onepipe.Delivery) { delivered += len(ds) })
 		}
 		for p := 0; p < procs; p++ {
 			for k := 0; k < msgsEach; k++ {
-				dst := onepipe.ProcID((p + k + 1) % procs)
-				cl.Process(p).Send([]onepipe.Message{{Dst: dst, Size: 64}}, opts...)
+				msg[0] = onepipe.Message{Dst: onepipe.ProcID((p + k + 1) % procs), Size: 64}
+				cl.Process(p).Send(msg)
 			}
 		}
 		cl.Run(500 * onepipe.Microsecond)
-		if batched {
-			s, r := cl.Core().Occupancy()
-			sendOcc.Merge(s)
-			recvOcc.Merge(r)
-		}
+		s, r := cl.Core().Occupancy()
+		sendOcc.Merge(s)
+		recvOcc.Merge(r)
 		runs++
 	}
-	rate := float64(delivered) / time.Since(start).Seconds()
-	if !batched {
-		return rate, nil, nil
-	}
-	return rate, sendOcc, recvOcc
+	return float64(delivered) / time.Since(start).Seconds(), sendOcc, recvOcc
 }
 
 // runBenchJSON runs the core benchmark set and writes outPath. The hand-set
@@ -345,20 +325,16 @@ func runBenchJSON(committedPath, outPath string) error {
 		Events:     events,
 		WindowUs:   scaleWindow.Micros(),
 	}
-	// The batched and unbatched runs alternate; the occupancy histograms
-	// are the median batched run's.
-	batched, unbatched := make([]float64, medianRuns), make([]float64, medianRuns)
+	// The occupancy histograms are the median run's.
+	rates := make([]float64, medianRuns)
 	sendOcc, recvOcc := make([]*stats.Histogram, medianRuns), make([]*stats.Histogram, medianRuns)
-	for i := range batched {
-		batched[i], sendOcc[i], recvOcc[i] = benchE2E(true)
-		unbatched[i], _, _ = benchE2E(false)
+	for i := range rates {
+		rates[i], sendOcc[i], recvOcc[i] = benchE2E()
 	}
-	mid, rep.E2EMsgsPerSecSpread = median(batched)
-	rep.E2EMsgsPerSec = batched[mid]
+	mid, rep.E2EMsgsPerSecSpread = median(rates)
+	rep.E2EMsgsPerSec = rates[mid]
 	so, ro := summarize(sendOcc[mid]), summarize(recvOcc[mid])
 	rep.SendOccupancy, rep.RecvOccupancy = &so, &ro
-	mid, rep.E2EUnbatchedMsgsPerSecSpread = median(unbatched)
-	rep.E2EUnbatchedMsgsPerSec = unbatched[mid]
 
 	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -383,9 +359,9 @@ func runBenchJSON(committedPath, outPath string) error {
 		fmt.Printf("scale 1024  %8.2f s wall  (median of %d, %.2f–%.2f; %d events, %.0fus window)\n",
 			sb.WallS, sb.Runs, sb.WallSMin, sb.WallSMax, sb.Events, sb.WindowUs)
 	}
-	b, u := rep.E2EMsgsPerSecSpread, rep.E2EUnbatchedMsgsPerSecSpread
-	fmt.Printf("e2e         %8.0f msgs/s  (median of %d, %.0f–%.0f; unbatched %.0f, %.0f–%.0f)\n",
-		rep.E2EMsgsPerSec, b.Runs, b.Min, b.Max, rep.E2EUnbatchedMsgsPerSec, u.Min, u.Max)
+	b := rep.E2EMsgsPerSecSpread
+	fmt.Printf("e2e         %8.0f msgs/s  (median of %d, %.0f–%.0f)\n",
+		rep.E2EMsgsPerSec, b.Runs, b.Min, b.Max)
 	if rep.SendOccupancy != nil && rep.SendOccupancy.Count > 0 {
 		fmt.Printf("frame occ   mean %.2f p50 %.0f p99 %.0f max %.0f (%d frames)\n",
 			rep.SendOccupancy.Mean, rep.SendOccupancy.P50, rep.SendOccupancy.P99,

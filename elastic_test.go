@@ -2,6 +2,7 @@ package onepipe
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -181,5 +182,67 @@ func TestUDPJoinRacingSend(t *testing.T) {
 	}
 	if n := l.NumProcesses(); n != 5 {
 		t.Fatalf("NumProcesses = %d after three joins, want 5", n)
+	}
+}
+
+// TestUDPSendReusesSlice reuses one message slice across reliable sends
+// from one goroutine while the host's goroutine launches them: the bursts
+// overrun the send window, so scatterings leave the credit wait queue, and
+// are retransmitted, after Send has returned and the slice was rewritten.
+// Send copies the messages, so under -race nothing is reported and every
+// payload arrives once, in send order.
+func TestUDPSendReusesSlice(t *testing.T) {
+	l, err := NewUDPCluster(LiveConfig{Hosts: 2, ProcsPerHost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const n = 300
+	var mu sync.Mutex
+	var got []string
+	all := make(chan struct{})
+	l.Process(1).OnDeliver(func(d Delivery) {
+		mu.Lock()
+		defer mu.Unlock()
+		got = append(got, string(d.Data.([]byte)))
+		if len(got) == n {
+			close(all)
+		}
+	})
+	done := make(chan error, 1)
+	go func() {
+		msgs := make([]Message, 1)
+		for i := 0; i < n; {
+			msgs[0] = Message{Dst: 1, Data: []byte(strconv.Itoa(i)), Size: 8}
+			err := l.Process(0).Send(msgs, Reliable())
+			msgs[0] = Message{} // the caller's slice is its own again
+			switch {
+			case err == nil:
+				i++
+			case errors.Is(err, ErrBackpressure) || errors.Is(err, ErrSendBufferFull):
+				time.Sleep(50 * time.Microsecond)
+			default:
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	if err := <-done; err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	select {
+	case <-all:
+	case <-time.After(20 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("%d of %d delivered", len(got), n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, s := range got {
+		if s != strconv.Itoa(i) {
+			t.Fatalf("delivery %d carries %q, want %q", i, s, strconv.Itoa(i))
+		}
 	}
 }

@@ -24,17 +24,12 @@ func TestSendFacadeAllocs(t *testing.T) {
 	p := cl.Process(0)
 	direct := p.backend.(simBackend).proc
 	const runs = 100
-	msgs := make([][]Message, 5*(runs+1)+64) // core keeps the slice: one per send
-	for i := range msgs {
-		msgs[i] = []Message{{Dst: 1, Size: 64}}
-	}
-	next := 0
+	msgs := []Message{{Dst: 1, Size: 64}} // Send copies it: one for every round
 	round := func(send func([]Message) error) func() {
 		return func() {
-			if err := send(msgs[next]); err != nil {
+			if err := send(msgs); err != nil {
 				t.Fatal(err)
 			}
-			next++
 			cl.Run(20 * Microsecond)
 		}
 	}

@@ -168,6 +168,7 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet), end func
 	wrng := rand.New(rand.NewSource(p.Seed ^ 0x6a09e667f3bcc908))
 	seqs := make([]int32, finalProcs)
 	curProcs := nprocs
+	var msgs []core.Message // every scattering is built here: Send copies it
 	var loop func(pi int)
 	loop = func(pi int) {
 		if eng.Now() >= p.Workload.Stop {
@@ -178,7 +179,7 @@ func runWith(p Plan, tap func(hi int, at sim.Time, pkt *netsim.Packet), end func
 		if fan > curProcs-1 {
 			fan = curProcs - 1
 		}
-		var msgs []core.Message
+		msgs = msgs[:0]
 		seen := map[netsim.ProcID]bool{proc.ID: true}
 		id := oracle.ID{Src: proc.ID, Seq: seqs[pi]}
 		for len(msgs) < fan {

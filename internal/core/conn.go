@@ -791,7 +791,9 @@ type scattering struct {
 	// free marks a scattering released to its fabric's free list; any use
 	// before it is taken again panics (as netsim's pooled flag does).
 	free bool
-	msgs []Message
+	// msgs is the scattering's own copy of the caller's messages, taken at
+	// Send, with each one's packet accounting.
+	msgs []sendMsg
 	ts   sim.Time
 	// conflict is the sender-declared conflict key; every packet and frame
 	// entry of the scattering carries it (DeliverConflictAware).
@@ -809,9 +811,7 @@ type scattering struct {
 	// submit → launch gap is the credit wait (obs.SpanCreditWait).
 	submitAt sim.Time
 
-	// fragsPerMsg[i] is the packet count of msgs[i].
-	fragsPerMsg []int
-	totalPkts   int
+	totalPkts int
 	// Credit reservation state, per destination connection, in first-use
 	// order (ordered for deterministic partial-credit acquisition).
 	credits []credit
@@ -824,21 +824,27 @@ type scattering struct {
 	// failTimer drives best-effort loss detection. It leaves the queue at
 	// the last ACK, where the scattering is released (releaseScattering).
 	failTimer timer
-	// ackedMsg[i] counts ACKed packets of msgs[i] (for per-message
-	// send-failure reporting).
-	ackedMsg []int
 	// recallsPending counts outstanding recall ACKs during abort.
 	recallsPending int
 
 	// Embedded storage for the common shape — one message, one destination,
-	// one packet — so that such a scattering is a single object: fragsPerMsg,
-	// ackedMsg, credits and pkts slice into these when they fit and into
-	// separate slabs when they do not. A wide scattering keeps its slabs on
-	// the free list, in those four slices' capacity.
-	fragsArr  [scatInline]int
-	ackedArr  [scatInline]int
+	// one packet — so that such a scattering is a single object: msgs,
+	// credits and pkts slice into these when they fit and into separate
+	// slabs when they do not. A wide scattering keeps its slabs on the free
+	// list, in those three slices' capacity.
+	msgArr    [scatInline]sendMsg
 	creditArr [scatInline]credit
 	pktArr    [scatInline]outPkt
+}
+
+// sendMsg is one message of a scattering: the caller's Message, copied so
+// that the caller may reuse its slice as soon as Send returns, with the
+// message's packet count and how many of them are ACKed (for per-message
+// send-failure reporting).
+type sendMsg struct {
+	Message
+	frags int32
+	acked int32
 }
 
 // scatInline is the embedded capacity of a scattering. It is 1, sized by
@@ -868,19 +874,16 @@ func newScattering(p *Proc, msgs []Message, reliable bool, mtu int) *scattering 
 		total += fragsOf(msgs[i].Size, mtu)
 	}
 	s := p.host.scats.get(scatClass(total))
-	ints, credits, pkts := s.fragsPerMsg, s.credits, s.pkts
-	*s = scattering{owner: p, reliable: reliable, msgs: msgs, totalPkts: total,
+	slab, credits, pkts := s.msgs, s.credits, s.pkts
+	*s = scattering{owner: p, reliable: reliable, totalPkts: total,
 		unackedPkts: total, pkts: pkts[:0]}
-	ints = ints[:cap(ints)]
 	switch {
-	case 2*n <= len(ints): // a recycled slab
-		clear(ints[n : 2*n])
-		s.fragsPerMsg, s.ackedMsg = ints[:n], ints[n:2*n]
+	case cap(slab) >= n: // a recycled slab, or this scattering's own array
+		s.msgs = slab[:n]
 	case n <= scatInline:
-		s.fragsPerMsg, s.ackedMsg = s.fragsArr[:n], s.ackedArr[:n]
+		s.msgs = s.msgArr[:n]
 	default:
-		ints = make([]int, 2*n)
-		s.fragsPerMsg, s.ackedMsg = ints[:n], ints[n:]
+		s.msgs = make([]sendMsg, n)
 	}
 	switch {
 	case cap(credits) >= n:
@@ -892,7 +895,7 @@ func newScattering(p *Proc, msgs []Message, reliable bool, mtu int) *scattering 
 	}
 	for i := range msgs {
 		frags := fragsOf(msgs[i].Size, mtu)
-		s.fragsPerMsg[i] = frags
+		s.msgs[i] = sendMsg{Message: msgs[i], frags: int32(frags)}
 		c := p.conn(msgs[i].Dst)
 		// Destinations per scattering are few: a scan beats a map.
 		j := 0
@@ -1015,9 +1018,10 @@ func (h *Host) launch(s *scattering) {
 		if size <= 0 {
 			size = 64
 		}
-		for f := 0; f < s.fragsPerMsg[i]; f++ {
+		frags := int(m.frags)
+		for f := 0; f < frags; f++ {
 			fragSize := mtu
-			if f == s.fragsPerMsg[i]-1 {
+			if f == frags-1 {
 				fragSize = size - f*mtu
 			}
 			psn := c.nextPSN[k]
@@ -1027,7 +1031,7 @@ func (h *Host) launch(s *scattering) {
 			}
 			s.pkts = append(s.pkts, outPkt{
 				psn: psn, msgIdx: int32(i), frag: int32(f),
-				endOfMsg: f == s.fragsPerMsg[i]-1,
+				endOfMsg: f == frags-1,
 				size:     int32(fragSize), scat: s,
 			})
 			op := &s.pkts[len(s.pkts)-1]
@@ -1075,7 +1079,7 @@ func (h *Host) onPacketAcked(op *outPkt) {
 		panic(useFreed)
 	}
 	s.unackedPkts--
-	s.ackedMsg[op.msgIdx]++
+	s.msgs[op.msgIdx].acked++
 	if s.unackedPkts > 0 || s.done || s.aborted {
 		return
 	}
@@ -1150,7 +1154,7 @@ func (h *Host) beSendTimeout(s *scattering) {
 	}
 	h.abandon(s)
 	for i := range s.msgs {
-		if s.ackedMsg[i] < s.fragsPerMsg[i] {
+		if s.msgs[i].acked < s.msgs[i].frags {
 			h.failMessage(s, i)
 		}
 	}

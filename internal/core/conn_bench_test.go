@@ -29,7 +29,7 @@ func BenchmarkRTORetransmit(b *testing.B) {
 			h := NewHost(0, w, DefaultConfig())
 			h.Cfg.MaxRetx = 0 // never park: keep the window stable across firings
 			c := h.AddProc(0).conn(1)
-			s := &scattering{reliable: true, ts: 1, msgs: []Message{{Dst: 1, Size: 64}}}
+			s := &scattering{reliable: true, ts: 1, msgs: []sendMsg{{Message: Message{Dst: 1, Size: 64}, frags: 1}}}
 			for i := 0; i < n; i++ {
 				psn := c.nextPSN[1]
 				c.nextPSN[1]++

@@ -586,7 +586,8 @@ func (p *Proc) Timestamp() sim.Time { return p.host.wire.Now() }
 
 // Send issues a best-effort scattering (onepipe_unreliable_send): all
 // messages share one timestamp; lost messages are reported through
-// OnSendFail, never retransmitted.
+// OnSendFail, never retransmitted. Every send entry point copies msgs into
+// the scattering, so the caller may reuse the slice once it returns.
 func (p *Proc) Send(msgs []Message) error {
 	return p.host.send(p, msgs, SendOptions{})
 }

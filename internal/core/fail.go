@@ -150,7 +150,7 @@ func (h *Host) recallAffected(failed map[netsim.ProcID]sim.Time) {
 						h.abandon(m.scat)
 						m.scat.failTimer.stop()
 						for i := range m.scat.msgs {
-							if m.scat.ackedMsg[i] < m.scat.fragsPerMsg[i] {
+							if m.scat.msgs[i].acked < m.scat.msgs[i].frags {
 								h.failMessage(m.scat, i)
 							}
 						}

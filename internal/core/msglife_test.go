@@ -43,15 +43,13 @@ func TestReliableScatteringAllocs(t *testing.T) {
 	}
 	cl.Proc(0).OnSendFail = func(f SendFailure) { t.Errorf("send failed: %+v", f) }
 	const runs = 100
-	msgs := make([][]Message, runs+1+32) // core keeps the slice: one per send
-	for i := range msgs {
-		for d := 1; d <= 4; d++ {
-			msgs[i] = append(msgs[i], Message{Dst: netsim.ProcID(d), Size: 4096})
-		}
+	var msgs []Message // Send copies it: one for every round
+	for d := 1; d <= 4; d++ {
+		msgs = append(msgs, Message{Dst: netsim.ProcID(d), Size: 4096})
 	}
 	next := 0
 	round := func() {
-		if err := cl.Proc(0).SendReliable(msgs[next]); err != nil {
+		if err := cl.Proc(0).SendReliable(msgs); err != nil {
 			t.Fatal(err)
 		}
 		next++

@@ -95,9 +95,11 @@ const (
 // once its send-fail timer is stopped, and a reliable one when
 // reapOutstanding pops it after commit, unless it was aborted. A frame is
 // ACKed as a whole, so by then no send queue, ring or fnext chain holds any
-// of its packets; outstanding, the fail timer and msgs were the last
-// references, and this clears them. Every other scattering — aborted, timed
-// out, recalled, parked or never launched — is left to the collector.
+// of its packets; outstanding and the fail timer were the last references.
+// Its messages are cleared, so their Data is not kept reachable, and their
+// array stays with it for the next scattering of its class. Every other
+// scattering — aborted, timed out, recalled, parked or never launched — is
+// left to the collector.
 func (h *Host) releaseScattering(s *scattering) {
 	if s.free {
 		panic(releaseTwice)
@@ -108,7 +110,7 @@ func (h *Host) releaseScattering(s *scattering) {
 	}
 	s.failTimer.release()
 	clear(s.pkts)
-	s.msgs = nil
+	clear(s.msgs)
 	h.scats.put(s)
 }
 

@@ -153,13 +153,10 @@ func TestBestEffortRoundAllocs(t *testing.T) {
 	delivered := 0
 	cl.Proc(1).OnDeliverBatch = func(ds []Delivery) { delivered += len(ds) }
 	const runs = 200
-	msgs := make([][]Message, runs+1+64) // core keeps the slice: one per send
-	for i := range msgs {
-		msgs[i] = []Message{{Dst: 1, Data: nil, Size: 64}}
-	}
+	msgs := []Message{{Dst: 1, Size: 64}} // Send copies it: one for every round
 	next := 0
 	round := func() {
-		if err := cl.Proc(0).Send(msgs[next]); err != nil {
+		if err := cl.Proc(0).Send(msgs); err != nil {
 			t.Fatal(err)
 		}
 		next++

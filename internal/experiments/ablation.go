@@ -88,7 +88,14 @@ func AblBarrier(sc Scale) *Table {
 		cl.Procs[31].OnDeliver = func(core.Delivery) { delivered++ }
 		load := workload.Limit(incastStreams(senders, 31, 300*sim.Nanosecond, 1024), 500*sim.Microsecond)
 		p := drivePump(cl, load, 0, false)
+		// Past the 500 us of load, run until every accepted send is
+		// delivered, capped at 20 ms: 16 senders' incast backlog drains
+		// past 2 ms, and a fixed 2 ms run counted what was still queued as
+		// lost.
 		cl.Run(2 * sim.Millisecond)
+		for delivered < p.Sent && cl.Net.Eng.Now() < 20*sim.Millisecond {
+			cl.Run(sim.Millisecond)
+		}
 		barrier := 100 * float64(delivered) / float64(p.Sent)
 		t.AddRow(f1(float64(senders)), f1(barrier), f1(naive))
 	}

@@ -24,6 +24,7 @@ func drivePump(cl *core.Cluster, src workload.Source, stop sim.Time, stamp bool)
 	n := len(cl.Procs)
 	var step func()
 	var cur workload.Intent
+	var msgs []core.Message // every scattering is built here: Send copies it
 	pull := func() bool {
 		it, ok := src.Next()
 		if !ok || (stop > 0 && it.At >= stop) {
@@ -38,7 +39,7 @@ func drivePump(cl *core.Cluster, src workload.Source, stop sim.Time, stamp bool)
 		return true
 	}
 	step = func() {
-		msgs := make([]core.Message, 0, len(cur.Dsts))
+		msgs = msgs[:0]
 		for _, d := range cur.Dsts {
 			m := core.Message{Dst: netsim.ProcID(d % n), Size: cur.Size}
 			if stamp {

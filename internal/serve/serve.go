@@ -164,28 +164,30 @@ type session struct {
 	req     *request // the outstanding request's latest attempt; nil while thinking
 }
 
-// reqInline is how many ops, owner parts and fabric messages a request
-// holds without a slab of its own: the default OpsPerReq. It is sized by
-// bytes — a request is 368 B with it (the 384 B size class), 176 B of that
-// the two parts — and a scan or a transaction that does not fit takes one
-// slab per kind through the same code.
+// reqInline is how many ops and owner parts a request holds without a slab
+// of its own: the default OpsPerReq. It is sized by bytes — a request is
+// 216 B with it (the 224 B size class), 112 B of that the two parts — and a
+// scan or a transaction that does not fit takes one slab per kind through
+// the same code.
 const reqInline = 2
 
 // request is one attempt at a session's request, in one allocation: the
-// ops grouped by owner, one part per owner, and the scattering's messages,
-// msgs[i].Data pointing at parts[i] (the SMR services have one part, which
-// every message points at). The owner's verdict and its reply live in the
-// part, so from the moment Process.Send accepts an attempt its request
-// belongs to the fabric and the owners: a resend takes a fresh one.
+// ops grouped by owner and one part per owner. Its scattering is built in
+// the tier's send buffer at each transmission, one message per part with
+// Data pointing at the part (the SMR services have one part, which every
+// replica's message points at). The owner's verdict and its reply live in
+// the part, so from the moment Process.Send accepts an attempt its request
+// belongs to the fabric and the owners until the last reply closes it:
+// complete then hands it to the tier's free list, and a loss-retry resend
+// takes a fresh one that is never recycled (see complete).
 type request struct {
-	ops   []workload.Op
-	parts []reqMsg
-	msgs  []onepipe.Message
-	sent  bool // Process.Send accepted it
+	ops    []workload.Op
+	parts  []reqMsg
+	sent   bool // Process.Send accepted it
+	resent bool // a loss-retry copy: the attempts before it may still answer
 
 	opsArr   [reqInline]workload.Op
 	partsArr [reqInline]reqMsg
-	msgsArr  [reqInline]onepipe.Message
 }
 
 // reqMsg is one owner's share of a request scattering, and what the owner
@@ -199,8 +201,7 @@ type reqMsg struct {
 	Ops   []workload.Op // a subslice of the request's ops
 
 	rep repMsg
-	dup bool               // the owner had already applied (Sess, Seq)
-	out [1]onepipe.Message // the reply scattering: &rep, to FE
+	dup bool // the owner had already applied (Sess, Seq)
 }
 
 // repMsg completes one owner's share back at the frontend.
@@ -237,6 +238,12 @@ type Tier struct {
 	winStart  sim.Time
 	log       []byte
 	started   bool
+
+	// free is the LIFO of closed KV / Txn requests that issue takes before
+	// allocating; msgs is the send buffer every scattering the tier sends is
+	// built in, which Process.Send copies.
+	free []*request
+	msgs []onepipe.Message
 }
 
 // New deploys the tier over an existing cluster. Sessions are created but
@@ -343,20 +350,36 @@ func (t *Tier) issue(s *session) {
 	}
 	s.seq++
 	s.start = t.eng.Now()
-	r := &request{}
+	r := t.newRequest()
 	r.ops = t.nextOps(s, r.opsArr[:0])
 	t.split(r, s)
 	s.req = r
 	t.send(s)
 }
 
-// messages returns room for an n-message scattering: r's inline array when
-// it fits, else one slab.
-func (r *request) messages(n int) []onepipe.Message {
-	if n <= reqInline {
-		return r.msgsArr[:n]
+// newRequest takes an empty request off the free list, or allocates one. A
+// recycled request drops the slabs a wide one had, so the list holds only
+// the inline shape.
+func (t *Tier) newRequest() *request {
+	n := len(t.free) - 1
+	if n < 0 {
+		return &request{}
 	}
-	return make([]onepipe.Message, n)
+	r := t.free[n]
+	t.free[n] = nil
+	t.free = t.free[:n]
+	*r = request{}
+	return r
+}
+
+// partSize is the payload size of a part carrying ops: a 16-byte header per
+// op plus its value.
+func partSize(ops []workload.Op) int {
+	size := 16 * len(ops)
+	for _, op := range ops {
+		size += op.Value
+	}
+	return size
 }
 
 // room returns dst emptied when it can hold n ops, else one slab that can.
@@ -367,11 +390,10 @@ func room(dst []workload.Op, n int) []workload.Op {
 	return make([]workload.Op, 0, n)
 }
 
-// split cuts r.ops into one part per owner and fills the scattering's
-// messages. KV / Txn ops are grouped by owner stably and in place — owners
-// in first-seen order, each owner's ops in request order — so message order
-// and sizes are a function of the op list alone; an SMR command is one part
-// (smrSend addresses it).
+// split cuts r.ops into one part per owner. KV / Txn ops are grouped by
+// owner stably and in place — owners in first-seen order, each owner's ops
+// in request order — so message order and sizes are a function of the op
+// list alone; an SMR command is one part (smrSend addresses it).
 func (t *Tier) split(r *request, s *session) {
 	ops := r.ops
 	if t.smr != nil {
@@ -395,7 +417,6 @@ func (t *Tier) split(r *request, s *session) {
 		}
 		i = j
 	}
-	r.msgs = r.messages(n)
 	if n <= reqInline {
 		r.parts = r.partsArr[:n]
 	} else {
@@ -407,12 +428,7 @@ func (t *Tier) split(r *request, s *session) {
 		for j < len(ops) && t.owner(ops[j].Key) == o {
 			j++
 		}
-		size := 16 * (j - i)
-		for _, op := range ops[i:j] {
-			size += op.Value
-		}
 		r.parts[p] = reqMsg{Sess: s.id, FE: s.fe, Seq: s.seq, Ops: ops[i:j:j]}
-		r.msgs[p] = onepipe.Message{Dst: onepipe.ProcID(o), Data: &r.parts[p], Size: size}
 		i = j
 	}
 }
@@ -428,11 +444,10 @@ func (t *Tier) send(s *session) {
 	}
 	if r.sent {
 		// The loss-retry timer fired. The attempt before may still be in
-		// flight, in an owner's station, or held by core (a reliable
-		// scattering keeps its msgs until it settles), and its parts carry
-		// the owners' state: resend a copy. An attempt Process.Send refused
-		// was kept by nobody and is sent again as it is.
-		r = &request{}
+		// flight or in an owner's station, and its parts carry the owners'
+		// state: resend a copy. An attempt Process.Send refused was kept by
+		// nobody and is sent again as it is.
+		r = &request{resent: true}
 		r.ops = append(room(r.opsArr[:0], len(s.req.ops)), s.req.ops...)
 		t.split(r, s)
 		s.req = r
@@ -452,15 +467,21 @@ func (t *Tier) send(s *session) {
 			break
 		}
 	}
-	s.pending = int32(len(r.msgs))
+	t.msgs = t.msgs[:0]
+	for i := range r.parts {
+		p := &r.parts[i]
+		t.msgs = append(t.msgs, onepipe.Message{
+			Dst: onepipe.ProcID(t.owner(p.Ops[0].Key)), Data: p, Size: partSize(p.Ops)})
+	}
+	s.pending = int32(len(r.parts))
 	t.transmit(s, t.sendOpts(write, conflict))
 }
 
-// transmit hands the current attempt's scattering to the frontend's
-// process.
+// transmit hands the current attempt's scattering, built in t.msgs, to the
+// frontend's process.
 func (t *Tier) transmit(s *session, opts []onepipe.SendOption) {
 	r := s.req
-	if err := t.cl.Process(int(s.fe)).Send(r.msgs, opts...); err != nil {
+	if err := t.cl.Process(int(s.fe)).Send(t.msgs, opts...); err != nil {
 		// Backpressure / full buffer: hold the request and retry shortly;
 		// the wait stays inside the client-observed latency. A closed
 		// frontend (crashed or drained host) ends the session instead.
@@ -590,12 +611,12 @@ func (sh *shard) apply(op workload.Op) {
 // reply answers part m from proc p out of the part's own storage. A KV /
 // Txn part is delivered to one owner once, so it is filled once; where an
 // SMR command can be answered twice (see smr.go) the second fill writes the
-// same bytes — the reply is a function of the part — and core only reads a
-// scattering's messages.
+// same bytes — the reply is a function of the part — and the fabric only
+// reads it.
 func (t *Tier) reply(p int, m *reqMsg) {
 	m.rep = repMsg{Sess: m.Sess, Seq: m.Seq, N: uint16(len(m.Ops))}
-	m.out[0] = onepipe.Message{Dst: onepipe.ProcID(m.FE), Data: &m.rep, Size: 16}
-	if err := t.cl.Process(p).Send(m.out[:]); err != nil {
+	t.msgs = append(t.msgs[:0], onepipe.Message{Dst: onepipe.ProcID(m.FE), Data: &m.rep, Size: 16})
+	if err := t.cl.Process(p).Send(t.msgs); err != nil {
 		if errors.Is(err, onepipe.ErrClosed) {
 			return
 		}
@@ -625,6 +646,13 @@ func (t *Tier) complete(m *repMsg) {
 	}
 	if t.Cfg.RecordLog {
 		t.log = appendLogLine(t.log, m.Sess, m.Seq, now, lat, len(s.req.ops))
+	}
+	// Every part of the request has been answered, so no owner, station or
+	// scattering still reads it, unless it is a loss-retry copy (an earlier
+	// attempt's reply may have closed it while its own parts are still out)
+	// or an SMR command (whose one part can be answered twice).
+	if r := s.req; !r.resent && t.smr == nil {
+		t.free = append(t.free, r)
 	}
 	s.req = nil // nothing request-sized stays reachable while the session thinks
 	if s.stopped || (t.Cfg.MaxRequests > 0 && s.done >= t.Cfg.MaxRequests) {

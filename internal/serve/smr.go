@@ -58,12 +58,12 @@ func (t *Tier) initSMR() {
 	for i := 0; i < r; i++ {
 		i := i
 		tr := transportFn(func(m raft.Message) {
-			msg := []onepipe.Message{{
+			t.msgs = append(t.msgs[:0], onepipe.Message{
 				Dst:  onepipe.ProcID(m.To),
 				Data: m,
 				Size: 64 + 32*len(m.Entries),
-			}}
-			_ = t.cl.Process(m.From).Send(msg)
+			})
+			_ = t.cl.Process(m.From).Send(t.msgs)
 		})
 		rng := rand.New(rand.NewSource(t.Cfg.Seed + int64(i)*104729))
 		node := raft.NewNode(i, peers, tr, t.eng, rng, rcfg,
@@ -81,12 +81,8 @@ func (f transportFn) Send(m raft.Message) { f(m) }
 // scatters it reliably to every replica in one position of the total order;
 // Raft mode sends it to the current leader.
 func (t *Tier) smrSend(s *session) {
-	r := s.req
-	req := &r.parts[0]
-	size := 16 * len(req.Ops)
-	for _, op := range req.Ops {
-		size += op.Value
-	}
+	req := &s.req.parts[0]
+	size := partSize(req.Ops)
 	dsts := t.smr.replicas
 	var opts []onepipe.SendOption
 	if t.Cfg.Service == SMRFabric {
@@ -101,11 +97,9 @@ func (t *Tier) smrSend(s *session) {
 		}
 		dsts = dsts[lead : lead+1]
 	}
-	if len(r.msgs) != len(dsts) { // else an attempt Send refused, addressed again
-		r.msgs = r.messages(len(dsts))
-	}
-	for i, rp := range dsts {
-		r.msgs[i] = onepipe.Message{Dst: onepipe.ProcID(rp), Data: req, Size: size}
+	t.msgs = t.msgs[:0]
+	for _, rp := range dsts {
+		t.msgs = append(t.msgs, onepipe.Message{Dst: onepipe.ProcID(rp), Data: req, Size: size})
 	}
 	s.pending = 1 // one reply: the designated responder's, or the leader's
 	t.transmit(s, opts)
@@ -179,8 +173,8 @@ func (t *Tier) smrRequest(p int, m *reqMsg) {
 		// Leaderless (or raced): the client's retry timer re-drives it.
 		return
 	}
-	size := 16 * len(m.Ops)
-	_ = t.cl.Process(p).Send([]onepipe.Message{{Dst: onepipe.ProcID(lead), Data: m, Size: size}})
+	t.msgs = append(t.msgs[:0], onepipe.Message{Dst: onepipe.ProcID(lead), Data: m, Size: 16 * len(m.Ops)})
+	_ = t.cl.Process(p).Send(t.msgs)
 }
 
 // raftApply is each node's committed-entry callback: every replica applies

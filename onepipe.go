@@ -442,6 +442,11 @@ func (p *Process) ID() ProcID { return p.backend.id() }
 // Batched, or Unbatched. Sends can fail with
 // ErrSendBufferFull, ErrBackpressure (doorbell queue full; the error
 // carries the earliest drain time), or ErrClosed.
+//
+// Send copies the messages into the fabric's send buffer, so the caller may
+// reuse msgs as soon as Send returns. The copy is shallow: what a message's
+// Data refers to is handed over and must not change afterwards, since
+// transmissions and retransmissions read it.
 func (p *Process) Send(msgs []Message, opts ...SendOption) error {
 	if len(opts) == 0 {
 		return p.backend.send(msgs, core.SendOptions{})

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check loc bench-module race bench bench-json bench-gate slo slo-gate serve serve-gate results full-results fuzz examples vet chaos chaos-nightly chaos-sweep elastic conflict scale
+.PHONY: all build test fmt-check loc bench-module race bench bench-json bench-gate slo slo-gate serve serve-gate results full-results fuzz examples vet chaos chaos-nightly chaos-sweep mutants elastic conflict scale
 
 all: vet test
 
@@ -114,6 +114,12 @@ chaos-nightly:
 # (ROADMAP item 1's exit check; not a CI gate).
 chaos-sweep:
 	$(GO) test ./internal/chaos/ -run 'TestChaosSweep$$' -sweep 1-300,5000-5299,10000-11999 -timeout 60m
+
+# The mutation catalogue (internal/mutants): plant each one-line bug in a
+# copy of the module and require its contract check to catch it, or to miss
+# it where the catalogue records a finding (docs/testing.md, kill table).
+mutants:
+	$(GO) test ./internal/mutants/ -run 'TestMutants$$' -mutants -timeout 20m -v
 
 # Live-reconfiguration timeline: rolling host join + spine drain under
 # load (docs/reconfiguration.md). The notes carry pass/fail verdicts.

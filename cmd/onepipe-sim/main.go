@@ -1,6 +1,8 @@
 // Command onepipe-sim runs a configurable 1Pipe data center simulation and
-// prints ordering, latency and overhead statistics — a scriptable way to
-// poke at the system outside the canned experiments.
+// prints latency and overhead statistics plus the delivery-contract verdict
+// of internal/oracle over every send and delivery (exit status 1 on a
+// violation) — a scriptable way to poke at the system outside the canned
+// experiments.
 //
 // Example:
 //
@@ -14,10 +16,15 @@ import (
 
 	"onepipe/internal/core"
 	"onepipe/internal/netsim"
+	"onepipe/internal/oracle"
 	"onepipe/internal/sim"
 	"onepipe/internal/stats"
 	"onepipe/internal/topology"
 )
+
+// settle is how long the run continues after the last send, so that the
+// contract check sees every reliable scattering resolved.
+const settle = 2 * sim.Millisecond
 
 func main() {
 	hosts := flag.Int("hosts", 32, "number of hosts (8, 16 or 32)")
@@ -67,61 +74,89 @@ func main() {
 	eng := net.Eng
 	n := net.NumProcs()
 
+	// Every send and delivery goes into one oracle.Log, checked against the
+	// delivery contract at the end (order per receiver and across
+	// receivers, and all-or-nothing reliable scatterings). A payload names
+	// its scattering and carries its send time for the latency sample.
+	type payload struct {
+		id     oracle.ID
+		sentAt sim.Time
+	}
+	dur := sim.Time(*durMs * float64(sim.Millisecond))
 	var lat stats.Sample
 	delivered := 0
-	violations := 0
-	lastTS := make([]sim.Time, n)
+	log := oracle.Log{
+		Mode:       oracle.Mode(ecfg.Mode),
+		Deliveries: make([][]oracle.Delivery, n),
+		SendFails:  make(map[oracle.ID]map[netsim.ProcID]bool),
+	}
 	for i, p := range cl.Procs {
 		i := i
 		p.OnDeliver = func(d core.Delivery) {
-			delivered++
-			if d.TS < lastTS[i] {
-				violations++
+			m := d.Data.(payload)
+			log.Deliveries[i] = append(log.Deliveries[i], oracle.Delivery{TS: d.TS, Src: d.Src, ID: m.id, Reliable: d.Reliable})
+			if eng.Now() <= dur {
+				delivered++
+				lat.Add(float64(eng.Now()-m.sentAt) / 1000)
 			}
-			lastTS[i] = d.TS
-			if sent, ok := d.Data.(sim.Time); ok {
-				lat.Add(float64(eng.Now()-sent) / 1000)
+		}
+		p.OnSendFail = func(sf core.SendFailure) {
+			id := sf.Data.(payload).id
+			if log.SendFails[id] == nil {
+				log.SendFails[id] = make(map[netsim.ProcID]bool)
 			}
+			log.SendFails[id][sf.Dst] = true
 		}
 	}
 	gap := sim.Time(1e9 / *load)
+	opts := core.SendOptions{Reliable: *reliable}
+	tickers := make([]*sim.Ticker, 0, n)
 	for pi := range cl.Procs {
 		pi := pi
 		k := 0
 		// Spread send phases across the tick so co-located processes do
 		// not burst in lockstep.
 		phase := sim.Time(int64(pi) * int64(gap) / int64(n))
-		sim.NewTicker(eng, gap, phase, func() {
+		tickers = append(tickers, sim.NewTicker(eng, gap, phase, func() {
 			k++
 			dst := netsim.ProcID((pi + k) % n)
 			if int(dst) == pi {
 				dst = netsim.ProcID((pi + 1) % n)
 			}
-			m := []core.Message{{Dst: dst, Data: eng.Now(), Size: 64}}
-			if *reliable {
-				cl.Procs[pi].SendReliable(m)
-			} else {
-				cl.Procs[pi].Send(m)
-			}
-		})
+			s := oracle.Send{ID: oracle.ID{Src: netsim.ProcID(pi), Seq: int32(k)}, Src: netsim.ProcID(pi),
+				Dsts: []netsim.ProcID{dst}, Reliable: *reliable, At: eng.Now()}
+			m := []core.Message{{Dst: dst, Data: payload{s.ID, eng.Now()}, Size: 64}}
+			s.Refused = cl.Procs[pi].SendOpts(m, opts) != nil
+			log.Sends = append(log.Sends, s)
+		}))
 	}
-	dur := sim.Time(*durMs * float64(sim.Millisecond))
 	eng.RunFor(dur)
+	events := eng.Executed
+	// Stop sending, then let what is in flight settle so that every
+	// reliable scattering has been delivered or reported failed.
+	for _, tk := range tickers {
+		tk.Stop()
+	}
+	eng.RunFor(settle)
+	vios := oracle.Check(&log)
 
 	total := cl.TotalStats()
 	fmt.Printf("1Pipe simulation: %d hosts x %d procs, mode=%s, %.2fms simulated (%d events)\n",
-		len(net.G.Hosts), *procs, mode, dur.Seconds()*1e3, eng.Executed)
+		len(net.G.Hosts), *procs, mode, dur.Seconds()*1e3, events)
 	fmt.Printf("  delivered        %d msgs (%.2f M msg/s/proc)\n",
 		delivered, float64(delivered)/dur.Seconds()/float64(n)/1e6)
 	fmt.Printf("  delivery latency %s us\n", lat.Summary())
-	fmt.Printf("  order violations %d\n", violations)
+	fmt.Printf("  contract         %d violations\n", len(vios))
+	for _, v := range vios {
+		fmt.Println("    violation:", v)
+	}
 	fmt.Printf("  send failures    %d, retransmits %d, naks %d, dups %d\n",
 		total.MsgsFailed, total.PktsRetx, total.Naks, total.DupPkts)
 	fmt.Printf("  beacons          %d host + %d fabric (%.3f%% of bytes)\n",
 		total.Beacons, net.Stats.PktsByKind[netsim.KindBeacon]-total.Beacons,
 		100*net.Stats.BeaconBandwidthFraction())
 	fmt.Printf("  max reorder buf  %.1f KB\n", float64(total.MaxBufferBytes)/1024)
-	if violations > 0 {
+	if len(vios) > 0 {
 		os.Exit(1)
 	}
 }

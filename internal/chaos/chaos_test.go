@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"onepipe/internal/oracle"
-	"onepipe/internal/sim"
 )
 
 var (
@@ -99,42 +98,6 @@ func TestChaosReplay(t *testing.T) {
 	if vios := oracle.Check(&r.Log); len(vios) > 0 {
 		failSeed(t, p, vios)
 	}
-}
-
-// TestChaosCatchesBrokenPipeline is the harness's own detection self-test:
-// it re-arms DESIGN deviation #8 (loopback-entered packets skip the logical
-// switch's forwarding pipeline, so a freshly stamped turnaround packet can
-// overtake an older one and break the per-link barrier promise) and requires
-// the invariant checkers to notice within the default seed budget.
-func TestChaosCatchesBrokenPipeline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("broken-pipeline sweep is not -short material")
-	}
-	budget := *seedCount
-	if budget < 8 {
-		budget = 8
-	}
-	for s := *seedBase; s < *seedBase+int64(budget); s++ {
-		p := NewPlan(s)
-		p.NonuniformPipeline = true
-		// The historical bug needed bursty delay jitter to manifest (DESIGN
-		// deviation #8: "under bursty delay jitter this violated the
-		// per-link barrier promise"), so the self-test pins the plans to the
-		// jittered regime rather than waiting for the seed stream to draw it.
-		p.Jitter = 2 * sim.Microsecond
-		r := Run(p)
-		vios := oracle.Check(&r.Log)
-		if len(vios) == 0 {
-			continue
-		}
-		min, minVios, _ := Minimize(p)
-		t.Logf("broken pipeline caught at seed %d:\n%s", s, Report(p, vios, min, minVios))
-		if len(minVios) == 0 {
-			t.Errorf("minimized plan no longer fails — minimizer is unsound")
-		}
-		return
-	}
-	t.Fatalf("nonuniform-pipeline regression went undetected across %d seeds — harness has lost its teeth", budget)
 }
 
 // sweepSeeds parses -sweep: comma-separated seeds or inclusive lo-hi ranges.

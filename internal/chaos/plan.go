@@ -153,10 +153,6 @@ type Plan struct {
 	// harness widens it to harvest multi-message frames.
 	BatchWindow sim.Time
 
-	// NonuniformPipeline arms the DESIGN deviation #8 regression knob in
-	// netsim — used only by the harness's own detection self-test.
-	NonuniformPipeline bool
-
 	// ConflictRate is the probability a workload scattering is tagged with a
 	// nonzero conflict key (drawn from a dedicated RNG stream, so the base
 	// workload is unchanged). Meaningful with Mode DeliverConflictAware;
@@ -336,7 +332,6 @@ func (p *Plan) NetConfig() netsim.Config {
 	}
 	cfg.FlowECMP = p.FlowECMP
 	cfg.ControllerManagedCommit = true
-	cfg.NonuniformPipeline = p.NonuniformPipeline
 	if p.SkewedClocks {
 		cfg.Clock = clock.Config{
 			SyncInterval: 10 * sim.Millisecond,

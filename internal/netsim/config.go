@@ -51,14 +51,6 @@ type Config struct {
 	// FlowECMP selects flow-hash path selection instead of the default
 	// per-packet spraying.
 	FlowECMP bool
-
-	// NonuniformPipeline reintroduces the pre-fix bug of DESIGN deviation
-	// #8: loopback-entered packets skip the logical switch's forwarding
-	// pipeline, so a freshly-stamped turnaround packet can overtake an
-	// earlier-stamped packet onto the same egress and break the per-link
-	// barrier promise. Exists only so the chaos harness can prove it
-	// detects the breakage; never set it in real experiments.
-	NonuniformPipeline bool
 }
 
 // The testbed calibration (100 Gbps RoCEv2, 1–2 μs intra-rack RTT) no

@@ -497,11 +497,7 @@ func (n *Network) receive(l *linkState, pkt *Packet) {
 	// packets — is load-bearing: different in-switch latencies would let
 	// a later-stamped packet overtake an earlier one onto the same
 	// egress, breaking barrier monotonicity on the link.
-	fwd := switchFwdDelay
-	if n.Cfg.NonuniformPipeline && l.kind == topology.LinkLoopback {
-		fwd = 0 // chaos-harness self-test: the pre-fix nonuniform pipeline
-	}
-	n.Eng.After2(fwd, n.transmitFn, out, pkt)
+	n.Eng.After2(switchFwdDelay, n.transmitFn, out, pkt)
 }
 
 // nextHop picks the egress link toward pkt's destination host by the

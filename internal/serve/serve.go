@@ -200,15 +200,20 @@ type reqMsg struct {
 	owner int32         // the proc serving the part (set on delivery)
 	Ops   []workload.Op // a subslice of the request's ops
 
-	rep repMsg
-	dup bool // the owner had already applied (Sess, Seq)
+	rep      repMsg
+	dup      bool   // the owner had already applied (Sess, Seq)
+	answered bool   // the frontend holds a reply to this part (current attempt)
+	part     uint16 // index in the request's parts, the same in every attempt
 }
 
-// repMsg completes one owner's share back at the frontend.
+// repMsg completes one owner's share back at the frontend. part is not on
+// the wire (Size stays 16): it names the part the reply answers, so that
+// replies of two attempts from one owner count once.
 type repMsg struct {
 	Sess int32
 	Seq  uint32
 	N    uint16
+	part uint16
 }
 
 // shard is one owner process's state: the data it owns plus a modeled CPU.
@@ -428,7 +433,7 @@ func (t *Tier) split(r *request, s *session) {
 		for j < len(ops) && t.owner(ops[j].Key) == o {
 			j++
 		}
-		r.parts[p] = reqMsg{Sess: s.id, FE: s.fe, Seq: s.seq, Ops: ops[i:j:j]}
+		r.parts[p] = reqMsg{Sess: s.id, FE: s.fe, Seq: s.seq, Ops: ops[i:j:j], part: uint16(p)}
 		i = j
 	}
 }
@@ -614,7 +619,7 @@ func (sh *shard) apply(op workload.Op) {
 // same bytes — the reply is a function of the part — and the fabric only
 // reads it.
 func (t *Tier) reply(p int, m *reqMsg) {
-	m.rep = repMsg{Sess: m.Sess, Seq: m.Seq, N: uint16(len(m.Ops))}
+	m.rep = repMsg{Sess: m.Sess, Seq: m.Seq, N: uint16(len(m.Ops)), part: m.part}
 	t.msgs = append(t.msgs[:0], onepipe.Message{Dst: onepipe.ProcID(m.FE), Data: &m.rep, Size: 16})
 	if err := t.cl.Process(p).Send(t.msgs); err != nil {
 		if errors.Is(err, onepipe.ErrClosed) {
@@ -624,14 +629,21 @@ func (t *Tier) reply(p int, m *reqMsg) {
 	}
 }
 
-// complete handles one reply part at the frontend; the last part closes
-// the request, records client-observed latency, and schedules the next
-// think.
+// complete handles one reply part at the frontend; the request closes once
+// every part has a reply, from whichever attempt, then records
+// client-observed latency and schedules the next think.
 func (t *Tier) complete(m *repMsg) {
 	s := t.sessions[m.Sess]
 	if m.Seq != s.seq || s.pending == 0 {
 		return // stale reply from a superseded retry
 	}
+	// Every attempt shares the seq, so one owner may answer a part twice
+	// (the first attempt and its resend): only the first reply counts.
+	p := &s.req.parts[m.part]
+	if p.answered {
+		return
+	}
+	p.answered = true
 	s.pending--
 	if s.pending > 0 {
 		return

@@ -262,7 +262,10 @@ func TestFrontendCrashUnderLoad(t *testing.T) {
 // of the request log, the state digest, the window's delivered and issued
 // counts and the engine's executed-event count. They move only with a
 // deliberate change to what the tier sends, and then all of them are
-// recaptured together on the commit that makes it.
+// recaptured together on the commit that makes it. kv-retry's were
+// recaptured when a request began to close only once every part had a
+// reply: before, an owner's replies to the first attempt and to its resend
+// counted twice and could close a request whose other part was lost.
 func TestParentPins(t *testing.T) {
 	conflictAware := func() *onepipe.Cluster {
 		c := onepipe.Defaults()
@@ -292,10 +295,10 @@ func TestParentPins(t *testing.T) {
 			c.RetryTimeout = 60 * sim.Microsecond
 		}, testCluster, 6,
 			0x1bb6bec6be24e068, 0xefb77968c015b980, 143, 149, 41982},
-		{"kv-retry", func(c *Config) { // timeout below the p50: 624 retries, 1259 duplicates at the owners
+		{"kv-retry", func(c *Config) { // timeout below the p50: 627 retries, 1262 duplicates at the owners
 			c.RetryTimeout = 10 * sim.Microsecond
 		}, testCluster, -1,
-			0xf61a5765de01a1d1, 0x31d0d6f2dc28a1a6, 287, 737, 120557},
+			0xb70fc29212e08d3e, 0x5e2a38e58eedde36, 280, 746, 120641},
 		{"smr-fabric", func(c *Config) {
 			c.Service = SMRFabric
 		}, testCluster, -1,
@@ -607,5 +610,73 @@ func TestRunToCompletionUnbounded(t *testing.T) {
 	tier := New(testCluster(), smallCfg())
 	if tier.RunToCompletion(200*sim.Microsecond) || tier.Completed() == 0 {
 		t.Fatalf("unbounded run reported complete or did not run (completed %d)", tier.Completed())
+	}
+}
+
+// TestRetryClosesOnEveryOwner: under loss with the loss-retry timer below
+// the round trip, a request closes only once the owner of every part has
+// answered, from whichever attempt. A second reply from one owner (its
+// answer to the first attempt and to the resend) must not stand in for a
+// part whose owner has not answered.
+func TestRetryClosesOnEveryOwner(t *testing.T) {
+	ocfg := onepipe.Defaults()
+	ocfg.Impair = netsim.UniformLoss(0.02)
+	cl := onepipe.NewCluster(ocfg)
+	cfg := smallCfg()
+	cfg.RetryTimeout = 20 * sim.Microsecond
+	tier := New(cl, cfg)
+	// A reply is embedded in the part it answers, and the part records the
+	// process that served it. Reading the owner there, not from the reply's
+	// part index, keeps the check independent of the mechanism it tests.
+	repOwner := func(m *repMsg) int32 {
+		return (*reqMsg)(unsafe.Add(unsafe.Pointer(m), -int(unsafe.Offsetof(reqMsg{}.rep)))).owner
+	}
+	answered := make([]map[int32]bool, len(tier.sessions))
+	for i := range answered {
+		answered[i] = make(map[int32]bool)
+	}
+	completions, missing := 0, 0
+	for p := 0; p < cl.NumProcesses(); p++ {
+		p := p
+		cl.Process(p).OnDeliver(func(d onepipe.Delivery) {
+			m, ok := d.Data.(*repMsg)
+			if !ok {
+				tier.dispatch(p, d)
+				return
+			}
+			s := tier.sessions[m.Sess]
+			if m.Seq != s.seq || s.pending == 0 {
+				tier.dispatch(p, d)
+				return
+			}
+			got := answered[m.Sess]
+			got[repOwner(m)] = true
+			var want []int32
+			for i := range s.req.parts {
+				want = append(want, int32(tier.owner(s.req.parts[i].Ops[0].Key)))
+			}
+			done := s.done
+			tier.dispatch(p, d)
+			if s.done == done {
+				return
+			}
+			completions++
+			for _, o := range want {
+				if !got[o] {
+					missing++
+					break
+				}
+			}
+			clear(got)
+		})
+	}
+	tier.Start()
+	cl.Run(2 * sim.Millisecond)
+	t.Logf("%d completions, %d closed with an owner missing", completions, missing)
+	if completions < 500 {
+		t.Fatalf("only %d completions", completions)
+	}
+	if missing > 0 {
+		t.Errorf("%d of %d requests closed without a reply from every owner", missing, completions)
 	}
 }

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check loc bench-module race bench bench-json bench-gate slo slo-gate serve serve-gate results full-results fuzz examples vet chaos chaos-nightly chaos-sweep mutants elastic conflict scale
+.PHONY: all build test fmt-check loc bench-module race abba bench bench-json bench-gate slo serve results full-results fuzz examples vet chaos chaos-nightly chaos-sweep mutants elastic conflict scale
 
 all: vet test
 
@@ -41,13 +41,18 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .
 
-# Refresh the committed performance-tracking report: the packages' own
-# Go benchmarks its rows name (engine scheduling, timers, wire codec,
-# simulated send path, per-pair state), fabric scale and e2e message rate.
-# The hand-set baseline and gate_floor blocks are copied untouched from the
-# committed BENCH_core.json.
+# Before/after: BASE (and CHANGE, default the working tree) against each
+# other, every BENCHMARK.json workload and BENCH_core.json row in ten
+# alternating pairs: make abba BASE=HEAD~1 [CHANGE=HEAD]
+abba:
+	$(GO) run ./cmd/onepipe-bench -abba $(BASE)$(if $(CHANGE),..$(CHANGE))
+
+# Refresh the committed performance-tracking report: the packages' own Go
+# benchmarks its rows name, in -abba pairs against the commit that last
+# wrote it. A row's ns/op changes only when the pairs call it changed; the
+# hand-set gate_floor is copied untouched.
 bench-json:
-	$(GO) run ./cmd/onepipe-bench -bench-json -bench-out BENCH_core.json
+	$(GO) run ./cmd/onepipe-bench -bench-json
 
 # CI's perf smoke: re-measure engine events/sec and fail below the
 # hand-pinned gate_floor in the committed BENCH_core.json (a floor that
@@ -60,23 +65,11 @@ bench-gate:
 slo:
 	$(GO) run ./cmd/onepipe-bench -fig slo
 
-# CI's tail-latency smoke: re-run the quick SLO race and fail unless its
-# table (delivered counts, p50, p99, p999) equals its results_quick.txt
-# section (TestResultsQuick).
-slo-gate:
-	$(GO) test ./cmd/onepipe-bench -run '^TestResultsQuick$$/^slo$$' -count=1 -v
-
 # The serving tier: closed-loop clients driving KV / txn / SMR services
 # on the Fabric API, plus the elastic Join/Drain timeline
 # (docs/serving.md).
 serve:
 	$(GO) run ./cmd/onepipe-bench -fig serve
-
-# CI's serving smoke: re-run the quick serve figure and fail unless its
-# table (delivered counts, p50, p99, p999 and the elastic RECOVERED note)
-# equals its results_quick.txt section (TestResultsQuick).
-serve-gate:
-	$(GO) test ./cmd/onepipe-bench -run '^TestResultsQuick$$/^serve$$' -count=1 -v
 
 # Regenerate every figure/table at quick scale into results_quick.txt.
 results:

@@ -70,7 +70,7 @@ func TestBenchRowsDeclared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := map[string]bool{"idle_pair_bytes": committed.IdlePairBytes != nil}
+	keys := make(map[string]bool)
 	for k := range committed.Benchmarks {
 		keys[k] = true
 	}
@@ -121,9 +121,9 @@ func declared(t *testing.T, dir, fn, sub string) bool {
 	return false
 }
 
-// TestReadCommitted: the hand-set blocks come from the committed report,
-// and a committed report that is missing, does not parse or has no
-// gate_floor stops -bench-json before it measures or writes anything.
+// TestReadCommitted: gate_floor comes from the committed report, and a
+// committed report that is missing, does not parse or has no gate_floor
+// stops -bench-json before it measures or writes anything.
 func TestReadCommitted(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) string {
@@ -133,28 +133,28 @@ func TestReadCommitted(t *testing.T) {
 		}
 		return p
 	}
-	good := write("good.json", `{"benchmarks": {}, "baseline": {"note": "b", "engine_ns_per_op": 279.2}, "gate_floor": {"note": "g", "engine_events_per_sec": 10452000}}`)
+	good := write("good.json", `{"benchmarks": {}, "gate_floor": {"note": "g", "engine_events_per_sec": 10452000}}`)
 	rep, err := readCommitted(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rep.Baseline) != `{"note": "b", "engine_ns_per_op": 279.2}` || string(rep.GateFloor) != `{"note": "g", "engine_events_per_sec": 10452000}` {
-		t.Errorf("blocks read as %s and %s", rep.Baseline, rep.GateFloor)
+	if string(rep.GateFloor) != `{"note": "g", "engine_events_per_sec": 10452000}` {
+		t.Errorf("gate_floor read as %s", rep.GateFloor)
 	}
 	for _, bad := range []string{
 		filepath.Join(dir, "missing.json"),
 		write("truncated.json", `{"benchmarks": {}, "gate_floor": {"engine_events_per_sec": 1`),
-		write("nofloor.json", `{"benchmarks": {}, "baseline": {"note": "b"}}`),
+		write("nofloor.json", `{"benchmarks": {}}`),
 		write("nullfloor.json", `{"benchmarks": {}, "gate_floor": null}`),
 	} {
+		before, _ := os.ReadFile(bad)
 		if _, err := readCommitted(bad); err == nil {
 			t.Errorf("%s: no error", filepath.Base(bad))
 		}
-		out := filepath.Join(dir, "out.json")
-		if err := runBenchJSON(bad, out); err == nil {
+		if err := runBenchJSON(bad); err == nil {
 			t.Errorf("-bench-json with %s: no error", filepath.Base(bad))
 		}
-		if _, err := os.Stat(out); err == nil {
+		if after, _ := os.ReadFile(bad); !bytes.Equal(before, after) {
 			t.Errorf("-bench-json with %s wrote a report", filepath.Base(bad))
 		}
 	}

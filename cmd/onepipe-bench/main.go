@@ -6,23 +6,28 @@
 //	onepipe-bench -list
 //	onepipe-bench -fig 8a [-full]
 //	onepipe-bench -all [-full]
-//	onepipe-bench -bench-json [-bench-out BENCH_core.json]
+//	onepipe-bench -abba BASE[..CHANGE]
+//	onepipe-bench -bench-json
 //	onepipe-bench -bench-gate BENCH_core.json
 //
 // -full runs the paper's complete sweeps (up to 512 processes; minutes of
 // wall time); the default quick scale preserves every figure's shape with
 // smaller axes.
 //
-// -bench-json runs the packages' own Go benchmarks named in benchRows
-// (engine scheduling, timers, wire codec, simulated send path, per-pair
-// state) through `go test`, measures the fabric scale and end-to-end
-// message rates, and writes the machine-readable report used for
-// performance tracking, with the hand-set blocks of the committed
-// BENCH_core.json copied in; -bench-gate compares a fresh engine
-// measurement against the hand-pinned gate_floor of a committed report and
-// exits nonzero below it. -cpuprofile and -memprofile capture pprof
-// profiles of whichever mode runs in this process (not of the benchmarks'
-// `go test` children: profile those with `go test -bench … -memprofile`).
+// -abba compares two revisions (CHANGE defaults to the working tree): every
+// BENCHMARK.json workload and every BENCH_core.json row in ten alternating
+// pairs, with the benchmark's own verdicts and the pair wins (abba.go). It
+// exits nonzero on any worse or moved verdict or failed run.
+//
+// -bench-json refreshes BENCH_core.json from the packages' own Go benchmarks
+// named in benchRows (engine scheduling, timers, wire codec, simulated send
+// path, per-pair state, fabric scale), run in -abba pairs against the commit
+// that last wrote it: a row's ns/op changes only when the pairs call it
+// changed. -bench-gate compares a fresh engine measurement against the
+// hand-pinned gate_floor of a committed report and exits nonzero below it.
+// Both run from the repository root. -cpuprofile and -memprofile capture
+// pprof profiles of whichever mode runs in this process (not of its
+// children: profile those with `go test -bench … -memprofile`).
 package main
 
 import (
@@ -45,8 +50,8 @@ func realMain() int {
 	all := flag.Bool("all", false, "run every experiment")
 	list := flag.Bool("list", false, "list experiments")
 	full := flag.Bool("full", false, "paper-scale sweeps (slow)")
-	benchJSON := flag.Bool("bench-json", false, "run core benchmarks, write machine-readable report")
-	benchOut := flag.String("bench-out", "BENCH_core.json", "output path for -bench-json")
+	abba := flag.String("abba", "", "compare revisions BASE[..CHANGE] (default CHANGE: the working tree) in alternating pairs")
+	benchJSON := flag.Bool("bench-json", false, "refresh BENCH_core.json: rows change only when pairs against its last capture call them changed")
 	benchGate := flag.String("bench-gate", "", "compare fresh engine events/sec against this committed report's hand-pinned gate_floor; fail below it")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -98,13 +103,22 @@ func realMain() int {
 		tbl.Print(os.Stdout)
 	}
 	switch {
+	case *abba != "":
+		failed, err := runABBA(*abba)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		if failed {
+			return 1
+		}
 	case *benchGate != "":
 		if err := runBenchGate(*benchGate); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 	case *benchJSON:
-		if err := runBenchJSON(committedReport, *benchOut); err != nil {
+		if err := runBenchJSON(committedReport); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}

@@ -55,8 +55,8 @@ func quickSections(text string) map[string]string {
 // the committed results_quick.txt apart from the wall-time note. Every
 // figure runs on the seeded simulator, so a table that moves means the run
 // changed: regenerate results_quick.txt (`make results`) only in a change
-// that says why. `make slo-gate` and `make serve-gate` run the slo and serve
-// cases.
+// that says why. Its slo and serve cases are the tail-latency and serving
+// tier pins.
 func TestResultsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-runs the quick-scale figures (about 11 s)")

@@ -69,3 +69,13 @@ func TestTopoForSizes(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFabricScale is BENCH_core.json's scale_1024 row: one 400 µs
+// window of the 1024-host scale workload per op, with its executed events.
+func BenchmarkFabricScale(b *testing.B) {
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		_, events, _, _ = FabricScaleOnce(400 * sim.Microsecond)
+	}
+	b.ReportMetric(float64(events), "events")
+}

@@ -47,11 +47,11 @@ type benchSpec struct {
 
 // checkout is one side of a campaign.
 type checkout struct {
-	label string // "base" or "change"
-	rev   string // the revision as given, or "" for the working tree
-	hash  string // its commit, or "working tree"
-	root  string // the directory it is checked out in
-	bins  map[string]string
+	label string            // "base" or "change"
+	rev   string            // the revision as given, or "" for the working tree
+	hash  string            // its commit, or "working tree"
+	root  string            // the directory it is checked out in
+	bins  map[string]string // test binary per package, "" where the package is absent
 }
 
 // pairOrder gives the sides of pair p in the order they run: the base side
@@ -109,15 +109,12 @@ func median(v []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// quartiles returns Q1 and Q3 by the exclusive method, as the benchmark's
-// -compare computes them.
+// quartiles returns Q1 and Q3 of two or more values by the exclusive
+// method, as the benchmark's -compare computes them.
 func quartiles(v []float64) (q1, q3 float64) {
 	s := append([]float64(nil), v...)
 	sort.Float64s(s)
 	n := len(s)
-	if n < 2 {
-		return median(s), median(s)
-	}
 	at := func(i int) float64 {
 		j := min(max(i*(n+1)/4, 1), n-1)
 		delta := float64(i*(n+1)) - float64(j*4)
@@ -153,11 +150,8 @@ func checkoutSides(baseRev, changeRev string) ([2]*checkout, func(), error) {
 	var added []string
 	cleanup := func() {
 		for _, dir := range added {
-			if _, err := git("worktree", "remove", "--force", dir); err != nil {
-				os.RemoveAll(dir)
-			}
+			removeWorktree(dir)
 		}
-		git("worktree", "prune")
 	}
 	for _, s := range sides {
 		s.bins = make(map[string]string)
@@ -170,16 +164,23 @@ func checkoutSides(baseRev, changeRev string) ([2]*checkout, func(), error) {
 			return sides, cleanup, err
 		}
 		s.hash, s.root = hash[:12], filepath.Join(abbaDir, s.label)
-		// A worktree left by a campaign that was killed outright.
-		git("worktree", "remove", "--force", s.root)
-		os.RemoveAll(s.root)
-		git("worktree", "prune")
+		removeWorktree(s.root) // one left by a campaign that was killed outright
 		if _, err := git("worktree", "add", "--detach", s.root, hash); err != nil {
 			return sides, cleanup, err
 		}
 		added = append(added, s.root)
 	}
 	return sides, cleanup, nil
+}
+
+// removeWorktree removes the worktree at dir, and the directory even when
+// git no longer knows it. It reports nothing: what it cannot remove, the
+// next campaign's checkout removes again before it adds its own.
+func removeWorktree(dir string) {
+	if _, err := git("worktree", "remove", "--force", dir); err != nil {
+		os.RemoveAll(dir)
+	}
+	_, _ = git("worktree", "prune")
 }
 
 // testBinary returns the test binary of pkg at side s, building it on first
@@ -237,7 +238,7 @@ func (s *checkout) runMicro(ctx context.Context, row benchRow, count, procs int)
 		parts[i] = "^" + p + "$"
 	}
 	cmd := exec.CommandContext(ctx, bin, "-test.run", "^$", "-test.bench", strings.Join(parts, "/"),
-		"-test.benchmem", "-test.count", strconv.Itoa(count), "-test.cpu", strconv.Itoa(procs))
+		"-test.benchmem", "-test.count", strconv.Itoa(count), "-test.cpu", strconv.Itoa(procs), "-test.timeout", "10m")
 	cmd.Dir = filepath.Join(s.root, strings.TrimPrefix(row.pkg, "onepipe/"))
 	var out bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &out

@@ -25,7 +25,7 @@
 // that last wrote it: a row's ns/op changes only when the pairs call it
 // changed. -bench-gate compares a fresh engine measurement against the
 // hand-pinned gate_floor of a committed report and exits nonzero below it.
-// Both run from the repository root. -cpuprofile and -memprofile capture
+// All three run from the repository root. -cpuprofile and -memprofile capture
 // pprof profiles of whichever mode runs in this process (not of its
 // children: profile those with `go test -bench … -memprofile`).
 package main

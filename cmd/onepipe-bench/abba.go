@@ -19,16 +19,16 @@ import (
 	"time"
 )
 
-// -abba BASE[..CHANGE] measures two revisions against each other the way the
-// simplicity guide asks for a claim to be shown: abbaPairs alternating pairs
-// of runs, one at a time, the first side flipping every pair, with the same
-// seed and run length on both sides. CHANGE defaults to the working tree.
+// -abba BASE[..CHANGE] measures two revisions against each other the way a
+// performance claim is shown here: abbaPairs alternating pairs of runs, one
+// at a time, the first side flipping every pair, with the same seed and run
+// length on both sides. CHANGE defaults to the working tree.
 // Every BENCHMARK.json workload runs through each side's own, unchanged
 // benchmark/run.sh build, and the benchmark's frozen -compare gives the
 // end-to-end verdicts; the micro rows (benchRows) run through each side's
-// package test binaries and get the guide's verdict from microVerdict.
+// package test binaries and get their verdict from microVerdict.
 const (
-	abbaPairs = 10 // the guide's minimum, and the number its 9/10 rule is stated for
+	abbaPairs = 10 // the fewest pairs a claim rests on; microVerdict's 9/10 rule is stated for them
 	abbaSeed  = 1  // one seed on both sides: every sim_* value then repeats exactly
 	abbaDir   = ".bench_build/abba"
 )
@@ -80,7 +80,7 @@ func countWins(base, change []float64, higherBetter bool) (changeWins, baseWins 
 	return changeWins, baseWins
 }
 
-// microVerdict is the guide's rule applied to ns/op pairs: a side is called
+// microVerdict is the claim rule applied to ns/op pairs: a side is called
 // faster only when it wins at least nine tenths of the pairs and the medians
 // differ by more than the base side's interquartile range.
 func microVerdict(base, change []float64) string {

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"onepipe/internal/core"
@@ -40,14 +41,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	var topo topology.ClosConfig
-	switch {
-	case *hosts <= 8:
-		topo = topology.ClosConfig{Pods: 1, RacksPerPod: 1, HostsPerRack: *hosts, SpinesPerPod: 1, Cores: 1}
-	case *hosts <= 16:
-		topo = topology.ClosConfig{Pods: 1, RacksPerPod: 2, HostsPerRack: *hosts / 2, SpinesPerPod: 2, Cores: 1}
-	default:
-		topo = topology.Testbed()
+	topo, err := fabric(*hosts, *procs, *durMs, *load, *beaconUs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	var mode netsim.Mode
 	switch *modeS {
@@ -159,4 +156,36 @@ func main() {
 	if len(vios) > 0 {
 		os.Exit(1)
 	}
+}
+
+// fabric checks the flags that size the run and returns the Clos fabric
+// -hosts builds. Each of -duration, -load and -beacon sets an interval that
+// must come to at least 1 ns and fit a sim.Time: a zero, negative or
+// non-finite one gives the run no end. A -hosts the fabric shapes cannot
+// build exactly would silently simulate another host count.
+func fabric(hosts, procs int, durMs, load, beaconUs float64) (topology.ClosConfig, error) {
+	if procs < 1 {
+		return topology.ClosConfig{}, fmt.Errorf("-procs %d: want at least 1", procs)
+	}
+	for _, f := range []struct {
+		flag  string
+		v, ns float64 // the flag's value and the interval it sets
+	}{{"duration", durMs, durMs * 1e6}, {"load", load, 1e9 / load}, {"beacon", beaconUs, beaconUs * 1e3}} {
+		if !(f.ns >= 1 && f.ns < math.MaxInt64) {
+			return topology.ClosConfig{}, fmt.Errorf("-%s %g: sets a %g ns interval, want a finite one of at least 1 ns", f.flag, f.v, f.ns)
+		}
+	}
+	var topo topology.ClosConfig
+	switch {
+	case hosts <= 8:
+		topo = topology.ClosConfig{Pods: 1, RacksPerPod: 1, HostsPerRack: hosts, SpinesPerPod: 1, Cores: 1}
+	case hosts <= 16:
+		topo = topology.ClosConfig{Pods: 1, RacksPerPod: 2, HostsPerRack: hosts / 2, SpinesPerPod: 2, Cores: 1}
+	default:
+		topo = topology.Testbed()
+	}
+	if topo.Validate() != nil || topo.NumHosts() != hosts {
+		return topology.ClosConfig{}, fmt.Errorf("-hosts %d: the fabric holds 1 to 8 hosts, an even count up to 16, or 32", hosts)
+	}
+	return topo, nil
 }

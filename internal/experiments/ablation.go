@@ -7,7 +7,6 @@ import (
 	"onepipe/internal/dsm"
 	"onepipe/internal/netsim"
 	"onepipe/internal/sim"
-	"onepipe/internal/stats"
 	"onepipe/internal/topology"
 	"onepipe/internal/workload"
 )
@@ -64,39 +63,26 @@ func AblBarrier(sc Scale) *Table {
 	}
 	for _, senders := range []int{4, 8, 16} {
 		// Naive: count in-order arrivals at the raw network level.
-		cfgN := netsim.DefaultConfig(topology.Testbed(), 1)
-		netN := netsim.New(cfgN)
-		total, inOrder := 0, 0
-		var lastTS sim.Time
-		netN.AttachHost(31, func(p *netsim.Packet) {
-			if p.Kind != netsim.KindData {
-				return
-			}
-			total++
-			if p.MsgTS >= lastTS {
-				inOrder++
-				lastTS = p.MsgTS
-			}
-		})
-		driveRaw(netN, incastStreams(senders, 31, 300*sim.Nanosecond, 1024), 0)
+		netN := netsim.New(netsim.DefaultConfig(topology.Testbed(), 1))
+		arr := countArrivals(netN, 31)
+		driveRaw(netN, incastStreams(senders, 31, 300*sim.Nanosecond, 1024))
 		netN.Eng.RunFor(1 * sim.Millisecond)
-		naive := 100 * float64(inOrder) / float64(total)
+		naive := 100 * float64(arr.total-arr.ooo) / float64(arr.total)
 
 		// Barrier-based: the full stack delivers everything, in order.
 		cl := deploy(32, nil, nil)
-		delivered := 0
-		cl.Procs[31].OnDeliver = func(core.Delivery) { delivered++ }
+		m := newMeter(cl)
 		load := workload.Limit(incastStreams(senders, 31, 300*sim.Nanosecond, 1024), 500*sim.Microsecond)
-		p := drivePump(cl, load, 0, false)
+		p := drivePump(cl, load, false)
 		// Past the 500 us of load, run until every accepted send is
 		// delivered, capped at 20 ms: 16 senders' incast backlog drains
 		// past 2 ms, and a fixed 2 ms run counted what was still queued as
 		// lost.
 		cl.Run(2 * sim.Millisecond)
-		for delivered < p.Sent && cl.Net.Eng.Now() < 20*sim.Millisecond {
+		for m.delivered < p.Sent && cl.Net.Eng.Now() < 20*sim.Millisecond {
 			cl.Run(sim.Millisecond)
 		}
-		barrier := 100 * float64(delivered) / float64(p.Sent)
+		barrier := 100 * float64(m.delivered) / float64(p.Sent)
 		t.AddRow(f1(float64(senders)), f1(barrier), f1(naive))
 	}
 	t.Notes = append(t.Notes,
@@ -114,29 +100,8 @@ func AblRelay(sc Scale) *Table {
 	}
 	measure := func(n int, disable bool) float64 {
 		cl := deploy(n, func(c *netsim.Config) { c.DisableEventRelay = disable }, nil)
-		eng := cl.Net.Eng
-		var lat stats.Sample
-		for _, p := range cl.Procs {
-			p.OnDeliver = func(d core.Delivery) {
-				if sent, ok := d.Data.(sim.Time); ok {
-					lat.Add(float64(eng.Now()-sent) / 1000)
-				}
-			}
-		}
-		for i := 0; i < 80; i++ {
-			i := i
-			at := sim.Time(100_000+i*9_000+i%11*531) * sim.Nanosecond
-			eng.At(at, func() {
-				dst := netsim.ProcID((i*5 + 3) % n)
-				src := i % n
-				if int(dst) == src {
-					dst = netsim.ProcID((src + 1) % n)
-				}
-				cl.Procs[src].Send([]core.Message{{Dst: dst, Data: eng.Now(), Size: 64}})
-			})
-		}
-		cl.Run(3 * sim.Millisecond)
-		return lat.Mean()
+		m := runProbes(cl, ablProbes(80, 9*sim.Microsecond, 5, 3), 3*sim.Millisecond)
+		return m.lat[classBE].Mean()
 	}
 	for _, n := range procSweep(sc, []int{8, 16, 32}) {
 		t.AddRow(f1(float64(n)), f1(measure(n, false)), f1(measure(n, true)))
@@ -162,35 +127,15 @@ func AblBeacon(sc Scale) *Table {
 		cl := deploy(n, func(c *netsim.Config) {
 			c.BeaconInterval = sim.Time(usI) * sim.Microsecond
 		}, nil)
-		eng := cl.Net.Eng
-		var lat stats.Sample
-		for _, p := range cl.Procs {
-			p.OnDeliver = func(d core.Delivery) {
-				if sent, ok := d.Data.(sim.Time); ok {
-					lat.Add(float64(eng.Now()-sent) / 1000)
-				}
-			}
-		}
-		for i := 0; i < 60; i++ {
-			i := i
-			at := sim.Time(100_000+i*int(usI)*4_000+i%11*531) * sim.Nanosecond
-			eng.At(at, func() {
-				src := i % n
-				dst := netsim.ProcID((i*7 + 5) % n)
-				if int(dst) == src {
-					dst = netsim.ProcID((src + 1) % n)
-				}
-				cl.Procs[src].Send([]core.Message{{Dst: dst, Data: eng.Now(), Size: 64}})
-			})
-		}
-		dur := sim.Time(100_000+60*int(usI)*4_000)*sim.Nanosecond + 2*sim.Millisecond
-		cl.Run(dur)
+		pr := ablProbes(60, sim.Time(usI)*4*sim.Microsecond, 7, 5)
+		dur := pr.end() + 2*sim.Millisecond
+		m := runProbes(cl, pr, dur)
 		// Overhead as a share of link capacity (as in Fig. 13b), not of
 		// the probe traffic.
 		links := float64(len(cl.Net.G.Links))
 		bytesPerLinkPerSec := float64(cl.Net.Stats.BytesByKind[netsim.KindBeacon]) / links / dur.Seconds()
 		frac := bytesPerLinkPerSec * 8 / (netsim.HostGbps * 1e9)
-		t.AddRow(f1(float64(usI)), f1(lat.Mean()), fmt.Sprintf("%.4f", 100*frac))
+		t.AddRow(f1(float64(usI)), f1(m.lat[classBE].Mean()), fmt.Sprintf("%.4f", 100*frac))
 	}
 	t.Notes = append(t.Notes,
 		"latency ≈ base + path + interval-bound quantization; overhead ∝ 1/interval — the 3us deployment choice balances both")
@@ -216,47 +161,14 @@ func AblECMP(sc Scale) *Table {
 		cfg := netsim.DefaultConfig(topology.Testbed(), 1)
 		cfg.FlowECMP = flow
 		netN := netsim.New(cfg)
-		total, ooo := 0, 0
-		var lastTS sim.Time
-		netN.AttachHost(31, func(p *netsim.Packet) {
-			if p.Kind != netsim.KindData {
-				return
-			}
-			total++
-			if p.MsgTS < lastTS {
-				ooo++
-			} else {
-				lastTS = p.MsgTS
-			}
-		})
-		driveRaw(netN, incastStreams(8, 31, 250*sim.Nanosecond, 1024), 0)
+		arr := countArrivals(netN, 31)
+		driveRaw(netN, incastStreams(8, 31, 250*sim.Nanosecond, 1024))
 		netN.Eng.RunFor(1 * sim.Millisecond)
 
 		// Ordered delivery latency on the full stack.
 		cl := deploy(32, func(c *netsim.Config) { c.FlowECMP = flow }, nil)
-		eng := cl.Net.Eng
-		var lat stats.Sample
-		for _, p := range cl.Procs {
-			p.OnDeliver = func(d core.Delivery) {
-				if sent, ok := d.Data.(sim.Time); ok {
-					lat.Add(float64(eng.Now()-sent) / 1000)
-				}
-			}
-		}
-		for i := 0; i < 80; i++ {
-			i := i
-			at := sim.Time(100_000+i*9_000+i%11*531) * sim.Nanosecond
-			eng.At(at, func() {
-				src := i % 32
-				dst := netsim.ProcID((i*7 + 5) % 32)
-				if int(dst) == src {
-					dst = netsim.ProcID((src + 1) % 32)
-				}
-				cl.Procs[src].Send([]core.Message{{Dst: dst, Data: eng.Now(), Size: 64}})
-			})
-		}
-		cl.Run(3 * sim.Millisecond)
-		t.AddRow(name, fmt.Sprintf("%.2f", float64(ooo)/float64(total)), f1(lat.Mean()))
+		m := runProbes(cl, ablProbes(80, 9*sim.Microsecond, 7, 5), 3*sim.Millisecond)
+		t.AddRow(name, fmt.Sprintf("%.2f", arr.oooShare()), f1(m.lat[classBE].Mean()))
 	}
 	t.Notes = append(t.Notes,
 		"barrier reordering decouples delivery order from arrival order, so spraying costs almost nothing end to end")

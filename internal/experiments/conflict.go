@@ -18,18 +18,7 @@ import (
 func runConflictRace(sc Scale, n int, mode core.DeliveryMode, rate float64) (thr float64, lat stats.Sample) {
 	cl := deploy(n, nil, func(c *core.Config) { c.Mode = mode })
 	eng := cl.Net.Eng
-	delivered := 0
-	for _, p := range cl.Procs {
-		p.OnDeliver = func(d core.Delivery) {
-			if eng.Now() < sc.Warmup {
-				return
-			}
-			delivered++
-			if sent, ok := d.Data.(sim.Time); ok {
-				lat.Add(float64(eng.Now()-sent) / 1000)
-			}
-		}
-	}
+	m := newMeter(cl)
 	rng := rand.New(rand.NewSource(7))
 	interval := 4 * sim.Microsecond
 	stop := sc.Warmup + sc.Window
@@ -55,8 +44,10 @@ func runConflictRace(sc Scale, n int, mode core.DeliveryMode, rate float64) (thr
 		pi := pi
 		eng.After(sim.Time(rng.Int63n(int64(interval)))+sim.Microsecond, func() { loop(pi) })
 	}
-	eng.RunFor(stop + sim.Millisecond)
-	return float64(delivered) / (float64(sc.Window+sim.Millisecond) / float64(sim.Second)), lat
+	// Deliveries at Warmup and later count. RunFor runs the events at its
+	// deadline, so the warm-up ends 1 ns early.
+	m.window(eng, sc.Warmup-1, stop+sim.Millisecond-(sc.Warmup-1))
+	return float64(m.delivered) / (float64(sc.Window+sim.Millisecond) / float64(sim.Second)), m.lat[classBE]
 }
 
 // Conflict is the conflict-aware ablation: DeliverConflictAware raced

@@ -22,31 +22,18 @@ func Fig11(sc Scale) *Table {
 			c.DeliveryHoldback = hold
 			c.DisableBEAck = true // isolate receive-path overhead
 		})
-		eng := cl.Net.Eng
-		delivered := 0
-		measuring := false
-		for _, p := range cl.Procs {
-			p.OnDeliver = func(core.Delivery) {
-				if measuring {
-					delivered++
-				}
-			}
-		}
+		m := newMeter(cl)
 		const offered = 4e6
-		gap := sim.Time(1e9 / offered)
-		drivePump(cl, workload.NewRoundRobin(n, gap, 1024, false), 0, false)
+		drivePump(cl, workload.NewRoundRobin(n, sim.Time(1e9/offered), 1024, false), false)
 		window := sc.Window + 2*hold
-		eng.RunFor(sc.Warmup + 2*hold)
-		measuring = true
-		eng.RunFor(window)
-		measuring = false
+		m.window(cl.Net.Eng, sc.Warmup+2*hold, window)
 		maxBuf := int64(0)
 		for _, h := range cl.Hosts {
 			if h.Stats.MaxBufferBytes > maxBuf {
 				maxBuf = h.Stats.MaxBufferBytes
 			}
 		}
-		tput := float64(delivered) / window.Seconds() / float64(n)
+		tput := float64(m.delivered) / window.Seconds() / float64(n)
 		t.AddRow(f1(float64(holdUs)), fm(tput), f2(float64(maxBuf)/1e6))
 	}
 	t.Notes = append(t.Notes,

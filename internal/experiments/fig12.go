@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"onepipe/internal/core"
 	"onepipe/internal/netsim"
 	"onepipe/internal/sim"
 	"onepipe/internal/stats"
@@ -15,7 +14,6 @@ func runQueueingProbe(sc Scale, n int, flowsPerHost int, oversub float64) (be, r
 		c.Mode = netsim.ModeHostDelegate // the paper's Fig. 12 uses host representatives
 		c.Oversub = oversub
 	}, nil)
-	eng := cl.Net.Eng
 	nh := len(cl.Net.G.Hosts)
 	// Background flows: 4KB message streams between host pairs, pushed
 	// through the 1Pipe transport so DCTCP congestion control paces them
@@ -34,46 +32,16 @@ func runQueueingProbe(sc Scale, n int, flowsPerHost int, oversub float64) (be, r
 	}
 	if len(flows) > 0 {
 		// Unstamped: probes carry the send-time payload, background must not.
-		drivePump(cl, workload.Merge(flows...), 0, false)
+		drivePump(cl, workload.Merge(flows...), false)
 	}
-	for _, p := range cl.Procs {
-		p.OnDeliver = func(d core.Delivery) {
-			if sent, ok := d.Data.(sim.Time); ok {
-				if d.Reliable {
-					rel.Add(float64(eng.Now()-sent) / 1000)
-				} else {
-					be.Add(float64(eng.Now()-sent) / 1000)
-				}
-			}
-		}
-	}
-	probes := 80
-	if sc.MaxProcs <= 16 { // bench scale: keep the sweep affordable
-		probes = 30
-	}
-	for i := 0; i < probes; i++ {
-		i := i
-		at := sc.Warmup + sim.Time(i)*31*sim.Microsecond + sim.Time(i%13)*701*sim.Nanosecond
-		eng.At(at, func() {
-			src := cl.Procs[i%n]
-			dst := netsim.ProcID((i*5 + 7) % n)
-			if int(dst) == i%n {
-				dst = netsim.ProcID((int(dst) + 1) % n)
-			}
-			m := []core.Message{{Dst: dst, Data: eng.Now(), Size: 64}}
-			if i%2 == 0 {
-				src.Send(m)
-			} else {
-				src.SendOpts(m, core.SendOptions{Reliable: true})
-			}
-		})
-	}
+	s := probes{count: 80, start: sc.Warmup, gap: 31 * sim.Microsecond,
+		m: 13, step: 701 * sim.Nanosecond, a: 5, b: 7, classes: []class{classBE, classRel}}
 	tail := 3 * sim.Millisecond
-	if sc.MaxProcs <= 16 {
-		tail = 1500 * sim.Microsecond
+	if sc.MaxProcs <= 16 { // bench scale: keep the sweep affordable
+		s.count, tail = 30, 1500*sim.Microsecond
 	}
-	eng.RunFor(sc.Warmup + sim.Time(probes)*31*sim.Microsecond + tail)
-	return be, rel
+	m := runProbes(cl, s, s.end()+tail)
+	return m.lat[classBE], m.lat[classRel]
 }
 
 // latOrDash formats a latency sample, showing "-" when no probe of that

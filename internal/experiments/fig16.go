@@ -86,31 +86,11 @@ func OutOfOrder(sc Scale) *Table {
 		Columns: []string{"senders", "ooo_fraction"},
 	}
 	for _, senders := range []int{2, 4, 8, 16} {
-		ncfg := netsim.DefaultConfig(topology.Testbed(), 1)
-		net := netsim.New(ncfg)
-		total, ooo := 0, 0
-		var lastTS sim.Time
-		net.AttachHost(31, func(p *netsim.Packet) {
-			if p.Kind != netsim.KindData {
-				return
-			}
-			total++
-			if p.MsgTS < lastTS {
-				ooo++
-			} else {
-				lastTS = p.MsgTS
-			}
-		})
-		for h := 0; h < senders; h++ {
-			h := h
-			sim.NewTicker(net.Eng, 200*sim.Nanosecond, 0, func() {
-				ts := net.Clocks[h].Now()
-				net.SendFromHost(h, &netsim.Packet{Kind: netsim.KindData, Src: netsim.ProcID(h),
-					Dst: 31, MsgTS: ts, BarrierBE: ts, Size: 1024})
-			})
-		}
-		net.Eng.RunFor(2 * sim.Millisecond)
-		t.AddRow(f1(float64(senders)), f2(float64(ooo)/float64(total)))
+		netN := netsim.New(netsim.DefaultConfig(topology.Testbed(), 1))
+		arr := countArrivals(netN, 31)
+		driveRaw(netN, incastStreams(senders, 31, 200*sim.Nanosecond, 1024))
+		netN.Eng.RunFor(2 * sim.Millisecond)
+		t.AddRow(f1(float64(senders)), f2(arr.oooShare()))
 	}
 	t.Notes = append(t.Notes, "paper: 57% with 8 senders — dropping out-of-order arrivals is untenable, hence barriers")
 	return t

@@ -27,33 +27,17 @@ func runOnePipeBroadcast(sc Scale, n int, reliable bool, offered float64) opResu
 		// 2PC prepare phase.
 		c.DisableBEAck = !reliable
 	})
-	eng := cl.Net.Eng
-	var res opResult
-	measuring := false
-	delivered := 0
-	for _, p := range cl.Procs {
-		p.OnDeliver = func(d core.Delivery) {
-			if !measuring {
-				return
-			}
-			delivered++
-			if sent, ok := d.Data.(sim.Time); ok {
-				res.lat.Add(float64(eng.Now()-sent) / 1000)
-			}
-		}
-	}
-	gap := sim.Time(1e9 / offered)
+	m := newMeter(cl)
 	// The broadcast schedule is a workload.Source now; RoundRobin emits the
 	// exact (src, dst, at) sequence the per-process tickers used to produce
 	// (pinned by workload's TestRoundRobinSchedule), so the figures are
 	// unchanged.
-	driveSource(cl, workload.NewRoundRobin(n, gap, 64, reliable), 0)
-	eng.RunFor(sc.Warmup)
-	measuring = true
-	eng.RunFor(sc.Window)
-	measuring = false
-	res.tputPerProc = float64(delivered) / sc.Window.Seconds() / float64(n)
-	return res
+	drivePump(cl, workload.NewRoundRobin(n, sim.Time(1e9/offered), 64, reliable), true)
+	m.window(cl.Net.Eng, sc.Warmup, sc.Window)
+	return opResult{
+		tputPerProc: float64(m.delivered) / sc.Window.Seconds() / float64(n),
+		lat:         m.lat[classOf(reliable)],
+	}
 }
 
 var fig8Procs = []int{2, 4, 8, 16, 32, 64, 128, 256, 512}

@@ -121,7 +121,7 @@ func RunSLO(sc Scale) []SLORow {
 				}
 			}
 		}
-		driveSource(cl, workload.NewReplay(its), 0)
+		drivePump(cl, workload.NewReplay(its), true)
 		eng.RunFor(sc.Warmup)
 		measuring = true
 		eng.RunFor(sc.Window + quiesceSLO)

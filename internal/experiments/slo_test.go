@@ -34,7 +34,7 @@ func TestSLOReplayDeterminism(t *testing.T) {
 }
 
 // TestDriveSourceMatchesTickers pins the fig8 migration: driving a
-// RoundRobin source through driveSource must deliver messages (the exact
+// RoundRobin source through the stamped drivePump must deliver messages (the exact
 // schedule equivalence is pinned in workload's TestRoundRobinSchedule; this
 // covers the pump end of the contract).
 func TestDriveSourceMatchesTickers(t *testing.T) {
@@ -44,11 +44,11 @@ func TestDriveSourceMatchesTickers(t *testing.T) {
 	for _, p := range cl.Procs {
 		p.OnDeliver = func(core.Delivery) { delivered++ }
 	}
-	driveSource(cl, workload.NewRoundRobin(8, 2*sim.Microsecond, 64, false), 0)
+	drivePump(cl, workload.NewRoundRobin(8, 2*sim.Microsecond, 64, false), true)
 	eng.RunFor(100 * sim.Microsecond)
 	// 8 procs sending every 2us for 100us ≈ 400 sends; batching and the
 	// final window edge trim a few.
 	if delivered < 300 {
-		t.Fatalf("driveSource delivered only %d messages", delivered)
+		t.Fatalf("drivePump delivered only %d messages", delivered)
 	}
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"onepipe/internal/core"
-	"onepipe/internal/netsim"
 	"onepipe/internal/obs"
 	"onepipe/internal/sim"
 	"onepipe/internal/stats"
@@ -17,29 +15,8 @@ func runStages(sc Scale, n int, reliable bool) [obs.NumSpans]stats.Histogram {
 	cl := deploy(n, nil, nil)
 	traces := cl.EnableTracing()
 	netTrace := cl.Net.EnableObs(0)
-	for _, p := range cl.Procs {
-		p.OnDeliver = func(core.Delivery) {}
-	}
-	eng := cl.Net.Eng
-	probes := 120
-	for i := 0; i < probes; i++ {
-		i := i
-		at := sc.Warmup + sim.Time(i)*7*sim.Microsecond + sim.Time(i%11)*531*sim.Nanosecond
-		eng.At(at, func() {
-			src := cl.Procs[i%n]
-			dst := netsim.ProcID((i*7 + 3) % n)
-			if int(dst) == i%n {
-				dst = netsim.ProcID((int(dst) + 1) % n)
-			}
-			msg := []core.Message{{Dst: dst, Data: struct{}{}, Size: 64}}
-			if reliable {
-				src.SendOpts(msg, core.SendOptions{Reliable: true})
-			} else {
-				src.Send(msg)
-			}
-		})
-	}
-	eng.RunFor(sc.Warmup + sim.Time(probes)*7*sim.Microsecond + 2*sim.Millisecond)
+	s := idleProbes(sc, classOf(reliable))
+	runProbes(cl, s, s.end()+2*sim.Millisecond)
 	return obs.Merge(append(traces, netTrace)...)
 }
 

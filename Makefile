@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check loc bench-module race abba bench bench-json bench-gate slo serve results full-results fuzz examples vet chaos chaos-nightly chaos-sweep mutants elastic conflict scale
+.PHONY: all build test fmt-check loc bench-module race abba bench-json bench-gate slo serve results full-results fuzz examples vet chaos chaos-nightly chaos-sweep mutants elastic conflict scale
 
 all: vet test
 
@@ -36,10 +36,6 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/udpnet/ ./internal/sim/
 	$(GO) test -race ./internal/netsim/ -run 'TestPutPacket|TestPutAckBatch|TestPool' -count=1
 	$(GO) test -race . -run 'TestSendOptionsConcurrent|TestSendRacingClose|TestUDPJoinRacingSend|TestUDPSendReusesSlice|TestLiveJoinDrain' -count=10
-
-# One pass over every figure/table as Go benchmarks.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .
 
 # Before/after: BASE (and CHANGE, default the working tree) against each
 # other, every BENCHMARK.json workload and BENCH_core.json row in ten

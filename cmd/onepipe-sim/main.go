@@ -41,7 +41,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	topo, err := fabric(*hosts, *procs, *durMs, *load, *beaconUs)
+	topo, err := fabric(*hosts, *procs, *durMs, *load, *beaconUs, *jitterUs, *loss)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -158,14 +158,22 @@ func main() {
 	}
 }
 
-// fabric checks the flags that size the run and returns the Clos fabric
-// -hosts builds. Each of -duration, -load and -beacon sets an interval that
-// must come to at least 1 ns and fit a sim.Time: a zero, negative or
-// non-finite one gives the run no end. A -hosts the fabric shapes cannot
-// build exactly would silently simulate another host count.
-func fabric(hosts, procs int, durMs, load, beaconUs float64) (topology.ClosConfig, error) {
+// fabric checks the flags that size and impair the run and returns the Clos
+// fabric -hosts builds. Each of -duration, -load and -beacon sets an
+// interval that must come to at least 1 ns and fit a sim.Time: a zero,
+// negative or non-finite one gives the run no end. A -hosts the fabric
+// shapes cannot build exactly would silently simulate another host count.
+// A negative -jitter or a -loss outside [0, 1] would run as no impairment,
+// or as a fabric that delivers nothing.
+func fabric(hosts, procs int, durMs, load, beaconUs, jitterUs, loss float64) (topology.ClosConfig, error) {
 	if procs < 1 {
 		return topology.ClosConfig{}, fmt.Errorf("-procs %d: want at least 1", procs)
+	}
+	if !(jitterUs >= 0 && jitterUs*1e3 < math.MaxInt64) {
+		return topology.ClosConfig{}, fmt.Errorf("-jitter %g: want a finite delay of at least 0 us", jitterUs)
+	}
+	if !(loss >= 0 && loss <= 1) {
+		return topology.ClosConfig{}, fmt.Errorf("-loss %g: want a probability in [0, 1]", loss)
 	}
 	for _, f := range []struct {
 		flag  string

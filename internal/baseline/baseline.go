@@ -74,10 +74,11 @@ type Result struct {
 	Latency stats.Sample
 }
 
-// queue models a FIFO service station (sequencer pipeline, NIC, CPU).
+// queue models a FIFO service station (sequencer pipeline, NIC, CPU) with
+// a fixed cost per message.
 type queue struct {
-	busyUntil sim.Time
-	perMsg    sim.Time
+	st     sim.Station
+	perMsg sim.Time
 }
 
 func newQueue(rate float64) *queue {
@@ -85,22 +86,12 @@ func newQueue(rate float64) *queue {
 }
 
 // admit returns the completion time of a message entering the station now.
-func (q *queue) admit(now sim.Time) sim.Time {
-	start := now
-	if q.busyUntil > start {
-		start = q.busyUntil
-	}
-	q.busyUntil = start + q.perMsg
-	return q.busyUntil
-}
+func (q *queue) admit(now sim.Time) sim.Time { return q.st.Serve(now, q.perMsg) }
 
-// depth returns the current backlog in time units.
-func (q *queue) depth(now sim.Time) sim.Time {
-	if q.busyUntil <= now {
-		return 0
-	}
-	return q.busyUntil - now
-}
+// depth returns the current backlog in time units: how long a message of
+// no cost entering now would wait. Time only moves forward, so queueing
+// it changes no later completion.
+func (q *queue) depth(now sim.Time) sim.Time { return q.st.Serve(now, 0) - now }
 
 // maxQueueDelay caps modeled queueing: beyond it the station drops (the
 // figure's latency "soars" at saturation; unbounded queues would just melt

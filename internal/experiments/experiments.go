@@ -2,7 +2,7 @@
 // evaluation (§7). Each experiment is a named runner that sweeps the
 // figure's parameter, drives the workload on the simulated data center,
 // and emits the same rows/series the paper plots. The cmd/onepipe-bench
-// tool and the repository's bench_test.go both call into this package.
+// tool calls into this package.
 package experiments
 
 import (

@@ -8,19 +8,6 @@ import (
 	"onepipe/internal/sim"
 )
 
-// ServeRow is one serving-tier measurement: a client-scale point, the
-// tpcc-style mix, an SMR mode, or one elastic-timeline bucket. Latencies
-// are microseconds, client-observed.
-type ServeRow struct {
-	Segment   string
-	Clients   int
-	Delivered int
-	ReqPerSec float64
-	P50       float64
-	P99       float64
-	P999      float64
-}
-
 // serveProcs sizes the serving fabric from the scale's process budget.
 func serveProcs(sc Scale) int {
 	n := sc.MaxProcs
@@ -44,20 +31,27 @@ func serveCluster(n int, withController bool) *onepipe.Cluster {
 	})
 }
 
-// ElasticP99Budget bounds post-drain tail latency relative to the
+// elasticP99Budget bounds post-drain tail latency relative to the
 // pre-reconfiguration bucket: recovery means the final bucket's p99 is
 // within this factor of the baseline.
-const ElasticP99Budget = 2.5
+const elasticP99Budget = 2.5
 
-// RunServe produces the -fig serve rows: a KV client-scale sweep (the top
+// Serve regenerates the -fig serve table: a KV client-scale sweep (the top
 // point is >=100k closed-loop clients at quick scale, ~1M at full), the
 // transaction mix, the fabric-SMR vs Raft head-to-head, and an elastic
-// Join/Drain timeline. The returned notes carry the self-asserted elastic
+// Join/Drain timeline. Its last note carries the self-asserted elastic
 // verdict (RECOVERED/EXCEEDED — CI greps for failure).
-func RunServe(sc Scale) ([]ServeRow, []string) {
+func Serve(sc Scale) *Table {
+	t := &Table{
+		ID:      "serve",
+		Title:   "Serving tier: closed-loop clients on the Fabric API (KV / txn / SMR / elastic)",
+		Columns: []string{"segment", "clients", "delivered", "req/s", "p50(us)", "p99(us)", "p999(us)"},
+	}
+	row := func(seg string, clients int, res serve.Result) {
+		t.AddRow(seg, fmt.Sprintf("%d", clients), fmt.Sprintf("%d", res.Delivered),
+			fmt.Sprintf("%.0f", res.ReqPerSec()), f2(res.P50), f2(res.P99), f2(res.P999))
+	}
 	n := serveProcs(sc)
-	var rows []ServeRow
-	var notes []string
 
 	// KV client-scale sweep: fixed think time, so offered load grows with
 	// the connected-client count and the sweep traces latency under load.
@@ -67,8 +61,7 @@ func RunServe(sc Scale) ([]ServeRow, []string) {
 		cfg.Clients = clients
 		cfg.Seed = 1
 		tier := serve.New(serveCluster(n, false), cfg)
-		res := tier.RunLoad(sc.Warmup, sc.Window)
-		rows = append(rows, serveRow(fmt.Sprintf("kv/%d", n), clients, res))
+		row(fmt.Sprintf("kv/%d", n), clients, tier.RunLoad(sc.Warmup, sc.Window))
 	}
 
 	// tpcc-style transaction mix.
@@ -79,8 +72,7 @@ func RunServe(sc Scale) ([]ServeRow, []string) {
 		cfg.Clients = clients
 		cfg.Seed = 1
 		tier := serve.New(serveCluster(n, false), cfg)
-		res := tier.RunLoad(sc.Warmup, sc.Window)
-		rows = append(rows, serveRow("txn", clients, res))
+		row("txn", clients, tier.RunLoad(sc.Warmup, sc.Window))
 	}
 
 	// SMR head-to-head: the same replicated state machine, commands
@@ -99,35 +91,23 @@ func RunServe(sc Scale) ([]ServeRow, []string) {
 		cfg.Seed = 1
 		tier := serve.New(serveCluster(smrProcs, false), cfg)
 		tier.WaitSMRReady(5 * sim.Millisecond)
-		res := tier.RunLoad(sc.Warmup, sc.Window)
-		rows = append(rows, serveRow(svc.String(), clients, res))
+		row(svc.String(), clients, tier.RunLoad(sc.Warmup, sc.Window))
 	}
 
-	// Elastic timeline: Join then Drain mid-load, with SLO recovery
-	// asserted against the pre-reconfiguration bucket.
-	er, en := runServeElastic(sc)
-	rows = append(rows, er...)
-	notes = append(notes, en...)
-	return rows, notes
+	t.Notes = append(t.Notes,
+		"closed-loop sessions (1 outstanding request, exponential think) on per-session SplitMix64 state; latency client-observed from issue decision to last reply part",
+		"kv rows: fixed 1ms think, so offered load scales with connected clients; requests are Reliable() when they write, best-effort when read-only",
+		"smr rows: same state machine, fabric total order as the log (no leader) vs the in-tree Raft baseline over best-effort fabric transport",
+		serveElastic(sc, row))
+	return t
 }
 
-func serveRow(seg string, clients int, res serve.Result) ServeRow {
-	return ServeRow{
-		Segment:   seg,
-		Clients:   clients,
-		Delivered: res.Delivered,
-		ReqPerSec: res.ReqPerSec(),
-		P50:       res.P50,
-		P99:       res.P99,
-		P999:      res.P999,
-	}
-}
-
-// runServeElastic drives the Join/Drain-under-load segment: a fabric where
-// half the processes own shards and half are pure frontends, a joined host
-// adding frontend capacity mid-load, then a graceful frontend drain — with
-// a measured bucket after each transition.
-func runServeElastic(sc Scale) ([]ServeRow, []string) {
+// serveElastic drives the Join/Drain-under-load segment, adding a row per
+// measured bucket, and returns its verdict note: a fabric where half the
+// processes own shards and half are pure frontends, a joined host adding
+// frontend capacity mid-load, then a graceful frontend drain — with SLO
+// recovery asserted against the pre-reconfiguration bucket.
+func serveElastic(sc Scale, row func(string, int, serve.Result)) string {
 	n := 32
 	if n > serveProcs(sc) {
 		n = serveProcs(sc)
@@ -146,22 +126,21 @@ func runServeElastic(sc Scale) ([]ServeRow, []string) {
 	if bucket < 50*sim.Microsecond {
 		bucket = 50 * sim.Microsecond
 	}
-	measure := func(seg string) ServeRow {
+	measure := func(seg string) serve.Result {
 		tier.StartMeasure()
 		cl.Run(bucket)
-		return serveRow(seg, tier.Sessions(), tier.StopMeasure())
+		res := tier.StopMeasure()
+		row(seg, tier.Sessions(), res)
+		return res
 	}
 
-	var rows []ServeRow
-	var notes []string
-	rows = append(rows, measure("elastic-pre"))
+	pre := measure("elastic-pre")
 
 	// Scale out: one host joins live; its processes become frontends and
 	// new sessions land on them while the rest of the pool keeps running.
 	pph := cl.NumProcesses() / len(cl.Network().G.Hosts)
 	if _, err := cl.Join(); err != nil {
-		notes = append(notes, fmt.Sprintf("elastic: join FAILED: %v", err))
-		return rows, notes
+		return fmt.Sprintf("elastic: join FAILED: %v", err)
 	}
 	total := cl.NumProcesses()
 	joined := make([]int, 0, pph)
@@ -169,7 +148,7 @@ func runServeElastic(sc Scale) ([]ServeRow, []string) {
 		joined = append(joined, p)
 	}
 	tier.AddFrontends(joined, cfg.Clients/8)
-	rows = append(rows, measure("elastic-join"))
+	measure("elastic-join")
 
 	// Graceful drain: stop the victim frontend's sessions, let in-flight
 	// requests finish, then drain the host out of the fabric.
@@ -178,40 +157,16 @@ func runServeElastic(sc Scale) ([]ServeRow, []string) {
 	stopped := tier.StopFrontend(victim)
 	cl.Run(20 * sim.Microsecond)
 	if err := cl.Drain(victimHost); err != nil {
-		notes = append(notes, fmt.Sprintf("elastic: drain FAILED: %v", err))
-		return rows, notes
+		return fmt.Sprintf("elastic: drain FAILED: %v", err)
 	}
-	rows = append(rows, measure("elastic-post"))
+	post := measure("elastic-post")
 
-	pre, post := rows[0], rows[len(rows)-1]
-	if post.P99 <= pre.P99*ElasticP99Budget {
-		notes = append(notes, fmt.Sprintf(
+	if post.P99 <= pre.P99*elasticP99Budget {
+		return fmt.Sprintf(
 			"elastic: post-drain p99 %.2fus within %.1fx of pre-reconfig %.2fus (stopped %d sessions) — RECOVERED",
-			post.P99, ElasticP99Budget, pre.P99, stopped))
-	} else {
-		notes = append(notes, fmt.Sprintf(
-			"elastic: post-drain p99 %.2fus EXCEEDED %.1fx of pre-reconfig %.2fus",
-			post.P99, ElasticP99Budget, pre.P99))
+			post.P99, elasticP99Budget, pre.P99, stopped)
 	}
-	return rows, notes
-}
-
-// Serve regenerates the -fig serve table.
-func Serve(sc Scale) *Table {
-	t := &Table{
-		ID:      "serve",
-		Title:   "Serving tier: closed-loop clients on the Fabric API (KV / txn / SMR / elastic)",
-		Columns: []string{"segment", "clients", "delivered", "req/s", "p50(us)", "p99(us)", "p999(us)"},
-	}
-	rows, notes := RunServe(sc)
-	for _, r := range rows {
-		t.AddRow(r.Segment, fmt.Sprintf("%d", r.Clients), fmt.Sprintf("%d", r.Delivered),
-			fmt.Sprintf("%.0f", r.ReqPerSec), f2(r.P50), f2(r.P99), f2(r.P999))
-	}
-	t.Notes = append(t.Notes,
-		"closed-loop sessions (1 outstanding request, exponential think) on per-session SplitMix64 state; latency client-observed from issue decision to last reply part",
-		"kv rows: fixed 1ms think, so offered load scales with connected clients; requests are Reliable() when they write, best-effort when read-only",
-		"smr rows: same state machine, fabric total order as the log (no leader) vs the in-tree Raft baseline over best-effort fabric transport")
-	t.Notes = append(t.Notes, notes...)
-	return t
+	return fmt.Sprintf(
+		"elastic: post-drain p99 %.2fus EXCEEDED %.1fx of pre-reconfig %.2fus",
+		post.P99, elasticP99Budget, pre.P99)
 }

@@ -99,12 +99,12 @@ type Table struct {
 }
 
 type node struct {
-	tb      *Table
-	proc    *core.Proc
-	rng     *rand.Rand
-	keys    *workload.Uniform
-	nicBusy sim.Time
-	cpuBusy sim.Time
+	tb   *Table
+	proc *core.Proc
+	rng  *rand.Rand
+	keys *workload.Uniform
+	nic  sim.Station
+	cpu  sim.Station
 	// Bucket state: head pointer version per bucket, on servers.
 	heads map[uint64]uint64
 	rr    int // round-robin replica selector for lookups
@@ -223,23 +223,13 @@ func (n *node) finish(o *op) {
 // serveNIC models a one-sided operation (no server CPU).
 func (n *node) serveNIC(fn func()) {
 	eng := n.tb.cl.Net.Eng
-	start := eng.Now()
-	if n.nicBusy > start {
-		start = n.nicBusy
-	}
-	n.nicBusy = start + nicOpCost
-	eng.At(n.nicBusy, fn)
+	eng.At(n.nic.Serve(eng.Now(), nicOpCost), fn)
 }
 
 // serveCPU models leader software processing.
 func (n *node) serveCPU(cost sim.Time, fn func()) {
 	eng := n.tb.cl.Net.Eng
-	start := eng.Now()
-	if n.cpuBusy > start {
-		start = n.cpuBusy
-	}
-	n.cpuBusy = start + cost
-	eng.At(n.cpuBusy, fn)
+	eng.At(n.cpu.Serve(eng.Now(), cost), fn)
 }
 
 // ----- 1Pipe design -----

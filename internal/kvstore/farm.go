@@ -29,7 +29,7 @@ func (n *node) issueFaRM(t *txn) {
 		t.phase = farmPhaseLock
 		n.farmLockRound(t)
 	}
-	n.armRetry(t)
+	t.retry.Reset(retryTimeout)
 }
 
 // keySet returns t's keys filtered by kind (nil = all).
@@ -157,7 +157,6 @@ func (n *node) onFarmCommit(src netsim.ProcID, m farmCommit) {
 				n.data[op.Key] = e
 			}
 			e.version++
-			e.size = op.Value
 			if e.lockedBy == m.t {
 				e.lockedBy = nil
 			}

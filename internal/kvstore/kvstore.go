@@ -146,7 +146,6 @@ func (s *Stats) AbortRate() float64 {
 
 type entry struct {
 	version  uint64
-	size     int
 	lockedBy *txn
 }
 
@@ -157,7 +156,9 @@ type txn struct {
 	class   Class
 	started sim.Time
 	pending int
-	epoch   uint64 // guards the retry timer
+	// retry re-solicits replies that went missing (raw RPCs are
+	// unacknowledged).
+	retry sim.Timer
 	// FaRM state.
 	phase    int
 	versions map[uint64]uint64
@@ -182,7 +183,7 @@ type node struct {
 	rng     *rand.Rand
 	gen     workload.TxnSource
 	data    map[uint64]*entry
-	cpuBusy sim.Time
+	cpu     sim.Station
 	applied map[*txn]bool
 }
 
@@ -298,17 +299,12 @@ func classify(ops []workload.Op) Class {
 // serve models server CPU: fn runs after the op clears the FIFO station.
 func (n *node) serve(nops int, fn func()) {
 	eng := n.st.eng()
-	now := eng.Now()
-	start := now
-	if n.cpuBusy > start {
-		start = n.cpuBusy
-	}
-	n.cpuBusy = start + sim.Time(nops)*serverOpCost
-	eng.At(n.cpuBusy, fn)
+	eng.At(n.cpu.Serve(eng.Now(), sim.Time(nops)*serverOpCost), fn)
 }
 
 func (n *node) startTxn() {
 	t := &txn{client: n, ops: n.gen.Next(), started: n.st.eng().Now()}
+	t.retry.Init(n.st.eng(), (*txnRetry)(t))
 	if n.st.Cfg.ROFrac > 0 && n.rng.Float64() < n.st.Cfg.ROFrac {
 		for i := range t.ops {
 			t.ops[i].Kind = workload.OpRead
@@ -332,7 +328,7 @@ func (n *node) issue(t *txn) {
 
 // finish completes a transaction and keeps the closed loop full.
 func (n *node) finish(t *txn, committed bool) {
-	t.epoch++ // cancel retry timer
+	t.retry.Stop()
 	st := n.st
 	if st.measuring {
 		if committed {
@@ -361,7 +357,7 @@ func (n *node) retryLater(t *txn) {
 		n.st.Stats.Aborted++
 	}
 	t.retries++
-	t.epoch++
+	t.retry.Stop()
 	back := sim.Time(1+n.rng.Intn(1<<uint(min(t.retries, 6)))) * sim.Microsecond
 	n.st.eng().After(back, func() {
 		t.phase = 0
@@ -372,16 +368,12 @@ func (n *node) retryLater(t *txn) {
 	})
 }
 
-// armRetry guards against lost replies (raw RPCs are unacknowledged).
-func (n *node) armRetry(t *txn) {
-	t.epoch++
-	epoch := t.epoch
-	n.st.eng().After(retryTimeout, func() {
-		if t.epoch != epoch {
-			return
-		}
-		n.recover(t)
-	})
+// txnRetry is a txn's retry-timer handler.
+type txnRetry txn
+
+func (r *txnRetry) Fire() {
+	t := (*txn)(r)
+	t.client.recover(t)
 }
 
 // recover re-solicits replies for a transaction stuck on packet loss.
@@ -395,7 +387,7 @@ func (n *node) recover(t *txn) {
 			n.proc.SendRaw(dst, replay{t: t}, 32)
 		}
 		t.pending = len(t.owners())
-		n.armRetry(t)
+		t.retry.Reset(retryTimeout)
 	default:
 		// FaRM / NonTX: abort and rerun from scratch.
 		n.retryLater(t)

@@ -16,7 +16,7 @@ func (n *node) issueNonTX(t *txn) {
 		}
 		n.proc.SendRaw(b.owner, nontxReq{t: t, ops: b.ops}, size)
 	}
-	n.armRetry(t)
+	t.retry.Reset(retryTimeout)
 }
 
 // onNonTXReq applies the operations immediately (no concurrency control).

@@ -29,7 +29,7 @@ func (n *node) issue1Pipe(t *txn) {
 		n.retryLater(t)
 		return
 	}
-	n.armRetry(t)
+	t.retry.Reset(retryTimeout)
 }
 
 // onDeliver handles 1Pipe-ordered transaction operations at an owner.
@@ -67,7 +67,6 @@ func (n *node) apply(op workload.Op) {
 	}
 	if op.Kind == workload.OpWrite {
 		e.version++
-		e.size = op.Value
 	}
 }
 

@@ -172,8 +172,8 @@ var catalogue = []mutant{
 		// in the owner's station before it.
 		name: "serve-read-on-arrival",
 		file: "internal/serve/serve.go",
-		from: "t.eng.At2(sh.cpuBusy, servedEv, t, m)",
-		to:   "if m.Ops[0].Kind == workload.OpRead { servedEv(t, m) } else { t.eng.At2(sh.cpuBusy, servedEv, t, m) }",
+		from: "t.eng.At2(done, servedEv, t, m)",
+		to:   "if m.Ops[0].Kind == workload.OpRead { servedEv(t, m) } else { t.eng.At2(done, servedEv, t, m) }",
 		pkg:  "./internal/serve", tests: "TestKVClosedLoop|TestReplayDeterminism|TestKVMatchesLegacyKVStore|TestFrontendCrashUnderLoad",
 		finding: "ROADMAP item 4",
 	},

@@ -6,14 +6,19 @@ import (
 	"onepipe/internal/sim"
 )
 
+// The management network's one-way message latency is delay plus
+// U(0, jitter).
+const (
+	delay  = 20 * sim.Microsecond
+	jitter = 10 * sim.Microsecond
+)
+
 // Cluster wires N Raft nodes over a simulated management network with a
-// configurable per-message delay and loss rate — the test and deployment
-// harness for the replicated controller.
+// fixed per-message delay and a configurable loss rate — the test and
+// deployment harness for the replicated controller.
 type Cluster struct {
 	Eng   *sim.Engine
 	Nodes []*Node
-	// Delay is the one-way message latency; Jitter adds U(0,Jitter).
-	Delay, Jitter sim.Time
 	// Loss is the per-message drop probability.
 	Loss float64
 	// Partitioned[i][j] blocks i->j delivery.
@@ -32,8 +37,6 @@ func (t clusterTransport) Send(m Message) { t.c.route(m) }
 func NewCluster(eng *sim.Engine, n int, cfg Config, apply func(node, index int, cmd any)) *Cluster {
 	c := &Cluster{
 		Eng:         eng,
-		Delay:       20 * sim.Microsecond,
-		Jitter:      10 * sim.Microsecond,
 		partitioned: make(map[[2]int]bool),
 		rng:         rand.New(rand.NewSource(12345)),
 	}
@@ -48,16 +51,11 @@ func NewCluster(eng *sim.Engine, n int, cfg Config, apply func(node, index int, 
 			ap = func(index int, cmd any) { apply(i, index, cmd) }
 		}
 		node := NewNode(i, peers, clusterTransport{c: c, id: i},
-			engineSched{eng}, rand.New(rand.NewSource(int64(1000+i))), cfg, ap)
+			eng, rand.New(rand.NewSource(int64(1000+i))), cfg, ap)
 		c.Nodes = append(c.Nodes, node)
 	}
 	return c
 }
-
-type engineSched struct{ eng *sim.Engine }
-
-func (s engineSched) After(d sim.Time, fn func()) { s.eng.After(d, fn) }
-func (s engineSched) Now() sim.Time               { return s.eng.Now() }
 
 func (c *Cluster) route(m Message) {
 	if m.To < 0 || m.To >= len(c.Nodes) {
@@ -69,10 +67,7 @@ func (c *Cluster) route(m Message) {
 	if c.Loss > 0 && c.rng.Float64() < c.Loss {
 		return
 	}
-	d := c.Delay
-	if c.Jitter > 0 {
-		d += sim.Time(c.rng.Int63n(int64(c.Jitter)))
-	}
+	d := delay + sim.Time(c.rng.Int63n(int64(jitter)))
 	node := c.Nodes[m.To]
 	c.Eng.After(d, func() { node.Handle(m) })
 }

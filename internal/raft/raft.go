@@ -4,8 +4,8 @@
 // Paxos or Raft, so it is highly available").
 //
 // The implementation is single-threaded and event-driven: it exchanges
-// messages through a Transport and takes time from a scheduler, so it runs
-// deterministically on the simulation engine.
+// messages through a Transport and arms its timers on the simulation
+// engine, so it runs deterministically.
 package raft
 
 import (
@@ -83,12 +83,6 @@ type Transport interface {
 	Send(msg Message)
 }
 
-// Scheduler provides timers; the simulation engine satisfies it.
-type Scheduler interface {
-	After(d sim.Time, fn func())
-	Now() sim.Time
-}
-
 // Config tunes the protocol timers.
 type Config struct {
 	// HeartbeatInterval is the leader's AppendEntries cadence.
@@ -113,7 +107,6 @@ type Node struct {
 	peers []int
 	cfg   Config
 	tr    Transport
-	sched Scheduler
 	rng   *rand.Rand
 
 	role        Role
@@ -130,20 +123,22 @@ type Node struct {
 	// apply is invoked in log order for every committed entry.
 	apply func(index int, cmd any)
 
-	electionEpoch  uint64
-	heartbeatEpoch uint64
+	electionTimer  sim.Timer
+	heartbeatTimer sim.Timer
 	stopped        bool
 }
 
 // NewNode creates a replica. peers lists ALL node IDs including id. apply
 // receives committed commands in order.
-func NewNode(id int, peers []int, tr Transport, sched Scheduler, rng *rand.Rand, cfg Config, apply func(index int, cmd any)) *Node {
+func NewNode(id int, peers []int, tr Transport, eng *sim.Engine, rng *rand.Rand, cfg Config, apply func(index int, cmd any)) *Node {
 	n := &Node{
-		ID: id, peers: peers, cfg: cfg, tr: tr, sched: sched, rng: rng,
+		ID: id, peers: peers, cfg: cfg, tr: tr, rng: rng,
 		votedFor: -1, apply: apply,
 		nextIndex:  make(map[int]int),
 		matchIndex: make(map[int]int),
 	}
+	n.electionTimer.Init(eng, (*electionFire)(n))
+	n.heartbeatTimer.Init(eng, (*heartbeatFire)(n))
 	n.resetElectionTimer()
 	return n
 }
@@ -196,17 +191,24 @@ func (n *Node) lastLogTerm() int {
 }
 
 func (n *Node) resetElectionTimer() {
-	n.electionEpoch++
-	epoch := n.electionEpoch
 	span := n.cfg.ElectionTimeoutMax - n.cfg.ElectionTimeoutMin
-	d := n.cfg.ElectionTimeoutMin + sim.Time(n.rng.Int63n(int64(span)+1))
-	n.sched.After(d, func() {
-		if n.stopped || n.electionEpoch != epoch || n.role == Leader {
-			return
-		}
-		n.startElection()
-	})
+	n.electionTimer.Reset(n.cfg.ElectionTimeoutMin + sim.Time(n.rng.Int63n(int64(span)+1)))
 }
+
+// electionFire is the election timer's handler: a follower or candidate
+// that heard from no leader in time stands for election.
+type electionFire Node
+
+func (f *electionFire) Fire() {
+	if n := (*Node)(f); !n.stopped && n.role != Leader {
+		n.startElection()
+	}
+}
+
+// heartbeatFire is the heartbeat timer's handler.
+type heartbeatFire Node
+
+func (f *heartbeatFire) Fire() { (*Node)(f).heartbeat() }
 
 func (n *Node) startElection() {
 	n.role = Candidate
@@ -245,14 +247,7 @@ func (n *Node) heartbeat() {
 		return
 	}
 	n.broadcastAppend()
-	n.heartbeatEpoch++
-	epoch := n.heartbeatEpoch
-	n.sched.After(n.cfg.HeartbeatInterval, func() {
-		if n.heartbeatEpoch != epoch {
-			return
-		}
-		n.heartbeat()
-	})
+	n.heartbeatTimer.Reset(n.cfg.HeartbeatInterval)
 }
 
 func (n *Node) broadcastAppend() {

@@ -230,3 +230,33 @@ func TestAppliedPrefixConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleClusterQueuesOnlyTimers: a re-armed election or heartbeat timer
+// leaves no stale firing behind, so an idle cluster with a leader and no
+// message in flight queues exactly its armed timers.
+func TestIdleClusterQueuesOnlyTimers(t *testing.T) {
+	eng, c := newTestCluster(3, nil)
+	l := c.WaitLeader(50 * sim.Millisecond)
+	if l == nil {
+		t.Fatal("no leader elected")
+	}
+	// Settle for many heartbeats, then stop midway between two: a round
+	// trip takes at most 2*(delay+jitter), well under the gap left since
+	// the last heartbeat.
+	eng.RunFor(10 * sim.Millisecond)
+	eng.RunUntil(l.heartbeatTimer.Deadline() - DefaultConfig().HeartbeatInterval/4)
+	if 2*(delay+jitter) >= DefaultConfig().HeartbeatInterval*3/4 {
+		t.Fatal("a heartbeat round trip may still be in flight")
+	}
+	armed := 0
+	for _, n := range c.Nodes {
+		for _, tm := range []*sim.Timer{&n.electionTimer, &n.heartbeatTimer} {
+			if tm.Armed() {
+				armed++
+			}
+		}
+	}
+	if got := eng.Pending(); got != armed {
+		t.Fatalf("%d entries queued, %d timers armed", got, armed)
+	}
+}

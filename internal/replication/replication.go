@@ -41,7 +41,7 @@ import (
 // Disk models an SSD write path as a FIFO station with jittered service
 // time (Intel DC S3700-class, per the paper's Ceph experiment).
 type Disk struct {
-	busy   sim.Time
+	st     sim.Station
 	mean   sim.Time
 	jitter sim.Time
 	rng    *rand.Rand
@@ -54,16 +54,11 @@ func NewDisk(mean, jitter sim.Time, rng *rand.Rand) *Disk {
 
 // Write schedules fn when the write completes.
 func (d *Disk) Write(eng *sim.Engine, fn func()) {
-	start := eng.Now()
-	if d.busy > start {
-		start = d.busy
-	}
 	svc := d.mean
 	if d.jitter > 0 {
 		svc += sim.Time(d.rng.Int63n(int64(2*d.jitter))) - d.jitter
 	}
-	d.busy = start + svc
-	eng.At(d.busy, fn)
+	eng.At(d.st.Serve(eng.Now(), svc), fn)
 }
 
 // Config parameterizes a replication deployment.
@@ -147,13 +142,15 @@ type clientState struct {
 }
 
 type appendOp struct {
+	cs        *clientState
 	entry     Entry
 	started   sim.Time
 	replies   int
 	checksums map[netsim.ProcID]uint64
 	done      func(ok bool)
-	epoch     uint64
-	resolved  bool
+	// retry retransmits when replies or entries are lost without a
+	// visible reject; resolution stops it.
+	retry sim.Timer
 }
 
 // messages
@@ -218,13 +215,14 @@ func (c *Client) Append(data any, size int, done func(ok bool)) {
 	e := Entry{Client: cs.proc.ID, Seq: cs.nextSeq, Data: data}
 	cs.nextSeq++
 	op := &appendOp{
-		entry: e, started: g.cl.Net.Eng.Now(),
+		cs: cs, entry: e, started: g.cl.Net.Eng.Now(),
 		checksums: make(map[netsim.ProcID]uint64), done: done,
 	}
+	op.retry.Init(g.cl.Net.Eng, (*appendRetry)(op))
 	cs.pending[e.Seq] = op
 	cs.window = append(cs.window, e)
 	cs.sendEntry(e, size)
-	cs.armTimer(op)
+	op.retry.Reset(retryTimeout)
 }
 
 func (cs *clientState) sendEntry(e Entry, size int) {
@@ -238,18 +236,14 @@ func (cs *clientState) sendEntry(e Entry, size int) {
 	cs.proc.SendOpts(msgs, core.SendOptions{})
 }
 
-func (cs *clientState) armTimer(op *appendOp) {
-	op.epoch++
-	epoch := op.epoch
-	cs.g.cl.Net.Eng.After(retryTimeout, func() {
-		if op.resolved || op.epoch != epoch {
-			return
-		}
-		// Replies lost or entries lost without a visible reject:
-		// retransmit from this sequence onward.
-		cs.retransmitFrom(op.entry.Seq)
-		cs.armTimer(op)
-	})
+// appendRetry is an append's retry-timer handler: retransmit from its
+// sequence onward and wait again.
+type appendRetry appendOp
+
+func (r *appendRetry) Fire() {
+	op := (*appendOp)(r)
+	op.cs.retransmitFrom(op.entry.Seq)
+	op.retry.Reset(retryTimeout)
 }
 
 // retransmitFrom resends every unacknowledged entry at or after seq, in
@@ -259,7 +253,7 @@ func (cs *clientState) retransmitFrom(seq uint64) {
 		if e.Seq < seq {
 			continue
 		}
-		if op := cs.pending[e.Seq]; op != nil && !op.resolved {
+		if cs.pending[e.Seq] != nil {
 			cs.g.Stats.Retransmits++
 			cs.sendEntry(e, 64)
 		}
@@ -309,7 +303,7 @@ func (cs *clientState) onRaw(src netsim.ProcID, data any) {
 		return
 	}
 	op := cs.pending[ack.seq]
-	if op == nil || op.resolved {
+	if op == nil {
 		return
 	}
 	if !ack.ok {
@@ -337,7 +331,7 @@ func (cs *clientState) onRaw(src netsim.ProcID, data any) {
 		}
 		i++
 	}
-	op.resolved = true
+	op.retry.Stop()
 	delete(cs.pending, ack.seq)
 	cs.compactWindow()
 	g := cs.g

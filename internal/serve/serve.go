@@ -220,7 +220,7 @@ type repMsg struct {
 type shard struct {
 	data    map[uint64]uint64 // key -> write version
 	lastSeq map[int32]uint32  // per-session dedup cursor (RetryTimeout > 0 only)
-	cpuBusy sim.Time
+	cpu     sim.Station
 	applied uint64 // ops applied (reads + writes)
 }
 
@@ -586,12 +586,8 @@ func (t *Tier) serveReq(p int, m *reqMsg) {
 		}
 	}
 	// The CPU station is a FIFO: the part is served once its ops clear it.
-	now := t.eng.Now()
-	if sh.cpuBusy < now {
-		sh.cpuBusy = now
-	}
-	sh.cpuBusy += sim.Time(work) * t.Cfg.ServerOpCost
-	t.eng.At2(sh.cpuBusy, servedEv, t, m)
+	done := sh.cpu.Serve(t.eng.Now(), sim.Time(work)*t.Cfg.ServerOpCost)
+	t.eng.At2(done, servedEv, t, m)
 }
 
 // servedEv applies a part that cleared its owner's station and replies.

@@ -25,7 +25,7 @@ type smrState struct {
 type replicaSM struct {
 	data    map[uint64]uint64
 	lastSeq map[int32]uint32
-	cpuBusy sim.Time
+	cpu     sim.Station
 	digest  uint64
 	count   uint64
 }
@@ -148,7 +148,8 @@ func (t *Tier) smrRequest(p int, m *reqMsg) {
 		if dup {
 			work = 0
 		}
-		t.smrStation(sm, work, func() {
+		done := sm.cpu.Serve(t.eng.Now(), sim.Time(work)*t.Cfg.ServerOpCost)
+		t.eng.At(done, func() {
 			if !dup {
 				sm.applyCmd(m)
 			}
@@ -194,7 +195,8 @@ func (t *Tier) raftApply(replica, index int, cmd any) {
 		work = 0
 	}
 	leader := t.smr.nodes[replica].Role() == raft.Leader
-	t.smrStation(sm, work, func() {
+	done := sm.cpu.Serve(t.eng.Now(), sim.Time(work)*t.Cfg.ServerOpCost)
+	t.eng.At(done, func() {
 		if !dup {
 			sm.applyCmd(m)
 		}
@@ -214,16 +216,6 @@ func (t *Tier) smrDeliver(p int, d onepipe.Delivery) {
 		return
 	}
 	t.smr.nodes[p].Handle(m)
-}
-
-// smrStation is the replica CPU analogue of Tier.station.
-func (t *Tier) smrStation(sm *replicaSM, nops int, fn func()) {
-	now := t.eng.Now()
-	if sm.cpuBusy < now {
-		sm.cpuBusy = now
-	}
-	sm.cpuBusy += sim.Time(nops) * t.Cfg.ServerOpCost
-	t.eng.At(sm.cpuBusy, fn)
 }
 
 // applyCmd folds one command into the machine: KV effects plus an

@@ -338,3 +338,25 @@ func TestDrainReturnsLiveCount(t *testing.T) {
 		t.Fatalf("second Drain = %d, want 0", got)
 	}
 }
+
+// TestStation: a job starts at its arrival or when the job ahead ends,
+// whichever is later, and same-instant arrivals queue in call order.
+func TestStation(t *testing.T) {
+	type job struct{ now, cost, done Time }
+	for _, c := range []struct {
+		name string
+		jobs []job
+	}{
+		{"idle", []job{{100, 30, 130}, {200, 10, 210}}},
+		{"queued", []job{{100, 50, 150}, {120, 10, 160}, {155, 5, 165}}},
+		{"same instant", []job{{100, 20, 120}, {100, 20, 140}}},
+		{"free job behind a busy one", []job{{100, 50, 150}, {110, 0, 150}}},
+	} {
+		var s Station
+		for i, j := range c.jobs {
+			if got := s.Serve(j.now, j.cost); got != j.done {
+				t.Errorf("%s: job %d done at %v, want %v", c.name, i, got, j.done)
+			}
+		}
+	}
+}

@@ -104,7 +104,7 @@ func (n *node) issue1Pipe(t *txn) {
 			n.retryLater(t)
 			return
 		}
-		n.armRetry(t)
+		t.retry.Reset(retryTimeout)
 		return
 	}
 	var msgs []core.Message
@@ -125,7 +125,7 @@ func (n *node) issue1Pipe(t *txn) {
 		n.retryLater(t)
 		return
 	}
-	n.armRetry(t)
+	t.retry.Reset(retryTimeout)
 }
 
 // onDeliver applies 1Pipe-ordered transaction commands at replicas.
@@ -161,7 +161,7 @@ func (n *node) issueLock(t *txn) {
 	t.phase = 1
 	t.lockIdx = 0
 	n.lockNextShard(t)
-	n.armRetry(t)
+	t.retry.Reset(retryTimeout)
 }
 
 func (n *node) lockNextShard(t *txn) {
@@ -294,7 +294,7 @@ func (n *node) issueOCC(t *txn) {
 	for _, so := range t.shards {
 		n.proc.SendRaw(n.b.primary(so.Shard), occRead{t: t, keys: opKeys(so.Ops)}, 16*len(so.Ops))
 	}
-	n.armRetry(t)
+	t.retry.Reset(retryTimeout)
 }
 
 func (n *node) occWriteKeys(t *txn) [][]uint64 {
@@ -367,7 +367,7 @@ func (n *node) issueNonTX(t *txn) {
 		for _, so := range t.shards {
 			n.proc.SendRaw(n.b.primary(so.Shard), snapReq{t: t, shard: so.Shard, key: so.Ops[0].Key}, 16)
 		}
-		n.armRetry(t)
+		t.retry.Reset(retryTimeout)
 		return
 	}
 	t.pending = len(t.shards)
@@ -376,7 +376,7 @@ func (n *node) issueNonTX(t *txn) {
 			t: t, ops: so.Ops, async: true, shard: so.Shard,
 		}, 32*len(so.Ops))
 	}
-	n.armRetry(t)
+	t.retry.Reset(retryTimeout)
 }
 
 // ----- client-side reply dispatch -----

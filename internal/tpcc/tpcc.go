@@ -116,7 +116,8 @@ type txn struct {
 	shards  []shardOps
 	started sim.Time
 	pending int
-	epoch   uint64
+	// retry aborts and reruns the transaction when replies go missing.
+	retry   sim.Timer
 	retries int
 	// Lock/OCC state.
 	phase    int
@@ -154,7 +155,7 @@ type node struct {
 	// draws.
 	gen     *workload.TPCCGen
 	data    map[uint64]*record
-	cpuBusy sim.Time
+	cpu     sim.Station
 	applied map[*txn]bool
 	// Lock state (primaries only): FIFO waiters per record key, and
 	// replication-completion state per in-flight execute.
@@ -247,6 +248,7 @@ func (n *node) key(w, local int) uint64 { return workload.TPCCKey(w, local) }
 // Payment, anything else is a New-Order.
 func (n *node) genTxn() *txn {
 	t := &txn{client: n, started: n.b.cl.Net.Eng.Now()}
+	t.retry.Init(n.b.cl.Net.Eng, (*txnRetry)(t))
 	n.gen.SetSnapshotFrac(n.b.SnapshotFrac)
 	t.shards = n.gen.Next()
 	t.kind = classify(t.shards)
@@ -287,7 +289,7 @@ func (n *node) issue(t *txn) {
 }
 
 func (n *node) finish(t *txn, committed bool) {
-	t.epoch++
+	t.retry.Stop()
 	b := n.b
 	if b.measuring {
 		if committed {
@@ -305,7 +307,7 @@ func (n *node) retryLater(t *txn) {
 		n.b.Stats.Aborted++
 	}
 	t.retries++
-	t.epoch++
+	t.retry.Stop()
 	back := sim.Time(1+n.rng.Intn(1<<uint(min(t.retries, 6)))) * sim.Microsecond
 	n.b.cl.Net.Eng.After(back, func() {
 		t.phase, t.pending, t.lockIdx = 0, 0, 0
@@ -316,26 +318,18 @@ func (n *node) retryLater(t *txn) {
 	})
 }
 
-func (n *node) armRetry(t *txn) {
-	t.epoch++
-	epoch := t.epoch
-	n.b.cl.Net.Eng.After(retryTimeout, func() {
-		if t.epoch != epoch {
-			return
-		}
-		n.retryLater(t)
-	})
+// txnRetry is a txn's retry-timer handler.
+type txnRetry txn
+
+func (r *txnRetry) Fire() {
+	t := (*txn)(r)
+	t.client.retryLater(t)
 }
 
 // serve models server CPU.
 func (n *node) serve(nops int, fn func()) {
 	eng := n.b.cl.Net.Eng
-	start := eng.Now()
-	if n.cpuBusy > start {
-		start = n.cpuBusy
-	}
-	n.cpuBusy = start + sim.Time(nops)*serverOpCost
-	eng.At(n.cpuBusy, fn)
+	eng.At(n.cpu.Serve(eng.Now(), sim.Time(nops)*serverOpCost), fn)
 }
 
 func (n *node) applyOps(ops []workload.Op) {
